@@ -67,4 +67,18 @@ from .harness import (
 )
 from .config import load_problem
 
+__all__ = [
+    "Expr", "ScalarField", "VectorField", "derivative", "evaluate", "parse",
+    "BoundaryData", "CoefficientEntry", "CoefficientFamily", "ControlSet", "GeometrySpec", "ThinProblem", "validate",
+    "boundary_certificate", "circle_obstruction_demo", "equivalence_check", "interior_certificate", "rotating_field",
+    "LimitProblem", "aux_fields", "evaluate_operator_g", "reduce_problem", "representation_check",
+    "DistortionMap", "build_map", "bottom_profile", "hat_boundary", "matrix_r", "pushforward", "top_profile",
+    "transplant_ellipticity",
+    "BarrierPair", "BarrierParams", "build_barrier", "general_barrier", "search_parameters", "verify_barrier",
+    "discretize_eps", "discretize_limit", "make_eps_grid", "make_limit_grid", "perturbation_certificate",
+    "policy_iteration", "solve_eps", "solve_limit",
+    "ExperimentPlan", "convergence_experiment", "manufactured_solution_test", "run_pipeline",
+    "load_problem",
+]
+
 __version__ = "0.1.0"

@@ -18,17 +18,26 @@ them throughout.
 For general gamma0 the same construction runs in distorted coordinates
 (where the hatted oblique data has zero horizontal part) and the barriers
 are pulled back through the inverse map with chain-rule derivatives.
+
+The barrier formulas and their first and second derivatives are written
+once, in ``_barrier_arrays``, over arrays of strip nodes.  Every barrier
+side (explicit or pulled back) evaluates batches of nodes; its scalar
+``value``/``grad``/``hess`` are one-row calls.  The seven margins have one
+evaluator, ``_MarginEngine.margins_of``: the parameter search feeds it the
+formula arrays directly and :func:`verify_barrier` feeds it the arrays of
+any pair's sides.  The operator's inf-sup is :func:`thinpde.problem.inf_sup`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .distortion import DistortionMap, build_map, hat_boundary, matrix_r, pushforward, top_profile, bottom_profile
-from .problem import ThinProblem
+from .problem import ThinProblem, inf_sup, operator_infsup
 
 __all__ = [
     "PreconditionViolatedError",
@@ -165,19 +174,15 @@ class StripView:
         return np.stack([g.ravel() for g in grids], axis=-1)
 
     def operator(self, X, p, r, x, y) -> float:
-        best = None
-        for lam in self.min_labels:
-            inner = None
-            for mu in self.max_labels:
-                v = (
-                    -float(np.sum(self.diffusion(lam, mu, x, y) * X))
-                    - float(self.drift(lam, mu, x, y) @ p)
-                    + self.czero(lam, mu, x, y) * r
-                    - self.source(lam, mu, x, y)
-                )
-                inner = v if inner is None else max(inner, v)
-            best = inner if best is None else min(best, inner)
-        return best
+        def coefficients(lam, mu):
+            return (
+                self.diffusion(lam, mu, x, y),
+                self.drift(lam, mu, x, y),
+                self.czero(lam, mu, x, y),
+                self.source(lam, mu, x, y),
+            )
+
+        return operator_infsup(self.min_labels, self.max_labels, coefficients, X, p, r).value
 
 
 class _MidpointField:
@@ -197,16 +202,20 @@ class _MidpointField:
         return 0.5 * (self.g_plus.hess(x) + self.g_minus.hess(x))
 
 
+def _lattice_sup(problem: ThinProblem, *fields) -> float:
+    """Largest |component| of the fields on the 16-interval base lattice."""
+    base = problem.geom.lattice(16)
+    return max(float(np.abs(fld.value(x)).max()) for fld in fields for x in base)
+
+
 def flat_view(problem: ThinProblem) -> StripView:
-    """View of the problem in its own coordinates (used when gamma0 = 0)."""
+    """View of the problem in its own coordinates (used when gamma0 = 0).
+
+    Its ``gamma0_sup`` is the one scan of sup|gamma0| that callers consult
+    to decide between the flat and the distorted construction.
+    """
     geom = problem.geom
     bd = problem.bdata
-    base = geom.lattice(16)
-    g_sup = max(
-        max(abs(geom.g_plus.value(x)) for x in base),
-        max(abs(geom.g_minus.value(x)) for x in base),
-    )
-    gamma0_sup = max(float(np.abs(bd.gamma0.value(x)).max()) for x in base)
 
     def diffusion(lam, mu, x, y):
         return problem.coeffs.entry(lam, mu).diffusion_at(np.append(x, y))
@@ -227,7 +236,7 @@ def flat_view(problem: ThinProblem) -> StripView:
         min_labels=problem.controls.min_labels,
         max_labels=problem.controls.max_labels,
         eps0=geom.epsilon0,
-        g_sup=g_sup,
+        g_sup=_lattice_sup(problem, geom.g_plus, geom.g_minus),
         r_cap=1.0,
         diffusion=diffusion,
         drift=drift,
@@ -242,7 +251,7 @@ def flat_view(problem: ThinProblem) -> StripView:
         beta0=bd.beta0,
         s=bd.s_candidate,
         h=bd.h if bd.h is not None else _MidpointField(geom.g_plus, geom.g_minus),
-        gamma0_sup=gamma0_sup,
+        gamma0_sup=_lattice_sup(problem, bd.gamma0),
     )
 
 
@@ -258,11 +267,7 @@ def hat_view(problem: ThinProblem, dmap: DistortionMap) -> StripView:
     hb = hat_boundary(problem, dmap)
     geom = problem.geom
     lo, hi = dmap.omega_hat
-    base = problem.geom.lattice(16)
-    g_sup = max(
-        max(abs(geom.g_plus.value(x)) for x in base),
-        max(abs(geom.g_minus.value(x)) for x in base),
-    )
+    g_sup = _lattice_sup(problem, geom.g_plus, geom.g_minus)
     eps0 = min(geom.epsilon0, dmap.r / g_sup if g_sup > 0 else geom.epsilon0)
 
     return StripView(
@@ -297,21 +302,72 @@ def as_strip_view(obj) -> StripView:
     return flat_view(obj)
 
 
-# --- cached lattice data ------------------------------------------------------
+# --- barrier formulas and the margin evaluator ---------------------------------
 
 
-@dataclass
-class _BaseData:
-    xs: np.ndarray  # (mx, N)
-    s_val: np.ndarray
-    s_grad: np.ndarray
-    s_hess: np.ndarray
-    b0_val: np.ndarray
-    b0_grad: np.ndarray
-    b0_hess: np.ndarray
-    h_val: np.ndarray
-    h_grad: np.ndarray
-    h_hess: np.ndarray
+def _fields_at(view: StripView, xs: np.ndarray, derivatives: bool = True) -> list[tuple]:
+    """(value, grad, hess) arrays of s, beta0 and h at the base points xs.
+
+    Without ``derivatives`` the gradient and Hessian slots are None.
+    """
+    out = []
+    for fld in (view.s, view.beta0, view.h):
+        vals = np.array([fld.value(x) for x in xs])
+        if derivatives:
+            out.append((vals, np.array([fld.grad(x) for x in xs]), np.array([fld.hess(x) for x in xs])))
+        else:
+            out.append((vals, None, None))
+    return out
+
+
+def _barrier_arrays(params: BarrierParams, eps: float, sign: float, y: np.ndarray, fields, derivatives: bool = True):
+    """Value, gradient and Hessian of one barrier at m nodes (x, y).
+
+    ``fields`` holds the :func:`_fields_at` arrays of s, beta0 and h at each
+    node's base point x.  Without ``derivatives`` only the values are
+    computed and returned.
+    """
+    (s_val, s_grad, s_hess), (b0, db0, d2b0), (hv, dh, d2h) = fields
+    alpha = params.alpha
+    al = alpha * params.lam
+    chi = np.exp(alpha * (params.kappa * (s_val - params.s_shift)))
+    rho = params.c_d + params.c_alpha - chi
+    yh = y - eps * hv
+    val = sign * rho + b0 * y + sign * al * chi * yh**2
+    if not derivatives:
+        return val
+
+    s_g = params.kappa * s_grad
+    s_h = params.kappa * s_hess
+    dchi = alpha * chi[:, None] * s_g
+    d2chi = chi[:, None, None] * (alpha**2 * np.einsum("mi,mj->mij", s_g, s_g) + alpha * s_h)
+    m, n = s_g.shape
+    grad = np.empty((m, n + 1))
+    grad[:, :n] = (
+        -sign * dchi
+        + db0 * y[:, None]
+        + sign * al * (dchi * (yh**2)[:, None] - 2 * eps * (chi * yh)[:, None] * dh)
+    )
+    grad[:, n] = b0 + sign * 2 * al * chi * yh
+    hess = np.empty((m, n + 1, n + 1))
+    sym = np.einsum("mi,mj->mij", dchi, dh) + np.einsum("mi,mj->mij", dh, dchi)
+    hess[:, :n, :n] = (
+        -sign * d2chi
+        + d2b0 * y[:, None, None]
+        + sign
+        * al
+        * (
+            d2chi * (yh**2)[:, None, None]
+            - 2 * eps * yh[:, None, None] * sym
+            - 2 * eps * (chi * yh)[:, None, None] * d2h
+            + 2 * eps**2 * chi[:, None, None] * np.einsum("mi,mj->mij", dh, dh)
+        )
+    )
+    cross = db0 + sign * 2 * al * (dchi * yh[:, None] - eps * chi[:, None] * dh)
+    hess[:, :n, n] = cross
+    hess[:, n, :n] = cross
+    hess[:, n, n] = sign * 2 * al * chi
+    return val, grad, hess
 
 
 @dataclass
@@ -332,26 +388,18 @@ class _StripData:
 
 
 class _MarginEngine:
-    """Vectorized margin evaluation over cached lattice data."""
+    """Strip lattices of one view, cached per eps, and the seven margins on them."""
 
     def __init__(self, view: StripView, grid: tuple[int, int]):
         self.view = view
         self.grid = grid
-        self.base = self._base_data(grid[0])
+        self.xs = view.base_lattice(grid[0])
         self._strips: dict[float, _StripData] = {}
 
-    def _base_data(self, intervals: int) -> _BaseData:
-        xs = self.view.base_lattice(intervals)
-        def bundle(fld):
-            return (
-                np.array([fld.value(x) for x in xs]),
-                np.array([fld.grad(x) for x in xs]),
-                np.array([fld.hess(x) for x in xs]),
-            )
-        sv, sg, sh = bundle(self.view.s)
-        bv, bg, bh = bundle(self.view.beta0)
-        hv, hg, hh = bundle(self.view.h)
-        return _BaseData(xs, sv, sg, sh, bv, bg, bh, hv, hg, hh)
+    @cached_property
+    def fields(self) -> list[tuple]:
+        """s, beta0 and h with derivatives on the base lattice."""
+        return _fields_at(self.view, self.xs)
 
     def strip(self, eps: float) -> _StripData:
         key = round(eps, 15)
@@ -360,7 +408,7 @@ class _MarginEngine:
             return data
         view = self.view
         ny = self.grid[1]
-        xs = self.base.xs
+        xs = self.xs
         nl, nm = len(view.min_labels), len(view.max_labels)
         n1 = view.n + 1
         x_idx, ys = [], []
@@ -402,83 +450,29 @@ class _MarginEngine:
         self._strips[key] = data
         return data
 
-    def _barrier_arrays(self, params: BarrierParams, eps: float, sign: float, strip: _StripData):
-        """Values, gradients and Hessians of one barrier at every strip node."""
-        bd = self.base
-        idx = strip.x_idx
-        n = self.view.n
-        alpha, lam_ = params.alpha, params.lam
-        s_t = params.kappa * (bd.s_val - params.s_shift)
-        s_g = params.kappa * bd.s_grad
-        s_h = params.kappa * bd.s_hess
-        chi_b = np.exp(alpha * s_t)
-        dchi_b = alpha * chi_b[:, None] * s_g
-        d2chi_b = chi_b[:, None, None] * (
-            alpha**2 * np.einsum("mi,mj->mij", s_g, s_g) + alpha * s_h
-        )
-        c_alpha = params.c_alpha
-        rho_b = params.c_d + c_alpha - chi_b
-
-        chi = chi_b[idx]
-        dchi = dchi_b[idx]
-        d2chi = d2chi_b[idx]
-        rho = rho_b[idx]
-        b0 = bd.b0_val[idx]
-        db0 = bd.b0_grad[idx]
-        d2b0 = bd.b0_hess[idx]
-        hv = bd.h_val[idx]
-        dh = bd.h_grad[idx]
-        d2h = bd.h_hess[idx]
-        y = strip.ys
-        yh = y - eps * hv
-        al = alpha * lam_
-
-        val = sign * rho + b0 * y + sign * al * chi * yh**2
-        m = len(y)
-        grad = np.empty((m, n + 1))
-        grad[:, :n] = (
-            -sign * dchi
-            + db0 * y[:, None]
-            + sign * al * (dchi * (yh**2)[:, None] - 2 * eps * (chi * yh)[:, None] * dh)
-        )
-        grad[:, n] = b0 + sign * 2 * al * chi * yh
-        hess = np.empty((m, n + 1, n + 1))
-        sym = np.einsum("mi,mj->mij", dchi, dh) + np.einsum("mi,mj->mij", dh, dchi)
-        hess[:, :n, :n] = (
-            -sign * d2chi
-            + d2b0 * y[:, None, None]
-            + sign
-            * al
-            * (
-                d2chi * (yh**2)[:, None, None]
-                - 2 * eps * yh[:, None, None] * sym
-                - 2 * eps * (chi * yh)[:, None, None] * d2h
-                + 2 * eps**2 * chi[:, None, None] * np.einsum("mi,mj->mij", dh, dh)
-            )
-        )
-        cross = db0 + sign * 2 * al * (dchi * yh[:, None] - eps * chi[:, None] * dh)
-        hess[:, :n, n] = cross
-        hess[:, n, :n] = cross
-        hess[:, n, n] = sign * 2 * al * chi
-        return val, grad, hess
-
     def margins(self, params: BarrierParams, eps: float) -> BarrierMargins:
+        """Margins of the explicit pair with these parameters, from the formula arrays."""
         strip = self.strip(eps)
-        up = self._barrier_arrays(params, eps, +1.0, strip)
-        lo = self._barrier_arrays(params, eps, -1.0, strip)
+        fields = [tuple(arr[strip.x_idx] for arr in fld) for fld in self.fields]
+        up = _barrier_arrays(params, eps, +1.0, strip.ys, fields)
+        lo = _barrier_arrays(params, eps, -1.0, strip.ys, fields)
+        return self.margins_of(strip, up, lo)
 
-        def infsup(val, grad, hess, with_c: bool):
+    def margins_of(self, strip: _StripData, up, lo) -> BarrierMargins:
+        """The seven margins of the (value, grad, hess) arrays of both barriers at the strip nodes."""
+
+        def operator(val, grad, hess, with_c: bool):
             t = -np.einsum("mklij,mij->mkl", strip.a, hess) - np.einsum(
                 "mkli,mi->mkl", strip.b, grad
             ) - strip.f
             if with_c:
                 t = t + strip.c * val[:, None, None]
-            return t.max(axis=2).min(axis=1)
+            return inf_sup(t)[0]
 
-        f_up = infsup(*up, with_c=True)
-        f_lo = infsup(*lo, with_c=True)
-        f_up0 = infsup(*up, with_c=False)
-        f_lo0 = infsup(*lo, with_c=False)
+        f_up = operator(*up, with_c=True)
+        f_lo = operator(*lo, with_c=True)
+        f_up0 = operator(*up, with_c=False)
+        f_lo0 = operator(*lo, with_c=False)
 
         gu_top = up[1][strip.top_sel]
         gl_top = lo[1][strip.top_sel]
@@ -503,7 +497,7 @@ class _MarginEngine:
             bound_c=bound_c,
             psi_bar_min=float(up[0].min()),
             psi_low_max=float(lo[0].max()),
-            eps=eps,
+            eps=strip.eps,
             grid=self.grid,
             m3_cfree=float(f_up0.min()),
             m6_cfree=float((-f_lo0).min()),
@@ -513,8 +507,29 @@ class _MarginEngine:
 # --- barrier evaluators -------------------------------------------------------
 
 
-class AnalyticBarrierSide:
-    """One explicit barrier with closed-form first and second derivatives."""
+class _BarrierSide:
+    """A barrier evaluated on batches of nodes: x shaped (m, N), y shaped (m,).
+
+    Subclasses provide ``values(x, y)`` and ``arrays(x, y)`` (value, grad,
+    hess); the scalar accessors are one-row calls of those.
+    """
+
+    @staticmethod
+    def _row(x, y):
+        return np.atleast_1d(np.asarray(x, dtype=float))[None, :], np.array([float(y)])
+
+    def value(self, x, y: float) -> float:
+        return float(self.values(*self._row(x, y))[0])
+
+    def grad(self, x, y: float) -> np.ndarray:
+        return self.arrays(*self._row(x, y))[1][0]
+
+    def hess(self, x, y: float) -> np.ndarray:
+        return self.arrays(*self._row(x, y))[2][0]
+
+
+class AnalyticBarrierSide(_BarrierSide):
+    """One explicit barrier; the formulas are those of ``_barrier_arrays``."""
 
     def __init__(self, view: StripView, params: BarrierParams, eps: float, sign: float):
         self.view = view
@@ -522,97 +537,43 @@ class AnalyticBarrierSide:
         self.eps = eps
         self.sign = sign
 
-    def _chi(self, x):
-        p = self.params
-        s = p.kappa * (self.view.s.value(x) - p.s_shift)
-        ds = p.kappa * self.view.s.grad(x)
-        d2s = p.kappa * self.view.s.hess(x)
-        chi = math.exp(p.alpha * s)
-        dchi = p.alpha * chi * ds
-        d2chi = chi * (p.alpha**2 * np.outer(ds, ds) + p.alpha * d2s)
-        return chi, dchi, d2chi
+    def _eval(self, x, y, derivatives: bool):
+        # strip and grid nodes share their base points: evaluate s, beta0, h once per point
+        xs, inv = np.unique(np.asarray(x, dtype=float), axis=0, return_inverse=True)
+        inv = inv.ravel()
+        fields = [
+            tuple(None if arr is None else arr[inv] for arr in fld) for fld in _fields_at(self.view, xs, derivatives)
+        ]
+        return _barrier_arrays(self.params, self.eps, self.sign, np.asarray(y, dtype=float), fields, derivatives)
 
-    def value(self, x, y: float) -> float:
-        p = self.params
-        chi, _, _ = self._chi(x)
-        rho = p.c_d + p.c_alpha - chi
-        yh = y - self.eps * self.view.h.value(x)
-        return self.sign * rho + self.view.beta0.value(x) * y + self.sign * p.alpha * p.lam * chi * yh**2
+    def values(self, x, y) -> np.ndarray:
+        return self._eval(x, y, derivatives=False)
 
-    def grad(self, x, y: float) -> np.ndarray:
-        p = self.params
-        n = self.view.n
-        chi, dchi, _ = self._chi(x)
-        b0 = self.view.beta0.value(x)
-        db0 = self.view.beta0.grad(x)
-        hv = self.view.h.value(x)
-        dh = self.view.h.grad(x)
-        yh = y - self.eps * hv
-        al = p.alpha * p.lam
-        out = np.empty(n + 1)
-        out[:n] = -self.sign * dchi + db0 * y + self.sign * al * (dchi * yh**2 - 2 * self.eps * chi * yh * dh)
-        out[n] = b0 + self.sign * 2 * al * chi * yh
-        return out
-
-    def hess(self, x, y: float) -> np.ndarray:
-        p = self.params
-        n = self.view.n
-        chi, dchi, d2chi = self._chi(x)
-        db0 = self.view.beta0.grad(x)
-        d2b0 = self.view.beta0.hess(x)
-        hv = self.view.h.value(x)
-        dh = self.view.h.grad(x)
-        d2h = self.view.h.hess(x)
-        yh = y - self.eps * hv
-        al = p.alpha * p.lam
-        out = np.empty((n + 1, n + 1))
-        out[:n, :n] = (
-            -self.sign * d2chi
-            + d2b0 * y
-            + self.sign
-            * al
-            * (
-                d2chi * yh**2
-                - 2 * self.eps * yh * (np.outer(dchi, dh) + np.outer(dh, dchi))
-                - 2 * self.eps * chi * yh * d2h
-                + 2 * self.eps**2 * chi * np.outer(dh, dh)
-            )
-        )
-        cross = db0 + self.sign * 2 * al * (dchi * yh - self.eps * chi * dh)
-        out[:n, n] = cross
-        out[n, :n] = cross
-        out[n, n] = self.sign * 2 * al * chi
-        return out
+    def arrays(self, x, y):
+        return self._eval(x, y, derivatives=True)
 
 
-class PulledBackSide:
+class PulledBackSide(_BarrierSide):
     """Barrier in original coordinates: w o Q with chain-rule derivatives."""
 
     def __init__(self, wside, dmap: DistortionMap):
         self.wside = wside
         self.dmap = dmap
 
-    def _z(self, x, y):
-        return self.dmap.inverse(x, y)
+    def _z(self, x, y) -> np.ndarray:
+        return np.array([self.dmap.inverse(xi, yi) for xi, yi in zip(x, y)])
 
-    def value(self, x, y: float) -> float:
-        return self.wside.value(self._z(x, y), y)
+    def values(self, x, y) -> np.ndarray:
+        return self.wside.values(self._z(x, y), y)
 
-    def grad(self, x, y: float) -> np.ndarray:
+    def arrays(self, x, y):
         z = self._z(x, y)
-        dq = matrix_r(self.dmap, z, y)
-        return self.wside.grad(z, y) @ dq
-
-    def hess(self, x, y: float) -> np.ndarray:
-        z = self._z(x, y)
-        dq = matrix_r(self.dmap, z, y)
-        dw = self.wside.grad(z, y)
-        d2w = self.wside.hess(z, y)
-        d2q = self.dmap.d2q(x, y)
-        out = dq.T @ d2w @ dq
-        for k in range(len(dw)):
-            out = out + dw[k] * d2q[k]
-        return out
+        dq = np.array([matrix_r(self.dmap, zi, yi) for zi, yi in zip(z, y)])
+        d2q = np.array([self.dmap.d2q(xi, yi) for xi, yi in zip(x, y)])
+        val, dw, d2w = self.wside.arrays(z, y)
+        grad = np.einsum("mk,mki->mi", dw, dq)
+        hess = np.einsum("mki,mkl,mlj->mij", dq, d2w, dq) + np.einsum("mk,mkij->mij", dw, d2q)
+        return val, grad, hess
 
 
 @dataclass
@@ -656,76 +617,10 @@ def verify_barrier(problem_or_view, pair: BarrierPair, eps: float | None = None,
     view = as_strip_view(problem_or_view)
     if eps is None:
         eps = pair.eps
-    xs = view.base_lattice(grid[0])
-    ny = grid[1]
-    vals_u, vals_l = [], []
-    f_up, f_lo, f_up0, f_lo0 = [], [], [], []
-    m1 = m2 = m4 = m5 = math.inf
-    for x in xs:
-        ybot = view.bottom_y(x, eps)
-        ytop = view.top_y(x, eps)
-        for j, y in enumerate(np.linspace(ybot, ytop, ny + 1)):
-            vu = pair.upper.value(x, y)
-            vl = pair.lower.value(x, y)
-            gu = pair.upper.grad(x, y)
-            gl = pair.lower.grad(x, y)
-            hu = pair.upper.hess(x, y)
-            hl = pair.lower.hess(x, y)
-            vals_u.append(vu)
-            vals_l.append(vl)
-            fu = fl = None
-            fu0 = fl0 = None
-            for lam in view.min_labels:
-                iu = il = iu0 = il0 = None
-                for mu in view.max_labels:
-                    a = view.diffusion(lam, mu, x, y)
-                    b = view.drift(lam, mu, x, y)
-                    c = view.czero(lam, mu, x, y)
-                    f = view.source(lam, mu, x, y)
-                    tu0 = -float(np.sum(a * hu)) - float(b @ gu) - f
-                    tl0 = -float(np.sum(a * hl)) - float(b @ gl) - f
-                    tu = tu0 + c * vu
-                    tl = tl0 + c * vl
-                    iu = tu if iu is None else max(iu, tu)
-                    il = tl if il is None else max(il, tl)
-                    iu0 = tu0 if iu0 is None else max(iu0, tu0)
-                    il0 = tl0 if il0 is None else max(il0, tl0)
-                fu = iu if fu is None else min(fu, iu)
-                fl = il if fl is None else min(fl, il)
-                fu0 = iu0 if fu0 is None else min(fu0, iu0)
-                fl0 = il0 if fl0 is None else min(fl0, il0)
-            f_up.append(fu)
-            f_lo.append(fl)
-            f_up0.append(fu0)
-            f_lo0.append(fl0)
-            if j == ny:
-                gt = view.gamma_top(x, y)
-                bt = view.beta_top(x, y)
-                m1 = min(m1, float(gt @ gu) - bt)
-                m4 = min(m4, -(float(gt @ gl) - bt))
-            if j == 0:
-                gb = view.gamma_bottom(x, y)
-                bb = view.beta_bottom(x, y)
-                m2 = min(m2, float(gb @ gu) - bb)
-                m5 = min(m5, -(float(gb @ gl) - bb))
-    vals_u = np.array(vals_u)
-    vals_l = np.array(vals_l)
-    margins = BarrierMargins(
-        m1=m1,
-        m2=m2,
-        m3=float(np.min(f_up)),
-        m4=m4,
-        m5=m5,
-        m6=float(np.min(-np.array(f_lo))),
-        m7=float((vals_u - vals_l).min()),
-        bound_c=float(max(np.abs(vals_u).max(), np.abs(vals_l).max())) + 1.0,
-        psi_bar_min=float(vals_u.min()),
-        psi_low_max=float(vals_l.max()),
-        eps=eps,
-        grid=grid,
-        m3_cfree=float(np.min(f_up0)),
-        m6_cfree=float(np.min(-np.array(f_lo0))),
-    )
+    engine = _MarginEngine(view, grid)
+    strip = engine.strip(eps)
+    x = engine.xs[strip.x_idx]
+    margins = engine.margins_of(strip, pair.upper.arrays(x, strip.ys), pair.lower.arrays(x, strip.ys))
     pair.margins = margins
     return margins
 
@@ -775,13 +670,11 @@ def search_parameters(
         raise SearchExhaustedError("ellipticity normalization on a slab of positive half-height")
     kappa = 1.0 / math.sqrt(mr)
 
-    base = view.base_lattice(search_grid[0])
-    s_vals = np.array([view.s.value(x) for x in base])
-    shift = float(s_vals.min())
-    s_sup = float((kappa * (s_vals - shift)).max())
-
     engine = _MarginEngine(view, search_grid)
     fine = _MarginEngine(view, verify_grid)
+    s_vals = engine.fields[0][0]
+    shift = float(s_vals.min())
+    s_sup = float((kappa * (s_vals - shift)).max())
 
     def eps1_for(alpha: float, lam: float) -> float:
         cap = r / view.g_sup if view.g_sup > 0 else 1.0

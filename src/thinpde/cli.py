@@ -211,7 +211,7 @@ def cmd_solve(args) -> int:
                 print("error: solve needs --eps (or --limit)", file=sys.stderr)
                 return EXIT_FAILURE
             fld = sol.solve_eps(problem, args.eps, nx=args.nx, ny=args.ny, tol=args.tol, max_iter=args.max_iter)
-    except (sol.NonMonotoneStencilError, sol.MaxIterExceededError, sol.SingularSystemError, NotImplementedError) as exc:
+    except sol.SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     pairs = problem.control_pairs()
@@ -243,9 +243,15 @@ def cmd_converge(args) -> int:
         nx=args.nx or settings.nx,
         ny=args.ny or settings.ny,
         limit_resolution=args.limit_nx or settings.limit_resolution,
+        tol=settings.tol,
+        max_iter=settings.max_iter,
         seed=args.seed,
     )
-    table = harness.convergence_experiment(plan)
+    try:
+        table = harness.convergence_experiment(plan)
+    except sol.SOLVER_ERRORS as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     _write_csv(args, "convergence.csv", table.to_csv())
     _emit(args, "converge_report.txt", table.format())
     return EXIT_OK if table.passed else EXIT_FAILURE
@@ -273,6 +279,8 @@ def cmd_pipeline(args) -> int:
         limit_resolution=settings.limit_resolution,
         seed=args.seed,
         out_dir=args.out,
+        tol=settings.tol,
+        max_iter=settings.max_iter,
     )
     print(result.report)
     return result.exit_code

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expressions import ScalarField
-from .problem import OperatorValue, ThinProblem
+from .problem import ThinProblem
 
 __all__ = [
     "NoConvergenceError",
@@ -303,29 +303,6 @@ class HatOperator:
 
     def f_hat(self, lam: str, mu: str, z, y: float) -> float:
         return self.problem.coeffs.entry(lam, mu).f_at(self.dmap.forward(z, y))
-
-    def evaluate_operator(self, X, p, r: float, z, y: float) -> OperatorValue:
-        X = np.asarray(X, dtype=float)
-        p = np.asarray(p, dtype=float)
-        best_val = None
-        best_pair = None
-        for lam in self.problem.controls.min_labels:
-            inner_val = None
-            inner_mu = None
-            for mu in self.problem.controls.max_labels:
-                v = (
-                    -float(np.sum(self.diffusion_hat(lam, mu, z, y) * X))
-                    - float(self.b_hat(lam, mu, z, y) @ p)
-                    + self.c_hat(lam, mu, z, y) * r
-                    - self.f_hat(lam, mu, z, y)
-                )
-                if inner_val is None or v > inner_val:
-                    inner_val = v
-                    inner_mu = mu
-            if best_val is None or inner_val < best_val:
-                best_val = inner_val
-                best_pair = (lam, inner_mu)
-        return OperatorValue(best_val, best_pair[0], best_pair[1])
 
 
 def pushforward(problem: ThinProblem, dmap: DistortionMap) -> HatOperator:

@@ -163,52 +163,39 @@ class ConvergenceTable:
         return "\n".join(lines)
 
 
-def _barrier_pair_factory(problem: ThinProblem):
-    """Parameters plus a per-eps pair builder, or (None, None) on failure."""
-    base = problem.geom.lattice(16)
-    gamma_sup = max(float(np.abs(problem.bdata.gamma0.value(x)).max()) for x in base)
-    if gamma_sup <= 1e-12:
+def _barrier_pair_factory(problem: ThinProblem, view: bar.StripView | None = None, dmap=None):
+    """Searched parameters plus a per-eps pair builder.
+
+    ``view`` is the problem's flat view (its sup|gamma0| picks the flat or
+    the distorted construction) and ``dmap`` its distortion map; each is
+    built here when not given.
+    """
+    if view is None:
         view = bar.flat_view(problem)
+    if view.gamma0_sup <= 1e-12:
         params = bar.search_parameters(view)
-
-        def make(eps: float) -> bar.BarrierPair:
-            return bar.build_barrier(view, params, eps, allow_uncertified=True)
-
-        return params, make
-    dmap = build_map(problem)
-    view = bar.hat_view(problem, dmap)
-    params = bar.search_parameters(view)
-
-    def make(eps: float) -> bar.BarrierPair:
-        hat_pair = bar.build_barrier(view, params, eps, allow_uncertified=True)
-        return bar.BarrierPair(
-            upper=bar.PulledBackSide(hat_pair.upper, dmap),
-            lower=bar.PulledBackSide(hat_pair.lower, dmap),
-            params=params,
-            eps=eps,
-        )
-
-    return params, make
+        return params, lambda eps: bar.build_barrier(view, params, eps, allow_uncertified=True)
+    gb = bar.general_barrier(problem, dmap)
+    return gb.params, lambda eps: bar.general_barrier(problem, gb.dmap, gb.params, eps).pair
 
 
 def sandwich_margins(pair: bar.BarrierPair, fld: sol.GridField) -> tuple[float, float, float]:
     """(min(u - psi_low), min(psi_bar - u), max width) over grid nodes."""
-    lo_margin = math.inf
-    hi_margin = math.inf
-    width = 0.0
     nodes = fld.grid.nodes()
+    x, y = nodes[:, :-1], nodes[:, -1]
     u = fld.flat()
-    for val, z in zip(u, nodes):
-        x, y = z[:-1], z[-1]
-        lo = pair.lower.value(x, y)
-        hi = pair.upper.value(x, y)
-        lo_margin = min(lo_margin, val - lo)
-        hi_margin = min(hi_margin, hi - val)
-        width = max(width, hi - lo)
-    return lo_margin, hi_margin, width
+    lo = pair.lower.values(x, y)
+    hi = pair.upper.values(x, y)
+    return float((u - lo).min()), float((hi - u).min()), max(0.0, float((hi - lo).max()))
 
 
-def convergence_experiment(plan: ExperimentPlan, with_barriers: bool = True) -> ConvergenceTable:
+def convergence_experiment(plan: ExperimentPlan, with_barriers: bool = True, barrier=None) -> ConvergenceTable:
+    """Solve the strips and the limit problem of ``plan`` and tabulate E(eps).
+
+    ``barrier`` is the (parameters, pair builder) of
+    ``_barrier_pair_factory`` when the caller has already searched them;
+    otherwise the search runs here unless ``with_barriers`` is false.
+    """
     problem = plan.problem
     lp = reduce_problem(problem)
     u0 = sol.solve_limit(lp, plan.limit_resolution, tol=plan.tol, max_iter=plan.max_iter)
@@ -217,7 +204,9 @@ def convergence_experiment(plan: ExperimentPlan, with_barriers: bool = True) -> 
     disc_est = float(np.abs(u0.flat() - u0_fine.flat()[::2]).max())
 
     params, make_pair = (None, None)
-    if with_barriers:
+    if barrier is not None:
+        params, make_pair = barrier
+    elif with_barriers:
         params, make_pair = _barrier_pair_factory(problem)
 
     xs_limit = u0.grid.axes[0]
@@ -350,6 +339,8 @@ def run_pipeline(
     limit_resolution: int = 64,
     seed: int = 0,
     out_dir: str | None = None,
+    tol: float = 1e-10,
+    max_iter: int = 100,
 ) -> PipelineResult:
     """validate -> certify -> reduce -> transform -> barrier -> solve -> converge.
 
@@ -385,15 +376,15 @@ def run_pipeline(
 
     lines.append("[stage reduce]")
     lp = reduce_problem(problem)
-    tol = 1e-8 if _has_analytic_base_derivatives(problem) else 1e-4
-    rep = representation_check(problem, lp, samples=1000, seed=seed, tolerance=tol)
+    rep_tol = 1e-8 if _has_analytic_base_derivatives(problem) else 1e-4
+    rep = representation_check(problem, lp, samples=1000, seed=seed, tolerance=rep_tol)
     lines.append(rep.format())
     if not rep.passed:
         return finish(EXIT_FAILURE, "reduce")
 
-    base = problem.geom.lattice(16)
-    gamma_sup = max(float(np.abs(problem.bdata.gamma0.value(x)).max()) for x in base)
-    if gamma_sup > 1e-12:
+    view = bar.flat_view(problem)
+    dmap = None
+    if view.gamma0_sup > 1e-12:
         lines.append("[stage transform]")
         try:
             dmap = build_map(problem)
@@ -407,8 +398,8 @@ def run_pipeline(
 
     lines.append("[stage barrier]")
     try:
-        params, _ = _barrier_pair_factory(problem)
-        lines.append("parameters: " + params.format())
+        barrier = _barrier_pair_factory(problem, view, dmap)
+        lines.append("parameters: " + barrier[0].format())
     except bar.SearchExhaustedError as exc:
         lines.append(str(exc))
         return finish(EXIT_BARRIER, "barrier")
@@ -420,11 +411,13 @@ def run_pipeline(
         nx=nx,
         ny=ny,
         limit_resolution=limit_resolution,
+        tol=tol,
+        max_iter=max_iter,
         seed=seed,
     )
     try:
-        table = convergence_experiment(plan)
-    except (sol.NonMonotoneStencilError, sol.MaxIterExceededError, sol.SingularSystemError, NotImplementedError) as exc:
+        table = convergence_experiment(plan, barrier=barrier)
+    except sol.SOLVER_ERRORS as exc:
         lines.append(f"solver failed: {exc}")
         return finish(EXIT_SOLVER, "solve")
     lines.append(table.format())

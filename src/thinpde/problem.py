@@ -31,6 +31,8 @@ __all__ = [
     "BoundaryData",
     "ThinProblem",
     "OperatorValue",
+    "inf_sup",
+    "operator_infsup",
     "Diagnostic",
     "DiagnosticsReport",
     "validate",
@@ -232,28 +234,44 @@ class ThinProblem:
         Ties are broken toward the lowest label index, so the result is
         reproducible across runs.
         """
-        X = np.asarray(X, dtype=float)
-        p = np.asarray(p, dtype=float)
-        best_val = None
-        best_pair = None
-        for lam in self.controls.min_labels:
-            inner_val = None
-            inner_mu = None
-            for mu in self.controls.max_labels:
-                e = self.coeffs.entry(lam, mu)
-                v = (
-                    -float(np.sum(e.diffusion_at(z) * X))
-                    - float(e.drift_at(z) @ p)
-                    + e.c_at(z) * r
-                    - e.f_at(z)
-                )
-                if inner_val is None or v > inner_val:
-                    inner_val = v
-                    inner_mu = mu
-            if best_val is None or inner_val < best_val:
-                best_val = inner_val
-                best_pair = (lam, inner_mu)
-        return OperatorValue(best_val, best_pair[0], best_pair[1])
+
+        def coefficients(lam, mu):
+            e = self.coeffs.entry(lam, mu)
+            return e.diffusion_at(z), e.drift_at(z), e.c_at(z), e.f_at(z)
+
+        return operator_infsup(self.controls.min_labels, self.controls.max_labels, coefficients, X, p, r)
+
+
+def inf_sup(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inf over L of the sup over M of per-control values shaped (..., nL, nM).
+
+    Returns ``(value, lam_idx, mu_idx)``, each shaped like the leading axes.
+    Ties go to the lowest index: the first argmin over L of the row maxima,
+    then the first argmax over M within the chosen row.
+    """
+    values = np.asarray(values, dtype=float)
+    row_max = values.max(axis=-1)
+    lam_idx = row_max.argmin(axis=-1)
+    row = np.take_along_axis(values, lam_idx[..., None, None], axis=-2)[..., 0, :]
+    value = np.take_along_axis(row_max, lam_idx[..., None], axis=-1)[..., 0]
+    return value, lam_idx, row.argmax(axis=-1)
+
+
+def operator_infsup(min_labels, max_labels, coefficients, X, p, r: float) -> OperatorValue:
+    """Inf over L, sup over M of -tr(A X) - b.p + c r - f.
+
+    ``coefficients(lam, mu)`` returns the control pair's (A, b, c, f) at the
+    evaluation point; ties go to the lowest label index (see :func:`inf_sup`).
+    """
+    X = np.asarray(X, dtype=float)
+    p = np.asarray(p, dtype=float)
+
+    def term(lam, mu) -> float:
+        a, b, c, f = coefficients(lam, mu)
+        return -float(np.sum(a * X)) - float(b @ p) + c * r - f
+
+    value, il, im = inf_sup([[term(lam, mu) for mu in max_labels] for lam in min_labels])
+    return OperatorValue(float(value), min_labels[il], max_labels[im])
 
 
 # --- validation -------------------------------------------------------------

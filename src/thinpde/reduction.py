@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import OperatorValue, ThinProblem
+from .problem import OperatorValue, ThinProblem, operator_infsup
 
 __all__ = [
     "DegenerateThicknessError",
@@ -185,27 +185,13 @@ def reduce_problem(problem: ThinProblem) -> LimitProblem:
 
 def evaluate_operator_g(lp: LimitProblem, X, p, r: float, x) -> OperatorValue:
     """Inf over L, sup over M of -tr(A~ X) - b~.p + c~ r - f~ at x."""
+
+    def coefficients(lam, mu):
+        return lp.a_tilde(lam, mu, x), lp.b_tilde(lam, mu, x), lp.c_tilde(lam, mu, x), lp.f_tilde(lam, mu, x)
+
     X = np.asarray(X, dtype=float).reshape(lp.n, lp.n)
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    best_val = None
-    best_pair = None
-    for lam in lp.controls.min_labels:
-        inner_val = None
-        inner_mu = None
-        for mu in lp.controls.max_labels:
-            v = (
-                -float(np.sum(lp.a_tilde(lam, mu, x) * X))
-                - float(lp.b_tilde(lam, mu, x) @ p)
-                + lp.c_tilde(lam, mu, x) * r
-                - lp.f_tilde(lam, mu, x)
-            )
-            if inner_val is None or v > inner_val:
-                inner_val = v
-                inner_mu = mu
-        if best_val is None or inner_val < best_val:
-            best_val = inner_val
-            best_pair = (lam, inner_mu)
-    return OperatorValue(best_val, best_pair[0], best_pair[1])
+    return operator_infsup(lp.controls.min_labels, lp.controls.max_labels, coefficients, X, p, r)
 
 
 def bordered_matrices(problem: ThinProblem, x, X, p):

@@ -24,13 +24,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .problem import ThinProblem
+from .problem import ThinProblem, inf_sup
 from .reduction import LimitProblem
 
 __all__ = [
     "NonMonotoneStencilError",
     "MaxIterExceededError",
     "SingularSystemError",
+    "SOLVER_ERRORS",
     "Grid",
     "DiscreteSystem",
     "GridField",
@@ -79,6 +80,10 @@ class MaxIterExceededError(RuntimeError):
 
 class SingularSystemError(RuntimeError):
     """The frozen-policy linear system is singular (e.g. no Dirichlet node with c = 0)."""
+
+
+# every way a solve can fail on valid input; callers map these to exit 5
+SOLVER_ERRORS = (NonMonotoneStencilError, MaxIterExceededError, SingularSystemError, NotImplementedError)
 
 
 @dataclass
@@ -379,24 +384,15 @@ class GridField:
 
 
 def _residual_stack(sys: DiscreteSystem, u: np.ndarray) -> np.ndarray:
-    """(n_min, n_max, size) array of per-control row residuals A u - rhs."""
-    res = np.stack([m @ u - r for m, r in zip(sys.matrices, sys.rhs)])
-    return res.reshape(sys.n_min, sys.n_max, -1)
+    """(size, n_min, n_max) array of per-control row residuals A u - rhs."""
+    res = np.stack([m @ u - r for m, r in zip(sys.matrices, sys.rhs)], axis=-1)
+    return res.reshape(-1, sys.n_min, sys.n_max)
 
 
 def residual_infinity(sys: DiscreteSystem, u: np.ndarray) -> float:
     """Sup norm of the discrete inf-sup operator applied to u."""
-    stack = _residual_stack(sys, np.asarray(u).ravel())
-    return float(np.abs(stack.max(axis=1).min(axis=0)).max())
-
-
-def _select_policy(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    over_mu = stack.max(axis=1)  # (n_min, size)
-    lam_idx = over_mu.argmin(axis=0)  # first minimal index wins ties
-    size = stack.shape[2]
-    mu_idx = stack[lam_idx, :, np.arange(size)].argmax(axis=1)
-    values = over_mu[lam_idx, np.arange(size)]
-    return lam_idx, mu_idx, values
+    values, _, _ = inf_sup(_residual_stack(sys, np.asarray(u).ravel()))
+    return float(np.abs(values).max())
 
 
 def _solve_frozen(sys: DiscreteSystem, lam_idx: np.ndarray, mu_idx: np.ndarray) -> np.ndarray:
@@ -446,13 +442,12 @@ def policy_iteration(sys: DiscreteSystem, tol: float = 1e-10, max_iter: int = 10
     size = sys.grid.size
     u = np.zeros(size)
     u[sys.dirichlet_mask] = sys.dirichlet_values[sys.dirichlet_mask]
-    lam_idx, mu_idx, _ = _select_policy(_residual_stack(sys, u))
+    _, lam_idx, mu_idx = inf_sup(_residual_stack(sys, u))
     history: list[float] = []
     switches = 0
     for it in range(1, max_iter + 1):
         u = _solve_frozen(sys, lam_idx, mu_idx)
-        stack = _residual_stack(sys, u)
-        new_lam, new_mu, values = _select_policy(stack)
+        values, new_lam, new_mu = inf_sup(_residual_stack(sys, u))
         res = float(np.abs(values).max())
         history.append(res)
         changed = bool((new_lam != lam_idx).any() or (new_mu != mu_idx).any())

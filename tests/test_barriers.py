@@ -179,3 +179,84 @@ def test_chain_rule_identity(distorted):
         )
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-6
+
+
+def _margins_by_points(view, pair, eps, grid):
+    """Reference: the seven margins by a per-node, per-control loop over scalar evaluations."""
+    xs = view.base_lattice(grid[0])
+    ny = grid[1]
+    vals_u, vals_l = [], []
+    f_up, f_lo, f_up0, f_lo0 = [], [], [], []
+    m1 = m2 = m4 = m5 = math.inf
+    for x in xs:
+        for j, y in enumerate(np.linspace(view.bottom_y(x, eps), view.top_y(x, eps), ny + 1)):
+            vu, vl = pair.upper.value(x, y), pair.lower.value(x, y)
+            gu, gl = pair.upper.grad(x, y), pair.lower.grad(x, y)
+            hu, hl = pair.upper.hess(x, y), pair.lower.hess(x, y)
+            vals_u.append(vu)
+            vals_l.append(vl)
+            fu = fl = fu0 = fl0 = None
+            for lam in view.min_labels:
+                iu = il = iu0 = il0 = None
+                for mu in view.max_labels:
+                    a = view.diffusion(lam, mu, x, y)
+                    b = view.drift(lam, mu, x, y)
+                    c = view.czero(lam, mu, x, y)
+                    f = view.source(lam, mu, x, y)
+                    tu0 = -float(np.sum(a * hu)) - float(b @ gu) - f
+                    tl0 = -float(np.sum(a * hl)) - float(b @ gl) - f
+                    iu = tu0 + c * vu if iu is None else max(iu, tu0 + c * vu)
+                    il = tl0 + c * vl if il is None else max(il, tl0 + c * vl)
+                    iu0 = tu0 if iu0 is None else max(iu0, tu0)
+                    il0 = tl0 if il0 is None else max(il0, tl0)
+                fu = iu if fu is None else min(fu, iu)
+                fl = il if fl is None else min(fl, il)
+                fu0 = iu0 if fu0 is None else min(fu0, iu0)
+                fl0 = il0 if fl0 is None else min(fl0, il0)
+            f_up.append(fu)
+            f_lo.append(fl)
+            f_up0.append(fu0)
+            f_lo0.append(fl0)
+            if j == ny:
+                gt, bt = view.gamma_top(x, y), view.beta_top(x, y)
+                m1 = min(m1, float(gt @ gu) - bt)
+                m4 = min(m4, -(float(gt @ gl) - bt))
+            if j == 0:
+                gb, bb = view.gamma_bottom(x, y), view.beta_bottom(x, y)
+                m2 = min(m2, float(gb @ gu) - bb)
+                m5 = min(m5, -(float(gb @ gl) - bb))
+    vals_u, vals_l = np.array(vals_u), np.array(vals_l)
+    return {
+        "m1": m1,
+        "m2": m2,
+        "m3": min(f_up),
+        "m4": m4,
+        "m5": m5,
+        "m6": min(-v for v in f_lo),
+        "m7": float((vals_u - vals_l).min()),
+        "bound_c": float(max(np.abs(vals_u).max(), np.abs(vals_l).max())) + 1.0,
+        "psi_bar_min": float(vals_u.min()),
+        "psi_low_max": float(vals_l.max()),
+        "m3_cfree": min(f_up0),
+        "m6_cfree": min(-v for v in f_lo0),
+    }
+
+
+@pytest.mark.parametrize("case", ["reference", "distorted", "rich"])
+def test_verify_barrier_matches_pointwise_loop(case, ref_params, distorted, rich):
+    if case == "reference":
+        view, params = ref_params
+        pair = bar.build_barrier(view, params, params.eps1 / 2)
+    elif case == "distorted":
+        view = bar.flat_view(distorted)
+        pair = bar.general_barrier(distorted).pair
+    else:
+        # 2x2 controls exercise the inf-sup; the comparison needs no searched parameters
+        view = bar.flat_view(rich)
+        params = bar.BarrierParams(alpha=2.0, lam=2.0, c_d=1.0, eps1=0.1, r=0.25, s_sup=1.0)
+        pair = bar.general_barrier(rich, params=params).pair
+    grid = (24, 6)
+    got = bar.verify_barrier(view, pair, grid=grid)
+    want = _margins_by_points(view, pair, pair.eps, grid)
+    for name, value in want.items():
+        assert getattr(got, name) == pytest.approx(value, rel=1e-12, abs=0.0), name

@@ -4,7 +4,7 @@ import pytest
 
 from thinpde.cli import main
 from thinpde.config import ConfigError, load_experiment_settings, load_problem
-from thinpde.harness import EXIT_CERTIFICATE, EXIT_OK, EXIT_VALIDATION
+from thinpde.harness import EXIT_CERTIFICATE, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION
 from thinpde.problem import validate
 from thinpde.reduction import reduce_problem, representation_check
 
@@ -127,3 +127,13 @@ def test_cli_converge(tmp_path):
 
 def test_cli_threads_guard():
     assert main(["validate", "--threads", "0"] + _cfg("reference.cfg")) == 1
+
+
+def test_cli_experiment_tol_and_max_iter_take_effect(tmp_path, capsys):
+    # the shipped [experiment] section is last, so the appended fields land in it
+    strict = tmp_path / "strict.cfg"
+    strict.write_text((CONFIGS / "reference.cfg").read_text() + "tol = 1e-30\nmax_iter = 2\n")
+    assert main(["pipeline", "--config", str(strict)]) == EXIT_SOLVER
+    assert "FAILED at stage solve (exit 5)" in capsys.readouterr().out
+    assert main(["converge", "--config", str(strict)]) == EXIT_SOLVER
+    assert "policy iteration hit 2 iterations" in capsys.readouterr().err

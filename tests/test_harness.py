@@ -121,3 +121,26 @@ def test_pipeline_stops_at_certificate():
     result = run_pipeline(broken)
     assert result.exit_code == EXIT_CERTIFICATE
     assert result.stage == "certify"
+
+
+@pytest.mark.parametrize("case", ["reference", "distorted"])
+def test_pipeline_searches_barriers_once(case, monkeypatch, reference, distorted):
+    from thinpde import barriers, distortion, harness
+
+    calls = {"search_parameters": 0, "build_map": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(barriers, "search_parameters", counted("search_parameters", barriers.search_parameters))
+    build_map = counted("build_map", distortion.build_map)
+    for mod in (distortion, barriers, harness):
+        monkeypatch.setattr(mod, "build_map", build_map)
+    problem = reference if case == "reference" else distorted
+    run_pipeline(problem, eps_list=(0.1, 0.05), nx=16, ny=8, limit_resolution=16)
+    assert calls["search_parameters"] == 1
+    assert calls["build_map"] <= 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thinpde.expressions import ScalarField, VectorField, base_vars, parse, strip_vars
 from thinpde.presets import _entry, _scalar, reference_problem
@@ -9,6 +11,7 @@ from thinpde.problem import (
     ControlSet,
     GeometrySpec,
     ThinProblem,
+    inf_sup,
     validate,
 )
 
@@ -166,3 +169,36 @@ def test_control_set_validation():
 def test_samples_per_axis_floor(reference):
     with pytest.raises(ValueError):
         validate(reference, samples_per_axis=3)
+
+
+def _infsup_by_loops(table):
+    """Reference: the per-control double loop, strict comparisons so the lowest index wins ties."""
+    best_val = best_pair = None
+    for il, row in enumerate(table):
+        inner_val = inner_mu = None
+        for im, v in enumerate(row):
+            if inner_val is None or v > inner_val:
+                inner_val, inner_mu = v, im
+        if best_val is None or inner_val < best_val:
+            best_val, best_pair = inner_val, (il, inner_mu)
+    return best_val, best_pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_inf_sup_matches_double_loop(data):
+    nl = data.draw(st.integers(1, 3))
+    nm = data.draw(st.integers(1, 3))
+    lead = data.draw(st.integers(1, 4))
+    # a few repeated levels force ties in rows, across rows and between row maxima
+    entry = st.one_of(st.sampled_from([-1.0, 0.0, 0.5]), st.floats(-10.0, 10.0))
+    flat = data.draw(st.lists(entry, min_size=lead * nl * nm, max_size=lead * nl * nm))
+    values = np.array(flat).reshape(lead, nl, nm)
+    value, lam_idx, mu_idx = inf_sup(values)
+    assert value.shape == lam_idx.shape == mu_idx.shape == (lead,)
+    for k in range(lead):
+        best, (il, im) = _infsup_by_loops(values[k])
+        assert value[k] == best
+        assert (lam_idx[k], mu_idx[k]) == (il, im)
+    one_value, one_lam, one_mu = inf_sup(values[0])
+    assert (one_value, one_lam, one_mu) == (value[0], lam_idx[0], mu_idx[0])
