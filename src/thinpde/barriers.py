@@ -25,7 +25,8 @@ side (explicit or pulled back) evaluates batches of nodes; its scalar
 ``value``/``grad``/``hess`` are one-row calls.  The seven margins have one
 evaluator, ``_MarginEngine.margins_of``: the parameter search feeds it the
 formula arrays directly and :func:`verify_barrier` feeds it the arrays of
-any pair's sides.  The operator's inf-sup is :func:`thinpde.problem.inf_sup`.
+any pair's sides, over the view's coefficient bundle at all strip nodes at
+once; the operator is :func:`thinpde.problem.operator_infsup`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .distortion import DistortionMap, build_map, hat_boundary, matrix_r, pushforward, top_profile, bottom_profile
-from .problem import ThinProblem, inf_sup, operator_infsup
+from .problem import Coefficients, ThinProblem, box_lattice, operator_infsup, quadratic_form, row_dot, strip_points
 
 __all__ = [
     "PreconditionViolatedError",
@@ -137,9 +138,11 @@ class BarrierMargins:
 class StripView:
     """Uniform access to a thin problem in flat or distorted coordinates.
 
-    ``top_y``/``bottom_y`` give the top and bottom boundary heights over a
-    base point for a given eps (eps*g+- in flat coordinates, the implicit
-    profiles in distorted ones).
+    ``coefficients(x, y)`` bundles every control pair at base points x (m, N)
+    and heights y (m,); the other accessors also take one point (x (N,), a
+    float y).  ``top_y``/``bottom_y`` give the top and bottom boundary heights
+    over base points for a given eps (eps*g+- in flat coordinates, the
+    implicit profiles in distorted ones).
     """
 
     n: int
@@ -150,39 +153,33 @@ class StripView:
     eps0: float
     g_sup: float
     r_cap: float
-    diffusion: object  # (lam, mu, x, y) -> (N+1, N+1)
-    drift: object
-    czero: object
-    source: object
-    gamma_top: object  # (x, y) -> (N+1,)
+    coefficients: object  # (x, y) -> Coefficients
+    gamma_top: object  # (x, y) -> (..., N+1)
     beta_top: object
     gamma_bottom: object
     beta_bottom: object
-    top_y: object  # (x, eps) -> float
+    top_y: object  # (x, eps) -> heights
     bottom_y: object
     beta0: object  # scalar fields with grad/hess
     s: object
     h: object
     gamma0_sup: float = 0.0
 
-    def pairs(self):
-        return [(lam, mu) for lam in self.min_labels for mu in self.max_labels]
-
     def base_lattice(self, intervals: int) -> np.ndarray:
-        axes = [np.linspace(lo, hi, intervals + 1) for lo, hi in zip(self.lower, self.upper)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return box_lattice(self.lower, self.upper, intervals)
+
+    def strip_nodes(self, xs: np.ndarray, eps: float, ny: int) -> tuple[np.ndarray, np.ndarray]:
+        """ny + 1 evenly spaced levels from the bottom to the top over each base node.
+
+        Returns each strip node's index into ``xs`` and its height, base node by base node.
+        """
+        ys = np.linspace(self.bottom_y(xs, eps), self.top_y(xs, eps), ny + 1, axis=1)
+        return np.repeat(np.arange(len(xs)), ny + 1), ys.ravel()
 
     def operator(self, X, p, r, x, y) -> float:
-        def coefficients(lam, mu):
-            return (
-                self.diffusion(lam, mu, x, y),
-                self.drift(lam, mu, x, y),
-                self.czero(lam, mu, x, y),
-                self.source(lam, mu, x, y),
-            )
-
-        return operator_infsup(self.min_labels, self.max_labels, coefficients, X, p, r).value
+        """The operator at one strip point (x, y)."""
+        coeffs = self.coefficients(np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float)))
+        return float(operator_infsup(coeffs, X, p, r)[0][0])
 
 
 class _MidpointField:
@@ -205,7 +202,7 @@ class _MidpointField:
 def _lattice_sup(problem: ThinProblem, *fields) -> float:
     """Largest |component| of the fields on the 16-interval base lattice."""
     base = problem.geom.lattice(16)
-    return max(float(np.abs(fld.value(x)).max()) for fld in fields for x in base)
+    return max(float(np.abs(fld.value(base)).max()) for fld in fields)
 
 
 def flat_view(problem: ThinProblem) -> StripView:
@@ -216,19 +213,6 @@ def flat_view(problem: ThinProblem) -> StripView:
     """
     geom = problem.geom
     bd = problem.bdata
-
-    def diffusion(lam, mu, x, y):
-        return problem.coeffs.entry(lam, mu).diffusion_at(np.append(x, y))
-
-    def drift(lam, mu, x, y):
-        return problem.coeffs.entry(lam, mu).drift_at(np.append(x, y))
-
-    def czero(lam, mu, x, y):
-        return problem.coeffs.entry(lam, mu).c_at(np.append(x, y))
-
-    def source(lam, mu, x, y):
-        return problem.coeffs.entry(lam, mu).f_at(np.append(x, y))
-
     return StripView(
         n=geom.n,
         lower=geom.lower,
@@ -238,14 +222,11 @@ def flat_view(problem: ThinProblem) -> StripView:
         eps0=geom.epsilon0,
         g_sup=_lattice_sup(problem, geom.g_plus, geom.g_minus),
         r_cap=1.0,
-        diffusion=diffusion,
-        drift=drift,
-        czero=czero,
-        source=source,
-        gamma_top=lambda x, y: bd.gamma_plus(x, y),
-        beta_top=lambda x, y: bd.beta_plus(x, y),
-        gamma_bottom=lambda x, y: bd.gamma_minus(x, y),
-        beta_bottom=lambda x, y: bd.beta_minus(x, y),
+        coefficients=lambda x, y: problem.coefficients(strip_points(x, y)),
+        gamma_top=bd.gamma_plus,
+        beta_top=bd.beta_plus,
+        gamma_bottom=bd.gamma_minus,
+        beta_bottom=bd.beta_minus,
         top_y=lambda x, eps: eps * geom.g_plus.value(x),
         bottom_y=lambda x, eps: eps * geom.g_minus.value(x),
         beta0=bd.beta0,
@@ -279,14 +260,11 @@ def hat_view(problem: ThinProblem, dmap: DistortionMap) -> StripView:
         eps0=eps0,
         g_sup=g_sup,
         r_cap=dmap.r,
-        diffusion=lambda lam, mu, z, y: hat.diffusion_hat(lam, mu, z, y),
-        drift=lambda lam, mu, z, y: hat.b_hat(lam, mu, z, y),
-        czero=lambda lam, mu, z, y: hat.c_hat(lam, mu, z, y),
-        source=lambda lam, mu, z, y: hat.f_hat(lam, mu, z, y),
-        gamma_top=lambda z, y: hb.gamma_hat_plus(z, y),
-        beta_top=lambda z, y: hb.beta_hat_plus(z, y),
-        gamma_bottom=lambda z, y: hb.gamma_hat_minus(z, y),
-        beta_bottom=lambda z, y: hb.beta_hat_minus(z, y),
+        coefficients=hat.coefficients,
+        gamma_top=hb.gamma_hat_plus,
+        beta_top=hb.beta_hat_plus,
+        gamma_bottom=hb.gamma_hat_minus,
+        beta_bottom=hb.beta_hat_minus,
         top_y=lambda z, eps: top_profile(dmap, geom.g_plus, eps, z),
         bottom_y=lambda z, eps: bottom_profile(dmap, geom.g_minus, eps, z),
         beta0=problem.bdata.beta0,
@@ -310,14 +288,10 @@ def _fields_at(view: StripView, xs: np.ndarray, derivatives: bool = True) -> lis
 
     Without ``derivatives`` the gradient and Hessian slots are None.
     """
-    out = []
-    for fld in (view.s, view.beta0, view.h):
-        vals = np.array([fld.value(x) for x in xs])
-        if derivatives:
-            out.append((vals, np.array([fld.grad(x) for x in xs]), np.array([fld.hess(x) for x in xs])))
-        else:
-            out.append((vals, None, None))
-    return out
+    fields = (view.s, view.beta0, view.h)
+    if derivatives:
+        return [(fld.value(xs), fld.grad(xs), fld.hess(xs)) for fld in fields]
+    return [(fld.value(xs), None, None) for fld in fields]
 
 
 def _barrier_arrays(params: BarrierParams, eps: float, sign: float, y: np.ndarray, fields, derivatives: bool = True):
@@ -375,10 +349,7 @@ class _StripData:
     eps: float
     x_idx: np.ndarray  # (m,) base-lattice index of each strip node
     ys: np.ndarray  # (m,)
-    a: np.ndarray  # (m, nl, nm, N+1, N+1)
-    b: np.ndarray  # (m, nl, nm, N+1)
-    c: np.ndarray  # (m, nl, nm)
-    f: np.ndarray  # (m, nl, nm)
+    coeffs: Coefficients  # at the m nodes
     top_sel: np.ndarray  # (mt,) indices into the m nodes
     bottom_sel: np.ndarray
     gamma_t: np.ndarray  # (mt, N+1)
@@ -409,44 +380,13 @@ class _MarginEngine:
         view = self.view
         ny = self.grid[1]
         xs = self.xs
-        nl, nm = len(view.min_labels), len(view.max_labels)
-        n1 = view.n + 1
-        x_idx, ys = [], []
-        top_sel, bottom_sel = [], []
-        for i, x in enumerate(xs):
-            ybot = view.bottom_y(x, eps)
-            ytop = view.top_y(x, eps)
-            levels = np.linspace(ybot, ytop, ny + 1)
-            for j, y in enumerate(levels):
-                if j == 0:
-                    bottom_sel.append(len(ys))
-                if j == ny:
-                    top_sel.append(len(ys))
-                x_idx.append(i)
-                ys.append(y)
-        m = len(ys)
-        x_idx = np.array(x_idx)
-        ys = np.array(ys)
-        a = np.empty((m, nl, nm, n1, n1))
-        b = np.empty((m, nl, nm, n1))
-        c = np.empty((m, nl, nm))
-        f = np.empty((m, nl, nm))
-        for k in range(m):
-            x = xs[x_idx[k]]
-            y = ys[k]
-            for il, lam in enumerate(view.min_labels):
-                for im, mu in enumerate(view.max_labels):
-                    a[k, il, im] = view.diffusion(lam, mu, x, y)
-                    b[k, il, im] = view.drift(lam, mu, x, y)
-                    c[k, il, im] = view.czero(lam, mu, x, y)
-                    f[k, il, im] = view.source(lam, mu, x, y)
-        top_sel = np.array(top_sel, dtype=int)
-        bottom_sel = np.array(bottom_sel, dtype=int)
-        gamma_t = np.array([view.gamma_top(xs[x_idx[k]], ys[k]) for k in top_sel])
-        beta_t = np.array([view.beta_top(xs[x_idx[k]], ys[k]) for k in top_sel])
-        gamma_b = np.array([view.gamma_bottom(xs[x_idx[k]], ys[k]) for k in bottom_sel])
-        beta_b = np.array([view.beta_bottom(xs[x_idx[k]], ys[k]) for k in bottom_sel])
-        data = _StripData(eps, x_idx, ys, a, b, c, f, top_sel, bottom_sel, gamma_t, beta_t, gamma_b, beta_b)
+        x_idx, ys = view.strip_nodes(xs, eps, ny)
+        bottom_sel = np.arange(len(xs)) * (ny + 1)
+        top_sel = bottom_sel + ny
+        coeffs = view.coefficients(xs[x_idx], ys)
+        top = (view.gamma_top(xs, ys[top_sel]), view.beta_top(xs, ys[top_sel]))
+        bottom = (view.gamma_bottom(xs, ys[bottom_sel]), view.beta_bottom(xs, ys[bottom_sel]))
+        data = _StripData(eps, x_idx, ys, coeffs, top_sel, bottom_sel, *top, *bottom)
         self._strips[key] = data
         return data
 
@@ -461,27 +401,18 @@ class _MarginEngine:
     def margins_of(self, strip: _StripData, up, lo) -> BarrierMargins:
         """The seven margins of the (value, grad, hess) arrays of both barriers at the strip nodes."""
 
-        def operator(val, grad, hess, with_c: bool):
-            t = -np.einsum("mklij,mij->mkl", strip.a, hess) - np.einsum(
-                "mkli,mi->mkl", strip.b, grad
-            ) - strip.f
-            if with_c:
-                t = t + strip.c * val[:, None, None]
-            return inf_sup(t)[0]
-
-        f_up = operator(*up, with_c=True)
-        f_lo = operator(*lo, with_c=True)
-        f_up0 = operator(*up, with_c=False)
-        f_lo0 = operator(*lo, with_c=False)
+        # the c-free margins pass r = 0
+        f_up, f_lo = (operator_infsup(strip.coeffs, hess, grad, val)[0] for val, grad, hess in (up, lo))
+        f_up0, f_lo0 = (operator_infsup(strip.coeffs, hess, grad, 0.0)[0] for _, grad, hess in (up, lo))
 
         gu_top = up[1][strip.top_sel]
         gl_top = lo[1][strip.top_sel]
         gu_bot = up[1][strip.bottom_sel]
         gl_bot = lo[1][strip.bottom_sel]
-        m1 = float((np.einsum("mi,mi->m", strip.gamma_t, gu_top) - strip.beta_t).min())
-        m2 = float((np.einsum("mi,mi->m", strip.gamma_b, gu_bot) - strip.beta_b).min())
-        m4 = float((-(np.einsum("mi,mi->m", strip.gamma_t, gl_top) - strip.beta_t)).min())
-        m5 = float((-(np.einsum("mi,mi->m", strip.gamma_b, gl_bot) - strip.beta_b)).min())
+        m1 = float((row_dot(strip.gamma_t, gu_top) - strip.beta_t).min())
+        m2 = float((row_dot(strip.gamma_b, gu_bot) - strip.beta_b).min())
+        m4 = float((-(row_dot(strip.gamma_t, gl_top) - strip.beta_t)).min())
+        m5 = float((-(row_dot(strip.gamma_b, gl_bot) - strip.beta_b)).min())
         m3 = float(f_up.min())
         m6 = float((-f_lo).min())
         diff = up[0] - lo[0]
@@ -538,12 +469,7 @@ class AnalyticBarrierSide(_BarrierSide):
         self.sign = sign
 
     def _eval(self, x, y, derivatives: bool):
-        # strip and grid nodes share their base points: evaluate s, beta0, h once per point
-        xs, inv = np.unique(np.asarray(x, dtype=float), axis=0, return_inverse=True)
-        inv = inv.ravel()
-        fields = [
-            tuple(None if arr is None else arr[inv] for arr in fld) for fld in _fields_at(self.view, xs, derivatives)
-        ]
+        fields = _fields_at(self.view, np.asarray(x, dtype=float), derivatives)
         return _barrier_arrays(self.params, self.eps, self.sign, np.asarray(y, dtype=float), fields, derivatives)
 
     def values(self, x, y) -> np.ndarray:
@@ -560,16 +486,13 @@ class PulledBackSide(_BarrierSide):
         self.wside = wside
         self.dmap = dmap
 
-    def _z(self, x, y) -> np.ndarray:
-        return np.array([self.dmap.inverse(xi, yi) for xi, yi in zip(x, y)])
-
     def values(self, x, y) -> np.ndarray:
-        return self.wside.values(self._z(x, y), y)
+        return self.wside.values(self.dmap.inverse(x, y), y)
 
     def arrays(self, x, y):
-        z = self._z(x, y)
-        dq = np.array([matrix_r(self.dmap, zi, yi) for zi, yi in zip(z, y)])
-        d2q = np.array([self.dmap.d2q(xi, yi) for xi, yi in zip(x, y)])
+        z = self.dmap.inverse(x, y)
+        dq = matrix_r(self.dmap, z, y)
+        d2q = self.dmap.d2q(x, y)
         val, dw, d2w = self.wside.arrays(z, y)
         grad = np.einsum("mk,mki->mi", dw, dq)
         hess = np.einsum("mki,mkl,mlj->mij", dq, d2w, dq) + np.einsum("mk,mkij->mij", dw, d2q)
@@ -630,14 +553,12 @@ def verify_barrier(problem_or_view, pair: BarrierPair, eps: float | None = None,
 
 def _slab_form_min(view: StripView, r: float, kappa: float = 1.0, intervals: int = 12, ny: int = 4) -> float:
     """min over the slab lattice and controls of (Ds,0) A(x,y) (Ds,0)^T."""
-    best = math.inf
-    for x in view.base_lattice(intervals):
-        ds = np.append(kappa * view.s.grad(x), 0.0)
-        for y in np.linspace(-r, r, ny + 1):
-            for lam, mu in view.pairs():
-                a = view.diffusion(lam, mu, x, y)
-                best = min(best, float(ds @ a @ ds))
-    return best
+    xs = view.base_lattice(intervals)
+    ys = np.linspace(-r, r, ny + 1)
+    x_idx = np.repeat(np.arange(len(xs)), len(ys))
+    ds = strip_points(kappa * view.s.grad(xs), 0.0)[x_idx]
+    a = view.coefficients(xs[x_idx], np.tile(ys, len(xs))).a
+    return float(quadratic_form(ds[:, None, None], a).min())
 
 
 def search_parameters(

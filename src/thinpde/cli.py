@@ -20,6 +20,8 @@ from . import harness, solver as sol
 from .config import load_experiment_settings, load_problem
 from .distortion import build_map, pushforward, top_profile, bottom_profile
 from .ellipticity import (
+    _forms,
+    _interior_rows,
     boundary_certificate,
     circle_obstruction_demo,
     equivalence_check,
@@ -74,6 +76,11 @@ def _write_csv(args, name: str, text: str) -> None:
         (out / name).write_text(text)
 
 
+def _per_pair(coeffs, k: int):
+    """(a, b, c, f) of each control pair at node k, in ``control_pairs()`` order."""
+    return zip(*(v[k].reshape(-1, *v.shape[3:]) for v in (coeffs.a, coeffs.b, coeffs.c, coeffs.f)))
+
+
 def cmd_validate(args) -> int:
     problem = _need_config(args)
     report = validate_problem(problem, samples_per_axis=args.samples)
@@ -89,13 +96,10 @@ def cmd_certify(args) -> int:
     _emit(args, "certify_report.txt", "\n".join([interior.format(), boundary.format(), equiv.format()]))
     if args.csv:
         lines = ["x,lambda,mu,quadratic_form"]
-        for x in problem.geom.lattice(args.samples):
-            ds = problem.bdata.s_candidate.grad(x)
-            g0 = problem.bdata.gamma0.value(x)
-            v = np.append(ds, -float(ds @ g0))
-            for lam, mu in problem.control_pairs():
-                a = problem.coeffs.entry(lam, mu).diffusion_at(np.append(x, 0.0))
-                q = float(v @ a @ v)
+        xs, vs = _interior_rows(problem, args.samples)
+        forms = _forms(problem, xs, vs)[0].reshape(len(xs), -1)
+        for x, q_row in zip(xs, forms):
+            for (lam, mu), q in zip(problem.control_pairs(), q_row):
                 lines.append(f"{fmt_float(x[0])},{lam},{mu},{fmt_float(q)}")
         _write_csv(args, "certify_interior.csv", "\n".join(lines) + "\n")
     ok = interior.passed and boundary.passed and equiv.passed
@@ -112,12 +116,15 @@ def cmd_reduce(args) -> int:
     head += [f"a_tilde_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     head += [f"b_tilde_{i + 1}" for i in range(n)] + ["c_tilde", "f_tilde"]
     lines = [",".join(head)]
-    for x in problem.geom.lattice(args.samples):
-        for lam, mu in problem.control_pairs():
+    xs = problem.geom.lattice(args.samples)
+    co = lp.coefficients(xs)
+    pairs = problem.control_pairs()
+    for k, x in enumerate(xs):
+        for (lam, mu), (a, b, c, f) in zip(pairs, _per_pair(co, k)):
             row = [fmt_float(v) for v in x] + [lam, mu]
-            row += [fmt_float(v) for v in lp.a_tilde(lam, mu, x).ravel()]
-            row += [fmt_float(v) for v in lp.b_tilde(lam, mu, x)]
-            row += [fmt_float(lp.c_tilde(lam, mu, x)), fmt_float(lp.f_tilde(lam, mu, x))]
+            row += [fmt_float(v) for v in a.ravel()]
+            row += [fmt_float(v) for v in b]
+            row += [fmt_float(c), fmt_float(f)]
             lines.append(",".join(row))
     _write_csv(args, "reduced_coefficients.csv", "\n".join(lines) + "\n")
     _emit(args, "reduce_report.txt", rep.format() + "\n" + bounds.format())
@@ -132,38 +139,23 @@ def cmd_transform(args) -> int:
     lines = ["z,g_eps_plus,g_eps_minus,eps_g_plus,eps_g_minus"]
     lo, hi = dmap.omega_hat
     zs = np.linspace(lo[0], hi[0], args.samples + 1)
-    for z in zs:
-        za = np.array([z])
-        lines.append(
-            ",".join(
-                fmt_float(v)
-                for v in (
-                    z,
-                    top_profile(dmap, problem.geom.g_plus, eps, za),
-                    bottom_profile(dmap, problem.geom.g_minus, eps, za),
-                    eps * problem.geom.g_plus.value(za),
-                    eps * problem.geom.g_minus.value(za),
-                )
-            )
-        )
+    za = zs[:, None]
+    g_plus, g_minus = problem.geom.g_plus, problem.geom.g_minus
+    columns = (
+        zs,
+        top_profile(dmap, g_plus, eps, za),
+        bottom_profile(dmap, g_minus, eps, za),
+        eps * g_plus.value(za),
+        eps * g_minus.value(za),
+    )
+    lines += [",".join(fmt_float(v) for v in row) for row in zip(*columns)]
     _write_csv(args, "profiles.csv", "\n".join(lines) + "\n")
     clines = ["z,lambda,mu,a_hat_11,b_hat_1,c_hat,f_hat"]
-    for z in zs:
-        za = np.array([z])
-        for lam, mu in problem.control_pairs():
-            a = hat.diffusion_hat(lam, mu, za, 0.0)
-            b = hat.b_hat(lam, mu, za, 0.0)
-            clines.append(
-                ",".join(
-                    [fmt_float(z), lam, mu]
-                    + [
-                        fmt_float(float(a[0, 0])),
-                        fmt_float(float(b[0])),
-                        fmt_float(hat.c_hat(lam, mu, za, 0.0)),
-                        fmt_float(hat.f_hat(lam, mu, za, 0.0)),
-                    ]
-                )
-            )
+    co = hat.coefficients(za, np.zeros(len(zs)))
+    pairs = problem.control_pairs()
+    for k, z in enumerate(zs):
+        for (lam, mu), (a, b, c, f) in zip(pairs, _per_pair(co, k)):
+            clines.append(",".join([fmt_float(z), lam, mu] + [fmt_float(v) for v in (a[0, 0], b[0], c, f)]))
     _write_csv(args, "hat_coefficients.csv", "\n".join(clines) + "\n")
     _emit(
         args,
@@ -188,14 +180,11 @@ def cmd_barrier(args) -> int:
     if args.csv:
         lines = ["x,y,psi_upper,psi_lower"]
         view = bar.flat_view(problem)
-        for x in view.base_lattice(args.nx):
-            for y in np.linspace(view.bottom_y(x, eps), view.top_y(x, eps), args.ny + 1):
-                lines.append(
-                    ",".join(
-                        fmt_float(v)
-                        for v in (x[0], y, pair.upper.value(x, y), pair.lower.value(x, y))
-                    )
-                )
+        xs = view.base_lattice(args.nx)
+        x_idx, ys = view.strip_nodes(xs, eps, args.ny)
+        x = xs[x_idx]
+        columns = (x[:, 0], ys, pair.upper.values(x, ys), pair.lower.values(x, ys))
+        lines += [",".join(fmt_float(v) for v in row) for row in zip(*columns)]
         _write_csv(args, "barrier_grids.csv", "\n".join(lines) + "\n")
     return EXIT_OK if margins.passed else EXIT_BARRIER
 

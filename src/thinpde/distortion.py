@@ -16,17 +16,19 @@ Pushing the operator through P yields hatted coefficients
 
 where D^2 Q is differenced on the inverse map (exactly zero when gamma is
 constant, since Q is then affine).
+
+Maps take one point or an array of points; a batched inverse gives each
+point the iterates it would get alone.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .expressions import ScalarField
-from .problem import ThinProblem
+from .problem import Coefficients, ThinProblem, box_lattice, quadratic_form, row_dot, row_matmul, strip_points
 
 __all__ = [
     "NoConvergenceError",
@@ -81,75 +83,83 @@ class DistortionMap:
     def n(self) -> int:
         return len(self.gamma)
 
-    def forward(self, z, y: float) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        return np.append(z + y * self.gamma.value(z), y)
+    # z or x is one point (N,) with a float y, or (m, N) with y shaped (m,)
 
-    def inverse(self, x, y: float) -> np.ndarray:
+    def forward(self, z, y) -> np.ndarray:
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        y = np.asarray(y, dtype=float)
+        return strip_points(z + y[..., None] * self.gamma.value(z), y)
+
+    def inverse(self, x, y) -> np.ndarray:
         """z with z + y gamma(z) = x, via the contraction z <- x - y gamma(z).
 
         The update size bounds the fixed-point residual (up to the
         contraction factor), so stopping at tol_fixed_point leaves
-        |z + y gamma(z) - x| <= tol_fixed_point.
+        |z + y gamma(z) - x| <= tol_fixed_point.  Each point of a batch
+        stops at its own first small update.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        single = x.ndim == 1
+        x = np.atleast_2d(x)
+        y = np.broadcast_to(np.asarray(y, dtype=float).reshape(-1), (len(x),))
         z = x.copy()
+        active = np.arange(len(x))
         for _ in range(self.max_iter):
-            z_next = x - y * self.gamma.value(z)
-            step = float(np.abs(z_next - z).max())
-            z = z_next
-            if step <= self.tol_fixed_point:
-                return z
-        residual = float(np.abs(z + y * self.gamma.value(z) - x).max())
-        if residual <= self.tol_fixed_point:
-            return z
-        raise NoConvergenceError(self.max_iter, residual)
+            if not active.size:
+                break
+            z_next = x[active] - y[active, None] * self.gamma.value(z[active])
+            step = np.abs(z_next - z[active]).max(axis=1)
+            z[active] = z_next
+            active = active[~(step <= self.tol_fixed_point)]
+        if active.size:
+            residual = np.abs(z[active] + y[active, None] * self.gamma.value(z[active]) - x[active]).max(axis=1)
+            stalled = ~(residual <= self.tol_fixed_point)
+            if stalled.any():
+                raise NoConvergenceError(self.max_iter, float(residual[stalled][0]))
+        return z[0] if single else z
 
-    def dq(self, x, y: float) -> np.ndarray:
-        """DQ(x, y), computed as R at the preimage (z, y)."""
-        return matrix_r(self, self.inverse(x, y), y)
-
-    def d2q(self, x, y: float, step: float = D2Q_STEP) -> np.ndarray:
-        """Hessians of the inverse components; shape (N+1, N+1, N+1).
+    def d2q(self, x, y, step: float = D2Q_STEP) -> np.ndarray:
+        """Hessians of the inverse components; shape (N+1, N+1, N+1) per point.
 
         Component N+1 of Q is the identity in y, so its Hessian vanishes;
-        a constant gamma makes Q affine and the whole array zero.
+        a constant gamma makes Q affine and the whole array zero.  The
+        difference stencils of all points are inverted in one call.
         """
         n = self.n
-        out = np.zeros((n + 1, n + 1, n + 1))
+        p0 = strip_points(np.atleast_1d(np.asarray(x, dtype=float)), y)
+        single = p0.ndim == 1
+        p0 = np.atleast_2d(p0)
+        m = len(p0)
+        out = np.zeros((m, n + 1, n + 1, n + 1))
         if self.is_constant:
-            return out
-        p0 = np.append(np.atleast_1d(np.asarray(x, dtype=float)), y)
+            return out[0] if single else out
 
-        def zeta(pt):
-            return self.inverse(pt[:n], pt[n])
+        def shifted(*moves):
+            q = p0.copy()
+            for axis, delta in moves:
+                q[:, axis] += delta
+            return q
 
-        center = zeta(p0)
+        signs = [(si, sj) for si in (1.0, -1.0) for sj in (1.0, -1.0)]
+        stencil = [p0]
         for i in range(n + 1):
-            pp, pm = p0.copy(), p0.copy()
-            pp[i] += step
-            pm[i] -= step
-            out[:n, i, i] = (zeta(pp) - 2 * center + zeta(pm)) / step**2
+            stencil += [shifted((i, step)), shifted((i, -step))]
             for j in range(i + 1, n + 1):
-                acc = np.zeros(n)
-                for si in (1.0, -1.0):
-                    for sj in (1.0, -1.0):
-                        q = p0.copy()
-                        q[i] += si * step
-                        q[j] += sj * step
-                        acc += si * sj * zeta(q)
+                stencil += [shifted((i, si * step), (j, sj * step)) for si, sj in signs]
+        pts = np.concatenate(stencil)
+        zeta = iter(self.inverse(pts[:, :n], pts[:, n]).reshape(len(stencil), m, n))
+        center = next(zeta)
+        for i in range(n + 1):
+            plus, minus = next(zeta), next(zeta)
+            out[:, :n, i, i] = (plus - 2 * center + minus) / step**2
+            for j in range(i + 1, n + 1):
+                acc = np.zeros((m, n))
+                for si, sj in signs:
+                    acc += si * sj * next(zeta)
                 mixed = acc / (4 * step * step)
-                out[:n, i, j] = mixed
-                out[:n, j, i] = mixed
-        return out
-
-
-def _inflated_lattice(problem: ThinProblem, pad: float, samples: int = 17) -> np.ndarray:
-    lo = np.asarray(problem.geom.lower) - pad
-    hi = np.asarray(problem.geom.upper) + pad
-    axes = [np.linspace(a, b, samples) for a, b in zip(lo, hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+                out[:, :n, i, j] = mixed
+                out[:, :n, j, i] = mixed
+        return out[0] if single else out
 
 
 def build_map(
@@ -167,12 +177,14 @@ def build_map(
     ``pad``, which covers the excursions of the contraction iterates.
     """
     gamma = problem.bdata.gamma0
-    pts = _inflated_lattice(problem, pad, samples)
-    gamma_sup = max(float(np.linalg.norm(gamma.value(x))) for x in pts)
-    dgamma_sup = max(float(np.linalg.norm(gamma.jacobian(x), 2)) for x in pts)
-    dg_sup = 0.0
-    for fld in (problem.geom.g_plus, problem.geom.g_minus):
-        dg_sup = max(dg_sup, max(float(np.linalg.norm(fld.grad(x))) for x in pts))
+    pts = box_lattice(np.asarray(problem.geom.lower) - pad, np.asarray(problem.geom.upper) + pad, samples - 1)
+
+    def sup_norm(v: np.ndarray) -> float:
+        return float(np.sqrt(row_dot(v, v)).max())
+
+    gamma_sup = sup_norm(gamma.value(pts))
+    dgamma_sup = float(np.linalg.norm(gamma.jacobian(pts), 2, axis=(-2, -1)).max())
+    dg_sup = max(sup_norm(problem.geom.g_plus.grad(pts)), sup_norm(problem.geom.g_minus.grad(pts)))
     r = 0.5
     while r > _R_FLOOR and (r * dgamma_sup > 0.5 or r * dg_sup * gamma_sup > 0.5):
         r *= 0.5
@@ -193,61 +205,73 @@ def build_map(
     )
 
 
-def matrix_r(dmap: DistortionMap, z, y: float) -> np.ndarray:
-    """Block matrix [[(I + y Dgamma)^-1, -(I + y Dgamma)^-1 gamma^T], [0, 1]]."""
+def matrix_r(dmap: DistortionMap, z, y) -> np.ndarray:
+    """Block matrix [[(I + y Dgamma)^-1, -(I + y Dgamma)^-1 gamma^T], [0, 1]].
+
+    One point gives (N+1, N+1); z shaped (m, N) with y (m,) gives (m, N+1, N+1).
+    """
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    y = np.broadcast_to(np.asarray(y, dtype=float), z.shape[:-1])
     n = dmap.n
-    jac = dmap.gamma.jacobian(z)
-    m = np.eye(n) + y * jac
-    try:
-        minv = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobianError(f"I + y Dgamma singular at z={tuple(z)}, y={y}") from exc
-    if abs(np.linalg.det(m)) < 1e-14:
-        raise SingularJacobianError(f"I + y Dgamma numerically singular at z={tuple(z)}, y={y}")
-    out = np.zeros((n + 1, n + 1))
-    out[:n, :n] = minv
-    out[:n, n] = -minv @ dmap.gamma.value(z)
-    out[n, n] = 1.0
+    m = np.eye(n) + y[..., None, None] * dmap.gamma.jacobian(z)
+    singular = np.abs(np.linalg.det(m)) < 1e-14
+    if singular.any():
+        i = np.unravel_index(np.flatnonzero(singular)[0], singular.shape)
+        raise SingularJacobianError(f"I + y Dgamma numerically singular at z={tuple(z[i])}, y={y[i]}")
+    minv = np.linalg.inv(m)
+    out = np.zeros(z.shape[:-1] + (n + 1, n + 1))
+    out[..., :n, :n] = minv
+    out[..., :n, n] = (-minv @ dmap.gamma.value(z)[..., None])[..., 0]
+    out[..., n, n] = 1.0
     return out
 
 
-def _profile(dmap: DistortionMap, g: ScalarField, eps: float, z, tol: float = 1e-12) -> float:
-    """Unique y in [-r, r] with y = eps * g(z + y gamma(z)), by bisection."""
+def top_profile(dmap: DistortionMap, g: ScalarField, eps: float, z):
+    """Unique y in [-r, r] with y = eps * g(z + y gamma(z)), by bisection.
+
+    One base point gives a float; z shaped (m, N) gives (m,), each point
+    bisecting its own bracket until it stops.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    single = z.ndim == 1
+    z = np.atleast_2d(z)
+    gz = dmap.gamma.value(z)
 
-    def f(y: float) -> float:
-        return y - eps * g.value(z + y * dmap.gamma.value(z))
+    def f(idx: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return y - eps * g.value(z[idx] + y[:, None] * gz[idx])
 
-    lo, hi = -dmap.r, dmap.r
-    flo, fhi = f(lo), f(hi)
-    if flo > 0.0 or fhi < 0.0:
+    active = np.arange(len(z))
+    lo = np.full(len(z), -dmap.r)
+    hi = np.full(len(z), dmap.r)
+    if (f(active, lo) > 0.0).any() or (f(active, hi) < 0.0).any():
         raise ValueError(
             f"profile equation not bracketed on [-r, r]; need eps*sup|g| <= r (eps={eps}, r={dmap.r})"
         )
+    y = np.empty(len(z))
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol:
-            return mid
-        if fm > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-16:
-            return mid
-    return 0.5 * (lo + hi)
+        if not active.size:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        fm = f(active, mid)
+        y[active] = mid
+        open_ = ~(np.abs(fm) <= 1e-12)
+        hi[active] = np.where(open_ & (fm > 0.0), mid, hi[active])
+        lo[active] = np.where(open_ & ~(fm > 0.0), mid, lo[active])
+        active = active[open_ & ~(hi[active] - lo[active] < 1e-16)]
+    y[active] = 0.5 * (lo[active] + hi[active])
+    return float(y[0]) if single else y
 
 
-def top_profile(dmap: DistortionMap, g_plus: ScalarField, eps: float, z) -> float:
-    return _profile(dmap, g_plus, eps, z)
-
-
-def bottom_profile(dmap: DistortionMap, g_minus: ScalarField, eps: float, z) -> float:
-    return _profile(dmap, g_minus, eps, z)
+# the bottom profile solves the same equation with g-
+bottom_profile = top_profile
 
 
 # --- pushed-forward operator and boundary data -------------------------------
+
+
+def _curvature_drift(a: np.ndarray, d2q: np.ndarray) -> np.ndarray:
+    """d_i = tr(A D^2 Q_i) for a bundle's a (m, nL, nM, d, d) and d2q (m, d, d, d)."""
+    return (a[..., None, :, :] * d2q[:, None, None]).sum(axis=(-2, -1))
 
 
 @dataclass
@@ -261,48 +285,41 @@ class HatOperator:
 
     problem: ThinProblem
     dmap: DistortionMap
-    _r_cache: dict = field(default_factory=dict)
 
-    @property
-    def n(self) -> int:
-        return self.problem.n
+    def coefficients(self, z, y) -> Coefficients:
+        """sigma^, A^, b^, c^, f^ of every control pair at distorted points z (m, N), y (m,)."""
+        z = np.atleast_2d(np.asarray(z, dtype=float))
+        y = np.broadcast_to(np.asarray(y, dtype=float).reshape(-1), (len(z),))
+        p = self.dmap.forward(z, y)
+        base = self.problem.coefficients(p)
+        r_t = np.swapaxes(matrix_r(self.dmap, z, y), -1, -2)[:, None, None]
+        sigma = base.sigma @ r_t
+        drift = row_matmul(base.b, r_t) + _curvature_drift(base.a, self.dmap.d2q(p[:, :-1], y))
+        return Coefficients(sigma, np.swapaxes(sigma, -1, -2) @ sigma, drift, base.c, base.f)
 
-    def _r_at(self, z, y: float) -> np.ndarray:
-        key = (tuple(np.round(np.atleast_1d(z), 14)), round(y, 14))
-        r = self._r_cache.get(key)
-        if r is None:
-            r = matrix_r(self.dmap, z, y)
-            self._r_cache[key] = r
-            if len(self._r_cache) > 65536:
-                self._r_cache.clear()
-        return r
+    def _one(self, lam: str, mu: str, z, y: float) -> Coefficients:
+        return self.coefficients(z, y).pair(*self.problem.controls.index(lam, mu))
 
     def curvature_drift(self, lam: str, mu: str, x, y: float) -> np.ndarray:
         """d_i = tr(A D^2 Q_i) at the original-coordinate point (x, y)."""
-        a = self.problem.coeffs.entry(lam, mu).diffusion_at(np.append(np.atleast_1d(x), y))
-        d2q = self.dmap.d2q(x, y)
-        return np.array([float(np.sum(a * d2q[i])) for i in range(self.n + 1)])
+        p = strip_points(np.atleast_1d(np.asarray(x, dtype=float)), y)[None]
+        a = self.problem.coefficients(p).pair(*self.problem.controls.index(lam, mu)).a
+        return _curvature_drift(a, self.dmap.d2q(p[:, :-1], p[:, -1]))[0, 0, 0]
 
     def sigma_hat(self, lam: str, mu: str, z, y: float) -> np.ndarray:
-        p = self.dmap.forward(z, y)
-        s = self.problem.coeffs.entry(lam, mu).sigma_at(p)
-        return s @ self._r_at(z, y).T
+        return self._one(lam, mu, z, y).sigma[0, 0, 0]
 
     def diffusion_hat(self, lam: str, mu: str, z, y: float) -> np.ndarray:
-        s = self.sigma_hat(lam, mu, z, y)
-        return s.T @ s
+        return self._one(lam, mu, z, y).a[0, 0, 0]
 
     def b_hat(self, lam: str, mu: str, z, y: float) -> np.ndarray:
-        p = self.dmap.forward(z, y)
-        b = self.problem.coeffs.entry(lam, mu).drift_at(p)
-        d = self.curvature_drift(lam, mu, p[: self.n], y)
-        return b @ self._r_at(z, y).T + d
+        return self._one(lam, mu, z, y).b[0, 0, 0]
 
     def c_hat(self, lam: str, mu: str, z, y: float) -> float:
-        return self.problem.coeffs.entry(lam, mu).c_at(self.dmap.forward(z, y))
+        return float(self._one(lam, mu, z, y).c[0, 0, 0])
 
     def f_hat(self, lam: str, mu: str, z, y: float) -> float:
-        return self.problem.coeffs.entry(lam, mu).f_at(self.dmap.forward(z, y))
+        return float(self._one(lam, mu, z, y).f[0, 0, 0])
 
 
 def pushforward(problem: ThinProblem, dmap: DistortionMap) -> HatOperator:
@@ -314,23 +331,26 @@ class HatBoundary:
     problem: ThinProblem
     dmap: DistortionMap
 
-    def gamma_hat_plus(self, z, y: float) -> np.ndarray:
-        p = self.dmap.forward(z, y)
-        g = self.problem.bdata.gamma_plus(p[:-1], p[-1])
-        return g @ matrix_r(self.dmap, z, y).T
+    # one point (z (N,), a float y) or many (z (m, N), y (m,))
 
-    def gamma_hat_minus(self, z, y: float) -> np.ndarray:
+    def _original(self, z, y) -> tuple[np.ndarray, np.ndarray]:
         p = self.dmap.forward(z, y)
-        g = self.problem.bdata.gamma_minus(p[:-1], p[-1])
-        return g @ matrix_r(self.dmap, z, y).T
+        return p[..., :-1], p[..., -1]
 
-    def beta_hat_plus(self, z, y: float) -> float:
-        p = self.dmap.forward(z, y)
-        return self.problem.bdata.beta_plus(p[:-1], p[-1])
+    def _hatted(self, gamma: np.ndarray, z, y) -> np.ndarray:
+        return row_matmul(gamma, np.swapaxes(matrix_r(self.dmap, z, y), -1, -2))
 
-    def beta_hat_minus(self, z, y: float) -> float:
-        p = self.dmap.forward(z, y)
-        return self.problem.bdata.beta_minus(p[:-1], p[-1])
+    def gamma_hat_plus(self, z, y) -> np.ndarray:
+        return self._hatted(self.problem.bdata.gamma_plus(*self._original(z, y)), z, y)
+
+    def gamma_hat_minus(self, z, y) -> np.ndarray:
+        return self._hatted(self.problem.bdata.gamma_minus(*self._original(z, y)), z, y)
+
+    def beta_hat_plus(self, z, y):
+        return self.problem.bdata.beta_plus(*self._original(z, y))
+
+    def beta_hat_minus(self, z, y):
+        return self.problem.bdata.beta_minus(*self._original(z, y))
 
     def check_exactness(self, samples: int = 9) -> float:
         """Max deviation of the structural identities on a lattice.
@@ -340,18 +360,17 @@ class HatBoundary:
         Returns the worst deviation found.
         """
         n = self.problem.n
-        worst = 0.0
-        pts = _inflated_lattice(self.problem, 0.0, samples)
+        pts = box_lattice(self.problem.geom.lower, self.problem.geom.upper, samples - 1)
         ys = np.linspace(-self.dmap.r, self.dmap.r, 5)
-        for z in pts:
-            for y in ys:
-                gp = self.gamma_hat_plus(z, y)
-                gm = self.gamma_hat_minus(z, y)
-                worst = max(worst, abs(gp[n] - 1.0), abs(gm[n] + 1.0))
-            gp0 = self.gamma_hat_plus(z, 0.0)
-            gm0 = self.gamma_hat_minus(z, 0.0)
-            worst = max(worst, float(np.abs(gp0[:n]).max()), float(np.abs(gm0[:n]).max()))
-        return worst
+        z, y = np.repeat(pts, len(ys), axis=0), np.tile(ys, len(pts))
+        y0 = np.zeros(len(pts))
+        return max(
+            0.0,
+            float(np.abs(self.gamma_hat_plus(z, y)[:, n] - 1.0).max()),
+            float(np.abs(self.gamma_hat_minus(z, y)[:, n] + 1.0).max()),
+            float(np.abs(self.gamma_hat_plus(pts, y0)[:, :n]).max()),
+            float(np.abs(self.gamma_hat_minus(pts, y0)[:, :n]).max()),
+        )
 
 
 def hat_boundary(problem: ThinProblem, dmap: DistortionMap) -> HatBoundary:
@@ -385,27 +404,22 @@ def transplant_ellipticity(
     original interior certificate integrand.
     """
     hat = pushforward(problem, dmap)
-    lo, hi = dmap.omega_hat
-    axes = [np.linspace(a, b, samples_per_axis + 1) for a, b in zip(lo, hi)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    margin = math.inf
-    witness = None
-    worst_diff = 0.0
-    n = problem.n
-    for z in pts:
-        ds = problem.bdata.s_candidate.grad(z)
-        v_hat = np.append(ds, 0.0)
-        g = dmap.gamma.value(z)
-        v_orig = np.append(ds, -float(ds @ g))
-        for lam, mu in problem.control_pairs():
-            lhs = float(v_hat @ hat.diffusion_hat(lam, mu, z, 0.0) @ v_hat)
-            a0 = problem.coeffs.entry(lam, mu).diffusion_at(np.append(z, 0.0))
-            rhs = float(v_orig @ a0 @ v_orig)
-            worst_diff = max(worst_diff, abs(lhs - rhs))
-            if lhs < margin:
-                margin = lhs
-                witness = (tuple(float(v) for v in np.round(np.atleast_1d(z), 12)), lam, mu)
+    pts = box_lattice(*dmap.omega_hat, samples_per_axis)
+    y0 = np.zeros(len(pts))
+    ds = problem.bdata.s_candidate.grad(pts)
+    v_hat = strip_points(ds, y0)
+    v_orig = strip_points(ds, -row_dot(ds, dmap.gamma.value(pts)))
+    lhs = quadratic_form(v_hat[:, None, None], hat.coefficients(pts, y0).a)
+    rhs = quadratic_form(v_orig[:, None, None], problem.coefficients(strip_points(pts, y0)).a)
+    worst_diff = float(np.abs(lhs - rhs).max(initial=0.0))
+    # the first minimum in (node, lambda, mu) order
+    k, il, im = np.unravel_index(int(np.argmin(lhs)), lhs.shape)
+    margin = float(lhs[k, il, im])
+    witness = (
+        tuple(float(v) for v in np.round(pts[k], 12)),
+        problem.controls.min_labels[il],
+        problem.controls.max_labels[im],
+    )
     return TransplantReport(
         margin=margin,
         witness=witness,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Expr, ScalarField, base_vars, parse
-from .problem import ThinProblem
+from .problem import ThinProblem, quadratic_form, row_dot, row_matmul, strip_points
 
 __all__ = [
     "CertificateReport",
@@ -61,30 +61,32 @@ class CertificateReport:
         return "\n".join(lines)
 
 
-def _certificate_vector(problem: ThinProblem, x: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """(head, -head gamma0^T) in R^{N+1} for head = Ds(x) or nu(x)."""
-    g0 = problem.bdata.gamma0.value(x)
-    return np.append(head, -float(head @ g0))
+def _certificate_vectors(problem: ThinProblem, xs: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """(head, -head gamma0^T) in R^{N+1} at base points xs (m, N), for heads Ds(x) or nu(x)."""
+    return strip_points(heads, -row_dot(heads, problem.bdata.gamma0.value(xs)))
 
 
-def _scan(problem: ThinProblem, rows: list[tuple[np.ndarray, np.ndarray]]):
-    """Minimize v A(x,0) v^T over supplied (x, v) rows and all controls."""
-    best = math.inf
-    witness = None
-    norm_best = math.inf
-    n = problem.n
-    for x, v in rows:
-        z = np.append(x, 0.0)
-        for lam, mu in problem.control_pairs():
-            a = problem.coeffs.entry(lam, mu).diffusion_at(z)
-            q = float(v @ a @ v)
-            if q < best:
-                best = q
-                witness = (tuple(float(v) for v in np.round(np.atleast_1d(x), 12)), lam, mu)
-            nb = float(np.linalg.norm(v @ a))
-            if nb < norm_best:
-                norm_best = nb
-    return best, witness, norm_best
+def _interior_rows(problem: ThinProblem, samples_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice nodes and their interior certificate vectors (Ds, -Ds gamma0^T)."""
+    xs = problem.geom.lattice(samples_per_axis)
+    return xs, _certificate_vectors(problem, xs, problem.bdata.s_candidate.grad(xs))
+
+
+def _forms(problem: ThinProblem, xs: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v A(x,0) v^T and |v A(x,0)| for rows (x, v) and every control pair, each (m, nL, nM)."""
+    v = vs[:, None, None]
+    va = row_matmul(v, problem.coefficients(strip_points(xs, 0.0)).a)
+    return row_dot(va, v), np.sqrt(row_dot(va, va))
+
+
+def _scan(problem: ThinProblem, xs: np.ndarray, vs: np.ndarray):
+    """Minimize v A(x,0) v^T over the rows (x, v) and all controls; also the least |v A|."""
+    q, norms = _forms(problem, xs, vs)
+    # the first minimum in (row, lambda, mu) order
+    k, il, im = np.unravel_index(int(np.argmin(q)), q.shape)
+    labels = problem.controls
+    witness = (tuple(float(v) for v in np.round(xs[k], 12)), labels.min_labels[il], labels.max_labels[im])
+    return float(q[k, il, im]), witness, float(norms.min())
 
 
 def interior_certificate(problem: ThinProblem, samples_per_axis: int = 16) -> CertificateReport:
@@ -94,11 +96,7 @@ def interior_certificate(problem: ThinProblem, samples_per_axis: int = 16) -> Ce
     a positive margin certifies (up to lattice resolution) that s witnesses
     the global ellipticity requirement.
     """
-    rows = []
-    for x in problem.geom.lattice(samples_per_axis):
-        ds = problem.bdata.s_candidate.grad(x)
-        rows.append((x, _certificate_vector(problem, x, ds)))
-    margin, witness, _ = _scan(problem, rows)
+    margin, witness, _ = _scan(problem, *_interior_rows(problem, samples_per_axis))
     return CertificateReport(
         margin=margin,
         witness=witness,
@@ -115,8 +113,7 @@ def boundary_certificate(problem: ThinProblem, samples_per_axis: int = 16) -> Ce
     Both the quadratic form w A w^T and the norm form |w A| are reported.
     """
     nodes, normals = problem.geom.boundary_nodes(samples_per_axis)
-    rows = [(x, _certificate_vector(problem, x, nu)) for x, nu in zip(nodes, normals)]
-    margin, witness, norm_margin = _scan(problem, rows)
+    margin, witness, norm_margin = _scan(problem, nodes, _certificate_vectors(problem, nodes, normals))
     return CertificateReport(
         margin=margin,
         witness=witness,
@@ -148,26 +145,20 @@ def equivalence_check(problem: ThinProblem, samples_per_axis: int = 16) -> Equiv
     Runs over the interior rows (v from Ds) and the boundary rows (v from
     the outward normal), for every control pair.
     """
-    rows = []
-    for x in problem.geom.lattice(samples_per_axis):
-        ds = problem.bdata.s_candidate.grad(x)
-        rows.append((x, _certificate_vector(problem, x, ds)))
+    xs, vs = _interior_rows(problem, samples_per_axis)
     nodes, normals = problem.geom.boundary_nodes(samples_per_axis)
-    for x, nu in zip(nodes, normals):
-        rows.append((x, _certificate_vector(problem, x, nu)))
+    xs = np.concatenate([xs, nodes])
+    v = np.concatenate([vs, _certificate_vectors(problem, nodes, normals)])[:, None, None]
+    coeffs = problem.coefficients(strip_points(xs, 0.0))
+    vs_t = row_matmul(v, np.swapaxes(coeffs.sigma, -1, -2))
+    diff = np.abs(row_dot(vs_t, vs_t) - quadratic_form(v, coeffs.a))
     worst = 0.0
     witness = None
-    for x, v in rows:
-        z = np.append(x, 0.0)
-        for lam, mu in problem.control_pairs():
-            e = problem.coeffs.entry(lam, mu)
-            s = e.sigma_at(z)
-            lhs = float(np.dot(v @ s.T, v @ s.T))
-            rhs = float(v @ (s.T @ s) @ v)
-            d = abs(lhs - rhs)
-            if d > worst:
-                worst = d
-                witness = (tuple(float(v) for v in np.round(np.atleast_1d(x), 12)), lam, mu)
+    if diff.max() > 0.0:
+        k, il, im = np.unravel_index(int(np.argmax(diff)), diff.shape)
+        worst = float(diff[k, il, im])
+        labels = problem.controls
+        witness = (tuple(float(v) for v in np.round(xs[k], 12)), labels.min_labels[il], labels.max_labels[im])
     return EquivalenceReport(max_discrepancy=worst, witness=witness, passed=worst <= 1e-10)
 
 
@@ -261,12 +252,8 @@ def circle_obstruction_demo(
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     for cand in candidates:
         fld = ScalarField(cand if isinstance(cand, Expr) else parse(cand), base_vars(2))
-        qs = np.empty(n_theta)
-        for i, th in enumerate(thetas):
-            x = np.array([math.cos(th), math.sin(th)])
-            ds = fld.grad(x)
-            a = rotating_field(x)
-            qs[i] = float(ds @ a @ ds)
+        pts = np.array([[math.cos(th), math.sin(th)] for th in thetas])
+        qs = np.array([float(ds @ rotating_field(x) @ ds) for x, ds in zip(pts, fld.grad(pts))])
         imin = int(np.argmin(qs))
         qmin, qmax = float(qs[imin]), float(qs.max())
         ratio = qmin / qmax if qmax > 0 else 0.0

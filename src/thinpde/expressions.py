@@ -6,6 +6,13 @@ vertical coordinate and, by convention, the last slot of an evaluation
 point).  Expressions are parsed once into an immutable AST; evaluation is
 pure, so a parsed expression may be shared freely between threads.
 
+Evaluation is array-valued: one point (1-D, giving a float) and an (m, d)
+array of points (giving (m,)) run the same interpreter over numpy arrays.
+Domain errors (sqrt of a negative, 1/0, pow undefined or overflowing, exp
+overflow, sin/cos of an infinity, a non-finite result) raise
+:class:`EvalDomainError` with the error that pointwise evaluation would stop
+at on the first offending point, even where a later min/max hides the value.
+
 Analytic first/second derivatives may be registered per variable; anything
 not registered falls back to central finite differences.
 """
@@ -38,14 +45,14 @@ FD_STEP_ORDER1 = 1e-5
 FD_STEP_ORDER2 = 1e-4
 
 _FUNCTIONS = {
-    "sin": (1, math.sin),
-    "cos": (1, math.cos),
-    "exp": (1, math.exp),
-    "sqrt": (1, None),  # domain-checked by hand
-    "abs": (1, abs),
-    "min": (2, min),
-    "max": (2, max),
-    "pow": (2, None),
+    "sin": (1, np.sin),
+    "cos": (1, np.cos),
+    "exp": (1, np.exp),
+    "sqrt": (1, np.sqrt),
+    "abs": (1, np.abs),
+    "min": (2, None),
+    "max": (2, None),
+    "pow": (2, np.power),
 }
 
 _CONSTANTS = {"pi": math.pi}
@@ -123,40 +130,62 @@ def _var_position(name: str, npoint: int) -> int:
     return k - 1
 
 
-def _eval_node(node, point) -> float:
+class _Faults:
+    """The first domain error of each evaluated row; the lowest row's is raised, as a row-by-row loop would."""
+
+    def __init__(self, rows: int):
+        self.failed = np.zeros(rows, dtype=bool)
+        self.first: tuple[int, str] | None = None
+
+    def check(self, bad: np.ndarray, message) -> None:
+        """Record the rows flagged in ``bad``; ``message(i)`` describes row i."""
+        new = bad & ~self.failed
+        if new.any():
+            i = int(np.flatnonzero(new)[0])
+            if self.first is None or i < self.first[0]:
+                self.first = (i, message(i))
+            self.failed |= new
+
+
+def _eval_node(node, points: np.ndarray, faults: _Faults) -> np.ndarray:
+    """Value of ``node`` at every row of ``points`` (shape (m, d)); shape (m,)."""
     if isinstance(node, Const):
-        return node.value
+        return np.full(len(points), node.value)
     if isinstance(node, Var):
-        return float(point[_var_position(node.name, len(point))])
+        return points[:, _var_position(node.name, points.shape[1])].copy()
     if isinstance(node, Neg):
-        return -_eval_node(node.operand, point)
+        return -_eval_node(node.operand, points, faults)
     if isinstance(node, Bin):
-        a = _eval_node(node.lhs, point)
-        b = _eval_node(node.rhs, point)
+        a = _eval_node(node.lhs, points, faults)
+        b = _eval_node(node.rhs, points, faults)
         if node.op == "+":
             return a + b
         if node.op == "-":
             return a - b
         if node.op == "*":
             return a * b
-        if b == 0.0:
-            raise EvalDomainError("division by zero")
+        faults.check(b == 0.0, lambda i: "division by zero")
         return a / b
-    args = [_eval_node(a, point) for a in node.args]
+    args = [_eval_node(a, points, faults) for a in node.args]
+    x = args[0]
     f = node.fname
+    # Python's min/max: the second argument wins only on a strict comparison
+    if f == "min":
+        return np.where(args[1] < x, args[1], x)
+    if f == "max":
+        return np.where(args[1] > x, args[1], x)
     if f == "sqrt":
-        if args[0] < 0.0:
-            raise EvalDomainError(f"sqrt of negative value {args[0]}")
-        return math.sqrt(args[0])
+        faults.check(x < 0.0, lambda i: f"sqrt of negative value {x[i]}")
+    if f in ("sin", "cos"):
+        faults.check(np.isinf(x), lambda i: f"{f} of infinite argument {x[i]}")
+    out = _FUNCTIONS[f][1](*args)
+    # math.pow/math.exp semantics: finite arguments must give a finite value
     if f == "pow":
-        try:
-            return float(math.pow(args[0], args[1]))
-        except (ValueError, OverflowError) as exc:
-            raise EvalDomainError(f"pow({args[0]}, {args[1]}) undefined") from exc
-    try:
-        return float(_FUNCTIONS[f][1](*args))
-    except OverflowError as exc:
-        raise EvalDomainError(f"{f} overflow at argument {args}") from exc
+        bad = np.isfinite(x) & np.isfinite(args[1]) & ~np.isfinite(out)
+        faults.check(bad, lambda i: f"pow({x[i]}, {args[1][i]}) undefined")
+    if f == "exp":
+        faults.check(np.isfinite(x) & ~np.isfinite(out), lambda i: f"exp overflow at argument {[float(x[i])]}")
+    return out
 
 
 def _collect_vars(node, out: set):
@@ -313,13 +342,20 @@ class Expr:
     def registered(self, variables: Sequence[str]) -> "Expr | None":
         return self._derivs.get(tuple(variables))
 
-    def evaluate(self, point: Sequence[float]) -> float:
-        v = _eval_node(self.root, point)
-        if not math.isfinite(v):
-            raise EvalDomainError(f"non-finite value {v} at {tuple(point)}")
-        return v
+    def evaluate(self, point):
+        """Value at one point (1-D, a float) or at each row of an (m, d) array, shape (m,)."""
+        pts = np.asarray(point, dtype=float)
+        rows = pts.reshape(1, -1) if pts.ndim == 1 else pts
+        faults = _Faults(len(rows))
+        with np.errstate(all="ignore"):
+            v = _eval_node(self.root, rows, faults)
+        faults.check(~np.isfinite(v), lambda i: f"non-finite value {v[i]}")
+        if faults.first is not None:
+            i, message = faults.first
+            raise EvalDomainError(f"{message} at {tuple(float(c) for c in rows[i])}")
+        return float(v[0]) if pts.ndim == 1 else v
 
-    def __call__(self, point: Sequence[float]) -> float:
+    def __call__(self, point):
         return self.evaluate(point)
 
     def free_variables(self) -> set[str]:
@@ -361,25 +397,31 @@ def parse(text: str) -> Expr:
     return Expr(node, source=text)
 
 
-def evaluate(e: Expr, point: Sequence[float]) -> float:
+def evaluate(e: Expr, point):
     return e.evaluate(point)
 
 
-def _fd1(e: Expr, pos: int, point, step: float) -> float:
-    p = np.asarray(point, dtype=float).copy()
-    p[pos] += step
+def _quotients():
+    """Difference quotients combine values as float arithmetic does: an overflow
+    gives inf or nan without a numpy warning, for one point as for many."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _fd1(e: Expr, pos: int, point, step: float):
+    p = np.array(point, dtype=float)
+    p[..., pos] += step
     hi = e.evaluate(p)
-    p[pos] -= 2 * step
+    p[..., pos] -= 2 * step
     lo = e.evaluate(p)
     return (hi - lo) / (2 * step)
 
 
-def _fd2(e: Expr, pos: int, point, step: float) -> float:
-    p = np.asarray(point, dtype=float).copy()
+def _fd2(e: Expr, pos: int, point, step: float):
+    p = np.array(point, dtype=float)
     mid = e.evaluate(p)
-    p[pos] += step
+    p[..., pos] += step
     hi = e.evaluate(p)
-    p[pos] -= 2 * step
+    p[..., pos] -= 2 * step
     lo = e.evaluate(p)
     return (hi - 2 * mid + lo) / (step * step)
 
@@ -391,15 +433,17 @@ def _names_for(var: int, npoint: int) -> list[str]:
     return names
 
 
-def derivative(e: Expr, var: int, order: int, point: Sequence[float], step: float | None = None) -> float:
+def derivative(e: Expr, var: int, order: int, point, step: float | None = None):
     """d^order/d(var)^order of ``e`` at ``point`` (``var`` is 1-based; y = N+1).
 
-    Uses a registered analytic derivative when available, otherwise a central
-    finite difference with the given step (1e-5 / 1e-4 by default).
+    ``point`` is one point or an (m, d) array of points, as for
+    :meth:`Expr.evaluate`.  Uses a registered analytic derivative when
+    available, otherwise a central finite difference with the given step
+    (1e-5 / 1e-4 by default).
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    npoint = len(point)
+    npoint = np.shape(point)[-1]
     for name in _names_for(var, npoint):
         key = (name,) if order == 1 else (name, name)
         reg = e.registered(key)
@@ -408,7 +452,8 @@ def derivative(e: Expr, var: int, order: int, point: Sequence[float], step: floa
     pos = var - 1
     if step is None:
         step = FD_STEP_ORDER1 if order == 1 else FD_STEP_ORDER2
-    return _fd1(e, pos, point, step) if order == 1 else _fd2(e, pos, point, step)
+    with _quotients():
+        return _fd1(e, pos, point, step) if order == 1 else _fd2(e, pos, point, step)
 
 
 # --- differentiable fields -------------------------------------------------
@@ -432,30 +477,31 @@ class ScalarField:
     def nvars(self) -> int:
         return len(self.var_names)
 
-    def value(self, point) -> float:
+    def value(self, point):
         return self.expr.evaluate(point)
 
-    def value_many(self, points: np.ndarray) -> np.ndarray:
-        return np.array([self.expr.evaluate(p) for p in np.atleast_2d(points)])
-
-    def _d1(self, j: int, point) -> float:
+    def _d1(self, j: int, point):
         reg = self.expr.registered((self.var_names[j],))
         if reg is not None:
             return reg.evaluate(point)
         return _fd1(self.expr, j, point, FD_STEP_ORDER1)
 
     def grad(self, point) -> np.ndarray:
-        return np.array([self._d1(j, point) for j in range(self.nvars)])
+        """Gradient at one point, shape (n,), or at each row of an (m, n) array, shape (m, n)."""
+        with _quotients():
+            return np.stack([self._d1(j, point) for j in range(self.nvars)], axis=-1)
 
     def hess(self, point) -> np.ndarray:
+        """Hessian at one point, shape (n, n), or at each row of an (m, n) array, shape (m, n, n)."""
         n = self.nvars
-        h = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                h[i, j] = h[j, i] = self._d2(i, j, point)
+        h = np.empty(np.shape(point)[:-1] + (n, n))
+        with _quotients():
+            for i in range(n):
+                for j in range(i, n):
+                    h[..., i, j] = h[..., j, i] = self._d2(i, j, point)
         return h
 
-    def _d2(self, i: int, j: int, point) -> float:
+    def _d2(self, i: int, j: int, point):
         reg = self.expr.registered((self.var_names[i], self.var_names[j]))
         if reg is not None:
             return reg.evaluate(point)
@@ -475,8 +521,8 @@ class ScalarField:
         for si in (1.0, -1.0):
             for sj in (1.0, -1.0):
                 q = p.copy()
-                q[i] += si * s
-                q[j] += sj * s
+                q[..., i] += si * s
+                q[..., j] += sj * s
                 val += si * sj * self.expr.evaluate(q)
         return val / (4 * s * s)
 
@@ -500,11 +546,12 @@ class VectorField:
         return len(self.components)
 
     def value(self, point) -> np.ndarray:
-        return np.array([f.value(point) for f in self.components])
+        """Components at one point, shape (k,), or at each row of an (m, n) array, shape (m, k)."""
+        return np.stack([f.value(point) for f in self.components], axis=-1)
 
     def jacobian(self, point) -> np.ndarray:
-        """Rows are components, columns derivative directions."""
-        return np.array([f.grad(point) for f in self.components])
+        """Rows are components, columns derivative directions; a leading m axis for point arrays."""
+        return np.stack([f.grad(point) for f in self.components], axis=-2)
 
 
 def strip_vars(n: int) -> tuple[str, ...]:

@@ -11,6 +11,9 @@ is synthesized exactly from (gamma0, k+-, beta0, l+-):
 so the compatibility relations at y = 0 hold by construction.  Users may
 attach raw gamma/beta evaluators instead; the validator then checks the
 y = 0 compatibility by sampling.
+
+Coefficients are read as one :class:`Coefficients` bundle of every control
+pair at m points; :func:`operator_infsup` evaluates the operator over it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .expressions import EvalDomainError, ExprError, ScalarField, VectorField
 
 __all__ = [
     "ControlSet",
+    "Coefficients",
     "CoefficientEntry",
     "CoefficientFamily",
     "GeometrySpec",
@@ -33,6 +37,12 @@ __all__ = [
     "OperatorValue",
     "inf_sup",
     "operator_infsup",
+    "operator_value",
+    "strip_points",
+    "box_lattice",
+    "row_dot",
+    "row_matmul",
+    "quadratic_form",
     "Diagnostic",
     "DiagnosticsReport",
     "validate",
@@ -45,6 +55,34 @@ PSD_TOLERANCE = 1e-10
 def _pt(z) -> tuple:
     """Plain-float tuple for witness reporting."""
     return tuple(float(v) for v in np.atleast_1d(z))
+
+
+def box_lattice(lower, upper, intervals: int) -> np.ndarray:
+    """Uniform node lattice over the closed box [lower, upper], ``intervals`` per axis; shape (m, N)."""
+    axes = [np.linspace(lo, hi, intervals + 1) for lo, hi in zip(lower, upper)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def strip_points(x, y) -> np.ndarray:
+    """Strip points (x, y): x shaped (..., N), y shaped like its leading axes or a scalar."""
+    x = np.asarray(x, dtype=float)
+    y = np.broadcast_to(np.asarray(y, dtype=float), x.shape[:-1])
+    return np.concatenate([x, y[..., None]], axis=-1)
+
+
+def row_dot(u, v) -> np.ndarray:
+    """u . v over the last axis, broadcast over the leading axes (the per-point ``u @ v``)."""
+    return (np.asarray(u)[..., None, :] @ np.asarray(v)[..., :, None])[..., 0, 0]
+
+
+def row_matmul(v, m) -> np.ndarray:
+    """Row vectors times matrices, broadcast over the leading axes (the per-point ``v @ m``)."""
+    return (np.asarray(v)[..., None, :] @ m)[..., 0, :]
+
+
+def quadratic_form(v, a) -> np.ndarray:
+    """v a v^T, broadcast over the leading axes (the per-point ``v @ a @ v``)."""
+    return row_dot(row_matmul(v, a), v)
 
 
 @dataclass(frozen=True)
@@ -64,6 +102,26 @@ class ControlSet:
     def pairs(self) -> Iterator[tuple[str, str]]:
         return itertools.product(self.min_labels, self.max_labels)
 
+    def index(self, lam: str, mu: str) -> tuple[int, int]:
+        """Positions of a control pair in (min_labels, max_labels)."""
+        return self.min_labels.index(lam), self.max_labels.index(mu)
+
+
+@dataclass(frozen=True, eq=False)
+class Coefficients:
+    """Every control pair's coefficients at m points: the control axes (nL, nM) follow the point axis."""
+
+    sigma: np.ndarray  # (m, nL, nM, k, d)
+    a: np.ndarray  # (m, nL, nM, d, d): sigma^T sigma
+    b: np.ndarray  # (m, nL, nM, d)
+    c: np.ndarray  # (m, nL, nM)
+    f: np.ndarray  # (m, nL, nM)
+
+    def pair(self, il: int, im: int) -> "Coefficients":
+        """The bundle restricted to one control pair (nL = nM = 1)."""
+        sl = (slice(None), slice(il, il + 1), slice(im, im + 1))
+        return Coefficients(self.sigma[sl], self.a[sl], self.b[sl], self.c[sl], self.f[sl])
+
 
 @dataclass
 class CoefficientEntry:
@@ -74,22 +132,49 @@ class CoefficientEntry:
     c: ScalarField
     f: ScalarField
 
+    def _at(self, z) -> Coefficients:
+        return _coefficient_bundle([[self]], np.atleast_2d(np.asarray(z, dtype=float)))
+
     def sigma_at(self, z) -> np.ndarray:
-        return np.array([[e.value(z) for e in row] for row in self.sigma])
+        return self._at(z).sigma[0, 0, 0]
 
     def diffusion_at(self, z) -> np.ndarray:
         """A = sigma^T sigma, symmetric PSD of size N+1."""
-        s = self.sigma_at(z)
-        return s.T @ s
+        return self._at(z).a[0, 0, 0]
 
     def drift_at(self, z) -> np.ndarray:
-        return np.array([e.value(z) for e in self.b])
+        return self._at(z).b[0, 0, 0]
 
     def c_at(self, z) -> float:
-        return self.c.value(z)
+        return float(self._at(z).c[0, 0, 0])
 
     def f_at(self, z) -> float:
-        return self.f.value(z)
+        return float(self._at(z).f[0, 0, 0])
+
+
+def _coefficient_bundle(entries, points: np.ndarray) -> Coefficients:
+    """Coefficients of a grid of entries (rows over L, columns over M) at points shaped (m, N+1).
+
+    Entries with fewer sigma rows than the largest are padded with zero
+    rows, which leaves A = sigma^T sigma unchanged.
+    """
+    m, d = points.shape
+    shape = (m, len(entries), len(entries[0]))
+    k = max(len(e.sigma) for row in entries for e in row)
+    sigma = np.zeros(shape + (k, d))
+    b = np.empty(shape + (d,))
+    c = np.empty(shape)
+    f = np.empty(shape)
+    for il, row in enumerate(entries):
+        for im, e in enumerate(row):
+            for i, srow in enumerate(e.sigma):
+                for j, fld in enumerate(srow):
+                    sigma[:, il, im, i, j] = fld.value(points)
+            for j, fld in enumerate(e.b):
+                b[:, il, im, j] = fld.value(points)
+            c[:, il, im] = e.c.value(points)
+            f[:, il, im] = e.f.value(points)
+    return Coefficients(sigma, np.swapaxes(sigma, -1, -2) @ sigma, b, c, f)
 
 
 @dataclass
@@ -128,9 +213,7 @@ class GeometrySpec:
         ``samples_per_axis`` counts intervals, so doubling it refines the
         lattice into a superset of the coarse one.
         """
-        axes = [np.linspace(lo, hi, samples_per_axis + 1) for lo, hi in zip(self.lower, self.upper)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return box_lattice(self.lower, self.upper, samples_per_axis)
 
     def boundary_nodes(self, samples_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
         """Boundary nodes with outward normals; corner normals are averaged."""
@@ -139,22 +222,11 @@ class GeometrySpec:
             nus = np.array([[-1.0], [1.0]])
             return pts, nus
         pts = self.lattice(samples_per_axis)
-        normals = []
-        nodes = []
-        for p in pts:
-            nu = np.zeros(self.n)
-            on_boundary = False
-            for i in range(self.n):
-                if np.isclose(p[i], self.lower[i]):
-                    nu[i] -= 1.0
-                    on_boundary = True
-                if np.isclose(p[i], self.upper[i]):
-                    nu[i] += 1.0
-                    on_boundary = True
-            if on_boundary:
-                nodes.append(p)
-                normals.append(nu / np.linalg.norm(nu))
-        return np.array(nodes), np.array(normals)
+        at_lower = np.isclose(pts, self.lower)
+        at_upper = np.isclose(pts, self.upper)
+        on_boundary = (at_lower | at_upper).any(axis=1)
+        nu = (np.zeros(pts.shape) - at_lower + at_upper)[on_boundary]
+        return pts[on_boundary], nu / np.sqrt(row_dot(nu, nu))[:, None]
 
 
 @dataclass
@@ -175,28 +247,30 @@ class BoundaryData:
     raw_beta_plus: ScalarField | None = None
     raw_beta_minus: ScalarField | None = None
 
-    def gamma_plus(self, x, y: float) -> np.ndarray:
+    # x is one base point (y a float) or an (m, N) array (y shaped (m,))
+
+    def gamma_plus(self, x, y) -> np.ndarray:
         if self.raw_gamma_plus is not None:
-            g1 = self.raw_gamma_plus.value(np.append(x, y))
+            g1 = self.raw_gamma_plus.value(strip_points(x, y))
         else:
-            g1 = self.gamma0.value(x) + self.k_plus.value(x) * y
-        return np.append(g1, 1.0)
+            g1 = self.gamma0.value(x) + self.k_plus.value(x) * np.asarray(y)[..., None]
+        return strip_points(g1, 1.0)
 
-    def gamma_minus(self, x, y: float) -> np.ndarray:
+    def gamma_minus(self, x, y) -> np.ndarray:
         if self.raw_gamma_minus is not None:
-            g1 = self.raw_gamma_minus.value(np.append(x, y))
+            g1 = self.raw_gamma_minus.value(strip_points(x, y))
         else:
-            g1 = -self.gamma0.value(x) + self.k_minus.value(x) * y
-        return np.append(g1, -1.0)
+            g1 = -self.gamma0.value(x) + self.k_minus.value(x) * np.asarray(y)[..., None]
+        return strip_points(g1, -1.0)
 
-    def beta_plus(self, x, y: float) -> float:
+    def beta_plus(self, x, y):
         if self.raw_beta_plus is not None:
-            return self.raw_beta_plus.value(np.append(x, y))
+            return self.raw_beta_plus.value(strip_points(x, y))
         return self.beta0.value(x) + self.l_plus.value(x) * y
 
-    def beta_minus(self, x, y: float) -> float:
+    def beta_minus(self, x, y):
         if self.raw_beta_minus is not None:
-            return self.raw_beta_minus.value(np.append(x, y))
+            return self.raw_beta_minus.value(strip_points(x, y))
         return -self.beta0.value(x) + self.l_minus.value(x) * y
 
     @property
@@ -228,18 +302,19 @@ class ThinProblem:
     def control_pairs(self) -> list[tuple[str, str]]:
         return list(self.controls.pairs())
 
+    def coefficients(self, points) -> Coefficients:
+        """Every control pair's sigma, A, b, c, f at strip points shaped (m, N+1)."""
+        labels = self.controls
+        entries = [[self.coeffs.entry(lam, mu) for mu in labels.max_labels] for lam in labels.min_labels]
+        return _coefficient_bundle(entries, np.atleast_2d(np.asarray(points, dtype=float)))
+
     def evaluate_operator(self, X: np.ndarray, p: np.ndarray, r: float, z) -> OperatorValue:
         """Inf over L, sup over M of -tr(A X) - b.p + c r - f at z = (x, y).
 
         Ties are broken toward the lowest label index, so the result is
         reproducible across runs.
         """
-
-        def coefficients(lam, mu):
-            e = self.coeffs.entry(lam, mu)
-            return e.diffusion_at(z), e.drift_at(z), e.c_at(z), e.f_at(z)
-
-        return operator_infsup(self.controls.min_labels, self.controls.max_labels, coefficients, X, p, r)
+        return operator_value(self, X, p, r, z)
 
 
 def inf_sup(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,21 +332,26 @@ def inf_sup(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return value, lam_idx, row.argmax(axis=-1)
 
 
-def operator_infsup(min_labels, max_labels, coefficients, X, p, r: float) -> OperatorValue:
-    """Inf over L, sup over M of -tr(A X) - b.p + c r - f.
+def operator_infsup(coeffs: Coefficients, X, p, r):
+    """Inf over L, sup over M of -tr(A X) - b.p + c r - f at each of the bundle's m points.
 
-    ``coefficients(lam, mu)`` returns the control pair's (A, b, c, f) at the
-    evaluation point; ties go to the lowest label index (see :func:`inf_sup`).
+    ``X`` (m, d, d), ``p`` (m, d) and ``r`` (m,) may each be one value shared
+    by all points.  Returns :func:`inf_sup`'s ``(value, lam_idx, mu_idx)``,
+    each shaped (m,); ties go to the lowest label index.
     """
-    X = np.asarray(X, dtype=float)
-    p = np.asarray(p, dtype=float)
+    m, d = coeffs.b.shape[0], coeffs.b.shape[-1]
+    X = np.broadcast_to(np.asarray(X, dtype=float).reshape(-1, d, d), (m, d, d))
+    p = np.ascontiguousarray(np.broadcast_to(np.asarray(p, dtype=float).reshape(-1, d), (m, d)))
+    r = np.broadcast_to(np.asarray(r, dtype=float).reshape(-1), (m,))
+    tr = (coeffs.a * X[:, None, None]).sum(axis=(-2, -1))
+    return inf_sup(-tr - row_dot(coeffs.b, p[:, None, None]) + coeffs.c * r[:, None, None] - coeffs.f)
 
-    def term(lam, mu) -> float:
-        a, b, c, f = coefficients(lam, mu)
-        return -float(np.sum(a * X)) - float(b @ p) + c * r - f
 
-    value, il, im = inf_sup([[term(lam, mu) for mu in max_labels] for lam in min_labels])
-    return OperatorValue(float(value), min_labels[il], max_labels[im])
+def operator_value(source, X, p, r: float, point) -> OperatorValue:
+    """The operator of ``source`` (anything with ``controls`` and ``coefficients``) at one point."""
+    value, il, im = operator_infsup(source.coefficients(np.atleast_2d(point)), X, p, r)
+    labels = source.controls
+    return OperatorValue(float(value[0]), labels.min_labels[il[0]], labels.max_labels[im[0]])
 
 
 # --- validation -------------------------------------------------------------
@@ -318,14 +398,7 @@ def _strip_lattice(geom: GeometrySpec, samples_per_axis: int) -> np.ndarray:
     """Lattice over the closed slab Omega x [-1, 1]."""
     base = geom.lattice(samples_per_axis)
     ys = np.linspace(-1.0, 1.0, samples_per_axis + 1)
-    pts = np.empty((len(base) * len(ys), geom.n + 1))
-    i = 0
-    for x in base:
-        for y in ys:
-            pts[i, : geom.n] = x
-            pts[i, geom.n] = y
-            i += 1
-    return pts
+    return strip_points(np.repeat(base, len(ys), axis=0), np.tile(ys, len(base)))
 
 
 def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsReport:
@@ -341,7 +414,6 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
     bdata = problem.bdata
     base = geom.lattice(samples_per_axis)
     slab = _strip_lattice(geom, samples_per_axis)
-    pairs = problem.control_pairs()
 
     # every expression finite on its domain
     bad = None
@@ -359,16 +431,9 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
         base_fields.append(("h", bdata.h))
     try:
         for name, fld in base_fields:
-            for x in base:
-                fld.value(x)
-        for x in slab:
-            bdata.beta_lateral.value(x)
-            for lam, mu in pairs:
-                e = problem.coeffs.entry(lam, mu)
-                e.sigma_at(x)
-                e.drift_at(x)
-                e.c_at(x)
-                e.f_at(x)
+            fld.value(base)
+        bdata.beta_lateral.value(slab)
+        coeffs = problem.coefficients(slab)
     except (EvalDomainError, ExprError) as exc:
         bad = str(exc)
     report.checks.append(
@@ -378,31 +443,22 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
         # remaining checks would cascade the same failure
         return report
 
-    # uniform bound C_F on the coefficient family
-    worst_bound = 0.0
-    witness_bound = None
-    worst_c = np.inf
-    witness_c = None
-    worst_eig = np.inf
-    witness_eig = None
-    for z in slab:
-        for lam, mu in pairs:
-            e = problem.coeffs.entry(lam, mu)
-            s = e.sigma_at(z)
-            b = e.drift_at(z)
-            c = e.c_at(z)
-            f = e.f_at(z)
-            m = max(np.abs(s).max(), np.abs(b).max(), abs(c), abs(f))
-            if m > worst_bound:
-                worst_bound = m
-                witness_bound = (_pt(np.round(z, 12)), lam, mu)
-            if c < worst_c:
-                worst_c = c
-                witness_c = (_pt(np.round(z, 12)), lam, mu)
-            eig = np.linalg.eigvalsh(s.T @ s).min()
-            if eig < worst_eig:
-                worst_eig = eig
-                witness_eig = (_pt(np.round(z, 12)), lam, mu)
+    # uniform bound C_F on the coefficient family; witnesses are the first
+    # extreme in (node, lambda, mu) order
+    def witness(values: np.ndarray, i: int) -> tuple:
+        k, il, im = np.unravel_index(i, values.shape)
+        return (_pt(np.round(slab[k], 12)), problem.controls.min_labels[il], problem.controls.max_labels[im])
+
+    size = np.maximum.reduce(
+        [np.abs(coeffs.sigma).max(axis=(-2, -1)), np.abs(coeffs.b).max(axis=-1), np.abs(coeffs.c), np.abs(coeffs.f)]
+    )
+    i = int(np.argmax(size))
+    worst_bound, witness_bound = (float(size.flat[i]), witness(size, i)) if size.flat[i] > 0.0 else (0.0, None)
+    i = int(np.argmin(coeffs.c))
+    worst_c, witness_c = float(coeffs.c.flat[i]), witness(coeffs.c, i)
+    eigs = np.linalg.eigvalsh(coeffs.a).min(axis=-1)
+    i = int(np.argmin(eigs))
+    worst_eig, witness_eig = float(eigs.flat[i]), witness(eigs, i)
     report.checks.append(
         Diagnostic(
             "CoefficientBound",
@@ -426,7 +482,9 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
     )
 
     # geometry: strict ordering and containment in the unit slab
-    gaps = np.array([geom.g_plus.value(x) - geom.g_minus.value(x) for x in base])
+    gp = geom.g_plus.value(base)
+    gm = geom.g_minus.value(base)
+    gaps = gp - gm
     i = int(np.argmin(gaps))
     report.checks.append(
         Diagnostic(
@@ -437,10 +495,7 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
             note="g+ - g- must be positive",
         )
     )
-    gmax = max(
-        max(abs(geom.g_plus.value(x)) for x in base),
-        max(abs(geom.g_minus.value(x)) for x in base),
-    )
+    gmax = float(max(np.abs(gp).max(), np.abs(gm).max()))
     report.checks.append(
         Diagnostic(
             "SlabContainment",
@@ -451,9 +506,9 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
     )
 
     if bdata.h is not None:
-        hronorm = np.array(
-            [min(geom.g_plus.value(x) - bdata.h.value(x), bdata.h.value(x) - geom.g_minus.value(x)) for x in base]
-        )
+        hv = bdata.h.value(base)
+        above, below = gp - hv, hv - gm
+        hronorm = np.where(below < above, below, above)
         i = int(np.argmin(hronorm))
         report.checks.append(
             Diagnostic(
@@ -467,21 +522,19 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
 
     # boundary data: (h.4) by construction, (h.7) checked when raw data present
     if bdata.has_raw:
-        worst = 0.0
-        witness = None
-        for x in base:
-            g0 = bdata.gamma0.value(x)
-            b0 = bdata.beta0.value(x)
-            devs = [
-                abs(bdata.beta_plus(x, 0.0) - b0),
-                abs(bdata.beta_minus(x, 0.0) + b0),
-                float(np.abs(bdata.gamma_plus(x, 0.0)[: geom.n] - g0).max()),
-                float(np.abs(bdata.gamma_minus(x, 0.0)[: geom.n] + g0).max()),
+        g0 = bdata.gamma0.value(base)
+        b0 = bdata.beta0.value(base)
+        y0 = np.zeros(len(base))
+        devs = np.stack(
+            [
+                np.abs(bdata.beta_plus(base, y0) - b0),
+                np.abs(bdata.beta_minus(base, y0) + b0),
+                np.abs(bdata.gamma_plus(base, y0)[:, : geom.n] - g0).max(axis=1),
+                np.abs(bdata.gamma_minus(base, y0)[:, : geom.n] + g0).max(axis=1),
             ]
-            d = max(devs)
-            if d > worst:
-                worst = d
-                witness = _pt(np.round(x, 12))
+        ).max(axis=0)
+        i = int(np.argmax(devs))
+        worst, witness = (float(devs[i]), _pt(np.round(base[i], 12))) if devs[i] > 0.0 else (0.0, None)
         report.checks.append(
             Diagnostic(
                 "Compatibility",

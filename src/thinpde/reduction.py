@@ -28,11 +28,12 @@ implemented here (the gradient's last slot is the one that carries beta0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .problem import OperatorValue, ThinProblem, operator_infsup
+from .problem import Coefficients, OperatorValue, ThinProblem, operator_infsup, operator_value, row_dot, row_matmul
+from .problem import strip_points
 
 __all__ = [
     "DegenerateThicknessError",
@@ -55,40 +56,43 @@ class DegenerateThicknessError(ArithmeticError):
 _THICKNESS_FLOOR = 1e-12
 
 
-def _thickness(problem: ThinProblem, x) -> float:
+def _rows(x) -> np.ndarray:
+    """Base points as an (m, N) array; one point becomes one row."""
+    return np.atleast_2d(np.asarray(x, dtype=float))
+
+
+def _thickness(problem: ThinProblem, x: np.ndarray) -> np.ndarray:
     t = problem.geom.g_plus.value(x) - problem.geom.g_minus.value(x)
-    if t < _THICKNESS_FLOOR:
-        raise DegenerateThicknessError(f"g+ - g- = {t:.3e} at x = {tuple(np.atleast_1d(x))}")
+    thin = t < _THICKNESS_FLOOR
+    if thin.any():
+        i = int(np.flatnonzero(thin)[0])
+        raise DegenerateThicknessError(f"g+ - g- = {t[i]:.3e} at x = {tuple(float(v) for v in x[i])}")
     return t
 
 
-def aux_fields(problem: ThinProblem):
-    """Evaluators for the auxiliary drift b_aux(x) and source c_aux(x)."""
+def _aux(problem: ThinProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """b_aux (m, N) and c_aux (m,) at base points shaped (m, N)."""
     bd = problem.bdata
     geom = problem.geom
-
-    def b_aux(x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        t = _thickness(problem, x)
-        jac = bd.gamma0.jacobian(x)
-        gp, gm = geom.g_plus.value(x), geom.g_minus.value(x)
-        avg = (gp * bd.k_plus.value(x) + gm * bd.k_minus.value(x)) / t
-        return jac @ bd.gamma0.value(x) - avg
-
-    def c_aux(x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        t = _thickness(problem, x)
-        gp, gm = geom.g_plus.value(x), geom.g_minus.value(x)
-        avg = (gp * bd.l_plus.value(x) + gm * bd.l_minus.value(x)) / t
-        return float(-bd.gamma0.value(x) @ bd.beta0.grad(x)) + avg
-
-    return b_aux, c_aux
+    t = _thickness(problem, x)
+    gp, gm = geom.g_plus.value(x), geom.g_minus.value(x)
+    g0 = bd.gamma0.value(x)
+    b_avg = (gp[:, None] * bd.k_plus.value(x) + gm[:, None] * bd.k_minus.value(x)) / t[:, None]
+    b_aux = (bd.gamma0.jacobian(x) @ g0[:, :, None])[:, :, 0] - b_avg
+    c_avg = (gp * bd.l_plus.value(x) + gm * bd.l_minus.value(x)) / t
+    return b_aux, row_dot(-g0, bd.beta0.grad(x)) + c_avg
 
 
-def _projector(problem: ThinProblem, x) -> np.ndarray:
-    """P = (I_N | -gamma0^T), shape (N, N+1)."""
+def aux_fields(problem: ThinProblem):
+    """Evaluators for the auxiliary drift b_aux(x) and source c_aux(x) at one base point."""
+    return (lambda x: _aux(problem, _rows(x))[0][0]), (lambda x: float(_aux(problem, _rows(x))[1][0]))
+
+
+def _projector(problem: ThinProblem, x: np.ndarray) -> np.ndarray:
+    """P = (I_N | -gamma0^T) at base points shaped (m, N); shape (m, N, N+1)."""
     g0 = problem.bdata.gamma0.value(x)
-    return np.hstack([np.eye(problem.n), -g0.reshape(-1, 1)])
+    m, n = g0.shape
+    return np.concatenate([np.broadcast_to(np.eye(n), (m, n, n)), -g0[:, :, None]], axis=-1)
 
 
 @dataclass
@@ -96,9 +100,6 @@ class LimitProblem:
     """Reduced Dirichlet problem on the base box."""
 
     source: ThinProblem
-
-    def __post_init__(self):
-        self._b_aux, self._c_aux = aux_fields(self.source)
 
     @property
     def n(self) -> int:
@@ -111,68 +112,55 @@ class LimitProblem:
     def control_pairs(self):
         return self.source.control_pairs()
 
-    def aux_drift(self, x) -> np.ndarray:
-        return self._b_aux(x)
+    def dirichlet_trace(self, x):
+        """beta(x, 0): the Dirichlet data of the limit problem on the base boundary.
 
-    def aux_source(self, x) -> float:
-        return self._c_aux(x)
+        One base point gives a float, an (m, N) array of points an (m,) array.
+        """
+        return self.source.bdata.beta_lateral.value(strip_points(np.atleast_1d(np.asarray(x, dtype=float)), 0.0))
 
-    def dirichlet_trace(self, x) -> float:
-        """beta(x, 0): the Dirichlet data of the limit problem on the base boundary."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.source.bdata.beta_lateral.value(np.append(x, 0.0))
+    def coefficients(self, x) -> Coefficients:
+        """sigma~, A~, b~, c~, f~ of every control pair at base points shaped (m, N)."""
+        x = _rows(x)
+        n = self.n
+        bd = self.source.bdata
+        base = self.source.coefficients(strip_points(x, 0.0))
+        a, b = base.a, base.b
+        proj = _projector(self.source, x)[:, None, None]
+        proj_t = np.swapaxes(proj, -1, -2)
+        b_aux, c_aux = _aux(self.source, x)
+        jac = bd.gamma0.jacobian(x)[:, None, None]
+        b_tilde = (
+            row_matmul(b, proj_t)
+            - 2.0 * (jac @ a[..., :n, n, None])[..., 0]
+            + a[..., n, n, None] * b_aux[:, None, None]
+        )
+        trace_term = 2.0 * row_dot(a[..., :n, n], bd.beta0.grad(x)[:, None, None]) + a[..., n, n] * c_aux[:, None, None]
+        f_tilde = base.f + b[..., n] * bd.beta0.value(x)[:, None, None] + trace_term
+        return Coefficients(base.sigma @ proj_t, proj @ a @ proj_t, b_tilde, base.c, f_tilde)
 
-    def _entry(self, lam, mu):
-        return self.source.coeffs.entry(lam, mu)
+    def _one(self, lam: str, mu: str, x) -> Coefficients:
+        return self.coefficients(x).pair(*self.controls.index(lam, mu))
 
     def a_tilde(self, lam: str, mu: str, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        p = _projector(self.source, x)
-        a = self._entry(lam, mu).diffusion_at(np.append(x, 0.0))
-        return p @ a @ p.T
+        return self._one(lam, mu, x).a[0, 0, 0]
 
     def sigma_tilde(self, lam: str, mu: str, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        p = _projector(self.source, x)
-        s = self._entry(lam, mu).sigma_at(np.append(x, 0.0))
-        return s @ p.T
+        return self._one(lam, mu, x).sigma[0, 0, 0]
 
     def b_tilde(self, lam: str, mu: str, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        n = self.n
-        z = np.append(x, 0.0)
-        e = self._entry(lam, mu)
-        a = e.diffusion_at(z)
-        b = e.drift_at(z)
-        p = _projector(self.source, x)
-        jac = self.source.bdata.gamma0.jacobian(x)
-        return b @ p.T - 2.0 * (jac @ a[:n, n]) + a[n, n] * self._b_aux(x)
+        return self._one(lam, mu, x).b[0, 0, 0]
 
     def c_tilde(self, lam: str, mu: str, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self._entry(lam, mu).c_at(np.append(x, 0.0))
+        return float(self._one(lam, mu, x).c[0, 0, 0])
 
     def f_tilde(self, lam: str, mu: str, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        n = self.n
-        z = np.append(x, 0.0)
-        e = self._entry(lam, mu)
-        a = e.diffusion_at(z)
-        b = e.drift_at(z)
-        beta0 = self.source.bdata.beta0.value(x)
-        dbeta0 = self.source.bdata.beta0.grad(x)
-        trace_term = 2.0 * float(a[:n, n] @ dbeta0) + a[n, n] * self._c_aux(x)
-        return e.f_at(z) + b[n] * beta0 + trace_term
+        return float(self._one(lam, mu, x).f[0, 0, 0])
 
     def homogeneous_value(self, lam: str, mu: str, X, p, r: float, x) -> float:
         """The homogeneous part: -tr(A~ X) - b~.p + c~ r (no source term)."""
-        X = np.asarray(X, dtype=float).reshape(self.n, self.n)
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        return (
-            -float(np.sum(self.a_tilde(lam, mu, x) * X))
-            - float(self.b_tilde(lam, mu, x) @ p)
-            + self.c_tilde(lam, mu, x) * r
-        )
+        one = self._one(lam, mu, x)
+        return float(operator_infsup(replace(one, f=np.zeros_like(one.f)), X, p, r)[0][0])
 
     def evaluate_operator(self, X, p, r: float, x) -> OperatorValue:
         return evaluate_operator_g(self, X, p, r, x)
@@ -185,38 +173,36 @@ def reduce_problem(problem: ThinProblem) -> LimitProblem:
 
 def evaluate_operator_g(lp: LimitProblem, X, p, r: float, x) -> OperatorValue:
     """Inf over L, sup over M of -tr(A~ X) - b~.p + c~ r - f~ at x."""
-
-    def coefficients(lam, mu):
-        return lp.a_tilde(lam, mu, x), lp.b_tilde(lam, mu, x), lp.c_tilde(lam, mu, x), lp.f_tilde(lam, mu, x)
-
-    X = np.asarray(X, dtype=float).reshape(lp.n, lp.n)
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    return operator_infsup(lp.controls.min_labels, lp.controls.max_labels, coefficients, X, p, r)
+    return operator_value(lp, X, p, r, x)
 
 
 def bordered_matrices(problem: ThinProblem, x, X, p):
-    """The three (N+1)x(N+1) blocks A, B, C entering the representation identity."""
+    """The three (N+1)x(N+1) blocks A, B, C entering the representation identity.
+
+    x (m, N), X (m, N, N) and p (m, N) give blocks shaped (m, N+1, N+1);
+    one base point gives m = 1.
+    """
     n = problem.n
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    X = np.asarray(X, dtype=float).reshape(n, n)
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    x = _rows(x)
+    m = len(x)
+    X = np.asarray(X, dtype=float).reshape(m, n, n)
+    p = np.asarray(p, dtype=float).reshape(m, n)
     bd = problem.bdata
     proj = _projector(problem, x)
-    a_mat = proj.T @ X @ proj
+    a_mat = np.swapaxes(proj, -1, -2) @ X @ proj
 
-    jac = bd.gamma0.jacobian(x)
-    b_aux, c_aux = aux_fields(problem)
-    pj = p @ jac  # row vector times the Jacobian matrix
-    b_mat = np.zeros((n + 1, n + 1))
-    b_mat[:n, n] = -pj
-    b_mat[n, :n] = -pj
-    b_mat[n, n] = float(b_aux(x) @ p)
+    b_aux, c_aux = _aux(problem, x)
+    pj = row_matmul(p, bd.gamma0.jacobian(x))
+    b_mat = np.zeros((m, n + 1, n + 1))
+    b_mat[:, :n, n] = -pj
+    b_mat[:, n, :n] = -pj
+    b_mat[:, n, n] = row_dot(b_aux, p)
 
     dbeta0 = bd.beta0.grad(x)
-    c_mat = np.zeros((n + 1, n + 1))
-    c_mat[:n, n] = dbeta0
-    c_mat[n, :n] = dbeta0
-    c_mat[n, n] = c_aux(x)
+    c_mat = np.zeros((m, n + 1, n + 1))
+    c_mat[:, :n, n] = dbeta0
+    c_mat[:, n, :n] = dbeta0
+    c_mat[:, n, n] = c_aux
     return a_mat, b_mat, c_mat
 
 
@@ -257,24 +243,28 @@ def representation_check(
     n = problem.n
     lo = np.asarray(problem.geom.lower)
     hi = np.asarray(problem.geom.upper)
+    Xs = np.empty((samples, n, n))
+    ps = np.empty((samples, n))
+    rs = np.empty(samples)
+    xs = np.empty((samples, n))
+    for k in range(samples):
+        raw = rng.uniform(-1.0, 1.0, size=(n, n))
+        Xs[k] = 0.5 * (raw + raw.T)
+        ps[k] = rng.uniform(-1.0, 1.0, size=n)
+        rs[k] = float(rng.uniform(-1.0, 1.0))
+        xs[k] = rng.uniform(lo, hi)
+    g_val = operator_infsup(lp.coefficients(xs), Xs, ps, rs)[0]
+    a_mat, b_mat, c_mat = bordered_matrices(problem, xs, Xs, ps)
+    bd = problem.bdata
+    q = strip_points(ps, bd.beta0.value(xs) - row_dot(bd.gamma0.value(xs), ps))
+    f_val = operator_infsup(problem.coefficients(strip_points(xs, 0.0)), a_mat + b_mat + c_mat, q, rs)[0]
+    diff = np.abs(g_val - f_val)
     worst = 0.0
     witness = None
-    for _ in range(samples):
-        raw = rng.uniform(-1.0, 1.0, size=(n, n))
-        X = 0.5 * (raw + raw.T)
-        p = rng.uniform(-1.0, 1.0, size=n)
-        r = float(rng.uniform(-1.0, 1.0))
-        x = rng.uniform(lo, hi)
-        g_val = evaluate_operator_g(lp, X, p, r, x).value
-        a_mat, b_mat, c_mat = bordered_matrices(problem, x, X, p)
-        beta0 = problem.bdata.beta0.value(x)
-        gamma0 = problem.bdata.gamma0.value(x)
-        q = np.append(p, beta0 - float(gamma0 @ p))
-        f_val = problem.evaluate_operator(a_mat + b_mat + c_mat, q, r, np.append(x, 0.0)).value
-        d = abs(g_val - f_val)
-        if d > worst:
-            worst = d
-            witness = (tuple(float(v) for v in np.round(np.atleast_1d(x), 12)), r)
+    if diff.size and diff.max() > 0.0:
+        i = int(np.argmax(diff))
+        worst = float(diff[i])
+        witness = (tuple(float(v) for v in np.round(xs[i], 12)), float(rs[i]))
     return RepresentationReport(
         max_abs_diff=worst,
         samples=samples,
@@ -302,22 +292,15 @@ class LimitBoundsReport:
 def estimate_limit_bounds(lp: LimitProblem, samples_per_axis: int = 16) -> LimitBoundsReport:
     """Estimate the uniform bound and continuity constants of the reduced fields."""
     pts = lp.source.geom.lattice(samples_per_axis)
-    sup = 0.0
-    lip = 0.0
-    mod = 0.0
-    for lam, mu in lp.control_pairs():
-        vals = []
-        for x in pts:
-            s = lp.sigma_tilde(lam, mu, x)
-            b = lp.b_tilde(lam, mu, x)
-            c = lp.c_tilde(lam, mu, x)
-            f = lp.f_tilde(lam, mu, x)
-            sup = max(sup, np.abs(s).max(), np.abs(b).max(), abs(c), abs(f))
-            vals.append((x, s, b, c, f))
-        for (x1, s1, b1, c1, f1), (x2, s2, b2, c2, f2) in zip(vals[:-1], vals[1:]):
-            dx = float(np.linalg.norm(x1 - x2))
-            if dx == 0.0:
-                continue
-            lip = max(lip, np.abs(s1 - s2).max() / dx, np.abs(b1 - b2).max() / dx)
-            mod = max(mod, abs(c1 - c2), abs(f1 - f2))
+    co = lp.coefficients(pts)
+    s, b, c, f = co.sigma, co.b, co.c, co.f
+    sup = max(0.0, *(float(np.abs(v).max()) for v in (s, b, c, f)))
+    # increments between consecutive lattice nodes
+    step = pts[:-1] - pts[1:]
+    dx = np.sqrt(row_dot(step, step))
+    moved = dx != 0.0
+    rate = np.maximum(np.abs(s[:-1] - s[1:]).max(axis=(-2, -1)), np.abs(b[:-1] - b[1:]).max(axis=-1))
+    jump = np.maximum(np.abs(c[:-1] - c[1:]), np.abs(f[:-1] - f[1:]))
+    lip = float((rate[moved] / dx[moved, None, None]).max(initial=0.0))
+    mod = float(jump[moved].max(initial=0.0))
     return LimitBoundsReport(sup_bound=sup, lipschitz_sigma_b=lip, modulus_c_f=mod)

@@ -9,6 +9,12 @@ a violating row aborts assembly with the witness node, rather than silently
 losing monotonicity.  Oblique rows use first-order one-sided differences
 into the domain; lateral/Dirichlet rows are identities.
 
+Assembly reads all interior coefficients from one
+:class:`thinpde.problem.Coefficients` bundle and builds the rows as arrays,
+one stencil offset at a time.  Monotonicity is what makes the scheme
+converge (Barles & Souganidis, Asymptotic Anal. 4, 1991), so the sign check
+stays exact; it names the first control pair, then the lowest flat index.
+
 Howard iteration alternates a per-node argmin-over-L of the max-over-M row
 values with a direct sparse solve for the frozen policy; ties break toward
 the lowest label index, making runs reproducible.
@@ -18,13 +24,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .problem import ThinProblem, inf_sup
+from .problem import Coefficients, ThinProblem, inf_sup, quadratic_form
 from .reduction import LimitProblem
 
 __all__ = [
@@ -107,10 +113,6 @@ class Grid:
     def spacing(self) -> tuple[float, ...]:
         return tuple(float(a[1] - a[0]) for a in self.axes)
 
-    def coords(self, flat: int) -> np.ndarray:
-        idx = np.unravel_index(flat, self.shape)
-        return np.array([a[i] for a, i in zip(self.axes, idx)])
-
     def flat(self, idx) -> int:
         return int(np.ravel_multi_index(idx, self.shape))
 
@@ -134,8 +136,8 @@ def make_eps_grid(problem: ThinProblem, eps: float, nx: int, ny: int) -> Grid:
     if ny + 1 < 8:
         raise ValueError("the strip needs at least 8 vertical nodes")
     base = geom.lattice(16)
-    gp = np.array([geom.g_plus.value(x) for x in base])
-    gm = np.array([geom.g_minus.value(x) for x in base])
+    gp = geom.g_plus.value(base)
+    gm = geom.g_minus.value(base)
     if gp.max() - gp.min() > 1e-12 or gm.max() - gm.min() > 1e-12:
         raise NotImplementedError("eps-problem grids require constant g+- (flat strip)")
     xs = np.linspace(geom.lower[0], geom.upper[0], nx + 1)
@@ -176,23 +178,99 @@ class DiscreteSystem:
     dirichlet_values: np.ndarray
 
 
+# A block of rows is a list of slots [offset, values, present]: column
+# flat + offset holds ``values`` in the rows where ``present`` holds.  Slots
+# come in the order a row-by-row build first touches their columns, and each
+# value is summed in that build's order, so the matrices match it bit for bit.
+
+
+def _interior_slots(coeffs: Coefficients, h, strides) -> list:
+    """Slots of the interior rows of one control pair (``coeffs`` has nL = nM = 1)."""
+    a, b = coeffs.a[:, 0, 0], coeffs.b[:, 0, 0]
+    every = np.ones(len(a), dtype=bool)
+    diag = coeffs.c[:, 0, 0].copy()
+    slots = [[0, None, every]]
+    nbr = {}
+    for axis, step in enumerate(strides):
+        aii = a[:, axis, axis]
+        hh = h[axis]
+        diag = diag + 2.0 * aii / hh**2
+        plus = 0.0 - aii / hh**2
+        minus = 0.0 - aii / hh**2
+        # upwind drift: the row coefficient of d/dx_axis is -b_axis
+        adv = -b[:, axis]
+        fwd, back = adv > 0.0, adv < 0.0
+        diag = np.where(fwd, diag + adv / hh, np.where(back, diag - adv / hh, diag))
+        minus = np.where(fwd, minus - adv / hh, minus)
+        plus = np.where(back, plus + adv / hh, plus)
+        for off, vals in ((step, plus), (-step, minus)):
+            nbr[off] = [off, vals, every]
+            slots.append(nbr[off])
+    for ax1, s1 in enumerate(strides):
+        for ax2, s2 in list(enumerate(strides))[ax1 + 1 :]:
+            a12 = a[:, ax1, ax2]
+            cross = a12 != 0.0
+            w = np.abs(a12) / (h[ax1] * h[ax2])
+            diag = np.where(cross, diag - 2.0 * w, diag)
+            for off in (s1, s2, -s1, -s2):
+                nbr[off][1] = np.where(cross, nbr[off][1] + w, nbr[off][1])
+            diagonal, anti = cross & (a12 > 0.0), cross & ~(a12 > 0.0)
+            for off, present in ((s1 + s2, diagonal), (-s1 - s2, diagonal), (s1 - s2, anti), (-s1 + s2, anti)):
+                slots.append([off, 0.0 - w, present])
+    slots[0][1] = diag
+    return slots
+
+
+def _oblique_slots(top: np.ndarray, gvec: np.ndarray, h, strides) -> list:
+    """Slots of the top (where ``top``) and bottom rows: horizontal parts upwinded, vertical one-sided inward."""
+    diag = np.zeros(len(top))
+    slots = [[0, None, np.ones(len(top), dtype=bool)]]
+    for axis, step in enumerate(strides[:-1]):
+        g = gvec[:, axis]
+        fwd, back = g > 0.0, (g != 0.0) & ~(g > 0.0)
+        diag = np.where(fwd, diag + g / h[axis], np.where(back, diag - g / h[axis], diag))
+        slots += [[-step, 0.0 - g / h[axis], fwd], [step, 0.0 + g / h[axis], back]]
+    gy = gvec[:, -1] / h[-1]
+    slots[0][1] = np.where(top, diag + gy, diag - gy)
+    return slots + [[-strides[-1], 0.0 - gy, top], [strides[-1], 0.0 + gy, ~top]]
+
+
+def _first_violation(rows: np.ndarray, slots: list, checks=()):
+    """(flat index, detail) of the lowest row failing ``checks`` or the M-matrix sign pattern, or None.
+
+    ``checks`` are (mask, detail) pairs tested before the signs.
+    """
+    diag = slots[0][1]
+    checks = list(checks) + [(diag <= 0.0, lambda r: f"diagonal {diag[r]:.3e} not positive")]
+    for _, vals, present in slots[1:]:
+        checks.append(((vals > _OFFDIAG_TOL) & present, lambda r, v=vals: f"off-diagonal {v[r]:.3e} positive"))
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    r = int(np.flatnonzero(bad)[0])
+    return rows[r], next(detail(r) for mask, detail in checks if mask[r])
+
+
+def _entries(rows: np.ndarray, slots: list) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """COO (row, column, value) arrays of a block of rows, one triple per slot."""
+    return [(rows[present], rows[present] + off, vals[present]) for off, vals, present in slots]
+
+
 def _assemble(
     grid: Grid,
     pairs: list[tuple[str, str]],
     n_min: int,
     n_max: int,
-    diffusion,
-    drift,
-    czero,
-    source,
+    coeffs: Coefficients,
     oblique=None,
     dirichlet=None,
 ) -> DiscreteSystem:
     """Shared row assembler.
 
-    ``diffusion(lam, mu, x) -> (d, d)`` etc. with d = len(grid.axes);
-    ``oblique(which, x) -> (gamma_vec, beta)`` supplies top/bottom rows,
-    ``dirichlet(x) -> value`` the identity rows.
+    ``coeffs`` holds every control pair's coefficients at the interior nodes
+    in flat order, with d = len(grid.axes); ``oblique(kind, x) -> (gamma,
+    beta)`` supplies the top/bottom rows and ``dirichlet(x)`` the identity
+    rows' data, each at an array x of the nodes of that kind.
     """
     shape = grid.shape
     d = len(shape)
@@ -200,106 +278,46 @@ def _assemble(
     size = grid.size
     cls = grid.classification
     nodes = grid.nodes()
-    strides = np.array([int(np.prod(shape[k + 1 :])) for k in range(d)])
+    strides = [int(np.prod(shape[k + 1 :])) for k in range(d)]
 
     dirichlet_mask = cls == DIRICHLET
+    dirichlet_rows = np.flatnonzero(dirichlet_mask)
     dirichlet_values = np.zeros(size)
     if dirichlet is not None:
-        for flat in np.nonzero(dirichlet_mask)[0]:
-            dirichlet_values[flat] = dirichlet(nodes[flat])
+        dirichlet_values[dirichlet_rows] = dirichlet(nodes[dirichlet_rows])
+    fixed = [(dirichlet_rows, dirichlet_rows, np.ones(len(dirichlet_rows)))]
 
+    # oblique rows do not depend on the control
+    oblique_rows = np.flatnonzero((cls == TOP) | (cls == BOTTOM))
+    top = cls[oblique_rows] == TOP
+    gvec = np.empty((len(oblique_rows), d))
+    fixed_rhs = dirichlet_values.copy()
+    for kind, sel in ((TOP, top), (BOTTOM, ~top)):
+        if sel.any():
+            gvec[sel], fixed_rhs[oblique_rows[sel]] = oblique(kind, nodes[oblique_rows[sel]])
+    gy = gvec[:, d - 1]
+    slots = _oblique_slots(top, gvec, h, strides)
+    inward = [
+        (top & (gy <= 0.0), lambda r: "top oblique field points inward"),
+        (~top & (gy >= 0.0), lambda r: "bottom oblique field points inward"),
+    ]
+    oblique_fault = _first_violation(oblique_rows, slots, inward)
+    fixed += _entries(oblique_rows, slots)
+
+    interior_rows = np.flatnonzero(cls == INTERIOR)
     matrices = []
     rhs_list = []
-    for lam, mu in pairs:
-        rows, cols, vals = [], [], []
-        rhs = np.zeros(size)
-
-        def add(row, col, v):
-            rows.append(row)
-            cols.append(col)
-            vals.append(v)
-
-        for flat in range(size):
-            x = nodes[flat]
-            kind = cls[flat]
-            if kind == DIRICHLET:
-                add(flat, flat, 1.0)
-                rhs[flat] = dirichlet_values[flat]
-                continue
-            if kind in (TOP, BOTTOM):
-                gvec, beta = oblique(kind, x)
-                entries = {flat: 0.0}
-                # horizontal parts, upwinded; vertical part one-sided into the strip
-                for axis in range(d - 1):
-                    g = float(gvec[axis])
-                    if g == 0.0:
-                        continue
-                    step = strides[axis]
-                    if g > 0.0:
-                        entries[flat] = entries.get(flat, 0.0) + g / h[axis]
-                        entries[flat - step] = entries.get(flat - step, 0.0) - g / h[axis]
-                    else:
-                        entries[flat] = entries.get(flat, 0.0) - g / h[axis]
-                        entries[flat + step] = entries.get(flat + step, 0.0) + g / h[axis]
-                gy = float(gvec[d - 1])
-                step = strides[d - 1]
-                if kind == TOP:
-                    if gy <= 0.0:
-                        raise NonMonotoneStencilError(tuple(x), (lam, mu), "top oblique field points inward")
-                    entries[flat] = entries.get(flat, 0.0) + gy / h[d - 1]
-                    entries[flat - step] = entries.get(flat - step, 0.0) - gy / h[d - 1]
-                else:
-                    if gy >= 0.0:
-                        raise NonMonotoneStencilError(tuple(x), (lam, mu), "bottom oblique field points inward")
-                    entries[flat] = entries.get(flat, 0.0) - gy / h[d - 1]
-                    entries[flat + step] = entries.get(flat + step, 0.0) + gy / h[d - 1]
-                _check_row(entries, flat, tuple(x), (lam, mu))
-                for col, v in entries.items():
-                    add(flat, col, v)
-                rhs[flat] = beta
-                continue
-
-            a = np.atleast_2d(diffusion(lam, mu, x))
-            bvec = np.atleast_1d(drift(lam, mu, x))
-            cval = float(czero(lam, mu, x))
-            fval = float(source(lam, mu, x))
-            entries = {flat: cval}
-            for axis in range(d):
-                aii = float(a[axis, axis])
-                step = strides[axis]
-                entries[flat] = entries.get(flat, 0.0) + 2.0 * aii / h[axis] ** 2
-                entries[flat + step] = entries.get(flat + step, 0.0) - aii / h[axis] ** 2
-                entries[flat - step] = entries.get(flat - step, 0.0) - aii / h[axis] ** 2
-                # upwind drift: the row coefficient of d/dx_axis is -b_axis
-                adv = -float(bvec[axis])
-                if adv > 0.0:
-                    entries[flat] = entries.get(flat, 0.0) + adv / h[axis]
-                    entries[flat - step] = entries.get(flat - step, 0.0) - adv / h[axis]
-                elif adv < 0.0:
-                    entries[flat] = entries.get(flat, 0.0) - adv / h[axis]
-                    entries[flat + step] = entries.get(flat + step, 0.0) + adv / h[axis]
-            for ax1 in range(d):
-                for ax2 in range(ax1 + 1, d):
-                    a12 = float(a[ax1, ax2])
-                    if a12 == 0.0:
-                        continue
-                    s1, s2 = strides[ax1], strides[ax2]
-                    w = abs(a12) / (h[ax1] * h[ax2])
-                    entries[flat] = entries.get(flat, 0.0) - 2.0 * w
-                    for s in (s1, s2, -s1, -s2):
-                        entries[flat + s] = entries.get(flat + s, 0.0) + w
-                    if a12 > 0.0:
-                        corners = (s1 + s2, -s1 - s2)
-                    else:
-                        corners = (s1 - s2, -s1 + s2)
-                    for s in corners:
-                        entries[flat + s] = entries.get(flat + s, 0.0) - w
-            _check_row(entries, flat, tuple(x), (lam, mu))
-            for col, v in entries.items():
-                add(flat, col, v)
-            rhs[flat] = fval
-        mat = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(size, size)))
-        matrices.append(mat)
+    for k, (lam, mu) in enumerate(pairs):
+        pair = coeffs.pair(k // n_max, k % n_max)
+        slots = _interior_slots(pair, h, strides)
+        faults = [f for f in (_first_violation(interior_rows, slots), oblique_fault) if f is not None]
+        if faults:
+            flat, detail = min(faults, key=lambda f: f[0])
+            raise NonMonotoneStencilError(tuple(nodes[flat]), (lam, mu), detail)
+        rows, cols, vals = (np.concatenate(parts) for parts in zip(*fixed, *_entries(interior_rows, slots)))
+        matrices.append(sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(size, size))))
+        rhs = fixed_rhs.copy()
+        rhs[interior_rows] = pair.f[:, 0, 0]
         rhs_list.append(rhs)
     return DiscreteSystem(
         grid=grid,
@@ -311,15 +329,6 @@ def _assemble(
         dirichlet_mask=dirichlet_mask,
         dirichlet_values=dirichlet_values,
     )
-
-
-def _check_row(entries: dict[int, float], diag: int, node, control):
-    dval = entries.get(diag, 0.0)
-    if dval <= 0.0:
-        raise NonMonotoneStencilError(node, control, f"diagonal {dval:.3e} not positive")
-    for col, v in entries.items():
-        if col != diag and v > _OFFDIAG_TOL:
-            raise NonMonotoneStencilError(node, control, f"off-diagonal {v:.3e} positive")
 
 
 def discretize_eps(problem: ThinProblem, eps: float, grid: Grid, all_dirichlet: bool = False) -> DiscreteSystem:
@@ -337,20 +346,17 @@ def discretize_eps(problem: ThinProblem, eps: float, grid: Grid, all_dirichlet: 
 
     def oblique(kind, x):
         if kind == TOP:
-            return bd.gamma_plus(x[:-1], x[-1]), bd.beta_plus(x[:-1], x[-1])
-        return bd.gamma_minus(x[:-1], x[-1]), bd.beta_minus(x[:-1], x[-1])
+            return bd.gamma_plus(x[:, :-1], x[:, -1]), bd.beta_plus(x[:, :-1], x[:, -1])
+        return bd.gamma_minus(x[:, :-1], x[:, -1]), bd.beta_minus(x[:, :-1], x[:, -1])
 
     return _assemble(
         grid,
         problem.control_pairs(),
         len(problem.controls.min_labels),
         len(problem.controls.max_labels),
-        diffusion=lambda lam, mu, x: problem.coeffs.entry(lam, mu).diffusion_at(x),
-        drift=lambda lam, mu, x: problem.coeffs.entry(lam, mu).drift_at(x),
-        czero=lambda lam, mu, x: problem.coeffs.entry(lam, mu).c_at(x),
-        source=lambda lam, mu, x: problem.coeffs.entry(lam, mu).f_at(x),
+        problem.coefficients(grid.nodes()[cls == INTERIOR]),
         oblique=oblique,
-        dirichlet=lambda x: bd.beta_lateral.value(x),
+        dirichlet=bd.beta_lateral.value,
     )
 
 
@@ -360,11 +366,8 @@ def discretize_limit(lp: LimitProblem, grid: Grid) -> DiscreteSystem:
         lp.control_pairs(),
         len(lp.controls.min_labels),
         len(lp.controls.max_labels),
-        diffusion=lambda lam, mu, x: lp.a_tilde(lam, mu, x),
-        drift=lambda lam, mu, x: lp.b_tilde(lam, mu, x),
-        czero=lambda lam, mu, x: lp.c_tilde(lam, mu, x),
-        source=lambda lam, mu, x: lp.f_tilde(lam, mu, x),
-        dirichlet=lambda x: lp.dirichlet_trace(x),
+        lp.coefficients(grid.nodes()[grid.classification == INTERIOR]),
+        dirichlet=lp.dirichlet_trace,
     )
 
 
@@ -526,27 +529,22 @@ def perturbation_certificate(
     grid = make_limit_grid(lp, resolution)
     nodes = grid.nodes()
     interior = grid.classification == INTERIOR
-    form_min = math.inf
-    for x in nodes[interior]:
-        ds = lp.source.bdata.s_candidate.grad(x)
-        for lam, mu in lp.control_pairs():
-            form_min = min(form_min, float(ds @ lp.a_tilde(lam, mu, x) @ ds))
+    s = lp.source.bdata.s_candidate
+    coeffs = lp.coefficients(nodes[interior])
+    form_min = float(quadratic_form(s.grad(nodes[interior])[:, None, None], coeffs.a).min(initial=math.inf))
     if form_min <= 1e-12:
         return PerturbationReport(alpha=math.nan, kappa=math.nan, worst=math.inf, passed=False, target=target)
     kappa = 1.0 / math.sqrt(form_min)
-    s_vals = np.array([lp.source.bdata.s_candidate.value(x) for x in nodes])
+    s_vals = s.value(nodes)
     s_tilde = kappa * (s_vals - s_vals.min())
 
+    zero = np.zeros_like(coeffs.c)
     hom = _assemble(
         grid,
         lp.control_pairs(),
         len(lp.controls.min_labels),
         len(lp.controls.max_labels),
-        diffusion=lambda lam, mu, x: lp.a_tilde(lam, mu, x),
-        drift=lambda lam, mu, x: lp.b_tilde(lam, mu, x),
-        czero=lambda lam, mu, x: 0.0,
-        source=lambda lam, mu, x: 0.0,
-        dirichlet=lambda x: 0.0,
+        replace(coeffs, c=zero, f=zero),
     )
     alpha = 2.0
     while alpha <= alpha_cap:

@@ -195,14 +195,13 @@ def _margins_by_points(view, pair, eps, grid):
             hu, hl = pair.upper.hess(x, y), pair.lower.hess(x, y)
             vals_u.append(vu)
             vals_l.append(vl)
+            co = view.coefficients(np.atleast_2d(x), np.atleast_1d(y))
             fu = fl = fu0 = fl0 = None
             for lam in view.min_labels:
                 iu = il = iu0 = il0 = None
                 for mu in view.max_labels:
-                    a = view.diffusion(lam, mu, x, y)
-                    b = view.drift(lam, mu, x, y)
-                    c = view.czero(lam, mu, x, y)
-                    f = view.source(lam, mu, x, y)
+                    k = (0, view.min_labels.index(lam), view.max_labels.index(mu))
+                    a, b, c, f = co.a[k], co.b[k], co.c[k], co.f[k]
                     tu0 = -float(np.sum(a * hu)) - float(b @ gu) - f
                     tl0 = -float(np.sum(a * hl)) - float(b @ gl) - f
                     iu = tu0 + c * vu if iu is None else max(iu, tu0 + c * vu)

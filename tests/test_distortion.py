@@ -231,3 +231,138 @@ def test_hat_operator_nonnegative_c_and_psd(distorted):
         assert hat.c_hat("1", "1", z, y) >= 0.0
         a = hat.diffusion_hat("1", "1", z, y)
         assert np.linalg.eigvalsh(a).min() >= -1e-10
+
+
+# --- batched maps against the per-point loops they replaced -------------------
+
+from pathlib import Path  # noqa: E402
+
+from thinpde.config import load_problem  # noqa: E402
+from thinpde.distortion import D2Q_STEP  # noqa: E402
+from thinpde.presets import transform_demo_problem  # noqa: E402
+from thinpde.problem import box_lattice  # noqa: E402
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _ref_inverse(dmap, x, y):
+    """Reference: the per-point contraction."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    z = x.copy()
+    for _ in range(dmap.max_iter):
+        z_next = x - y * dmap.gamma.value(z)
+        step = float(np.abs(z_next - z).max())
+        z = z_next
+        if step <= dmap.tol_fixed_point:
+            return z
+    residual = float(np.abs(z + y * dmap.gamma.value(z) - x).max())
+    if residual <= dmap.tol_fixed_point:
+        return z
+    raise NoConvergenceError(dmap.max_iter, residual)
+
+
+def _ref_matrix_r(dmap, z, y):
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    n = dmap.n
+    m = np.eye(n) + y * dmap.gamma.jacobian(z)
+    minv = np.linalg.inv(m)
+    out = np.zeros((n + 1, n + 1))
+    out[:n, :n] = minv
+    out[:n, n] = -minv @ dmap.gamma.value(z)
+    out[n, n] = 1.0
+    return out
+
+
+def _ref_d2q(dmap, x, y, step=D2Q_STEP):
+    n = dmap.n
+    out = np.zeros((n + 1, n + 1, n + 1))
+    if dmap.is_constant:
+        return out
+    p0 = np.append(np.atleast_1d(np.asarray(x, dtype=float)), y)
+
+    def zeta(pt):
+        return _ref_inverse(dmap, pt[:n], pt[n])
+
+    center = zeta(p0)
+    for i in range(n + 1):
+        pp, pm = p0.copy(), p0.copy()
+        pp[i] += step
+        pm[i] -= step
+        out[:n, i, i] = (zeta(pp) - 2 * center + zeta(pm)) / step**2
+        for j in range(i + 1, n + 1):
+            acc = np.zeros(n)
+            for si in (1.0, -1.0):
+                for sj in (1.0, -1.0):
+                    q = p0.copy()
+                    q[i] += si * step
+                    q[j] += sj * step
+                    acc += si * sj * zeta(q)
+            mixed = acc / (4 * step * step)
+            out[:n, i, j] = mixed
+            out[:n, j, i] = mixed
+    return out
+
+
+def _ref_profile(dmap, g, eps, z, tol=1e-12):
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+
+    def f(y):
+        return y - eps * g.value(z + y * dmap.gamma.value(z))
+
+    lo, hi = -dmap.r, dmap.r
+    assert f(lo) <= 0.0 <= f(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm) <= tol:
+            return mid
+        if fm > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < 1e-16:
+            return mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture(scope="module")
+def hat_lattice():
+    problem = load_problem(CONFIGS / "distorted.cfg")
+    dmap = build_map(problem)
+    zs = box_lattice(*dmap.omega_hat, 16)
+    ys = np.linspace(-dmap.r, dmap.r, 7)
+    return problem, dmap, zs, np.repeat(zs, len(ys), axis=0), np.tile(ys, len(zs))
+
+
+def _same(got, want):
+    return got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_batched_inverse_and_r_match_per_point(hat_lattice):
+    _, dmap, _, z, y = hat_lattice
+    assert _same(dmap.inverse(z, y), [_ref_inverse(dmap, zi, yi) for zi, yi in zip(z, y)])
+    assert _same(matrix_r(dmap, z, y), [_ref_matrix_r(dmap, zi, yi) for zi, yi in zip(z, y)])
+    assert _same(dmap.d2q(z, y), [_ref_d2q(dmap, zi, yi) for zi, yi in zip(z, y)])
+
+
+@pytest.mark.parametrize("case", ["distorted.cfg", "transform_demo"])
+def test_batched_profiles_match_per_point(case, hat_lattice):
+    problem, dmap, zs, _, _ = hat_lattice
+    if case == "transform_demo":
+        problem = transform_demo_problem()
+        dmap = build_map(problem)
+    for eps in (0.1, 0.025):
+        for g in (problem.geom.g_plus, problem.geom.g_minus):
+            assert _same(top_profile(dmap, g, eps, zs), [_ref_profile(dmap, g, eps, z) for z in zs])
+    assert bottom_profile is top_profile
+
+
+def test_batched_inverse_reports_no_convergence(hat_lattice):
+    problem, _, _, z, y = hat_lattice
+    dmap = build_map(problem, max_iter=1)
+    with pytest.raises(NoConvergenceError):
+        dmap.inverse(z, y)
+    with pytest.raises(NoConvergenceError):
+        dmap.d2q(z, y)
+    # points with y = 0 are fixed after one step
+    assert _same(dmap.inverse(z, np.zeros(len(z))), z)
