@@ -217,7 +217,8 @@ def cmd_solve(args) -> int:
         args,
         "solve_report.txt",
         f"solved {'limit' if args.limit else f'eps={args.eps}'} problem: residual {fld.residual:.3e} "
-        f"in {fld.iterations} iteration(s), {fld.policy_switch_count} policy switch(es)",
+        f"(diagonal-scaled {fld.scaled_residual:.3e}) in {fld.iterations} iteration(s), "
+        f"{fld.policy_switch_count} policy switch(es)",
     )
     return EXIT_OK
 

@@ -401,6 +401,18 @@ def _strip_lattice(geom: GeometrySpec, samples_per_axis: int) -> np.ndarray:
     return strip_points(np.repeat(base, len(ys), axis=0), np.tile(ys, len(base)))
 
 
+def _nonfinite_derivative(name: str, fld: ScalarField, points: np.ndarray) -> str | None:
+    """Name the first of ``fld``'s gradient and Hessian that is not finite on ``points``, and the first such point."""
+    for deriv in ("grad", "hess"):
+        try:
+            finite = np.isfinite(getattr(fld, deriv)(points).reshape(len(points), -1)).all(axis=1)
+        except (EvalDomainError, ExprError) as exc:
+            return f"{name}.{deriv}: {exc}"
+        if not finite.all():
+            return f"{name}.{deriv} not finite at {_pt(points[np.argmin(finite)])}"
+    return None
+
+
 def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsReport:
     """Sample-check every standing assumption; never aborts mid-scan.
 
@@ -415,7 +427,8 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
     base = geom.lattice(samples_per_axis)
     slab = _strip_lattice(geom, samples_per_axis)
 
-    # every expression finite on its domain
+    # every expression, and every base field's gradient and Hessian, finite
+    # on its domain
     bad = None
     base_fields = [
         ("beta0", bdata.beta0),
@@ -436,6 +449,8 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
         coeffs = problem.coefficients(slab)
     except (EvalDomainError, ExprError) as exc:
         bad = str(exc)
+    if bad is None:
+        bad = next(filter(None, (_nonfinite_derivative(name, fld, base) for name, fld in base_fields)), None)
     report.checks.append(
         Diagnostic("ExpressionsFinite", bad is None, note=bad or "all fields finite on sampled lattice")
     )

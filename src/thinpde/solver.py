@@ -75,12 +75,26 @@ class NonMonotoneStencilError(ArithmeticError):
 
 
 class MaxIterExceededError(RuntimeError):
-    def __init__(self, residual: float, iterations: int):
+    """Howard iteration did not meet its tolerance within ``iterations``.
+
+    ``stable_at`` is the iteration whose policy the solve re-selected (every
+    later iteration would repeat that solve), or None if the policy was
+    still changing at the last one.
+    """
+
+    def __init__(self, residual: float, iterations: int, scaled_residual: float, stable_at: int | None):
         self.residual = residual
         self.iterations = iterations
+        self.scaled_residual = scaled_residual
+        self.stable_at = stable_at
+        policy = (
+            "policy still changing"
+            if stable_at is None
+            else f"policy stable from iteration {stable_at}, so further iterations repeat that solve"
+        )
         super().__init__(
-            f"policy iteration hit {iterations} iterations, residual {residual:.3e} "
-            "(rows scale like 1/h^2, so very fine strips may floor above a raw tolerance of 1e-10)"
+            f"policy iteration hit {iterations} iterations, residual {residual:.3e}, "
+            f"diagonal-scaled residual {scaled_residual:.3e} ({policy})"
         )
 
 
@@ -376,6 +390,7 @@ class GridField:
     grid: Grid
     values: np.ndarray  # grid-shaped
     residual: float
+    scaled_residual: float  # max over rows of |row residual| / that row's diagonal under the active control
     iterations: int
     policy_min: np.ndarray  # flat label indices into min_labels
     policy_max: np.ndarray
@@ -438,37 +453,51 @@ def _solve_frozen(sys: DiscreteSystem, lam_idx: np.ndarray, mu_idx: np.ndarray) 
 def policy_iteration(sys: DiscreteSystem, tol: float = 1e-10, max_iter: int = 100) -> GridField:
     """Howard iteration for the discrete inf-sup system.
 
-    Stops when the policy is stable and the sup-norm residual of the
-    nonlinear discrete operator is below tol; Dirichlet nodes are pinned to
-    their data exactly after each solve.
+    Stops at the first iteration whose solve re-selects the policy it was
+    solved for: solving that policy again would rebuild the same matrix and
+    right-hand side and return the same u bit for bit (Howard's fixed point;
+    Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).  There it
+    returns if the sup-norm residual of the nonlinear discrete operator is
+    below tol, either raw or with each row divided by its diagonal under the
+    active control (raw rows scale like 1/h^2, so on fine grids they floor
+    at roundoff times 1/h^2), and otherwise raises MaxIterExceededError
+    with the residual that max_iter iterations would end at.  Dirichlet
+    nodes are pinned to their data exactly after each solve.
     """
     size = sys.grid.size
     u = np.zeros(size)
     u[sys.dirichlet_mask] = sys.dirichlet_values[sys.dirichlet_mask]
+    diag = np.stack([m.diagonal() for m in sys.matrices], axis=-1).reshape(size, sys.n_min, sys.n_max)
+    rows = np.arange(size)
     _, lam_idx, mu_idx = inf_sup(_residual_stack(sys, u))
     history: list[float] = []
     switches = 0
+    res = scaled = math.inf
+    stable = False
     for it in range(1, max_iter + 1):
         u = _solve_frozen(sys, lam_idx, mu_idx)
         values, new_lam, new_mu = inf_sup(_residual_stack(sys, u))
         res = float(np.abs(values).max())
+        scaled = float((np.abs(values) / diag[rows, new_lam, new_mu]).max())
         history.append(res)
-        changed = bool((new_lam != lam_idx).any() or (new_mu != mu_idx).any())
-        if changed:
-            switches += 1
+        stable = bool((new_lam == lam_idx).all() and (new_mu == mu_idx).all())
         lam_idx, mu_idx = new_lam, new_mu
-        if not changed and res <= tol:
-            return GridField(
-                grid=sys.grid,
-                values=u.reshape(sys.grid.shape),
-                residual=res,
-                iterations=it,
-                policy_min=lam_idx,
-                policy_max=mu_idx,
-                residual_history=history,
-                policy_switch_count=switches,
-            )
-    raise MaxIterExceededError(history[-1] if history else math.inf, max_iter)
+        if stable:
+            break
+        switches += 1
+    if not stable or min(res, scaled) > tol:
+        raise MaxIterExceededError(res, max_iter, scaled, stable_at=it if stable else None)
+    return GridField(
+        grid=sys.grid,
+        values=u.reshape(sys.grid.shape),
+        residual=res,
+        scaled_residual=scaled,
+        iterations=it,
+        policy_min=lam_idx,
+        policy_max=mu_idx,
+        residual_history=history,
+        policy_switch_count=switches,
+    )
 
 
 def solve_eps(

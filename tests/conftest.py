@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from thinpde.presets import (
     reference_problem,
@@ -6,6 +7,11 @@ from thinpde.presets import (
     slice_exact_problem,
     transform_demo_problem,
 )
+
+# solver-backed property tests take milliseconds to a second per example,
+# and wall-clock deadlines would make them flake on slow or busy hosts
+settings.register_profile("thinpde", deadline=None)
+settings.load_profile("thinpde")
 
 
 @pytest.fixture(scope="session")

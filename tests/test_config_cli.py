@@ -103,6 +103,13 @@ def test_cli_solve_limit(tmp_path):
     assert main(["solve"] + _cfg("reference.cfg") + ["--limit", "--nx", "16", "--out", str(tmp_path)]) == EXIT_OK
 
 
+def test_cli_solve_reports_scaled_residual(tmp_path):
+    assert main(["solve"] + _cfg("reference.cfg") + ["--limit", "--nx", "16", "--out", str(tmp_path)]) == EXIT_OK
+    report = (tmp_path / "solve_report.txt").read_text()
+    assert report.startswith("solved limit problem: residual ")
+    assert "(diagonal-scaled " in report and ") in 1 iteration(s)" in report
+
+
 def test_cli_counterexample(tmp_path):
     assert main(["counterexample", "--n-theta", "256", "--out", str(tmp_path), "--csv"]) == EXIT_OK
     assert (tmp_path / "counterexample_report.txt").exists()

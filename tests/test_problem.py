@@ -62,6 +62,13 @@ def test_never_aborts_on_domain_error():
     assert "ExpressionsFinite" in _failing("", report)
 
 
+def test_non_finite_derivative_fails_validation():
+    # the constant 1e+308 is finite, but its second difference overflows
+    report = validate(reference_problem(s="1e+308"))
+    assert _failing("", report) == ["ExpressionsFinite"]
+    assert report.checks[0].note == "s.hess not finite at (0.0,)"
+
+
 def test_raw_boundary_compatibility():
     p = reference_problem()
     sv = strip_vars(1)

@@ -1,9 +1,15 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thinpde.expressions import base_vars, strip_vars, VectorField
-from thinpde.presets import _entry, _scalar, reference_problem
+from thinpde.presets import _entry, _scalar, reference_problem, rich_problem
 from thinpde.problem import BoundaryData, CoefficientFamily, ControlSet, GeometrySpec, ThinProblem
 from thinpde.reduction import reduce_problem
 from thinpde.solver import (
@@ -12,6 +18,7 @@ from thinpde.solver import (
     INTERIOR,
     TOP,
     DiscreteSystem,
+    MaxIterExceededError,
     NonMonotoneStencilError,
     SingularSystemError,
     discretize_eps,
@@ -26,7 +33,7 @@ from thinpde.solver import (
 )
 
 
-def _two_control_problem(f1="2", f2="4"):
+def _two_control_problem(f1="2", f2="4", beta="0"):
     bv = base_vars(1)
     entries = {
         ("1", "1"): _entry(1, [["1", "0"], ["0", "1"]], ["0", "0"], "0", f1),
@@ -43,7 +50,7 @@ def _two_control_problem(f1="2", f2="4"):
             k_minus=VectorField([_scalar("0", bv)]),
             l_plus=_scalar("0", bv),
             l_minus=_scalar("0", bv),
-            beta_lateral=_scalar("0", strip_vars(1)),
+            beta_lateral=_scalar(beta, strip_vars(1)),
             s_candidate=_scalar("x1", bv),
         ),
     )
@@ -264,3 +271,125 @@ def test_limit_grid_2d_classification():
     inner = fld.values[1:-1, 1:-1]
     assert (inner > 0).all()
     assert fld.residual <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def rich_limit():
+    return reduce_problem(rich_problem())
+
+
+@pytest.mark.parametrize("nx, raw", [(1024, 3.810e-10), (2048, 1.766e-9)])
+def test_rich_limit_accepts_stable_policy_on_scaled_residual(rich_limit, nx, raw):
+    # the raw residual floors at roundoff times 1/h^2, above the default 1e-10;
+    # divided by each row's diagonal it is at roundoff
+    fld = solve_limit(rich_limit, nx)
+    assert fld.iterations == 3
+    assert fld.residual == pytest.approx(raw, rel=1e-2)
+    assert fld.residual_history[-1] == fld.residual
+    assert fld.scaled_residual <= 1e-10
+
+
+def test_stable_policy_is_factored_once(rich_limit, monkeypatch):
+    # tol below roundoff: the policy is stable from iteration 2, and the
+    # error reports what 100 identical re-solves would have ended at
+    converged = solve_limit(rich_limit, 256)
+    calls = []
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    with pytest.raises(MaxIterExceededError) as err:
+        solve_limit(rich_limit, 256, tol=1e-30, max_iter=100)
+    assert err.value.iterations == 100
+    assert err.value.residual == converged.residual
+    assert err.value.stable_at == converged.iterations == 2
+    assert err.value.scaled_residual == converged.scaled_residual
+    assert len(calls) == 2
+    assert "policy iteration hit 100 iterations" in str(err.value)
+    assert "policy stable from iteration 2" in str(err.value)
+
+
+def test_changing_policy_reports_it(rich_limit):
+    with pytest.raises(MaxIterExceededError) as err:
+        solve_limit(rich_limit, 256, max_iter=1)
+    assert err.value.stable_at is None
+    assert "policy still changing" in str(err.value)
+
+
+def test_fine_reference_strip_converges_in_one_iteration(reference):
+    fld = solve_eps(reference, 0.05, nx=512, ny=128)
+    assert fld.iterations == 1
+    assert fld.scaled_residual <= 1e-10
+
+
+_ENDS = st.integers(-8, 8).map(lambda k: k / 4)
+_RISE = st.integers(0, 8).map(lambda k: k / 4)
+
+
+def _line(ends):
+    """The function of x1 that is linear from ends[0] at 0 to ends[1] at 1."""
+    return f"{ends[0]} + ({ends[1] - ends[0]})*x1"
+
+
+def _raised(ends, rise):
+    return ends[0] + rise[0], ends[1] + rise[1]
+
+
+@settings(max_examples=40)
+@given(
+    f=st.tuples(st.tuples(_ENDS, _ENDS), st.tuples(_ENDS, _ENDS)),
+    beta=st.tuples(_ENDS, _ENDS),
+    df=st.tuples(st.tuples(_RISE, _RISE), st.tuples(_RISE, _RISE)),
+    dbeta=st.tuples(_RISE, _RISE),
+)
+def test_comparison_principle(f, beta, df, dbeta):
+    # discrete comparison: raising either control's source, or the Dirichlet
+    # data, pointwise never lowers the two-control limit solution anywhere
+    def solve(f, beta):
+        lp = reduce_problem(_two_control_problem(_line(f[0]), _line(f[1]), beta=_line(beta)))
+        return solve_limit(lp, 32).flat()
+
+    u = solve(f, beta)
+    slack = 1e-12 * (1.0 + np.abs(u).max())
+    assert (solve((_raised(f[0], df[0]), _raised(f[1], df[1])), beta) >= u - slack).all()
+    assert (solve(f, _raised(beta, dbeta)) >= u - slack).all()
+
+
+_DIAG = st.integers(2, 8).map(lambda k: k / 4)
+
+
+@st.composite
+def _admissible_entry(draw):
+    """Constant coefficients whose cross term the 7-point stencil absorbs on a square lattice."""
+    a11, a22 = draw(_DIAG), draw(_DIAG)
+    a12 = 0.9 * min(a11, a22) * draw(st.integers(-4, 4)) / 4
+    sigma = [[repr(math.sqrt(a11)), repr(a12 / math.sqrt(a11))], ["0", repr(math.sqrt(a22 - a12**2 / a11))]]
+    b = [repr(draw(_ENDS)), repr(draw(_ENDS))]
+    return _entry(1, sigma, b, repr(draw(_RISE)), repr(draw(_ENDS)))
+
+
+@settings(max_examples=60)
+@given(entries=st.lists(_admissible_entry(), min_size=4, max_size=4), gamma0=_ENDS)
+def test_assembled_rows_are_m_matrix_rows(entries, gamma0):
+    # every row of every control pair's matrix: positive diagonal,
+    # non-positive off-diagonals, and weak diagonal dominance (sum c >= 0)
+    base = reference_problem(gamma0=repr(gamma0), epsilon0=1.0)
+    pairs = [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
+    p = replace(
+        base,
+        controls=ControlSet(("1", "2"), ("1", "2")),
+        coeffs=CoefficientFamily(entries=dict(zip(pairs, entries)), bound=50.0),
+    )
+    grid = make_eps_grid(p, 1.0, nx=8, ny=16)  # hx = hy = 1/8
+    sysm = discretize_eps(p, 1.0, grid)
+    assert len(sysm.matrices) == 4
+    for mat in sysm.matrices:
+        mat = sp.csr_matrix(mat)
+        diag = mat.diagonal()
+        off = mat - sp.diags(diag)
+        assert (diag > 0.0).all()
+        assert (off.data <= 0.0).all()
+        assert (np.asarray(mat.sum(axis=1)).ravel() >= -1e-12 * diag).all()
