@@ -7,7 +7,7 @@ limit problems with a monotone scheme, and measure the convergence of the
 thin solutions onto the limit.
 """
 
-from .expressions import Expr, ScalarField, VectorField, derivative, evaluate, parse
+from .expressions import Expr, ScalarField, VectorField, parse
 from .problem import (
     BoundaryData,
     CoefficientEntry,
@@ -26,18 +26,13 @@ from .ellipticity import (
 )
 from .reduction import (
     LimitProblem,
-    aux_fields,
-    evaluate_operator_g,
     reduce_problem,
     representation_check,
 )
 from .distortion import (
     DistortionMap,
     build_map,
-    bottom_profile,
-    hat_boundary,
     matrix_r,
-    pushforward,
     top_profile,
     transplant_ellipticity,
 )
@@ -68,12 +63,11 @@ from .harness import (
 from .config import load_problem
 
 __all__ = [
-    "Expr", "ScalarField", "VectorField", "derivative", "evaluate", "parse",
+    "Expr", "ScalarField", "VectorField", "parse",
     "BoundaryData", "CoefficientEntry", "CoefficientFamily", "ControlSet", "GeometrySpec", "ThinProblem", "validate",
     "boundary_certificate", "circle_obstruction_demo", "equivalence_check", "interior_certificate", "rotating_field",
-    "LimitProblem", "aux_fields", "evaluate_operator_g", "reduce_problem", "representation_check",
-    "DistortionMap", "build_map", "bottom_profile", "hat_boundary", "matrix_r", "pushforward", "top_profile",
-    "transplant_ellipticity",
+    "LimitProblem", "reduce_problem", "representation_check",
+    "DistortionMap", "build_map", "matrix_r", "top_profile", "transplant_ellipticity",
     "BarrierPair", "BarrierParams", "build_barrier", "general_barrier", "search_parameters", "verify_barrier",
     "discretize_eps", "discretize_limit", "make_eps_grid", "make_limit_grid", "perturbation_certificate",
     "policy_iteration", "solve_eps", "solve_limit",

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distortion import DistortionMap, build_map, hat_boundary, matrix_r, pushforward, top_profile, bottom_profile
+from .distortion import DistortionMap, HatBoundary, HatOperator, build_map, matrix_r, top_profile
 from .problem import Coefficients, ThinProblem, box_lattice, operator_infsup, quadratic_form, row_dot, strip_points
 
 __all__ = [
@@ -58,6 +58,9 @@ __all__ = [
 ]
 
 SEARCH_CAP = 2.0**40
+# (nx, ny) lattices of the parameter search and of its final verification
+_SEARCH_GRID = (16, 6)
+_VERIFY_GRID = (32, 8)
 
 
 class PreconditionViolatedError(ValueError):
@@ -244,8 +247,8 @@ def hat_view(problem: ThinProblem, dmap: DistortionMap) -> StripView:
     identically, so the Step-1 construction applies directly with the
     implicit profiles as top/bottom boundaries.
     """
-    hat = pushforward(problem, dmap)
-    hb = hat_boundary(problem, dmap)
+    hat = HatOperator(problem, dmap)
+    hb = HatBoundary(problem, dmap)
     geom = problem.geom
     lo, hi = dmap.omega_hat
     g_sup = _lattice_sup(problem, geom.g_plus, geom.g_minus)
@@ -266,7 +269,7 @@ def hat_view(problem: ThinProblem, dmap: DistortionMap) -> StripView:
         gamma_bottom=hb.gamma_hat_minus,
         beta_bottom=hb.beta_hat_minus,
         top_y=lambda z, eps: top_profile(dmap, geom.g_plus, eps, z),
-        bottom_y=lambda z, eps: bottom_profile(dmap, geom.g_minus, eps, z),
+        bottom_y=lambda z, eps: top_profile(dmap, geom.g_minus, eps, z),
         beta0=problem.bdata.beta0,
         s=problem.bdata.s_candidate,
         h=problem.bdata.h if problem.bdata.h is not None else _MidpointField(geom.g_plus, geom.g_minus),
@@ -561,11 +564,7 @@ def _slab_form_min(view: StripView, r: float, kappa: float = 1.0, intervals: int
     return float(quadratic_form(ds[:, None, None], a).min())
 
 
-def search_parameters(
-    problem_or_view,
-    search_grid: tuple[int, int] = (16, 6),
-    verify_grid: tuple[int, int] = (32, 8),
-) -> BarrierParams:
+def search_parameters(problem_or_view) -> BarrierParams:
     """Select (r, kappa, Lambda, alpha, C_D, eps1) so all margins are strict.
 
     Stages run in the fixed order Lambda -> alpha -> C_D -> eps1 with
@@ -591,8 +590,8 @@ def search_parameters(
         raise SearchExhaustedError("ellipticity normalization on a slab of positive half-height")
     kappa = 1.0 / math.sqrt(mr)
 
-    engine = _MarginEngine(view, search_grid)
-    fine = _MarginEngine(view, verify_grid)
+    engine = _MarginEngine(view, _SEARCH_GRID)
+    fine = _MarginEngine(view, _VERIFY_GRID)
     s_vals = engine.fields[0][0]
     shift = float(s_vals.min())
     s_sup = float((kappa * (s_vals - shift)).max())

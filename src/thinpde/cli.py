@@ -18,7 +18,7 @@ import numpy as np
 from . import barriers as bar
 from . import harness, solver as sol
 from .config import load_experiment_settings, load_problem
-from .distortion import build_map, pushforward, top_profile, bottom_profile
+from .distortion import HatOperator, build_map, top_profile
 from .ellipticity import (
     _forms,
     _interior_rows,
@@ -76,6 +76,16 @@ def _write_csv(args, name: str, text: str) -> None:
         (out / name).write_text(text)
 
 
+def _base_header(n: int) -> str:
+    """CSV header cells of a base point: ``x`` on a 1-D base, ``x1..xN`` otherwise."""
+    return "x" if n == 1 else ",".join(f"x{k + 1}" for k in range(n))
+
+
+def _base_row(x) -> str:
+    """CSV cells of one base point, one per coordinate."""
+    return ",".join(fmt_float(v) for v in x)
+
+
 def _per_pair(coeffs, k: int):
     """(a, b, c, f) of each control pair at node k, in ``control_pairs()`` order."""
     return zip(*(v[k].reshape(-1, *v.shape[3:]) for v in (coeffs.a, coeffs.b, coeffs.c, coeffs.f)))
@@ -95,12 +105,12 @@ def cmd_certify(args) -> int:
     equiv = equivalence_check(problem, samples_per_axis=args.samples)
     _emit(args, "certify_report.txt", "\n".join([interior.format(), boundary.format(), equiv.format()]))
     if args.csv:
-        lines = ["x,lambda,mu,quadratic_form"]
+        lines = [_base_header(problem.n) + ",lambda,mu,quadratic_form"]
         xs, vs = _interior_rows(problem, args.samples)
         forms = _forms(problem, xs, vs)[0].reshape(len(xs), -1)
         for x, q_row in zip(xs, forms):
             for (lam, mu), q in zip(problem.control_pairs(), q_row):
-                lines.append(f"{fmt_float(x[0])},{lam},{mu},{fmt_float(q)}")
+                lines.append(f"{_base_row(x)},{lam},{mu},{fmt_float(q)}")
         _write_csv(args, "certify_interior.csv", "\n".join(lines) + "\n")
     ok = interior.passed and boundary.passed and equiv.passed
     return EXIT_OK if ok else EXIT_CERTIFICATE
@@ -134,7 +144,7 @@ def cmd_reduce(args) -> int:
 def cmd_transform(args) -> int:
     problem = _need_config(args)
     dmap = build_map(problem)
-    hat = pushforward(problem, dmap)
+    hat = HatOperator(problem, dmap)
     eps = args.eps
     lines = ["z,g_eps_plus,g_eps_minus,eps_g_plus,eps_g_minus"]
     lo, hi = dmap.omega_hat
@@ -144,7 +154,7 @@ def cmd_transform(args) -> int:
     columns = (
         zs,
         top_profile(dmap, g_plus, eps, za),
-        bottom_profile(dmap, g_minus, eps, za),
+        top_profile(dmap, g_minus, eps, za),
         eps * g_plus.value(za),
         eps * g_minus.value(za),
     )
@@ -178,13 +188,13 @@ def cmd_barrier(args) -> int:
     margins = bar.verify_barrier(problem, pair, eps=eps, grid=(args.nx, args.ny))
     _emit(args, "barrier_report.txt", "parameters: " + params.format() + "\n" + margins.format())
     if args.csv:
-        lines = ["x,y,psi_upper,psi_lower"]
+        lines = [_base_header(problem.n) + ",y,psi_upper,psi_lower"]
         view = bar.flat_view(problem)
         xs = view.base_lattice(args.nx)
         x_idx, ys = view.strip_nodes(xs, eps, args.ny)
         x = xs[x_idx]
-        columns = (x[:, 0], ys, pair.upper.values(x, ys), pair.lower.values(x, ys))
-        lines += [",".join(fmt_float(v) for v in row) for row in zip(*columns)]
+        columns = (ys, pair.upper.values(x, ys), pair.lower.values(x, ys))
+        lines += [",".join([_base_row(xi)] + [fmt_float(v) for v in row]) for xi, *row in zip(x, *columns)]
         _write_csv(args, "barrier_grids.csv", "\n".join(lines) + "\n")
     return EXIT_OK if margins.passed else EXIT_BARRIER
 
@@ -203,15 +213,15 @@ def cmd_solve(args) -> int:
     except sol.SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    pairs = problem.control_pairs()
-    lines = ["x,y,u,active_lambda,active_mu"]
+    n = problem.n
+    lines = [_base_header(n) + ",y,u,active_lambda,active_mu"]
     nodes = fld.grid.nodes()
     u = fld.flat()
     for i, z in enumerate(nodes):
         lam = problem.controls.min_labels[fld.policy_min[i]]
         mu = problem.controls.max_labels[fld.policy_max[i]]
         y = z[-1] if fld.grid.kind == "eps" else 0.0
-        lines.append(f"{fmt_float(z[0])},{fmt_float(y)},{fmt_float(u[i])},{lam},{mu}")
+        lines.append(f"{_base_row(z[:n])},{fmt_float(y)},{fmt_float(u[i])},{lam},{mu}")
     _write_csv(args, "solution.csv", "\n".join(lines) + "\n")
     _emit(
         args,
@@ -235,7 +245,6 @@ def cmd_converge(args) -> int:
         limit_resolution=args.limit_nx or settings.limit_resolution,
         tol=settings.tol,
         max_iter=settings.max_iter,
-        seed=args.seed,
     )
     try:
         table = harness.convergence_experiment(plan)

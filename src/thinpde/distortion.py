@@ -36,12 +36,9 @@ __all__ = [
     "DistortionMap",
     "build_map",
     "top_profile",
-    "bottom_profile",
     "matrix_r",
     "HatOperator",
     "HatBoundary",
-    "pushforward",
-    "hat_boundary",
     "transplant_ellipticity",
     "TransplantReport",
 ]
@@ -118,7 +115,7 @@ class DistortionMap:
                 raise NoConvergenceError(self.max_iter, float(residual[stalled][0]))
         return z[0] if single else z
 
-    def d2q(self, x, y, step: float = D2Q_STEP) -> np.ndarray:
+    def d2q(self, x, y) -> np.ndarray:
         """Hessians of the inverse components; shape (N+1, N+1, N+1) per point.
 
         Component N+1 of Q is the identity in y, so its Hessian vanishes;
@@ -126,6 +123,7 @@ class DistortionMap:
         difference stencils of all points are inverted in one call.
         """
         n = self.n
+        step = D2Q_STEP
         p0 = strip_points(np.atleast_1d(np.asarray(x, dtype=float)), y)
         single = p0.ndim == 1
         p0 = np.atleast_2d(p0)
@@ -162,22 +160,17 @@ class DistortionMap:
         return out[0] if single else out
 
 
-def build_map(
-    problem: ThinProblem,
-    tol_fixed_point: float = 1e-12,
-    max_iter: int = 200,
-    pad: float = 1.0,
-    samples: int = 17,
-) -> DistortionMap:
+def build_map(problem: ThinProblem, tol_fixed_point: float = 1e-12, max_iter: int = 200) -> DistortionMap:
     """Select the slab half-height r and assemble the map for gamma = gamma0.
 
     r is the largest value in {1/2, 1/4, ...} with sup |y Dgamma| <= 1/2
     (the contraction certificate) and r |Dg| |gamma| <= 1/2 (monotonicity of
-    the profile equations).  Norms are sampled on the base box inflated by
-    ``pad``, which covers the excursions of the contraction iterates.
+    the profile equations).  Norms are sampled on a 17-node-per-axis lattice
+    over the base box inflated by 1, which covers the excursions of the
+    contraction iterates.
     """
     gamma = problem.bdata.gamma0
-    pts = box_lattice(np.asarray(problem.geom.lower) - pad, np.asarray(problem.geom.upper) + pad, samples - 1)
+    pts = box_lattice(np.asarray(problem.geom.lower) - 1.0, np.asarray(problem.geom.upper) + 1.0, 16)
 
     def sup_norm(v: np.ndarray) -> float:
         return float(np.sqrt(row_dot(v, v)).max())
@@ -229,6 +222,8 @@ def matrix_r(dmap: DistortionMap, z, y) -> np.ndarray:
 def top_profile(dmap: DistortionMap, g: ScalarField, eps: float, z):
     """Unique y in [-r, r] with y = eps * g(z + y gamma(z)), by bisection.
 
+    With g = g+ this is the distorted top boundary, with g = g- the bottom.
+
     One base point gives a float; z shaped (m, N) gives (m,), each point
     bisecting its own bracket until it stops.
     """
@@ -262,16 +257,7 @@ def top_profile(dmap: DistortionMap, g: ScalarField, eps: float, z):
     return float(y[0]) if single else y
 
 
-# the bottom profile solves the same equation with g-
-bottom_profile = top_profile
-
-
 # --- pushed-forward operator and boundary data -------------------------------
-
-
-def _curvature_drift(a: np.ndarray, d2q: np.ndarray) -> np.ndarray:
-    """d_i = tr(A D^2 Q_i) for a bundle's a (m, nL, nM, d, d) and d2q (m, d, d, d)."""
-    return (a[..., None, :, :] * d2q[:, None, None]).sum(axis=(-2, -1))
 
 
 @dataclass
@@ -294,36 +280,10 @@ class HatOperator:
         base = self.problem.coefficients(p)
         r_t = np.swapaxes(matrix_r(self.dmap, z, y), -1, -2)[:, None, None]
         sigma = base.sigma @ r_t
-        drift = row_matmul(base.b, r_t) + _curvature_drift(base.a, self.dmap.d2q(p[:, :-1], y))
+        # the curvature drift d_i = tr(A D^2 Q_i)
+        curvature = (base.a[..., None, :, :] * self.dmap.d2q(p[:, :-1], y)[:, None, None]).sum(axis=(-2, -1))
+        drift = row_matmul(base.b, r_t) + curvature
         return Coefficients(sigma, np.swapaxes(sigma, -1, -2) @ sigma, drift, base.c, base.f)
-
-    def _one(self, lam: str, mu: str, z, y: float) -> Coefficients:
-        return self.coefficients(z, y).pair(*self.problem.controls.index(lam, mu))
-
-    def curvature_drift(self, lam: str, mu: str, x, y: float) -> np.ndarray:
-        """d_i = tr(A D^2 Q_i) at the original-coordinate point (x, y)."""
-        p = strip_points(np.atleast_1d(np.asarray(x, dtype=float)), y)[None]
-        a = self.problem.coefficients(p).pair(*self.problem.controls.index(lam, mu)).a
-        return _curvature_drift(a, self.dmap.d2q(p[:, :-1], p[:, -1]))[0, 0, 0]
-
-    def sigma_hat(self, lam: str, mu: str, z, y: float) -> np.ndarray:
-        return self._one(lam, mu, z, y).sigma[0, 0, 0]
-
-    def diffusion_hat(self, lam: str, mu: str, z, y: float) -> np.ndarray:
-        return self._one(lam, mu, z, y).a[0, 0, 0]
-
-    def b_hat(self, lam: str, mu: str, z, y: float) -> np.ndarray:
-        return self._one(lam, mu, z, y).b[0, 0, 0]
-
-    def c_hat(self, lam: str, mu: str, z, y: float) -> float:
-        return float(self._one(lam, mu, z, y).c[0, 0, 0])
-
-    def f_hat(self, lam: str, mu: str, z, y: float) -> float:
-        return float(self._one(lam, mu, z, y).f[0, 0, 0])
-
-
-def pushforward(problem: ThinProblem, dmap: DistortionMap) -> HatOperator:
-    return HatOperator(problem=problem, dmap=dmap)
 
 
 @dataclass
@@ -373,10 +333,6 @@ class HatBoundary:
         )
 
 
-def hat_boundary(problem: ThinProblem, dmap: DistortionMap) -> HatBoundary:
-    return HatBoundary(problem=problem, dmap=dmap)
-
-
 @dataclass
 class TransplantReport:
     margin: float
@@ -403,7 +359,7 @@ def transplant_ellipticity(
     (Ds, -Ds gamma^T) A(z, 0) (Ds, -Ds gamma^T)^T, which is exactly the
     original interior certificate integrand.
     """
-    hat = pushforward(problem, dmap)
+    hat = HatOperator(problem, dmap)
     pts = box_lattice(*dmap.omega_hat, samples_per_axis)
     y0 = np.zeros(len(pts))
     ds = problem.bdata.s_candidate.grad(pts)

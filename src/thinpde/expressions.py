@@ -33,8 +33,6 @@ __all__ = [
     "UnknownIdentifierError",
     "EvalDomainError",
     "parse",
-    "evaluate",
-    "derivative",
     "ScalarField",
     "VectorField",
     "FD_STEP_ORDER1",
@@ -355,17 +353,10 @@ class Expr:
             raise EvalDomainError(f"{message} at {tuple(float(c) for c in rows[i])}")
         return float(v[0]) if pts.ndim == 1 else v
 
-    def __call__(self, point):
-        return self.evaluate(point)
-
     def free_variables(self) -> set[str]:
         out: set = set()
         _collect_vars(self.root, out)
         return out
-
-    def variable_indices(self, npoint: int) -> set[int]:
-        """1-based slot indices referenced, with y counted as ``npoint``."""
-        return {_var_position(n, npoint) + 1 for n in self.free_variables()}
 
     def to_string(self) -> str:
         return _print_node(self.root)
@@ -397,10 +388,6 @@ def parse(text: str) -> Expr:
     return Expr(node, source=text)
 
 
-def evaluate(e: Expr, point):
-    return e.evaluate(point)
-
-
 def _quotients():
     """Difference quotients combine values as float arithmetic does: an overflow
     gives inf or nan without a numpy warning, for one point as for many."""
@@ -424,36 +411,6 @@ def _fd2(e: Expr, pos: int, point, step: float):
     p[..., pos] -= 2 * step
     lo = e.evaluate(p)
     return (hi - 2 * mid + lo) / (step * step)
-
-
-def _names_for(var: int, npoint: int) -> list[str]:
-    names = [f"x{var}"]
-    if var == npoint:
-        names.insert(0, "y")
-    return names
-
-
-def derivative(e: Expr, var: int, order: int, point, step: float | None = None):
-    """d^order/d(var)^order of ``e`` at ``point`` (``var`` is 1-based; y = N+1).
-
-    ``point`` is one point or an (m, d) array of points, as for
-    :meth:`Expr.evaluate`.  Uses a registered analytic derivative when
-    available, otherwise a central finite difference with the given step
-    (1e-5 / 1e-4 by default).
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    npoint = np.shape(point)[-1]
-    for name in _names_for(var, npoint):
-        key = (name,) if order == 1 else (name, name)
-        reg = e.registered(key)
-        if reg is not None:
-            return reg.evaluate(point)
-    pos = var - 1
-    if step is None:
-        step = FD_STEP_ORDER1 if order == 1 else FD_STEP_ORDER2
-    with _quotients():
-        return _fd1(e, pos, point, step) if order == 1 else _fd2(e, pos, point, step)
 
 
 # --- differentiable fields -------------------------------------------------

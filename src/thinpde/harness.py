@@ -69,8 +69,6 @@ class ExperimentPlan:
     limit_resolution: int = 64
     tol: float = 1e-10
     max_iter: int = 100
-    out_dir: str | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
@@ -277,7 +275,6 @@ def manufactured_solution_test(
     nx_list: tuple[int, ...] = (32, 64, 128, 256),
     drift: float = 0.0,
     target: str = "sine",
-    tol: float = 1e-10,
 ) -> RateReport:
     """Measure the limit solver's convergence order against a known solution.
 
@@ -301,7 +298,7 @@ def manufactured_solution_test(
     lp = reduce_problem(problem)
     errors = []
     for nx in nx_list:
-        fld = sol.solve_limit(lp, nx, tol=tol)
+        fld = sol.solve_limit(lp, nx)
         xs = fld.grid.axes[0]
         errors.append(float(np.abs(fld.flat() - exact(xs)).max()))
     if target == "linear":
@@ -413,7 +410,6 @@ def run_pipeline(
         limit_resolution=limit_resolution,
         tol=tol,
         max_iter=max_iter,
-        seed=seed,
     )
     try:
         table = convergence_experiment(plan, barrier=barrier)

@@ -34,10 +34,8 @@ __all__ = [
     "GeometrySpec",
     "BoundaryData",
     "ThinProblem",
-    "OperatorValue",
     "inf_sup",
     "operator_infsup",
-    "operator_value",
     "strip_points",
     "box_lattice",
     "row_dot",
@@ -102,10 +100,6 @@ class ControlSet:
     def pairs(self) -> Iterator[tuple[str, str]]:
         return itertools.product(self.min_labels, self.max_labels)
 
-    def index(self, lam: str, mu: str) -> tuple[int, int]:
-        """Positions of a control pair in (min_labels, max_labels)."""
-        return self.min_labels.index(lam), self.max_labels.index(mu)
-
 
 @dataclass(frozen=True, eq=False)
 class Coefficients:
@@ -131,25 +125,6 @@ class CoefficientEntry:
     b: tuple[ScalarField, ...]
     c: ScalarField
     f: ScalarField
-
-    def _at(self, z) -> Coefficients:
-        return _coefficient_bundle([[self]], np.atleast_2d(np.asarray(z, dtype=float)))
-
-    def sigma_at(self, z) -> np.ndarray:
-        return self._at(z).sigma[0, 0, 0]
-
-    def diffusion_at(self, z) -> np.ndarray:
-        """A = sigma^T sigma, symmetric PSD of size N+1."""
-        return self._at(z).a[0, 0, 0]
-
-    def drift_at(self, z) -> np.ndarray:
-        return self._at(z).b[0, 0, 0]
-
-    def c_at(self, z) -> float:
-        return float(self._at(z).c[0, 0, 0])
-
-    def f_at(self, z) -> float:
-        return float(self._at(z).f[0, 0, 0])
 
 
 def _coefficient_bundle(entries, points: np.ndarray) -> Coefficients:
@@ -281,13 +256,6 @@ class BoundaryData:
         )
 
 
-@dataclass(frozen=True)
-class OperatorValue:
-    value: float
-    min_label: str
-    max_label: str
-
-
 @dataclass
 class ThinProblem:
     controls: ControlSet
@@ -307,14 +275,6 @@ class ThinProblem:
         labels = self.controls
         entries = [[self.coeffs.entry(lam, mu) for mu in labels.max_labels] for lam in labels.min_labels]
         return _coefficient_bundle(entries, np.atleast_2d(np.asarray(points, dtype=float)))
-
-    def evaluate_operator(self, X: np.ndarray, p: np.ndarray, r: float, z) -> OperatorValue:
-        """Inf over L, sup over M of -tr(A X) - b.p + c r - f at z = (x, y).
-
-        Ties are broken toward the lowest label index, so the result is
-        reproducible across runs.
-        """
-        return operator_value(self, X, p, r, z)
 
 
 def inf_sup(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -345,13 +305,6 @@ def operator_infsup(coeffs: Coefficients, X, p, r):
     r = np.broadcast_to(np.asarray(r, dtype=float).reshape(-1), (m,))
     tr = (coeffs.a * X[:, None, None]).sum(axis=(-2, -1))
     return inf_sup(-tr - row_dot(coeffs.b, p[:, None, None]) + coeffs.c * r[:, None, None] - coeffs.f)
-
-
-def operator_value(source, X, p, r: float, point) -> OperatorValue:
-    """The operator of ``source`` (anything with ``controls`` and ``coefficients``) at one point."""
-    value, il, im = operator_infsup(source.coefficients(np.atleast_2d(point)), X, p, r)
-    labels = source.controls
-    return OperatorValue(float(value[0]), labels.min_labels[il[0]], labels.max_labels[im[0]])
 
 
 # --- validation -------------------------------------------------------------

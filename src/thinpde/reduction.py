@@ -28,19 +28,16 @@ implemented here (the gradient's last slot is the one that carries beta0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import Coefficients, OperatorValue, ThinProblem, operator_infsup, operator_value, row_dot, row_matmul
-from .problem import strip_points
+from .problem import Coefficients, ThinProblem, operator_infsup, row_dot, row_matmul, strip_points
 
 __all__ = [
     "DegenerateThicknessError",
     "LimitProblem",
-    "aux_fields",
     "reduce_problem",
-    "evaluate_operator_g",
     "representation_check",
     "bordered_matrices",
     "RepresentationReport",
@@ -81,11 +78,6 @@ def _aux(problem: ThinProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b_aux = (bd.gamma0.jacobian(x) @ g0[:, :, None])[:, :, 0] - b_avg
     c_avg = (gp * bd.l_plus.value(x) + gm * bd.l_minus.value(x)) / t
     return b_aux, row_dot(-g0, bd.beta0.grad(x)) + c_avg
-
-
-def aux_fields(problem: ThinProblem):
-    """Evaluators for the auxiliary drift b_aux(x) and source c_aux(x) at one base point."""
-    return (lambda x: _aux(problem, _rows(x))[0][0]), (lambda x: float(_aux(problem, _rows(x))[1][0]))
 
 
 def _projector(problem: ThinProblem, x: np.ndarray) -> np.ndarray:
@@ -139,41 +131,10 @@ class LimitProblem:
         f_tilde = base.f + b[..., n] * bd.beta0.value(x)[:, None, None] + trace_term
         return Coefficients(base.sigma @ proj_t, proj @ a @ proj_t, b_tilde, base.c, f_tilde)
 
-    def _one(self, lam: str, mu: str, x) -> Coefficients:
-        return self.coefficients(x).pair(*self.controls.index(lam, mu))
-
-    def a_tilde(self, lam: str, mu: str, x) -> np.ndarray:
-        return self._one(lam, mu, x).a[0, 0, 0]
-
-    def sigma_tilde(self, lam: str, mu: str, x) -> np.ndarray:
-        return self._one(lam, mu, x).sigma[0, 0, 0]
-
-    def b_tilde(self, lam: str, mu: str, x) -> np.ndarray:
-        return self._one(lam, mu, x).b[0, 0, 0]
-
-    def c_tilde(self, lam: str, mu: str, x) -> float:
-        return float(self._one(lam, mu, x).c[0, 0, 0])
-
-    def f_tilde(self, lam: str, mu: str, x) -> float:
-        return float(self._one(lam, mu, x).f[0, 0, 0])
-
-    def homogeneous_value(self, lam: str, mu: str, X, p, r: float, x) -> float:
-        """The homogeneous part: -tr(A~ X) - b~.p + c~ r (no source term)."""
-        one = self._one(lam, mu, x)
-        return float(operator_infsup(replace(one, f=np.zeros_like(one.f)), X, p, r)[0][0])
-
-    def evaluate_operator(self, X, p, r: float, x) -> OperatorValue:
-        return evaluate_operator_g(self, X, p, r, x)
-
 
 def reduce_problem(problem: ThinProblem) -> LimitProblem:
     """Build the limit problem; requires a validated thin problem."""
     return LimitProblem(problem)
-
-
-def evaluate_operator_g(lp: LimitProblem, X, p, r: float, x) -> OperatorValue:
-    """Inf over L, sup over M of -tr(A~ X) - b~.p + c~ r - f~ at x."""
-    return operator_value(lp, X, p, r, x)
 
 
 def bordered_matrices(problem: ThinProblem, x, X, p):

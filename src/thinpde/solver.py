@@ -526,13 +526,17 @@ def solve_limit(
     return policy_iteration(discretize_limit(lp, grid), tol=tol, max_iter=max_iter)
 
 
+# the discrete homogeneous operator on psi must fall below this on interior nodes
+_PERTURBATION_TARGET = -0.5
+
+
 @dataclass
 class PerturbationReport:
     alpha: float
     kappa: float
     worst: float  # max over interior nodes and controls of the discrete homogeneous operator on psi
     passed: bool
-    target: float = -0.5
+    target: float = _PERTURBATION_TARGET
 
     def format(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -542,19 +546,16 @@ class PerturbationReport:
         )
 
 
-def perturbation_certificate(
-    lp: LimitProblem,
-    resolution=64,
-    target: float = -0.5,
-    alpha_cap: float = 2.0**20,
-) -> PerturbationReport:
+def perturbation_certificate(lp: LimitProblem, resolution=64) -> PerturbationReport:
     """Build psi = exp(alpha s~) and check the discrete homogeneous operator.
 
     The potential is rescaled so Ds A~ Ds^T >= 1 on the grid, then alpha is
-    doubled until every control's homogeneous row value at psi is below the
-    target on all interior nodes (the discrete face of the comparison
-    perturbation with right-hand side -1, relaxed to -1/2 for scheme error).
+    doubled, up to 2^20, until every control's homogeneous row value at psi
+    is below the target -1/2 on all interior nodes (the discrete face of the
+    comparison perturbation with right-hand side -1, relaxed for scheme
+    error).
     """
+    alpha_cap = 2.0**20
     grid = make_limit_grid(lp, resolution)
     nodes = grid.nodes()
     interior = grid.classification == INTERIOR
@@ -562,7 +563,7 @@ def perturbation_certificate(
     coeffs = lp.coefficients(nodes[interior])
     form_min = float(quadratic_form(s.grad(nodes[interior])[:, None, None], coeffs.a).min(initial=math.inf))
     if form_min <= 1e-12:
-        return PerturbationReport(alpha=math.nan, kappa=math.nan, worst=math.inf, passed=False, target=target)
+        return PerturbationReport(alpha=math.nan, kappa=math.nan, worst=math.inf, passed=False)
     kappa = 1.0 / math.sqrt(form_min)
     s_vals = s.value(nodes)
     s_tilde = kappa * (s_vals - s_vals.min())
@@ -581,7 +582,7 @@ def perturbation_certificate(
         worst = -math.inf
         for m in hom.matrices:
             worst = max(worst, float((m @ psi)[interior].max()))
-        if worst <= target:
-            return PerturbationReport(alpha=alpha, kappa=kappa, worst=worst, passed=True, target=target)
+        if worst <= _PERTURBATION_TARGET:
+            return PerturbationReport(alpha=alpha, kappa=kappa, worst=worst, passed=True)
         alpha *= 2.0
-    return PerturbationReport(alpha=alpha_cap, kappa=kappa, worst=worst, passed=False, target=target)
+    return PerturbationReport(alpha=alpha_cap, kappa=kappa, worst=worst, passed=False)

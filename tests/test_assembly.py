@@ -149,9 +149,22 @@ def _assemble_by_nodes(grid, pairs, n_min, n_max, diffusion, drift, czero, sourc
     return DiscreteSystem(grid, pairs, n_min, n_max, matrices, rhs_list, dirichlet_mask, dirichlet_values)
 
 
+def _pair_slices(coefficients, controls):
+    """Per-point (diffusion, drift, czero, source) callbacks: a control pair's slice of the bundle at one node."""
+
+    def read(name):
+        def at(lam, mu, x):
+            il, im = controls.min_labels.index(lam), controls.max_labels.index(mu)
+            return getattr(coefficients(np.atleast_2d(x)), name)[0, il, im]
+
+        return at
+
+    return [read(name) for name in ("a", "b", "c", "f")]
+
+
 def _strip_by_nodes(problem, grid):
     bd = problem.bdata
-    entry = problem.coeffs.entry
+    diffusion, drift, czero, source = _pair_slices(problem.coefficients, problem.controls)
 
     def oblique(kind, x):
         if kind == TOP:
@@ -163,25 +176,26 @@ def _strip_by_nodes(problem, grid):
         problem.control_pairs(),
         len(problem.controls.min_labels),
         len(problem.controls.max_labels),
-        diffusion=lambda lam, mu, x: entry(lam, mu).diffusion_at(x),
-        drift=lambda lam, mu, x: entry(lam, mu).drift_at(x),
-        czero=lambda lam, mu, x: entry(lam, mu).c_at(x),
-        source=lambda lam, mu, x: entry(lam, mu).f_at(x),
+        diffusion=diffusion,
+        drift=drift,
+        czero=czero,
+        source=source,
         oblique=oblique,
         dirichlet=lambda x: bd.beta_lateral.value(x),
     )
 
 
 def _limit_by_nodes(lp, grid, homogeneous=False):
+    diffusion, drift, czero, source = _pair_slices(lp.coefficients, lp.controls)
     return _assemble_by_nodes(
         grid,
         lp.control_pairs(),
         len(lp.controls.min_labels),
         len(lp.controls.max_labels),
-        diffusion=lp.a_tilde,
-        drift=lp.b_tilde,
-        czero=(lambda lam, mu, x: 0.0) if homogeneous else lp.c_tilde,
-        source=(lambda lam, mu, x: 0.0) if homogeneous else lp.f_tilde,
+        diffusion=diffusion,
+        drift=drift,
+        czero=(lambda lam, mu, x: 0.0) if homogeneous else czero,
+        source=(lambda lam, mu, x: 0.0) if homogeneous else source,
         dirichlet=(lambda x: 0.0) if homogeneous else lp.dirichlet_trace,
     )
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,38 @@ from thinpde.harness import EXIT_CERTIFICATE, EXIT_OK, EXIT_SOLVER, EXIT_VALIDAT
 from thinpde.problem import validate
 from thinpde.reduction import reduce_problem, representation_check
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+
+# a problem over the unit square: the strip is three-dimensional
+BASE_2D = """
+[controls]
+L = 1
+M = 1
+
+[geometry]
+lower = 0, 0
+upper = 1, 1
+g_minus = -1
+g_plus = 1
+epsilon0 = 0.25
+
+[boundary]
+gamma0 = 0, 0
+beta0 = 0
+k_plus = 0, 0
+k_minus = 0, 0
+l_plus = 0
+l_minus = 0
+beta = x1*x2
+s = x1
+
+[coefficients.1.1]
+sigma = 1, 0, 0; 0, 1, 0; 0, 0, 1
+b = 0, 0, 0
+c = 0
+f = 1
+"""
 
 
 def test_load_reference_config():
@@ -144,3 +178,36 @@ def test_cli_experiment_tol_and_max_iter_take_effect(tmp_path, capsys):
     assert "FAILED at stage solve (exit 5)" in capsys.readouterr().out
     assert main(["converge", "--config", str(strict)]) == EXIT_SOLVER
     assert "policy iteration hit 2 iterations" in capsys.readouterr().err
+
+
+def test_python_m_thinpde_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "thinpde", "validate", "--config", "configs/reference.cfg"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "ALL ASSUMPTIONS HOLD" in done.stdout
+
+
+def test_cli_csvs_keep_every_base_coordinate(tmp_path):
+    cfg = tmp_path / "base2d.cfg"
+    cfg.write_text(BASE_2D)
+    nx = 4
+
+    def base_points(name: str) -> set:
+        rows = (tmp_path / name).read_text().splitlines()
+        assert rows[0].startswith("x1,x2,")
+        return {tuple(row.split(",")[:2]) for row in rows[1:]}
+
+    assert main(["solve", "--config", str(cfg), "--limit", "--nx", str(nx), "--out", str(tmp_path)]) == EXIT_OK
+    assert len(base_points("solution.csv")) == (nx + 1) ** 2
+    assert main(["certify", "--config", str(cfg), "--samples", str(nx), "--csv", "--out", str(tmp_path)]) == EXIT_OK
+    assert len(base_points("certify_interior.csv")) == (nx + 1) ** 2
+    args = ["--nx", str(nx), "--ny", "2", "--csv", "--out", str(tmp_path)]
+    assert main(["barrier", "--config", str(cfg)] + args) == EXIT_OK
+    assert len(base_points("barrier_grids.csv")) == (nx + 1) ** 2

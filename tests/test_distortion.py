@@ -5,12 +5,11 @@ import pytest
 
 from thinpde.distortion import (
     DistortionMap,
+    HatBoundary,
+    HatOperator,
     NoConvergenceError,
-    bottom_profile,
     build_map,
-    hat_boundary,
     matrix_r,
-    pushforward,
     top_profile,
     transplant_ellipticity,
 )
@@ -80,7 +79,7 @@ def test_profile_trivial_cases(reference, transform_demo):
     dmap0 = build_map(reference)
     for z in np.linspace(0, 1, 5):
         assert top_profile(dmap0, reference.geom.g_plus, 0.1, [z]) == pytest.approx(0.1, abs=1e-12)
-        assert bottom_profile(dmap0, reference.geom.g_minus, 0.1, [z]) == pytest.approx(-0.1, abs=1e-12)
+        assert top_profile(dmap0, reference.geom.g_minus, 0.1, [z]) == pytest.approx(-0.1, abs=1e-12)
     # constant g+: the fixed point is eps*G regardless of gamma
     dmap = build_map(transform_demo)
     const = ScalarField(parse("0.7"), base_vars(1))
@@ -139,14 +138,14 @@ def test_matrix_r_examples():
 
 def test_pushforward_identity_for_zero_gamma(reference):
     dmap = build_map(reference)
-    hat = pushforward(reference, dmap)
+    hat = HatOperator(reference, dmap)
     for z in np.linspace(0, 1, 5):
         za = [z]
-        e = reference.coeffs.entry("1", "1")
-        assert np.allclose(hat.sigma_hat("1", "1", za, 0.1), e.sigma_at([z, 0.1]), atol=1e-12)
-        assert np.allclose(hat.b_hat("1", "1", za, 0.1), e.drift_at([z, 0.1]), atol=1e-12)
-        assert hat.c_hat("1", "1", za, 0.1) == pytest.approx(e.c_at([z, 0.1]))
-        assert hat.f_hat("1", "1", za, 0.1) == pytest.approx(e.f_at([z, 0.1]))
+        co, e = hat.coefficients(za, 0.1), reference.coefficients([[z, 0.1]])
+        assert np.allclose(co.sigma[0, 0, 0], e.sigma[0, 0, 0], atol=1e-12)
+        assert np.allclose(co.b[0, 0, 0], e.b[0, 0, 0], atol=1e-12)
+        assert co.c[0, 0, 0] == pytest.approx(e.c[0, 0, 0])
+        assert co.f[0, 0, 0] == pytest.approx(e.f[0, 0, 0])
 
 
 def test_pushforward_constant_gamma_affine():
@@ -154,10 +153,12 @@ def test_pushforward_constant_gamma_affine():
     p = reference_problem(gamma0="0.3")
     dmap = build_map(p)
     assert dmap.is_constant
-    hat = pushforward(p, dmap)
-    d = hat.curvature_drift("1", "1", [0.4], 0.2)
+    co = HatOperator(p, dmap).coefficients([0.4], 0.2)
+    # the hatted drift less its transported part (b o P) R^T
+    b_moved = p.coefficients(dmap.forward([0.4], 0.2)[None]).b[0, 0, 0] @ matrix_r(dmap, [0.4], 0.2).T
+    d = co.b[0, 0, 0] - b_moved
     assert np.allclose(d, 0.0)
-    s = hat.sigma_hat("1", "1", [0.4], 0.2)
+    s = co.sigma[0, 0, 0]
     assert np.allclose(s, np.eye(2) @ matrix_r(dmap, [0.4], 0.2).T)
 
 
@@ -187,7 +188,7 @@ def test_curvature_drift_dual_path():
 
 def test_hat_boundary_exactness(distorted):
     dmap = build_map(distorted)
-    hb = hat_boundary(distorted, dmap)
+    hb = HatBoundary(distorted, dmap)
     assert hb.check_exactness() <= 1e-12
     gp = hb.gamma_hat_plus([0.5], 0.1)
     assert gp[-1] == 1.0
@@ -198,7 +199,7 @@ def test_hat_boundary_exactness(distorted):
 
 def test_hat_boundary_first_components_order_y(distorted):
     dmap = build_map(distorted)
-    hb = hat_boundary(distorted, dmap)
+    hb = HatBoundary(distorted, dmap)
     for y in (0.05, 0.025, 0.0125):
         g = hb.gamma_hat_plus([0.5], y)
         assert abs(g[0]) <= 0.5 * y  # O(|y|) with a modest constant
@@ -223,13 +224,14 @@ def test_transplant_constant_gamma_value():
 
 def test_hat_operator_nonnegative_c_and_psd(distorted):
     dmap = build_map(distorted)
-    hat = pushforward(distorted, dmap)
+    hat = HatOperator(distorted, dmap)
     rng = np.random.default_rng(1)
     for _ in range(40):
         z = [rng.uniform(-0.1, 1.1)]
         y = rng.uniform(-dmap.r, dmap.r)
-        assert hat.c_hat("1", "1", z, y) >= 0.0
-        a = hat.diffusion_hat("1", "1", z, y)
+        co = hat.coefficients(z, y)
+        assert co.c[0, 0, 0] >= 0.0
+        a = co.a[0, 0, 0]
         assert np.linalg.eigvalsh(a).min() >= -1e-10
 
 
@@ -354,7 +356,6 @@ def test_batched_profiles_match_per_point(case, hat_lattice):
     for eps in (0.1, 0.025):
         for g in (problem.geom.g_plus, problem.geom.g_minus):
             assert _same(top_profile(dmap, g, eps, zs), [_ref_profile(dmap, g, eps, z) for z in zs])
-    assert bottom_profile is top_profile
 
 
 def test_batched_inverse_reports_no_convergence(hat_lattice):

@@ -10,28 +10,26 @@ from thinpde.expressions import (
     ExprSyntaxError,
     ScalarField,
     UnknownIdentifierError,
-    derivative,
-    evaluate,
     parse,
 )
 
 
 def test_basic_evaluation():
-    assert evaluate(parse("x1 + 2*exp(0)"), [1.0]) == pytest.approx(3.0)
-    assert evaluate(parse("x1*y"), [2.0, 0.5]) == pytest.approx(1.0)
-    assert evaluate(parse("sin(0)"), [0.0]) == 0.0
-    assert evaluate(parse("pow(x1, 2)"), [3.0]) == pytest.approx(9.0)
-    assert evaluate(parse("min(x1, 2)"), [5.0]) == 2.0
-    assert evaluate(parse("max(abs(x1), 1)"), [-3.0]) == 3.0
-    assert evaluate(parse("pi"), [0.0]) == pytest.approx(math.pi)
+    assert parse("x1 + 2*exp(0)").evaluate([1.0]) == pytest.approx(3.0)
+    assert parse("x1*y").evaluate([2.0, 0.5]) == pytest.approx(1.0)
+    assert parse("sin(0)").evaluate([0.0]) == 0.0
+    assert parse("pow(x1, 2)").evaluate([3.0]) == pytest.approx(9.0)
+    assert parse("min(x1, 2)").evaluate([5.0]) == 2.0
+    assert parse("max(abs(x1), 1)").evaluate([-3.0]) == 3.0
+    assert parse("pi").evaluate([0.0]) == pytest.approx(math.pi)
 
 
 def test_precedence_and_unary():
-    assert evaluate(parse("2 + 3*4"), [0.0]) == 14.0
-    assert evaluate(parse("-x1*2"), [3.0]) == -6.0
-    assert evaluate(parse("(2 + 3)*4"), [0.0]) == 20.0
-    assert evaluate(parse("2 - 3 - 4"), [0.0]) == -5.0
-    assert evaluate(parse("12/3/2"), [0.0]) == 2.0
+    assert parse("2 + 3*4").evaluate([0.0]) == 14.0
+    assert parse("-x1*2").evaluate([3.0]) == -6.0
+    assert parse("(2 + 3)*4").evaluate([0.0]) == 20.0
+    assert parse("2 - 3 - 4").evaluate([0.0]) == -5.0
+    assert parse("12/3/2").evaluate([0.0]) == 2.0
 
 
 def test_syntax_error_offset():
@@ -56,28 +54,28 @@ def test_unknown_identifier():
 
 def test_domain_errors():
     with pytest.raises(EvalDomainError):
-        evaluate(parse("1/x1"), [0.0])
+        parse("1/x1").evaluate([0.0])
     with pytest.raises(EvalDomainError):
-        evaluate(parse("sqrt(x1)"), [-1.0])
+        parse("sqrt(x1)").evaluate([-1.0])
 
 
 def test_y_is_last_slot():
     e = parse("x1 + 2*y")
-    assert evaluate(e, [1.0, 3.0]) == 7.0
-    assert evaluate(e, [1.0, 0.0, 3.0]) == 7.0  # y tracks the last coordinate
+    assert e.evaluate([1.0, 3.0]) == 7.0
+    assert e.evaluate([1.0, 0.0, 3.0]) == 7.0  # y tracks the last coordinate
 
 
 def test_derivative_examples():
     e = parse("pow(x1, 2)")
-    assert derivative(e, 1, 1, [3.0]) == pytest.approx(6.0, abs=1e-8)
-    assert derivative(parse("exp(x1)"), 1, 2, [0.0]) == pytest.approx(1.0, abs=1e-6)
-    assert derivative(parse("x1"), 2, 1, [1.0, 0.3]) == pytest.approx(0.0, abs=1e-12)
+    assert ScalarField(e, ("x1",)).grad([3.0])[0] == pytest.approx(6.0, abs=1e-8)
+    assert ScalarField(parse("exp(x1)"), ("x1",)).hess([0.0])[0, 0] == pytest.approx(1.0, abs=1e-6)
+    assert ScalarField(parse("x1"), ("x1", "y")).grad([1.0, 0.3])[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_registered_derivative_wins():
     e = parse("pow(x1, 3)")
     e.register_derivative("x1", "3*pow(x1, 2)")
-    assert derivative(e, 1, 1, [2.0]) == 12.0  # exact, not differenced
+    assert ScalarField(e, ("x1",)).grad([2.0])[0] == 12.0  # exact, not differenced
 
 
 def test_fd_of_registered_first_matches_second():

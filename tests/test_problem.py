@@ -12,6 +12,7 @@ from thinpde.problem import (
     GeometrySpec,
     ThinProblem,
     inf_sup,
+    operator_infsup,
     validate,
 )
 
@@ -84,15 +85,20 @@ def test_raw_boundary_compatibility():
     p.bdata.raw_beta_minus = None
 
 
+def _operator(problem, X, p, r, z) -> float:
+    """The operator's value at one strip point, from the coefficient bundle there."""
+    return float(operator_infsup(problem.coefficients([z]), X, p, r)[0][0])
+
+
 def test_operator_examples(reference):
     # single control, sigma = I2, rest zero: F = -tr X
-    out = reference.evaluate_operator(np.eye(2), np.zeros(2), 0.0, [0.5, 0.0])
-    f_val = reference.coeffs.entry("1", "1").f_at([0.5, 0.0])
-    assert out.value == pytest.approx(-2.0 - f_val)
+    out = _operator(reference, np.eye(2), np.zeros(2), 0.0, [0.5, 0.0])
+    f_val = reference.coefficients([[0.5, 0.0]]).f[0, 0, 0]
+    assert out == pytest.approx(-2.0 - f_val)
 
     p = reference_problem(c="1", f="0")
-    out = p.evaluate_operator(np.zeros((2, 2)), np.zeros(2), 5.0, [0.5, 0.0])
-    assert out.value == pytest.approx(5.0)
+    out = _operator(p, np.zeros((2, 2)), np.zeros(2), 5.0, [0.5, 0.0])
+    assert out == pytest.approx(5.0)
 
 
 def test_operator_sup_over_constants():
@@ -116,9 +122,9 @@ def test_operator_sup_over_constants():
             s_candidate=_scalar("x1", bv),
         ),
     )
-    out = p.evaluate_operator(np.zeros((2, 2)), np.zeros(2), 0.0, [0.5, 0.0])
-    assert out.value == pytest.approx(-2.0)  # sup(-2, -4)
-    assert out.max_label == "1"
+    value, _, mu_idx = operator_infsup(p.coefficients([[0.5, 0.0]]), np.zeros((2, 2)), np.zeros(2), 0.0)
+    assert value[0] == pytest.approx(-2.0)  # sup(-2, -4)
+    assert p.controls.max_labels[mu_idx[0]] == "1"
 
 
 def test_operator_matches_bruteforce(rich):
@@ -129,18 +135,16 @@ def test_operator_matches_bruteforce(rich):
         p = rng.uniform(-1, 1, size=2)
         r = float(rng.uniform(-1, 1))
         z = np.array([rng.uniform(0, 1), rng.uniform(-1, 1)])
-        out = rich.evaluate_operator(X, p, r, z)
+        out = _operator(rich, X, p, r, z)
+        co = rich.coefficients([z])
         brute = min(
             max(
-                -np.sum(rich.coeffs.entry(lam, mu).diffusion_at(z) * X)
-                - rich.coeffs.entry(lam, mu).drift_at(z) @ p
-                + rich.coeffs.entry(lam, mu).c_at(z) * r
-                - rich.coeffs.entry(lam, mu).f_at(z)
-                for mu in rich.controls.max_labels
+                -np.sum(co.a[0, il, im] * X) - co.b[0, il, im] @ p + co.c[0, il, im] * r - co.f[0, il, im]
+                for im in range(len(rich.controls.max_labels))
             )
-            for lam in rich.controls.min_labels
+            for il in range(len(rich.controls.min_labels))
         )
-        assert out.value == brute
+        assert out == brute
 
 
 def test_operator_monotone_in_r(rich):
@@ -151,7 +155,7 @@ def test_operator_monotone_in_r(rich):
         p = rng.uniform(-1, 1, size=2)
         z = np.array([rng.uniform(0, 1), rng.uniform(-1, 1)])
         r1, r2 = sorted(rng.uniform(-1, 1, size=2))
-        assert rich.evaluate_operator(X, p, r1, z).value <= rich.evaluate_operator(X, p, r2, z).value + 1e-12
+        assert _operator(rich, X, p, r1, z) <= _operator(rich, X, p, r2, z) + 1e-12
 
 
 def test_operator_degenerate_elliptic(rich):
@@ -163,7 +167,7 @@ def test_operator_degenerate_elliptic(rich):
         X2 = X1 + rng.uniform(0, 1) * np.outer(v, v)  # X2 >= X1 in the PSD order
         p = rng.uniform(-1, 1, size=2)
         z = np.array([rng.uniform(0, 1), rng.uniform(-1, 1)])
-        assert rich.evaluate_operator(X1, p, 0.0, z).value >= rich.evaluate_operator(X2, p, 0.0, z).value - 1e-12
+        assert _operator(rich, X1, p, 0.0, z) >= _operator(rich, X2, p, 0.0, z) - 1e-12
 
 
 def test_control_set_validation():

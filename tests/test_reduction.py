@@ -1,32 +1,45 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from thinpde.expressions import base_vars
 from thinpde.presets import _scalar, reference_problem, rich_problem
+from thinpde.problem import operator_infsup
 from thinpde.reduction import (
     DegenerateThicknessError,
-    aux_fields,
+    bordered_matrices,
     estimate_limit_bounds,
-    evaluate_operator_g,
     reduce_problem,
     representation_check,
 )
 
 
+def _aux(problem, x):
+    """(b_aux . e_1, c_aux) at one base point: the corners of the bordered B (with p = e_1) and C."""
+    n = problem.n
+    _, b_mat, c_mat = bordered_matrices(problem, x, np.zeros((n, n)), np.eye(n)[0])
+    return b_mat[0, n, n], c_mat[0, n, n]
+
+
+def _g(lp, X, p, r, x) -> float:
+    """The limit operator's value at one base point, from the coefficient bundle there."""
+    return float(operator_infsup(lp.coefficients(x), X, p, r)[0][0])
+
+
 def test_aux_fields_vanish_for_trivial_data(reference):
-    b_aux, c_aux = aux_fields(reference)
     for x in np.linspace(0, 1, 9):
-        assert np.allclose(b_aux([x]), 0.0, atol=1e-12)
-        assert c_aux([x]) == pytest.approx(0.0, abs=1e-12)
+        b_aux, c_aux = _aux(reference, [x])
+        assert np.allclose(b_aux, 0.0, atol=1e-12)
+        assert c_aux == pytest.approx(0.0, abs=1e-12)
 
 
 def test_aux_source_from_gamma0_beta0():
     # gamma0 = beta0 = x1 with k, l = 0 gives c_aux = -x1
     p = reference_problem(gamma0="x1")
     p.bdata.beta0 = _scalar("x1", base_vars(1), {"x1": "1"})
-    _, c_aux = aux_fields(p)
     for x in np.linspace(0, 1, 7):
-        assert c_aux([x]) == pytest.approx(-x, abs=1e-9)
+        assert _aux(p, [x])[1] == pytest.approx(-x, abs=1e-9)
 
 
 def test_aux_source_thickness_average():
@@ -37,17 +50,15 @@ def test_aux_source_thickness_average():
     p.geom.g_plus = _scalar("1", bv)
     p.bdata.l_plus = _scalar("1", bv)
     p.bdata.l_minus = _scalar("5", bv)
-    _, c_aux = aux_fields(p)
-    assert c_aux([0.5]) == pytest.approx(1.0)
+    assert _aux(p, [0.5])[1] == pytest.approx(1.0)
 
 
 def test_degenerate_thickness():
     p = reference_problem()
     bv = base_vars(1)
     p.geom.g_minus = _scalar("1", bv)  # same as g_plus
-    _, c_aux = aux_fields(p)
     with pytest.raises(DegenerateThicknessError):
-        c_aux([0.5])
+        _aux(p, [0.5])
 
 
 def test_reduce_trivial_collapse(reference):
@@ -55,18 +66,18 @@ def test_reduce_trivial_collapse(reference):
     lp = reduce_problem(reference)
     for x in np.linspace(0, 1, 7):
         z = np.array([x, 0.0])
-        e = reference.coeffs.entry("1", "1")
-        assert lp.a_tilde("1", "1", [x])[0, 0] == pytest.approx(e.diffusion_at(z)[0, 0])
-        assert lp.b_tilde("1", "1", [x])[0] == pytest.approx(e.drift_at(z)[0])
-        assert lp.c_tilde("1", "1", [x]) == pytest.approx(e.c_at(z))
-        assert lp.f_tilde("1", "1", [x]) == pytest.approx(e.f_at(z))
+        co, e = lp.coefficients([x]), reference.coefficients([z])
+        assert co.a[0, 0, 0][0, 0] == pytest.approx(e.a[0, 0, 0][0, 0])
+        assert co.b[0, 0, 0][0] == pytest.approx(e.b[0, 0, 0][0])
+        assert co.c[0, 0, 0] == pytest.approx(e.c[0, 0, 0])
+        assert co.f[0, 0, 0] == pytest.approx(e.f[0, 0, 0])
 
 
 def test_reduce_constant_gamma0():
     # gamma0 = 1, A = I2: A~ = (1, -1) I (1, -1)^T = 2
     p = reference_problem(gamma0="1")
     lp = reduce_problem(p)
-    assert lp.a_tilde("1", "1", [0.3])[0, 0] == pytest.approx(2.0)
+    assert lp.coefficients([0.3]).a[0, 0, 0][0, 0] == pytest.approx(2.0)
 
 
 def test_b_tilde_fd_oracle():
@@ -77,22 +88,24 @@ def test_b_tilde_fd_oracle():
     lp = reduce_problem(p)
     delta = 1e-6
     for x in np.linspace(0.1, 0.9, 5):
-        base = evaluate_operator_g(lp, np.zeros((1, 1)), np.zeros(1), 0.0, [x]).value
-        bumped = evaluate_operator_g(lp, np.zeros((1, 1)), np.array([delta]), 0.0, [x]).value
+        base = _g(lp, np.zeros((1, 1)), np.zeros(1), 0.0, [x])
+        bumped = _g(lp, np.zeros((1, 1)), np.array([delta]), 0.0, [x])
         b_fd = -(bumped - base) / delta
-        assert b_fd == pytest.approx(lp.b_tilde("1", "1", [x])[0], abs=1e-6)
-        assert lp.b_tilde("1", "1", [x])[0] == pytest.approx(x, abs=1e-9)
+        b_tilde = lp.coefficients([x]).b[0, 0, 0]
+        assert b_fd == pytest.approx(b_tilde[0], abs=1e-6)
+        assert b_tilde[0] == pytest.approx(x, abs=1e-9)
 
 
 def test_sigma_tilde_factorization(rich):
     lp = reduce_problem(rich)
-    for lam, mu in rich.control_pairs():
-        for x in np.linspace(0, 1, 9):
-            s = lp.sigma_tilde(lam, mu, [x])
-            a = lp.a_tilde(lam, mu, [x])
+    for x in np.linspace(0, 1, 9):
+        co = lp.coefficients([x])
+        for il, im in np.ndindex(co.c.shape[1:]):
+            s = co.sigma[0, il, im]
+            a = co.a[0, il, im]
             assert np.allclose(s.T @ s, a, atol=1e-10)
             assert np.linalg.eigvalsh(a).min() >= -1e-10
-            assert lp.c_tilde(lam, mu, [x]) >= 0.0
+            assert co.c[0, il, im] >= 0.0
 
 
 def test_representation_identity_analytic(rich):
@@ -119,13 +132,13 @@ def test_representation_identity_degenerate(reference):
 
 def test_operator_g_examples(reference):
     lp = reduce_problem(reference)
-    out = evaluate_operator_g(lp, np.array([[2.0]]), np.zeros(1), 0.0, [0.5])
-    f = lp.f_tilde("1", "1", [0.5])
-    assert out.value == pytest.approx(-2.0 - f)
+    out = _g(lp, np.array([[2.0]]), np.zeros(1), 0.0, [0.5])
+    f = lp.coefficients([0.5]).f[0, 0, 0]
+    assert out == pytest.approx(-2.0 - f)
     p = reference_problem(c="1", f="0")
     lp2 = reduce_problem(p)
-    out = evaluate_operator_g(lp2, np.zeros((1, 1)), np.zeros(1), -3.0, [0.5])
-    assert out.value == pytest.approx(-3.0)
+    out = _g(lp2, np.zeros((1, 1)), np.zeros(1), -3.0, [0.5])
+    assert out == pytest.approx(-3.0)
 
 
 def test_g_monotone_and_elliptic(rich):
@@ -136,12 +149,9 @@ def test_g_monotone_and_elliptic(rich):
         p = rng.uniform(-1, 1, size=1)
         x = [rng.uniform(0, 1)]
         r1, r2 = sorted(rng.uniform(-1, 1, size=2))
-        assert evaluate_operator_g(lp, X, p, r1, x).value <= evaluate_operator_g(lp, X, p, r2, x).value + 1e-12
+        assert _g(lp, X, p, r1, x) <= _g(lp, X, p, r2, x) + 1e-12
         t = rng.uniform(0, 1)
-        assert (
-            evaluate_operator_g(lp, X, p, 0.0, x).value
-            >= evaluate_operator_g(lp, X + t * np.eye(1), p, 0.0, x).value - 1e-12
-        )
+        assert _g(lp, X, p, 0.0, x) >= _g(lp, X + t * np.eye(1), p, 0.0, x) - 1e-12
 
 
 def test_subadditivity(rich):
@@ -153,13 +163,12 @@ def test_subadditivity(rich):
         p1, p2 = (rng.uniform(-1, 1, size=1) for _ in range(2))
         r1, r2 = (float(rng.uniform(-1, 1)) for _ in range(2))
         x = [rng.uniform(0, 1)]
-        lhs = (
-            evaluate_operator_g(lp, X1, p1, r1, x).value
-            - evaluate_operator_g(lp, X2, p2, r2, x).value
-        )
+        lhs = _g(lp, X1, p1, r1, x) - _g(lp, X2, p2, r2, x)
+        co = lp.coefficients(x)
+        homogeneous = replace(co, f=np.zeros_like(co.f))
         rhs = max(
-            lp.homogeneous_value(lam, mu, X1 - X2, p1 - p2, r1 - r2, x)
-            for lam, mu in lp.control_pairs()
+            float(operator_infsup(homogeneous.pair(il, im), X1 - X2, p1 - p2, r1 - r2)[0][0])
+            for il, im in np.ndindex(co.c.shape[1:])
         )
         assert lhs <= rhs + 1e-10
 
