@@ -32,12 +32,13 @@ once; the operator is :func:`thinpde.problem.operator_infsup`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .distortion import DistortionMap, HatBoundary, HatOperator, build_map, matrix_r, top_profile
+from .expressions import Bin, Const, Expr, ScalarField
 from .problem import Coefficients, ThinProblem, box_lattice, operator_infsup, quadratic_form, row_dot, strip_points
 
 __all__ = [
@@ -185,21 +186,13 @@ class StripView:
         return float(operator_infsup(coeffs, X, p, r)[0][0])
 
 
-class _MidpointField:
-    """(g+ + g-) / 2 with derivatives, the default barrier level h."""
-
-    def __init__(self, g_plus, g_minus):
-        self.g_plus = g_plus
-        self.g_minus = g_minus
-
-    def value(self, x):
-        return 0.5 * (self.g_plus.value(x) + self.g_minus.value(x))
-
-    def grad(self, x):
-        return 0.5 * (self.g_plus.grad(x) + self.g_minus.grad(x))
-
-    def hess(self, x):
-        return 0.5 * (self.g_plus.hess(x) + self.g_minus.hess(x))
+def _barrier_level(problem: ThinProblem) -> ScalarField:
+    """The level h of the barriers: the problem's own, or else the midpoint (g+ + g-) / 2."""
+    geom = problem.geom
+    if problem.bdata.h is not None:
+        return problem.bdata.h
+    mid = Bin("*", Const(0.5), Bin("+", geom.g_plus.expr.root, geom.g_minus.expr.root))
+    return ScalarField(Expr(mid), geom.g_plus.var_names)
 
 
 def _lattice_sup(problem: ThinProblem, *fields) -> float:
@@ -234,7 +227,7 @@ def flat_view(problem: ThinProblem) -> StripView:
         bottom_y=lambda x, eps: eps * geom.g_minus.value(x),
         beta0=bd.beta0,
         s=bd.s_candidate,
-        h=bd.h if bd.h is not None else _MidpointField(geom.g_plus, geom.g_minus),
+        h=_barrier_level(problem),
         gamma0_sup=_lattice_sup(problem, bd.gamma0),
     )
 
@@ -250,18 +243,12 @@ def hat_view(problem: ThinProblem, dmap: DistortionMap) -> StripView:
     hat = HatOperator(problem, dmap)
     hb = HatBoundary(problem, dmap)
     geom = problem.geom
-    lo, hi = dmap.omega_hat
-    g_sup = _lattice_sup(problem, geom.g_plus, geom.g_minus)
-    eps0 = min(geom.epsilon0, dmap.r / g_sup if g_sup > 0 else geom.epsilon0)
-
-    return StripView(
-        n=geom.n,
-        lower=lo,
-        upper=hi,
-        min_labels=problem.controls.min_labels,
-        max_labels=problem.controls.max_labels,
-        eps0=eps0,
-        g_sup=g_sup,
+    flat = flat_view(problem)
+    return replace(
+        flat,
+        lower=dmap.omega_hat[0],
+        upper=dmap.omega_hat[1],
+        eps0=min(geom.epsilon0, dmap.r / flat.g_sup if flat.g_sup > 0 else geom.epsilon0),
         r_cap=dmap.r,
         coefficients=hat.coefficients,
         gamma_top=hb.gamma_hat_plus,
@@ -270,9 +257,6 @@ def hat_view(problem: ThinProblem, dmap: DistortionMap) -> StripView:
         beta_bottom=hb.beta_hat_minus,
         top_y=lambda z, eps: top_profile(dmap, geom.g_plus, eps, z),
         bottom_y=lambda z, eps: top_profile(dmap, geom.g_minus, eps, z),
-        beta0=problem.bdata.beta0,
-        s=problem.bdata.s_candidate,
-        h=problem.bdata.h if problem.bdata.h is not None else _MidpointField(geom.g_plus, geom.g_minus),
         gamma0_sup=0.0,
     )
 
@@ -495,7 +479,7 @@ class PulledBackSide(_BarrierSide):
     def arrays(self, x, y):
         z = self.dmap.inverse(x, y)
         dq = matrix_r(self.dmap, z, y)
-        d2q = self.dmap.d2q(x, y)
+        d2q = self.dmap.d2q(z, y)
         val, dw, d2w = self.wside.arrays(z, y)
         grad = np.einsum("mk,mki->mi", dw, dq)
         hess = np.einsum("mki,mkl,mlj->mij", dq, d2w, dq) + np.einsum("mk,mkij->mij", dw, d2q)

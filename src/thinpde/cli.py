@@ -36,7 +36,7 @@ from .harness import (
     EXIT_VALIDATION,
     fmt_float,
 )
-from .problem import validate as validate_problem
+from .problem import box_lattice, validate as validate_problem
 from .reduction import estimate_limit_bounds, reduce_problem, representation_check
 
 __all__ = ["main"]
@@ -76,9 +76,9 @@ def _write_csv(args, name: str, text: str) -> None:
         (out / name).write_text(text)
 
 
-def _base_header(n: int) -> str:
-    """CSV header cells of a base point: ``x`` on a 1-D base, ``x1..xN`` otherwise."""
-    return "x" if n == 1 else ",".join(f"x{k + 1}" for k in range(n))
+def _base_header(n: int, name: str = "x") -> str:
+    """CSV header cells of a base point: ``x`` on a 1-D base, ``x1..xN`` otherwise (or ``z``, ``z1..zN``)."""
+    return name if n == 1 else ",".join(f"{name}{k + 1}" for k in range(n))
 
 
 def _base_row(x) -> str:
@@ -146,32 +146,31 @@ def cmd_transform(args) -> int:
     dmap = build_map(problem)
     hat = HatOperator(problem, dmap)
     eps = args.eps
-    lines = ["z,g_eps_plus,g_eps_minus,eps_g_plus,eps_g_minus"]
+    head = _base_header(problem.n, "z")
+    lines = [head + ",g_eps_plus,g_eps_minus,eps_g_plus,eps_g_minus"]
     lo, hi = dmap.omega_hat
-    zs = np.linspace(lo[0], hi[0], args.samples + 1)
-    za = zs[:, None]
+    zs = box_lattice(lo, hi, args.samples)
     g_plus, g_minus = problem.geom.g_plus, problem.geom.g_minus
     columns = (
-        zs,
-        top_profile(dmap, g_plus, eps, za),
-        top_profile(dmap, g_minus, eps, za),
-        eps * g_plus.value(za),
-        eps * g_minus.value(za),
+        top_profile(dmap, g_plus, eps, zs),
+        top_profile(dmap, g_minus, eps, zs),
+        eps * g_plus.value(zs),
+        eps * g_minus.value(zs),
     )
-    lines += [",".join(fmt_float(v) for v in row) for row in zip(*columns)]
+    lines += [",".join([_base_row(z)] + [fmt_float(v) for v in row]) for z, *row in zip(zs, *columns)]
     _write_csv(args, "profiles.csv", "\n".join(lines) + "\n")
-    clines = ["z,lambda,mu,a_hat_11,b_hat_1,c_hat,f_hat"]
-    co = hat.coefficients(za, np.zeros(len(zs)))
+    clines = [head + ",lambda,mu,a_hat_11,b_hat_1,c_hat,f_hat"]
+    co = hat.coefficients(zs, np.zeros(len(zs)))
     pairs = problem.control_pairs()
     for k, z in enumerate(zs):
         for (lam, mu), (a, b, c, f) in zip(pairs, _per_pair(co, k)):
-            clines.append(",".join([fmt_float(z), lam, mu] + [fmt_float(v) for v in (a[0, 0], b[0], c, f)]))
+            clines.append(",".join([_base_row(z), lam, mu] + [fmt_float(v) for v in (a[0, 0], b[0], c, f)]))
     _write_csv(args, "hat_coefficients.csv", "\n".join(clines) + "\n")
     _emit(
         args,
         "transform_report.txt",
         f"distortion map: r={dmap.r:g} sup|gamma|={dmap.gamma_sup:.6g} sup|Dgamma|={dmap.dgamma_sup:.6g}\n"
-        f"profiles written for eps={eps:g} over [{lo[0]:g}, {hi[0]:g}]",
+        f"profiles written for eps={eps:g} over {' x '.join(f'[{a:g}, {b:g}]' for a, b in zip(lo, hi))}",
     )
     return EXIT_OK
 

@@ -2,8 +2,9 @@
 
 Sections: [controls], [geometry], [boundary], one [coefficients.<lam>.<mu>]
 per control pair (optionally a [coefficients] section with the declared
-uniform bound), an optional [derivatives] section registering analytic
-derivatives, and an optional [experiment] section with harness settings.
+uniform bound), an optional [derivatives] section of claimed derivatives
+(checked against the exact ones by ``validate``), and an optional
+[experiment] section with harness settings.
 The full schema is documented in docs/config.md.
 """
 
@@ -13,7 +14,7 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
-from .expressions import ScalarField, VectorField, base_vars, parse, strip_vars
+from .expressions import ExprError, ScalarField, VectorField, base_vars, strip_vars
 from .problem import (
     BoundaryData,
     CoefficientEntry,
@@ -93,15 +94,11 @@ def load_problem(path: str | Path) -> ThinProblem:
     bvars = base_vars(n)
     svars = strip_vars(n)
 
-    fields: dict[str, object] = {}
-
     def scalar(name: str, text: str, variables) -> ScalarField:
         try:
-            fld = ScalarField(parse(text), variables)
+            return ScalarField(text, variables)
         except Exception as exc:
             raise ConfigError(f"field {name}: {exc}") from exc
-        fields[name] = fld
-        return fld
 
     def vector(name: str, text: str, variables) -> VectorField:
         parts = _split_top(text, ",")
@@ -161,7 +158,14 @@ def load_problem(path: str | Path) -> ThinProblem:
                 f=scalar(f"f[{lam}.{mu}]", s["f"], svars),
             )
 
+    problem = ThinProblem(
+        controls=controls,
+        coeffs=CoefficientFamily(entries=entries, bound=bound),
+        geom=geom,
+        bdata=bdata,
+    )
     if "derivatives" in cp:
+        fields = problem.fields()
         for key, text in cp["derivatives"].items():
             parts = key.split("/")
             if len(parts) not in (2, 3):
@@ -171,14 +175,13 @@ def load_problem(path: str | Path) -> ThinProblem:
             fld = fields.get(name)
             if fld is None:
                 raise ConfigError(f"derivative key '{key}' names unknown field '{name}'")
-            fld.expr.register_derivative(variables if len(variables) > 1 else variables[0], text)
-
-    return ThinProblem(
-        controls=controls,
-        coeffs=CoefficientFamily(entries=entries, bound=bound),
-        geom=geom,
-        bdata=bdata,
-    )
+            if not set(variables) <= set(fld.var_names):
+                raise ConfigError(f"derivative key '{key}': field '{name}' has variables {', '.join(fld.var_names)}")
+            try:
+                fld.expr.register_derivative(variables, text)
+            except ExprError as exc:
+                raise ConfigError(f"derivative key '{key}': {exc}") from exc
+    return problem
 
 
 def load_experiment_settings(path: str | Path) -> ExperimentSettings:

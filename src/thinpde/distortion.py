@@ -14,8 +14,9 @@ Pushing the operator through P yields hatted coefficients
     b^     = (b o P) R^T + d o P,  d_i = tr(A D^2 Q_i),
     c^ = c o P,  f^ = f o P,
 
-where D^2 Q is differenced on the inverse map (exactly zero when gamma is
-constant, since Q is then affine).
+where D^2 Q comes from differentiating z + y gamma(z) = x twice at the
+preimage z, with the exact first and second derivatives of gamma (it is
+zero when gamma is constant, since Q is then affine).
 
 Maps take one point or an array of points; a batched inverse gives each
 point the iterates it would get alone.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import ScalarField
+from .expressions import Const, ScalarField
 from .problem import Coefficients, ThinProblem, box_lattice, quadratic_form, row_dot, row_matmul, strip_points
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "TransplantReport",
 ]
 
-D2Q_STEP = 1e-4
 _R_FLOOR = 2.0**-40
 
 
@@ -115,48 +115,29 @@ class DistortionMap:
                 raise NoConvergenceError(self.max_iter, float(residual[stalled][0]))
         return z[0] if single else z
 
-    def d2q(self, x, y) -> np.ndarray:
-        """Hessians of the inverse components; shape (N+1, N+1, N+1) per point.
+    def d2q(self, z, y) -> np.ndarray:
+        """Hessians of the components of Q at P(z, y), from the preimage z: no inversion.
 
-        Component N+1 of Q is the identity in y, so its Hessian vanishes;
-        a constant gamma makes Q affine and the whole array zero.  The
-        difference stencils of all points are inverted in one call.
+        Shape (N+1, N+1, N+1) per point, with a leading m axis for z (m, N).
+        With M = I + y Dgamma(z) and d_i z the first N rows of R = DQ,
+        M d_i d_j z = -(y D^2gamma[d_i z, d_j z] + [j = y] Dgamma d_i z + [i = y] Dgamma d_j z).
+        The last component of Q is y, whose Hessian vanishes.
         """
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        single = z.ndim == 1
+        z = np.atleast_2d(z)
+        y = np.broadcast_to(np.asarray(y, dtype=float).reshape(-1), (len(z),))
         n = self.n
-        step = D2Q_STEP
-        p0 = strip_points(np.atleast_1d(np.asarray(x, dtype=float)), y)
-        single = p0.ndim == 1
-        p0 = np.atleast_2d(p0)
-        m = len(p0)
-        out = np.zeros((m, n + 1, n + 1, n + 1))
-        if self.is_constant:
-            return out[0] if single else out
-
-        def shifted(*moves):
-            q = p0.copy()
-            for axis, delta in moves:
-                q[:, axis] += delta
-            return q
-
-        signs = [(si, sj) for si in (1.0, -1.0) for sj in (1.0, -1.0)]
-        stencil = [p0]
-        for i in range(n + 1):
-            stencil += [shifted((i, step)), shifted((i, -step))]
-            for j in range(i + 1, n + 1):
-                stencil += [shifted((i, si * step), (j, sj * step)) for si, sj in signs]
-        pts = np.concatenate(stencil)
-        zeta = iter(self.inverse(pts[:, :n], pts[:, n]).reshape(len(stencil), m, n))
-        center = next(zeta)
-        for i in range(n + 1):
-            plus, minus = next(zeta), next(zeta)
-            out[:, :n, i, i] = (plus - 2 * center + minus) / step**2
-            for j in range(i + 1, n + 1):
-                acc = np.zeros((m, n))
-                for si, sj in signs:
-                    acc += si * sj * next(zeta)
-                mixed = acc / (4 * step * step)
-                out[:, :n, i, j] = mixed
-                out[:, :n, j, i] = mixed
+        out = np.zeros((len(z), n + 1, n + 1, n + 1))
+        if not self.is_constant:
+            r = matrix_r(self, z, y)
+            dz = r[:, :n]  # (m, N, N+1)
+            d2gamma = np.stack([c.hess(z) for c in self.gamma.components], axis=1)
+            rhs = y[:, None, None, None] * np.einsum("mkab,mai,mbj->mkij", d2gamma, dz, dz)
+            jdz = self.gamma.jacobian(z) @ dz
+            rhs[:, :, :, n] += jdz
+            rhs[:, :, n, :] += jdz
+            out[:, :n] = -np.einsum("mkl,mlij->mkij", r[:, :n, :n], rhs)
         return out[0] if single else out
 
 
@@ -183,7 +164,8 @@ def build_map(problem: ThinProblem, tol_fixed_point: float = 1e-12, max_iter: in
         r *= 0.5
     if r <= _R_FLOOR:
         raise SingularJacobianError("no admissible slab half-height r; gamma too steep")
-    is_constant = all(not c.expr.free_variables() for c in gamma.components)
+    # constant exactly when every first derivative folds to zero
+    is_constant = all(c.expr.derivative(v).root == Const(0.0) for c in gamma.components for v in c.var_names)
     lo = tuple(l - r * gamma_sup for l in problem.geom.lower)
     hi = tuple(u + r * gamma_sup for u in problem.geom.upper)
     return DistortionMap(
@@ -276,12 +258,11 @@ class HatOperator:
         """sigma^, A^, b^, c^, f^ of every control pair at distorted points z (m, N), y (m,)."""
         z = np.atleast_2d(np.asarray(z, dtype=float))
         y = np.broadcast_to(np.asarray(y, dtype=float).reshape(-1), (len(z),))
-        p = self.dmap.forward(z, y)
-        base = self.problem.coefficients(p)
+        base = self.problem.coefficients(self.dmap.forward(z, y))
         r_t = np.swapaxes(matrix_r(self.dmap, z, y), -1, -2)[:, None, None]
         sigma = base.sigma @ r_t
         # the curvature drift d_i = tr(A D^2 Q_i)
-        curvature = (base.a[..., None, :, :] * self.dmap.d2q(p[:, :-1], y)[:, None, None]).sum(axis=(-2, -1))
+        curvature = (base.a[..., None, :, :] * self.dmap.d2q(z, y)[:, None, None]).sum(axis=(-2, -1))
         drift = row_matmul(base.b, r_t) + curvature
         return Coefficients(sigma, np.swapaxes(sigma, -1, -2) @ sigma, drift, base.c, base.f)
 

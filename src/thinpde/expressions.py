@@ -13,15 +13,20 @@ overflow, sin/cos of an infinity, a non-finite result) raise
 :class:`EvalDomainError` with the error that pointwise evaluation would stop
 at on the first offending point, even where a later min/max hides the value.
 
-Analytic first/second derivatives may be registered per variable; anything
-not registered falls back to central finite differences.
+Derivatives are exact: :meth:`Expr.derivative` differentiates the AST,
+folding constants, into an expression for the same interpreter.  Where a
+derivative does not exist (a kink of abs/min/max, sqrt at 0, pow with a
+varying exponent and a base <= 0) its evaluation raises
+:class:`EvalDomainError` at that point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,12 +40,7 @@ __all__ = [
     "parse",
     "ScalarField",
     "VectorField",
-    "FD_STEP_ORDER1",
-    "FD_STEP_ORDER2",
 ]
-
-FD_STEP_ORDER1 = 1e-5
-FD_STEP_ORDER2 = 1e-4
 
 _FUNCTIONS = {
     "sin": (1, np.sin),
@@ -172,6 +172,12 @@ def _eval_node(node, points: np.ndarray, faults: _Faults) -> np.ndarray:
         return np.where(args[1] < x, args[1], x)
     if f == "max":
         return np.where(args[1] > x, args[1], x)
+    if f == "kink":
+        faults.check(x == args[1], lambda i: f"no derivative at a kink of abs/min/max (both sides {x[i]})")
+        return np.where(x < args[1], args[2], args[3])
+    if f == "log":
+        faults.check(x <= 0.0, lambda i: f"no derivative of pow with a varying exponent at base {x[i]}")
+        return np.log(x)
     if f == "sqrt":
         faults.check(x < 0.0, lambda i: f"sqrt of negative value {x[i]}")
     if f in ("sin", "cos"):
@@ -184,19 +190,6 @@ def _eval_node(node, points: np.ndarray, faults: _Faults) -> np.ndarray:
     if f == "exp":
         faults.check(np.isfinite(x) & ~np.isfinite(out), lambda i: f"exp overflow at argument {[float(x[i])]}")
     return out
-
-
-def _collect_vars(node, out: set):
-    if isinstance(node, Var):
-        out.add(node.name)
-    elif isinstance(node, Neg):
-        _collect_vars(node.operand, out)
-    elif isinstance(node, Bin):
-        _collect_vars(node.lhs, out)
-        _collect_vars(node.rhs, out)
-    elif isinstance(node, Call):
-        for a in node.args:
-            _collect_vars(a, out)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -223,6 +216,100 @@ def _print_node(node) -> str:
             rhs = "(" + rhs + ")"
         return f"{lhs} {node.op} {rhs}"
     return node.fname + "(" + ", ".join(_print_node(a) for a in node.args) + ")"
+
+
+# --- symbolic derivatives ------------------------------------------------------
+#
+# Derivative trees may hold two calls the parser rejects: kink (see _kink),
+# and log, which raises where its argument is <= 0.  A folded constant that
+# vanishes is +0.0, whatever sign the arithmetic left.
+
+_ZERO = Const(0.0)
+_ONE = Const(1.0)
+
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _is_const(node, value: float) -> bool:
+    return isinstance(node, Const) and node.value == value
+
+
+def _neg(a):
+    if isinstance(a, Const):
+        return Const(-a.value or 0.0)
+    if isinstance(a, Neg):
+        return a.operand
+    return Neg(a)
+
+
+def _bin(op: str, a, b):
+    """Bin(op, a, b) with constant operands folded and the 0/1 identities applied."""
+    if isinstance(a, Const) and isinstance(b, Const) and not (op == "/" and b.value == 0.0):
+        return Const(_FOLD[op](a.value, b.value) or 0.0)
+    if op == "*" and (_is_const(a, 0.0) or _is_const(b, 0.0)):
+        return _ZERO
+    if op == "+" and _is_const(a, 0.0) or op == "*" and _is_const(a, 1.0):
+        return b
+    if op in "+-" and _is_const(b, 0.0) or op in "*/" and _is_const(b, 1.0) or op == "/" and _is_const(a, 0.0):
+        return a
+    if op == "-" and _is_const(a, 0.0):
+        return _neg(b)
+    return Bin(op, a, b)
+
+
+def _kink(u, v, below, above):
+    """``below`` where u < v and ``above`` where u > v; undefined at u == v unless the two agree."""
+    return below if below == above else Call("kink", (u, v, below, above))
+
+
+def _derive(node, var: str):
+    """Derivative of ``node`` with respect to the variable ``var``, as a folded AST."""
+    if isinstance(node, Const):
+        return _ZERO
+    if isinstance(node, Var):
+        return _ONE if node.name == var else _ZERO
+    if isinstance(node, Neg):
+        return _neg(_derive(node.operand, var))
+    if isinstance(node, Bin):
+        a, b = node.lhs, node.rhs
+        da, db = _derive(a, var), _derive(b, var)
+        if node.op in "+-":
+            return _bin(node.op, da, db)
+        if node.op == "*":
+            return _bin("+", _bin("*", da, b), _bin("*", a, db))
+        # (da - (a/b) db) / b is undefined exactly where a/b is
+        return _bin("/", _bin("-", da, _bin("*", node, db)), b)
+    x = node.args[0]
+    dx = _derive(x, var)
+    f = node.fname
+    if f == "sin":
+        return _bin("*", Call("cos", (x,)), dx)
+    if f == "cos":
+        return _bin("*", _neg(Call("sin", (x,))), dx)
+    if f == "exp":
+        return _bin("*", node, dx)
+    if f == "sqrt":
+        # infinite, so a division by zero, where sqrt meets 0
+        return _bin("/", dx, _bin("*", Const(2.0), node))
+    if f == "abs":
+        return _kink(x, _ZERO, _neg(dx), dx)
+    if f == "log":
+        return _bin("/", dx, x)
+    if f == "kink":
+        # left unfolded: a derivative of a derivative is undefined where the first one is
+        return Call("kink", node.args[:2] + tuple(_derive(a, var) for a in node.args[2:]))
+    y = node.args[1]
+    dy = _derive(y, var)
+    if f == "min":
+        return _kink(x, y, dx, dy)
+    if f == "max":
+        return _kink(x, y, dy, dx)
+    # pow: d(a^b) = b a^(b-1) da + a^b log(a) db
+    return _bin(
+        "+",
+        _bin("*", _bin("*", y, Call("pow", (x, _bin("-", y, _ONE)))), dx),
+        _bin("*", dy, _bin("*", node, Call("log", (x,)))),
+    )
 
 
 # --- parser ----------------------------------------------------------------
@@ -306,39 +393,27 @@ class _Parser:
 
 
 class Expr:
-    """Parsed expression with an optional registry of analytic derivatives.
+    """Parsed expression (an immutable AST) with the derivatives claimed for it.
 
-    The AST is immutable; the derivative registry is meant to be filled at
-    setup time (e.g. while loading a problem config) and treated as frozen
-    afterwards, keeping evaluation thread-safe.
+    ``problem.validate`` checks the claims against the exact derivatives;
+    nothing evaluates them in their place.
     """
 
     def __init__(self, root, source: str | None = None):
         self.root = root
         self.source = source
-        self._derivs: dict[tuple[str, ...], Expr] = {}
-
-    @property
-    def derivatives(self) -> dict[tuple[str, ...], "Expr"]:
-        return self._derivs
+        self.derivatives: dict[tuple[str, ...], Expr] = {}
 
     def register_derivative(self, variables: str | Sequence[str], expr: "Expr | str") -> None:
-        """Attach an analytic derivative w.r.t. the given variable(s).
-
-        ``variables`` is one name for d/dv, a pair for a second derivative
-        (pure or mixed, order-insensitive).
-        """
+        """Claim the derivative w.r.t. one variable (first) or a pair (second, pure or mixed)."""
         key = (variables,) if isinstance(variables, str) else tuple(variables)
         if len(key) not in (1, 2):
             raise ValueError("only first and second derivatives can be registered")
-        if isinstance(expr, str):
-            expr = parse(expr)
-        self._derivs[key] = expr
-        if len(key) == 2 and key[0] != key[1]:
-            self._derivs[(key[1], key[0])] = expr
+        self.derivatives[key] = parse(expr) if isinstance(expr, str) else expr
 
-    def registered(self, variables: Sequence[str]) -> "Expr | None":
-        return self._derivs.get(tuple(variables))
+    def derivative(self, var: str) -> "Expr":
+        """The exact derivative with respect to the variable ``var``, as a new expression."""
+        return Expr(_derive(self.root, var))
 
     def evaluate(self, point):
         """Value at one point (1-D, a float) or at each row of an (m, d) array, shape (m,)."""
@@ -352,11 +427,6 @@ class Expr:
             i, message = faults.first
             raise EvalDomainError(f"{message} at {tuple(float(c) for c in rows[i])}")
         return float(v[0]) if pts.ndim == 1 else v
-
-    def free_variables(self) -> set[str]:
-        out: set = set()
-        _collect_vars(self.root, out)
-        return out
 
     def to_string(self) -> str:
         return _print_node(self.root)
@@ -388,31 +458,6 @@ def parse(text: str) -> Expr:
     return Expr(node, source=text)
 
 
-def _quotients():
-    """Difference quotients combine values as float arithmetic does: an overflow
-    gives inf or nan without a numpy warning, for one point as for many."""
-    return np.errstate(over="ignore", invalid="ignore")
-
-
-def _fd1(e: Expr, pos: int, point, step: float):
-    p = np.array(point, dtype=float)
-    p[..., pos] += step
-    hi = e.evaluate(p)
-    p[..., pos] -= 2 * step
-    lo = e.evaluate(p)
-    return (hi - lo) / (2 * step)
-
-
-def _fd2(e: Expr, pos: int, point, step: float):
-    p = np.array(point, dtype=float)
-    mid = e.evaluate(p)
-    p[..., pos] += step
-    hi = e.evaluate(p)
-    p[..., pos] -= 2 * step
-    lo = e.evaluate(p)
-    return (hi - 2 * mid + lo) / (step * step)
-
-
 # --- differentiable fields -------------------------------------------------
 
 
@@ -421,9 +466,8 @@ class ScalarField:
 
     ``var_names`` fixes the meaning of each point slot, e.g. ``("x1", "y")``
     for a field on a strip or ``("x1",)`` for a field on the base domain.
-    Analytic derivatives registered on the expression are used when present;
-    mixed second derivatives fall back to differencing a registered first
-    derivative before resorting to a full finite-difference stencil.
+    The gradient and Hessian evaluate the exact derivative trees, built on
+    first use and kept on the field.
     """
 
     def __init__(self, expr: Expr | str, var_names: Sequence[str]):
@@ -437,51 +481,25 @@ class ScalarField:
     def value(self, point):
         return self.expr.evaluate(point)
 
-    def _d1(self, j: int, point):
-        reg = self.expr.registered((self.var_names[j],))
-        if reg is not None:
-            return reg.evaluate(point)
-        return _fd1(self.expr, j, point, FD_STEP_ORDER1)
+    @cached_property
+    def _first(self) -> tuple[Expr, ...]:
+        return tuple(self.expr.derivative(v) for v in self.var_names)
+
+    @cached_property
+    def _second(self) -> dict[tuple[int, int], Expr]:
+        n = self.nvars
+        return {(i, j): self._first[i].derivative(self.var_names[j]) for i in range(n) for j in range(i, n)}
 
     def grad(self, point) -> np.ndarray:
         """Gradient at one point, shape (n,), or at each row of an (m, n) array, shape (m, n)."""
-        with _quotients():
-            return np.stack([self._d1(j, point) for j in range(self.nvars)], axis=-1)
+        return np.stack([d.evaluate(point) for d in self._first], axis=-1)
 
     def hess(self, point) -> np.ndarray:
         """Hessian at one point, shape (n, n), or at each row of an (m, n) array, shape (m, n, n)."""
-        n = self.nvars
-        h = np.empty(np.shape(point)[:-1] + (n, n))
-        with _quotients():
-            for i in range(n):
-                for j in range(i, n):
-                    h[..., i, j] = h[..., j, i] = self._d2(i, j, point)
+        h = np.empty(np.shape(point)[:-1] + (self.nvars, self.nvars))
+        for (i, j), d in self._second.items():
+            h[..., i, j] = h[..., j, i] = d.evaluate(point)
         return h
-
-    def _d2(self, i: int, j: int, point):
-        reg = self.expr.registered((self.var_names[i], self.var_names[j]))
-        if reg is not None:
-            return reg.evaluate(point)
-        if i == j:
-            d1 = self.expr.registered((self.var_names[i],))
-            if d1 is not None:
-                return _fd1(d1, i, point, FD_STEP_ORDER1)
-            return _fd2(self.expr, i, point, FD_STEP_ORDER2)
-        for a, b in ((i, j), (j, i)):
-            d1 = self.expr.registered((self.var_names[a],))
-            if d1 is not None:
-                return _fd1(d1, b, point, FD_STEP_ORDER1)
-        # mixed second difference
-        s = FD_STEP_ORDER2
-        p = np.asarray(point, dtype=float)
-        val = 0.0
-        for si in (1.0, -1.0):
-            for sj in (1.0, -1.0):
-                q = p.copy()
-                q[..., i] += si * s
-                q[..., j] += sj * s
-                val += si * sj * self.expr.evaluate(q)
-        return val / (4 * s * s)
 
     def __repr__(self):
         return f"ScalarField({self.expr.to_string()!r}, vars={self.var_names})"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .expressions import ScalarField, VectorField, base_vars, parse, strip_vars
+from .expressions import ScalarField, VectorField, base_vars, strip_vars
 from .problem import (
     BoundaryData,
     CoefficientEntry,
@@ -20,11 +20,7 @@ __all__ = [
 ]
 
 
-def _scalar(text: str, variables, derivs: dict | None = None) -> ScalarField:
-    fld = ScalarField(parse(text), variables)
-    for key, expr in (derivs or {}).items():
-        fld.expr.register_derivative(key, expr)
-    return fld
+_scalar = ScalarField  # every preset field is an expression string over its variables
 
 
 def _entry(n: int, sigma_rows, b, c, f) -> CoefficientEntry:
@@ -53,13 +49,6 @@ def reference_problem(
     variant and ``c="1"`` for the strictly monotone one.
     """
     bv = base_vars(1)
-    g0 = _scalar(gamma0, bv)
-    if gamma0 == "0.2*x1":
-        g0.expr.register_derivative("x1", "0.2")
-        g0.expr.register_derivative(("x1", "x1"), "0")
-    elif gamma0 == "0":
-        g0.expr.register_derivative("x1", "0")
-        g0.expr.register_derivative(("x1", "x1"), "0")
     return ThinProblem(
         controls=ControlSet(("1",), ("1",)),
         coeffs=CoefficientFamily(entries={("1", "1"): _entry(1, [["1", "0"], ["0", "1"]], [b1, "0"], c, f)}, bound=50.0),
@@ -72,14 +61,14 @@ def reference_problem(
             epsilon0=epsilon0,
         ),
         bdata=BoundaryData(
-            gamma0=VectorField([g0]),
-            beta0=_scalar("0", bv, {"x1": "0", ("x1", "x1"): "0"}),
+            gamma0=VectorField([_scalar(gamma0, bv)]),
+            beta0=_scalar("0", bv),
             k_plus=VectorField([_scalar("0", bv)]),
             k_minus=VectorField([_scalar("0", bv)]),
             l_plus=_scalar("0", bv),
             l_minus=_scalar("0", bv),
             beta_lateral=_scalar(beta, strip_vars(1)),
-            s_candidate=_scalar(s, bv, {"x1": "1", ("x1", "x1"): "0"} if s == "x1" else None),
+            s_candidate=_scalar(s, bv),
         ),
     )
 
@@ -96,12 +85,12 @@ def slice_exact_problem() -> ThinProblem:
 def rich_problem() -> ThinProblem:
     """Two-by-two control set with nonzero gamma0, beta0, k+-, l+-.
 
-    All reduction-relevant derivatives are registered analytically, which
-    pins the representation identity down to float roundoff.
+    The exact derivatives pin the representation identity down to float
+    roundoff.
     """
     bv = base_vars(1)
-    gamma0 = _scalar("0.2*x1", bv, {"x1": "0.2", ("x1", "x1"): "0"})
-    beta0 = _scalar("x1*(1 - x1)", bv, {"x1": "1 - 2*x1", ("x1", "x1"): "-2"})
+    gamma0 = _scalar("0.2*x1", bv)
+    beta0 = _scalar("x1*(1 - x1)", bv)
     entries = {
         ("a", "1"): _entry(1, [["1", "0.2*y"], ["0", "0.8"]], ["0.5", "-0.3"], "0.5", "1"),
         ("a", "2"): _entry(1, [["0.9", "0.1*x1"], ["0.1", "1"]], ["0.1*x1", "0.2"], "0.2 + 0.1*x1", "x1*y"),
@@ -116,7 +105,7 @@ def rich_problem() -> ThinProblem:
             lower=(0.0,),
             upper=(1.0,),
             g_minus=_scalar("-1", bv),
-            g_plus=_scalar("1 + 0.5*x1", bv, {"x1": "0.5", ("x1", "x1"): "0"}),
+            g_plus=_scalar("1 + 0.5*x1", bv),
             epsilon0=0.25,
         ),
         bdata=BoundaryData(
@@ -127,7 +116,7 @@ def rich_problem() -> ThinProblem:
             l_plus=_scalar("1", bv),
             l_minus=_scalar("5", bv),
             beta_lateral=_scalar("x1", strip_vars(1)),
-            s_candidate=_scalar("x1", bv, {"x1": "1", ("x1", "x1"): "0"}),
+            s_candidate=_scalar("x1", bv),
         ),
     )
 
@@ -139,7 +128,7 @@ def transform_demo_problem() -> ThinProblem:
     the quadratic-in-eps profile gap its expected order.
     """
     bv = base_vars(1)
-    gamma0 = _scalar("0.2*x1", bv, {"x1": "0.2", ("x1", "x1"): "0"})
+    gamma0 = _scalar("0.2*x1", bv)
     return ThinProblem(
         controls=ControlSet(("1",), ("1",)),
         coeffs=CoefficientFamily(entries={("1", "1"): _entry(1, [["1", "0"], ["0", "1"]], ["0.3", "0.1"], "0", "1")}, bound=50.0),
@@ -148,17 +137,17 @@ def transform_demo_problem() -> ThinProblem:
             lower=(0.0,),
             upper=(1.0,),
             g_minus=_scalar("-1", bv),
-            g_plus=_scalar("1 + 0.5*x1", bv, {"x1": "0.5", ("x1", "x1"): "0"}),
+            g_plus=_scalar("1 + 0.5*x1", bv),
             epsilon0=0.2,
         ),
         bdata=BoundaryData(
             gamma0=VectorField([gamma0]),
-            beta0=_scalar("0", bv, {"x1": "0"}),
+            beta0=_scalar("0", bv),
             k_plus=VectorField([_scalar("0", bv)]),
             k_minus=VectorField([_scalar("0", bv)]),
             l_plus=_scalar("0", bv),
             l_minus=_scalar("0", bv),
             beta_lateral=_scalar("0", strip_vars(1)),
-            s_candidate=_scalar("x1", bv, {"x1": "1", ("x1", "x1"): "0"}),
+            s_candidate=_scalar("x1", bv),
         ),
     )

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterator
 
 import numpy as np
 
-from .expressions import EvalDomainError, ExprError, ScalarField, VectorField
+from .expressions import Expr, ExprError, ScalarField, VectorField
 
 __all__ = [
     "ControlSet",
@@ -270,6 +271,21 @@ class ThinProblem:
     def control_pairs(self) -> list[tuple[str, str]]:
         return list(self.controls.pairs())
 
+    def fields(self) -> dict[str, ScalarField]:
+        """Every scalar field by its config name; component i of a vector field is ``<name>_<i>``."""
+        geom, bd = self.geom, self.bdata
+        out = {"g_minus": geom.g_minus, "g_plus": geom.g_plus}
+        for name in ("gamma0", "k_plus", "k_minus"):
+            out.update((f"{name}_{i + 1}", c) for i, c in enumerate(getattr(bd, name).components))
+        out.update(beta0=bd.beta0, l_plus=bd.l_plus, l_minus=bd.l_minus, beta=bd.beta_lateral, s=bd.s_candidate)
+        if bd.h is not None:
+            out["h"] = bd.h
+        for (lam, mu), e in self.coeffs.entries.items():
+            p = f"[{lam}.{mu}]"
+            out.update({f"sigma{p}[{i}][{j}]": fld for i, row in enumerate(e.sigma) for j, fld in enumerate(row)})
+            out.update({f"b{p}[{j}]": fld for j, fld in enumerate(e.b)} | {f"c{p}": e.c, f"f{p}": e.f})
+        return out
+
     def coefficients(self, points) -> Coefficients:
         """Every control pair's sigma, A, b, c, f at strip points shaped (m, N+1)."""
         labels = self.controls
@@ -354,15 +370,32 @@ def _strip_lattice(geom: GeometrySpec, samples_per_axis: int) -> np.ndarray:
     return strip_points(np.repeat(base, len(ys), axis=0), np.tile(ys, len(base)))
 
 
-def _nonfinite_derivative(name: str, fld: ScalarField, points: np.ndarray) -> str | None:
-    """Name the first of ``fld``'s gradient and Hessian that is not finite on ``points``, and the first such point."""
+def _derivative_fault(name: str, fld: ScalarField, points: np.ndarray) -> str | None:
+    """The first of ``fld``'s gradient and Hessian that does not exist on ``points``, with its first such point."""
     for deriv in ("grad", "hess"):
         try:
-            finite = np.isfinite(getattr(fld, deriv)(points).reshape(len(points), -1)).all(axis=1)
-        except (EvalDomainError, ExprError) as exc:
+            getattr(fld, deriv)(points)
+        except ExprError as exc:
             return f"{name}.{deriv}: {exc}"
-        if not finite.all():
-            return f"{name}.{deriv} not finite at {_pt(points[np.argmin(finite)])}"
+    return None
+
+
+def _registered_mismatch(fields: dict, base: np.ndarray, slab: np.ndarray) -> str | None:
+    """The first registered derivative that departs from the exact one on its lattice, with its first such point."""
+    for name, fld in fields.items():
+        points = base if fld.nvars == base.shape[1] else slab
+        for key, claimed in fld.expr.derivatives.items():
+            label = "/".join((name,) + key)
+            exact = reduce(Expr.derivative, key, fld.expr)
+            try:
+                want, got = exact.evaluate(points), claimed.evaluate(points)
+            except ExprError as exc:
+                return f"{label}: {exc}"
+            # a registered derivative may differ from the exact one by rounding only
+            bad = ~(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+            if bad.any():
+                i = int(np.argmax(bad))
+                return f"{label} = {float(got[i])!r} but the exact derivative is {float(want[i])!r} at {_pt(points[i])}"
     return None
 
 
@@ -380,36 +413,28 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
     base = geom.lattice(samples_per_axis)
     slab = _strip_lattice(geom, samples_per_axis)
 
-    # every expression, and every base field's gradient and Hessian, finite
+    # every expression, and every base field's gradient and Hessian, defined
     # on its domain
     bad = None
-    base_fields = [
-        ("beta0", bdata.beta0),
-        ("l_plus", bdata.l_plus),
-        ("l_minus", bdata.l_minus),
-        ("s", bdata.s_candidate),
-        ("g_minus", geom.g_minus),
-        ("g_plus", geom.g_plus),
-    ] + [(f"gamma0[{i}]", c) for i, c in enumerate(bdata.gamma0.components)] \
-      + [(f"k_plus[{i}]", c) for i, c in enumerate(bdata.k_plus.components)] \
-      + [(f"k_minus[{i}]", c) for i, c in enumerate(bdata.k_minus.components)]
-    if bdata.h is not None:
-        base_fields.append(("h", bdata.h))
+    fields = problem.fields()
     try:
-        for name, fld in base_fields:
-            fld.value(base)
-        bdata.beta_lateral.value(slab)
+        for fld in fields.values():
+            fld.value(base if fld.nvars == geom.n else slab)
         coeffs = problem.coefficients(slab)
-    except (EvalDomainError, ExprError) as exc:
+    except ExprError as exc:
         bad = str(exc)
     if bad is None:
-        bad = next(filter(None, (_nonfinite_derivative(name, fld, base) for name, fld in base_fields)), None)
+        faults = (_derivative_fault(name, fld, base) for name, fld in fields.items() if fld.nvars == geom.n)
+        bad = next(filter(None, faults), None)
     report.checks.append(
         Diagnostic("ExpressionsFinite", bad is None, note=bad or "all fields finite on sampled lattice")
     )
     if bad is not None:
         # remaining checks would cascade the same failure
         return report
+    wrong = _registered_mismatch(fields, base, slab)
+    note = wrong or "every registered derivative matches the exact one"
+    report.checks.append(Diagnostic("RegisteredDerivatives", wrong is None, note=note))
 
     # uniform bound C_F on the coefficient family; witnesses are the first
     # extreme in (node, lambda, mu) order

@@ -194,9 +194,8 @@ def representation_check(
     """Evaluate G and F(A+B+C, (p, beta0 - gamma0.p), r, (x,0)) on random draws.
 
     Entries of X (symmetrized), p and r are uniform in [-1, 1]; x is uniform
-    in the base box.  Both sides share the same derivative evaluators, so
-    with analytic derivatives registered the discrepancy is pure float
-    roundoff.
+    in the base box.  Both sides read the same exact derivatives of gamma0
+    and beta0, so the discrepancy is pure float roundoff.
     """
     if lp is None:
         lp = reduce_problem(problem)

@@ -7,7 +7,7 @@ import pytest
 
 from thinpde.cli import main
 from thinpde.config import ConfigError, load_experiment_settings, load_problem
-from thinpde.harness import EXIT_CERTIFICATE, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION
+from thinpde.harness import EXIT_CERTIFICATE, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, run_pipeline
 from thinpde.problem import validate
 from thinpde.reduction import reduce_problem, representation_check
 
@@ -50,8 +50,8 @@ def test_load_reference_config():
     assert p.n == 1
     assert p.controls.min_labels == ("1",)
     assert validate(p).passed
-    # registered analytic derivative is picked up
-    assert p.bdata.s_candidate.expr.registered(("x1",)) is not None
+    # the registered derivative is kept for validate to check
+    assert ("x1",) in p.bdata.s_candidate.expr.derivatives
     settings = load_experiment_settings(CONFIGS / "reference.cfg")
     assert settings.eps_list == (0.2, 0.1, 0.05, 0.025)
     assert settings.nx == 64
@@ -59,7 +59,7 @@ def test_load_reference_config():
 
 def test_load_distorted_config():
     p = load_problem(CONFIGS / "distorted.cfg")
-    assert p.bdata.gamma0.components[0].expr.registered(("x1",)) is not None
+    assert ("x1",) in p.bdata.gamma0.components[0].expr.derivatives
     rep = representation_check(p, reduce_problem(p), samples=100, seed=0)
     assert rep.passed
 
@@ -199,9 +199,9 @@ def test_cli_csvs_keep_every_base_coordinate(tmp_path):
     cfg.write_text(BASE_2D)
     nx = 4
 
-    def base_points(name: str) -> set:
+    def base_points(name: str, axis: str = "x") -> set:
         rows = (tmp_path / name).read_text().splitlines()
-        assert rows[0].startswith("x1,x2,")
+        assert rows[0].startswith(f"{axis}1,{axis}2,")
         return {tuple(row.split(",")[:2]) for row in rows[1:]}
 
     assert main(["solve", "--config", str(cfg), "--limit", "--nx", str(nx), "--out", str(tmp_path)]) == EXIT_OK
@@ -211,3 +211,47 @@ def test_cli_csvs_keep_every_base_coordinate(tmp_path):
     args = ["--nx", str(nx), "--ny", "2", "--csv", "--out", str(tmp_path)]
     assert main(["barrier", "--config", str(cfg)] + args) == EXIT_OK
     assert len(base_points("barrier_grids.csv")) == (nx + 1) ** 2
+    assert main(["transform", "--config", str(cfg), "--samples", str(nx), "--out", str(tmp_path)]) == EXIT_OK
+    assert len(base_points("profiles.csv", "z")) == (nx + 1) ** 2
+    assert len(base_points("hat_coefficients.csv", "z")) == (nx + 1) ** 2
+
+
+def test_cli_2d_converge_and_pipeline_stop_at_the_eps_solver(tmp_path, capsys):
+    cfg = tmp_path / "base2d.cfg"
+    cfg.write_text(BASE_2D)
+    assert main(["converge", "--config", str(cfg)]) == EXIT_SOLVER
+    assert "restricted to a 1-dimensional base" in capsys.readouterr().err
+    assert main(["pipeline", "--config", str(cfg)]) == EXIT_SOLVER
+    out = capsys.readouterr().out
+    assert "restricted to a 1-dimensional base" in out
+    assert "FAILED at stage solve (exit 5)" in out
+
+
+@pytest.mark.parametrize(
+    "entry", ["s/y = 0", "beta0/x2 = 0", "gamma0_1/x1/y = 0", "beta/x1/x2 = 0", "s/x1/x1/x1 = 0", "l_plus/x1 = 1 +"]
+)
+def test_config_rejects_malformed_derivative_entries(tmp_path, entry):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text((CONFIGS / "distorted.cfg").read_text().replace("[experiment]", f"{entry}\n\n[experiment]"))
+    with pytest.raises(ConfigError, match=f"derivative key '{entry.split(' ')[0]}'"):
+        load_problem(cfg)
+
+
+def test_validate_names_a_wrong_registered_derivative(tmp_path, capsys):
+    cfg = tmp_path / "wrong.cfg"
+    cfg.write_text((CONFIGS / "distorted.cfg").read_text().replace("gamma0_1/x1 = 0.2", "gamma0_1/x1 = 0.2 + x1"))
+    assert main(["validate", "--config", str(cfg)]) == EXIT_VALIDATION
+    want = "FAIL RegisteredDerivatives  gamma0_1/x1 = 0.325 but the exact derivative is 0.2 at (0.125,)"
+    assert want in capsys.readouterr().out.splitlines()
+
+
+def test_distorted_without_derivatives_passes_reduce_at_1e8(tmp_path):
+    text = (CONFIGS / "distorted.cfg").read_text()
+    cfg = tmp_path / "plain.cfg"
+    cfg.write_text(text[: text.index("[derivatives]")] + text[text.index("[experiment]") :])
+    problem = load_problem(cfg)
+    assert not problem.bdata.gamma0.components[0].expr.derivatives
+    result = run_pipeline(problem, eps_list=(0.1, 0.05), nx=16, ny=8, limit_resolution=16)
+    assert result.stage not in ("validate", "certify", "reduce")
+    assert "PASS representation identity" in result.report
+    assert "(tolerance 1e-08)" in result.report

@@ -163,14 +163,13 @@ def test_pushforward_constant_gamma_affine():
 
 
 def test_curvature_drift_dual_path():
-    # FD Hessians of Q vs differentiating the identity Q o P = id
+    # Hessians of Q vs differentiating the identity Q o P = id by hand
     p = reference_problem(gamma0="0.1*sin(x1)")
-    p.bdata.gamma0.components[0].expr._derivs.clear()
     dmap = build_map(p)
     x, y = 0.7, 0.2
-    d2q = dmap.d2q([x], y)
-
     z = float(dmap.inverse([x], y)[0])
+    d2q = dmap.d2q([z], y)
+
     g = 0.1 * math.sin(z)
     g1 = 0.1 * math.cos(z)
     g2 = -0.1 * math.sin(z)
@@ -184,6 +183,42 @@ def test_curvature_drift_dual_path():
     assert d2q[0, 0, 1] == pytest.approx(z_xy, abs=1e-3)
     assert d2q[0, 1, 1] == pytest.approx(z_yy, abs=1e-3)
     assert np.allclose(d2q[1], 0.0)  # last component is the identity in y
+
+
+def test_d2q_linear_gamma_closed_form():
+    # gamma0 = 0.2 x1 inverts to z = x / (1 + 0.2 y)
+    dmap = _map_for("0.2*x1")
+    x = np.linspace(-0.2, 1.2, 8)
+    y = np.linspace(-dmap.r, dmap.r, 8)
+    d2q = dmap.d2q(dmap.inverse(x[:, None], y), y)
+    m = 1.0 + 0.2 * y
+    assert np.abs(d2q[:, 0, 0, 0]).max() <= 1e-12
+    assert np.abs(d2q[:, 0, 0, 1] + 0.2 / m**2).max() <= 1e-12
+    assert np.abs(d2q[:, 0, 1, 0] + 0.2 / m**2).max() <= 1e-12
+    assert np.abs(d2q[:, 0, 1, 1] - 0.08 * x / m**3).max() <= 1e-12
+    assert not d2q[:, 1].any()
+
+
+def test_d2q_nonlinear_gamma_matches_differenced_inverse():
+    dmap = _map_for("0.1*x1*x1", tol_fixed_point=1e-15)
+    h = 1e-3
+    for x, y in [(0.3, 0.2), (0.9, -0.35), (-0.4, 0.45)]:
+        p = np.array([x, y])
+
+        def q(dx, dy):
+            return dmap.inverse([p[0] + dx], p[1] + dy)[0]
+
+        d2q = dmap.d2q(dmap.inverse([x], y), y)[0]
+        # fourth-order central differences of the inverse
+        w2 = ((-2 * h, -1.0 / 12), (-h, 4.0 / 3), (0.0, -5.0 / 2), (h, 4.0 / 3), (2 * h, -1.0 / 12))
+        w1 = ((-2 * h, 1.0 / 12), (-h, -2.0 / 3), (h, 2.0 / 3), (2 * h, -1.0 / 12))
+        zxx = sum(c * q(s, 0.0) for s, c in w2) / h**2
+        zyy = sum(c * q(0.0, s) for s, c in w2) / h**2
+        zxy = sum(ci * cj * q(si, sj) for si, ci in w1 for sj, cj in w1) / h**2
+        assert d2q[0, 0] == pytest.approx(zxx, abs=1e-8)
+        assert d2q[1, 1] == pytest.approx(zyy, abs=1e-8)
+        assert d2q[0, 1] == pytest.approx(zxy, abs=1e-8)
+        assert d2q[1, 0] == d2q[0, 1]
 
 
 def test_hat_boundary_exactness(distorted):
@@ -240,7 +275,6 @@ def test_hat_operator_nonnegative_c_and_psd(distorted):
 from pathlib import Path  # noqa: E402
 
 from thinpde.config import load_problem  # noqa: E402
-from thinpde.distortion import D2Q_STEP  # noqa: E402
 from thinpde.presets import transform_demo_problem  # noqa: E402
 from thinpde.problem import box_lattice  # noqa: E402
 
@@ -272,36 +306,6 @@ def _ref_matrix_r(dmap, z, y):
     out[:n, :n] = minv
     out[:n, n] = -minv @ dmap.gamma.value(z)
     out[n, n] = 1.0
-    return out
-
-
-def _ref_d2q(dmap, x, y, step=D2Q_STEP):
-    n = dmap.n
-    out = np.zeros((n + 1, n + 1, n + 1))
-    if dmap.is_constant:
-        return out
-    p0 = np.append(np.atleast_1d(np.asarray(x, dtype=float)), y)
-
-    def zeta(pt):
-        return _ref_inverse(dmap, pt[:n], pt[n])
-
-    center = zeta(p0)
-    for i in range(n + 1):
-        pp, pm = p0.copy(), p0.copy()
-        pp[i] += step
-        pm[i] -= step
-        out[:n, i, i] = (zeta(pp) - 2 * center + zeta(pm)) / step**2
-        for j in range(i + 1, n + 1):
-            acc = np.zeros(n)
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    q = p0.copy()
-                    q[i] += si * step
-                    q[j] += sj * step
-                    acc += si * sj * zeta(q)
-            mixed = acc / (4 * step * step)
-            out[:n, i, j] = mixed
-            out[:n, j, i] = mixed
     return out
 
 
@@ -344,7 +348,7 @@ def test_batched_inverse_and_r_match_per_point(hat_lattice):
     _, dmap, _, z, y = hat_lattice
     assert _same(dmap.inverse(z, y), [_ref_inverse(dmap, zi, yi) for zi, yi in zip(z, y)])
     assert _same(matrix_r(dmap, z, y), [_ref_matrix_r(dmap, zi, yi) for zi, yi in zip(z, y)])
-    assert _same(dmap.d2q(z, y), [_ref_d2q(dmap, zi, yi) for zi, yi in zip(z, y)])
+    assert _same(dmap.d2q(z, y), [dmap.d2q(zi, yi) for zi, yi in zip(z, y)])
 
 
 @pytest.mark.parametrize("case", ["distorted.cfg", "transform_demo"])
@@ -363,7 +367,5 @@ def test_batched_inverse_reports_no_convergence(hat_lattice):
     dmap = build_map(problem, max_iter=1)
     with pytest.raises(NoConvergenceError):
         dmap.inverse(z, y)
-    with pytest.raises(NoConvergenceError):
-        dmap.d2q(z, y)
     # points with y = 0 are fixed after one step
     assert _same(dmap.inverse(z, np.zeros(len(z))), z)

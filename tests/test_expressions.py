@@ -79,8 +79,8 @@ def test_registered_derivative_wins():
 
 
 def test_fd_of_registered_first_matches_second():
-    # differencing an analytic first derivative reproduces the second
-    # derivative of polynomials within 1e-4
+    # the exact Hessian of a polynomial, whatever first derivative is
+    # registered, within the tolerance kept from the differenced version
     rng = np.random.default_rng(3)
     e = parse("pow(x1, 3) + 2*pow(x1, 2)*y - y*y*x1")
     e.register_derivative("x1", "3*pow(x1, 2) + 4*x1*y - y*y")
@@ -318,3 +318,122 @@ def test_field_derivatives_match_per_point(text, d1_text, points):
     grad, hess = fld.grad(points), fld.hess(points)
     assert grad.tobytes() == np.array([g for g, _ in rows]).tobytes()
     assert hess.tobytes() == np.array([h for _, h in rows]).tobytes()
+
+
+# --- exact derivatives against differences -------------------------------------
+
+import itertools  # noqa: E402
+
+_smooth_leaf = st.one_of(
+    st.sampled_from(["x1", "x2", "y", "pi"]),
+    st.floats(min_value=0.1, max_value=3.0).map(lambda v: repr(round(v, 2))),
+)
+_tree_text = st.recursive(_smooth_leaf, _arr_wrap, max_leaves=6)
+_tree_point = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0, -1.0]), st.floats(min_value=-2.0, max_value=2.0)),
+    min_size=3,
+    max_size=3,
+).map(np.array)
+
+# fourth-order central first difference: offsets (in steps) and weights
+_W1 = ((-2, 1.0 / 12), (-1, -2.0 / 3), (1, 2.0 / 3), (2, -1.0 / 12))
+_STEP = 1e-3
+
+
+def _differences(e, p, h):
+    """Gradient and Hessian of e at p from the fourth-order first difference, applied once and twice."""
+    n = len(p)
+    steps = np.eye(n) * h
+    w = np.array([c for _, c in _W1])
+    once = np.array([p + a * steps[i] for i in range(n) for a, _ in _W1])
+    offsets = [(i, j, a, b) for i in range(n) for j in range(n) for a, _ in _W1 for b, _ in _W1]
+    twice = np.array([p + a * steps[i] + b * steps[j] for i, j, a, b in offsets])
+    grad = e.evaluate(once).reshape(n, 4) @ w / h
+    hess = np.einsum("ijab,a,b->ij", e.evaluate(twice).reshape(n, n, 4, 4), w, w) / h**2
+    return grad, hess
+
+
+def _smooth_near(fld, p, h) -> bool:
+    """The exact gradient and Hessian exist on the stencil's box and vary there as a smooth field's do."""
+    box = p + h * np.array(list(itertools.product(range(-4, 5, 2), repeat=len(p))))
+    try:
+        derivs = (fld.grad(box), fld.hess(box))
+    except EvalDomainError:
+        return False
+    return all(np.ptp(d, axis=0).max() <= 0.05 * (1.0 + np.abs(d).max()) for d in derivs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tree_text, _tree_point)
+def test_exact_derivatives_match_differences(text, p):
+    fld = ScalarField(parse(text), ("x1", "x2", "y"))
+    try:
+        value = fld.value(p)
+    except EvalDomainError:
+        return
+    outcomes = []
+    for pts in (p, p[None]):
+        try:
+            outcomes.append((fld.grad(pts).reshape(3), fld.hess(pts).reshape(3, 3)))
+        except EvalDomainError as exc:
+            outcomes.append(str(exc))
+    single, batch = outcomes
+    if isinstance(single, str) or isinstance(batch, str):
+        # a kink (or a pole of the derivative): the same error per point and over an array
+        assert single == batch
+        return
+    assert all(np.array_equal(s, b) for s, b in zip(single, batch))
+    if not _smooth_near(fld, p, _STEP):
+        return
+    try:
+        coarse, fine = _differences(fld.expr, p, 2 * _STEP), _differences(fld.expr, p, _STEP)
+    except EvalDomainError:
+        return
+    tol = 1e-5 * (1.0 + abs(value) + max(np.abs(d).max() for d in fine))
+    for exact, c, f in zip(single, coarse, fine):
+        if np.abs(c - f).max() <= tol:  # the differences have converged
+            assert np.abs(exact - f).max() <= tol, (text, p, exact, f)
+
+
+_POW_LOG = "no derivative of pow with a varying exponent at base {}"
+
+
+@pytest.mark.parametrize(
+    "text, point, message",
+    [
+        ("abs(x1)", [0.0, 0.5, 0.0], "no derivative at a kink of abs/min/max (both sides 0.0) at (0.0, 0.5, 0.0)"),
+        ("min(x1, x2)", [0.5, 0.5, 1.0], "no derivative at a kink of abs/min/max (both sides 0.5) at (0.5, 0.5, 1.0)"),
+        ("max(x1*y, 1)", [2.0, 1.0, 0.5], "no derivative at a kink of abs/min/max (both sides 1.0) at (2.0, 1.0, 0.5)"),
+        ("sqrt(x2)", [1.0, 0.0, 1.0], "division by zero at (1.0, 0.0, 1.0)"),
+        ("pow(x1, y)", [0.0, 1.0, 2.5], _POW_LOG.format(0.0) + " at (0.0, 1.0, 2.5)"),
+        ("pow(x1, y)", [-2.0, 1.0, 2.0], _POW_LOG.format(-2.0) + " at (-2.0, 1.0, 2.0)"),
+    ],
+)
+def test_derivatives_raise_where_undefined(text, point, message):
+    fld = ScalarField(parse(text), ("x1", "x2", "y"))
+    fld.value(point)  # the value itself exists
+    for pts in (np.array(point), np.array([[0.3, 0.7, 0.2], point])):
+        with pytest.raises(EvalDomainError) as err:
+            fld.grad(pts)
+        assert str(err.value) == message
+
+
+def test_derivative_is_one_sided_only_where_the_sides_agree():
+    fld = ScalarField(parse("min(x1, 2) + abs(y)"), ("x1", "y"))
+    assert fld.grad([1.0, 0.5]).tolist() == [1.0, 1.0]
+    assert fld.grad([3.0, -0.5]).tolist() == [0.0, -1.0]
+    # along y the kink of min(x1, 2) is invisible
+    assert fld.expr.derivative("y").evaluate([2.0, 0.5]) == 1.0
+
+
+@pytest.mark.parametrize("text", ["log(x1)", "kink(x1, 0, 1, 2)"])
+def test_internal_derivative_calls_do_not_parse(text):
+    with pytest.raises(UnknownIdentifierError):
+        parse(text)
+
+
+def test_constant_folding_keeps_trees_small():
+    assert parse("0.2*x1").derivative("x1").to_string() == "0.2"
+    assert parse("x1*(1 - x1)").derivative("x1").derivative("x1").to_string() == "-2.0"
+    assert parse("sin(x1) + y").derivative("y").to_string() == "1.0"
+    assert parse("exp(x1)").derivative("y").to_string() == "0.0"

@@ -37,7 +37,7 @@ def test_aux_fields_vanish_for_trivial_data(reference):
 def test_aux_source_from_gamma0_beta0():
     # gamma0 = beta0 = x1 with k, l = 0 gives c_aux = -x1
     p = reference_problem(gamma0="x1")
-    p.bdata.beta0 = _scalar("x1", base_vars(1), {"x1": "1"})
+    p.bdata.beta0 = _scalar("x1", base_vars(1))
     for x in np.linspace(0, 1, 7):
         assert _aux(p, [x])[1] == pytest.approx(-x, abs=1e-9)
 
@@ -115,13 +115,13 @@ def test_representation_identity_analytic(rich):
 
 
 def test_representation_identity_fd_derivatives():
-    # wipe the registered derivatives: both sides share the FD values, so
-    # the identity still holds far below the widened 1e-4 tolerance
+    # with no registered derivatives at all, the exact ones hold the
+    # identity at the default 1e-8 tolerance
     p = rich_problem()
     for comp in p.bdata.gamma0.components:
-        comp.expr._derivs.clear()
-    p.bdata.beta0.expr._derivs.clear()
-    rep = representation_check(p, samples=300, seed=4, tolerance=1e-4)
+        comp.expr.derivatives.clear()
+    p.bdata.beta0.expr.derivatives.clear()
+    rep = representation_check(p, samples=300, seed=4)
     assert rep.passed
 
 
