@@ -17,7 +17,7 @@ import numpy as np
 
 from . import barriers as bar
 from . import harness, solver as sol
-from .config import load_experiment_settings, load_problem
+from .config import ConfigError, load_experiment_settings, load_problem
 from .distortion import HatOperator, build_map, top_profile
 from .ellipticity import (
     _forms,
@@ -52,6 +52,13 @@ def _common(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="worker threads (accepted for interface compatibility; execution is single-threaded)",
     )
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _need_config(args) -> "ThinProblem":
@@ -159,12 +166,15 @@ def cmd_transform(args) -> int:
     )
     lines += [",".join([_base_row(z)] + [fmt_float(v) for v in row]) for z, *row in zip(zs, *columns)]
     _write_csv(args, "profiles.csv", "\n".join(lines) + "\n")
-    clines = [head + ",lambda,mu,a_hat_11,b_hat_1,c_hat,f_hat"]
+    n = problem.n
+    chead = [head, "lambda", "mu"] + [f"a_hat_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    clines = [",".join(chead + [f"b_hat_{i + 1}" for i in range(n)] + ["c_hat", "f_hat"])]
     co = hat.coefficients(zs, np.zeros(len(zs)))
     pairs = problem.control_pairs()
     for k, z in enumerate(zs):
         for (lam, mu), (a, b, c, f) in zip(pairs, _per_pair(co, k)):
-            clines.append(",".join([_base_row(z), lam, mu] + [fmt_float(v) for v in (a[0, 0], b[0], c, f)]))
+            cells = [*a[:n, :n].ravel(), *b[:n], c, f]
+            clines.append(",".join([_base_row(z), lam, mu] + [fmt_float(v) for v in cells]))
     _write_csv(args, "hat_coefficients.csv", "\n".join(clines) + "\n")
     _emit(
         args,
@@ -302,7 +312,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("reduce", help="build the limit problem and dump its coefficients")
     _common(p)
     p.add_argument("--samples", type=int, default=16)
-    p.add_argument("--samples-random", type=int, default=1000)
+    p.add_argument("--samples-random", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("transform", help="emit distorted-boundary profiles and hatted coefficients")
@@ -353,6 +363,9 @@ def main(argv=None) -> int:
         return EXIT_FAILURE
     try:
         return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     except BrokenPipeError:
         return EXIT_FAILURE
 

@@ -71,7 +71,10 @@ class ExperimentSettings:
 def _read(path) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None, comment_prefixes=("#", ";"))
     cp.optionxform = str
-    read = cp.read(str(path))
+    try:
+        read = cp.read(str(path))
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     return cp
@@ -190,11 +193,17 @@ def load_experiment_settings(path: str | Path) -> ExperimentSettings:
     if "experiment" not in cp:
         return out
     e = cp["experiment"]
-    if "eps" in e:
-        out.eps_list = _floats(e["eps"])
-    out.nx = int(e.get("nx", out.nx))
-    out.ny = int(e.get("ny", out.ny))
-    out.limit_resolution = int(e.get("limit_nx", out.limit_resolution))
-    out.tol = float(e.get("tol", out.tol))
-    out.max_iter = int(e.get("max_iter", out.max_iter))
+
+    def setting(key: str, parse, default):
+        try:
+            return parse(e[key]) if key in e else default
+        except ValueError as exc:
+            raise ConfigError(f"[experiment] {key}: {exc}") from exc
+
+    out.eps_list = setting("eps", _floats, out.eps_list)
+    out.nx = setting("nx", int, out.nx)
+    out.ny = setting("ny", int, out.ny)
+    out.limit_resolution = setting("limit_nx", int, out.limit_resolution)
+    out.tol = setting("tol", float, out.tol)
+    out.max_iter = setting("max_iter", int, out.max_iter)
     return out

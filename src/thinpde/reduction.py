@@ -184,6 +184,17 @@ class RepresentationReport:
         )
 
 
+def _draws(lower, upper, samples: int, seed: int):
+    """X (m, N, N), p (m, N), r (m,), x (m, N) of :func:`representation_check`, laid out as it states."""
+    lo, hi = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    n = len(lo)
+    u = np.random.default_rng(seed).random((samples, n * n + 2 * n + 1))
+    unit = -1.0 + 2.0 * u[:, : n * n + n + 1]
+    raw = unit[:, : n * n].reshape(samples, n, n)
+    X = 0.5 * (raw + np.swapaxes(raw, 1, 2))
+    return X, unit[:, n * n : -1], unit[:, -1], lo + (hi - lo) * u[:, n * n + n + 1 :]
+
+
 def representation_check(
     problem: ThinProblem,
     lp: LimitProblem | None = None,
@@ -196,23 +207,19 @@ def representation_check(
     Entries of X (symmetrized), p and r are uniform in [-1, 1]; x is uniform
     in the base box.  Both sides read the same exact derivatives of gamma0
     and beta0, so the discrepancy is pure float roundoff.
+
+    All draws come from one ``rng.random((samples, n*n + 2n + 1))`` block.
+    Row k holds the raw X entries (n*n, row-major), then p (n), r (1) and
+    x (n), each mapped as ``Generator.uniform`` maps its unit draw,
+    ``low + (high - low) * u``; X is then ``0.5 * (raw + raw^T)``.  This is
+    the order of four ``uniform`` calls per sample, so a seed gives the same
+    draws, bit for bit, as the per-sample loop this block replaced.
     """
+    if samples < 1:
+        raise ValueError(f"representation check needs samples >= 1, got {samples}")
     if lp is None:
         lp = reduce_problem(problem)
-    rng = np.random.default_rng(seed)
-    n = problem.n
-    lo = np.asarray(problem.geom.lower)
-    hi = np.asarray(problem.geom.upper)
-    Xs = np.empty((samples, n, n))
-    ps = np.empty((samples, n))
-    rs = np.empty(samples)
-    xs = np.empty((samples, n))
-    for k in range(samples):
-        raw = rng.uniform(-1.0, 1.0, size=(n, n))
-        Xs[k] = 0.5 * (raw + raw.T)
-        ps[k] = rng.uniform(-1.0, 1.0, size=n)
-        rs[k] = float(rng.uniform(-1.0, 1.0))
-        xs[k] = rng.uniform(lo, hi)
+    Xs, ps, rs, xs = _draws(problem.geom.lower, problem.geom.upper, samples, seed)
     g_val = operator_infsup(lp.coefficients(xs), Xs, ps, rs)[0]
     a_mat, b_mat, c_mat = bordered_matrices(problem, xs, Xs, ps)
     bd = problem.bdata
@@ -221,7 +228,7 @@ def representation_check(
     diff = np.abs(g_val - f_val)
     worst = 0.0
     witness = None
-    if diff.size and diff.max() > 0.0:
+    if diff.max() > 0.0:
         i = int(np.argmax(diff))
         worst = float(diff[i])
         witness = (tuple(float(v) for v in np.round(xs[i], 12)), float(rs[i]))

@@ -7,7 +7,7 @@ import pytest
 
 from thinpde.cli import main
 from thinpde.config import ConfigError, load_experiment_settings, load_problem
-from thinpde.harness import EXIT_CERTIFICATE, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, run_pipeline
+from thinpde.harness import EXIT_CERTIFICATE, EXIT_FAILURE, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, run_pipeline
 from thinpde.problem import validate
 from thinpde.reduction import reduce_problem, representation_check
 
@@ -214,6 +214,10 @@ def test_cli_csvs_keep_every_base_coordinate(tmp_path):
     assert main(["transform", "--config", str(cfg), "--samples", str(nx), "--out", str(tmp_path)]) == EXIT_OK
     assert len(base_points("profiles.csv", "z")) == (nx + 1) ** 2
     assert len(base_points("hat_coefficients.csv", "z")) == (nx + 1) ** 2
+    hat = (tmp_path / "hat_coefficients.csv").read_text().splitlines()
+    assert hat[0] == "z1,z2,lambda,mu,a_hat_11,a_hat_12,a_hat_21,a_hat_22,b_hat_1,b_hat_2,c_hat,f_hat"
+    # gamma0 = 0 leaves the identity diffusion and zero drift of [coefficients.1.1]
+    assert {tuple(float(v) for v in row.split(",")[4:10]) for row in hat[1:]} == {(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)}
 
 
 def test_cli_2d_converge_and_pipeline_stop_at_the_eps_solver(tmp_path, capsys):
@@ -255,3 +259,43 @@ def test_distorted_without_derivatives_passes_reduce_at_1e8(tmp_path):
     assert result.stage not in ("validate", "certify", "reduce")
     assert "PASS representation identity" in result.report
     assert "(tolerance 1e-08)" in result.report
+
+
+def _one_error_line(capsys, want: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and want in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_cli_reports_a_bad_derivative_key_without_a_traceback(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text((CONFIGS / "distorted.cfg").read_text().replace("[experiment]", "beta0/y = 0\n\n[experiment]"))
+    assert main(["validate", "--config", str(cfg)]) == EXIT_FAILURE
+    _one_error_line(capsys, "derivative key 'beta0/y'")
+
+
+def test_cli_reports_an_unreadable_config_file(tmp_path, capsys):
+    assert main(["reduce", "--config", str(tmp_path / "missing.cfg")]) == EXIT_FAILURE
+    _one_error_line(capsys, "cannot read config file")
+    headless = tmp_path / "headless.cfg"
+    headless.write_text("L = 1\n[controls]\n")
+    assert main(["reduce", "--config", str(headless)]) == EXIT_FAILURE
+    _one_error_line(capsys, "cannot parse config file")
+
+
+def test_non_integer_experiment_setting_names_its_key(tmp_path, capsys):
+    cfg = tmp_path / "nx.cfg"
+    cfg.write_text((CONFIGS / "reference.cfg").read_text().replace("\nnx = 64", "\nnx = abc"))
+    with pytest.raises(ConfigError, match=r"\[experiment\] nx: .*'abc'"):
+        load_experiment_settings(cfg)
+    for command in ("pipeline", "converge"):
+        assert main([command, "--config", str(cfg)]) == EXIT_FAILURE
+        _one_error_line(capsys, "[experiment] nx")
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_rejects_fewer_than_one_random_sample(count, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["reduce"] + _cfg("reference.cfg") + ["--samples-random", count])
+    assert stop.value.code == 2
+    assert "--samples-random: must be >= 1" in capsys.readouterr().err

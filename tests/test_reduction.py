@@ -1,8 +1,11 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from thinpde import reduction
+from thinpde.config import load_problem
 from thinpde.expressions import base_vars
 from thinpde.presets import _scalar, reference_problem, rich_problem
 from thinpde.problem import operator_infsup
@@ -123,6 +126,50 @@ def test_representation_identity_fd_derivatives():
     p.bdata.beta0.expr.derivatives.clear()
     rep = representation_check(p, samples=300, seed=4)
     assert rep.passed
+
+
+def _loop_draws(lower, upper, samples, seed):
+    """The per-sample draws the representation check made before its block draw: the reference layout."""
+    rng = np.random.default_rng(seed)
+    n = len(lower)
+    Xs, ps, rs, xs = np.empty((samples, n, n)), np.empty((samples, n)), np.empty(samples), np.empty((samples, n))
+    for k in range(samples):
+        raw = rng.uniform(-1.0, 1.0, size=(n, n))
+        Xs[k] = 0.5 * (raw + raw.T)
+        ps[k] = rng.uniform(-1.0, 1.0, size=n)
+        rs[k] = float(rng.uniform(-1.0, 1.0))
+        xs[k] = rng.uniform(np.asarray(lower), np.asarray(upper))
+    return Xs, ps, rs, xs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_draws_match_the_per_sample_loop_bitwise(n):
+    lower, upper = (-0.3, 0.1, -2.0)[:n], (1.7, 0.35, 5.0)[:n]
+    for seed in (0, 1, 2, 7, 12345):
+        for got, want in zip(reduction._draws(lower, upper, 400, seed), _loop_draws(lower, upper, 400, seed)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("source", ["reference.cfg", "distorted.cfg", "rich"])
+def test_block_draws_keep_every_report(source, monkeypatch):
+    problem = rich_problem() if source == "rich" else load_problem(CONFIGS / source)
+    lp = reduce_problem(problem)
+    for seed in range(4):
+        got = representation_check(problem, lp, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(reduction, "_draws", _loop_draws)
+            want = representation_check(problem, lp, seed=seed)
+        assert (got.max_abs_diff, got.witness, got.format()) == (want.max_abs_diff, want.witness, want.format())
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_representation_check_needs_a_draw(reference, samples):
+    with pytest.raises(ValueError, match="samples >= 1"):
+        representation_check(reference, samples=samples)
 
 
 def test_representation_identity_degenerate(reference):
