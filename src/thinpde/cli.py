@@ -54,11 +54,17 @@ def _common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an int >= ``low``; anything below is a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _need_config(args) -> "ThinProblem":
@@ -300,25 +306,25 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("validate", help="check the standing assumptions by sampling")
     _common(p)
-    p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--samples", type=_int_at_least(1), default=8)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("certify", help="interior/boundary ellipticity certificates")
     _common(p)
-    p.add_argument("--samples", type=int, default=16)
+    p.add_argument("--samples", type=_int_at_least(1), default=16)
     p.add_argument("--csv", action="store_true", help="dump the per-node quadratic form")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("reduce", help="build the limit problem and dump its coefficients")
     _common(p)
-    p.add_argument("--samples", type=int, default=16)
-    p.add_argument("--samples-random", type=_positive_int, default=1000)
+    p.add_argument("--samples", type=_int_at_least(1), default=16)
+    p.add_argument("--samples-random", type=_int_at_least(1), default=1000)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("transform", help="emit distorted-boundary profiles and hatted coefficients")
     _common(p)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--samples", type=_int_at_least(1), default=32)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("barrier", help="search barrier parameters and verify the margins")
@@ -349,7 +355,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("counterexample", help="rotating-field obstruction sweep on the unit circle")
     _common(p)
-    p.add_argument("--n-theta", type=int, default=4096)
+    p.add_argument("--n-theta", type=_int_at_least(64), default=4096)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_counterexample)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .expressions import ExprError, ScalarField, VectorField, base_vars, strip_vars
@@ -68,6 +69,21 @@ class ExperimentSettings:
     max_iter: int = 100
 
 
+def _value(cp: configparser.ConfigParser, sec: str, key: str, parse=str, default=None):
+    """``parse(cp[sec][key])``, or ``default`` if the key is absent.
+
+    A missing key without a default, or an unparsable value, is a ConfigError naming both.
+    """
+    if key not in cp[sec]:
+        if default is None:
+            raise ConfigError(f"[{sec}] {key}: missing")
+        return default
+    try:
+        return parse(cp[sec][key])
+    except ValueError as exc:
+        raise ConfigError(f"[{sec}] {key}: {exc}") from exc
+
+
 def _read(path) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None, comment_prefixes=("#", ";"))
     cp.optionxform = str
@@ -86,13 +102,12 @@ def load_problem(path: str | Path) -> ThinProblem:
         if sec not in cp:
             raise ConfigError(f"missing [{sec}] section")
 
-    min_labels = _labels(cp["controls"]["L"])
-    max_labels = _labels(cp["controls"]["M"])
+    min_labels = _value(cp, "controls", "L", _labels)
+    max_labels = _value(cp, "controls", "M", _labels)
     controls = ControlSet(min_labels, max_labels)
 
-    g = cp["geometry"]
-    lower = _floats(g["lower"])
-    upper = _floats(g["upper"])
+    lower = _value(cp, "geometry", "lower", _floats)
+    upper = _value(cp, "geometry", "upper", _floats)
     n = len(lower)
     bvars = base_vars(n)
     svars = strip_vars(n)
@@ -114,35 +129,32 @@ def load_problem(path: str | Path) -> ThinProblem:
         n=n,
         lower=lower,
         upper=upper,
-        g_minus=scalar("g_minus", g["g_minus"], bvars),
-        g_plus=scalar("g_plus", g["g_plus"], bvars),
-        epsilon0=float(g.get("epsilon0", "0.25")),
+        g_minus=scalar("g_minus", _value(cp, "geometry", "g_minus"), bvars),
+        g_plus=scalar("g_plus", _value(cp, "geometry", "g_plus"), bvars),
+        epsilon0=_value(cp, "geometry", "epsilon0", float, 0.25),
     )
 
-    b = cp["boundary"]
+    boundary = partial(_value, cp, "boundary")
     bdata = BoundaryData(
-        gamma0=vector("gamma0", b["gamma0"], bvars),
-        beta0=scalar("beta0", b["beta0"], bvars),
-        k_plus=vector("k_plus", b["k_plus"], bvars),
-        k_minus=vector("k_minus", b["k_minus"], bvars),
-        l_plus=scalar("l_plus", b["l_plus"], bvars),
-        l_minus=scalar("l_minus", b["l_minus"], bvars),
-        beta_lateral=scalar("beta", b["beta"], svars),
-        s_candidate=scalar("s", b["s"], bvars),
-        h=scalar("h", g["h"], bvars) if "h" in g else None,
+        gamma0=vector("gamma0", boundary("gamma0"), bvars),
+        beta0=scalar("beta0", boundary("beta0"), bvars),
+        k_plus=vector("k_plus", boundary("k_plus"), bvars),
+        k_minus=vector("k_minus", boundary("k_minus"), bvars),
+        l_plus=scalar("l_plus", boundary("l_plus"), bvars),
+        l_minus=scalar("l_minus", boundary("l_minus"), bvars),
+        beta_lateral=scalar("beta", boundary("beta"), svars),
+        s_candidate=scalar("s", boundary("s"), bvars),
+        h=scalar("h", _value(cp, "geometry", "h"), bvars) if "h" in cp["geometry"] else None,
     )
 
-    bound = 100.0
-    if "coefficients" in cp and "bound" in cp["coefficients"]:
-        bound = float(cp["coefficients"]["bound"])
+    bound = _value(cp, "coefficients", "bound", float, 100.0) if "coefficients" in cp else 100.0
     entries = {}
     for lam in min_labels:
         for mu in max_labels:
             sec = f"coefficients.{lam}.{mu}"
             if sec not in cp:
                 raise ConfigError(f"missing [{sec}] section")
-            s = cp[sec]
-            rows = _split_top(s["sigma"], ";")
+            rows = _split_top(_value(cp, sec, "sigma"), ";")
             sigma = []
             for i, row in enumerate(rows):
                 cells = _split_top(row, ",")
@@ -151,14 +163,14 @@ def load_problem(path: str | Path) -> ThinProblem:
                 sigma.append(
                     tuple(scalar(f"sigma[{lam}.{mu}][{i}][{j}]", c, svars) for j, c in enumerate(cells))
                 )
-            bcells = _split_top(s["b"], ",")
+            bcells = _split_top(_value(cp, sec, "b"), ",")
             if len(bcells) != n + 1:
                 raise ConfigError(f"[{sec}] b needs {n + 1} entries")
             entries[(lam, mu)] = CoefficientEntry(
                 sigma=tuple(sigma),
                 b=tuple(scalar(f"b[{lam}.{mu}][{j}]", c, svars) for j, c in enumerate(bcells)),
-                c=scalar(f"c[{lam}.{mu}]", s["c"], svars),
-                f=scalar(f"f[{lam}.{mu}]", s["f"], svars),
+                c=scalar(f"c[{lam}.{mu}]", _value(cp, sec, "c"), svars),
+                f=scalar(f"f[{lam}.{mu}]", _value(cp, sec, "f"), svars),
             )
 
     problem = ThinProblem(
@@ -192,14 +204,7 @@ def load_experiment_settings(path: str | Path) -> ExperimentSettings:
     out = ExperimentSettings()
     if "experiment" not in cp:
         return out
-    e = cp["experiment"]
-
-    def setting(key: str, parse, default):
-        try:
-            return parse(e[key]) if key in e else default
-        except ValueError as exc:
-            raise ConfigError(f"[experiment] {key}: {exc}") from exc
-
+    setting = partial(_value, cp, "experiment")
     out.eps_list = setting("eps", _floats, out.eps_list)
     out.nx = setting("nx", int, out.nx)
     out.ny = setting("ny", int, out.ny)

@@ -4,10 +4,11 @@ Interior rows discretize -tr(A D^2 u) - b . Du + c u = f with central
 second differences, the seven-point corner splitting for the cross term
 (diagonal corners for positive A12, anti-diagonal for negative), and
 first-order upwinding for the drift.  Every assembled interior and oblique
-row must be an M-matrix row (positive diagonal, non-positive off-diagonal);
-a violating row aborts assembly with the witness node, rather than silently
-losing monotonicity.  Oblique rows use first-order one-sided differences
-into the domain; lateral/Dirichlet rows are identities.
+row must be an M-matrix row (positive diagonal, non-positive off-diagonal)
+and every interior row must have c >= 0; a violating row aborts assembly
+with the witness node, rather than silently losing monotonicity.  Oblique
+rows use first-order one-sided differences into the domain;
+lateral/Dirichlet rows are identities.
 
 Assembly reads all interior coefficients from one
 :class:`thinpde.problem.Coefficients` bundle and builds the rows as arrays,
@@ -17,7 +18,14 @@ stays exact; it names the first control pair, then the lowest flat index.
 
 Howard iteration alternates a per-node argmin-over-L of the max-over-M row
 values with a direct sparse solve for the frozen policy; ties break toward
-the lowest label index, making runs reproducible.
+the lowest label index, making runs reproducible.  All control pairs' rows
+sit in one stacked operator, so the residuals of every pair are one matvec
+and a frozen-policy system is one row gather.  Its rows are M-matrix rows
+with c >= 0, hence row diagonally dominant, so LU without pivoting is
+stable with growth factor at most 2 (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., Thm 9.9); SuperLU factors it on the
+diagonal, in the minimum-degree order of A^T + A applied to rows and
+columns alike.
 """
 
 from __future__ import annotations
@@ -63,15 +71,12 @@ _OFFDIAG_TOL = 1e-12
 
 
 class NonMonotoneStencilError(ArithmeticError):
-    """An assembled row violates the M-matrix sign pattern."""
+    """An assembled row violates the M-matrix sign pattern, or an interior row has c < 0."""
 
     def __init__(self, node, control, detail: str):
-        self.node = node
+        self.node = tuple(float(v) for v in node)
         self.control = control
-        super().__init__(
-            f"non-monotone stencil at node {node} for control {control}: {detail} "
-            "(cross-derivative dominance; refine the grid or rebalance spacings)"
-        )
+        super().__init__(f"non-monotone stencil at node {self.node} for control {control}: {detail}")
 
 
 class MaxIterExceededError(RuntimeError):
@@ -249,6 +254,11 @@ def _oblique_slots(top: np.ndarray, gvec: np.ndarray, h, strides) -> list:
     return slots + [[-strides[-1], 0.0 - gy, top], [strides[-1], 0.0 + gy, ~top]]
 
 
+def _positive_offdiagonal(value: float) -> str:
+    # only the cross-term corner splitting can make an off-diagonal positive
+    return f"off-diagonal {value:.3e} positive (cross-derivative dominance; refine the grid or rebalance spacings)"
+
+
 def _first_violation(rows: np.ndarray, slots: list, checks=()):
     """(flat index, detail) of the lowest row failing ``checks`` or the M-matrix sign pattern, or None.
 
@@ -257,7 +267,7 @@ def _first_violation(rows: np.ndarray, slots: list, checks=()):
     diag = slots[0][1]
     checks = list(checks) + [(diag <= 0.0, lambda r: f"diagonal {diag[r]:.3e} not positive")]
     for _, vals, present in slots[1:]:
-        checks.append(((vals > _OFFDIAG_TOL) & present, lambda r, v=vals: f"off-diagonal {v[r]:.3e} positive"))
+        checks.append(((vals > _OFFDIAG_TOL) & present, lambda r, v=vals: _positive_offdiagonal(v[r])))
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if not bad.any():
         return None
@@ -324,7 +334,10 @@ def _assemble(
     for k, (lam, mu) in enumerate(pairs):
         pair = coeffs.pair(k // n_max, k % n_max)
         slots = _interior_slots(pair, h, strides)
-        faults = [f for f in (_first_violation(interior_rows, slots), oblique_fault) if f is not None]
+        # c >= 0 makes the row diagonally dominant, which licenses LU without pivoting
+        c = pair.c[:, 0, 0]
+        negative = [(c < 0.0, lambda r: f"c = {c[r]:g} negative: row not diagonally dominant")]
+        faults = [f for f in (_first_violation(interior_rows, slots, negative), oblique_fault) if f is not None]
         if faults:
             flat, detail = min(faults, key=lambda f: f[0])
             raise NonMonotoneStencilError(tuple(nodes[flat]), (lam, mu), detail)
@@ -401,36 +414,43 @@ class GridField:
         return self.values.ravel()
 
 
-def _residual_stack(sys: DiscreteSystem, u: np.ndarray) -> np.ndarray:
-    """(size, n_min, n_max) array of per-control row residuals A u - rhs."""
-    res = np.stack([m @ u - r for m, r in zip(sys.matrices, sys.rhs)], axis=-1)
-    return res.reshape(-1, sys.n_min, sys.n_max)
+def _stacked(sys: DiscreteSystem) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Every control pair's rows in one operator: row k * size + i is node i under pair k."""
+    return sp.vstack(sys.matrices, format="csr"), np.concatenate(sys.rhs)
+
+
+def _residual_stack(sys: DiscreteSystem, stack, rhs, u: np.ndarray) -> np.ndarray:
+    """(size, n_min, n_max) array of per-control row residuals A u - rhs, from one matvec on the stack."""
+    return (stack @ u - rhs).reshape(sys.n_min, sys.n_max, -1).transpose(2, 0, 1)
 
 
 def residual_infinity(sys: DiscreteSystem, u: np.ndarray) -> float:
     """Sup norm of the discrete inf-sup operator applied to u."""
-    values, _, _ = inf_sup(_residual_stack(sys, np.asarray(u).ravel()))
+    values, _, _ = inf_sup(_residual_stack(sys, *_stacked(sys), np.asarray(u).ravel()))
     return float(np.abs(values).max())
 
 
-def _solve_frozen(sys: DiscreteSystem, lam_idx: np.ndarray, mu_idx: np.ndarray) -> np.ndarray:
+def _solve_frozen(sys: DiscreteSystem, stack, rhs, lam_idx: np.ndarray, mu_idx: np.ndarray) -> np.ndarray:
+    """Solve the frozen-policy system: row i is node i's row under pair (lam_idx[i], mu_idx[i])."""
     size = sys.grid.size
-    k_idx = lam_idx * sys.n_max + mu_idx
-    mat = None
-    rhs = np.zeros(size)
-    for k in range(len(sys.matrices)):
-        mask = (k_idx == k).astype(float)
-        if not mask.any():
-            continue
-        sel = sp.diags(mask)
-        part = sel @ sys.matrices[k]
-        mat = part if mat is None else mat + part
-        rhs += mask * sys.rhs[k]
-    mat = sp.csc_matrix(mat)
+    rows = (lam_idx * sys.n_max + mu_idx) * size + np.arange(size)
+    mat = sp.csc_matrix(stack[rows])
+    rhs = rhs[rows]
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
-            factor = spla.splu(mat)
+            # every row is an M-matrix row with c >= 0 (assembly rejects any
+            # other), so mat is row diagonally dominant and LU without
+            # pivoting is stable, with growth factor <= 2 (Higham, Thm 9.9).
+            # The threshold must be exactly 0: identity and oblique rows
+            # share columns with interior entries of order 1/h^2, and any
+            # positive threshold lets SuperLU pivot off the diagonal, which
+            # multiplies the fill several times over.  SymmetricMode applies
+            # the minimum-degree order of A^T + A to rows and columns alike,
+            # so the pivots stay on the diagonal.
+            factor = spla.splu(
+                mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+            )
             u = factor.solve(rhs)
             # iterative refinement on the reused factor pushes the row
             # residual to roundoff level; stop once it stalls
@@ -469,14 +489,15 @@ def policy_iteration(sys: DiscreteSystem, tol: float = 1e-10, max_iter: int = 10
     u[sys.dirichlet_mask] = sys.dirichlet_values[sys.dirichlet_mask]
     diag = np.stack([m.diagonal() for m in sys.matrices], axis=-1).reshape(size, sys.n_min, sys.n_max)
     rows = np.arange(size)
-    _, lam_idx, mu_idx = inf_sup(_residual_stack(sys, u))
+    stack, rhs = _stacked(sys)
+    _, lam_idx, mu_idx = inf_sup(_residual_stack(sys, stack, rhs, u))
     history: list[float] = []
     switches = 0
     res = scaled = math.inf
     stable = False
     for it in range(1, max_iter + 1):
-        u = _solve_frozen(sys, lam_idx, mu_idx)
-        values, new_lam, new_mu = inf_sup(_residual_stack(sys, u))
+        u = _solve_frozen(sys, stack, rhs, lam_idx, mu_idx)
+        values, new_lam, new_mu = inf_sup(_residual_stack(sys, stack, rhs, u))
         res = float(np.abs(values).max())
         scaled = float((np.abs(values) / diag[rows, new_lam, new_mu]).max())
         history.append(res)
@@ -576,12 +597,11 @@ def perturbation_certificate(lp: LimitProblem, resolution=64) -> PerturbationRep
         len(lp.controls.max_labels),
         replace(coeffs, c=zero, f=zero),
     )
+    stack, _ = _stacked(hom)
     alpha = 2.0
     while alpha <= alpha_cap:
         psi = np.exp(alpha * s_tilde)
-        worst = -math.inf
-        for m in hom.matrices:
-            worst = max(worst, float((m @ psi)[interior].max()))
+        worst = float((stack @ psi).reshape(-1, grid.size)[:, interior].max())
         if worst <= _PERTURBATION_TARGET:
             return PerturbationReport(alpha=alpha, kappa=kappa, worst=worst, passed=True)
         alpha *= 2.0

@@ -24,6 +24,7 @@ from thinpde.solver import (
     DiscreteSystem,
     NonMonotoneStencilError,
     _assemble,
+    _positive_offdiagonal,
     discretize_eps,
     discretize_limit,
     make_eps_grid,
@@ -40,7 +41,7 @@ def _check_row(entries, diag, node, control):
         raise NonMonotoneStencilError(node, control, f"diagonal {dval:.3e} not positive")
     for col, v in entries.items():
         if col != diag and v > _OFFDIAG_TOL:
-            raise NonMonotoneStencilError(node, control, f"off-diagonal {v:.3e} positive")
+            raise NonMonotoneStencilError(node, control, _positive_offdiagonal(v))
 
 
 def _assemble_by_nodes(grid, pairs, n_min, n_max, diffusion, drift, czero, source, oblique=None, dirichlet=None):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -299,3 +300,41 @@ def test_cli_rejects_fewer_than_one_random_sample(count, capsys):
         main(["reduce"] + _cfg("reference.cfg") + ["--samples-random", count])
     assert stop.value.code == 2
     assert "--samples-random: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, want",
+    [
+        ("g_plus = 1\n", "", "[geometry] g_plus: missing"),
+        ("lower = 0\n", "lower = a\n", "[geometry] lower: could not convert string to float: 'a'"),
+    ],
+    ids=["missing_g_plus", "non_numeric_lower"],
+)
+def test_cli_reports_a_bad_geometry_key_without_a_traceback(tmp_path, capsys, old, new, want):
+    cfg = tmp_path / "geometry.cfg"
+    cfg.write_text((CONFIGS / "reference.cfg").read_text().replace(old, new))
+    with pytest.raises(ConfigError, match=re.escape(want)):
+        load_problem(cfg)
+    assert main(["validate", "--config", str(cfg)]) == EXIT_FAILURE
+    _one_error_line(capsys, want)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["certify", "--samples", "0"], ["reduce", "--samples", "0"], ["reduce", "--samples", "-3"]],
+    ids=["certify-0", "reduce-0", "reduce--3"],
+)
+def test_cli_rejects_fewer_than_one_lattice_interval(argv, capsys):
+    # a lattice of 0 intervals is the single point x = 0: no certificate at all
+    with pytest.raises(SystemExit) as stop:
+        main(argv[:1] + _cfg("reference.cfg") + argv[1:])
+    assert stop.value.code == 2
+    assert "--samples: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "63"])
+def test_cli_rejects_fewer_than_64_angles(count, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["counterexample", "--n-theta", count])
+    assert stop.value.code == 2
+    assert "--n-theta: must be >= 64" in capsys.readouterr().err

@@ -21,6 +21,8 @@ from thinpde.solver import (
     MaxIterExceededError,
     NonMonotoneStencilError,
     SingularSystemError,
+    _solve_frozen,
+    _stacked,
     discretize_eps,
     discretize_limit,
     make_eps_grid,
@@ -278,7 +280,7 @@ def rich_limit():
     return reduce_problem(rich_problem())
 
 
-@pytest.mark.parametrize("nx, raw", [(1024, 3.810e-10), (2048, 1.766e-9)])
+@pytest.mark.parametrize("nx, raw", [(1024, 4.735e-10), (2048, 1.922e-9)])
 def test_rich_limit_accepts_stable_policy_on_scaled_residual(rich_limit, nx, raw):
     # the raw residual floors at roundoff times 1/h^2, above the default 1e-10;
     # divided by each row's diagonal it is at roundoff
@@ -371,11 +373,8 @@ def _admissible_entry(draw):
     return _entry(1, sigma, b, repr(draw(_RISE)), repr(draw(_ENDS)))
 
 
-@settings(max_examples=60)
-@given(entries=st.lists(_admissible_entry(), min_size=4, max_size=4), gamma0=_ENDS)
-def test_assembled_rows_are_m_matrix_rows(entries, gamma0):
-    # every row of every control pair's matrix: positive diagonal,
-    # non-positive off-diagonals, and weak diagonal dominance (sum c >= 0)
+def _two_by_two_strip(entries, gamma0) -> DiscreteSystem:
+    """The 2x2-control strip system of four admissible entries, on a square 9x17 lattice."""
     base = reference_problem(gamma0=repr(gamma0), epsilon0=1.0)
     pairs = [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
     p = replace(
@@ -383,8 +382,15 @@ def test_assembled_rows_are_m_matrix_rows(entries, gamma0):
         controls=ControlSet(("1", "2"), ("1", "2")),
         coeffs=CoefficientFamily(entries=dict(zip(pairs, entries)), bound=50.0),
     )
-    grid = make_eps_grid(p, 1.0, nx=8, ny=16)  # hx = hy = 1/8
-    sysm = discretize_eps(p, 1.0, grid)
+    return discretize_eps(p, 1.0, make_eps_grid(p, 1.0, nx=8, ny=16))  # hx = hy = 1/8
+
+
+@settings(max_examples=60)
+@given(entries=st.lists(_admissible_entry(), min_size=4, max_size=4), gamma0=_ENDS)
+def test_assembled_rows_are_m_matrix_rows(entries, gamma0):
+    # every row of every control pair's matrix: positive diagonal,
+    # non-positive off-diagonals, and weak diagonal dominance (sum c >= 0)
+    sysm = _two_by_two_strip(entries, gamma0)
     assert len(sysm.matrices) == 4
     for mat in sysm.matrices:
         mat = sp.csr_matrix(mat)
@@ -393,3 +399,44 @@ def test_assembled_rows_are_m_matrix_rows(entries, gamma0):
         assert (diag > 0.0).all()
         assert (off.data <= 0.0).all()
         assert (np.asarray(mat.sum(axis=1)).ravel() >= -1e-12 * diag).all()
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [lambda p: solve_eps(p, 0.1, nx=8, ny=8), lambda p: solve_limit(reduce_problem(p), 8)],
+    ids=["solve_eps", "solve_limit"],
+)
+def test_negative_c_is_rejected_before_any_factorization(solve, monkeypatch):
+    # c >= 0 is what licenses LU without pivoting; an unvalidated problem
+    # with c = -1 must stop at assembly, naming the node and the control
+    def no_splu(*args, **kwargs):
+        raise AssertionError("splu called on a system with c < 0")
+
+    p = _two_control_problem()
+    p.coeffs.entries[("1", "2")] = _entry(1, [["1", "0"], ["0", "1"]], ["0", "0"], "-1", "4")
+    monkeypatch.setattr(spla, "splu", no_splu)
+    with pytest.raises(NonMonotoneStencilError) as err:
+        solve(p)
+    assert err.value.control == ("1", "2")
+    assert err.value.node[0] == 0.125  # the lowest interior flat index
+    assert "c = -1 negative: row not diagonally dominant" in str(err.value)
+
+
+@settings(max_examples=40)
+@given(
+    entries=st.lists(_admissible_entry(), min_size=4, max_size=4),
+    gamma0=_ENDS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frozen_solve_matches_pivoted_solve(entries, gamma0, seed):
+    # the no-pivot symmetric-mode LU against SuperLU's pivoted default, on a
+    # frozen system built row by row from each node's own control pair
+    sysm = _two_by_two_strip(entries, gamma0)
+    size = sysm.grid.size
+    lam, mu = np.random.default_rng(seed).integers(0, 2, size=(2, size))
+    k = lam * 2 + mu
+    mat = sp.vstack([sysm.matrices[k[i]][i] for i in range(size)], format="csc")
+    rhs = np.array([sysm.rhs[k[i]][i] for i in range(size)])
+    want = spla.spsolve(mat, rhs)
+    got = _solve_frozen(sysm, *_stacked(sysm), lam, mu)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
