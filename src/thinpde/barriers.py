@@ -428,9 +428,21 @@ class _MarginEngine:
 class _BarrierSide:
     """A barrier evaluated on batches of nodes: x shaped (m, N), y shaped (m,).
 
-    Subclasses provide ``values(x, y)`` and ``arrays(x, y)`` (value, grad,
-    hess); the scalar accessors are one-row calls of those.
+    Subclasses provide ``shared(x, y, derivatives)``, the per-node work that
+    does not depend on the side (base fields, preimages), and
+    ``evaluate(shared, y, derivatives)``: the values, or the (value, grad,
+    hess) arrays.  Sides with the same ``basis`` can evaluate from one
+    ``shared``, which is how a :class:`BarrierPair` evaluates both at once;
+    the accessors here evaluate one side alone.
     """
+
+    basis: tuple
+
+    def values(self, x, y) -> np.ndarray:
+        return self.evaluate(self.shared(x, y, False), y, False)
+
+    def arrays(self, x, y):
+        return self.evaluate(self.shared(x, y, True), y, True)
 
     @staticmethod
     def _row(x, y):
@@ -454,16 +466,13 @@ class AnalyticBarrierSide(_BarrierSide):
         self.params = params
         self.eps = eps
         self.sign = sign
+        self.basis = (view,)
 
-    def _eval(self, x, y, derivatives: bool):
-        fields = _fields_at(self.view, np.asarray(x, dtype=float), derivatives)
+    def shared(self, x, y, derivatives: bool):
+        return _fields_at(self.view, np.asarray(x, dtype=float), derivatives)
+
+    def evaluate(self, fields, y, derivatives: bool):
         return _barrier_arrays(self.params, self.eps, self.sign, np.asarray(y, dtype=float), fields, derivatives)
-
-    def values(self, x, y) -> np.ndarray:
-        return self._eval(x, y, derivatives=False)
-
-    def arrays(self, x, y):
-        return self._eval(x, y, derivatives=True)
 
 
 class PulledBackSide(_BarrierSide):
@@ -472,15 +481,21 @@ class PulledBackSide(_BarrierSide):
     def __init__(self, wside, dmap: DistortionMap):
         self.wside = wside
         self.dmap = dmap
+        self.basis = (dmap, *wside.basis)
 
-    def values(self, x, y) -> np.ndarray:
-        return self.wside.values(self.dmap.inverse(x, y), y)
-
-    def arrays(self, x, y):
+    def shared(self, x, y, derivatives: bool):
+        """The inner side's shared arrays at the preimages z = Q(x, y), with DQ and D^2Q there."""
         z = self.dmap.inverse(x, y)
+        if not derivatives:
+            return self.wside.shared(z, y, False), None, None
         dq = matrix_r(self.dmap, z, y)
-        d2q = self.dmap.d2q(z, y)
-        val, dw, d2w = self.wside.arrays(z, y)
+        return self.wside.shared(z, y, True), dq, self.dmap.d2q(z, y, dq)
+
+    def evaluate(self, shared, y, derivatives: bool):
+        inner, dq, d2q = shared
+        if not derivatives:
+            return self.wside.evaluate(inner, y, False)
+        val, dw, d2w = self.wside.evaluate(inner, y, True)
         grad = np.einsum("mk,mki->mi", dw, dq)
         hess = np.einsum("mki,mkl,mlj->mij", dq, d2w, dq) + np.einsum("mk,mkij->mij", dw, d2q)
         return val, grad, hess
@@ -488,11 +503,34 @@ class PulledBackSide(_BarrierSide):
 
 @dataclass
 class BarrierPair:
+    """psi_bar (``upper``) and psi_low (``lower``), two sides on one basis.
+
+    ``values`` and ``arrays`` evaluate both sides at a batch of nodes from
+    one shared evaluation: one field evaluation for explicit sides, one
+    inversion of the map for pulled-back ones.
+    """
+
     upper: object
     lower: object
     params: BarrierParams
     eps: float
     margins: BarrierMargins | None = None
+
+    def __post_init__(self):
+        if tuple(map(id, self.upper.basis)) != tuple(map(id, self.lower.basis)):
+            raise ValueError("the two sides of a barrier pair must share their view and distortion map")
+
+    def values(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """(psi_bar, psi_low) values at nodes x (m, N), y (m,)."""
+        return self._both(x, y, False)
+
+    def arrays(self, x, y):
+        """(value, grad, hess) arrays of psi_bar and of psi_low at nodes x (m, N), y (m,)."""
+        return self._both(x, y, True)
+
+    def _both(self, x, y, derivatives: bool):
+        shared = self.upper.shared(x, y, derivatives)
+        return self.upper.evaluate(shared, y, derivatives), self.lower.evaluate(shared, y, derivatives)
 
 
 def build_barrier(problem_or_view, params: BarrierParams, eps: float, *, allow_uncertified: bool = False) -> BarrierPair:
@@ -530,7 +568,7 @@ def verify_barrier(problem_or_view, pair: BarrierPair, eps: float | None = None,
     engine = _MarginEngine(view, grid)
     strip = engine.strip(eps)
     x = engine.xs[strip.x_idx]
-    margins = engine.margins_of(strip, pair.upper.arrays(x, strip.ys), pair.lower.arrays(x, strip.ys))
+    margins = engine.margins_of(strip, *pair.arrays(x, strip.ys))
     pair.margins = margins
     return margins
 
@@ -647,6 +685,19 @@ class GeneralBarrier:
     dmap: DistortionMap
     view: StripView  # the distorted-coordinates view
 
+    def pair_at(self, eps: float) -> BarrierPair:
+        """The pulled-back pair at ``eps``, from this view, these parameters and this map."""
+        return _pulled_back(build_barrier(self.view, self.params, eps, allow_uncertified=True), self.dmap)
+
+
+def _pulled_back(hat_pair: BarrierPair, dmap: DistortionMap) -> BarrierPair:
+    return BarrierPair(
+        upper=PulledBackSide(hat_pair.upper, dmap),
+        lower=PulledBackSide(hat_pair.lower, dmap),
+        params=hat_pair.params,
+        eps=hat_pair.eps,
+    )
+
 
 def general_barrier(
     problem: ThinProblem,
@@ -669,10 +720,4 @@ def general_barrier(
     if eps is None:
         eps = params.eps1 / 2
     hat_pair = build_barrier(view, params, eps, allow_uncertified=True)
-    pair = BarrierPair(
-        upper=PulledBackSide(hat_pair.upper, dmap),
-        lower=PulledBackSide(hat_pair.lower, dmap),
-        params=params,
-        eps=eps,
-    )
-    return GeneralBarrier(pair=pair, hat_pair=hat_pair, params=params, dmap=dmap, view=view)
+    return GeneralBarrier(pair=_pulled_back(hat_pair, dmap), hat_pair=hat_pair, params=params, dmap=dmap, view=view)

@@ -10,6 +10,7 @@ failure, 4 barrier search failure, 5 solver failure, 1 other failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .harness import (
     EXIT_VALIDATION,
     fmt_float,
 )
-from .problem import box_lattice, validate as validate_problem
+from .problem import EpsOutOfRangeError, box_lattice, validate as validate_problem
 from .reduction import estimate_limit_bounds, reduce_problem, representation_check
 
 __all__ = ["main"]
@@ -65,6 +66,26 @@ def _int_at_least(low: int):
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0; anything else is a usage error (exit 2)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
+class _DecreasingList(argparse.Action):
+    """Stores a list of values that must decrease strictly (exit 2 otherwise)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if any(b >= a for a, b in zip(values, values[1:])):
+            raise argparse.ArgumentError(self, "must be strictly decreasing")
+        setattr(namespace, self.dest, values)
 
 
 def _need_config(args) -> "ThinProblem":
@@ -208,7 +229,7 @@ def cmd_barrier(args) -> int:
         xs = view.base_lattice(args.nx)
         x_idx, ys = view.strip_nodes(xs, eps, args.ny)
         x = xs[x_idx]
-        columns = (ys, pair.upper.values(x, ys), pair.lower.values(x, ys))
+        columns = (ys, *pair.values(x, ys))
         lines += [",".join([_base_row(xi)] + [fmt_float(v) for v in row]) for xi, *row in zip(x, *columns)]
         _write_csv(args, "barrier_grids.csv", "\n".join(lines) + "\n")
     return EXIT_OK if margins.passed else EXIT_BARRIER
@@ -255,9 +276,9 @@ def cmd_converge(args) -> int:
     plan = harness.ExperimentPlan(
         problem=problem,
         eps_list=eps_list,
-        nx=args.nx or settings.nx,
-        ny=args.ny or settings.ny,
-        limit_resolution=args.limit_nx or settings.limit_resolution,
+        nx=settings.nx if args.nx is None else args.nx,
+        ny=settings.ny if args.ny is None else args.ny,
+        limit_resolution=settings.limit_resolution if args.limit_nx is None else args.limit_nx,
         tol=settings.tol,
         max_iter=settings.max_iter,
     )
@@ -323,23 +344,23 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("transform", help="emit distorted-boundary profiles and hatted coefficients")
     _common(p)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=_positive_float, default=0.1)
     p.add_argument("--samples", type=_int_at_least(1), default=32)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("barrier", help="search barrier parameters and verify the margins")
     _common(p)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--nx", type=int, default=32)
-    p.add_argument("--ny", type=int, default=8)
+    p.add_argument("--eps", type=_positive_float, default=None)
+    p.add_argument("--nx", type=_int_at_least(1), default=32)
+    p.add_argument("--ny", type=_int_at_least(1), default=8)
     p.add_argument("--csv", action="store_true", help="dump the barrier grids")
     p.set_defaults(func=cmd_barrier)
 
     p = sub.add_parser("solve", help="solve the eps-problem (or the limit problem with --limit)")
     _common(p)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--nx", type=int, default=64)
-    p.add_argument("--ny", type=int, default=16)
+    p.add_argument("--eps", type=_positive_float, default=None)
+    p.add_argument("--nx", type=_int_at_least(1), default=64)
+    p.add_argument("--ny", type=_int_at_least(7), default=16, help="strip intervals in y (8 nodes at least)")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--limit", action="store_true")
@@ -347,10 +368,10 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("converge", help="measure sup|u_eps - u0| over a decreasing eps list")
     _common(p)
-    p.add_argument("--eps", type=float, nargs="*", default=None)
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--ny", type=int, default=None)
-    p.add_argument("--limit-nx", type=int, default=None)
+    p.add_argument("--eps", type=_positive_float, nargs="*", default=None, action=_DecreasingList)
+    p.add_argument("--nx", type=_int_at_least(1), default=None)
+    p.add_argument("--ny", type=_int_at_least(7), default=None, help="strip intervals in y (8 nodes at least)")
+    p.add_argument("--limit-nx", type=_int_at_least(1), default=None)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("counterexample", help="rotating-field obstruction sweep on the unit circle")
@@ -369,7 +390,7 @@ def main(argv=None) -> int:
         return EXIT_FAILURE
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, EpsOutOfRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except BrokenPipeError:

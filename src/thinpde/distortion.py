@@ -5,8 +5,9 @@ the new coordinates the oblique data behaves like the gamma0 = 0 case.  Its
 inverse Q is computed by the contraction iteration z <- x - y*gamma(z),
 which converges because r is selected so that sup |y Dgamma| <= 1/2 on the
 working slab.  The distorted top/bottom boundaries become graphs of
-implicit profiles solving y = eps*g(z + y*gamma(z)), found by bisection on
-a strictly increasing scalar function.
+implicit profiles solving y = eps*g(z + y*gamma(z)), found by safeguarded
+Newton (exact Dg, bisection fallback) on a strictly increasing scalar
+function.
 
 Pushing the operator through P yields hatted coefficients
 
@@ -29,7 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Const, ScalarField
-from .problem import Coefficients, ThinProblem, box_lattice, quadratic_form, row_dot, row_matmul, strip_points
+from .problem import (
+    Coefficients,
+    EpsOutOfRangeError,
+    ThinProblem,
+    box_lattice,
+    quadratic_form,
+    row_dot,
+    row_matmul,
+    strip_points,
+)
 
 __all__ = [
     "NoConvergenceError",
@@ -115,13 +125,14 @@ class DistortionMap:
                 raise NoConvergenceError(self.max_iter, float(residual[stalled][0]))
         return z[0] if single else z
 
-    def d2q(self, z, y) -> np.ndarray:
+    def d2q(self, z, y, r=None) -> np.ndarray:
         """Hessians of the components of Q at P(z, y), from the preimage z: no inversion.
 
         Shape (N+1, N+1, N+1) per point, with a leading m axis for z (m, N).
         With M = I + y Dgamma(z) and d_i z the first N rows of R = DQ,
         M d_i d_j z = -(y D^2gamma[d_i z, d_j z] + [j = y] Dgamma d_i z + [i = y] Dgamma d_j z).
-        The last component of Q is y, whose Hessian vanishes.
+        The last component of Q is y, whose Hessian vanishes.  ``r`` is
+        ``matrix_r(self, z, y)`` when the caller already has it.
         """
         z = np.atleast_1d(np.asarray(z, dtype=float))
         single = z.ndim == 1
@@ -130,7 +141,7 @@ class DistortionMap:
         n = self.n
         out = np.zeros((len(z), n + 1, n + 1, n + 1))
         if not self.is_constant:
-            r = matrix_r(self, z, y)
+            r = matrix_r(self, z, y) if r is None else np.reshape(r, (len(z), n + 1, n + 1))
             dz = r[:, :n]  # (m, N, N+1)
             d2gamma = np.stack([c.hess(z) for c in self.gamma.components], axis=1)
             rhs = y[:, None, None, None] * np.einsum("mkab,mai,mbj->mkij", d2gamma, dz, dz)
@@ -202,12 +213,17 @@ def matrix_r(dmap: DistortionMap, z, y) -> np.ndarray:
 
 
 def top_profile(dmap: DistortionMap, g: ScalarField, eps: float, z):
-    """Unique y in [-r, r] with y = eps * g(z + y gamma(z)), by bisection.
+    """Unique y in [-r, r] with y = eps * g(z + y gamma(z)), by safeguarded Newton.
 
     With g = g+ this is the distorted top boundary, with g = g- the bottom.
+    f(y) = y - eps g(z + y gamma(z)) is strictly increasing on [-r, r].
+    From y = 0, each step shrinks the bracket [lo, hi] by the sign of f and
+    takes the Newton step y - f/f', f' = 1 - eps Dg(z + y gamma(z)) . gamma(z),
+    when f' > 0 and the step lands strictly inside the bracket; otherwise it
+    bisects.  A constant g gives eps*g exactly, after one step.
 
     One base point gives a float; z shaped (m, N) gives (m,), each point
-    bisecting its own bracket until it stops.
+    stopping on its own test (|f| <= 1e-12 or a bracket narrower than 1e-16).
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     single = z.ndim == 1
@@ -221,21 +237,25 @@ def top_profile(dmap: DistortionMap, g: ScalarField, eps: float, z):
     lo = np.full(len(z), -dmap.r)
     hi = np.full(len(z), dmap.r)
     if (f(active, lo) > 0.0).any() or (f(active, hi) < 0.0).any():
-        raise ValueError(
+        raise EpsOutOfRangeError(
             f"profile equation not bracketed on [-r, r]; need eps*sup|g| <= r (eps={eps}, r={dmap.r})"
         )
-    y = np.empty(len(z))
+    y = np.zeros(len(z))
     for _ in range(200):
+        ya = y[active]
+        fy = f(active, ya)
+        up = fy > 0.0
+        hi[active] = np.where(up, ya, hi[active])
+        lo[active] = np.where(up, lo[active], ya)
+        keep = ~(np.abs(fy) <= 1e-12) & ~(hi[active] - lo[active] < 1e-16)
+        active, ya, fy = active[keep], ya[keep], fy[keep]
         if not active.size:
             break
-        mid = 0.5 * (lo[active] + hi[active])
-        fm = f(active, mid)
-        y[active] = mid
-        open_ = ~(np.abs(fm) <= 1e-12)
-        hi[active] = np.where(open_ & (fm > 0.0), mid, hi[active])
-        lo[active] = np.where(open_ & ~(fm > 0.0), mid, lo[active])
-        active = active[open_ & ~(hi[active] - lo[active] < 1e-16)]
-    y[active] = 0.5 * (lo[active] + hi[active])
+        slope = 1.0 - eps * row_dot(g.grad(z[active] + ya[:, None] * gz[active]), gz[active])
+        newton = slope > 0.0
+        step = ya - np.divide(fy, slope, out=np.zeros_like(fy), where=newton)
+        inside = newton & (lo[active] < step) & (step < hi[active])
+        y[active] = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
     return float(y[0]) if single else y
 
 
@@ -259,10 +279,11 @@ class HatOperator:
         z = np.atleast_2d(np.asarray(z, dtype=float))
         y = np.broadcast_to(np.asarray(y, dtype=float).reshape(-1), (len(z),))
         base = self.problem.coefficients(self.dmap.forward(z, y))
-        r_t = np.swapaxes(matrix_r(self.dmap, z, y), -1, -2)[:, None, None]
+        r = matrix_r(self.dmap, z, y)
+        r_t = np.swapaxes(r, -1, -2)[:, None, None]
         sigma = base.sigma @ r_t
         # the curvature drift d_i = tr(A D^2 Q_i)
-        curvature = (base.a[..., None, :, :] * self.dmap.d2q(z, y)[:, None, None]).sum(axis=(-2, -1))
+        curvature = (base.a[..., None, :, :] * self.dmap.d2q(z, y, r)[:, None, None]).sum(axis=(-2, -1))
         drift = row_matmul(base.b, r_t) + curvature
         return Coefficients(sigma, np.swapaxes(sigma, -1, -2) @ sigma, drift, base.c, base.f)
 

@@ -174,7 +174,7 @@ def _barrier_pair_factory(problem: ThinProblem, view: bar.StripView | None = Non
         params = bar.search_parameters(view)
         return params, lambda eps: bar.build_barrier(view, params, eps, allow_uncertified=True)
     gb = bar.general_barrier(problem, dmap)
-    return gb.params, lambda eps: bar.general_barrier(problem, gb.dmap, gb.params, eps).pair
+    return gb.params, gb.pair_at
 
 
 def sandwich_margins(pair: bar.BarrierPair, fld: sol.GridField) -> tuple[float, float, float]:
@@ -182,8 +182,7 @@ def sandwich_margins(pair: bar.BarrierPair, fld: sol.GridField) -> tuple[float, 
     nodes = fld.grid.nodes()
     x, y = nodes[:, :-1], nodes[:, -1]
     u = fld.flat()
-    lo = pair.lower.values(x, y)
-    hi = pair.upper.values(x, y)
+    hi, lo = pair.values(x, y)
     return float((u - lo).min()), float((hi - u).min()), max(0.0, float((hi - lo).max()))
 
 

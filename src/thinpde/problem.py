@@ -46,9 +46,14 @@ __all__ = [
     "DiagnosticsReport",
     "validate",
     "PSD_TOLERANCE",
+    "EpsOutOfRangeError",
 ]
 
 PSD_TOLERANCE = 1e-10
+
+
+class EpsOutOfRangeError(ValueError):
+    """eps lies outside the range that a strip construction admits."""
 
 
 def _pt(z) -> tuple:

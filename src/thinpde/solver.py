@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .problem import Coefficients, ThinProblem, inf_sup, quadratic_form
+from .problem import Coefficients, EpsOutOfRangeError, ThinProblem, inf_sup, quadratic_form
 from .reduction import LimitProblem
 
 __all__ = [
@@ -151,7 +151,7 @@ def make_eps_grid(problem: ThinProblem, eps: float, nx: int, ny: int) -> Grid:
     if geom.n != 1:
         raise NotImplementedError("the eps-problem solver is restricted to a 1-dimensional base")
     if eps > geom.epsilon0:
-        raise ValueError(f"eps={eps} exceeds epsilon0={geom.epsilon0}")
+        raise EpsOutOfRangeError(f"eps={eps} exceeds epsilon0={geom.epsilon0}")
     if ny + 1 < 8:
         raise ValueError("the strip needs at least 8 vertical nodes")
     base = geom.lattice(16)

@@ -259,3 +259,26 @@ def test_verify_barrier_matches_pointwise_loop(case, ref_params, distorted, rich
     want = _margins_by_points(view, pair, pair.eps, grid)
     for name, value in want.items():
         assert getattr(got, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
+
+
+def test_pair_evaluates_both_sides_as_each_side_alone(ref_params, distorted):
+    # the pair shares one field evaluation (or one inversion) between its sides
+    view, params = ref_params
+    gb = bar.general_barrier(distorted)
+    for pair in (bar.build_barrier(view, params, params.eps1 / 2), gb.pair_at(gb.params.eps1 / 4)):
+        xs = view.base_lattice(8)
+        x = np.repeat(xs, 3, axis=0)
+        y = np.tile([-0.01, 0.0, 0.02], len(xs))
+        up, lo = pair.values(x, y)
+        assert up.tobytes() == pair.upper.values(x, y).tobytes()
+        assert lo.tobytes() == pair.lower.values(x, y).tobytes()
+        for both, alone in zip(pair.arrays(x, y), (pair.upper.arrays(x, y), pair.lower.arrays(x, y))):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(both, alone))
+
+
+def test_pair_sides_must_share_their_basis(ref_params, distorted):
+    view, params = ref_params
+    gb = bar.general_barrier(distorted)
+    flat = bar.build_barrier(view, params, params.eps1 / 2)
+    with pytest.raises(ValueError, match="share their view and distortion map"):
+        bar.BarrierPair(upper=gb.pair.upper, lower=flat.lower, params=params, eps=flat.eps)

@@ -338,3 +338,74 @@ def test_cli_rejects_fewer_than_64_angles(count, capsys):
         main(["counterexample", "--n-theta", count])
     assert stop.value.code == 2
     assert "--n-theta: must be >= 64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--eps", "0"],
+        ["transform", "--eps", "-0.1"],
+        ["transform", "--eps", "nan"],
+        ["transform", "--eps", "inf"],
+        ["barrier", "--eps", "-1"],
+        ["solve", "--eps", "0"],
+        ["converge", "--eps", "0.1", "-0.1"],
+    ],
+    ids=["transform-0", "transform-negative", "transform-nan", "transform-inf", "barrier-negative", "solve-0", "converge-negative"],
+)
+def test_cli_rejects_an_eps_that_is_not_a_finite_positive_number(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv[:1] + _cfg("distorted.cfg") + ["--out", str(tmp_path)] + argv[1:])
+    assert stop.value.code == 2
+    assert "--eps: must be a finite number > 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("eps", [["0.1", "0.2"], ["0.1", "0.1"]], ids=["increasing", "repeated"])
+def test_cli_rejects_a_converge_eps_list_that_does_not_decrease(eps, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["converge"] + _cfg("reference.cfg") + ["--eps", *eps])
+    assert stop.value.code == 2
+    assert "--eps: must be strictly decreasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["solve", "--eps", "0.5"], "eps=0.5 exceeds epsilon0=0.25"),
+        (["converge", "--eps", "0.5", "0.1"], "eps=0.5 exceeds epsilon0=0.25"),
+        (["transform", "--eps", "0.9"], "profile equation not bracketed on [-r, r]"),
+    ],
+    ids=["solve", "converge", "transform"],
+)
+def test_cli_reports_an_eps_out_of_range_without_a_traceback(argv, want, capsys):
+    assert main(argv[:1] + _cfg("distorted.cfg") + argv[1:]) == EXIT_FAILURE
+    _one_error_line(capsys, want)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["solve", "--eps", "0.1", "--nx", "0"], "--nx: must be >= 1"),
+        (["solve", "--limit", "--nx", "0"], "--nx: must be >= 1"),
+        (["solve", "--eps", "0.1", "--ny", "3"], "--ny: must be >= 7"),
+        (["converge", "--nx", "0"], "--nx: must be >= 1"),
+        (["converge", "--ny", "6"], "--ny: must be >= 7"),
+        (["converge", "--limit-nx", "0"], "--limit-nx: must be >= 1"),
+        (["barrier", "--nx", "0"], "--nx: must be >= 1"),
+        (["barrier", "--ny", "0"], "--ny: must be >= 1"),
+    ],
+    ids=["solve-nx", "solve-limit-nx", "solve-ny", "converge-nx", "converge-ny", "converge-limit-nx", "barrier-nx", "barrier-ny"],
+)
+def test_cli_rejects_too_small_grids(argv, want, capsys):
+    # barrier --nx 0 would verify the margins on a one-point lattice
+    with pytest.raises(SystemExit) as stop:
+        main(argv[:1] + _cfg("reference.cfg") + argv[1:])
+    assert stop.value.code == 2
+    assert want in capsys.readouterr().err
+
+
+def test_cli_solve_accepts_the_smallest_strip(tmp_path):
+    argv = ["solve"] + _cfg("reference.cfg") + ["--eps", "0.1", "--nx", "1", "--ny", "7", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    assert len((tmp_path / "solution.csv").read_text().splitlines()) == 1 + 2 * 8

@@ -310,25 +310,62 @@ def _ref_matrix_r(dmap, z, y):
 
 
 def _ref_profile(dmap, g, eps, z, tol=1e-12):
+    """Reference: the per-point safeguarded Newton iteration."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    gz = dmap.gamma.value(z)
 
     def f(y):
-        return y - eps * g.value(z + y * dmap.gamma.value(z))
+        return y - eps * g.value(z + y * gz)
 
     lo, hi = -dmap.r, dmap.r
     assert f(lo) <= 0.0 <= f(hi)
+    y = 0.0
     for _ in range(200):
+        fy = f(y)
+        if fy > 0.0:
+            hi = y
+        else:
+            lo = y
+        if abs(fy) <= tol or hi - lo < 1e-16:
+            return y
+        slope = 1.0 - eps * float(g.grad(z + y * gz) @ gz)
+        if slope > 0.0 and lo < y - fy / slope < hi:
+            y = y - fy / slope
+        else:
+            y = 0.5 * (lo + hi)
+    return y
+
+
+def _bisect_profile(dmap, g, eps, z, steps=60):
+    """Oracle: plain bisection of y - eps g(z + y gamma(z)) on [-r, r]."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    lo, hi = -dmap.r, dmap.r
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol:
-            return mid
-        if fm > 0.0:
+        if mid - eps * g.value(z + mid * dmap.gamma.value(z)) > 0.0:
             hi = mid
         else:
             lo = mid
-        if hi - lo < 1e-16:
-            return mid
     return 0.5 * (lo + hi)
+
+
+def test_profile_curved_g_nonlinear_gamma_matches_bisection():
+    dmap = _map_for("0.3*sin(2*x1) + 0.1*x1*x1")
+    g = ScalarField(parse("1 + 0.3*sin(pi*x1)"), base_vars(1))
+    zs = box_lattice(*dmap.omega_hat, 32)
+    for eps in (0.1, 0.025):
+        ys = top_profile(dmap, g, eps, zs)
+        residual = ys - eps * g.value(zs + ys[:, None] * dmap.gamma.value(zs))
+        assert np.abs(residual).max() <= 1e-12
+        assert np.abs(ys - [_bisect_profile(dmap, g, eps, z) for z in zs]).max() <= 1e-12
+
+
+def test_profile_constant_g_is_eps_g_exactly(transform_demo):
+    dmap = build_map(transform_demo)
+    zs = box_lattice(*dmap.omega_hat, 16)
+    for text, eps in (("0.7", 0.1), ("-1", 0.05), ("1", 0.025)):
+        g = ScalarField(parse(text), base_vars(1))
+        assert _same(top_profile(dmap, g, eps, zs), eps * g.value(zs))
 
 
 @pytest.fixture(scope="module")

@@ -127,7 +127,7 @@ def test_pipeline_stops_at_certificate():
 def test_pipeline_searches_barriers_once(case, monkeypatch, reference, distorted):
     from thinpde import barriers, distortion, harness
 
-    calls = {"search_parameters": 0, "build_map": 0}
+    calls = {"search_parameters": 0, "build_map": 0, "hat_view": 0, "inverse": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -137,10 +137,18 @@ def test_pipeline_searches_barriers_once(case, monkeypatch, reference, distorted
         return wrapper
 
     monkeypatch.setattr(barriers, "search_parameters", counted("search_parameters", barriers.search_parameters))
+    monkeypatch.setattr(barriers, "hat_view", counted("hat_view", barriers.hat_view))
+    monkeypatch.setattr(
+        distortion.DistortionMap, "inverse", counted("inverse", distortion.DistortionMap.inverse)
+    )
     build_map = counted("build_map", distortion.build_map)
     for mod in (distortion, barriers, harness):
         monkeypatch.setattr(mod, "build_map", build_map)
     problem = reference if case == "reference" else distorted
-    run_pipeline(problem, eps_list=(0.1, 0.05), nx=16, ny=8, limit_resolution=16)
+    eps_list = (0.1, 0.05, 0.025)
+    run_pipeline(problem, eps_list=eps_list, nx=16, ny=8, limit_resolution=16)
     assert calls["search_parameters"] == 1
     assert calls["build_map"] <= 1
+    # the distorted view is built once, and each eps's sandwich inverts its strip nodes once
+    assert calls["hat_view"] == (case == "distorted")
+    assert calls["inverse"] == (len(eps_list) if case == "distorted" else 0)
