@@ -10,7 +10,6 @@ failure, 4 barrier search failure, 5 solver failure, 1 other failures.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import barriers as bar
 from . import harness, solver as sol
-from .config import ConfigError, load_experiment_settings, load_problem
+from .config import ConfigError, _int_at_least, _positive_float, load_experiment_settings, load_problem
 from .distortion import HatOperator, build_map, top_profile
 from .ellipticity import (
     _forms,
@@ -53,30 +52,6 @@ def _common(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="worker threads (accepted for interface compatibility; execution is single-threaded)",
     )
-
-
-def _int_at_least(low: int):
-    """argparse type: an int >= ``low``; anything below is a usage error (exit 2)."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
-    return parse
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a finite float > 0; anything else is a usage error (exit 2)."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
-    return value
-
-
-_positive_float.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
 class _DecreasingList(argparse.Action):
@@ -177,9 +152,10 @@ def cmd_reduce(args) -> int:
 
 def cmd_transform(args) -> int:
     problem = _need_config(args)
+    eps = args.eps
+    problem.geom.check_eps(eps)
     dmap = build_map(problem)
     hat = HatOperator(problem, dmap)
-    eps = args.eps
     head = _base_header(problem.n, "z")
     lines = [head + ",g_eps_plus,g_eps_minus,eps_g_plus,eps_g_minus"]
     lo, hi = dmap.omega_hat
@@ -361,17 +337,18 @@ def main(argv=None) -> int:
     p.add_argument("--eps", type=_positive_float, default=None)
     p.add_argument("--nx", type=_int_at_least(1), default=64)
     p.add_argument("--ny", type=_int_at_least(7), default=16, help="strip intervals in y (8 nodes at least)")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--tol", type=_positive_float, default=1e-10)
+    p.add_argument("--max-iter", type=_int_at_least(1), default=100)
     p.add_argument("--limit", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("converge", help="measure sup|u_eps - u0| over a decreasing eps list")
     _common(p)
     p.add_argument("--eps", type=_positive_float, nargs="*", default=None, action=_DecreasingList)
-    p.add_argument("--nx", type=_int_at_least(1), default=None)
+    # one interval leaves no interior column: the error would be 0 and the verdict vacuous
+    p.add_argument("--nx", type=_int_at_least(2), default=None)
     p.add_argument("--ny", type=_int_at_least(7), default=None, help="strip intervals in y (8 nodes at least)")
-    p.add_argument("--limit-nx", type=_int_at_least(1), default=None)
+    p.add_argument("--limit-nx", type=_int_at_least(2), default=None)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("counterexample", help="rotating-field obstruction sweep on the unit circle")

@@ -10,7 +10,9 @@ The full schema is documented in docs/config.md.
 
 from __future__ import annotations
 
+import argparse
 import configparser
+import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -49,6 +51,46 @@ def _split_top(text: str, sep: str) -> list[str]:
             cur.append(ch)
     parts.append("".join(cur).strip())
     return [p for p in parts if p]
+
+
+class _OutOfRange(argparse.ArgumentTypeError, ValueError):
+    """A value that parses but lies outside its range.
+
+    In a config file it becomes a ConfigError naming the key; as the type of
+    a command-line option it is a usage error (exit 2).
+    """
+
+
+def _int_at_least(low: int):
+    """Parser of an int >= ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise _OutOfRange(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """Parser of a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise _OutOfRange(f"must be a finite number > 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
+def _decreasing_eps(text: str) -> tuple[float, ...]:
+    """Parser of a strictly decreasing list of finite floats > 0."""
+    values = tuple(_positive_float(p) for p in _split_top(text, ","))
+    if not values or any(b >= a for a, b in zip(values, values[1:])):
+        raise _OutOfRange(f"must be a non-empty, strictly decreasing list, got {text}")
+    return values
 
 
 def _labels(value: str) -> tuple[str, ...]:
@@ -205,10 +247,11 @@ def load_experiment_settings(path: str | Path) -> ExperimentSettings:
     if "experiment" not in cp:
         return out
     setting = partial(_value, cp, "experiment")
-    out.eps_list = setting("eps", _floats, out.eps_list)
-    out.nx = setting("nx", int, out.nx)
-    out.ny = setting("ny", int, out.ny)
-    out.limit_resolution = setting("limit_nx", int, out.limit_resolution)
-    out.tol = setting("tol", float, out.tol)
-    out.max_iter = setting("max_iter", int, out.max_iter)
+    out.eps_list = setting("eps", _decreasing_eps, out.eps_list)
+    # a grid of one interval has no interior column, so its error is 0 and any verdict vacuous
+    out.nx = setting("nx", _int_at_least(2), out.nx)
+    out.ny = setting("ny", _int_at_least(7), out.ny)  # the strip needs 8 vertical nodes
+    out.limit_resolution = setting("limit_nx", _int_at_least(2), out.limit_resolution)
+    out.tol = setting("tol", _positive_float, out.tol)
+    out.max_iter = setting("max_iter", _int_at_least(1), out.max_iter)
     return out

@@ -73,6 +73,9 @@ class ExperimentPlan:
     def __post_init__(self):
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError("eps list must be strictly decreasing")
+        if min(self.nx, self.limit_resolution) < 2:
+            # one interval has no interior column: every error is 0 and the verdict vacuous
+            raise ValueError("nx and limit_resolution must be >= 2")
 
 
 @dataclass

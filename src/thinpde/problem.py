@@ -188,6 +188,11 @@ class GeometrySpec:
         if not 0 < self.epsilon0 <= 1:
             raise ValueError("epsilon0 must lie in (0, 1]")
 
+    def check_eps(self, eps: float) -> None:
+        """Raise EpsOutOfRangeError unless eps <= epsilon0, the thickness cap of the strip."""
+        if eps > self.epsilon0:
+            raise EpsOutOfRangeError(f"eps={eps} exceeds epsilon0={self.epsilon0}")
+
     def lattice(self, samples_per_axis: int) -> np.ndarray:
         """Uniform node lattice over the closed box, shape (m, n).
 

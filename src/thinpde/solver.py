@@ -25,7 +25,7 @@ with c >= 0, hence row diagonally dominant, so LU without pivoting is
 stable with growth factor at most 2 (Higham, Accuracy and Stability of
 Numerical Algorithms, 2nd ed., Thm 9.9); SuperLU factors it on the
 diagonal, in the minimum-degree order of A^T + A applied to rows and
-columns alike.
+columns alike, column by column (SuperLU panel width 1).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .problem import Coefficients, EpsOutOfRangeError, ThinProblem, inf_sup, quadratic_form
+from .problem import Coefficients, ThinProblem, inf_sup, quadratic_form
 from .reduction import LimitProblem
 
 __all__ = [
@@ -150,8 +150,7 @@ def make_eps_grid(problem: ThinProblem, eps: float, nx: int, ny: int) -> Grid:
     geom = problem.geom
     if geom.n != 1:
         raise NotImplementedError("the eps-problem solver is restricted to a 1-dimensional base")
-    if eps > geom.epsilon0:
-        raise EpsOutOfRangeError(f"eps={eps} exceeds epsilon0={geom.epsilon0}")
+    geom.check_eps(eps)
     if ny + 1 < 8:
         raise ValueError("the strip needs at least 8 vertical nodes")
     base = geom.lattice(16)
@@ -430,6 +429,36 @@ def residual_infinity(sys: DiscreteSystem, u: np.ndarray) -> float:
     return float(np.abs(values).max())
 
 
+def _factor(mat: sp.csc_matrix) -> spla.SuperLU:
+    """Sparse LU of a frozen-policy matrix, pivoting on the diagonal only.
+
+    Every row is an M-matrix row with c >= 0 (assembly rejects any other),
+    so ``mat`` is row diagonally dominant and LU without pivoting is stable,
+    with growth factor <= 2 (Higham, Thm 9.9).  The threshold must be
+    exactly 0: identity and oblique rows share columns with interior
+    entries of order 1/h^2, and any positive threshold lets SuperLU pivot
+    off the diagonal, which multiplies the fill several times over.
+    SymmetricMode applies the minimum-degree order of A^T + A to rows and
+    columns alike, so the pivots stay on the diagonal.
+    """
+    # Panel width 1: the 5- and 7-point strip stencils give supernodes only
+    # a few columns wide, so SuperLU's default panel spends more time on
+    # bookkeeping than it saves.  Median factor time on 2 vCPU at one BLAS
+    # thread, default -> 1: strip 64x16 0.96 -> 0.65 ms, distorted strip
+    # 128x32 4.05 -> 3.02 ms, strip 256x64 21.2 -> 15.9 ms, strip 512x128
+    # 131 -> 96 ms, 1-D limit nx 2048 0.30 -> 0.28 ms, with the same order
+    # and fill (only the order of the updates changes); widths 2, 4 and 6
+    # were slower than 1.  A 3-D Laplacian 33x33x9 was 1-7% slower at width
+    # 1 (73 -> 75 ms): measure the width again once the solver takes 3-D strips.
+    return spla.splu(
+        mat,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        panel_size=1,
+        options=dict(SymmetricMode=True),
+    )
+
+
 def _solve_frozen(sys: DiscreteSystem, stack, rhs, lam_idx: np.ndarray, mu_idx: np.ndarray) -> np.ndarray:
     """Solve the frozen-policy system: row i is node i's row under pair (lam_idx[i], mu_idx[i])."""
     size = sys.grid.size
@@ -439,18 +468,7 @@ def _solve_frozen(sys: DiscreteSystem, stack, rhs, lam_idx: np.ndarray, mu_idx: 
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
-            # every row is an M-matrix row with c >= 0 (assembly rejects any
-            # other), so mat is row diagonally dominant and LU without
-            # pivoting is stable, with growth factor <= 2 (Higham, Thm 9.9).
-            # The threshold must be exactly 0: identity and oblique rows
-            # share columns with interior entries of order 1/h^2, and any
-            # positive threshold lets SuperLU pivot off the diagonal, which
-            # multiplies the fill several times over.  SymmetricMode applies
-            # the minimum-degree order of A^T + A to rows and columns alike,
-            # so the pivots stay on the diagonal.
-            factor = spla.splu(
-                mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
-            )
+            factor = _factor(mat)
             u = factor.solve(rhs)
             # iterative refinement on the reused factor pushes the row
             # residual to roundoff level; stop once it stalls

@@ -374,13 +374,75 @@ def test_cli_rejects_a_converge_eps_list_that_does_not_decrease(eps, capsys):
     [
         (["solve", "--eps", "0.5"], "eps=0.5 exceeds epsilon0=0.25"),
         (["converge", "--eps", "0.5", "0.1"], "eps=0.5 exceeds epsilon0=0.25"),
-        (["transform", "--eps", "0.9"], "profile equation not bracketed on [-r, r]"),
+        (["transform", "--eps", "0.9"], "eps=0.9 exceeds epsilon0=0.25"),
+        # inside the slab bracket eps*sup|g| <= r = 0.5, but above epsilon0
+        (["transform", "--eps", "0.3"], "eps=0.3 exceeds epsilon0=0.25"),
     ],
-    ids=["solve", "converge", "transform"],
+    ids=["solve", "converge", "transform", "transform-within-bracket"],
 )
-def test_cli_reports_an_eps_out_of_range_without_a_traceback(argv, want, capsys):
-    assert main(argv[:1] + _cfg("distorted.cfg") + argv[1:]) == EXIT_FAILURE
+def test_cli_reports_an_eps_out_of_range_without_a_traceback(argv, want, tmp_path, capsys):
+    assert main(argv[:1] + _cfg("distorted.cfg") + ["--out", str(tmp_path)] + argv[1:]) == EXIT_FAILURE
     _one_error_line(capsys, want)
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_transform_reports_an_unbracketed_profile(tmp_path, capsys):
+    # gamma0 = 3 x1 shrinks the slab half-height r to 0.125, below eps*sup|g| = 0.2
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text(
+        (CONFIGS / "distorted.cfg").read_text().replace("gamma0 = 0.2*x1", "gamma0 = 3*x1").replace(
+            "gamma0_1/x1 = 0.2", "gamma0_1/x1 = 3"
+        )
+    )
+    assert main(["transform", "--config", str(cfg), "--eps", "0.2"]) == EXIT_FAILURE
+    _one_error_line(capsys, "profile equation not bracketed on [-r, r]; need eps*sup|g| <= r (eps=0.2, r=0.125)")
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["--tol", "nan"], "--tol: must be a finite number > 0, got nan"),
+        (["--tol", "-1"], "--tol: must be a finite number > 0, got -1"),
+        (["--tol", "0"], "--tol: must be a finite number > 0, got 0"),
+        (["--max-iter", "0"], "--max-iter: must be >= 1, got 0"),
+    ],
+    ids=["tol-nan", "tol-negative", "tol-0", "max-iter-0"],
+)
+def test_cli_solve_rejects_a_bad_tolerance_or_iteration_cap(argv, want, capsys):
+    # tol nan accepted any residual; tol -1 ran every iteration on a stable policy
+    with pytest.raises(SystemExit) as stop:
+        main(["solve"] + _cfg("reference.cfg") + ["--eps", "0.1"] + argv)
+    assert stop.value.code == 2
+    assert want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, want",
+    [
+        ("nx", "1", "[experiment] nx: must be >= 2, got 1"),
+        ("limit_nx", "1", "[experiment] limit_nx: must be >= 2, got 1"),
+        ("tol", "nan", "[experiment] tol: must be a finite number > 0, got nan"),
+        ("tol", "-1e-10", "[experiment] tol: must be a finite number > 0, got -1e-10"),
+        ("max_iter", "0", "[experiment] max_iter: must be >= 1, got 0"),
+        ("ny", "3", "[experiment] ny: must be >= 7, got 3"),
+        ("eps", "0.1, 0.2", "[experiment] eps: must be a non-empty, strictly decreasing list, got 0.1, 0.2"),
+        ("eps", "0.1, -0.05", "[experiment] eps: must be a finite number > 0, got -0.05"),
+    ],
+    ids=["nx-1", "limit_nx-1", "tol-nan", "tol-negative", "max_iter-0", "ny-3", "eps-increasing", "eps-negative"],
+)
+def test_experiment_settings_out_of_range_are_config_errors(key, value, want, tmp_path, capsys):
+    # the shipped [experiment] section is last, so the appended key lands in it
+    # (configparser rejects a repeated key, so an existing one is replaced)
+    text = (CONFIGS / "reference.cfg").read_text()
+    text = re.sub(rf"(?m)^{key} = .*$\n?", "", text) + f"{key} = {value}\n"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(want)):
+        load_experiment_settings(cfg)
+    for command in ("pipeline", "converge"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == EXIT_FAILURE
+        _one_error_line(capsys, want)
+        assert not (tmp_path / command).exists()
 
 
 @pytest.mark.parametrize(
@@ -389,16 +451,30 @@ def test_cli_reports_an_eps_out_of_range_without_a_traceback(argv, want, capsys)
         (["solve", "--eps", "0.1", "--nx", "0"], "--nx: must be >= 1"),
         (["solve", "--limit", "--nx", "0"], "--nx: must be >= 1"),
         (["solve", "--eps", "0.1", "--ny", "3"], "--ny: must be >= 7"),
-        (["converge", "--nx", "0"], "--nx: must be >= 1"),
+        (["converge", "--nx", "0"], "--nx: must be >= 2"),
+        (["converge", "--nx", "1"], "--nx: must be >= 2"),
         (["converge", "--ny", "6"], "--ny: must be >= 7"),
-        (["converge", "--limit-nx", "0"], "--limit-nx: must be >= 1"),
+        (["converge", "--limit-nx", "0"], "--limit-nx: must be >= 2"),
+        (["converge", "--limit-nx", "1"], "--limit-nx: must be >= 2"),
         (["barrier", "--nx", "0"], "--nx: must be >= 1"),
         (["barrier", "--ny", "0"], "--ny: must be >= 1"),
     ],
-    ids=["solve-nx", "solve-limit-nx", "solve-ny", "converge-nx", "converge-ny", "converge-limit-nx", "barrier-nx", "barrier-ny"],
+    ids=[
+        "solve-nx",
+        "solve-limit-nx",
+        "solve-ny",
+        "converge-nx",
+        "converge-nx-1",
+        "converge-ny",
+        "converge-limit-nx",
+        "converge-limit-nx-1",
+        "barrier-nx",
+        "barrier-ny",
+    ],
 )
 def test_cli_rejects_too_small_grids(argv, want, capsys):
-    # barrier --nx 0 would verify the margins on a one-point lattice
+    # barrier --nx 0 would verify the margins on a one-point lattice, and
+    # converge at nx 1 has no interior column, so its error is 0 and the verdict vacuous
     with pytest.raises(SystemExit) as stop:
         main(argv[:1] + _cfg("reference.cfg") + argv[1:])
     assert stop.value.code == 2

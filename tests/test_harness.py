@@ -18,6 +18,13 @@ def test_plan_requires_decreasing_eps(reference):
     ExperimentPlan(problem=reference, eps_list=(0.2, 0.1))
 
 
+@pytest.mark.parametrize("grid", [dict(nx=1), dict(limit_resolution=1)], ids=["nx", "limit_resolution"])
+def test_plan_requires_an_interior_column(reference, grid):
+    with pytest.raises(ValueError, match="must be >= 2"):
+        ExperimentPlan(problem=reference, **grid)
+    ExperimentPlan(problem=reference, nx=2, limit_resolution=2)
+
+
 def test_manufactured_rates():
     pure = manufactured_solution_test(nx_list=(32, 64, 128))
     assert pure.passed and pure.rate >= 1.7

@@ -21,6 +21,7 @@ from thinpde.solver import (
     MaxIterExceededError,
     NonMonotoneStencilError,
     SingularSystemError,
+    _factor,
     _solve_frozen,
     _stacked,
     discretize_eps,
@@ -440,3 +441,30 @@ def test_frozen_solve_matches_pivoted_solve(entries, gamma0, seed):
     want = spla.spsolve(mat, rhs)
     got = _solve_frozen(sysm, *_stacked(sysm), lam, mu)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "problem, grid_of",
+    [
+        ("reference", lambda p: make_eps_grid(p, 0.05, 64, 16)),
+        ("distorted", lambda p: make_eps_grid(p, 0.05, 128, 32)),
+        ("rich_limit", lambda lp: make_limit_grid(lp, 2048)),
+    ],
+    ids=["reference_strip", "distorted_strip", "rich_limit"],
+)
+def test_factor_pivots_on_the_diagonal_without_extra_fill(problem, grid_of, request):
+    # the no-pivot stability argument needs perm_r == perm_c; the panel width
+    # only reorders SuperLU's updates, so the fill matches the default panel's
+    p = request.getfixturevalue(problem)
+    grid = grid_of(p)
+    sysm = discretize_limit(p, grid) if grid.kind == "limit" else discretize_eps(p, grid.eps, grid)
+    size = grid.size
+    # a policy that mixes every control pair across the nodes
+    pair = np.arange(size) % len(sysm.pairs)
+    mat = sp.csc_matrix(_stacked(sysm)[0][pair * size + np.arange(size)])
+    factor = _factor(mat)
+    assert (factor.perm_r == factor.perm_c).all()
+    default = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    assert factor.L.nnz + factor.U.nnz == default.L.nnz + default.U.nnz
+    rhs = np.arange(size, dtype=float)
+    assert np.abs(mat @ factor.solve(rhs) - rhs).max() <= 1e-8 * np.abs(rhs).max()
