@@ -40,7 +40,7 @@ from .barriers import (
     BarrierPair,
     BarrierParams,
     build_barrier,
-    general_barrier,
+    search_barriers,
     search_parameters,
     verify_barrier,
 )
@@ -68,7 +68,7 @@ __all__ = [
     "boundary_certificate", "circle_obstruction_demo", "equivalence_check", "interior_certificate", "rotating_field",
     "LimitProblem", "reduce_problem", "representation_check",
     "DistortionMap", "build_map", "matrix_r", "top_profile", "transplant_ellipticity",
-    "BarrierPair", "BarrierParams", "build_barrier", "general_barrier", "search_parameters", "verify_barrier",
+    "BarrierPair", "BarrierParams", "build_barrier", "search_barriers", "search_parameters", "verify_barrier",
     "discretize_eps", "discretize_limit", "make_eps_grid", "make_limit_grid", "perturbation_certificate",
     "policy_iteration", "solve_eps", "solve_limit",
     "ExperimentPlan", "convergence_experiment", "manufactured_solution_test", "run_pipeline",

@@ -20,13 +20,17 @@ For general gamma0 the same construction runs in distorted coordinates
 are pulled back through the inverse map with chain-rule derivatives.
 
 The barrier formulas and their first and second derivatives are written
-once, in ``_barrier_arrays``, over arrays of strip nodes.  Every barrier
-side (explicit or pulled back) evaluates batches of nodes; its scalar
-``value``/``grad``/``hess`` are one-row calls.  The seven margins have one
-evaluator, ``_MarginEngine.margins_of``: the parameter search feeds it the
-formula arrays directly and :func:`verify_barrier` feeds it the arrays of
-any pair's sides, over the view's coefficient bundle at all strip nodes at
-once; the operator is :func:`thinpde.problem.operator_infsup`.
+once, in ``_barrier_arrays``, over arrays of strip nodes.  There is one pair
+type, :class:`BarrierPair` (view, params, eps, and a distortion map when
+the pair is pulled back); it evaluates both barriers at a batch of nodes
+from one field evaluation, at one set of preimages.
+:func:`search_barriers` decides flat or distorted from the view's
+sup|gamma0|, searches the parameters once and hands out the pair at any
+eps.  The seven margins have one evaluator, ``_MarginEngine.margins_of``:
+the parameter search feeds it the formula arrays directly and
+:func:`verify_barrier` feeds it the arrays of any pair, over the view's
+coefficient bundle at all strip nodes at once; the operator is
+:func:`thinpde.problem.operator_infsup`.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ __all__ = [
     "build_barrier",
     "verify_barrier",
     "search_parameters",
-    "general_barrier",
-    "GeneralBarrier",
+    "Barriers",
+    "search_barriers",
     "SEARCH_CAP",
 ]
 
@@ -179,11 +183,6 @@ class StripView:
         """
         ys = np.linspace(self.bottom_y(xs, eps), self.top_y(xs, eps), ny + 1, axis=1)
         return np.repeat(np.arange(len(xs)), ny + 1), ys.ravel()
-
-    def operator(self, X, p, r, x, y) -> float:
-        """The operator at one strip point (x, y)."""
-        coeffs = self.coefficients(np.atleast_2d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float)))
-        return float(operator_infsup(coeffs, X, p, r)[0][0])
 
 
 def _barrier_level(problem: ThinProblem) -> ScalarField:
@@ -422,103 +421,23 @@ class _MarginEngine:
         )
 
 
-# --- barrier evaluators -------------------------------------------------------
-
-
-class _BarrierSide:
-    """A barrier evaluated on batches of nodes: x shaped (m, N), y shaped (m,).
-
-    Subclasses provide ``shared(x, y, derivatives)``, the per-node work that
-    does not depend on the side (base fields, preimages), and
-    ``evaluate(shared, y, derivatives)``: the values, or the (value, grad,
-    hess) arrays.  Sides with the same ``basis`` can evaluate from one
-    ``shared``, which is how a :class:`BarrierPair` evaluates both at once;
-    the accessors here evaluate one side alone.
-    """
-
-    basis: tuple
-
-    def values(self, x, y) -> np.ndarray:
-        return self.evaluate(self.shared(x, y, False), y, False)
-
-    def arrays(self, x, y):
-        return self.evaluate(self.shared(x, y, True), y, True)
-
-    @staticmethod
-    def _row(x, y):
-        return np.atleast_1d(np.asarray(x, dtype=float))[None, :], np.array([float(y)])
-
-    def value(self, x, y: float) -> float:
-        return float(self.values(*self._row(x, y))[0])
-
-    def grad(self, x, y: float) -> np.ndarray:
-        return self.arrays(*self._row(x, y))[1][0]
-
-    def hess(self, x, y: float) -> np.ndarray:
-        return self.arrays(*self._row(x, y))[2][0]
-
-
-class AnalyticBarrierSide(_BarrierSide):
-    """One explicit barrier; the formulas are those of ``_barrier_arrays``."""
-
-    def __init__(self, view: StripView, params: BarrierParams, eps: float, sign: float):
-        self.view = view
-        self.params = params
-        self.eps = eps
-        self.sign = sign
-        self.basis = (view,)
-
-    def shared(self, x, y, derivatives: bool):
-        return _fields_at(self.view, np.asarray(x, dtype=float), derivatives)
-
-    def evaluate(self, fields, y, derivatives: bool):
-        return _barrier_arrays(self.params, self.eps, self.sign, np.asarray(y, dtype=float), fields, derivatives)
-
-
-class PulledBackSide(_BarrierSide):
-    """Barrier in original coordinates: w o Q with chain-rule derivatives."""
-
-    def __init__(self, wside, dmap: DistortionMap):
-        self.wside = wside
-        self.dmap = dmap
-        self.basis = (dmap, *wside.basis)
-
-    def shared(self, x, y, derivatives: bool):
-        """The inner side's shared arrays at the preimages z = Q(x, y), with DQ and D^2Q there."""
-        z = self.dmap.inverse(x, y)
-        if not derivatives:
-            return self.wside.shared(z, y, False), None, None
-        dq = matrix_r(self.dmap, z, y)
-        return self.wside.shared(z, y, True), dq, self.dmap.d2q(z, y, dq)
-
-    def evaluate(self, shared, y, derivatives: bool):
-        inner, dq, d2q = shared
-        if not derivatives:
-            return self.wside.evaluate(inner, y, False)
-        val, dw, d2w = self.wside.evaluate(inner, y, True)
-        grad = np.einsum("mk,mki->mi", dw, dq)
-        hess = np.einsum("mki,mkl,mlj->mij", dq, d2w, dq) + np.einsum("mk,mkij->mij", dw, d2q)
-        return val, grad, hess
+# --- barrier pairs --------------------------------------------------------------
 
 
 @dataclass
 class BarrierPair:
-    """psi_bar (``upper``) and psi_low (``lower``), two sides on one basis.
+    """psi_bar and psi_low at one eps: the explicit pair of ``view`` and ``params``.
 
-    ``values`` and ``arrays`` evaluate both sides at a batch of nodes from
-    one shared evaluation: one field evaluation for explicit sides, one
-    inversion of the map for pulled-back ones.
+    With a ``dmap`` the view is the distorted one and the pair is pulled back
+    to the original coordinates: w o Q, with chain-rule derivatives.
+    ``values`` and ``arrays`` evaluate both barriers at a batch of nodes from
+    one field evaluation, at one set of preimages.
     """
 
-    upper: object
-    lower: object
+    view: StripView
     params: BarrierParams
     eps: float
-    margins: BarrierMargins | None = None
-
-    def __post_init__(self):
-        if tuple(map(id, self.upper.basis)) != tuple(map(id, self.lower.basis)):
-            raise ValueError("the two sides of a barrier pair must share their view and distortion map")
+    dmap: DistortionMap | None = None
 
     def values(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """(psi_bar, psi_low) values at nodes x (m, N), y (m,)."""
@@ -529,8 +448,23 @@ class BarrierPair:
         return self._both(x, y, True)
 
     def _both(self, x, y, derivatives: bool):
-        shared = self.upper.shared(x, y, derivatives)
-        return self.upper.evaluate(shared, y, derivatives), self.lower.evaluate(shared, y, derivatives)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if self.dmap is not None:
+            x = self.dmap.inverse(x, y)  # the preimages z
+        fields = _fields_at(self.view, x, derivatives)
+        sides = tuple(_barrier_arrays(self.params, self.eps, sign, y, fields, derivatives) for sign in (1.0, -1.0))
+        if self.dmap is None or not derivatives:
+            return sides
+        dq = matrix_r(self.dmap, x, y)
+        d2q = self.dmap.d2q(x, y, dq)
+        return tuple(
+            (
+                val,
+                np.einsum("mk,mki->mi", dw, dq),
+                np.einsum("mki,mkl,mlj->mij", dq, d2w, dq) + np.einsum("mk,mkij->mij", dw, d2q),
+            )
+            for val, dw, d2w in sides
+        )
 
 
 def build_barrier(problem_or_view, params: BarrierParams, eps: float, *, allow_uncertified: bool = False) -> BarrierPair:
@@ -547,12 +481,7 @@ def build_barrier(problem_or_view, params: BarrierParams, eps: float, *, allow_u
         )
     if not allow_uncertified and not eps < params.eps1:
         raise PreconditionViolatedError(f"eps={eps} must be below eps1={params.eps1}")
-    return BarrierPair(
-        upper=AnalyticBarrierSide(view, params, eps, +1.0),
-        lower=AnalyticBarrierSide(view, params, eps, -1.0),
-        params=params,
-        eps=eps,
-    )
+    return BarrierPair(view, params, eps)
 
 
 def verify_barrier(problem_or_view, pair: BarrierPair, eps: float | None = None, grid: tuple[int, int] = (32, 8)) -> BarrierMargins:
@@ -568,9 +497,7 @@ def verify_barrier(problem_or_view, pair: BarrierPair, eps: float | None = None,
     engine = _MarginEngine(view, grid)
     strip = engine.strip(eps)
     x = engine.xs[strip.x_idx]
-    margins = engine.margins_of(strip, *pair.arrays(x, strip.ys))
-    pair.margins = margins
-    return margins
+    return engine.margins_of(strip, *pair.arrays(x, strip.ys))
 
 
 # --- parameter search ---------------------------------------------------------
@@ -677,47 +604,33 @@ def search_parameters(problem_or_view) -> BarrierParams:
     raise SearchExhaustedError("parameter search iteration budget")
 
 
-@dataclass
-class GeneralBarrier:
-    pair: BarrierPair  # in original coordinates
-    hat_pair: BarrierPair  # in distorted coordinates
+@dataclass(frozen=True)
+class Barriers:
+    """Searched barrier parameters on a view; ``dmap`` is set when the view is the distorted one."""
+
+    view: StripView
     params: BarrierParams
-    dmap: DistortionMap
-    view: StripView  # the distorted-coordinates view
+    dmap: DistortionMap | None = None
 
-    def pair_at(self, eps: float) -> BarrierPair:
-        """The pulled-back pair at ``eps``, from this view, these parameters and this map."""
-        return _pulled_back(build_barrier(self.view, self.params, eps, allow_uncertified=True), self.dmap)
-
-
-def _pulled_back(hat_pair: BarrierPair, dmap: DistortionMap) -> BarrierPair:
-    return BarrierPair(
-        upper=PulledBackSide(hat_pair.upper, dmap),
-        lower=PulledBackSide(hat_pair.lower, dmap),
-        params=hat_pair.params,
-        eps=hat_pair.eps,
-    )
+    def pair(self, eps: float) -> BarrierPair:
+        """The pair at ``eps`` in the problem's own coordinates; certified only for eps < params.eps1."""
+        return BarrierPair(self.view, self.params, eps, self.dmap)
 
 
-def general_barrier(
-    problem: ThinProblem,
-    dmap: DistortionMap | None = None,
-    params: BarrierParams | None = None,
-    eps: float | None = None,
-) -> GeneralBarrier:
-    """Barriers for general gamma0 via the distorted-coordinates detour.
+def search_barriers(problem: ThinProblem, view: StripView | None = None, dmap: DistortionMap | None = None) -> Barriers:
+    """Barrier parameters for the problem, searched flat or in distorted coordinates.
 
-    Runs the parameter search on the hatted problem (whose horizontal
-    oblique part vanishes), builds the explicit pair there, and pulls both
-    barriers back through the inverse map; derivatives follow the chain
-    rule, so the strictness inequalities transfer verbatim.
+    ``view`` is the problem's flat view; its sup|gamma0| decides.  When gamma0
+    vanishes the search runs on that view.  Otherwise it runs on the distorted
+    view of ``dmap`` (whose hatted gamma0 vanishes), and every pair pulls back
+    through the map, so the strictness inequalities transfer verbatim.  Each
+    of ``view`` and ``dmap`` is built here when not given.
     """
+    if view is None:
+        view = flat_view(problem)
+    if view.gamma0_sup <= 1e-12:
+        return Barriers(view, search_parameters(view))
     if dmap is None:
         dmap = build_map(problem)
-    view = hat_view(problem, dmap)
-    if params is None:
-        params = search_parameters(view)
-    if eps is None:
-        eps = params.eps1 / 2
-    hat_pair = build_barrier(view, params, eps, allow_uncertified=True)
-    return GeneralBarrier(pair=_pulled_back(hat_pair, dmap), hat_pair=hat_pair, params=params, dmap=dmap, view=view)
+    hat = hat_view(problem, dmap)
+    return Barriers(hat, search_parameters(hat), dmap)

@@ -190,18 +190,20 @@ def cmd_transform(args) -> int:
 
 def cmd_barrier(args) -> int:
     problem = _need_config(args)
+    if args.eps is not None:
+        problem.geom.check_eps(args.eps)
+    view = bar.flat_view(problem)
     try:
-        params, make_pair = harness._barrier_pair_factory(problem)
+        barriers = bar.search_barriers(problem, view)
     except bar.SearchExhaustedError as exc:
         _emit(args, "barrier_report.txt", str(exc))
         return EXIT_BARRIER
-    eps = args.eps if args.eps is not None else params.eps1 / 2
-    pair = make_pair(eps)
-    margins = bar.verify_barrier(problem, pair, eps=eps, grid=(args.nx, args.ny))
-    _emit(args, "barrier_report.txt", "parameters: " + params.format() + "\n" + margins.format())
+    eps = args.eps if args.eps is not None else barriers.params.eps1 / 2
+    pair = barriers.pair(eps)
+    margins = bar.verify_barrier(view, pair, grid=(args.nx, args.ny))
+    _emit(args, "barrier_report.txt", "parameters: " + barriers.params.format() + "\n" + margins.format())
     if args.csv:
         lines = [_base_header(problem.n) + ",y,psi_upper,psi_lower"]
-        view = bar.flat_view(problem)
         xs = view.base_lattice(args.nx)
         x_idx, ys = view.strip_nodes(xs, eps, args.ny)
         x = xs[x_idx]
@@ -303,7 +305,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("validate", help="check the standing assumptions by sampling")
     _common(p)
-    p.add_argument("--samples", type=_int_at_least(1), default=8)
+    p.add_argument("--samples", type=_int_at_least(4), default=8)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("certify", help="interior/boundary ellipticity certificates")

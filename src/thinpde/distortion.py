@@ -39,6 +39,7 @@ from .problem import (
     row_dot,
     row_matmul,
     strip_points,
+    witness,
 )
 
 __all__ = [
@@ -371,16 +372,10 @@ def transplant_ellipticity(
     rhs = quadratic_form(v_orig[:, None, None], problem.coefficients(strip_points(pts, y0)).a)
     worst_diff = float(np.abs(lhs - rhs).max(initial=0.0))
     # the first minimum in (node, lambda, mu) order
-    k, il, im = np.unravel_index(int(np.argmin(lhs)), lhs.shape)
-    margin = float(lhs[k, il, im])
-    witness = (
-        tuple(float(v) for v in np.round(pts[k], 12)),
-        problem.controls.min_labels[il],
-        problem.controls.max_labels[im],
-    )
+    i = int(np.argmin(lhs))
     return TransplantReport(
-        margin=margin,
-        witness=witness,
+        margin=float(lhs.flat[i]),
+        witness=witness(pts, i, problem.controls),
         crosscheck_max_diff=worst_diff,
         passed=worst_diff <= 1e-9,
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Expr, ScalarField, base_vars, parse
-from .problem import ThinProblem, quadratic_form, row_dot, row_matmul, strip_points
+from .problem import ThinProblem, quadratic_form, row_dot, row_matmul, strip_points, witness
 
 __all__ = [
     "CertificateReport",
@@ -83,10 +83,8 @@ def _scan(problem: ThinProblem, xs: np.ndarray, vs: np.ndarray):
     """Minimize v A(x,0) v^T over the rows (x, v) and all controls; also the least |v A|."""
     q, norms = _forms(problem, xs, vs)
     # the first minimum in (row, lambda, mu) order
-    k, il, im = np.unravel_index(int(np.argmin(q)), q.shape)
-    labels = problem.controls
-    witness = (tuple(float(v) for v in np.round(xs[k], 12)), labels.min_labels[il], labels.max_labels[im])
-    return float(q[k, il, im]), witness, float(norms.min())
+    i = int(np.argmin(q))
+    return float(q.flat[i]), witness(xs, i, problem.controls), float(norms.min())
 
 
 def interior_certificate(problem: ThinProblem, samples_per_axis: int = 16) -> CertificateReport:
@@ -153,13 +151,12 @@ def equivalence_check(problem: ThinProblem, samples_per_axis: int = 16) -> Equiv
     vs_t = row_matmul(v, np.swapaxes(coeffs.sigma, -1, -2))
     diff = np.abs(row_dot(vs_t, vs_t) - quadratic_form(v, coeffs.a))
     worst = 0.0
-    witness = None
+    where = None
     if diff.max() > 0.0:
-        k, il, im = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        worst = float(diff[k, il, im])
-        labels = problem.controls
-        witness = (tuple(float(v) for v in np.round(xs[k], 12)), labels.min_labels[il], labels.max_labels[im])
-    return EquivalenceReport(max_discrepancy=worst, witness=witness, passed=worst <= 1e-10)
+        i = int(np.argmax(diff))
+        worst = float(diff.flat[i])
+        where = witness(xs, i, problem.controls)
+    return EquivalenceReport(max_discrepancy=worst, witness=where, passed=worst <= 1e-10)
 
 
 # --- rotating-field obstruction ---------------------------------------------

@@ -164,22 +164,6 @@ class ConvergenceTable:
         return "\n".join(lines)
 
 
-def _barrier_pair_factory(problem: ThinProblem, view: bar.StripView | None = None, dmap=None):
-    """Searched parameters plus a per-eps pair builder.
-
-    ``view`` is the problem's flat view (its sup|gamma0| picks the flat or
-    the distorted construction) and ``dmap`` its distortion map; each is
-    built here when not given.
-    """
-    if view is None:
-        view = bar.flat_view(problem)
-    if view.gamma0_sup <= 1e-12:
-        params = bar.search_parameters(view)
-        return params, lambda eps: bar.build_barrier(view, params, eps, allow_uncertified=True)
-    gb = bar.general_barrier(problem, dmap)
-    return gb.params, gb.pair_at
-
-
 def sandwich_margins(pair: bar.BarrierPair, fld: sol.GridField) -> tuple[float, float, float]:
     """(min(u - psi_low), min(psi_bar - u), max width) over grid nodes."""
     nodes = fld.grid.nodes()
@@ -189,12 +173,14 @@ def sandwich_margins(pair: bar.BarrierPair, fld: sol.GridField) -> tuple[float, 
     return float((u - lo).min()), float((hi - u).min()), max(0.0, float((hi - lo).max()))
 
 
-def convergence_experiment(plan: ExperimentPlan, with_barriers: bool = True, barrier=None) -> ConvergenceTable:
+def convergence_experiment(
+    plan: ExperimentPlan, with_barriers: bool = True, barrier: bar.Barriers | None = None
+) -> ConvergenceTable:
     """Solve the strips and the limit problem of ``plan`` and tabulate E(eps).
 
-    ``barrier`` is the (parameters, pair builder) of
-    ``_barrier_pair_factory`` when the caller has already searched them;
-    otherwise the search runs here unless ``with_barriers`` is false.
+    ``barrier`` is the result of :func:`thinpde.barriers.search_barriers`
+    when the caller has already searched it; otherwise the search runs here
+    unless ``with_barriers`` is false.
     """
     problem = plan.problem
     # every strip grid first: a strip the eps solver cannot grid stops the run before the limit solves
@@ -205,11 +191,8 @@ def convergence_experiment(plan: ExperimentPlan, with_barriers: bool = True, bar
     # Richardson gap on the shared (coarse) nodes
     disc_est = float(np.abs(u0.flat() - u0_fine.flat()[::2]).max())
 
-    params, make_pair = (None, None)
-    if barrier is not None:
-        params, make_pair = barrier
-    elif with_barriers:
-        params, make_pair = _barrier_pair_factory(problem)
+    if barrier is None and with_barriers:
+        barrier = bar.search_barriers(problem)
 
     xs_limit = u0.grid.axes[0]
     rows: list[ConvergenceRow] = []
@@ -223,10 +206,9 @@ def convergence_experiment(plan: ExperimentPlan, with_barriers: bool = True, bar
         lo_m = hi_m = math.nan
         width = math.nan
         certified = False
-        if make_pair is not None:
-            pair = make_pair(eps)
-            certified = eps < params.eps1
-            lo_m, hi_m, width = sandwich_margins(pair, fld)
+        if barrier is not None:
+            certified = eps < barrier.params.eps1
+            lo_m, hi_m, width = sandwich_margins(barrier.pair(eps), fld)
         rows.append(
             ConvergenceRow(
                 eps=eps,
@@ -251,7 +233,7 @@ def convergence_experiment(plan: ExperimentPlan, with_barriers: bool = True, bar
         rows=rows,
         limit_residual=u0.residual,
         disc_error_estimate=disc_est,
-        eps1=params.eps1 if params is not None else None,
+        eps1=barrier.params.eps1 if barrier is not None else None,
         strictly_decreasing=decreasing,
         final_within_tolerance=final_ok,
         within_noise_floor=all(e <= floor for e in errs),
@@ -393,8 +375,8 @@ def run_pipeline(
 
     lines.append("[stage barrier]")
     try:
-        barrier = _barrier_pair_factory(problem, view, dmap)
-        lines.append("parameters: " + barrier[0].format())
+        barrier = bar.search_barriers(problem, view, dmap)
+        lines.append("parameters: " + barrier.params.format())
     except bar.SearchExhaustedError as exc:
         lines.append(str(exc))
         return finish(EXIT_BARRIER, "barrier")

@@ -42,6 +42,7 @@ __all__ = [
     "row_dot",
     "row_matmul",
     "quadratic_form",
+    "witness",
     "Diagnostic",
     "DiagnosticsReport",
     "validate",
@@ -59,6 +60,18 @@ class EpsOutOfRangeError(ValueError):
 def _pt(z) -> tuple:
     """Plain-float tuple for witness reporting."""
     return tuple(float(v) for v in np.atleast_1d(z))
+
+
+def witness(points: np.ndarray, i: int, controls: ControlSet | None = None) -> tuple:
+    """The report witness of index ``i``: its point, rounded to 12 places, as plain floats.
+
+    With ``controls``, ``i`` is a flat index into an array shaped (point,
+    lambda, mu), and the lambda and mu labels follow the point.
+    """
+    if controls is None:
+        return _pt(np.round(points[i], 12))
+    k, il, im = np.unravel_index(i, (len(points), len(controls.min_labels), len(controls.max_labels)))
+    return (witness(points, k), controls.min_labels[il], controls.max_labels[im])
 
 
 def box_lattice(lower, upper, intervals: int) -> np.ndarray:
@@ -448,20 +461,16 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
 
     # uniform bound C_F on the coefficient family; witnesses are the first
     # extreme in (node, lambda, mu) order
-    def witness(values: np.ndarray, i: int) -> tuple:
-        k, il, im = np.unravel_index(i, values.shape)
-        return (_pt(np.round(slab[k], 12)), problem.controls.min_labels[il], problem.controls.max_labels[im])
-
     size = np.maximum.reduce(
         [np.abs(coeffs.sigma).max(axis=(-2, -1)), np.abs(coeffs.b).max(axis=-1), np.abs(coeffs.c), np.abs(coeffs.f)]
     )
     i = int(np.argmax(size))
-    worst_bound, witness_bound = (float(size.flat[i]), witness(size, i)) if size.flat[i] > 0.0 else (0.0, None)
+    worst_bound, witness_bound = (float(size.flat[i]), witness(slab, i, problem.controls)) if size.flat[i] > 0.0 else (0.0, None)
     i = int(np.argmin(coeffs.c))
-    worst_c, witness_c = float(coeffs.c.flat[i]), witness(coeffs.c, i)
+    worst_c, witness_c = float(coeffs.c.flat[i]), witness(slab, i, problem.controls)
     eigs = np.linalg.eigvalsh(coeffs.a).min(axis=-1)
     i = int(np.argmin(eigs))
-    worst_eig, witness_eig = float(eigs.flat[i]), witness(eigs, i)
+    worst_eig, witness_eig = float(eigs.flat[i]), witness(slab, i, problem.controls)
     report.checks.append(
         Diagnostic(
             "CoefficientBound",
@@ -494,7 +503,7 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
             "StrictOrdering",
             bool(gaps[i] > 0.0),
             worst=float(gaps[i]),
-            witness=_pt(np.round(base[i], 12)),
+            witness=witness(base, i),
             note="g+ - g- must be positive",
         )
     )
@@ -518,7 +527,7 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
                 "BarrierLevelBetween",
                 bool(hronorm[i] > 0.0),
                 worst=float(hronorm[i]),
-                witness=_pt(np.round(base[i], 12)),
+                witness=witness(base, i),
                 note="g- < h < g+ required",
             )
         )
@@ -537,13 +546,13 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
             ]
         ).max(axis=0)
         i = int(np.argmax(devs))
-        worst, witness = (float(devs[i]), _pt(np.round(base[i], 12))) if devs[i] > 0.0 else (0.0, None)
+        worst, witness_dev = (float(devs[i]), witness(base, i)) if devs[i] > 0.0 else (0.0, None)
         report.checks.append(
             Diagnostic(
                 "Compatibility",
                 worst <= 1e-9,
                 worst=worst,
-                witness=witness,
+                witness=witness_dev,
                 note="raw gamma/beta must match (gamma0, beta0) at y=0",
             )
         )

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import Coefficients, ThinProblem, operator_infsup, row_dot, row_matmul, strip_points
+from .problem import Coefficients, ThinProblem, operator_infsup, row_dot, row_matmul, strip_points, witness
 
 __all__ = [
     "DegenerateThicknessError",
@@ -227,18 +227,18 @@ def representation_check(
     f_val = operator_infsup(problem.coefficients(strip_points(xs, 0.0)), a_mat + b_mat + c_mat, q, rs)[0]
     diff = np.abs(g_val - f_val)
     worst = 0.0
-    witness = None
+    where = None
     if diff.max() > 0.0:
         i = int(np.argmax(diff))
         worst = float(diff[i])
-        witness = (tuple(float(v) for v in np.round(xs[i], 12)), float(rs[i]))
+        where = (witness(xs, i), float(rs[i]))
     return RepresentationReport(
         max_abs_diff=worst,
         samples=samples,
         seed=seed,
         passed=worst <= tolerance,
         tolerance=tolerance,
-        witness=witness,
+        witness=where,
     )
 
 

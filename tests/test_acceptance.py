@@ -5,6 +5,7 @@ lines; every tolerance is pinned here, none is deferred to calibration.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from thinpde import barriers as bar
 from thinpde.distortion import build_map, top_profile
 from thinpde.ellipticity import circle_obstruction_demo, equivalence_check
 from thinpde.harness import ExperimentPlan, convergence_experiment, manufactured_solution_test, sandwich_margins
+from thinpde.problem import operator_infsup
 from thinpde.presets import (
     reference_problem,
     rich_problem,
@@ -93,39 +95,36 @@ def test_criterion_05_barrier_suite():
                 ok = ok and m.passed
         details.append(f"c={c}: eps1={params.eps1:.4g}")
     distorted = reference_problem(gamma0="0.2*x1")
-    dmap = build_map(distorted)
-    gb = bar.general_barrier(distorted, dmap=dmap)
-    for eps in (gb.params.eps1 / 2, gb.params.eps1 / 4):
-        hat_pair = bar.build_barrier(gb.view, gb.params, eps)
-        pair = bar.BarrierPair(
-            upper=bar.PulledBackSide(hat_pair.upper, dmap),
-            lower=bar.PulledBackSide(hat_pair.lower, dmap),
-            params=gb.params,
-            eps=eps,
-        )
+    barriers = bar.search_barriers(distorted, dmap=build_map(distorted))
+    for eps in (barriers.params.eps1 / 2, barriers.params.eps1 / 4):
+        pair = barriers.pair(eps)
         for grid in ((24, 8), (48, 16)):
             m = bar.verify_barrier(distorted, pair, eps=eps, grid=grid)
             ok = ok and m.passed
-    details.append(f"distorted: eps1={gb.params.eps1:.4g}")
+    details.append(f"distorted: eps1={barriers.params.eps1:.4g}")
     _report(5, "barrier search and margins", ok, "; ".join(details) + " (7 margins > 0 at eps1/2, eps1/4, two grids)")
 
 
 def test_criterion_06_chain_rule_identity():
     distorted = reference_problem(gamma0="0.2*x1")
     dmap = build_map(distorted, tol_fixed_point=1e-14)
-    gb = bar.general_barrier(distorted, dmap=dmap)
-    view = bar.flat_view(distorted)
+    barriers = bar.search_barriers(distorted, dmap=dmap)
+    pair = barriers.pair(barriers.params.eps1 / 2)
+    hat = barriers.view
     rng = np.random.default_rng(7)
-    worst = 0.0
+    zs, ys = [], []
     for _ in range(200):
         z = np.array([rng.uniform(0, 1)])
-        y = float(rng.uniform(gb.view.bottom_y(z, gb.pair.eps), gb.view.top_y(z, gb.pair.eps)))
-        x = dmap.forward(z, y)[:-1]
-        lhs = view.operator(gb.pair.upper.hess(x, y), gb.pair.upper.grad(x, y), gb.pair.upper.value(x, y), x, y)
-        rhs = gb.view.operator(
-            gb.hat_pair.upper.hess(z, y), gb.hat_pair.upper.grad(z, y), gb.hat_pair.upper.value(z, y), z, y
-        )
-        worst = max(worst, abs(lhs - rhs))
+        zs.append(z)
+        ys.append(float(rng.uniform(hat.bottom_y(z, pair.eps), hat.top_y(z, pair.eps))))
+    z, y = np.array(zs), np.array(ys)
+    x = dmap.forward(z, y)[:, :-1]
+    # psi_bar pulled back, under F at x, and psi_bar^ under F^ at z = Q(x, y)
+    (val, grad, hess), _ = pair.arrays(x, y)
+    lhs = operator_infsup(bar.flat_view(distorted).coefficients(x, y), hess, grad, val)[0]
+    (val, grad, hess), _ = replace(pair, dmap=None).arrays(z, y)
+    rhs = operator_infsup(hat.coefficients(z, y), hess, grad, val)[0]
+    worst = float(np.abs(lhs - rhs).max())
     _report(6, "chain-rule identity", worst <= 1e-6, f"max |F - F^| = {worst:.3e} <= 1e-6 at 200 nodes")
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from thinpde import barriers as bar
 from thinpde.distortion import build_map
 from thinpde.presets import _entry, reference_problem
+from thinpde.problem import operator_infsup
 
 
 @pytest.fixture(scope="module")
@@ -19,14 +21,14 @@ def test_build_barrier_point_values(reference):
     view = bar.flat_view(reference)
     params = bar.BarrierParams(alpha=1.0, lam=1.0, c_d=1.0, eps1=0.2, r=0.5, s_sup=1.0)
     pair = bar.build_barrier(view, params, 0.1)
-    assert pair.upper.value([0.0], 0.0) == pytest.approx(math.e)
+    (val, grad, _), _ = pair.arrays(np.array([[0.0], [0.3]]), np.zeros(2))
+    assert val[0] == pytest.approx(math.e)
     # vertical slope vanishes on the level y = eps h = 0
-    assert pair.upper.grad([0.3], 0.0)[1] == pytest.approx(0.0)
+    assert grad[1, 1] == pytest.approx(0.0)
     # the gap is 2 rho + 2 alpha Lambda chi (y - eps h)^2 > 0
-    for x in np.linspace(0, 1, 5):
-        for y in np.linspace(-0.1, 0.1, 5):
-            gap = pair.upper.value([x], y) - pair.lower.value([x], y)
-            assert gap > 0.0
+    x = np.repeat(np.linspace(0, 1, 5), 5)[:, None]
+    up, lo = pair.values(x, np.tile(np.linspace(-0.1, 0.1, 5), 5))
+    assert (up - lo > 0.0).all()
 
 
 def test_build_barrier_requires_zero_gamma0(distorted):
@@ -84,12 +86,21 @@ def test_cd_doubling_monotone(reference_c1, reference):
             assert a >= b - 1e-9
 
 
+class _Swapped:
+    """A pair with psi_bar and psi_low exchanged."""
+
+    def __init__(self, pair):
+        self.pair = pair
+        self.eps = pair.eps
+
+    def arrays(self, x, y):
+        up, lo = self.pair.arrays(x, y)
+        return lo, up
+
+
 def test_swapped_barriers_flip_sign(ref_params):
     view, params = ref_params
-    eps = params.eps1 / 2
-    pair = bar.build_barrier(view, params, eps)
-    swapped = bar.BarrierPair(upper=pair.lower, lower=pair.upper, params=params, eps=eps)
-    m = bar.verify_barrier(view, swapped)
+    m = bar.verify_barrier(view, _Swapped(bar.build_barrier(view, params, params.eps1 / 2)))
     assert m.m1 < 0.0
     assert m.m7 < 0.0
 
@@ -114,71 +125,57 @@ def test_sandwich_width_bound(ref_params):
         + 4 * params.alpha * params.lam * params.c_alpha * params.r**2
     )
     width = -(m.psi_low_max - m.psi_bar_min)  # lower bound for the true width
-    xs = np.linspace(0, 1, 9)
-    actual = max(
-        pair.upper.value([x], y) - pair.lower.value([x], yy)
-        for x in xs
-        for y in np.linspace(-eps, eps, 5)
-        for yy in np.linspace(-eps, eps, 5)
-    )
+    # the largest psi_bar(x, y) - psi_low(x, y') over 9 x 5 x 5 points
+    up, lo = pair.values(np.repeat(np.linspace(0, 1, 9), 5)[:, None], np.tile(np.linspace(-eps, eps, 5), 9))
+    actual = float((up.reshape(9, 5).max(axis=1) - lo.reshape(9, 5).min(axis=1)).max())
     assert actual <= bound + 1e-9
     assert width <= bound + 1e-9
 
 
+def _operator(view, side, x, y) -> np.ndarray:
+    """The operator of ``view`` on one barrier's (value, grad, hess) arrays at nodes (x, y)."""
+    val, grad, hess = side
+    return operator_infsup(view.coefficients(x, y), hess, grad, val)[0]
+
+
 def test_general_barrier_zero_gamma_matches_flat(reference):
-    gb = bar.general_barrier(reference)
+    # gamma = 0: the distorted view is the flat one and the map is the identity
+    dmap = build_map(reference)
+    hat = bar.hat_view(reference, dmap)
+    params = bar.search_parameters(hat)
+    pulled = bar.BarrierPair(hat, params, params.eps1 / 2, dmap)
     view = bar.flat_view(reference)
-    params2 = bar.search_parameters(view)
-    pair_flat = bar.build_barrier(view, params2, gb.pair.eps, allow_uncertified=True)
-    for x in np.linspace(0, 1, 5):
-        for y in np.linspace(-gb.pair.eps, gb.pair.eps, 5):
-            assert gb.pair.upper.value([x], y) == pytest.approx(pair_flat.upper.value([x], y), rel=1e-9)
+    flat = bar.build_barrier(view, bar.search_parameters(view), pulled.eps, allow_uncertified=True)
+    x = np.repeat(np.linspace(0, 1, 5), 5)[:, None]
+    y = np.tile(np.linspace(-pulled.eps, pulled.eps, 5), 5)
+    np.testing.assert_allclose(pulled.values(x, y)[0], flat.values(x, y)[0], rtol=1e-9, atol=0.0)
 
 
 def test_general_barrier_constant_gamma_margins_match():
     # affine Q: pulled-back margins equal hatted margins at corresponding nodes
     p = reference_problem(gamma0="0.3")
     dmap = build_map(p, tol_fixed_point=1e-14)
-    gb = bar.general_barrier(p, dmap=dmap)
+    barriers = bar.search_barriers(p, dmap=dmap)
+    pair = barriers.pair(barriers.params.eps1 / 2)
     rng = np.random.default_rng(0)
-    view = bar.flat_view(p)
+    zs, ys = [], []
     for _ in range(30):
-        z = np.array([rng.uniform(0, 1)])
-        y = float(rng.uniform(-gb.pair.eps, gb.pair.eps))
-        x = dmap.forward(z, y)[:-1]
-        lhs = view.operator(gb.pair.upper.hess(x, y), gb.pair.upper.grad(x, y), gb.pair.upper.value(x, y), x, y)
-        rhs = gb.view.operator(
-            gb.hat_pair.upper.hess(z, y), gb.hat_pair.upper.grad(z, y), gb.hat_pair.upper.value(z, y), z, y
-        )
-        assert lhs == pytest.approx(rhs, abs=1e-8 * max(1, abs(rhs)))
+        zs.append([rng.uniform(0, 1)])
+        ys.append(rng.uniform(-pair.eps, pair.eps))
+    z, y = np.array(zs), np.array(ys)
+    x = dmap.forward(z, y)[:, :-1]
+    lhs = _operator(bar.flat_view(p), pair.arrays(x, y)[0], x, y)
+    rhs = _operator(barriers.view, replace(pair, dmap=None).arrays(z, y)[0], z, y)
+    assert (np.abs(lhs - rhs) <= 1e-8 * np.maximum(1.0, np.abs(rhs))).all()
 
 
 def test_general_barrier_distorted_reference(distorted):
-    gb = bar.general_barrier(distorted)
-    m_hat = bar.verify_barrier(gb.view, gb.hat_pair, grid=(24, 6))
+    barriers = bar.search_barriers(distorted)
+    pair = barriers.pair(barriers.params.eps1 / 2)
+    m_hat = bar.verify_barrier(barriers.view, replace(pair, dmap=None), grid=(24, 6))
     assert m_hat.passed, m_hat.format()
-    m_orig = bar.verify_barrier(distorted, gb.pair, grid=(24, 6))
+    m_orig = bar.verify_barrier(distorted, pair, grid=(24, 6))
     assert m_orig.passed, m_orig.format()
-
-
-def test_chain_rule_identity(distorted):
-    dmap = build_map(distorted, tol_fixed_point=1e-14)
-    gb = bar.general_barrier(distorted, dmap=dmap)
-    view = bar.flat_view(distorted)
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(200):
-        z = np.array([rng.uniform(0, 1)])
-        yb = gb.view.bottom_y(z, gb.pair.eps)
-        yt = gb.view.top_y(z, gb.pair.eps)
-        y = float(rng.uniform(yb, yt))
-        x = dmap.forward(z, y)[:-1]
-        lhs = view.operator(gb.pair.upper.hess(x, y), gb.pair.upper.grad(x, y), gb.pair.upper.value(x, y), x, y)
-        rhs = gb.view.operator(
-            gb.hat_pair.upper.hess(z, y), gb.hat_pair.upper.grad(z, y), gb.hat_pair.upper.value(z, y), z, y
-        )
-        worst = max(worst, abs(lhs - rhs))
-    assert worst <= 1e-6
 
 
 def _margins_by_points(view, pair, eps, grid):
@@ -190,9 +187,7 @@ def _margins_by_points(view, pair, eps, grid):
     m1 = m2 = m4 = m5 = math.inf
     for x in xs:
         for j, y in enumerate(np.linspace(view.bottom_y(x, eps), view.top_y(x, eps), ny + 1)):
-            vu, vl = pair.upper.value(x, y), pair.lower.value(x, y)
-            gu, gl = pair.upper.grad(x, y), pair.lower.grad(x, y)
-            hu, hl = pair.upper.hess(x, y), pair.lower.hess(x, y)
+            (vu, gu, hu), (vl, gl, hl) = (tuple(a[0] for a in side) for side in pair.arrays(x[None, :], np.array([y])))
             vals_u.append(vu)
             vals_l.append(vl)
             co = view.coefficients(np.atleast_2d(x), np.atleast_1d(y))
@@ -248,12 +243,14 @@ def test_verify_barrier_matches_pointwise_loop(case, ref_params, distorted, rich
         pair = bar.build_barrier(view, params, params.eps1 / 2)
     elif case == "distorted":
         view = bar.flat_view(distorted)
-        pair = bar.general_barrier(distorted).pair
+        barriers = bar.search_barriers(distorted)
+        pair = barriers.pair(barriers.params.eps1 / 2)
     else:
         # 2x2 controls exercise the inf-sup; the comparison needs no searched parameters
         view = bar.flat_view(rich)
         params = bar.BarrierParams(alpha=2.0, lam=2.0, c_d=1.0, eps1=0.1, r=0.25, s_sup=1.0)
-        pair = bar.general_barrier(rich, params=params).pair
+        dmap = build_map(rich)
+        pair = bar.BarrierPair(bar.hat_view(rich, dmap), params, params.eps1 / 2, dmap)
     grid = (24, 6)
     got = bar.verify_barrier(view, pair, grid=grid)
     want = _margins_by_points(view, pair, pair.eps, grid)
@@ -261,24 +258,13 @@ def test_verify_barrier_matches_pointwise_loop(case, ref_params, distorted, rich
         assert getattr(got, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
 
 
-def test_pair_evaluates_both_sides_as_each_side_alone(ref_params, distorted):
-    # the pair shares one field evaluation (or one inversion) between its sides
+def test_pair_values_are_the_value_slots_of_arrays(ref_params, distorted):
+    # a flat pair and a pulled-back pair: the value-only path computes the same values, bit for bit
     view, params = ref_params
-    gb = bar.general_barrier(distorted)
-    for pair in (bar.build_barrier(view, params, params.eps1 / 2), gb.pair_at(gb.params.eps1 / 4)):
-        xs = view.base_lattice(8)
-        x = np.repeat(xs, 3, axis=0)
-        y = np.tile([-0.01, 0.0, 0.02], len(xs))
-        up, lo = pair.values(x, y)
-        assert up.tobytes() == pair.upper.values(x, y).tobytes()
-        assert lo.tobytes() == pair.lower.values(x, y).tobytes()
-        for both, alone in zip(pair.arrays(x, y), (pair.upper.arrays(x, y), pair.lower.arrays(x, y))):
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(both, alone))
-
-
-def test_pair_sides_must_share_their_basis(ref_params, distorted):
-    view, params = ref_params
-    gb = bar.general_barrier(distorted)
-    flat = bar.build_barrier(view, params, params.eps1 / 2)
-    with pytest.raises(ValueError, match="share their view and distortion map"):
-        bar.BarrierPair(upper=gb.pair.upper, lower=flat.lower, params=params, eps=flat.eps)
+    barriers = bar.search_barriers(distorted)
+    xs = view.base_lattice(8)
+    x = np.repeat(xs, 3, axis=0)
+    y = np.tile([-0.01, 0.0, 0.02], len(xs))
+    for pair in (bar.build_barrier(view, params, params.eps1 / 2), barriers.pair(barriers.params.eps1 / 4)):
+        for value, side in zip(pair.values(x, y), pair.arrays(x, y)):
+            assert value.tobytes() == side[0].tobytes()

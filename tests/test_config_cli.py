@@ -320,16 +320,22 @@ def test_cli_reports_a_bad_geometry_key_without_a_traceback(tmp_path, capsys, ol
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["certify", "--samples", "0"], ["reduce", "--samples", "0"], ["reduce", "--samples", "-3"]],
-    ids=["certify-0", "reduce-0", "reduce--3"],
+    "argv, minimum",
+    [
+        (["certify", "--samples", "0"], 1),
+        (["reduce", "--samples", "0"], 1),
+        (["reduce", "--samples", "-3"], 1),
+        # validate samples its slab on at least 4 intervals per axis
+        (["validate", "--samples", "3"], 4),
+    ],
+    ids=["certify-0", "reduce-0", "reduce--3", "validate-3"],
 )
-def test_cli_rejects_fewer_than_one_lattice_interval(argv, capsys):
+def test_cli_rejects_fewer_than_one_lattice_interval(argv, minimum, capsys):
     # a lattice of 0 intervals is the single point x = 0: no certificate at all
     with pytest.raises(SystemExit) as stop:
         main(argv[:1] + _cfg("reference.cfg") + argv[1:])
     assert stop.value.code == 2
-    assert "--samples: must be >= 1" in capsys.readouterr().err
+    assert f"--samples: must be >= {minimum}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("count", ["0", "63"])
@@ -377,8 +383,9 @@ def test_cli_rejects_a_converge_eps_list_that_does_not_decrease(eps, capsys):
         (["transform", "--eps", "0.9"], "eps=0.9 exceeds epsilon0=0.25"),
         # inside the slab bracket eps*sup|g| <= r = 0.5, but above epsilon0
         (["transform", "--eps", "0.3"], "eps=0.3 exceeds epsilon0=0.25"),
+        (["barrier", "--eps", "0.9"], "eps=0.9 exceeds epsilon0=0.25"),
     ],
-    ids=["solve", "converge", "transform", "transform-within-bracket"],
+    ids=["solve", "converge", "transform", "transform-within-bracket", "barrier"],
 )
 def test_cli_reports_an_eps_out_of_range_without_a_traceback(argv, want, tmp_path, capsys):
     assert main(argv[:1] + _cfg("distorted.cfg") + ["--out", str(tmp_path)] + argv[1:]) == EXIT_FAILURE
