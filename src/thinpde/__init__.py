@@ -60,7 +60,7 @@ from .harness import (
     manufactured_solution_test,
     run_pipeline,
 )
-from .config import load_problem
+from .config import load_experiment_settings, load_problem
 
 __all__ = [
     "Expr", "ScalarField", "VectorField", "parse",
@@ -72,7 +72,7 @@ __all__ = [
     "discretize_eps", "discretize_limit", "make_eps_grid", "make_limit_grid", "perturbation_certificate",
     "policy_iteration", "solve_eps", "solve_limit",
     "ExperimentPlan", "convergence_experiment", "manufactured_solution_test", "run_pipeline",
-    "load_problem",
+    "load_experiment_settings", "load_problem",
 ]
 
 __version__ = "0.1.0"

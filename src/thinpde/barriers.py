@@ -153,11 +153,8 @@ class StripView:
     implicit profiles in distorted ones).
     """
 
-    n: int
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    min_labels: tuple[str, ...]
-    max_labels: tuple[str, ...]
     eps0: float
     g_sup: float
     r_cap: float
@@ -209,11 +206,8 @@ def flat_view(problem: ThinProblem) -> StripView:
     geom = problem.geom
     bd = problem.bdata
     return StripView(
-        n=geom.n,
         lower=geom.lower,
         upper=geom.upper,
-        min_labels=problem.controls.min_labels,
-        max_labels=problem.controls.max_labels,
         eps0=geom.epsilon0,
         g_sup=_lattice_sup(problem, geom.g_plus, geom.g_minus),
         r_cap=1.0,

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import barriers as bar
 from . import harness, solver as sol
-from .config import ConfigError, _int_at_least, _positive_float, load_experiment_settings, load_problem
+from .config import _SETTING_RANGES, ConfigError, _int_at_least, _positive_float, load_experiment_settings, load_problem
 from .distortion import HatOperator, build_map, top_profile
 from .ellipticity import (
     _forms,
@@ -52,15 +53,6 @@ def _common(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="worker threads (accepted for interface compatibility; execution is single-threaded)",
     )
-
-
-class _DecreasingList(argparse.Action):
-    """Stores a list of values that must decrease strictly (exit 2 otherwise)."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if any(b >= a for a, b in zip(values, values[1:])):
-            raise argparse.ArgumentError(self, "must be strictly decreasing")
-        setattr(namespace, self.dest, values)
 
 
 def _need_config(args) -> "ThinProblem":
@@ -249,19 +241,14 @@ def cmd_solve(args) -> int:
 
 def cmd_converge(args) -> int:
     problem = _need_config(args)
-    settings = load_experiment_settings(args.config)
-    eps_list = tuple(args.eps) if args.eps else settings.eps_list
-    plan = harness.ExperimentPlan(
-        problem=problem,
-        eps_list=eps_list,
-        nx=settings.nx if args.nx is None else args.nx,
-        ny=settings.ny if args.ny is None else args.ny,
-        limit_resolution=settings.limit_resolution if args.limit_nx is None else args.limit_nx,
-        tol=settings.tol,
-        max_iter=settings.max_iter,
-    )
+    plan = load_experiment_settings(args.config)
+    overrides = {"eps_list": args.eps, "nx": args.nx, "ny": args.ny, "limit_resolution": args.limit_nx}
     try:
-        table = harness.convergence_experiment(plan)
+        plan = replace(plan, **{k: v for k, v in overrides.items() if v is not None})
+    except ValueError as exc:  # each option was checked as parsed, the --eps list as a whole only here
+        args.usage_error(f"argument --eps: {exc}")
+    try:
+        table = harness.convergence_experiment(problem, plan)
     except sol.SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -283,18 +270,7 @@ def cmd_counterexample(args) -> int:
 
 def cmd_pipeline(args) -> int:
     problem = _need_config(args)
-    settings = load_experiment_settings(args.config)
-    result = harness.run_pipeline(
-        problem,
-        eps_list=settings.eps_list,
-        nx=settings.nx,
-        ny=settings.ny,
-        limit_resolution=settings.limit_resolution,
-        seed=args.seed,
-        out_dir=args.out,
-        tol=settings.tol,
-        max_iter=settings.max_iter,
-    )
+    result = harness.run_pipeline(problem, load_experiment_settings(args.config), seed=args.seed, out_dir=args.out)
     print(result.report)
     return result.exit_code
 
@@ -338,20 +314,19 @@ def main(argv=None) -> int:
     _common(p)
     p.add_argument("--eps", type=_positive_float, default=None)
     p.add_argument("--nx", type=_int_at_least(1), default=64)
-    p.add_argument("--ny", type=_int_at_least(7), default=16, help="strip intervals in y (8 nodes at least)")
-    p.add_argument("--tol", type=_positive_float, default=1e-10)
-    p.add_argument("--max-iter", type=_int_at_least(1), default=100)
+    p.add_argument("--ny", type=_SETTING_RANGES["ny"], default=16, help="strip intervals in y (8 nodes at least)")
+    p.add_argument("--tol", type=_SETTING_RANGES["tol"], default=1e-10)
+    p.add_argument("--max-iter", type=_SETTING_RANGES["max_iter"], default=100)
     p.add_argument("--limit", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("converge", help="measure sup|u_eps - u0| over a decreasing eps list")
     _common(p)
-    p.add_argument("--eps", type=_positive_float, nargs="*", default=None, action=_DecreasingList)
-    # one interval leaves no interior column: the error would be 0 and the verdict vacuous
-    p.add_argument("--nx", type=_int_at_least(2), default=None)
-    p.add_argument("--ny", type=_int_at_least(7), default=None, help="strip intervals in y (8 nodes at least)")
-    p.add_argument("--limit-nx", type=_int_at_least(2), default=None)
-    p.set_defaults(func=cmd_converge)
+    p.add_argument("--eps", type=_positive_float, nargs="*", default=None, help="a strictly decreasing list")
+    p.add_argument("--nx", type=_SETTING_RANGES["nx"], default=None)
+    p.add_argument("--ny", type=_SETTING_RANGES["ny"], default=None, help="strip intervals in y (8 nodes at least)")
+    p.add_argument("--limit-nx", type=_SETTING_RANGES["limit_resolution"], default=None)
+    p.set_defaults(func=cmd_converge, usage_error=p.error)
 
     p = sub.add_parser("counterexample", help="rotating-field obstruction sweep on the unit circle")
     _common(p)

@@ -4,7 +4,8 @@ Sections: [controls], [geometry], [boundary], one [coefficients.<lam>.<mu>]
 per control pair (optionally a [coefficients] section with the declared
 uniform bound), an optional [derivatives] section of claimed derivatives
 (checked against the exact ones by ``validate``), and an optional
-[experiment] section with harness settings.
+[experiment] section with the run settings of the convergence experiment,
+read into an :class:`ExperimentPlan`.
 The full schema is documented in docs/config.md.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -27,7 +29,7 @@ from .problem import (
     ThinProblem,
 )
 
-__all__ = ["load_problem", "load_experiment_settings", "ConfigError", "ExperimentSettings"]
+__all__ = ["load_problem", "load_experiment_settings", "ConfigError", "ExperimentPlan"]
 
 
 class ConfigError(ValueError):
@@ -62,10 +64,10 @@ class _OutOfRange(argparse.ArgumentTypeError, ValueError):
 
 
 def _int_at_least(low: int):
-    """Parser of an int >= ``low``."""
+    """Parser of an int >= ``low``, from text or an integer."""
 
-    def parse(text: str) -> int:
-        value = int(text)
+    def parse(text) -> int:
+        value = int(text) if isinstance(text, str) else operator.index(text)
         if value < low:
             raise _OutOfRange(f"must be >= {low}, got {value}")
         return value
@@ -74,8 +76,8 @@ def _int_at_least(low: int):
     return parse
 
 
-def _positive_float(text: str) -> float:
-    """Parser of a finite float > 0."""
+def _positive_float(text) -> float:
+    """Parser of a finite float > 0, from text or a number."""
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise _OutOfRange(f"must be a finite number > 0, got {text}")
@@ -85,9 +87,9 @@ def _positive_float(text: str) -> float:
 _positive_float.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
-def _decreasing_eps(text: str) -> tuple[float, ...]:
-    """Parser of a strictly decreasing list of finite floats > 0."""
-    values = tuple(_positive_float(p) for p in _split_top(text, ","))
+def _decreasing_eps(text) -> tuple[float, ...]:
+    """Parser of a strictly decreasing list of finite floats > 0, from comma-separated text or a sequence."""
+    values = tuple(_positive_float(p) for p in (_split_top(text, ",") if isinstance(text, str) else text))
     if not values or any(b >= a for a, b in zip(values, values[1:])):
         raise _OutOfRange(f"must be a non-empty, strictly decreasing list, got {text}")
     return values
@@ -101,14 +103,42 @@ def _floats(value: str) -> tuple[float, ...]:
     return tuple(float(p) for p in _split_top(value, ","))
 
 
-@dataclass
-class ExperimentSettings:
+# The range of each run setting, written once: ExperimentPlan, the [experiment]
+# keys, the command-line options and policy_iteration all parse with these.
+_SETTING_RANGES = {
+    "eps_list": _decreasing_eps,
+    # a grid of one interval has no interior column, so its error is 0 and any verdict vacuous
+    "nx": _int_at_least(2),
+    "ny": _int_at_least(7),  # the strip needs 8 vertical nodes
+    "limit_resolution": _int_at_least(2),
+    "tol": _positive_float,  # Howard's residual tolerance
+    "max_iter": _int_at_least(1),  # Howard's iteration cap
+}
+
+# [experiment] keys that differ from the setting's name
+_EXPERIMENT_KEYS = {"eps_list": "eps", "limit_resolution": "limit_nx"}
+
+
+@dataclass(frozen=True)
+class ExperimentPlan:
+    """The run settings of a convergence experiment, range-checked on construction.
+
+    A strip grid of ``nx`` x ``ny`` intervals at each eps of the strictly
+    decreasing ``eps_list``, the limit grid at ``limit_resolution`` and twice
+    that, and Howard's ``tol`` and ``max_iter`` for every solve.  A value out
+    of its range in ``_SETTING_RANGES`` raises ValueError.
+    """
+
     eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
     nx: int = 64
     ny: int = 16
     limit_resolution: int = 64
     tol: float = 1e-10
     max_iter: int = 100
+
+    def __post_init__(self):
+        for name, parse in _SETTING_RANGES.items():
+            object.__setattr__(self, name, parse(getattr(self, name)))
 
 
 def _value(cp: configparser.ConfigParser, sec: str, key: str, parse=str, default=None):
@@ -241,17 +271,13 @@ def load_problem(path: str | Path) -> ThinProblem:
     return problem
 
 
-def load_experiment_settings(path: str | Path) -> ExperimentSettings:
+def load_experiment_settings(path: str | Path) -> ExperimentPlan:
+    """The plan of a config's [experiment] section; an absent key keeps its default."""
     cp = _read(path)
-    out = ExperimentSettings()
-    if "experiment" not in cp:
-        return out
-    setting = partial(_value, cp, "experiment")
-    out.eps_list = setting("eps", _decreasing_eps, out.eps_list)
-    # a grid of one interval has no interior column, so its error is 0 and any verdict vacuous
-    out.nx = setting("nx", _int_at_least(2), out.nx)
-    out.ny = setting("ny", _int_at_least(7), out.ny)  # the strip needs 8 vertical nodes
-    out.limit_resolution = setting("limit_nx", _int_at_least(2), out.limit_resolution)
-    out.tol = setting("tol", _positive_float, out.tol)
-    out.max_iter = setting("max_iter", _int_at_least(1), out.max_iter)
-    return out
+    section = cp["experiment"] if "experiment" in cp else {}
+    settings = {}
+    for name, parse in _SETTING_RANGES.items():
+        key = _EXPERIMENT_KEYS.get(name, name)
+        if key in section:
+            settings[name] = _value(cp, "experiment", key, parse)
+    return ExperimentPlan(**settings)

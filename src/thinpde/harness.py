@@ -16,6 +16,10 @@ Barrier strictness is only certified for eps below the searched eps1; when
 the requested eps list extends above it (the default list does, for the
 reference data), those rows are flagged uncertified and the sandwich is
 still measured empirically.
+
+The run settings (eps list, strip and limit grids, Howard tolerance and
+cap) are one :class:`thinpde.config.ExperimentPlan`, range-checked where it
+is built; the problem is passed next to it, so one plan serves any problem.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 
 from . import barriers as bar
 from . import solver as sol
+from .config import ExperimentPlan
 from .distortion import build_map, transplant_ellipticity
 from .ellipticity import boundary_certificate, equivalence_check, interior_certificate
 from .problem import ThinProblem, validate
@@ -58,24 +63,6 @@ EXIT_SOLVER = 5
 def fmt_float(v: float) -> str:
     """Shortest round-trip decimal; keeps CSV output byte-stable."""
     return repr(float(v))
-
-
-@dataclass
-class ExperimentPlan:
-    problem: ThinProblem
-    eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
-    nx: int = 64
-    ny: int = 16
-    limit_resolution: int = 64
-    tol: float = 1e-10
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
-            raise ValueError("eps list must be strictly decreasing")
-        if min(self.nx, self.limit_resolution) < 2:
-            # one interval has no interior column: every error is 0 and the verdict vacuous
-            raise ValueError("nx and limit_resolution must be >= 2")
 
 
 @dataclass
@@ -174,15 +161,14 @@ def sandwich_margins(pair: bar.BarrierPair, fld: sol.GridField) -> tuple[float, 
 
 
 def convergence_experiment(
-    plan: ExperimentPlan, with_barriers: bool = True, barrier: bar.Barriers | None = None
+    problem: ThinProblem, plan: ExperimentPlan, with_barriers: bool = True, barrier: bar.Barriers | None = None
 ) -> ConvergenceTable:
-    """Solve the strips and the limit problem of ``plan`` and tabulate E(eps).
+    """Solve the strips and the limit problem of ``problem`` as ``plan`` sets them and tabulate E(eps).
 
     ``barrier`` is the result of :func:`thinpde.barriers.search_barriers`
     when the caller has already searched it; otherwise the search runs here
     unless ``with_barriers`` is false.
     """
-    problem = plan.problem
     # every strip grid first: a strip the eps solver cannot grid stops the run before the limit solves
     grids = [sol.make_eps_grid(problem, eps, plan.nx, plan.ny) for eps in plan.eps_list]
     lp = reduce_problem(problem)
@@ -310,15 +296,7 @@ class PipelineResult:
 
 
 def run_pipeline(
-    problem: ThinProblem,
-    eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025),
-    nx: int = 64,
-    ny: int = 16,
-    limit_resolution: int = 64,
-    seed: int = 0,
-    out_dir: str | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
+    problem: ThinProblem, plan: ExperimentPlan = ExperimentPlan(), seed: int = 0, out_dir: str | None = None
 ) -> PipelineResult:
     """validate -> certify -> reduce -> transform -> barrier -> solve -> converge.
 
@@ -382,17 +360,8 @@ def run_pipeline(
         return finish(EXIT_BARRIER, "barrier")
 
     lines.append("[stage solve + converge]")
-    plan = ExperimentPlan(
-        problem=problem,
-        eps_list=eps_list,
-        nx=nx,
-        ny=ny,
-        limit_resolution=limit_resolution,
-        tol=tol,
-        max_iter=max_iter,
-    )
     try:
-        table = convergence_experiment(plan, barrier=barrier)
+        table = convergence_experiment(problem, plan, barrier=barrier)
     except sol.SOLVER_ERRORS as exc:
         lines.append(f"solver failed: {exc}")
         return finish(EXIT_SOLVER, "solve")

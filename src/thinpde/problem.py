@@ -202,7 +202,9 @@ class GeometrySpec:
             raise ValueError("epsilon0 must lie in (0, 1]")
 
     def check_eps(self, eps: float) -> None:
-        """Raise EpsOutOfRangeError unless eps <= epsilon0, the thickness cap of the strip."""
+        """Raise EpsOutOfRangeError unless 0 < eps <= epsilon0, the thickness cap of the strip."""
+        if not eps > 0.0:  # nan too
+            raise EpsOutOfRangeError(f"eps={eps} is not a number > 0")
         if eps > self.epsilon0:
             raise EpsOutOfRangeError(f"eps={eps} exceeds epsilon0={self.epsilon0}")
 

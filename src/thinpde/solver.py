@@ -38,6 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .config import _SETTING_RANGES
 from .problem import Coefficients, ThinProblem, inf_sup, quadratic_form
 from .reduction import LimitProblem
 
@@ -500,8 +501,10 @@ def policy_iteration(sys: DiscreteSystem, tol: float = 1e-10, max_iter: int = 10
     active control (raw rows scale like 1/h^2, so on fine grids they floor
     at roundoff times 1/h^2), and otherwise raises MaxIterExceededError
     with the residual that max_iter iterations would end at.  Dirichlet
-    nodes are pinned to their data exactly after each solve.
+    nodes are pinned to their data exactly after each solve.  A tol or
+    max_iter outside its ExperimentPlan range raises ValueError.
     """
+    tol, max_iter = _SETTING_RANGES["tol"](tol), _SETTING_RANGES["max_iter"](max_iter)
     size = sys.grid.size
     u = np.zeros(size)
     u[sys.dirichlet_mask] = sys.dirichlet_values[sys.dirichlet_mask]

@@ -168,10 +168,10 @@ def test_criterion_08_sandwich():
 
 
 def test_criterion_09_convergence():
-    table = convergence_experiment(ExperimentPlan(problem=reference_problem(), eps_list=EPS_LIST))
+    table = convergence_experiment(reference_problem(), ExperimentPlan(eps_list=EPS_LIST))
     errs = [r.sup_error for r in table.rows]
     se = convergence_experiment(
-        ExperimentPlan(problem=slice_exact_problem(), eps_list=EPS_LIST), with_barriers=False
+        slice_exact_problem(), ExperimentPlan(eps_list=EPS_LIST), with_barriers=False
     )
     slice_ok = all(r.sup_error <= se.disc_error_estimate for r in se.rows)
     ok = table.strictly_decreasing and table.final_within_tolerance and slice_ok

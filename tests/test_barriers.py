@@ -178,8 +178,9 @@ def test_general_barrier_distorted_reference(distorted):
     assert m_orig.passed, m_orig.format()
 
 
-def _margins_by_points(view, pair, eps, grid):
+def _margins_by_points(problem, view, pair, eps, grid):
     """Reference: the seven margins by a per-node, per-control loop over scalar evaluations."""
+    min_labels, max_labels = problem.controls.min_labels, problem.controls.max_labels
     xs = view.base_lattice(grid[0])
     ny = grid[1]
     vals_u, vals_l = [], []
@@ -192,10 +193,10 @@ def _margins_by_points(view, pair, eps, grid):
             vals_l.append(vl)
             co = view.coefficients(np.atleast_2d(x), np.atleast_1d(y))
             fu = fl = fu0 = fl0 = None
-            for lam in view.min_labels:
+            for lam in min_labels:
                 iu = il = iu0 = il0 = None
-                for mu in view.max_labels:
-                    k = (0, view.min_labels.index(lam), view.max_labels.index(mu))
+                for mu in max_labels:
+                    k = (0, min_labels.index(lam), max_labels.index(mu))
                     a, b, c, f = co.a[k], co.b[k], co.c[k], co.f[k]
                     tu0 = -float(np.sum(a * hu)) - float(b @ gu) - f
                     tl0 = -float(np.sum(a * hl)) - float(b @ gl) - f
@@ -237,7 +238,8 @@ def _margins_by_points(view, pair, eps, grid):
 
 
 @pytest.mark.parametrize("case", ["reference", "distorted", "rich"])
-def test_verify_barrier_matches_pointwise_loop(case, ref_params, distorted, rich):
+def test_verify_barrier_matches_pointwise_loop(case, ref_params, reference, distorted, rich):
+    problem = {"reference": reference, "distorted": distorted, "rich": rich}[case]
     if case == "reference":
         view, params = ref_params
         pair = bar.build_barrier(view, params, params.eps1 / 2)
@@ -253,7 +255,7 @@ def test_verify_barrier_matches_pointwise_loop(case, ref_params, distorted, rich
         pair = bar.BarrierPair(bar.hat_view(rich, dmap), params, params.eps1 / 2, dmap)
     grid = (24, 6)
     got = bar.verify_barrier(view, pair, grid=grid)
-    want = _margins_by_points(view, pair, pair.eps, grid)
+    want = _margins_by_points(problem, view, pair, pair.eps, grid)
     for name, value in want.items():
         assert getattr(got, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
 

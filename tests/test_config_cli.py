@@ -8,7 +8,15 @@ import pytest
 
 from thinpde.cli import main
 from thinpde.config import ConfigError, load_experiment_settings, load_problem
-from thinpde.harness import EXIT_CERTIFICATE, EXIT_FAILURE, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, run_pipeline
+from thinpde.harness import (
+    EXIT_CERTIFICATE,
+    EXIT_FAILURE,
+    EXIT_OK,
+    EXIT_SOLVER,
+    EXIT_VALIDATION,
+    ExperimentPlan,
+    run_pipeline,
+)
 from thinpde.problem import validate
 from thinpde.reduction import reduce_problem, representation_check
 
@@ -256,7 +264,7 @@ def test_distorted_without_derivatives_passes_reduce_at_1e8(tmp_path):
     cfg.write_text(text[: text.index("[derivatives]")] + text[text.index("[experiment]") :])
     problem = load_problem(cfg)
     assert not problem.bdata.gamma0.components[0].expr.derivatives
-    result = run_pipeline(problem, eps_list=(0.1, 0.05), nx=16, ny=8, limit_resolution=16)
+    result = run_pipeline(problem, ExperimentPlan(eps_list=(0.1, 0.05), nx=16, ny=8, limit_resolution=16))
     assert result.stage not in ("validate", "certify", "reduce")
     assert "PASS representation identity" in result.report
     assert "(tolerance 1e-08)" in result.report
@@ -367,12 +375,14 @@ def test_cli_rejects_an_eps_that_is_not_a_finite_positive_number(argv, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("eps", [["0.1", "0.2"], ["0.1", "0.1"]], ids=["increasing", "repeated"])
-def test_cli_rejects_a_converge_eps_list_that_does_not_decrease(eps, capsys):
+@pytest.mark.parametrize("eps", [["0.1", "0.2"], ["0.1", "0.1"], []], ids=["increasing", "repeated", "empty"])
+def test_cli_rejects_a_converge_eps_list_that_does_not_decrease(eps, tmp_path, capsys):
+    # an empty list once ran the config's eps list
     with pytest.raises(SystemExit) as stop:
-        main(["converge"] + _cfg("reference.cfg") + ["--eps", *eps])
+        main(["converge"] + _cfg("reference.cfg") + ["--out", str(tmp_path), "--eps", *eps])
     assert stop.value.code == 2
-    assert "--eps: must be strictly decreasing" in capsys.readouterr().err
+    assert "--eps: must be a non-empty, strictly decreasing list" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
+import math
+from dataclasses import replace
+
 import pytest
 
+from thinpde.config import load_experiment_settings
 from thinpde.harness import (
     EXIT_CERTIFICATE,
     EXIT_OK,
@@ -11,18 +15,48 @@ from thinpde.harness import (
 )
 from thinpde.presets import _entry, reference_problem
 
+# two eps on a coarse strip and limit grid
+SMALL = ExperimentPlan(eps_list=(0.1, 0.05), nx=16, ny=8, limit_resolution=16)
 
-def test_plan_requires_decreasing_eps(reference):
+
+def test_plan_requires_decreasing_eps():
     with pytest.raises(ValueError):
-        ExperimentPlan(problem=reference, eps_list=(0.1, 0.2))
-    ExperimentPlan(problem=reference, eps_list=(0.2, 0.1))
+        ExperimentPlan(eps_list=(0.1, 0.2))
+    ExperimentPlan(eps_list=(0.2, 0.1))
 
 
 @pytest.mark.parametrize("grid", [dict(nx=1), dict(limit_resolution=1)], ids=["nx", "limit_resolution"])
-def test_plan_requires_an_interior_column(reference, grid):
+def test_plan_requires_an_interior_column(grid):
     with pytest.raises(ValueError, match="must be >= 2"):
-        ExperimentPlan(problem=reference, **grid)
-    ExperimentPlan(problem=reference, nx=2, limit_resolution=2)
+        ExperimentPlan(**grid)
+    ExperimentPlan(nx=2, limit_resolution=2)
+
+
+@pytest.mark.parametrize(
+    "setting, want",
+    [
+        (dict(eps_list=()), "non-empty"),  # once an IndexError
+        (dict(eps_list=(math.nan,)), "finite number > 0, got nan"),  # once an EvalDomainError
+        (dict(eps_list=(-0.1,)), "finite number > 0, got -0.1"),  # once a NonMonotoneStencilError
+        (dict(eps_list=(0.1, 0.0)), "finite number > 0, got 0.0"),  # once a SingularSystemError
+        (dict(tol=math.nan), "finite number > 0, got nan"),  # once a PASS on any residual
+        (dict(max_iter=0), "must be >= 1, got 0"),
+        (dict(ny=3), "must be >= 7, got 3"),  # once a ValueError after the barrier stage
+    ],
+    ids=["eps-empty", "eps-nan", "eps-negative", "eps-0", "tol-nan", "max_iter-0", "ny-3"],
+)
+def test_plan_range_checks_every_setting_on_construction(setting, want):
+    with pytest.raises(ValueError, match=want):
+        ExperimentPlan(**setting)
+    with pytest.raises(ValueError, match=want):
+        replace(ExperimentPlan(), **setting)
+
+
+def test_plan_defaults_are_the_config_defaults(tmp_path):
+    cfg = tmp_path / "bare.cfg"
+    cfg.write_text("[controls]\nL = 1\n")
+    assert load_experiment_settings(cfg) == ExperimentPlan()
+    assert ExperimentPlan(eps_list=[0.2, 0.1]).eps_list == (0.2, 0.1)
 
 
 def test_manufactured_rates():
@@ -38,8 +72,8 @@ def test_manufactured_rates():
 
 @pytest.fixture(scope="module")
 def ref_table(reference):
-    plan = ExperimentPlan(problem=reference, nx=32, ny=16, limit_resolution=32)
-    return convergence_experiment(plan)
+    plan = ExperimentPlan(nx=32, ny=16, limit_resolution=32)
+    return convergence_experiment(reference, plan)
 
 
 def test_convergence_reference(ref_table):
@@ -56,15 +90,15 @@ def test_convergence_reference(ref_table):
 
 
 def test_single_eps_plan(reference):
-    plan = ExperimentPlan(problem=reference, eps_list=(0.1,), nx=16, ny=8, limit_resolution=16)
-    table = convergence_experiment(plan, with_barriers=False)
+    plan = ExperimentPlan(eps_list=(0.1,), nx=16, ny=8, limit_resolution=16)
+    table = convergence_experiment(reference, plan, with_barriers=False)
     assert len(table.rows) == 1
     assert not table.strictly_decreasing  # no monotonicity verdict from one row
 
 
 def test_slice_exact_gap_below_discretization(slice_exact):
-    plan = ExperimentPlan(problem=slice_exact, nx=32, ny=16, limit_resolution=32)
-    table = convergence_experiment(plan, with_barriers=False)
+    plan = ExperimentPlan(nx=32, ny=16, limit_resolution=32)
+    table = convergence_experiment(slice_exact, plan, with_barriers=False)
     for row in table.rows:
         assert row.sup_error <= table.disc_error_estimate
     # machine-zero gaps are not held to strict monotonicity
@@ -73,9 +107,8 @@ def test_slice_exact_gap_below_discretization(slice_exact):
 
 
 def test_csv_deterministic(reference):
-    plan = ExperimentPlan(problem=reference, eps_list=(0.1, 0.05), nx=16, ny=8, limit_resolution=16)
-    a = convergence_experiment(plan).to_csv()
-    b = convergence_experiment(plan).to_csv()
+    a = convergence_experiment(reference, SMALL).to_csv()
+    b = convergence_experiment(reference, SMALL).to_csv()
     assert a == b
     assert a.splitlines()[0].startswith("eps,")
 
@@ -85,17 +118,15 @@ def test_verdict_invariant_under_s_shift():
     shifted = reference_problem(s="x1 + 1")
     shifted.bdata.s_candidate.expr.register_derivative("x1", "1")
     shifted.bdata.s_candidate.expr.register_derivative(("x1", "x1"), "0")
-    plan_a = ExperimentPlan(problem=base, eps_list=(0.1, 0.05), nx=16, ny=8, limit_resolution=16)
-    plan_b = ExperimentPlan(problem=shifted, eps_list=(0.1, 0.05), nx=16, ny=8, limit_resolution=16)
-    ta = convergence_experiment(plan_a)
-    tb = convergence_experiment(plan_b)
+    ta = convergence_experiment(base, SMALL)
+    tb = convergence_experiment(shifted, SMALL)
     assert ta.passed == tb.passed
     for ra, rb in zip(ta.rows, tb.rows):
         assert ra.sup_error == pytest.approx(rb.sup_error, abs=1e-14)
 
 
 def test_pipeline_reference(reference, tmp_path):
-    result = run_pipeline(reference, eps_list=(0.1, 0.05), nx=16, ny=8, limit_resolution=16, out_dir=str(tmp_path))
+    result = run_pipeline(reference, SMALL, out_dir=str(tmp_path))
     assert result.exit_code == EXIT_OK
     assert (tmp_path / "pipeline_report.txt").exists()
     assert (tmp_path / "convergence.csv").exists()
@@ -108,14 +139,14 @@ def test_pipeline_stops_at_validation():
 
 
 def test_pipeline_slice_exact_passes(slice_exact):
-    result = run_pipeline(slice_exact, eps_list=(0.1, 0.05), nx=16, ny=8, limit_resolution=16)
+    result = run_pipeline(slice_exact, SMALL)
     assert result.exit_code == EXIT_OK
 
 
 def test_pipeline_distorted_flags_converge_stage(distorted):
     # first-order thin-to-limit gap: the final threshold is out of reach at
     # desk-scale grids, so the pipeline must stop at converge with its table
-    result = run_pipeline(distorted, eps_list=(0.1, 0.05), nx=32, ny=16, limit_resolution=32)
+    result = run_pipeline(distorted, ExperimentPlan(eps_list=(0.1, 0.05), nx=32, ny=16, limit_resolution=32))
     assert result.exit_code == 1
     assert result.stage == "converge"
     assert result.table is not None
@@ -152,10 +183,10 @@ def test_pipeline_searches_barriers_once(case, monkeypatch, reference, distorted
     for mod in (distortion, barriers, harness):
         monkeypatch.setattr(mod, "build_map", build_map)
     problem = reference if case == "reference" else distorted
-    eps_list = (0.1, 0.05, 0.025)
-    run_pipeline(problem, eps_list=eps_list, nx=16, ny=8, limit_resolution=16)
+    plan = ExperimentPlan(eps_list=(0.1, 0.05, 0.025), nx=16, ny=8, limit_resolution=16)
+    run_pipeline(problem, plan)
     assert calls["search_parameters"] == 1
     assert calls["build_map"] <= 1
     # the distorted view is built once, and each eps's sandwich inverts its strip nodes once
     assert calls["hat_view"] == (case == "distorted")
-    assert calls["inverse"] == (len(eps_list) if case == "distorted" else 0)
+    assert calls["inverse"] == (len(plan.eps_list) if case == "distorted" else 0)

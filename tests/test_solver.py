@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from thinpde.expressions import base_vars, strip_vars, VectorField
 from thinpde.presets import _entry, _scalar, reference_problem, rich_problem
-from thinpde.problem import BoundaryData, CoefficientFamily, ControlSet, GeometrySpec, ThinProblem
+from thinpde.problem import BoundaryData, CoefficientFamily, ControlSet, EpsOutOfRangeError, GeometrySpec, ThinProblem
 from thinpde.reduction import reduce_problem
 from thinpde.solver import (
     BOTTOM,
@@ -77,6 +78,14 @@ def test_eps_grid_guards(reference, transform_demo):
         make_eps_grid(reference, 0.1, nx=8, ny=4)  # too few vertical nodes
     with pytest.raises(NotImplementedError):
         make_eps_grid(transform_demo, 0.1, nx=8, ny=8)  # curved g+
+    # each once failed late: a domain or stencil error, or a divide-by-zero warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (math.nan, -0.1, 0.0, -math.inf):
+            with pytest.raises(EpsOutOfRangeError, match="is not a number > 0"):
+                make_eps_grid(reference, eps, nx=8, ny=8)
+            with pytest.raises(EpsOutOfRangeError, match="is not a number > 0"):
+                solve_eps(reference, eps, nx=8, ny=8)
 
 
 def test_dirichlet_laplace_exact_linear(reference):
@@ -320,6 +329,25 @@ def test_changing_policy_reports_it(rich_limit):
         solve_limit(rich_limit, 256, max_iter=1)
     assert err.value.stable_at is None
     assert "policy still changing" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "setting, want",
+    [
+        (dict(tol=math.nan), "got nan"),  # once accepted every residual
+        (dict(tol=math.inf), "got inf"),
+        (dict(tol=0.0), "got 0.0"),
+        (dict(tol=-1e-10), "got -1e-10"),
+        (dict(max_iter=0), "must be >= 1, got 0"),
+    ],
+    ids=["tol-nan", "tol-inf", "tol-0", "tol-negative", "max_iter-0"],
+)
+def test_policy_iteration_rejects_a_bad_tolerance_or_iteration_cap(reference, setting, want):
+    lp = reduce_problem(reference)
+    with pytest.raises(ValueError, match=want):
+        solve_limit(lp, 16, **setting)
+    with pytest.raises(ValueError, match=want):
+        policy_iteration(discretize_limit(lp, make_limit_grid(lp, 16)), **setting)
 
 
 def test_fine_reference_strip_converges_in_one_iteration(reference):
