@@ -147,10 +147,11 @@ class StripView:
     """Uniform access to a thin problem in flat or distorted coordinates.
 
     ``coefficients(x, y)`` bundles every control pair at base points x (m, N)
-    and heights y (m,); the other accessors also take one point (x (N,), a
-    float y).  ``top_y``/``bottom_y`` give the top and bottom boundary heights
-    over base points for a given eps (eps*g+- in flat coordinates, the
-    implicit profiles in distorted ones).
+    and heights y (m,).  Each side is a sign, +1 for the top and -1 for the
+    bottom: ``oblique(sign, x, y)`` gives that side's (gamma, beta), also at
+    one point (x (N,), a float y), and ``profile(sign, x, eps)`` its heights
+    over base points (eps*g+- in flat coordinates, the implicit profiles in
+    distorted ones).
     """
 
     lower: tuple[float, ...]
@@ -159,12 +160,8 @@ class StripView:
     g_sup: float
     r_cap: float
     coefficients: object  # (x, y) -> Coefficients
-    gamma_top: object  # (x, y) -> (..., N+1)
-    beta_top: object
-    gamma_bottom: object
-    beta_bottom: object
-    top_y: object  # (x, eps) -> heights
-    bottom_y: object
+    oblique: object  # (sign, x, y) -> (gamma (..., N+1), beta)
+    profile: object  # (sign, x, eps) -> heights
     beta0: object  # scalar fields with grad/hess
     s: object
     h: object
@@ -178,7 +175,7 @@ class StripView:
 
         Returns each strip node's index into ``xs`` and its height, base node by base node.
         """
-        ys = np.linspace(self.bottom_y(xs, eps), self.top_y(xs, eps), ny + 1, axis=1)
+        ys = np.linspace(self.profile(-1.0, xs, eps), self.profile(1.0, xs, eps), ny + 1, axis=1)
         return np.repeat(np.arange(len(xs)), ny + 1), ys.ravel()
 
 
@@ -212,12 +209,8 @@ def flat_view(problem: ThinProblem) -> StripView:
         g_sup=_lattice_sup(problem, geom.g_plus, geom.g_minus),
         r_cap=1.0,
         coefficients=lambda x, y: problem.coefficients(strip_points(x, y)),
-        gamma_top=bd.gamma_plus,
-        beta_top=bd.beta_plus,
-        gamma_bottom=bd.gamma_minus,
-        beta_bottom=bd.beta_minus,
-        top_y=lambda x, eps: eps * geom.g_plus.value(x),
-        bottom_y=lambda x, eps: eps * geom.g_minus.value(x),
+        oblique=bd.oblique,
+        profile=lambda sign, x, eps: eps * geom.profile(sign).value(x),
         beta0=bd.beta0,
         s=bd.s_candidate,
         h=_barrier_level(problem),
@@ -234,7 +227,6 @@ def hat_view(problem: ThinProblem, dmap: DistortionMap) -> StripView:
     implicit profiles as top/bottom boundaries.
     """
     hat = HatOperator(problem, dmap)
-    hb = HatBoundary(problem, dmap)
     geom = problem.geom
     flat = flat_view(problem)
     return replace(
@@ -244,12 +236,8 @@ def hat_view(problem: ThinProblem, dmap: DistortionMap) -> StripView:
         eps0=min(geom.epsilon0, dmap.r / flat.g_sup if flat.g_sup > 0 else geom.epsilon0),
         r_cap=dmap.r,
         coefficients=hat.coefficients,
-        gamma_top=hb.gamma_hat_plus,
-        beta_top=hb.beta_hat_plus,
-        gamma_bottom=hb.gamma_hat_minus,
-        beta_bottom=hb.beta_hat_minus,
-        top_y=lambda z, eps: top_profile(dmap, geom.g_plus, eps, z),
-        bottom_y=lambda z, eps: top_profile(dmap, geom.g_minus, eps, z),
+        oblique=HatBoundary(problem, dmap).oblique,
+        profile=lambda sign, z, eps: top_profile(dmap, geom.profile(sign), eps, z),
         gamma0_sup=0.0,
     )
 
@@ -332,10 +320,8 @@ class _StripData:
     coeffs: Coefficients  # at the m nodes
     top_sel: np.ndarray  # (mt,) indices into the m nodes
     bottom_sel: np.ndarray
-    gamma_t: np.ndarray  # (mt, N+1)
-    beta_t: np.ndarray
-    gamma_b: np.ndarray
-    beta_b: np.ndarray
+    top: tuple[np.ndarray, np.ndarray]  # (gamma (mt, N+1), beta (mt,)) at the top nodes
+    bottom: tuple[np.ndarray, np.ndarray]
 
 
 class _MarginEngine:
@@ -364,9 +350,9 @@ class _MarginEngine:
         bottom_sel = np.arange(len(xs)) * (ny + 1)
         top_sel = bottom_sel + ny
         coeffs = view.coefficients(xs[x_idx], ys)
-        top = (view.gamma_top(xs, ys[top_sel]), view.beta_top(xs, ys[top_sel]))
-        bottom = (view.gamma_bottom(xs, ys[bottom_sel]), view.beta_bottom(xs, ys[bottom_sel]))
-        data = _StripData(eps, x_idx, ys, coeffs, top_sel, bottom_sel, *top, *bottom)
+        top = view.oblique(1.0, xs, ys[top_sel])
+        bottom = view.oblique(-1.0, xs, ys[bottom_sel])
+        data = _StripData(eps, x_idx, ys, coeffs, top_sel, bottom_sel, top, bottom)
         self._strips[key] = data
         return data
 
@@ -385,14 +371,11 @@ class _MarginEngine:
         f_up, f_lo = (operator_infsup(strip.coeffs, hess, grad, val)[0] for val, grad, hess in (up, lo))
         f_up0, f_lo0 = (operator_infsup(strip.coeffs, hess, grad, 0.0)[0] for _, grad, hess in (up, lo))
 
-        gu_top = up[1][strip.top_sel]
-        gl_top = lo[1][strip.top_sel]
-        gu_bot = up[1][strip.bottom_sel]
-        gl_bot = lo[1][strip.bottom_sel]
-        m1 = float((row_dot(strip.gamma_t, gu_top) - strip.beta_t).min())
-        m2 = float((row_dot(strip.gamma_b, gu_bot) - strip.beta_b).min())
-        m4 = float((-(row_dot(strip.gamma_t, gl_top) - strip.beta_t)).min())
-        m5 = float((-(row_dot(strip.gamma_b, gl_bot) - strip.beta_b)).min())
+        (g_top, b_top), (g_bot, b_bot) = strip.top, strip.bottom
+        m1 = float((row_dot(g_top, up[1][strip.top_sel]) - b_top).min())
+        m2 = float((row_dot(g_bot, up[1][strip.bottom_sel]) - b_bot).min())
+        m4 = float((-(row_dot(g_top, lo[1][strip.top_sel]) - b_top)).min())
+        m5 = float((-(row_dot(g_bot, lo[1][strip.bottom_sel]) - b_bot)).min())
         m3 = float(f_up.min())
         m6 = float((-f_lo).min())
         diff = up[0] - lo[0]

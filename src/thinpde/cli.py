@@ -242,11 +242,13 @@ def cmd_solve(args) -> int:
 def cmd_converge(args) -> int:
     problem = _need_config(args)
     plan = load_experiment_settings(args.config)
+    if args.eps is not None:
+        try:
+            args.eps = _SETTING_RANGES["eps_list"](args.eps)
+        except ValueError as exc:  # each value was checked as parsed, the list as a whole only here
+            args.usage_error(f"argument --eps: {exc}")
     overrides = {"eps_list": args.eps, "nx": args.nx, "ny": args.ny, "limit_resolution": args.limit_nx}
-    try:
-        plan = replace(plan, **{k: v for k, v in overrides.items() if v is not None})
-    except ValueError as exc:  # each option was checked as parsed, the --eps list as a whole only here
-        args.usage_error(f"argument --eps: {exc}")
+    plan = replace(plan, **{k: v for k, v in overrides.items() if v is not None})
     try:
         table = harness.convergence_experiment(problem, plan)
     except sol.SOLVER_ERRORS as exc:

@@ -104,7 +104,7 @@ def _floats(value: str) -> tuple[float, ...]:
 
 
 # The range of each run setting, written once: ExperimentPlan, the [experiment]
-# keys, the command-line options and policy_iteration all parse with these.
+# keys, the command-line options, policy_iteration and make_eps_grid all parse with these.
 _SETTING_RANGES = {
     "eps_list": _decreasing_eps,
     # a grid of one interval has no interior column, so its error is 0 and any verdict vacuous
@@ -114,6 +114,15 @@ _SETTING_RANGES = {
     "tol": _positive_float,  # Howard's residual tolerance
     "max_iter": _int_at_least(1),  # Howard's iteration cap
 }
+
+
+def _in_range(name: str, value):
+    """``value`` parsed by the range of setting ``name``; a ValueError out of range names the setting."""
+    try:
+        return _SETTING_RANGES[name](value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+
 
 # [experiment] keys that differ from the setting's name
 _EXPERIMENT_KEYS = {"eps_list": "eps", "limit_resolution": "limit_nx"}
@@ -126,7 +135,7 @@ class ExperimentPlan:
     A strip grid of ``nx`` x ``ny`` intervals at each eps of the strictly
     decreasing ``eps_list``, the limit grid at ``limit_resolution`` and twice
     that, and Howard's ``tol`` and ``max_iter`` for every solve.  A value out
-    of its range in ``_SETTING_RANGES`` raises ValueError.
+    of its range in ``_SETTING_RANGES`` raises a ValueError naming the field.
     """
 
     eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
@@ -137,8 +146,8 @@ class ExperimentPlan:
     max_iter: int = 100
 
     def __post_init__(self):
-        for name, parse in _SETTING_RANGES.items():
-            object.__setattr__(self, name, parse(getattr(self, name)))
+        for name in _SETTING_RANGES:
+            object.__setattr__(self, name, _in_range(name, getattr(self, name)))
 
 
 def _value(cp: configparser.ConfigParser, sec: str, key: str, parse=str, default=None):

@@ -294,26 +294,16 @@ class HatBoundary:
     problem: ThinProblem
     dmap: DistortionMap
 
-    # one point (z (N,), a float y) or many (z (m, N), y (m,))
+    def oblique(self, sign: float, z, y) -> tuple[np.ndarray, np.ndarray]:
+        """(gamma^, beta^) on the top (sign +1) or the bottom (sign -1) at distorted points.
 
-    def _original(self, z, y) -> tuple[np.ndarray, np.ndarray]:
+        The original data of :meth:`BoundaryData.oblique` at P(z, y), with
+        gamma^ = gamma R^T; one point (z (N,), a float y) or many (z (m, N),
+        y (m,)).
+        """
         p = self.dmap.forward(z, y)
-        return p[..., :-1], p[..., -1]
-
-    def _hatted(self, gamma: np.ndarray, z, y) -> np.ndarray:
-        return row_matmul(gamma, np.swapaxes(matrix_r(self.dmap, z, y), -1, -2))
-
-    def gamma_hat_plus(self, z, y) -> np.ndarray:
-        return self._hatted(self.problem.bdata.gamma_plus(*self._original(z, y)), z, y)
-
-    def gamma_hat_minus(self, z, y) -> np.ndarray:
-        return self._hatted(self.problem.bdata.gamma_minus(*self._original(z, y)), z, y)
-
-    def beta_hat_plus(self, z, y):
-        return self.problem.bdata.beta_plus(*self._original(z, y))
-
-    def beta_hat_minus(self, z, y):
-        return self.problem.bdata.beta_minus(*self._original(z, y))
+        gamma, beta = self.problem.bdata.oblique(sign, p[..., :-1], p[..., -1])
+        return row_matmul(gamma, np.swapaxes(matrix_r(self.dmap, z, y), -1, -2)), beta
 
     def check_exactness(self, samples: int = 9) -> float:
         """Max deviation of the structural identities on a lattice.
@@ -329,10 +319,8 @@ class HatBoundary:
         y0 = np.zeros(len(pts))
         return max(
             0.0,
-            float(np.abs(self.gamma_hat_plus(z, y)[:, n] - 1.0).max()),
-            float(np.abs(self.gamma_hat_minus(z, y)[:, n] + 1.0).max()),
-            float(np.abs(self.gamma_hat_plus(pts, y0)[:, :n]).max()),
-            float(np.abs(self.gamma_hat_minus(pts, y0)[:, :n]).max()),
+            *(float(np.abs(self.oblique(sign, z, y)[0][:, n] - sign).max()) for sign in (1.0, -1.0)),
+            *(float(np.abs(self.oblique(sign, pts, y0)[0][:, :n]).max()) for sign in (1.0, -1.0)),
         )
 
 

@@ -8,9 +8,10 @@ is synthesized exactly from (gamma0, k+-, beta0, l+-):
     gamma+-(x, y) = (+-gamma0(x) + k+-(x) y, +-1)
     beta+-(x, y)  = +-beta0(x) + l+-(x) y
 
-so the compatibility relations at y = 0 hold by construction.  Users may
-attach raw gamma/beta evaluators instead; the validator then checks the
-y = 0 compatibility by sampling.
+so the compatibility relations at y = 0 hold by construction.  These
+fields are the only top/bottom data: the reduction reads them directly, and
+the strip solver and the barriers through the one signed evaluator
+:meth:`BoundaryData.oblique` (sign +1 on the top, -1 on the bottom).
 
 Coefficients are read as one :class:`Coefficients` bundle of every control
 pair at m points; :func:`operator_infsup` evaluates the operator over it.
@@ -201,6 +202,10 @@ class GeometrySpec:
         if not 0 < self.epsilon0 <= 1:
             raise ValueError("epsilon0 must lie in (0, 1]")
 
+    def profile(self, sign: float) -> ScalarField:
+        """The top profile g+ (sign +1) or the bottom profile g- (sign -1)."""
+        return self.g_plus if sign > 0 else self.g_minus
+
     def check_eps(self, eps: float) -> None:
         """Raise EpsOutOfRangeError unless 0 < eps <= epsilon0, the thickness cap of the strip."""
         if not eps > 0.0:  # nan too
@@ -243,43 +248,17 @@ class BoundaryData:
     beta_lateral: ScalarField
     s_candidate: ScalarField
     h: ScalarField | None = None
-    raw_gamma_plus: VectorField | None = None  # first N components of gamma+ on the strip
-    raw_gamma_minus: VectorField | None = None
-    raw_beta_plus: ScalarField | None = None
-    raw_beta_minus: ScalarField | None = None
 
-    # x is one base point (y a float) or an (m, N) array (y shaped (m,))
+    def oblique(self, sign: float, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """(gamma, beta) on the top (sign +1) or the bottom (sign -1) over base points x at heights y.
 
-    def gamma_plus(self, x, y) -> np.ndarray:
-        if self.raw_gamma_plus is not None:
-            g1 = self.raw_gamma_plus.value(strip_points(x, y))
-        else:
-            g1 = self.gamma0.value(x) + self.k_plus.value(x) * np.asarray(y)[..., None]
-        return strip_points(g1, 1.0)
-
-    def gamma_minus(self, x, y) -> np.ndarray:
-        if self.raw_gamma_minus is not None:
-            g1 = self.raw_gamma_minus.value(strip_points(x, y))
-        else:
-            g1 = -self.gamma0.value(x) + self.k_minus.value(x) * np.asarray(y)[..., None]
-        return strip_points(g1, -1.0)
-
-    def beta_plus(self, x, y):
-        if self.raw_beta_plus is not None:
-            return self.raw_beta_plus.value(strip_points(x, y))
-        return self.beta0.value(x) + self.l_plus.value(x) * y
-
-    def beta_minus(self, x, y):
-        if self.raw_beta_minus is not None:
-            return self.raw_beta_minus.value(strip_points(x, y))
-        return -self.beta0.value(x) + self.l_minus.value(x) * y
-
-    @property
-    def has_raw(self) -> bool:
-        return any(
-            f is not None
-            for f in (self.raw_gamma_plus, self.raw_gamma_minus, self.raw_beta_plus, self.raw_beta_minus)
-        )
+        gamma = (sign gamma0 + k y, sign) and beta = sign beta0 + l y, with
+        (k, l) = (k+, l+) on the top and (k-, l-) on the bottom.  x is one
+        base point (y a float) or an (m, N) array (y shaped (m,)).
+        """
+        k, l = (self.k_plus, self.l_plus) if sign > 0 else (self.k_minus, self.l_minus)
+        gamma = sign * self.gamma0.value(x) + k.value(x) * np.asarray(y)[..., None]
+        return strip_points(gamma, sign), sign * self.beta0.value(x) + l.value(x) * y
 
 
 @dataclass
@@ -534,34 +513,10 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
             )
         )
 
-    # boundary data: (h.4) by construction, (h.7) checked when raw data present
-    if bdata.has_raw:
-        g0 = bdata.gamma0.value(base)
-        b0 = bdata.beta0.value(base)
-        y0 = np.zeros(len(base))
-        devs = np.stack(
-            [
-                np.abs(bdata.beta_plus(base, y0) - b0),
-                np.abs(bdata.beta_minus(base, y0) + b0),
-                np.abs(bdata.gamma_plus(base, y0)[:, : geom.n] - g0).max(axis=1),
-                np.abs(bdata.gamma_minus(base, y0)[:, : geom.n] + g0).max(axis=1),
-            ]
-        ).max(axis=0)
-        i = int(np.argmax(devs))
-        worst, witness_dev = (float(devs[i]), witness(base, i)) if devs[i] > 0.0 else (0.0, None)
-        report.checks.append(
-            Diagnostic(
-                "Compatibility",
-                worst <= 1e-9,
-                worst=worst,
-                witness=witness_dev,
-                note="raw gamma/beta must match (gamma0, beta0) at y=0",
-            )
-        )
-    else:
-        report.checks.append(
-            Diagnostic("Compatibility", True, note="boundary data synthesized; holds by construction")
-        )
+    # boundary data: (h.4) and (h.7) hold by construction
+    report.checks.append(
+        Diagnostic("Compatibility", True, note="boundary data synthesized; holds by construction")
+    )
     report.checks.append(
         Diagnostic("ObliqueNormalization", True, note="gamma2 = +-1 by construction")
     )

@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .config import _SETTING_RANGES
+from .config import _in_range
 from .problem import Coefficients, ThinProblem, inf_sup, quadratic_form
 from .reduction import LimitProblem
 
@@ -152,8 +152,7 @@ def make_eps_grid(problem: ThinProblem, eps: float, nx: int, ny: int) -> Grid:
     if geom.n != 1:
         raise NotImplementedError("the eps-problem solver is restricted to a 1-dimensional base")
     geom.check_eps(eps)
-    if ny + 1 < 8:
-        raise ValueError("the strip needs at least 8 vertical nodes")
+    ny = _in_range("ny", ny)
     base = geom.lattice(16)
     gp = geom.g_plus.value(base)
     gm = geom.g_minus.value(base)
@@ -292,9 +291,10 @@ def _assemble(
     """Shared row assembler.
 
     ``coeffs`` holds every control pair's coefficients at the interior nodes
-    in flat order, with d = len(grid.axes); ``oblique(kind, x) -> (gamma,
-    beta)`` supplies the top/bottom rows and ``dirichlet(x)`` the identity
-    rows' data, each at an array x of the nodes of that kind.
+    in flat order, with d = len(grid.axes); ``oblique(sign, x) -> (gamma,
+    beta)`` supplies the top (sign +1) and bottom (sign -1) rows and
+    ``dirichlet(x)`` the identity rows' data, each at an array x of the
+    nodes of that kind.
     """
     shape = grid.shape
     d = len(shape)
@@ -316,9 +316,9 @@ def _assemble(
     top = cls[oblique_rows] == TOP
     gvec = np.empty((len(oblique_rows), d))
     fixed_rhs = dirichlet_values.copy()
-    for kind, sel in ((TOP, top), (BOTTOM, ~top)):
+    for sign, sel in ((1.0, top), (-1.0, ~top)):
         if sel.any():
-            gvec[sel], fixed_rhs[oblique_rows[sel]] = oblique(kind, nodes[oblique_rows[sel]])
+            gvec[sel], fixed_rhs[oblique_rows[sel]] = oblique(sign, nodes[oblique_rows[sel]])
     gy = gvec[:, d - 1]
     slots = _oblique_slots(top, gvec, h, strides)
     inward = [
@@ -358,31 +358,25 @@ def _assemble(
     )
 
 
-def discretize_eps(problem: ThinProblem, eps: float, grid: Grid, all_dirichlet: bool = False) -> DiscreteSystem:
+def discretize_eps(problem: ThinProblem, grid: Grid, all_dirichlet: bool = False) -> DiscreteSystem:
     """Monotone system for the thin-strip problem on a flat-strip grid.
 
     ``all_dirichlet`` replaces the top/bottom oblique rows by the lateral
     Dirichlet data, which is handy for scheme tests against harmonic
-    polynomials.
+    polynomials.  The strip's eps is the grid's.
     """
     bd = problem.bdata
     cls = grid.classification.copy()
     if all_dirichlet:
         cls[(cls == TOP) | (cls == BOTTOM)] = DIRICHLET
         grid = Grid(axes=grid.axes, kind=grid.kind, classification=cls, eps=grid.eps)
-
-    def oblique(kind, x):
-        if kind == TOP:
-            return bd.gamma_plus(x[:, :-1], x[:, -1]), bd.beta_plus(x[:, :-1], x[:, -1])
-        return bd.gamma_minus(x[:, :-1], x[:, -1]), bd.beta_minus(x[:, :-1], x[:, -1])
-
     return _assemble(
         grid,
         problem.control_pairs(),
         len(problem.controls.min_labels),
         len(problem.controls.max_labels),
         problem.coefficients(grid.nodes()[cls == INTERIOR]),
-        oblique=oblique,
+        oblique=lambda sign, x: bd.oblique(sign, x[:, :-1], x[:, -1]),
         dirichlet=bd.beta_lateral.value,
     )
 
@@ -502,9 +496,9 @@ def policy_iteration(sys: DiscreteSystem, tol: float = 1e-10, max_iter: int = 10
     at roundoff times 1/h^2), and otherwise raises MaxIterExceededError
     with the residual that max_iter iterations would end at.  Dirichlet
     nodes are pinned to their data exactly after each solve.  A tol or
-    max_iter outside its ExperimentPlan range raises ValueError.
+    max_iter outside its ExperimentPlan range raises a ValueError naming it.
     """
-    tol, max_iter = _SETTING_RANGES["tol"](tol), _SETTING_RANGES["max_iter"](max_iter)
+    tol, max_iter = _in_range("tol", tol), _in_range("max_iter", max_iter)
     size = sys.grid.size
     u = np.zeros(size)
     u[sys.dirichlet_mask] = sys.dirichlet_values[sys.dirichlet_mask]
@@ -553,7 +547,7 @@ def solve_eps(
 ) -> GridField:
     if grid is None:
         grid = make_eps_grid(problem, eps, nx, ny)
-    return policy_iteration(discretize_eps(problem, eps, grid), tol=tol, max_iter=max_iter)
+    return policy_iteration(discretize_eps(problem, grid), tol=tol, max_iter=max_iter)
 
 
 def solve_limit(

@@ -116,7 +116,7 @@ def test_criterion_06_chain_rule_identity():
     for _ in range(200):
         z = np.array([rng.uniform(0, 1)])
         zs.append(z)
-        ys.append(float(rng.uniform(hat.bottom_y(z, pair.eps), hat.top_y(z, pair.eps))))
+        ys.append(float(rng.uniform(hat.profile(-1.0, z, pair.eps), hat.profile(1.0, z, pair.eps))))
     z, y = np.array(zs), np.array(ys)
     x = dmap.forward(z, y)[:, :-1]
     # psi_bar pulled back, under F at x, and psi_bar^ under F^ at z = Q(x, y)

@@ -168,9 +168,7 @@ def _strip_by_nodes(problem, grid):
     diffusion, drift, czero, source = _pair_slices(problem.coefficients, problem.controls)
 
     def oblique(kind, x):
-        if kind == TOP:
-            return bd.gamma_plus(x[:-1], x[-1]), bd.beta_plus(x[:-1], x[-1])
-        return bd.gamma_minus(x[:-1], x[-1]), bd.beta_minus(x[:-1], x[-1])
+        return bd.oblique(1.0 if kind == TOP else -1.0, x[:-1], x[-1])
 
     return _assemble_by_nodes(
         grid,
@@ -230,7 +228,7 @@ STRIPS = {
 def test_strip_assembly_matches_per_node(case):
     problem = STRIPS[case]()
     grid = make_eps_grid(problem, 0.1, 16, 8)
-    _assert_same_system(discretize_eps(problem, 0.1, grid), _strip_by_nodes(problem, grid))
+    _assert_same_system(discretize_eps(problem, grid), _strip_by_nodes(problem, grid))
 
 
 @pytest.mark.parametrize("a12", ["0.9", "-0.9"])
@@ -238,7 +236,7 @@ def test_cross_term_assembly_matches_per_node(a12):
     # a nearly square lattice keeps both corner splittings monotone
     p = _cross_problem(a12, epsilon0=1.0)
     grid = make_eps_grid(p, 1.0, nx=8, ny=16)
-    _assert_same_system(discretize_eps(p, 1.0, grid), _strip_by_nodes(p, grid))
+    _assert_same_system(discretize_eps(p, grid), _strip_by_nodes(p, grid))
 
 
 def test_rich_limit_assembly_matches_per_node():
@@ -263,7 +261,7 @@ def test_violation_names_the_same_witness():
     p.coeffs.entries[("1", "1")] = _entry(1, [["1", "0.9"], ["0", "sqrt(1 - 0.81)"]], ["0", "0"], "0", "0")
     grid = make_eps_grid(p, 0.025, nx=8, ny=8)
     with pytest.raises(NonMonotoneStencilError) as got:
-        discretize_eps(p, 0.025, grid)
+        discretize_eps(p, grid)
     with pytest.raises(NonMonotoneStencilError) as want:
         _strip_by_nodes(p, grid)
     assert got.value.node == want.value.node

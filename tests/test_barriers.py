@@ -187,7 +187,7 @@ def _margins_by_points(problem, view, pair, eps, grid):
     f_up, f_lo, f_up0, f_lo0 = [], [], [], []
     m1 = m2 = m4 = m5 = math.inf
     for x in xs:
-        for j, y in enumerate(np.linspace(view.bottom_y(x, eps), view.top_y(x, eps), ny + 1)):
+        for j, y in enumerate(np.linspace(view.profile(-1.0, x, eps), view.profile(1.0, x, eps), ny + 1)):
             (vu, gu, hu), (vl, gl, hl) = (tuple(a[0] for a in side) for side in pair.arrays(x[None, :], np.array([y])))
             vals_u.append(vu)
             vals_l.append(vl)
@@ -213,11 +213,11 @@ def _margins_by_points(problem, view, pair, eps, grid):
             f_up0.append(fu0)
             f_lo0.append(fl0)
             if j == ny:
-                gt, bt = view.gamma_top(x, y), view.beta_top(x, y)
+                gt, bt = view.oblique(1.0, x, y)
                 m1 = min(m1, float(gt @ gu) - bt)
                 m4 = min(m4, -(float(gt @ gl) - bt))
             if j == 0:
-                gb, bb = view.gamma_bottom(x, y), view.beta_bottom(x, y)
+                gb, bb = view.oblique(-1.0, x, y)
                 m2 = min(m2, float(gb @ gu) - bb)
                 m5 = min(m5, -(float(gb @ gl) - bb))
     vals_u, vals_l = np.array(vals_u), np.array(vals_l)

@@ -225,18 +225,18 @@ def test_hat_boundary_exactness(distorted):
     dmap = build_map(distorted)
     hb = HatBoundary(distorted, dmap)
     assert hb.check_exactness() <= 1e-12
-    gp = hb.gamma_hat_plus([0.5], 0.1)
+    gp, _ = hb.oblique(1.0, [0.5], 0.1)
     assert gp[-1] == 1.0
-    gm = hb.gamma_hat_minus([0.5], 0.1)
+    gm, _ = hb.oblique(-1.0, [0.5], 0.1)
     assert gm[-1] == -1.0
-    assert hb.beta_hat_plus([0.5], 0.0) == pytest.approx(0.0)
+    assert hb.oblique(1.0, [0.5], 0.0)[1] == pytest.approx(0.0)
 
 
 def test_hat_boundary_first_components_order_y(distorted):
     dmap = build_map(distorted)
     hb = HatBoundary(distorted, dmap)
     for y in (0.05, 0.025, 0.0125):
-        g = hb.gamma_hat_plus([0.5], y)
+        g, _ = hb.oblique(1.0, [0.5], y)
         assert abs(g[0]) <= 0.5 * y  # O(|y|) with a modest constant
 
 

@@ -35,15 +35,18 @@ def test_plan_requires_an_interior_column(grid):
 @pytest.mark.parametrize(
     "setting, want",
     [
-        (dict(eps_list=()), "non-empty"),  # once an IndexError
-        (dict(eps_list=(math.nan,)), "finite number > 0, got nan"),  # once an EvalDomainError
-        (dict(eps_list=(-0.1,)), "finite number > 0, got -0.1"),  # once a NonMonotoneStencilError
-        (dict(eps_list=(0.1, 0.0)), "finite number > 0, got 0.0"),  # once a SingularSystemError
-        (dict(tol=math.nan), "finite number > 0, got nan"),  # once a PASS on any residual
-        (dict(max_iter=0), "must be >= 1, got 0"),
-        (dict(ny=3), "must be >= 7, got 3"),  # once a ValueError after the barrier stage
+        (dict(eps_list=()), "^eps_list: must be a non-empty"),  # once an IndexError
+        (dict(eps_list=(math.nan,)), "^eps_list: must be a finite number > 0, got nan$"),  # once an EvalDomainError
+        (dict(eps_list=(-0.1,)), "^eps_list: must be a finite number > 0, got -0.1$"),  # once a NonMonotoneStencilError
+        (dict(eps_list=(0.1, 0.0)), "^eps_list: must be a finite number > 0, got 0.0$"),  # once a SingularSystemError
+        (dict(tol=math.nan), "^tol: must be a finite number > 0, got nan$"),  # once a PASS on any residual
+        (dict(max_iter=0), "^max_iter: must be >= 1, got 0$"),
+        (dict(ny=3), "^ny: must be >= 7, got 3$"),  # once a ValueError after the barrier stage
+        # nx and limit_resolution share a range, so only the name tells them apart
+        (dict(nx=1), "^nx: must be >= 2, got 1$"),
+        (dict(limit_resolution=1), "^limit_resolution: must be >= 2, got 1$"),
     ],
-    ids=["eps-empty", "eps-nan", "eps-negative", "eps-0", "tol-nan", "max_iter-0", "ny-3"],
+    ids=["eps-empty", "eps-nan", "eps-negative", "eps-0", "tol-nan", "max_iter-0", "ny-3", "nx-1", "limit_resolution-1"],
 )
 def test_plan_range_checks_every_setting_on_construction(setting, want):
     with pytest.raises(ValueError, match=want):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinpde.expressions import ScalarField, VectorField, base_vars, parse, strip_vars
-from thinpde.presets import _entry, _scalar, reference_problem
+from thinpde.expressions import VectorField, base_vars, strip_vars
+from thinpde.presets import _entry, _scalar, reference_problem, rich_problem
 from thinpde.problem import (
     BoundaryData,
     CoefficientFamily,
@@ -70,19 +70,19 @@ def test_non_finite_derivative_fails_validation():
     assert report.checks[0].note == "s.grad: division by zero at (0.0,)"
 
 
-def test_raw_boundary_compatibility():
-    p = reference_problem()
-    sv = strip_vars(1)
-    # consistent raw data: beta+ = y, beta- = y  (both vanish at y = 0)
-    p.bdata.raw_beta_plus = ScalarField(parse("y"), sv)
-    p.bdata.raw_beta_minus = ScalarField(parse("y"), sv)
-    assert validate(p).passed
-    # inconsistent: beta+(x,0) = 1 but beta0 = 0
-    p.bdata.raw_beta_plus = ScalarField(parse("1 + y"), sv)
-    report = validate(p)
-    assert "Compatibility" in [c.name for c in report.failing()]
-    p.bdata.raw_beta_plus = None
-    p.bdata.raw_beta_minus = None
+@pytest.mark.parametrize("sign, k, l", [(1.0, 0.3, 1.0), (-1.0, -0.1, 5.0)], ids=["top", "bottom"])
+def test_oblique_is_the_closed_form(sign, k, l):
+    # rich_problem: gamma0 = 0.2 x1, beta0 = x1 (1 - x1), (k+, l+) = (0.3, 1), (k-, l-) = (-0.1, 5)
+    bd = rich_problem().bdata
+    x = np.linspace(0.0, 1.0, 9)
+    y = np.linspace(-0.2, 0.3, 9)
+    want_gamma = np.stack([sign * (0.2 * x) + k * y, np.full(9, sign)], axis=1)
+    want_beta = sign * (x * (1 - x)) + l * y
+    gamma, beta = bd.oblique(sign, x[:, None], y)
+    assert np.array_equal(gamma, want_gamma) and np.array_equal(beta, want_beta)
+    for i in range(9):
+        gamma, beta = bd.oblique(sign, x[i : i + 1], y[i])
+        assert gamma.shape == (2,) and np.array_equal(gamma, want_gamma[i]) and beta == want_beta[i]
 
 
 def _operator(problem, X, p, r, z) -> float:

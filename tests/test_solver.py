@@ -74,7 +74,7 @@ def test_grid_classification(reference):
 def test_eps_grid_guards(reference, transform_demo):
     with pytest.raises(ValueError):
         make_eps_grid(reference, 0.5, nx=8, ny=8)  # above epsilon0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ny: must be >= 7, got 4$"):
         make_eps_grid(reference, 0.1, nx=8, ny=4)  # too few vertical nodes
     with pytest.raises(NotImplementedError):
         make_eps_grid(transform_demo, 0.1, nx=8, ny=8)  # curved g+
@@ -92,7 +92,7 @@ def test_dirichlet_laplace_exact_linear(reference):
     # -Laplace u = 0 with u = x on the whole boundary: linear is exact
     p = reference_problem(f="0", beta="x1")
     grid = make_eps_grid(p, 0.1, nx=8, ny=8)
-    sysm = discretize_eps(p, 0.1, grid, all_dirichlet=True)
+    sysm = discretize_eps(p, grid, all_dirichlet=True)
     fld = policy_iteration(sysm)
     xs = grid.axes[0]
     assert np.abs(fld.values - xs[:, None]).max() <= 1e-12
@@ -101,7 +101,7 @@ def test_dirichlet_laplace_exact_linear(reference):
 
 def test_oblique_row_structure(reference):
     grid = make_eps_grid(reference, 0.1, nx=4, ny=8)
-    sysm = discretize_eps(reference, 0.1, grid)
+    sysm = discretize_eps(reference, grid)
     hy = grid.spacing[1]
     mat = sysm.matrices[0]
     i, j = 2, grid.shape[1] - 1  # a top node
@@ -111,7 +111,7 @@ def test_oblique_row_structure(reference):
     assert cols[flat] == pytest.approx(1.0 / hy)
     assert cols[grid.flat((i, j - 1))] == pytest.approx(-1.0 / hy)
     assert len(cols) == 2  # gamma+ = (0, 1): pure one-sided vertical difference
-    assert sysm.rhs[0][flat] == pytest.approx(reference.bdata.beta_plus([grid.axes[0][i]], grid.axes[1][j]))
+    assert sysm.rhs[0][flat] == pytest.approx(reference.bdata.oblique(1.0, [grid.axes[0][i]], grid.axes[1][j])[1])
 
 
 def test_cross_term_monotonicity_violation():
@@ -122,7 +122,7 @@ def test_cross_term_monotonicity_violation():
     )
     grid = make_eps_grid(p, 0.025, nx=8, ny=8)
     with pytest.raises(NonMonotoneStencilError) as err:
-        discretize_eps(p, 0.025, grid)
+        discretize_eps(p, grid)
     assert "off-diagonal" in str(err.value)
 
 
@@ -133,7 +133,7 @@ def test_cross_term_monotone_when_balanced():
         1, [["1", "0.9"], ["0", "sqrt(1 - 0.81)"]], ["0", "0"], "0", "1"
     )
     grid = make_eps_grid(p, 1.0, nx=8, ny=16)  # hx = 1/8, hy = 1/8
-    sysm = discretize_eps(p, 1.0, grid, all_dirichlet=True)
+    sysm = discretize_eps(p, grid, all_dirichlet=True)
     fld = policy_iteration(sysm)
     assert fld.residual <= 1e-10
 
@@ -248,7 +248,7 @@ def test_dirichlet_attained_exactly(reference):
 def test_residual_infinity_consistency(reference):
     fld = solve_eps(reference, 0.1, nx=16, ny=8)
     grid = fld.grid
-    sysm = discretize_eps(reference, 0.1, grid)
+    sysm = discretize_eps(reference, grid)
     assert residual_infinity(sysm, fld.flat()) == pytest.approx(fld.residual, abs=1e-14)
 
 
@@ -334,11 +334,11 @@ def test_changing_policy_reports_it(rich_limit):
 @pytest.mark.parametrize(
     "setting, want",
     [
-        (dict(tol=math.nan), "got nan"),  # once accepted every residual
-        (dict(tol=math.inf), "got inf"),
-        (dict(tol=0.0), "got 0.0"),
-        (dict(tol=-1e-10), "got -1e-10"),
-        (dict(max_iter=0), "must be >= 1, got 0"),
+        (dict(tol=math.nan), "^tol: must be a finite number > 0, got nan$"),  # once accepted every residual
+        (dict(tol=math.inf), "^tol: must be a finite number > 0, got inf$"),
+        (dict(tol=0.0), "^tol: must be a finite number > 0, got 0.0$"),
+        (dict(tol=-1e-10), "^tol: must be a finite number > 0, got -1e-10$"),
+        (dict(max_iter=0), "^max_iter: must be >= 1, got 0$"),
     ],
     ids=["tol-nan", "tol-inf", "tol-0", "tol-negative", "max_iter-0"],
 )
@@ -411,7 +411,7 @@ def _two_by_two_strip(entries, gamma0) -> DiscreteSystem:
         controls=ControlSet(("1", "2"), ("1", "2")),
         coeffs=CoefficientFamily(entries=dict(zip(pairs, entries)), bound=50.0),
     )
-    return discretize_eps(p, 1.0, make_eps_grid(p, 1.0, nx=8, ny=16))  # hx = hy = 1/8
+    return discretize_eps(p, make_eps_grid(p, 1.0, nx=8, ny=16))  # hx = hy = 1/8
 
 
 @settings(max_examples=60)
@@ -485,7 +485,7 @@ def test_factor_pivots_on_the_diagonal_without_extra_fill(problem, grid_of, requ
     # only reorders SuperLU's updates, so the fill matches the default panel's
     p = request.getfixturevalue(problem)
     grid = grid_of(p)
-    sysm = discretize_limit(p, grid) if grid.kind == "limit" else discretize_eps(p, grid.eps, grid)
+    sysm = discretize_limit(p, grid) if grid.kind == "limit" else discretize_eps(p, grid)
     size = grid.size
     # a policy that mixes every control pair across the nodes
     pair = np.arange(size) % len(sysm.pairs)
