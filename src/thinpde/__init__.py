@@ -39,7 +39,6 @@ from .distortion import (
 from .barriers import (
     BarrierPair,
     BarrierParams,
-    build_barrier,
     search_barriers,
     search_parameters,
     verify_barrier,
@@ -57,7 +56,6 @@ from .solver import (
 from .harness import (
     ExperimentPlan,
     convergence_experiment,
-    manufactured_solution_test,
     run_pipeline,
 )
 from .config import load_experiment_settings, load_problem
@@ -68,10 +66,10 @@ __all__ = [
     "boundary_certificate", "circle_obstruction_demo", "equivalence_check", "interior_certificate", "rotating_field",
     "LimitProblem", "reduce_problem", "representation_check",
     "DistortionMap", "build_map", "matrix_r", "top_profile", "transplant_ellipticity",
-    "BarrierPair", "BarrierParams", "build_barrier", "search_barriers", "search_parameters", "verify_barrier",
+    "BarrierPair", "BarrierParams", "search_barriers", "search_parameters", "verify_barrier",
     "discretize_eps", "discretize_limit", "make_eps_grid", "make_limit_grid", "perturbation_certificate",
     "policy_iteration", "solve_eps", "solve_limit",
-    "ExperimentPlan", "convergence_experiment", "manufactured_solution_test", "run_pipeline",
+    "ExperimentPlan", "convergence_experiment", "run_pipeline",
     "load_experiment_settings", "load_problem",
 ]
 

@@ -21,16 +21,17 @@ are pulled back through the inverse map with chain-rule derivatives.
 
 The barrier formulas and their first and second derivatives are written
 once, in ``_barrier_arrays``, over arrays of strip nodes.  There is one pair
-type, :class:`BarrierPair` (view, params, eps, and a distortion map when
-the pair is pulled back); it evaluates both barriers at a batch of nodes
-from one field evaluation, at one set of preimages.
-:func:`search_barriers` decides flat or distorted from the view's
-sup|gamma0|, searches the parameters once and hands out the pair at any
-eps.  The seven margins have one evaluator, ``_MarginEngine.margins_of``:
-the parameter search feeds it the formula arrays directly and
-:func:`verify_barrier` feeds it the arrays of any pair, over the view's
-coefficient bundle at all strip nodes at once; the operator is
-:func:`thinpde.problem.operator_infsup`.
+type, :class:`BarrierPair` (view, params, and a distortion map when the
+pair is pulled back), and one way to get it, :func:`search_barriers`.  It
+decides flat or distorted from the view's ``needs_distortion`` (the one
+test of sup|gamma0|) and searches the parameters once.  The pair takes eps
+at each evaluation and evaluates both barriers at a batch of nodes from one
+field evaluation, at one set of preimages; eps below params.eps1 is
+certified, larger eps is evaluated all the same.  The seven margins have
+one evaluator, ``_MarginEngine.margins_of``: the parameter search feeds it
+the formula arrays directly and :func:`verify_barrier` feeds it the arrays
+of any pair, over the view's coefficient bundle at all strip nodes at once;
+the operator is :func:`thinpde.problem.operator_infsup`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .expressions import Bin, Const, Expr, ScalarField
 from .problem import Coefficients, ThinProblem, box_lattice, operator_infsup, quadratic_form, row_dot, strip_points
 
 __all__ = [
-    "PreconditionViolatedError",
     "SearchExhaustedError",
     "BarrierParams",
     "BarrierMargins",
@@ -54,10 +54,8 @@ __all__ = [
     "StripView",
     "flat_view",
     "hat_view",
-    "build_barrier",
     "verify_barrier",
     "search_parameters",
-    "Barriers",
     "search_barriers",
     "SEARCH_CAP",
 ]
@@ -66,10 +64,6 @@ SEARCH_CAP = 2.0**40
 # (nx, ny) lattices of the parameter search and of its final verification
 _SEARCH_GRID = (16, 6)
 _VERIFY_GRID = (32, 8)
-
-
-class PreconditionViolatedError(ValueError):
-    """gamma0 is not identically zero on the sampled lattice."""
 
 
 class SearchExhaustedError(RuntimeError):
@@ -151,7 +145,8 @@ class StripView:
     bottom: ``oblique(sign, x, y)`` gives that side's (gamma, beta), also at
     one point (x (N,), a float y), and ``profile(sign, x, eps)`` its heights
     over base points (eps*g+- in flat coordinates, the implicit profiles in
-    distorted ones).
+    distorted ones).  ``needs_distortion`` is set when gamma0 does not
+    vanish, so the barriers are searched in distorted coordinates.
     """
 
     lower: tuple[float, ...]
@@ -165,7 +160,7 @@ class StripView:
     beta0: object  # scalar fields with grad/hess
     s: object
     h: object
-    gamma0_sup: float = 0.0
+    needs_distortion: bool = False
 
     def base_lattice(self, intervals: int) -> np.ndarray:
         return box_lattice(self.lower, self.upper, intervals)
@@ -197,8 +192,8 @@ def _lattice_sup(problem: ThinProblem, *fields) -> float:
 def flat_view(problem: ThinProblem) -> StripView:
     """View of the problem in its own coordinates (used when gamma0 = 0).
 
-    Its ``gamma0_sup`` is the one scan of sup|gamma0| that callers consult
-    to decide between the flat and the distorted construction.
+    Its ``needs_distortion`` is the one test of sup|gamma0| that callers
+    consult to decide between the flat and the distorted construction.
     """
     geom = problem.geom
     bd = problem.bdata
@@ -214,7 +209,7 @@ def flat_view(problem: ThinProblem) -> StripView:
         beta0=bd.beta0,
         s=bd.s_candidate,
         h=_barrier_level(problem),
-        gamma0_sup=_lattice_sup(problem, bd.gamma0),
+        needs_distortion=_lattice_sup(problem, bd.gamma0) > 1e-12,
     )
 
 
@@ -238,14 +233,8 @@ def hat_view(problem: ThinProblem, dmap: DistortionMap) -> StripView:
         coefficients=hat.coefficients,
         oblique=HatBoundary(problem, dmap).oblique,
         profile=lambda sign, z, eps: top_profile(dmap, geom.profile(sign), eps, z),
-        gamma0_sup=0.0,
+        needs_distortion=False,
     )
-
-
-def as_strip_view(obj) -> StripView:
-    if isinstance(obj, StripView):
-        return obj
-    return flat_view(obj)
 
 
 # --- barrier formulas and the margin evaluator ---------------------------------
@@ -357,12 +346,18 @@ class _MarginEngine:
         return data
 
     def margins(self, params: BarrierParams, eps: float) -> BarrierMargins:
-        """Margins of the explicit pair with these parameters, from the formula arrays."""
+        """Margins of the explicit pair with these parameters, from the formula arrays.
+
+        A value past float range raises (OverflowError from C_alpha,
+        FloatingPointError from the arrays) instead of reaching a margin as
+        inf or nan.
+        """
         strip = self.strip(eps)
         fields = [tuple(arr[strip.x_idx] for arr in fld) for fld in self.fields]
-        up = _barrier_arrays(params, eps, +1.0, strip.ys, fields)
-        lo = _barrier_arrays(params, eps, -1.0, strip.ys, fields)
-        return self.margins_of(strip, up, lo)
+        with np.errstate(over="raise"):
+            up = _barrier_arrays(params, eps, +1.0, strip.ys, fields)
+            lo = _barrier_arrays(params, eps, -1.0, strip.ys, fields)
+            return self.margins_of(strip, up, lo)
 
     def margins_of(self, strip: _StripData, up, lo) -> BarrierMargins:
         """The seven margins of the (value, grad, hess) arrays of both barriers at the strip nodes."""
@@ -401,35 +396,35 @@ class _MarginEngine:
 # --- barrier pairs --------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BarrierPair:
-    """psi_bar and psi_low at one eps: the explicit pair of ``view`` and ``params``.
+    """psi_bar and psi_low: the explicit pair of ``view`` and ``params``.
 
     With a ``dmap`` the view is the distorted one and the pair is pulled back
     to the original coordinates: w o Q, with chain-rule derivatives.
-    ``values`` and ``arrays`` evaluate both barriers at a batch of nodes from
-    one field evaluation, at one set of preimages.
+    ``values`` and ``arrays`` evaluate both barriers at one eps and a batch
+    of nodes from one field evaluation, at one set of preimages.  The
+    strictness inequalities are certified only for eps < params.eps1.
     """
 
     view: StripView
     params: BarrierParams
-    eps: float
     dmap: DistortionMap | None = None
 
-    def values(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+    def values(self, x, y, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """(psi_bar, psi_low) values at nodes x (m, N), y (m,)."""
-        return self._both(x, y, False)
+        return self._both(x, y, eps, False)
 
-    def arrays(self, x, y):
+    def arrays(self, x, y, eps: float):
         """(value, grad, hess) arrays of psi_bar and of psi_low at nodes x (m, N), y (m,)."""
-        return self._both(x, y, True)
+        return self._both(x, y, eps, True)
 
-    def _both(self, x, y, derivatives: bool):
+    def _both(self, x, y, eps: float, derivatives: bool):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if self.dmap is not None:
             x = self.dmap.inverse(x, y)  # the preimages z
         fields = _fields_at(self.view, x, derivatives)
-        sides = tuple(_barrier_arrays(self.params, self.eps, sign, y, fields, derivatives) for sign in (1.0, -1.0))
+        sides = tuple(_barrier_arrays(self.params, eps, sign, y, fields, derivatives) for sign in (1.0, -1.0))
         if self.dmap is None or not derivatives:
             return sides
         dq = matrix_r(self.dmap, x, y)
@@ -444,37 +439,17 @@ class BarrierPair:
         )
 
 
-def build_barrier(problem_or_view, params: BarrierParams, eps: float, *, allow_uncertified: bool = False) -> BarrierPair:
-    """Explicit barrier pair for a gamma0 = 0 problem at the given eps.
-
-    ``eps`` must stay below params.eps1 for the strictness guarantees;
-    ``allow_uncertified`` skips that gate so the formulas can still be
-    evaluated (e.g. for empirical sandwich checks at larger eps).
-    """
-    view = as_strip_view(problem_or_view)
-    if view.gamma0_sup > 1e-12:
-        raise PreconditionViolatedError(
-            f"buildBarrier requires gamma0 = 0; sampled sup |gamma0| = {view.gamma0_sup:.3e}"
-        )
-    if not allow_uncertified and not eps < params.eps1:
-        raise PreconditionViolatedError(f"eps={eps} must be below eps1={params.eps1}")
-    return BarrierPair(view, params, eps)
-
-
-def verify_barrier(problem_or_view, pair: BarrierPair, eps: float | None = None, grid: tuple[int, int] = (32, 8)) -> BarrierMargins:
-    """Measure the seven strictness margins of a pair on a lattice.
+def verify_barrier(view: StripView, pair: BarrierPair, eps: float, grid: tuple[int, int] = _VERIFY_GRID) -> BarrierMargins:
+    """Measure the seven strictness margins of a pair at eps on a lattice of the view's strip.
 
     Works for any barrier evaluators (explicit or pulled back); the view
     does not need gamma0 = 0, so pulled-back pairs are checked against the
     original oblique data directly.
     """
-    view = as_strip_view(problem_or_view)
-    if eps is None:
-        eps = pair.eps
     engine = _MarginEngine(view, grid)
     strip = engine.strip(eps)
     x = engine.xs[strip.x_idx]
-    return engine.margins_of(strip, *pair.arrays(x, strip.ys))
+    return engine.margins_of(strip, *pair.arrays(x, strip.ys, eps))
 
 
 # --- parameter search ---------------------------------------------------------
@@ -490,19 +465,17 @@ def _slab_form_min(view: StripView, r: float, kappa: float = 1.0, intervals: int
     return float(quadratic_form(ds[:, None, None], a).min())
 
 
-def search_parameters(problem_or_view) -> BarrierParams:
+def search_parameters(view: StripView) -> BarrierParams:
     """Select (r, kappa, Lambda, alpha, C_D, eps1) so all margins are strict.
 
-    Stages run in the fixed order Lambda -> alpha -> C_D -> eps1 with
-    doubling capped at 2^40; a final verification at eps1/2 and eps1/4 on
-    the coarse and refined lattices feeds back into the responsible knob
-    when a margin fails.  Raises SearchExhaustedError naming the inequality
-    that could not be satisfied.
+    ``view`` is one whose oblique data has no horizontal part: the flat view
+    of a gamma0 = 0 problem or a distorted view.  Stages run in the fixed
+    order Lambda -> alpha -> C_D -> eps1 with doubling capped at 2^40; a
+    final verification at eps1/2 and eps1/4 on the coarse and refined
+    lattices feeds back into the responsible knob when a margin fails.
+    Raises SearchExhaustedError naming the inequality that could not be
+    satisfied, or the stage at which a barrier value would leave float range.
     """
-    view = as_strip_view(problem_or_view)
-    if view.gamma0_sup > 1e-12:
-        raise PreconditionViolatedError("parameter search requires gamma0 = 0 (use the distorted view)")
-
     m0 = _slab_form_min(view, 0.0)
     if m0 <= 1e-8:
         raise SearchExhaustedError("ellipticity normalization: (Ds,0) A(x,0) (Ds,0)^T not positive")
@@ -532,33 +505,39 @@ def search_parameters(problem_or_view) -> BarrierParams:
             r=r, kappa=kappa, s_shift=shift, s_sup=s_sup,
         )
 
+    def margins(engines, p: BarrierParams, stage: str) -> list[BarrierMargins]:
+        """Margins at eps1/2 and eps1/4 on each engine's lattice; a value past float range ends the search."""
+        try:
+            return [eng.margins(p, e) for eng in engines for e in (p.eps1 / 2, p.eps1 / 4)]
+        except (OverflowError, FloatingPointError):
+            raise SearchExhaustedError(
+                f"{stage}: barrier values leave float range at alpha={p.alpha:g} Lambda={p.lam:g} C_D={p.c_d:g}"
+            ) from None
+
     lam = 2.0
+    stage = "top/bottom oblique inequalities (Lambda stage)"
     while lam <= SEARCH_CAP:
         p = params_for(2.0, lam, 1.0)
-        ms = [engine.margins(p, e) for e in (p.eps1 / 2, p.eps1 / 4)]
-        if all(min(m.m1, m.m2, m.m4, m.m5) > 0 for m in ms):
+        if all(min(m.m1, m.m2, m.m4, m.m5) > 0 for m in margins([engine], p, stage)):
             break
         lam *= 2.0
     else:
-        raise SearchExhaustedError("top/bottom oblique inequalities (Lambda stage)")
+        raise SearchExhaustedError(stage)
 
     alpha = 2.0
+    stage = "interior operator inequalities (alpha stage)"
     while alpha <= SEARCH_CAP:
         p = params_for(alpha, lam, 1.0)
-        ms = [engine.margins(p, e) for e in (p.eps1 / 2, p.eps1 / 4)]
-        if all(min(m.m3_cfree, m.m6_cfree) > 0 for m in ms):
+        if all(min(m.m3_cfree, m.m6_cfree) > 0 for m in margins([engine], p, stage)):
             break
         alpha *= 2.0
     else:
-        raise SearchExhaustedError("interior operator inequalities (alpha stage)")
+        raise SearchExhaustedError(stage)
 
     c_d = 1.0
     for _ in range(64):
         p = params_for(alpha, lam, c_d)
-        checks = []
-        for eng in (engine, fine):
-            for e in (p.eps1 / 2, p.eps1 / 4):
-                checks.append(eng.margins(p, e))
+        checks = margins([engine, fine], p, "final verification")
         if all(m.passed and m.psi_bar_min > 0 and m.psi_low_max < 0 for m in checks):
             return p
         worst = min(checks, key=lambda m: min(m.values))
@@ -581,33 +560,20 @@ def search_parameters(problem_or_view) -> BarrierParams:
     raise SearchExhaustedError("parameter search iteration budget")
 
 
-@dataclass(frozen=True)
-class Barriers:
-    """Searched barrier parameters on a view; ``dmap`` is set when the view is the distorted one."""
+def search_barriers(problem: ThinProblem, view: StripView | None = None, dmap: DistortionMap | None = None) -> BarrierPair:
+    """The barrier pair of the problem, searched flat or in distorted coordinates.
 
-    view: StripView
-    params: BarrierParams
-    dmap: DistortionMap | None = None
-
-    def pair(self, eps: float) -> BarrierPair:
-        """The pair at ``eps`` in the problem's own coordinates; certified only for eps < params.eps1."""
-        return BarrierPair(self.view, self.params, eps, self.dmap)
-
-
-def search_barriers(problem: ThinProblem, view: StripView | None = None, dmap: DistortionMap | None = None) -> Barriers:
-    """Barrier parameters for the problem, searched flat or in distorted coordinates.
-
-    ``view`` is the problem's flat view; its sup|gamma0| decides.  When gamma0
-    vanishes the search runs on that view.  Otherwise it runs on the distorted
-    view of ``dmap`` (whose hatted gamma0 vanishes), and every pair pulls back
-    through the map, so the strictness inequalities transfer verbatim.  Each
-    of ``view`` and ``dmap`` is built here when not given.
+    ``view`` is the problem's flat view; its ``needs_distortion`` decides.
+    When gamma0 vanishes the search runs on that view.  Otherwise it runs on
+    the distorted view of ``dmap`` (whose hatted gamma0 vanishes), and the
+    pair pulls back through the map, so the strictness inequalities transfer
+    verbatim.  Each of ``view`` and ``dmap`` is built here when not given.
     """
     if view is None:
         view = flat_view(problem)
-    if view.gamma0_sup <= 1e-12:
-        return Barriers(view, search_parameters(view))
+    if not view.needs_distortion:
+        return BarrierPair(view, search_parameters(view))
     if dmap is None:
         dmap = build_map(problem)
     hat = hat_view(problem, dmap)
-    return Barriers(hat, search_parameters(hat), dmap)
+    return BarrierPair(hat, search_parameters(hat), dmap)

@@ -19,7 +19,7 @@ import numpy as np
 from . import barriers as bar
 from . import harness, solver as sol
 from .config import _SETTING_RANGES, ConfigError, _int_at_least, _positive_float, load_experiment_settings, load_problem
-from .distortion import HatOperator, build_map, top_profile
+from .distortion import HatBoundary, HatOperator, build_map, top_profile
 from .ellipticity import (
     _forms,
     _interior_rows,
@@ -171,13 +171,15 @@ def cmd_transform(args) -> int:
             cells = [*a[:n, :n].ravel(), *b[:n], c, f]
             clines.append(",".join([_base_row(z), lam, mu] + [fmt_float(v) for v in cells]))
     _write_csv(args, "hat_coefficients.csv", "\n".join(clines) + "\n")
+    exact = HatBoundary(problem, dmap).check_exactness()
     _emit(
         args,
         "transform_report.txt",
         f"distortion map: r={dmap.r:g} sup|gamma|={dmap.gamma_sup:.6g} sup|Dgamma|={dmap.dgamma_sup:.6g}\n"
-        f"profiles written for eps={eps:g} over {' x '.join(f'[{a:g}, {b:g}]' for a, b in zip(lo, hi))}",
+        f"profiles written for eps={eps:g} over {' x '.join(f'[{a:g}, {b:g}]' for a, b in zip(lo, hi))}\n"
+        + exact.format(),
     )
-    return EXIT_OK
+    return EXIT_OK if exact.passed else EXIT_FAILURE
 
 
 def cmd_barrier(args) -> int:
@@ -186,20 +188,19 @@ def cmd_barrier(args) -> int:
         problem.geom.check_eps(args.eps)
     view = bar.flat_view(problem)
     try:
-        barriers = bar.search_barriers(problem, view)
+        pair = bar.search_barriers(problem, view)
     except bar.SearchExhaustedError as exc:
         _emit(args, "barrier_report.txt", str(exc))
         return EXIT_BARRIER
-    eps = args.eps if args.eps is not None else barriers.params.eps1 / 2
-    pair = barriers.pair(eps)
-    margins = bar.verify_barrier(view, pair, grid=(args.nx, args.ny))
-    _emit(args, "barrier_report.txt", "parameters: " + barriers.params.format() + "\n" + margins.format())
+    eps = args.eps if args.eps is not None else pair.params.eps1 / 2
+    margins = bar.verify_barrier(view, pair, eps, grid=(args.nx, args.ny))
+    _emit(args, "barrier_report.txt", "parameters: " + pair.params.format() + "\n" + margins.format())
     if args.csv:
         lines = [_base_header(problem.n) + ",y,psi_upper,psi_lower"]
         xs = view.base_lattice(args.nx)
         x_idx, ys = view.strip_nodes(xs, eps, args.ny)
         x = xs[x_idx]
-        columns = (ys, *pair.values(x, ys))
+        columns = (ys, *pair.values(x, ys, eps))
         lines += [",".join([_base_row(xi)] + [fmt_float(v) for v in row]) for xi, *row in zip(x, *columns)]
         _write_csv(args, "barrier_grids.csv", "\n".join(lines) + "\n")
     return EXIT_OK if margins.passed else EXIT_BARRIER
@@ -250,7 +251,12 @@ def cmd_converge(args) -> int:
     overrides = {"eps_list": args.eps, "nx": args.nx, "ny": args.ny, "limit_resolution": args.limit_nx}
     plan = replace(plan, **{k: v for k, v in overrides.items() if v is not None})
     try:
-        table = harness.convergence_experiment(problem, plan)
+        pair = bar.search_barriers(problem)
+    except bar.SearchExhaustedError as exc:
+        _emit(args, "converge_report.txt", str(exc))
+        return EXIT_BARRIER
+    try:
+        table = harness.convergence_experiment(problem, plan, pair)
     except sol.SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -51,11 +51,14 @@ __all__ = [
     "matrix_r",
     "HatOperator",
     "HatBoundary",
+    "ExactnessReport",
     "transplant_ellipticity",
     "TransplantReport",
 ]
 
 _R_FLOOR = 2.0**-40
+# the hatted identities hold exactly, so a deviation above roundoff is a defect
+_EXACTNESS_TOL = 1e-12
 
 
 class NoConvergenceError(ArithmeticError):
@@ -305,23 +308,42 @@ class HatBoundary:
         gamma, beta = self.problem.bdata.oblique(sign, p[..., :-1], p[..., -1])
         return row_matmul(gamma, np.swapaxes(matrix_r(self.dmap, z, y), -1, -2)), beta
 
-    def check_exactness(self, samples: int = 9) -> float:
-        """Max deviation of the structural identities on a lattice.
+    def check_exactness(self) -> ExactnessReport:
+        """Worst deviation of the structural identities on a lattice, and where it occurs.
 
-        The last component of gamma^ must equal +-1 exactly, and the first
-        N components must vanish at y = 0 (the +-gamma(z) cancellation).
-        Returns the worst deviation found.
+        The last component of gamma^ must equal +-1 exactly on the slab, and
+        the first N components must vanish at y = 0 (the +-gamma(z)
+        cancellation), on both sides over 9 base nodes per axis and 5 levels.
         """
         n = self.problem.n
-        pts = box_lattice(self.problem.geom.lower, self.problem.geom.upper, samples - 1)
-        ys = np.linspace(-self.dmap.r, self.dmap.r, 5)
-        z, y = np.repeat(pts, len(ys), axis=0), np.tile(ys, len(pts))
-        y0 = np.zeros(len(pts))
-        return max(
-            0.0,
-            *(float(np.abs(self.oblique(sign, z, y)[0][:, n] - sign).max()) for sign in (1.0, -1.0)),
-            *(float(np.abs(self.oblique(sign, pts, y0)[0][:, :n]).max()) for sign in (1.0, -1.0)),
+        pts = box_lattice(self.problem.geom.lower, self.problem.geom.upper, 8)
+        levels = self.dmap.r * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        z, y = np.repeat(pts, len(levels), axis=0), np.tile(levels, len(pts))
+        deviations = []
+        for sign in (1.0, -1.0):
+            gamma = self.oblique(sign, z, y)[0]
+            head = np.where(y == 0.0, np.abs(gamma[:, :n]).max(axis=1), 0.0)
+            deviations.append(np.maximum(np.abs(gamma[:, n] - sign), head))
+        deviations = np.concatenate(deviations)
+        i = int(np.argmax(deviations))
+        return ExactnessReport(float(deviations[i]), witness(np.tile(strip_points(z, y), (2, 1)), i))
+
+
+@dataclass
+class ExactnessReport:
+    deviation: float
+    witness: tuple  # the strip point (z, y) of the worst deviation
+
+    @property
+    def passed(self) -> bool:
+        return self.deviation <= _EXACTNESS_TOL
+
+    def format(self) -> str:
+        line = (
+            f"{'PASS' if self.passed else 'FAIL'} straightened boundary data: "
+            f"max deviation {self.deviation:.3e} (tolerance {_EXACTNESS_TOL:g})"
         )
+        return line if self.passed else f"{line} at {self.witness}"
 
 
 @dataclass

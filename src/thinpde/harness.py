@@ -1,4 +1,4 @@
-"""Experiment harness: convergence measurement, solver-order oracle, pipeline.
+"""Experiment harness: convergence measurement and the pipeline.
 
 The convergence experiment solves the thin problem for a decreasing list of
 eps, solves the limit problem once, and measures
@@ -12,10 +12,12 @@ limit solver's Richardson-estimated discretization error.  The sup over
 solution; the barrier sandwich, evaluated alongside, bounds where any other
 solution could live, and its width is reported next to E.
 
-Barrier strictness is only certified for eps below the searched eps1; when
-the requested eps list extends above it (the default list does, for the
-reference data), those rows are flagged uncertified and the sandwich is
-still measured empirically.
+The barrier pair comes from :func:`thinpde.barriers.search_barriers`, run
+by the caller (the pipeline's barrier stage, or ``thinpde converge``) and
+passed in; None measures no sandwich.  Barrier strictness is only certified
+for eps below the searched eps1; when the requested eps list extends above
+it (the default list does, for the reference data), those rows are flagged
+uncertified and the sandwich is still measured empirically.
 
 The run settings (eps list, strip and limit grids, Howard tolerance and
 cap) are one :class:`thinpde.config.ExperimentPlan`, range-checked where it
@@ -34,19 +36,16 @@ import numpy as np
 from . import barriers as bar
 from . import solver as sol
 from .config import ExperimentPlan
-from .distortion import build_map, transplant_ellipticity
+from .distortion import HatBoundary, build_map, transplant_ellipticity
 from .ellipticity import boundary_certificate, equivalence_check, interior_certificate
 from .problem import ThinProblem, validate
 from .reduction import reduce_problem, representation_check
-from .presets import reference_problem
 
 __all__ = [
     "ExperimentPlan",
     "ConvergenceRow",
     "ConvergenceTable",
     "convergence_experiment",
-    "RateReport",
-    "manufactured_solution_test",
     "PipelineResult",
     "run_pipeline",
     "fmt_float",
@@ -151,23 +150,20 @@ class ConvergenceTable:
         return "\n".join(lines)
 
 
-def sandwich_margins(pair: bar.BarrierPair, fld: sol.GridField) -> tuple[float, float, float]:
-    """(min(u - psi_low), min(psi_bar - u), max width) over grid nodes."""
+def sandwich_margins(pair: bar.BarrierPair, eps: float, fld: sol.GridField) -> tuple[float, float, float]:
+    """(min(u - psi_low), min(psi_bar - u), max width) over the grid nodes of a strip solution at eps."""
     nodes = fld.grid.nodes()
     x, y = nodes[:, :-1], nodes[:, -1]
     u = fld.flat()
-    hi, lo = pair.values(x, y)
+    hi, lo = pair.values(x, y, eps)
     return float((u - lo).min()), float((hi - u).min()), max(0.0, float((hi - lo).max()))
 
 
-def convergence_experiment(
-    problem: ThinProblem, plan: ExperimentPlan, with_barriers: bool = True, barrier: bar.Barriers | None = None
-) -> ConvergenceTable:
+def convergence_experiment(problem: ThinProblem, plan: ExperimentPlan, barrier: bar.BarrierPair | None) -> ConvergenceTable:
     """Solve the strips and the limit problem of ``problem`` as ``plan`` sets them and tabulate E(eps).
 
-    ``barrier`` is the result of :func:`thinpde.barriers.search_barriers`
-    when the caller has already searched it; otherwise the search runs here
-    unless ``with_barriers`` is false.
+    ``barrier`` is the pair from :func:`thinpde.barriers.search_barriers`,
+    whose sandwich is measured on every strip, or None for no sandwich.
     """
     # every strip grid first: a strip the eps solver cannot grid stops the run before the limit solves
     grids = [sol.make_eps_grid(problem, eps, plan.nx, plan.ny) for eps in plan.eps_list]
@@ -176,9 +172,6 @@ def convergence_experiment(
     u0_fine = sol.solve_limit(lp, 2 * plan.limit_resolution, tol=plan.tol, max_iter=plan.max_iter)
     # Richardson gap on the shared (coarse) nodes
     disc_est = float(np.abs(u0.flat() - u0_fine.flat()[::2]).max())
-
-    if barrier is None and with_barriers:
-        barrier = bar.search_barriers(problem)
 
     xs_limit = u0.grid.axes[0]
     rows: list[ConvergenceRow] = []
@@ -194,7 +187,7 @@ def convergence_experiment(
         certified = False
         if barrier is not None:
             certified = eps < barrier.params.eps1
-            lo_m, hi_m, width = sandwich_margins(barrier.pair(eps), fld)
+            lo_m, hi_m, width = sandwich_margins(barrier, eps, fld)
         rows.append(
             ConvergenceRow(
                 eps=eps,
@@ -225,59 +218,6 @@ def convergence_experiment(
         within_noise_floor=all(e <= floor for e in errs),
         runtimes=runtimes,
     )
-
-
-@dataclass
-class RateReport:
-    nx_list: tuple[int, ...]
-    errors: tuple[float, ...]
-    rate: float
-    threshold: float
-    passed: bool
-
-    def format(self) -> str:
-        pairs = ", ".join(f"nx={n}: {e:.3e}" for n, e in zip(self.nx_list, self.errors))
-        return (
-            f"{'PASS' if self.passed else 'FAIL'} manufactured solution: {pairs}; "
-            f"fitted rate {self.rate:.3f} (threshold {self.threshold})"
-        )
-
-
-def manufactured_solution_test(
-    nx_list: tuple[int, ...] = (32, 64, 128, 256),
-    drift: float = 0.0,
-    target: str = "sine",
-) -> RateReport:
-    """Measure the limit solver's convergence order against a known solution.
-
-    ``target="sine"`` uses u* = sin(pi x) (rate ~2 for pure diffusion,
-    degrading toward 1 with upwinded drift); ``target="linear"`` uses
-    u* = x, which the stencil reproduces exactly.
-    """
-    if target == "sine":
-        f = f"pi*pi*sin(pi*x1) - {drift!r}*pi*cos(pi*x1)"
-        beta = "sin(pi*x1)"
-        exact = lambda x: np.sin(np.pi * x)
-        threshold = 1.7 if drift == 0.0 else 0.9
-    elif target == "linear":
-        f = f"0 - {drift!r}"
-        beta = "x1"
-        exact = lambda x: x
-        threshold = math.nan
-    else:
-        raise ValueError("target must be 'sine' or 'linear'")
-    problem = reference_problem(f=f, beta=beta, b1=repr(float(drift)))
-    lp = reduce_problem(problem)
-    errors = []
-    for nx in nx_list:
-        fld = sol.solve_limit(lp, nx)
-        xs = fld.grid.axes[0]
-        errors.append(float(np.abs(fld.flat() - exact(xs)).max()))
-    if target == "linear":
-        return RateReport(tuple(nx_list), tuple(errors), math.nan, math.nan, all(e <= 1e-12 for e in errors))
-    hs = np.log([1.0 / nx for nx in nx_list])
-    rate = float(np.polyfit(hs, np.log(errors), 1)[0])
-    return RateReport(tuple(nx_list), tuple(errors), rate, threshold, rate >= threshold)
 
 
 # --- pipeline ----------------------------------------------------------------
@@ -339,13 +279,14 @@ def run_pipeline(
 
     view = bar.flat_view(problem)
     dmap = None
-    if view.gamma0_sup > 1e-12:
+    if view.needs_distortion:
         lines.append("[stage transform]")
         try:
             dmap = build_map(problem)
             tr = transplant_ellipticity(problem, dmap)
-            lines.append(tr.format())
-            if not tr.passed:
+            exact = HatBoundary(problem, dmap).check_exactness()
+            lines += [tr.format(), exact.format()]
+            if not (tr.passed and exact.passed):
                 return finish(EXIT_FAILURE, "transform")
         except Exception as exc:  # noqa: BLE001 - report, classify, stop
             lines.append(f"transform failed: {exc}")

@@ -57,7 +57,6 @@ __all__ = [
     "policy_iteration",
     "solve_eps",
     "solve_limit",
-    "residual_infinity",
     "perturbation_certificate",
     "PerturbationReport",
     "INTERIOR",
@@ -416,12 +415,6 @@ def _stacked(sys: DiscreteSystem) -> tuple[sp.csr_matrix, np.ndarray]:
 def _residual_stack(sys: DiscreteSystem, stack, rhs, u: np.ndarray) -> np.ndarray:
     """(size, n_min, n_max) array of per-control row residuals A u - rhs, from one matvec on the stack."""
     return (stack @ u - rhs).reshape(sys.n_min, sys.n_max, -1).transpose(2, 0, 1)
-
-
-def residual_infinity(sys: DiscreteSystem, u: np.ndarray) -> float:
-    """Sup norm of the discrete inf-sup operator applied to u."""
-    values, _, _ = inf_sup(_residual_stack(sys, *_stacked(sys), np.asarray(u).ravel()))
-    return float(np.abs(values).max())
 
 
 def _factor(mat: sp.csc_matrix) -> spla.SuperLU:

@@ -12,7 +12,7 @@ import numpy as np
 from thinpde import barriers as bar
 from thinpde.distortion import build_map, top_profile
 from thinpde.ellipticity import circle_obstruction_demo, equivalence_check
-from thinpde.harness import ExperimentPlan, convergence_experiment, manufactured_solution_test, sandwich_margins
+from thinpde.harness import ExperimentPlan, convergence_experiment, sandwich_margins
 from thinpde.problem import operator_infsup
 from thinpde.presets import (
     reference_problem,
@@ -22,6 +22,7 @@ from thinpde.presets import (
 )
 from thinpde.reduction import reduce_problem, representation_check
 from thinpde.solver import perturbation_certificate, solve_eps, solve_limit
+from tests.test_harness import manufactured_solution_test
 from tests.test_solver import _two_control_problem
 
 EPS_LIST = (0.2, 0.1, 0.05, 0.025)
@@ -91,38 +92,37 @@ def test_criterion_05_barrier_suite():
         params = bar.search_parameters(view)
         for eps in (params.eps1 / 2, params.eps1 / 4):
             for grid in ((24, 8), (48, 16)):
-                m = bar.verify_barrier(view, bar.build_barrier(view, params, eps), grid=grid)
+                m = bar.verify_barrier(view, bar.BarrierPair(view, params), eps, grid=grid)
                 ok = ok and m.passed
         details.append(f"c={c}: eps1={params.eps1:.4g}")
     distorted = reference_problem(gamma0="0.2*x1")
-    barriers = bar.search_barriers(distorted, dmap=build_map(distorted))
-    for eps in (barriers.params.eps1 / 2, barriers.params.eps1 / 4):
-        pair = barriers.pair(eps)
+    pair = bar.search_barriers(distorted, dmap=build_map(distorted))
+    for eps in (pair.params.eps1 / 2, pair.params.eps1 / 4):
         for grid in ((24, 8), (48, 16)):
-            m = bar.verify_barrier(distorted, pair, eps=eps, grid=grid)
+            m = bar.verify_barrier(bar.flat_view(distorted), pair, eps, grid=grid)
             ok = ok and m.passed
-    details.append(f"distorted: eps1={barriers.params.eps1:.4g}")
+    details.append(f"distorted: eps1={pair.params.eps1:.4g}")
     _report(5, "barrier search and margins", ok, "; ".join(details) + " (7 margins > 0 at eps1/2, eps1/4, two grids)")
 
 
 def test_criterion_06_chain_rule_identity():
     distorted = reference_problem(gamma0="0.2*x1")
     dmap = build_map(distorted, tol_fixed_point=1e-14)
-    barriers = bar.search_barriers(distorted, dmap=dmap)
-    pair = barriers.pair(barriers.params.eps1 / 2)
-    hat = barriers.view
+    pair = bar.search_barriers(distorted, dmap=dmap)
+    eps = pair.params.eps1 / 2
+    hat = pair.view
     rng = np.random.default_rng(7)
     zs, ys = [], []
     for _ in range(200):
         z = np.array([rng.uniform(0, 1)])
         zs.append(z)
-        ys.append(float(rng.uniform(hat.profile(-1.0, z, pair.eps), hat.profile(1.0, z, pair.eps))))
+        ys.append(float(rng.uniform(hat.profile(-1.0, z, eps), hat.profile(1.0, z, eps))))
     z, y = np.array(zs), np.array(ys)
     x = dmap.forward(z, y)[:, :-1]
     # psi_bar pulled back, under F at x, and psi_bar^ under F^ at z = Q(x, y)
-    (val, grad, hess), _ = pair.arrays(x, y)
+    (val, grad, hess), _ = pair.arrays(x, y, eps)
     lhs = operator_infsup(bar.flat_view(distorted).coefficients(x, y), hess, grad, val)[0]
-    (val, grad, hess), _ = replace(pair, dmap=None).arrays(z, y)
+    (val, grad, hess), _ = replace(pair, dmap=None).arrays(z, y, eps)
     rhs = operator_infsup(hat.coefficients(z, y), hess, grad, val)[0]
     worst = float(np.abs(lhs - rhs).max())
     _report(6, "chain-rule identity", worst <= 1e-6, f"max |F - F^| = {worst:.3e} <= 1e-6 at 200 nodes")
@@ -157,22 +157,20 @@ def test_criterion_07_solver_suite():
 def test_criterion_08_sandwich():
     prob = reference_problem()
     view = bar.flat_view(prob)
-    params = bar.search_parameters(view)
+    pair = bar.BarrierPair(view, bar.search_parameters(view))
     worst = math.inf
     for eps in EPS_LIST:
-        pair = bar.build_barrier(view, params, eps, allow_uncertified=True)
         fld = solve_eps(prob, eps, nx=64, ny=16)
-        lo_m, hi_m, _ = sandwich_margins(pair, fld)
+        lo_m, hi_m, _ = sandwich_margins(pair, eps, fld)
         worst = min(worst, lo_m, hi_m)
     _report(8, "barrier sandwich", worst >= 0.0, f"min nodewise margin {worst:.3e} >= 0 at eps in {EPS_LIST}")
 
 
 def test_criterion_09_convergence():
-    table = convergence_experiment(reference_problem(), ExperimentPlan(eps_list=EPS_LIST))
+    prob = reference_problem()
+    table = convergence_experiment(prob, ExperimentPlan(eps_list=EPS_LIST), bar.search_barriers(prob))
     errs = [r.sup_error for r in table.rows]
-    se = convergence_experiment(
-        slice_exact_problem(), ExperimentPlan(eps_list=EPS_LIST), with_barriers=False
-    )
+    se = convergence_experiment(slice_exact_problem(), ExperimentPlan(eps_list=EPS_LIST), None)
     slice_ok = all(r.sup_error <= se.disc_error_estimate for r in se.rows)
     ok = table.strictly_decreasing and table.final_within_tolerance and slice_ok
     _report(

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,32 +17,19 @@ def ref_params(reference):
     return view, bar.search_parameters(view)
 
 
-def test_build_barrier_point_values(reference):
+def test_barrier_pair_point_values(reference):
     # alpha = Lambda = C_D = 1, s = x1, h = 0: psi_bar(0, 0) = C_D + e - 1 = e
     view = bar.flat_view(reference)
     params = bar.BarrierParams(alpha=1.0, lam=1.0, c_d=1.0, eps1=0.2, r=0.5, s_sup=1.0)
-    pair = bar.build_barrier(view, params, 0.1)
-    (val, grad, _), _ = pair.arrays(np.array([[0.0], [0.3]]), np.zeros(2))
+    pair = bar.BarrierPair(view, params)
+    (val, grad, _), _ = pair.arrays(np.array([[0.0], [0.3]]), np.zeros(2), 0.1)
     assert val[0] == pytest.approx(math.e)
     # vertical slope vanishes on the level y = eps h = 0
     assert grad[1, 1] == pytest.approx(0.0)
     # the gap is 2 rho + 2 alpha Lambda chi (y - eps h)^2 > 0
     x = np.repeat(np.linspace(0, 1, 5), 5)[:, None]
-    up, lo = pair.values(x, np.tile(np.linspace(-0.1, 0.1, 5), 5))
+    up, lo = pair.values(x, np.tile(np.linspace(-0.1, 0.1, 5), 5), 0.1)
     assert (up - lo > 0.0).all()
-
-
-def test_build_barrier_requires_zero_gamma0(distorted):
-    params = bar.BarrierParams(alpha=2.0, lam=2.0, c_d=1.0, eps1=0.2, r=0.5, s_sup=1.0)
-    with pytest.raises(bar.PreconditionViolatedError):
-        bar.build_barrier(distorted, params, 0.1)
-
-
-def test_build_barrier_eps_gate(reference):
-    params = bar.BarrierParams(alpha=2.0, lam=2.0, c_d=1.0, eps1=0.1, r=0.5, s_sup=1.0)
-    with pytest.raises(bar.PreconditionViolatedError):
-        bar.build_barrier(reference, params, 0.2)
-    bar.build_barrier(reference, params, 0.2, allow_uncertified=True)
 
 
 def test_search_reference(ref_params):
@@ -50,8 +38,7 @@ def test_search_reference(ref_params):
     assert params.eps1 * params.alpha < 1.0 and params.eps1 * params.lam < 1.0
     for eps in (params.eps1 / 2, params.eps1 / 4):
         for grid in ((16, 6), (32, 8)):
-            pair = bar.build_barrier(view, params, eps)
-            m = bar.verify_barrier(view, pair, grid=grid)
+            m = bar.verify_barrier(view, bar.BarrierPair(view, params), eps, grid=grid)
             assert m.passed, m.format()
 
 
@@ -60,8 +47,7 @@ def test_search_c1_needs_no_larger_cd(reference, reference_c1):
     p1 = bar.search_parameters(bar.flat_view(reference_c1))
     assert p1.c_d <= p0.c_d
     view1 = bar.flat_view(reference_c1)
-    pair = bar.build_barrier(view1, p1, p1.eps1 / 2)
-    assert bar.verify_barrier(view1, pair).passed
+    assert bar.verify_barrier(view1, bar.BarrierPair(view1, p1), p1.eps1 / 2).passed
 
 
 def test_cd_doubling_monotone(reference_c1, reference):
@@ -71,12 +57,12 @@ def test_cd_doubling_monotone(reference_c1, reference):
         view = bar.flat_view(prob)
         params = bar.search_parameters(view)
         eps = params.eps1 / 2
-        m_lo = bar.verify_barrier(view, bar.build_barrier(view, params, eps))
+        m_lo = bar.verify_barrier(view, bar.BarrierPair(view, params), eps)
         doubled = bar.BarrierParams(
             alpha=params.alpha, lam=params.lam, c_d=2 * params.c_d, eps1=params.eps1,
             r=params.r, kappa=params.kappa, s_shift=params.s_shift, s_sup=params.s_sup,
         )
-        m_hi = bar.verify_barrier(view, bar.build_barrier(view, doubled, eps))
+        m_hi = bar.verify_barrier(view, bar.BarrierPair(view, doubled), eps)
         if expect_increase:
             assert m_hi.m3 > m_lo.m3
         else:
@@ -91,16 +77,15 @@ class _Swapped:
 
     def __init__(self, pair):
         self.pair = pair
-        self.eps = pair.eps
 
-    def arrays(self, x, y):
-        up, lo = self.pair.arrays(x, y)
+    def arrays(self, x, y, eps):
+        up, lo = self.pair.arrays(x, y, eps)
         return lo, up
 
 
 def test_swapped_barriers_flip_sign(ref_params):
     view, params = ref_params
-    m = bar.verify_barrier(view, _Swapped(bar.build_barrier(view, params, params.eps1 / 2)))
+    m = bar.verify_barrier(view, _Swapped(bar.BarrierPair(view, params)), params.eps1 / 2)
     assert m.m1 < 0.0
     assert m.m7 < 0.0
 
@@ -113,11 +98,20 @@ def test_search_exhausted_on_failed_certificate(reference):
     assert "normalization" in err.value.inequality
 
 
+def test_search_stops_before_barrier_values_leave_float_range():
+    # gamma0 = 50 x1: the alpha stage doubles alpha until exp(alpha * s_sup) would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bar.SearchExhaustedError) as err:
+            bar.search_barriers(reference_problem(gamma0="50*x1"))
+    assert err.value.inequality.startswith("interior operator inequalities (alpha stage): barrier values leave float range")
+
+
 def test_sandwich_width_bound(ref_params):
     view, params = ref_params
     eps = params.eps1 / 2
-    pair = bar.build_barrier(view, params, eps)
-    m = bar.verify_barrier(view, pair)
+    pair = bar.BarrierPair(view, params)
+    m = bar.verify_barrier(view, pair, eps)
     beta0_sup = max(abs(view.beta0.value([x])) for x in np.linspace(0, 1, 17))
     bound = (
         2 * (params.c_d + params.c_alpha)
@@ -126,7 +120,7 @@ def test_sandwich_width_bound(ref_params):
     )
     width = -(m.psi_low_max - m.psi_bar_min)  # lower bound for the true width
     # the largest psi_bar(x, y) - psi_low(x, y') over 9 x 5 x 5 points
-    up, lo = pair.values(np.repeat(np.linspace(0, 1, 9), 5)[:, None], np.tile(np.linspace(-eps, eps, 5), 9))
+    up, lo = pair.values(np.repeat(np.linspace(0, 1, 9), 5)[:, None], np.tile(np.linspace(-eps, eps, 5), 9), eps)
     actual = float((up.reshape(9, 5).max(axis=1) - lo.reshape(9, 5).min(axis=1)).max())
     assert actual <= bound + 1e-9
     assert width <= bound + 1e-9
@@ -143,38 +137,39 @@ def test_general_barrier_zero_gamma_matches_flat(reference):
     dmap = build_map(reference)
     hat = bar.hat_view(reference, dmap)
     params = bar.search_parameters(hat)
-    pulled = bar.BarrierPair(hat, params, params.eps1 / 2, dmap)
+    pulled = bar.BarrierPair(hat, params, dmap)
+    eps = params.eps1 / 2
     view = bar.flat_view(reference)
-    flat = bar.build_barrier(view, bar.search_parameters(view), pulled.eps, allow_uncertified=True)
+    flat = bar.BarrierPair(view, bar.search_parameters(view))
     x = np.repeat(np.linspace(0, 1, 5), 5)[:, None]
-    y = np.tile(np.linspace(-pulled.eps, pulled.eps, 5), 5)
-    np.testing.assert_allclose(pulled.values(x, y)[0], flat.values(x, y)[0], rtol=1e-9, atol=0.0)
+    y = np.tile(np.linspace(-eps, eps, 5), 5)
+    np.testing.assert_allclose(pulled.values(x, y, eps)[0], flat.values(x, y, eps)[0], rtol=1e-9, atol=0.0)
 
 
 def test_general_barrier_constant_gamma_margins_match():
     # affine Q: pulled-back margins equal hatted margins at corresponding nodes
     p = reference_problem(gamma0="0.3")
     dmap = build_map(p, tol_fixed_point=1e-14)
-    barriers = bar.search_barriers(p, dmap=dmap)
-    pair = barriers.pair(barriers.params.eps1 / 2)
+    pair = bar.search_barriers(p, dmap=dmap)
+    eps = pair.params.eps1 / 2
     rng = np.random.default_rng(0)
     zs, ys = [], []
     for _ in range(30):
         zs.append([rng.uniform(0, 1)])
-        ys.append(rng.uniform(-pair.eps, pair.eps))
+        ys.append(rng.uniform(-eps, eps))
     z, y = np.array(zs), np.array(ys)
     x = dmap.forward(z, y)[:, :-1]
-    lhs = _operator(bar.flat_view(p), pair.arrays(x, y)[0], x, y)
-    rhs = _operator(barriers.view, replace(pair, dmap=None).arrays(z, y)[0], z, y)
+    lhs = _operator(bar.flat_view(p), pair.arrays(x, y, eps)[0], x, y)
+    rhs = _operator(pair.view, replace(pair, dmap=None).arrays(z, y, eps)[0], z, y)
     assert (np.abs(lhs - rhs) <= 1e-8 * np.maximum(1.0, np.abs(rhs))).all()
 
 
 def test_general_barrier_distorted_reference(distorted):
-    barriers = bar.search_barriers(distorted)
-    pair = barriers.pair(barriers.params.eps1 / 2)
-    m_hat = bar.verify_barrier(barriers.view, replace(pair, dmap=None), grid=(24, 6))
+    pair = bar.search_barriers(distorted)
+    eps = pair.params.eps1 / 2
+    m_hat = bar.verify_barrier(pair.view, replace(pair, dmap=None), eps, grid=(24, 6))
     assert m_hat.passed, m_hat.format()
-    m_orig = bar.verify_barrier(distorted, pair, grid=(24, 6))
+    m_orig = bar.verify_barrier(bar.flat_view(distorted), pair, eps, grid=(24, 6))
     assert m_orig.passed, m_orig.format()
 
 
@@ -188,7 +183,9 @@ def _margins_by_points(problem, view, pair, eps, grid):
     m1 = m2 = m4 = m5 = math.inf
     for x in xs:
         for j, y in enumerate(np.linspace(view.profile(-1.0, x, eps), view.profile(1.0, x, eps), ny + 1)):
-            (vu, gu, hu), (vl, gl, hl) = (tuple(a[0] for a in side) for side in pair.arrays(x[None, :], np.array([y])))
+            (vu, gu, hu), (vl, gl, hl) = (
+                tuple(a[0] for a in side) for side in pair.arrays(x[None, :], np.array([y]), eps)
+            )
             vals_u.append(vu)
             vals_l.append(vl)
             co = view.coefficients(np.atleast_2d(x), np.atleast_1d(y))
@@ -242,20 +239,20 @@ def test_verify_barrier_matches_pointwise_loop(case, ref_params, reference, dist
     problem = {"reference": reference, "distorted": distorted, "rich": rich}[case]
     if case == "reference":
         view, params = ref_params
-        pair = bar.build_barrier(view, params, params.eps1 / 2)
+        pair = bar.BarrierPair(view, params)
     elif case == "distorted":
         view = bar.flat_view(distorted)
-        barriers = bar.search_barriers(distorted)
-        pair = barriers.pair(barriers.params.eps1 / 2)
+        pair = bar.search_barriers(distorted)
     else:
         # 2x2 controls exercise the inf-sup; the comparison needs no searched parameters
         view = bar.flat_view(rich)
         params = bar.BarrierParams(alpha=2.0, lam=2.0, c_d=1.0, eps1=0.1, r=0.25, s_sup=1.0)
         dmap = build_map(rich)
-        pair = bar.BarrierPair(bar.hat_view(rich, dmap), params, params.eps1 / 2, dmap)
+        pair = bar.BarrierPair(bar.hat_view(rich, dmap), params, dmap)
     grid = (24, 6)
-    got = bar.verify_barrier(view, pair, grid=grid)
-    want = _margins_by_points(problem, view, pair, pair.eps, grid)
+    eps = pair.params.eps1 / 2
+    got = bar.verify_barrier(view, pair, eps, grid=grid)
+    want = _margins_by_points(problem, view, pair, eps, grid)
     for name, value in want.items():
         assert getattr(got, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
 
@@ -263,10 +260,10 @@ def test_verify_barrier_matches_pointwise_loop(case, ref_params, reference, dist
 def test_pair_values_are_the_value_slots_of_arrays(ref_params, distorted):
     # a flat pair and a pulled-back pair: the value-only path computes the same values, bit for bit
     view, params = ref_params
-    barriers = bar.search_barriers(distorted)
+    pulled = bar.search_barriers(distorted)
     xs = view.base_lattice(8)
     x = np.repeat(xs, 3, axis=0)
     y = np.tile([-0.01, 0.0, 0.02], len(xs))
-    for pair in (bar.build_barrier(view, params, params.eps1 / 2), barriers.pair(barriers.params.eps1 / 4)):
-        for value, side in zip(pair.values(x, y), pair.arrays(x, y)):
+    for pair, eps in ((bar.BarrierPair(view, params), params.eps1 / 2), (pulled, pulled.params.eps1 / 4)):
+        for value, side in zip(pair.values(x, y, eps), pair.arrays(x, y, eps)):
             assert value.tobytes() == side[0].tobytes()

@@ -8,7 +8,9 @@ import pytest
 
 from thinpde.cli import main
 from thinpde.config import ConfigError, load_experiment_settings, load_problem
+from thinpde.distortion import HatBoundary
 from thinpde.harness import (
+    EXIT_BARRIER,
     EXIT_CERTIFICATE,
     EXIT_FAILURE,
     EXIT_OK,
@@ -130,6 +132,23 @@ def test_cli_transform(tmp_path):
     profiles = (tmp_path / "profiles.csv").read_text().splitlines()
     assert profiles[0] == "z,g_eps_plus,g_eps_minus,eps_g_plus,eps_g_minus"
     assert len(profiles) > 10
+    report = (tmp_path / "transform_report.txt").read_text().splitlines()
+    assert report[-1] == "PASS straightened boundary data: max deviation 0.000e+00 (tolerance 1e-12)"
+
+
+def test_cli_transform_fails_on_inexact_straightened_data(tmp_path, capsys, monkeypatch):
+    # the original oblique data at P(z, y), not rotated by R^T: its head is gamma0 = 0.2 x1 at y = 0
+    def unrotated(self, sign, z, y):
+        p = self.dmap.forward(z, y)
+        return self.problem.bdata.oblique(sign, p[..., :-1], p[..., -1])
+
+    monkeypatch.setattr(HatBoundary, "oblique", unrotated)
+    assert main(["transform"] + _cfg("distorted.cfg")) == EXIT_FAILURE
+    want = "FAIL straightened boundary data: max deviation 2.000e-01 (tolerance 1e-12) at (1.0, 0.0)"
+    assert capsys.readouterr().out.splitlines()[-1] == want
+    result = run_pipeline(load_problem(CONFIGS / "distorted.cfg"))
+    assert (result.exit_code, result.stage) == (EXIT_FAILURE, "transform")
+    assert want in result.report.splitlines()
 
 
 def test_cli_solve_csv(tmp_path):
@@ -173,6 +192,45 @@ def test_cli_converge(tmp_path):
     assert code == EXIT_OK
     csv = (tmp_path / "convergence.csv").read_text()
     assert csv.splitlines()[0].startswith("eps,nx,ny,sup_error")
+
+
+def _config_variant(tmp_path, base: str, old: str, new: str, derivatives: str) -> list[str]:
+    """``--config`` for ``base`` with ``old`` replaced by ``new`` and the derivative lines of one field dropped."""
+    lines = (CONFIGS / base).read_text().replace(old, new).splitlines()
+    cfg = tmp_path / "variant.cfg"
+    cfg.write_text("\n".join(line for line in lines if not line.startswith(derivatives)) + "\n")
+    return ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize("command", ["barrier", "converge", "pipeline"])
+def test_cli_barrier_search_on_a_steep_oblique_field_exits_4(command, tmp_path, capsys):
+    # gamma0 = 50 x1 once overflowed in exp(alpha * s_sup) at the alpha stage: OverflowError, exit 1
+    cfg = _config_variant(tmp_path, "distorted.cfg", "gamma0 = 0.2*x1", "gamma0 = 50*x1", "gamma0_1/")
+    assert main([command] + cfg + ["--out", str(tmp_path / "out")]) == EXIT_BARRIER
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    if command == "pipeline":
+        assert lines[-1] == "pipeline: FAILED at stage barrier (exit 4)"
+        lines = lines[-2:-1]
+    assert len(lines) == 1
+    assert "interior operator inequalities (alpha stage): barrier values leave float range" in lines[0]
+    assert not (tmp_path / "out" / "convergence.csv").exists()
+
+
+def test_cli_converge_reports_a_failed_barrier_search_like_barrier(tmp_path, capsys):
+    # s = 0 cannot be normalized; converge once ended in a SearchExhaustedError traceback, exit 1
+    cfg = _config_variant(tmp_path, "reference.cfg", "\ns = x1\n", "\ns = 0\n", "s/")
+    outputs = []
+    for command in ("barrier", "converge"):
+        assert main([command] + cfg + ["--out", str(tmp_path / command)]) == EXIT_BARRIER
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    assert outputs[1].startswith("barrier parameter search exhausted its budget on: ellipticity normalization")
+    assert len(outputs[1].splitlines()) == 1
+    assert not (tmp_path / "converge" / "convergence.csv").exists()
 
 
 def test_cli_threads_guard():

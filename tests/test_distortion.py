@@ -224,12 +224,30 @@ def test_d2q_nonlinear_gamma_matches_differenced_inverse():
 def test_hat_boundary_exactness(distorted):
     dmap = build_map(distorted)
     hb = HatBoundary(distorted, dmap)
-    assert hb.check_exactness() <= 1e-12
+    report = hb.check_exactness()
+    assert report.deviation <= 1e-12
+    assert report.format() == "PASS straightened boundary data: max deviation 0.000e+00 (tolerance 1e-12)"
     gp, _ = hb.oblique(1.0, [0.5], 0.1)
     assert gp[-1] == 1.0
     gm, _ = hb.oblique(-1.0, [0.5], 0.1)
     assert gm[-1] == -1.0
     assert hb.oblique(1.0, [0.5], 0.0)[1] == pytest.approx(0.0)
+
+
+def test_hat_boundary_exactness_names_its_witness(distorted, monkeypatch):
+    # the original oblique data at P(z, y), not rotated by R^T: its head is gamma0(x) != 0 at y = 0
+    hb = HatBoundary(distorted, build_map(distorted))
+
+    def unrotated(sign, z, y):
+        p = hb.dmap.forward(z, y)
+        return distorted.bdata.oblique(sign, p[..., :-1], p[..., -1])
+
+    monkeypatch.setattr(hb, "oblique", unrotated)
+    report = hb.check_exactness()
+    assert not report.passed
+    assert report.deviation == pytest.approx(0.2)  # |gamma0| = 0.2 x1 at x1 = 1
+    assert report.witness == (1.0, 0.0)
+    assert report.format().startswith("FAIL straightened boundary data: max deviation 2.000e-01 (tolerance 1e-12) at ")
 
 
 def test_hat_boundary_first_components_order_y(distorted):

@@ -1,8 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
+import numpy as np
 import pytest
 
+from thinpde.barriers import search_barriers
 from thinpde.config import load_experiment_settings
 from thinpde.harness import (
     EXIT_CERTIFICATE,
@@ -10,13 +12,60 @@ from thinpde.harness import (
     EXIT_VALIDATION,
     ExperimentPlan,
     convergence_experiment,
-    manufactured_solution_test,
     run_pipeline,
 )
 from thinpde.presets import _entry, reference_problem
+from thinpde.reduction import reduce_problem
+from thinpde.solver import solve_limit
 
 # two eps on a coarse strip and limit grid
 SMALL = ExperimentPlan(eps_list=(0.1, 0.05), nx=16, ny=8, limit_resolution=16)
+
+
+@dataclass
+class RateReport:
+    nx_list: tuple[int, ...]
+    errors: tuple[float, ...]
+    rate: float
+    threshold: float
+    passed: bool
+
+
+def manufactured_solution_test(
+    nx_list: tuple[int, ...] = (32, 64, 128, 256),
+    drift: float = 0.0,
+    target: str = "sine",
+) -> RateReport:
+    """Measure the limit solver's convergence order against a known solution.
+
+    ``target="sine"`` uses u* = sin(pi x) (rate ~2 for pure diffusion,
+    degrading toward 1 with upwinded drift); ``target="linear"`` uses
+    u* = x, which the stencil reproduces exactly.
+    """
+    if target == "sine":
+        f = f"pi*pi*sin(pi*x1) - {drift!r}*pi*cos(pi*x1)"
+        beta = "sin(pi*x1)"
+        exact = lambda x: np.sin(np.pi * x)
+        threshold = 1.7 if drift == 0.0 else 0.9
+    elif target == "linear":
+        f = f"0 - {drift!r}"
+        beta = "x1"
+        exact = lambda x: x
+        threshold = math.nan
+    else:
+        raise ValueError("target must be 'sine' or 'linear'")
+    problem = reference_problem(f=f, beta=beta, b1=repr(float(drift)))
+    lp = reduce_problem(problem)
+    errors = []
+    for nx in nx_list:
+        fld = solve_limit(lp, nx)
+        xs = fld.grid.axes[0]
+        errors.append(float(np.abs(fld.flat() - exact(xs)).max()))
+    if target == "linear":
+        return RateReport(tuple(nx_list), tuple(errors), math.nan, math.nan, all(e <= 1e-12 for e in errors))
+    hs = np.log([1.0 / nx for nx in nx_list])
+    rate = float(np.polyfit(hs, np.log(errors), 1)[0])
+    return RateReport(tuple(nx_list), tuple(errors), rate, threshold, rate >= threshold)
 
 
 def test_plan_requires_decreasing_eps():
@@ -76,7 +125,7 @@ def test_manufactured_rates():
 @pytest.fixture(scope="module")
 def ref_table(reference):
     plan = ExperimentPlan(nx=32, ny=16, limit_resolution=32)
-    return convergence_experiment(reference, plan)
+    return convergence_experiment(reference, plan, search_barriers(reference))
 
 
 def test_convergence_reference(ref_table):
@@ -94,14 +143,14 @@ def test_convergence_reference(ref_table):
 
 def test_single_eps_plan(reference):
     plan = ExperimentPlan(eps_list=(0.1,), nx=16, ny=8, limit_resolution=16)
-    table = convergence_experiment(reference, plan, with_barriers=False)
+    table = convergence_experiment(reference, plan, None)
     assert len(table.rows) == 1
     assert not table.strictly_decreasing  # no monotonicity verdict from one row
 
 
 def test_slice_exact_gap_below_discretization(slice_exact):
     plan = ExperimentPlan(nx=32, ny=16, limit_resolution=32)
-    table = convergence_experiment(slice_exact, plan, with_barriers=False)
+    table = convergence_experiment(slice_exact, plan, None)
     for row in table.rows:
         assert row.sup_error <= table.disc_error_estimate
     # machine-zero gaps are not held to strict monotonicity
@@ -110,8 +159,8 @@ def test_slice_exact_gap_below_discretization(slice_exact):
 
 
 def test_csv_deterministic(reference):
-    a = convergence_experiment(reference, SMALL).to_csv()
-    b = convergence_experiment(reference, SMALL).to_csv()
+    a = convergence_experiment(reference, SMALL, search_barriers(reference)).to_csv()
+    b = convergence_experiment(reference, SMALL, search_barriers(reference)).to_csv()
     assert a == b
     assert a.splitlines()[0].startswith("eps,")
 
@@ -121,8 +170,8 @@ def test_verdict_invariant_under_s_shift():
     shifted = reference_problem(s="x1 + 1")
     shifted.bdata.s_candidate.expr.register_derivative("x1", "1")
     shifted.bdata.s_candidate.expr.register_derivative(("x1", "x1"), "0")
-    ta = convergence_experiment(base, SMALL)
-    tb = convergence_experiment(shifted, SMALL)
+    ta = convergence_experiment(base, SMALL, search_barriers(base))
+    tb = convergence_experiment(shifted, SMALL, search_barriers(shifted))
     assert ta.passed == tb.passed
     for ra, rb in zip(ta.rows, tb.rows):
         assert ra.sup_error == pytest.approx(rb.sup_error, abs=1e-14)
