@@ -5,6 +5,11 @@ converge | counterexample | pipeline.  All tables are CSV with a header
 row; reports are plain structured text on stdout (and under --out when
 given).  Exit codes: 0 success, 2 validation failure, 3 certificate
 failure, 4 barrier search failure, 5 solver failure, 1 other failures.
+
+A subcommand named after a pipeline stage runs the pipeline's stage function
+(``converge``: the barrier stage, then the converge stage) and adds only its
+extras: CSV tables, the limit bounds of ``reduce``, the map and profile
+lines of ``transform`` and the margins of ``barrier`` (exit 4 when they fail).
 """
 
 from __future__ import annotations
@@ -12,33 +17,17 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from . import barriers as bar
 from . import harness, solver as sol
 from .config import _SETTING_RANGES, ConfigError, _int_at_least, _positive_float, load_experiment_settings, load_problem
-from .distortion import HatBoundary, HatOperator, build_map, top_profile
-from .ellipticity import (
-    _forms,
-    _interior_rows,
-    boundary_certificate,
-    circle_obstruction_demo,
-    equivalence_check,
-    interior_certificate,
-)
-from .harness import (
-    EXIT_BARRIER,
-    EXIT_CERTIFICATE,
-    EXIT_FAILURE,
-    EXIT_OK,
-    EXIT_SOLVER,
-    EXIT_VALIDATION,
-    fmt_float,
-)
-from .problem import EpsOutOfRangeError, box_lattice, validate as validate_problem
-from .reduction import estimate_limit_bounds, reduce_problem, representation_check
+from .distortion import HatOperator, top_profile
+from .ellipticity import _forms, _interior_rows, circle_obstruction_demo
+from .harness import EXIT_BARRIER, EXIT_FAILURE, EXIT_OK, fmt_float
+from .problem import EpsOutOfRangeError, box_lattice
+from .reduction import estimate_limit_bounds, reduce_problem
 
 __all__ = ["main"]
 
@@ -62,19 +51,12 @@ def _need_config(args) -> "ThinProblem":
     return load_problem(args.config)
 
 
-def _emit(args, name: str, text: str) -> None:
+def _report(args, name: str, lines: list[str], code: int, tables: dict[str, str] | None = None) -> int:
+    """Print the report, write it and the CSV ``tables`` under --out, and return the exit code."""
+    text = "\n".join(lines)
     print(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text + ("\n" if not text.endswith("\n") else ""))
-
-
-def _write_csv(args, name: str, text: str) -> None:
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text)
+    harness.write_outputs(args.out, {name: text + "\n", **(tables or {})})
+    return code
 
 
 def _base_header(n: int, name: str = "x") -> str:
@@ -87,99 +69,83 @@ def _base_row(x) -> str:
     return ",".join(fmt_float(v) for v in x)
 
 
-def _per_pair(coeffs, k: int):
-    """(a, b, c, f) of each control pair at node k, in ``control_pairs()`` order."""
-    return zip(*(v[k].reshape(-1, *v.shape[3:]) for v in (coeffs.a, coeffs.b, coeffs.c, coeffs.f)))
+def _point_rows(points, *columns) -> list[str]:
+    """CSV rows of base points, each followed by its value in every column."""
+    return [",".join([_base_row(x)] + [fmt_float(v) for v in row]) for x, *row in zip(points, *columns)]
+
+
+def _csv(header: str, rows: list[str]) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _coefficient_csv(head: str, tag: str, problem, points, coeffs) -> str:
+    """One row per point and control pair: a_ij, b_i, c, f over the base axes, each column named ``*_{tag}``."""
+    n = problem.n
+    header = [head, "lambda", "mu"] + [f"a_{tag}_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    header += [f"b_{tag}_{i + 1}" for i in range(n)] + [f"c_{tag}", f"f_{tag}"]
+    rows = []
+    for k, x in enumerate(points):
+        per_pair = zip(*(v[k].reshape(-1, *v.shape[3:]) for v in (coeffs.a, coeffs.b, coeffs.c, coeffs.f)))
+        for (lam, mu), (a, b, c, f) in zip(problem.control_pairs(), per_pair):
+            cells = [*a[:n, :n].ravel(), *b[:n], c, f]
+            rows.append(",".join([_base_row(x), lam, mu] + [fmt_float(v) for v in cells]))
+    return _csv(",".join(header), rows)
 
 
 def cmd_validate(args) -> int:
-    problem = _need_config(args)
-    report = validate_problem(problem, samples_per_axis=args.samples)
-    _emit(args, "validate_report.txt", report.format())
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+    stage = harness.validate_stage(_need_config(args), args.samples)
+    return _report(args, "validate_report.txt", stage.lines, stage.code)
 
 
 def cmd_certify(args) -> int:
     problem = _need_config(args)
-    interior = interior_certificate(problem, samples_per_axis=args.samples)
-    boundary = boundary_certificate(problem, samples_per_axis=args.samples)
-    equiv = equivalence_check(problem, samples_per_axis=args.samples)
-    _emit(args, "certify_report.txt", "\n".join([interior.format(), boundary.format(), equiv.format()]))
+    stage = harness.certify_stage(problem, args.samples)
+    tables = {}
     if args.csv:
-        lines = [_base_header(problem.n) + ",lambda,mu,quadratic_form"]
         xs, vs = _interior_rows(problem, args.samples)
         forms = _forms(problem, xs, vs)[0].reshape(len(xs), -1)
-        for x, q_row in zip(xs, forms):
-            for (lam, mu), q in zip(problem.control_pairs(), q_row):
-                lines.append(f"{_base_row(x)},{lam},{mu},{fmt_float(q)}")
-        _write_csv(args, "certify_interior.csv", "\n".join(lines) + "\n")
-    ok = interior.passed and boundary.passed and equiv.passed
-    return EXIT_OK if ok else EXIT_CERTIFICATE
+        pairs = problem.control_pairs()
+        rows = [
+            f"{_base_row(x)},{lam},{mu},{fmt_float(q)}" for x, qs in zip(xs, forms) for (lam, mu), q in zip(pairs, qs)
+        ]
+        tables["certify_interior.csv"] = _csv(_base_header(problem.n) + ",lambda,mu,quadratic_form", rows)
+    return _report(args, "certify_report.txt", stage.lines, stage.code, tables)
 
 
 def cmd_reduce(args) -> int:
     problem = _need_config(args)
-    lp = reduce_problem(problem)
-    rep = representation_check(problem, lp, samples=args.samples_random, seed=args.seed)
-    bounds = estimate_limit_bounds(lp)
-    n = problem.n
-    head = [f"x{k + 1}" for k in range(n)] + ["lambda", "mu"]
-    head += [f"a_tilde_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    head += [f"b_tilde_{i + 1}" for i in range(n)] + ["c_tilde", "f_tilde"]
-    lines = [",".join(head)]
+    stage = harness.reduce_stage(problem, args.samples_random, args.seed)
+    lp = stage.product
     xs = problem.geom.lattice(args.samples)
-    co = lp.coefficients(xs)
-    pairs = problem.control_pairs()
-    for k, x in enumerate(xs):
-        for (lam, mu), (a, b, c, f) in zip(pairs, _per_pair(co, k)):
-            row = [fmt_float(v) for v in x] + [lam, mu]
-            row += [fmt_float(v) for v in a.ravel()]
-            row += [fmt_float(v) for v in b]
-            row += [fmt_float(c), fmt_float(f)]
-            lines.append(",".join(row))
-    _write_csv(args, "reduced_coefficients.csv", "\n".join(lines) + "\n")
-    _emit(args, "reduce_report.txt", rep.format() + "\n" + bounds.format())
-    return EXIT_OK if rep.passed else EXIT_FAILURE
+    head = ",".join(f"x{k + 1}" for k in range(problem.n))
+    table = _coefficient_csv(head, "tilde", problem, xs, lp.coefficients(xs))
+    report = stage.lines + [estimate_limit_bounds(lp).format()]
+    return _report(args, "reduce_report.txt", report, stage.code, {"reduced_coefficients.csv": table})
 
 
 def cmd_transform(args) -> int:
     problem = _need_config(args)
     eps = args.eps
     problem.geom.check_eps(eps)
-    dmap = build_map(problem)
-    hat = HatOperator(problem, dmap)
+    stage = harness.transform_stage(problem)
+    dmap = stage.product
+    if dmap is None:
+        return _report(args, "transform_report.txt", stage.lines, stage.code)
     head = _base_header(problem.n, "z")
-    lines = [head + ",g_eps_plus,g_eps_minus,eps_g_plus,eps_g_minus"]
     lo, hi = dmap.omega_hat
     zs = box_lattice(lo, hi, args.samples)
-    g_plus, g_minus = problem.geom.g_plus, problem.geom.g_minus
-    columns = (
-        top_profile(dmap, g_plus, eps, zs),
-        top_profile(dmap, g_minus, eps, zs),
-        eps * g_plus.value(zs),
-        eps * g_minus.value(zs),
-    )
-    lines += [",".join([_base_row(z)] + [fmt_float(v) for v in row]) for z, *row in zip(zs, *columns)]
-    _write_csv(args, "profiles.csv", "\n".join(lines) + "\n")
-    n = problem.n
-    chead = [head, "lambda", "mu"] + [f"a_hat_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    clines = [",".join(chead + [f"b_hat_{i + 1}" for i in range(n)] + ["c_hat", "f_hat"])]
-    co = hat.coefficients(zs, np.zeros(len(zs)))
-    pairs = problem.control_pairs()
-    for k, z in enumerate(zs):
-        for (lam, mu), (a, b, c, f) in zip(pairs, _per_pair(co, k)):
-            cells = [*a[:n, :n].ravel(), *b[:n], c, f]
-            clines.append(",".join([_base_row(z), lam, mu] + [fmt_float(v) for v in cells]))
-    _write_csv(args, "hat_coefficients.csv", "\n".join(clines) + "\n")
-    exact = HatBoundary(problem, dmap).check_exactness()
-    _emit(
-        args,
-        "transform_report.txt",
-        f"distortion map: r={dmap.r:g} sup|gamma|={dmap.gamma_sup:.6g} sup|Dgamma|={dmap.dgamma_sup:.6g}\n"
-        f"profiles written for eps={eps:g} over {' x '.join(f'[{a:g}, {b:g}]' for a, b in zip(lo, hi))}\n"
-        + exact.format(),
-    )
-    return EXIT_OK if exact.passed else EXIT_FAILURE
+    heights = (problem.geom.g_plus, problem.geom.g_minus)
+    profiles = [top_profile(dmap, g, eps, zs) for g in heights] + [eps * g.value(zs) for g in heights]
+    co = HatOperator(problem, dmap).coefficients(zs, np.zeros(len(zs)))
+    report = [
+        f"distortion map: r={dmap.r:g} sup|gamma|={dmap.gamma_sup:.6g} sup|Dgamma|={dmap.dgamma_sup:.6g}",
+        f"profiles written for eps={eps:g} over {' x '.join(f'[{a:g}, {b:g}]' for a, b in zip(lo, hi))}",
+    ]
+    tables = {
+        "profiles.csv": _csv(head + ",g_eps_plus,g_eps_minus,eps_g_plus,eps_g_minus", _point_rows(zs, *profiles)),
+        "hat_coefficients.csv": _coefficient_csv(head, "hat", problem, zs, co),
+    }
+    return _report(args, "transform_report.txt", report + stage.lines, stage.code, tables)
 
 
 def cmd_barrier(args) -> int:
@@ -187,23 +153,21 @@ def cmd_barrier(args) -> int:
     if args.eps is not None:
         problem.geom.check_eps(args.eps)
     view = bar.flat_view(problem)
-    try:
-        pair = bar.search_barriers(problem, view)
-    except bar.SearchExhaustedError as exc:
-        _emit(args, "barrier_report.txt", str(exc))
-        return EXIT_BARRIER
+    stage = harness.barrier_stage(problem, view, None)
+    pair = stage.product
+    if pair is None:
+        return _report(args, "barrier_report.txt", stage.lines, stage.code)
     eps = args.eps if args.eps is not None else pair.params.eps1 / 2
     margins = bar.verify_barrier(view, pair, eps, grid=(args.nx, args.ny))
-    _emit(args, "barrier_report.txt", "parameters: " + pair.params.format() + "\n" + margins.format())
+    tables = {}
     if args.csv:
-        lines = [_base_header(problem.n) + ",y,psi_upper,psi_lower"]
         xs = view.base_lattice(args.nx)
         x_idx, ys = view.strip_nodes(xs, eps, args.ny)
         x = xs[x_idx]
-        columns = (ys, *pair.values(x, ys, eps))
-        lines += [",".join([_base_row(xi)] + [fmt_float(v) for v in row]) for xi, *row in zip(x, *columns)]
-        _write_csv(args, "barrier_grids.csv", "\n".join(lines) + "\n")
-    return EXIT_OK if margins.passed else EXIT_BARRIER
+        rows = _point_rows(x, ys, *pair.values(x, ys, eps))
+        tables["barrier_grids.csv"] = _csv(_base_header(problem.n) + ",y,psi_upper,psi_lower", rows)
+    code = EXIT_OK if margins.passed else EXIT_BARRIER
+    return _report(args, "barrier_report.txt", stage.lines + [margins.format()], code, tables)
 
 
 def cmd_solve(args) -> int:
@@ -218,10 +182,11 @@ def cmd_solve(args) -> int:
                 return EXIT_FAILURE
             fld = sol.solve_eps(problem, args.eps, nx=args.nx, ny=args.ny, tol=args.tol, max_iter=args.max_iter)
     except sol.SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        stop = harness.failure(exc)
+        print(*stop.lines, file=sys.stderr)
+        return stop.code
     n = problem.n
-    lines = [_base_header(n) + ",y,u,active_lambda,active_mu"]
+    lines = []
     nodes = fld.grid.nodes()
     u = fld.flat()
     for i, z in enumerate(nodes):
@@ -229,15 +194,13 @@ def cmd_solve(args) -> int:
         mu = problem.controls.max_labels[fld.policy_max[i]]
         y = z[-1] if fld.grid.kind == "eps" else 0.0
         lines.append(f"{_base_row(z[:n])},{fmt_float(y)},{fmt_float(u[i])},{lam},{mu}")
-    _write_csv(args, "solution.csv", "\n".join(lines) + "\n")
-    _emit(
-        args,
-        "solve_report.txt",
+    report = (
         f"solved {'limit' if args.limit else f'eps={args.eps}'} problem: residual {fld.residual:.3e} "
         f"(diagonal-scaled {fld.scaled_residual:.3e}) in {fld.iterations} iteration(s), "
-        f"{fld.policy_switch_count} policy switch(es)",
+        f"{fld.policy_switch_count} policy switch(es)"
     )
-    return EXIT_OK
+    table = _csv(_base_header(n) + ",y,u,active_lambda,active_mu", lines)
+    return _report(args, "solve_report.txt", [report], EXIT_OK, {"solution.csv": table})
 
 
 def cmd_converge(args) -> int:
@@ -250,30 +213,20 @@ def cmd_converge(args) -> int:
             args.usage_error(f"argument --eps: {exc}")
     overrides = {"eps_list": args.eps, "nx": args.nx, "ny": args.ny, "limit_resolution": args.limit_nx}
     plan = replace(plan, **{k: v for k, v in overrides.items() if v is not None})
-    try:
-        pair = bar.search_barriers(problem)
-    except bar.SearchExhaustedError as exc:
-        _emit(args, "converge_report.txt", str(exc))
-        return EXIT_BARRIER
-    try:
-        table = harness.convergence_experiment(problem, plan, pair)
-    except sol.SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    _write_csv(args, "convergence.csv", table.to_csv())
-    _emit(args, "converge_report.txt", table.format())
-    return EXIT_OK if table.passed else EXIT_FAILURE
+    stage = harness.barrier_stage(problem, bar.flat_view(problem), None)
+    if stage.code == EXIT_OK:
+        stage = harness.converge_stage(problem, plan, stage.product)
+    return _report(args, "converge_report.txt", stage.lines, stage.code, harness.convergence_csv(stage))
 
 
 def cmd_counterexample(args) -> int:
     report = circle_obstruction_demo(n_theta=args.n_theta)
-    _emit(args, "counterexample_report.txt", report.format())
+    tables = {}
     if args.csv:
-        lines = ["candidate,theta,quadratic_form"]
-        for row in report.rows:
-            lines.append(f"{row.candidate},{fmt_float(row.theta_min)},{fmt_float(row.q_min)}")
-        _write_csv(args, "counterexample.csv", "\n".join(lines) + "\n")
-    return EXIT_OK if report.passed else EXIT_FAILURE
+        rows = [f"{row.candidate},{fmt_float(row.theta_min)},{fmt_float(row.q_min)}" for row in report.rows]
+        tables["counterexample.csv"] = _csv("candidate,theta,quadratic_form", rows)
+    code = EXIT_OK if report.passed else EXIT_FAILURE
+    return _report(args, "counterexample_report.txt", [report.format()], code, tables)
 
 
 def cmd_pipeline(args) -> int:
@@ -289,19 +242,19 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("validate", help="check the standing assumptions by sampling")
     _common(p)
-    p.add_argument("--samples", type=_int_at_least(4), default=8)
+    p.add_argument("--samples", type=_int_at_least(4), default=harness.VALIDATE_SAMPLES)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("certify", help="interior/boundary ellipticity certificates")
     _common(p)
-    p.add_argument("--samples", type=_int_at_least(1), default=16)
+    p.add_argument("--samples", type=_int_at_least(1), default=harness.CERTIFY_SAMPLES)
     p.add_argument("--csv", action="store_true", help="dump the per-node quadratic form")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("reduce", help="build the limit problem and dump its coefficients")
     _common(p)
     p.add_argument("--samples", type=_int_at_least(1), default=16)
-    p.add_argument("--samples-random", type=_int_at_least(1), default=1000)
+    p.add_argument("--samples-random", type=_int_at_least(1), default=harness.REPRESENTATION_SAMPLES)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("transform", help="emit distorted-boundary profiles and hatted coefficients")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Const, ScalarField
+from .expressions import Const, ExprError, ScalarField
 from .problem import (
     Coefficients,
     EpsOutOfRangeError,
@@ -45,6 +45,7 @@ from .problem import (
 __all__ = [
     "NoConvergenceError",
     "SingularJacobianError",
+    "DISTORTION_ERRORS",
     "DistortionMap",
     "build_map",
     "top_profile",
@@ -75,6 +76,10 @@ class NoConvergenceError(ArithmeticError):
 
 class SingularJacobianError(ArithmeticError):
     """I + y Dgamma lost invertibility."""
+
+
+# every way building or checking a map can fail on valid input; callers map these to exit 1
+DISTORTION_ERRORS = (NoConvergenceError, SingularJacobianError, ExprError, EpsOutOfRangeError)
 
 
 @dataclass

@@ -125,16 +125,17 @@ def boundary_certificate(problem: ThinProblem, samples_per_axis: int = 16) -> Ce
 @dataclass
 class EquivalenceReport:
     max_discrepancy: float
-    witness: tuple
+    witness: tuple | None  # None when the discrepancy is 0
     passed: bool
     tolerance: float = 1e-10
 
     def format(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return (
+        line = (
             f"{status} |v sigma^T|^2 vs v A v^T: max discrepancy {self.max_discrepancy:.3e}"
-            f" (tolerance {self.tolerance:g}) at {self.witness}"
+            f" (tolerance {self.tolerance:g})"
         )
+        return line if self.witness is None else f"{line} at {self.witness}"
 
 
 def equivalence_check(problem: ThinProblem, samples_per_axis: int = 16) -> EquivalenceReport:

@@ -1,4 +1,4 @@
-"""Experiment harness: convergence measurement and the pipeline.
+"""Experiment harness: the pipeline stages, the convergence measurement and the pipeline.
 
 The convergence experiment solves the thin problem for a decreasing list of
 eps, solves the limit problem once, and measures
@@ -13,7 +13,7 @@ solution; the barrier sandwich, evaluated alongside, bounds where any other
 solution could live, and its width is reported next to E.
 
 The barrier pair comes from :func:`thinpde.barriers.search_barriers`, run
-by the caller (the pipeline's barrier stage, or ``thinpde converge``) and
+by the barrier stage (in the pipeline and in ``thinpde converge``) and
 passed in; None measures no sandwich.  Barrier strictness is only certified
 for eps below the searched eps1; when the requested eps list extends above
 it (the default list does, for the reference data), those rows are flagged
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ import numpy as np
 from . import barriers as bar
 from . import solver as sol
 from .config import ExperimentPlan
-from .distortion import HatBoundary, build_map, transplant_ellipticity
+from .distortion import DISTORTION_ERRORS, DistortionMap, HatBoundary, build_map, transplant_ellipticity
 from .ellipticity import boundary_certificate, equivalence_check, interior_certificate
 from .problem import ThinProblem, validate
 from .reduction import reduce_problem, representation_check
@@ -46,6 +46,16 @@ __all__ = [
     "ConvergenceRow",
     "ConvergenceTable",
     "convergence_experiment",
+    "Stage",
+    "failure",
+    "validate_stage",
+    "certify_stage",
+    "reduce_stage",
+    "transform_stage",
+    "barrier_stage",
+    "converge_stage",
+    "convergence_csv",
+    "write_outputs",
     "PipelineResult",
     "run_pipeline",
     "fmt_float",
@@ -96,36 +106,11 @@ class ConvergenceTable:
         return (self.strictly_decreasing or self.within_noise_floor) and self.final_within_tolerance
 
     def to_csv(self) -> str:
-        headers = [
-            "eps",
-            "nx",
-            "ny",
-            "sup_error",
-            "eps_residual",
-            "iterations",
-            "certified",
-            "sandwich_lower_margin",
-            "sandwich_upper_margin",
-            "sandwich_width",
-        ]
-        lines = [",".join(headers)]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        fmt_float(r.eps),
-                        str(r.nx),
-                        str(r.ny),
-                        fmt_float(r.sup_error),
-                        fmt_float(r.eps_residual),
-                        str(r.iterations),
-                        str(int(r.certified)),
-                        fmt_float(r.sandwich_lower_margin),
-                        fmt_float(r.sandwich_upper_margin),
-                        fmt_float(r.sandwich_width),
-                    ]
-                )
-            )
+        """One row per eps, one column per ConvergenceRow field, in field order."""
+        columns = fields(ConvergenceRow)
+        cell = {"int": str, "bool": lambda v: str(int(v)), "float": fmt_float}
+        lines = [",".join(c.name for c in columns)]
+        lines += [",".join(cell[c.type](getattr(r, c.name)) for c in columns) for r in self.rows]
         return "\n".join(lines) + "\n"
 
     def format(self) -> str:
@@ -220,7 +205,105 @@ def convergence_experiment(problem: ThinProblem, plan: ExperimentPlan, barrier: 
     )
 
 
-# --- pipeline ----------------------------------------------------------------
+# --- stages and the pipeline --------------------------------------------------
+
+# the pipeline runs each stage at the single-stage subcommands' default options
+VALIDATE_SAMPLES = 8
+CERTIFY_SAMPLES = 16
+REPRESENTATION_SAMPLES = 1000
+
+# every library failure a stage reports instead of raising:
+# (its classes, the stage it stops, the prefix of its one report line, the exit code)
+FAILURES = (
+    (DISTORTION_ERRORS, "transform", "transform failed: ", EXIT_FAILURE),
+    ((bar.SearchExhaustedError,), "barrier", "", EXIT_BARRIER),
+    (sol.SOLVER_ERRORS, "solve", "solver failed: ", EXIT_SOLVER),
+)
+
+
+@dataclass
+class Stage:
+    """What one stage function returns; the pipeline and the single-stage subcommands run the same functions."""
+
+    name: str  # the stage it ends at
+    code: int  # its exit code, 0 on pass
+    lines: list[str]  # its report lines
+    product: object  # what the next stage needs (LimitProblem, DistortionMap, BarrierPair, ConvergenceTable) or None
+
+
+def failure(exc: Exception) -> Stage:
+    """The stopped stage that ``FAILURES`` gives for a library failure; any other exception is raised again."""
+    for classes, stage, prefix, code in FAILURES:
+        if isinstance(exc, classes):
+            return Stage(stage, code, [f"{prefix}{exc}"], None)
+    raise exc
+
+
+def _verdict(name: str, reports: list, fail_code: int, product: object = None) -> Stage:
+    """A stage whose reports each print one block and pass or fail."""
+    code = EXIT_OK if all(r.passed for r in reports) else fail_code
+    return Stage(name, code, [r.format() for r in reports], product)
+
+
+def validate_stage(problem: ThinProblem, samples: int) -> Stage:
+    return _verdict("validate", [validate(problem, samples)], EXIT_VALIDATION)
+
+
+def certify_stage(problem: ThinProblem, samples: int) -> Stage:
+    checks = (interior_certificate, boundary_certificate, equivalence_check)
+    return _verdict("certify", [check(problem, samples) for check in checks], EXIT_CERTIFICATE)
+
+
+def reduce_stage(problem: ThinProblem, samples: int, seed: int) -> Stage:
+    lp = reduce_problem(problem)
+    return _verdict("reduce", [representation_check(problem, lp, samples=samples, seed=seed)], EXIT_FAILURE, lp)
+
+
+def transform_stage(problem: ThinProblem) -> Stage:
+    """Build the distortion map and check its transplanted ellipticity and its straightened boundary data."""
+    try:
+        dmap = build_map(problem)
+        reports = [transplant_ellipticity(problem, dmap), HatBoundary(problem, dmap).check_exactness()]
+    except DISTORTION_ERRORS as exc:
+        return failure(exc)
+    return _verdict("transform", reports, EXIT_FAILURE, dmap)
+
+
+def barrier_stage(problem: ThinProblem, view: bar.StripView, dmap: DistortionMap | None) -> Stage:
+    """Search the barrier pair from the flat ``view``; a distorted problem given no ``dmap`` builds it here."""
+    if dmap is None and view.needs_distortion:
+        try:
+            dmap = build_map(problem)
+        except DISTORTION_ERRORS as exc:
+            return failure(exc)
+    try:
+        pair = bar.search_barriers(problem, view, dmap)
+    except bar.SearchExhaustedError as exc:
+        return failure(exc)
+    return Stage("barrier", EXIT_OK, ["parameters: " + pair.params.format()], pair)
+
+
+def converge_stage(problem: ThinProblem, plan: ExperimentPlan, pair: bar.BarrierPair) -> Stage:
+    try:
+        table = convergence_experiment(problem, plan, pair)
+    except sol.SOLVER_ERRORS as exc:
+        return failure(exc)
+    return _verdict("converge", [table], EXIT_FAILURE, table)
+
+
+def convergence_csv(stage: Stage) -> dict[str, str]:
+    """``convergence.csv`` once the converge stage has measured its table, else nothing."""
+    return {"convergence.csv": stage.product.to_csv()} if stage.name == "converge" else {}
+
+
+def write_outputs(out_dir: str | None, files: dict[str, str]) -> None:
+    """Write each named text under ``out_dir``, creating it; nothing without an ``out_dir``."""
+    if not out_dir:
+        return
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
 
 
 @dataclass
@@ -228,11 +311,23 @@ class PipelineResult:
     exit_code: int
     stage: str
     report: str
-    table: ConvergenceTable | None = None
+    table: ConvergenceTable | None
 
-    @property
-    def ok(self) -> bool:
-        return self.exit_code == EXIT_OK
+
+def _pipeline_stages(problem: ThinProblem, plan: ExperimentPlan, seed: int):
+    """(report header, Stage) in pipeline order; each stage runs only when the caller asks for the next."""
+    yield "validate", validate_stage(problem, VALIDATE_SAMPLES)
+    yield "certify", certify_stage(problem, CERTIFY_SAMPLES)
+    yield "reduce", reduce_stage(problem, REPRESENTATION_SAMPLES, seed)
+    view = bar.flat_view(problem)
+    dmap = None
+    if view.needs_distortion:
+        transform = transform_stage(problem)
+        dmap = transform.product
+        yield "transform", transform
+    barrier = barrier_stage(problem, view, dmap)
+    yield "barrier", barrier
+    yield "solve + converge", converge_stage(problem, plan, barrier.product)
 
 
 def run_pipeline(
@@ -241,72 +336,17 @@ def run_pipeline(
     """validate -> certify -> reduce -> transform -> barrier -> solve -> converge.
 
     The first failing stage stops the run; its name and diagnostic land in
-    the report, and partially completed tables are still written.
+    the report, and the convergence table, once measured, is still written.
+    The transform stage runs only when gamma0 does not vanish.
     """
     lines: list[str] = []
-
-    def finish(code: int, stage: str, table=None) -> PipelineResult:
-        lines.append(f"pipeline: {'SUCCESS' if code == EXIT_OK else f'FAILED at stage {stage} (exit {code})'}")
-        report = "\n".join(lines)
-        if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "pipeline_report.txt").write_text(report + "\n")
-            if table is not None:
-                (out / "convergence.csv").write_text(table.to_csv())
-        return PipelineResult(exit_code=code, stage=stage, report=report, table=table)
-
-    lines.append("[stage validate]")
-    diag = validate(problem)
-    lines.append(diag.format())
-    if not diag.passed:
-        return finish(EXIT_VALIDATION, "validate")
-
-    lines.append("[stage certify]")
-    interior = interior_certificate(problem)
-    boundary = boundary_certificate(problem)
-    equiv = equivalence_check(problem)
-    lines += [interior.format(), boundary.format(), equiv.format()]
-    if not (interior.passed and boundary.passed and equiv.passed):
-        return finish(EXIT_CERTIFICATE, "certify")
-
-    lines.append("[stage reduce]")
-    lp = reduce_problem(problem)
-    rep = representation_check(problem, lp, samples=1000, seed=seed)
-    lines.append(rep.format())
-    if not rep.passed:
-        return finish(EXIT_FAILURE, "reduce")
-
-    view = bar.flat_view(problem)
-    dmap = None
-    if view.needs_distortion:
-        lines.append("[stage transform]")
-        try:
-            dmap = build_map(problem)
-            tr = transplant_ellipticity(problem, dmap)
-            exact = HatBoundary(problem, dmap).check_exactness()
-            lines += [tr.format(), exact.format()]
-            if not (tr.passed and exact.passed):
-                return finish(EXIT_FAILURE, "transform")
-        except Exception as exc:  # noqa: BLE001 - report, classify, stop
-            lines.append(f"transform failed: {exc}")
-            return finish(EXIT_FAILURE, "transform")
-
-    lines.append("[stage barrier]")
-    try:
-        barrier = bar.search_barriers(problem, view, dmap)
-        lines.append("parameters: " + barrier.params.format())
-    except bar.SearchExhaustedError as exc:
-        lines.append(str(exc))
-        return finish(EXIT_BARRIER, "barrier")
-
-    lines.append("[stage solve + converge]")
-    try:
-        table = convergence_experiment(problem, plan, barrier=barrier)
-    except sol.SOLVER_ERRORS as exc:
-        lines.append(f"solver failed: {exc}")
-        return finish(EXIT_SOLVER, "solve")
-    lines.append(table.format())
-    if not table.passed:
-        return finish(EXIT_FAILURE, "converge", table)
-    return finish(EXIT_OK, "done", table)
+    for header, stage in _pipeline_stages(problem, plan, seed):
+        lines += [f"[stage {header}]", *stage.lines]
+        if stage.code != EXIT_OK:
+            break
+    name = stage.name if stage.code != EXIT_OK else "done"
+    lines.append(f"pipeline: {'SUCCESS' if stage.code == EXIT_OK else f'FAILED at stage {name} (exit {stage.code})'}")
+    report = "\n".join(lines)
+    table = stage.product if stage.name == "converge" else None
+    write_outputs(out_dir, {"pipeline_report.txt": report + "\n", **convergence_csv(stage)})
+    return PipelineResult(exit_code=stage.code, stage=name, report=report, table=table)

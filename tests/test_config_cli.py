@@ -218,6 +218,27 @@ def test_cli_barrier_search_on_a_steep_oblique_field_exits_4(command, tmp_path, 
     assert not (tmp_path / "out" / "convergence.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["transform", "barrier", "converge"])
+@pytest.mark.parametrize(
+    "gamma0, want",
+    [
+        # build_map samples the base box inflated by 1, where x1 + 0.5 < 0
+        ("0.2*sqrt(x1 + 0.5)", "sqrt of negative value -0.5 at (-1.0,)"),
+        ("1e15*x1", "no admissible slab half-height r; gamma too steep"),
+    ],
+    ids=["sqrt", "steep"],
+)
+def test_cli_unbuildable_distortion_map_exits_1_with_one_line(command, gamma0, want, tmp_path, capsys):
+    # these once ended in an EvalDomainError or SingularJacobianError traceback, exit 1
+    cfg = _config_variant(tmp_path, "distorted.cfg", "gamma0 = 0.2*x1", f"gamma0 = {gamma0}", "gamma0_1/")
+    assert main([command] + cfg + ["--out", str(tmp_path / "out")]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == f"transform failed: {want}\n"
+    assert (tmp_path / "out" / f"{command}_report.txt").read_text() == captured.out
+    assert not (tmp_path / "out" / "convergence.csv").exists()
+
+
 def test_cli_converge_reports_a_failed_barrier_search_like_barrier(tmp_path, capsys):
     # s = 0 cannot be normalized; converge once ended in a SearchExhaustedError traceback, exit 1
     cfg = _config_variant(tmp_path, "reference.cfg", "\ns = x1\n", "\ns = 0\n", "s/")
@@ -244,7 +265,7 @@ def test_cli_experiment_tol_and_max_iter_take_effect(tmp_path, capsys):
     assert main(["pipeline", "--config", str(strict)]) == EXIT_SOLVER
     assert "FAILED at stage solve (exit 5)" in capsys.readouterr().out
     assert main(["converge", "--config", str(strict)]) == EXIT_SOLVER
-    assert "policy iteration hit 2 iterations" in capsys.readouterr().err
+    assert capsys.readouterr().out.startswith("solver failed: policy iteration hit 2 iterations")
 
 
 def test_python_m_thinpde_runs_the_cli():
@@ -291,7 +312,7 @@ def test_cli_2d_converge_and_pipeline_stop_at_the_eps_solver(tmp_path, capsys):
     cfg = tmp_path / "base2d.cfg"
     cfg.write_text(BASE_2D)
     assert main(["converge", "--config", str(cfg)]) == EXIT_SOLVER
-    assert "restricted to a 1-dimensional base" in capsys.readouterr().err
+    assert "restricted to a 1-dimensional base" in capsys.readouterr().out
     assert main(["pipeline", "--config", str(cfg)]) == EXIT_SOLVER
     out = capsys.readouterr().out
     assert "restricted to a 1-dimensional base" in out
@@ -560,3 +581,34 @@ def test_cli_solve_accepts_the_smallest_strip(tmp_path):
     argv = ["solve"] + _cfg("reference.cfg") + ["--eps", "0.1", "--nx", "1", "--ny", "7", "--out", str(tmp_path)]
     assert main(argv) == EXIT_OK
     assert len((tmp_path / "solution.csv").read_text().splitlines()) == 1 + 2 * 8
+
+
+# report lines that only the single-stage subcommand prints, next to its stage's lines
+SUBCOMMAND_EXTRAS = {
+    "reduce": ("limit coefficient bounds: ",),
+    "transform": ("distortion map: ", "profiles written for "),
+    "barrier": ("margins at ", "  m", "  sandwich constant "),
+}
+
+
+def _without_runtimes(lines: list[str]) -> list[str]:
+    return [re.sub(r", \d+\.\d+s\)$", ")", line) for line in lines]
+
+
+@pytest.mark.parametrize("config", ["reference.cfg", "slice_exact.cfg", "distorted.cfg"])
+def test_pipeline_stages_report_what_the_single_stage_subcommands_report(config, tmp_path, capsys):
+    main(["pipeline"] + _cfg(config) + ["--out", str(tmp_path / "pipeline")])
+    sections: dict[str, list[str]] = {}
+    for line in (tmp_path / "pipeline" / "pipeline_report.txt").read_text().splitlines()[:-1]:
+        if line.startswith("[stage "):
+            lines = sections.setdefault(line[len("[stage ") : -1], [])
+        else:
+            lines.append(line)
+    distorted = ["transform"] if config == "distorted.cfg" else []
+    assert list(sections) == ["validate", "certify", "reduce", *distorted, "barrier", "solve + converge"]
+    for header, lines in sections.items():
+        command = header.split(" ")[-1]
+        main([command] + _cfg(config) + ["--out", str(tmp_path / command)])
+        own = (tmp_path / command / f"{command}_report.txt").read_text().splitlines()
+        own = [line for line in own if not line.startswith(SUBCOMMAND_EXTRAS.get(command, ()))]
+        assert _without_runtimes(own) == _without_runtimes(lines), command

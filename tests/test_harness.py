@@ -242,3 +242,15 @@ def test_pipeline_searches_barriers_once(case, monkeypatch, reference, distorted
     # the distorted view is built once, and each eps's sandwich inverts its strip nodes once
     assert calls["hat_view"] == (case == "distorted")
     assert calls["inverse"] == (len(plan.eps_list) if case == "distorted" else 0)
+
+
+def test_pipeline_lets_an_unexpected_transform_error_propagate(distorted, monkeypatch):
+    # only the named distortion failures become a "transform failed" verdict; a defect must surface
+    from thinpde import harness
+
+    def broken(problem):
+        raise TypeError("a defect in build_map")
+
+    monkeypatch.setattr(harness, "build_map", broken)
+    with pytest.raises(TypeError, match="a defect in build_map"):
+        run_pipeline(distorted, SMALL)
