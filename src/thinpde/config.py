@@ -2,10 +2,11 @@
 
 Sections: [controls], [geometry], [boundary], one [coefficients.<lam>.<mu>]
 per control pair (optionally a [coefficients] section with the declared
-uniform bound), an optional [derivatives] section of claimed derivatives
-(checked against the exact ones by ``validate``), and an optional
-[experiment] section with the run settings of the convergence experiment,
-read into an :class:`ExperimentPlan`.
+uniform bound), and an optional [experiment] section with the run settings
+of the convergence experiment, read into an :class:`ExperimentPlan`.
+Gradients and Hessians are always the exact derivatives of the expressions,
+so no section supplies them.  The loader records each key it asks for, and
+any other section or key is a ConfigError naming it.
 The full schema is documented in docs/config.md.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
-from .expressions import ExprError, ScalarField, VectorField, base_vars, strip_vars
+from .expressions import ScalarField, VectorField, base_vars, strip_vars
 from .problem import (
     BoundaryData,
     CoefficientEntry,
@@ -124,8 +125,9 @@ def _in_range(name: str, value):
         raise ValueError(f"{name}: {exc}") from exc
 
 
-# [experiment] keys that differ from the setting's name
-_EXPERIMENT_KEYS = {"eps_list": "eps", "limit_resolution": "limit_nx"}
+# the [experiment] key of each run setting: its name, but for eps and limit_nx
+_RENAMED = {"eps_list": "eps", "limit_resolution": "limit_nx"}
+_EXPERIMENT_KEYS = {name: _RENAMED.get(name, name) for name in _SETTING_RANGES}
 
 
 @dataclass(frozen=True)
@@ -150,13 +152,27 @@ class ExperimentPlan:
             object.__setattr__(self, name, _in_range(name, getattr(self, name)))
 
 
-def _value(cp: configparser.ConfigParser, sec: str, key: str, parse=str, default=None):
-    """``parse(cp[sec][key])``, or ``default`` if the key is absent.
+class _ConfigFile(configparser.ConfigParser):
+    """A config file that records each (section, key) the loader asks for, present or not."""
+
+    def __init__(self):
+        # default_section "" matches no header, so [DEFAULT] is one more (unknown) section, not inherited by all
+        super().__init__(interpolation=None, comment_prefixes=("#", ";"), default_section="")
+        self.optionxform = str
+        self.asked: set[tuple[str, str]] = set()
+
+
+_REQUIRED = object()  # the default of a key that must be present
+
+
+def _value(cp: _ConfigFile, sec: str, key: str, parse=str, default=_REQUIRED):
+    """``parse(cp[sec][key])``, or ``default`` if the key (or its section) is absent.
 
     A missing key without a default, or an unparsable value, is a ConfigError naming both.
     """
-    if key not in cp[sec]:
-        if default is None:
+    cp.asked.add((sec, key))
+    if sec not in cp or key not in cp[sec]:
+        if default is _REQUIRED:
             raise ConfigError(f"[{sec}] {key}: missing")
         return default
     try:
@@ -165,9 +181,19 @@ def _value(cp: configparser.ConfigParser, sec: str, key: str, parse=str, default
         raise ConfigError(f"[{sec}] {key}: {exc}") from exc
 
 
-def _read(path) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(interpolation=None, comment_prefixes=("#", ";"))
-    cp.optionxform = str
+def _reject_unasked(cp: _ConfigFile, sections) -> None:
+    """A ConfigError naming the first of ``sections``, or of their keys, that the loader never asked for."""
+    for sec in sections:
+        asked = {key for s, key in cp.asked if s == sec}
+        if not asked:
+            raise ConfigError(f"[{sec}]: unknown section")
+        for key in cp[sec]:
+            if key not in asked:
+                raise ConfigError(f"[{sec}] {key}: unknown key")
+
+
+def _read(path) -> _ConfigFile:
+    cp = _ConfigFile()
     try:
         read = cp.read(str(path))
     except configparser.Error as exc:
@@ -215,6 +241,7 @@ def load_problem(path: str | Path) -> ThinProblem:
         epsilon0=_value(cp, "geometry", "epsilon0", float, 0.25),
     )
 
+    h = _value(cp, "geometry", "h", default=None)
     boundary = partial(_value, cp, "boundary")
     bdata = BoundaryData(
         gamma0=vector("gamma0", boundary("gamma0"), bvars),
@@ -225,10 +252,10 @@ def load_problem(path: str | Path) -> ThinProblem:
         l_minus=scalar("l_minus", boundary("l_minus"), bvars),
         beta_lateral=scalar("beta", boundary("beta"), svars),
         s_candidate=scalar("s", boundary("s"), bvars),
-        h=scalar("h", _value(cp, "geometry", "h"), bvars) if "h" in cp["geometry"] else None,
+        h=None if h is None else scalar("h", h, bvars),
     )
 
-    bound = _value(cp, "coefficients", "bound", float, 100.0) if "coefficients" in cp else 100.0
+    bound = _value(cp, "coefficients", "bound", float, None)
     entries = {}
     for lam in min_labels:
         for mu in max_labels:
@@ -254,39 +281,26 @@ def load_problem(path: str | Path) -> ThinProblem:
                 f=scalar(f"f[{lam}.{mu}]", _value(cp, sec, "f"), svars),
             )
 
-    problem = ThinProblem(
+    # [experiment] is parsed by load_experiment_settings; its keys are known here too
+    cp.asked.update(("experiment", key) for key in _EXPERIMENT_KEYS.values())
+    _reject_unasked(cp, cp.sections())
+    return ThinProblem(
         controls=controls,
-        coeffs=CoefficientFamily(entries=entries, bound=bound),
+        # an absent bound keeps the family's default
+        coeffs=CoefficientFamily(entries) if bound is None else CoefficientFamily(entries, bound),
         geom=geom,
         bdata=bdata,
     )
-    if "derivatives" in cp:
-        fields = problem.fields()
-        for key, text in cp["derivatives"].items():
-            parts = key.split("/")
-            if len(parts) not in (2, 3):
-                raise ConfigError(f"derivative key '{key}' must be field/var or field/var/var")
-            name = parts[0].strip()
-            variables = tuple(p.strip() for p in parts[1:])
-            fld = fields.get(name)
-            if fld is None:
-                raise ConfigError(f"derivative key '{key}' names unknown field '{name}'")
-            if not set(variables) <= set(fld.var_names):
-                raise ConfigError(f"derivative key '{key}': field '{name}' has variables {', '.join(fld.var_names)}")
-            try:
-                fld.expr.register_derivative(variables, text)
-            except ExprError as exc:
-                raise ConfigError(f"derivative key '{key}': {exc}") from exc
-    return problem
 
 
 def load_experiment_settings(path: str | Path) -> ExperimentPlan:
     """The plan of a config's [experiment] section; an absent key keeps its default."""
     cp = _read(path)
-    section = cp["experiment"] if "experiment" in cp else {}
     settings = {}
-    for name, parse in _SETTING_RANGES.items():
-        key = _EXPERIMENT_KEYS.get(name, name)
-        if key in section:
-            settings[name] = _value(cp, "experiment", key, parse)
+    for name, key in _EXPERIMENT_KEYS.items():
+        value = _value(cp, "experiment", key, _SETTING_RANGES[name], None)
+        if value is not None:
+            settings[name] = value
+    if "experiment" in cp:
+        _reject_unasked(cp, ["experiment"])
     return ExperimentPlan(**settings)

@@ -393,23 +393,14 @@ class _Parser:
 
 
 class Expr:
-    """Parsed expression (an immutable AST) with the derivatives claimed for it.
+    """Parsed expression (an immutable AST).
 
-    ``problem.validate`` checks the claims against the exact derivatives;
-    nothing evaluates them in their place.
+    Its derivatives are the exact ones that :meth:`derivative` builds from the
+    AST; no other derivative can be attached to it.
     """
 
-    def __init__(self, root, source: str | None = None):
+    def __init__(self, root):
         self.root = root
-        self.source = source
-        self.derivatives: dict[tuple[str, ...], Expr] = {}
-
-    def register_derivative(self, variables: str | Sequence[str], expr: "Expr | str") -> None:
-        """Claim the derivative w.r.t. one variable (first) or a pair (second, pure or mixed)."""
-        key = (variables,) if isinstance(variables, str) else tuple(variables)
-        if len(key) not in (1, 2):
-            raise ValueError("only first and second derivatives can be registered")
-        self.derivatives[key] = parse(expr) if isinstance(expr, str) else expr
 
     def derivative(self, var: str) -> "Expr":
         """The exact derivative with respect to the variable ``var``, as a new expression."""
@@ -455,7 +446,7 @@ def parse(text: str) -> Expr:
     p.skip_ws()
     if p.pos != len(text):
         raise ExprSyntaxError(p.pos, "end of input")
-    return Expr(node, source=text)
+    return Expr(node)
 
 
 # --- differentiable fields -------------------------------------------------

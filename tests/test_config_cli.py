@@ -19,7 +19,7 @@ from thinpde.harness import (
     ExperimentPlan,
     run_pipeline,
 )
-from thinpde.problem import validate
+from thinpde.problem import CoefficientFamily, validate
 from thinpde.reduction import reduce_problem, representation_check
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,8 +61,8 @@ def test_load_reference_config():
     assert p.n == 1
     assert p.controls.min_labels == ("1",)
     assert validate(p).passed
-    # the registered derivative is kept for validate to check
-    assert ("x1",) in p.bdata.s_candidate.expr.derivatives
+    # s = x1: its gradient is the exact derivative
+    assert p.bdata.s_candidate.grad([0.3]).tolist() == [1.0]
     settings = load_experiment_settings(CONFIGS / "reference.cfg")
     assert settings.eps_list == (0.2, 0.1, 0.05, 0.025)
     assert settings.nx == 64
@@ -70,9 +70,17 @@ def test_load_reference_config():
 
 def test_load_distorted_config():
     p = load_problem(CONFIGS / "distorted.cfg")
-    assert ("x1",) in p.bdata.gamma0.components[0].expr.derivatives
+    # gamma0 = 0.2 x1: its Jacobian is the exact derivative
+    assert p.bdata.gamma0.jacobian([0.3]).tolist() == [[0.2]]
     rep = representation_check(p, reduce_problem(p), samples=100, seed=0)
     assert rep.passed
+
+
+def test_an_absent_bound_keeps_the_family_default(tmp_path):
+    cfg = tmp_path / "base2d.cfg"
+    cfg.write_text(BASE_2D)  # no [coefficients] section
+    assert load_problem(cfg).coeffs.bound == CoefficientFamily({}).bound
+    assert load_problem(CONFIGS / "reference.cfg").coeffs.bound == 50.0
 
 
 def test_config_errors(tmp_path):
@@ -194,18 +202,17 @@ def test_cli_converge(tmp_path):
     assert csv.splitlines()[0].startswith("eps,nx,ny,sup_error")
 
 
-def _config_variant(tmp_path, base: str, old: str, new: str, derivatives: str) -> list[str]:
-    """``--config`` for ``base`` with ``old`` replaced by ``new`` and the derivative lines of one field dropped."""
-    lines = (CONFIGS / base).read_text().replace(old, new).splitlines()
+def _config_variant(tmp_path, base: str, old: str, new: str) -> list[str]:
+    """``--config`` for ``base`` with ``old`` replaced by ``new``."""
     cfg = tmp_path / "variant.cfg"
-    cfg.write_text("\n".join(line for line in lines if not line.startswith(derivatives)) + "\n")
+    cfg.write_text((CONFIGS / base).read_text().replace(old, new))
     return ["--config", str(cfg)]
 
 
 @pytest.mark.parametrize("command", ["barrier", "converge", "pipeline"])
 def test_cli_barrier_search_on_a_steep_oblique_field_exits_4(command, tmp_path, capsys):
     # gamma0 = 50 x1 once overflowed in exp(alpha * s_sup) at the alpha stage: OverflowError, exit 1
-    cfg = _config_variant(tmp_path, "distorted.cfg", "gamma0 = 0.2*x1", "gamma0 = 50*x1", "gamma0_1/")
+    cfg = _config_variant(tmp_path, "distorted.cfg", "gamma0 = 0.2*x1", "gamma0 = 50*x1")
     assert main([command] + cfg + ["--out", str(tmp_path / "out")]) == EXIT_BARRIER
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -230,7 +237,7 @@ def test_cli_barrier_search_on_a_steep_oblique_field_exits_4(command, tmp_path, 
 )
 def test_cli_unbuildable_distortion_map_exits_1_with_one_line(command, gamma0, want, tmp_path, capsys):
     # these once ended in an EvalDomainError or SingularJacobianError traceback, exit 1
-    cfg = _config_variant(tmp_path, "distorted.cfg", "gamma0 = 0.2*x1", f"gamma0 = {gamma0}", "gamma0_1/")
+    cfg = _config_variant(tmp_path, "distorted.cfg", "gamma0 = 0.2*x1", f"gamma0 = {gamma0}")
     assert main([command] + cfg + ["--out", str(tmp_path / "out")]) == EXIT_FAILURE
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -241,7 +248,7 @@ def test_cli_unbuildable_distortion_map_exits_1_with_one_line(command, gamma0, w
 
 def test_cli_converge_reports_a_failed_barrier_search_like_barrier(tmp_path, capsys):
     # s = 0 cannot be normalized; converge once ended in a SearchExhaustedError traceback, exit 1
-    cfg = _config_variant(tmp_path, "reference.cfg", "\ns = x1\n", "\ns = 0\n", "s/")
+    cfg = _config_variant(tmp_path, "reference.cfg", "\ns = x1\n", "\ns = 0\n")
     outputs = []
     for command in ("barrier", "converge"):
         assert main([command] + cfg + ["--out", str(tmp_path / command)]) == EXIT_BARRIER
@@ -319,30 +326,8 @@ def test_cli_2d_converge_and_pipeline_stop_at_the_eps_solver(tmp_path, capsys):
     assert "FAILED at stage solve (exit 5)" in out
 
 
-@pytest.mark.parametrize(
-    "entry", ["s/y = 0", "beta0/x2 = 0", "gamma0_1/x1/y = 0", "beta/x1/x2 = 0", "s/x1/x1/x1 = 0", "l_plus/x1 = 1 +"]
-)
-def test_config_rejects_malformed_derivative_entries(tmp_path, entry):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text((CONFIGS / "distorted.cfg").read_text().replace("[experiment]", f"{entry}\n\n[experiment]"))
-    with pytest.raises(ConfigError, match=f"derivative key '{entry.split(' ')[0]}'"):
-        load_problem(cfg)
-
-
-def test_validate_names_a_wrong_registered_derivative(tmp_path, capsys):
-    cfg = tmp_path / "wrong.cfg"
-    cfg.write_text((CONFIGS / "distorted.cfg").read_text().replace("gamma0_1/x1 = 0.2", "gamma0_1/x1 = 0.2 + x1"))
-    assert main(["validate", "--config", str(cfg)]) == EXIT_VALIDATION
-    want = "FAIL RegisteredDerivatives  gamma0_1/x1 = 0.325 but the exact derivative is 0.2 at (0.125,)"
-    assert want in capsys.readouterr().out.splitlines()
-
-
-def test_distorted_without_derivatives_passes_reduce_at_1e8(tmp_path):
-    text = (CONFIGS / "distorted.cfg").read_text()
-    cfg = tmp_path / "plain.cfg"
-    cfg.write_text(text[: text.index("[derivatives]")] + text[text.index("[experiment]") :])
-    problem = load_problem(cfg)
-    assert not problem.bdata.gamma0.components[0].expr.derivatives
+def test_distorted_without_derivatives_passes_reduce_at_1e8():
+    problem = load_problem(CONFIGS / "distorted.cfg")
     result = run_pipeline(problem, ExperimentPlan(eps_list=(0.1, 0.05), nx=16, ny=8, limit_resolution=16))
     assert result.stage not in ("validate", "certify", "reduce")
     assert "PASS representation identity" in result.report
@@ -355,11 +340,40 @@ def _one_error_line(capsys, want: str) -> None:
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
-def test_cli_reports_a_bad_derivative_key_without_a_traceback(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text((CONFIGS / "distorted.cfg").read_text().replace("[experiment]", "beta0/y = 0\n\n[experiment]"))
+@pytest.mark.parametrize(
+    "old, new, want",
+    [
+        # the plan's field name in place of its key
+        ("limit_nx = 64", "limit_resolution = 256", "[experiment] limit_resolution: unknown key"),
+        ("epsilon0 = 0.25", "epsilon0 = 0.25\nepsilon_0 = 0.1", "[geometry] epsilon_0: unknown key"),
+        ("[experiment]", "[experimnt]", "[experimnt]: unknown section"),
+        # a raw override that the loader no longer reads
+        ("s = x1\n", "s = x1\ngamma_plus = 5, 1\n", "[boundary] gamma_plus: unknown key"),
+        # a control pair outside L = M = 1
+        ("[experiment]", "[coefficients.2.1]\nc = 0\n\n[experiment]", "[coefficients.2.1]: unknown section"),
+        # gradients and Hessians are always exact; a leftover section is not ignored
+        ("[experiment]", "[derivatives]\ns/x1 = 1\n\n[experiment]", "[derivatives]: unknown section"),
+        # configparser would copy its keys into every section
+        ("[controls]", "[DEFAULT]\nepsilon0 = 0.2\n\n[controls]", "[DEFAULT]: unknown section"),
+    ],
+    ids=["limit_resolution", "epsilon_0", "experimnt", "gamma_plus", "coefficients.2.1", "derivatives", "DEFAULT"],
+)
+def test_config_rejects_an_unknown_section_or_key(old, new, want, tmp_path, capsys):
+    text = (CONFIGS / "reference.cfg").read_text()
+    assert text.count(old) == 1
+    cfg = tmp_path / "unknown.cfg"
+    cfg.write_text(text.replace(old, new))
+    with pytest.raises(ConfigError, match=re.escape(want)):
+        load_problem(cfg)
     assert main(["validate", "--config", str(cfg)]) == EXIT_FAILURE
-    _one_error_line(capsys, "derivative key 'beta0/y'")
+    _one_error_line(capsys, want)
+
+
+def test_experiment_settings_reject_an_unknown_key(tmp_path):
+    cfg = tmp_path / "unknown.cfg"
+    cfg.write_text((CONFIGS / "reference.cfg").read_text().replace("limit_nx = 64", "limit_resolution = 256"))
+    with pytest.raises(ConfigError, match=re.escape("[experiment] limit_resolution: unknown key")):
+        load_experiment_settings(cfg)
 
 
 def test_cli_reports_an_unreadable_config_file(tmp_path, capsys):
@@ -485,11 +499,7 @@ def test_cli_reports_an_eps_out_of_range_without_a_traceback(argv, want, tmp_pat
 def test_cli_transform_reports_an_unbracketed_profile(tmp_path, capsys):
     # gamma0 = 3 x1 shrinks the slab half-height r to 0.125, below eps*sup|g| = 0.2
     cfg = tmp_path / "steep.cfg"
-    cfg.write_text(
-        (CONFIGS / "distorted.cfg").read_text().replace("gamma0 = 0.2*x1", "gamma0 = 3*x1").replace(
-            "gamma0_1/x1 = 0.2", "gamma0_1/x1 = 3"
-        )
-    )
+    cfg.write_text((CONFIGS / "distorted.cfg").read_text().replace("gamma0 = 0.2*x1", "gamma0 = 3*x1"))
     assert main(["transform", "--config", str(cfg), "--eps", "0.2"]) == EXIT_FAILURE
     _one_error_line(capsys, "profile equation not bracketed on [-r, r]; need eps*sup|g| <= r (eps=0.2, r=0.125)")
 

