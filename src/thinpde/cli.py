@@ -86,7 +86,7 @@ def _coefficient_csv(head: str, tag: str, problem, points, coeffs) -> str:
     rows = []
     for k, x in enumerate(points):
         per_pair = zip(*(v[k].reshape(-1, *v.shape[3:]) for v in (coeffs.a, coeffs.b, coeffs.c, coeffs.f)))
-        for (lam, mu), (a, b, c, f) in zip(problem.control_pairs(), per_pair):
+        for (lam, mu), (a, b, c, f) in zip(problem.controls.pairs(), per_pair):
             cells = [*a[:n, :n].ravel(), *b[:n], c, f]
             rows.append(",".join([_base_row(x), lam, mu] + [fmt_float(v) for v in cells]))
     return _csv(",".join(header), rows)
@@ -104,7 +104,7 @@ def cmd_certify(args) -> int:
     if args.csv:
         xs, vs = _interior_rows(problem, args.samples)
         forms = _forms(problem, xs, vs)[0].reshape(len(xs), -1)
-        pairs = problem.control_pairs()
+        pairs = list(problem.controls.pairs())
         rows = [
             f"{_base_row(x)},{lam},{mu},{fmt_float(q)}" for x, qs in zip(xs, forms) for (lam, mu), q in zip(pairs, qs)
         ]
@@ -192,7 +192,7 @@ def cmd_solve(args) -> int:
     for i, z in enumerate(nodes):
         lam = problem.controls.min_labels[fld.policy_min[i]]
         mu = problem.controls.max_labels[fld.policy_max[i]]
-        y = z[-1] if fld.grid.kind == "eps" else 0.0
+        y = 0.0 if args.limit else z[-1]
         lines.append(f"{_base_row(z[:n])},{fmt_float(y)},{fmt_float(u[i])},{lam},{mu}")
     report = (
         f"solved {'limit' if args.limit else f'eps={args.eps}'} problem: residual {fld.residual:.3e} "
@@ -274,7 +274,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", help="solve the eps-problem (or the limit problem with --limit)")
     _common(p)
     p.add_argument("--eps", type=_positive_float, default=None)
-    p.add_argument("--nx", type=_int_at_least(1), default=64)
+    p.add_argument("--nx", type=_SETTING_RANGES["nx"], default=64)
     p.add_argument("--ny", type=_SETTING_RANGES["ny"], default=16, help="strip intervals in y (8 nodes at least)")
     p.add_argument("--tol", type=_SETTING_RANGES["tol"], default=1e-10)
     p.add_argument("--max-iter", type=_SETTING_RANGES["max_iter"], default=100)

@@ -60,6 +60,8 @@ __all__ = [
 _R_FLOOR = 2.0**-40
 # the hatted identities hold exactly, so a deviation above roundoff is a defect
 _EXACTNESS_TOL = 1e-12
+# the hatted and the original interior quadratic forms agree up to roundoff
+_TRANSPLANT_TOL = 1e-9
 
 
 class NoConvergenceError(ArithmeticError):
@@ -357,13 +359,12 @@ class TransplantReport:
     witness: tuple
     crosscheck_max_diff: float
     passed: bool
-    tolerance: float = 1e-9
 
     def format(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (
             f"{status} transplanted ellipticity: margin={self.margin:.6g}, "
-            f"two-sided agreement {self.crosscheck_max_diff:.3e} (tolerance {self.tolerance:g})"
+            f"two-sided agreement {self.crosscheck_max_diff:.3e} (tolerance {_TRANSPLANT_TOL:g})"
         )
 
 
@@ -392,5 +393,5 @@ def transplant_ellipticity(
         margin=float(lhs.flat[i]),
         witness=witness(pts, i, problem.controls),
         crosscheck_max_diff=worst_diff,
-        passed=worst_diff <= 1e-9,
+        passed=worst_diff <= _TRANSPLANT_TOL,
     )

@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 CERTIFICATE_THRESHOLD = 1e-8
+# |v sigma^T|^2 = v A v^T holds exactly, so a discrepancy above roundoff is a defect
+_EQUIVALENCE_TOL = 1e-10
+# a candidate's quadratic form degenerates where its minimum falls to this fraction of its maximum
+_OBSTRUCTION_RATIO = 1e-3
 
 
 @dataclass
@@ -127,13 +131,12 @@ class EquivalenceReport:
     max_discrepancy: float
     witness: tuple | None  # None when the discrepancy is 0
     passed: bool
-    tolerance: float = 1e-10
 
     def format(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         line = (
             f"{status} |v sigma^T|^2 vs v A v^T: max discrepancy {self.max_discrepancy:.3e}"
-            f" (tolerance {self.tolerance:g})"
+            f" (tolerance {_EQUIVALENCE_TOL:g})"
         )
         return line if self.witness is None else f"{line} at {self.witness}"
 
@@ -157,7 +160,7 @@ def equivalence_check(problem: ThinProblem, samples_per_axis: int = 16) -> Equiv
         i = int(np.argmax(diff))
         worst = float(diff.flat[i])
         where = witness(xs, i, problem.controls)
-    return EquivalenceReport(max_discrepancy=worst, witness=where, passed=worst <= 1e-10)
+    return EquivalenceReport(max_discrepancy=worst, witness=where, passed=worst <= _EQUIVALENCE_TOL)
 
 
 # --- rotating-field obstruction ---------------------------------------------
@@ -214,7 +217,6 @@ class ObstructionRow:
 class ObstructionReport:
     rows: list[ObstructionRow]
     n_theta: int
-    ratio_threshold: float = 1e-3
 
     @property
     def passed(self) -> bool:
@@ -262,7 +264,7 @@ def circle_obstruction_demo(
                 q_min=qmin,
                 q_max=qmax,
                 ratio=ratio,
-                obstructed=ratio <= 1e-3,
+                obstructed=ratio <= _OBSTRUCTION_RATIO,
             )
         )
     return ObstructionReport(rows=rows, n_theta=n_theta)

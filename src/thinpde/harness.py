@@ -163,7 +163,7 @@ def convergence_experiment(problem: ThinProblem, plan: ExperimentPlan, barrier: 
     runtimes: list[float] = []
     for eps, grid in zip(plan.eps_list, grids):
         t0 = time.perf_counter()
-        fld = sol.solve_eps(problem, eps, tol=plan.tol, max_iter=plan.max_iter, grid=grid)
+        fld = sol.policy_iteration(sol.discretize_eps(problem, grid), tol=plan.tol, max_iter=plan.max_iter)
         xs_eps = fld.grid.axes[0]
         u0_interp = np.interp(xs_eps, xs_limit, u0.flat())
         gap = float(np.abs(fld.values - u0_interp[:, None]).max())

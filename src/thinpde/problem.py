@@ -271,9 +271,6 @@ class ThinProblem:
     def n(self) -> int:
         return self.geom.n
 
-    def control_pairs(self) -> list[tuple[str, str]]:
-        return list(self.controls.pairs())
-
     def fields(self) -> dict[str, ScalarField]:
         """Every scalar field by its config name; component i of a vector field is ``<name>_<i>``."""
         geom, bd = self.geom, self.bdata

@@ -101,9 +101,6 @@ class LimitProblem:
     def controls(self):
         return self.source.controls
 
-    def control_pairs(self):
-        return self.source.control_pairs()
-
     def dirichlet_trace(self, x):
         """beta(x, 0): the Dirichlet data of the limit problem on the base boundary.
 

@@ -12,20 +12,21 @@ lateral/Dirichlet rows are identities.
 
 Assembly reads all interior coefficients from one
 :class:`thinpde.problem.Coefficients` bundle and builds the rows as arrays,
-one stencil offset at a time.  Monotonicity is what makes the scheme
+one stencil offset at a time, into one stacked operator: row k * size + i
+is node i under control pair k.  Monotonicity is what makes the scheme
 converge (Barles & Souganidis, Asymptotic Anal. 4, 1991), so the sign check
 stays exact; it names the first control pair, then the lowest flat index.
 
 Howard iteration alternates a per-node argmin-over-L of the max-over-M row
 values with a direct sparse solve for the frozen policy; ties break toward
-the lowest label index, making runs reproducible.  All control pairs' rows
-sit in one stacked operator, so the residuals of every pair are one matvec
-and a frozen-policy system is one row gather.  Its rows are M-matrix rows
-with c >= 0, hence row diagonally dominant, so LU without pivoting is
-stable with growth factor at most 2 (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., Thm 9.9); SuperLU factors it on the
-diagonal, in the minimum-degree order of A^T + A applied to rows and
-columns alike, column by column (SuperLU panel width 1).
+the lowest label index, making runs reproducible.  The residuals of every
+pair are one matvec on the stacked operator, and a frozen-policy system is
+one row gather from it.  Its rows are M-matrix rows with c >= 0, hence row
+diagonally dominant, so LU without pivoting is stable with growth factor at
+most 2 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+Thm 9.9); SuperLU factors it on the diagonal, in the minimum-degree order
+of A^T + A applied to rows and columns alike, column by column (SuperLU
+panel width 1).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .config import _in_range
-from .problem import Coefficients, ThinProblem, inf_sup, quadratic_form
+from .problem import Coefficients, ControlSet, ThinProblem, inf_sup, quadratic_form
 from .reduction import LimitProblem
 
 __all__ = [
@@ -116,9 +117,7 @@ class Grid:
     """Tensor-product node lattice with a per-node boundary classification."""
 
     axes: tuple[np.ndarray, ...]
-    kind: str  # "eps" or "limit"
     classification: np.ndarray  # flat ints, one of INTERIOR/TOP/BOTTOM/DIRICHLET
-    eps: float | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -151,7 +150,7 @@ def make_eps_grid(problem: ThinProblem, eps: float, nx: int, ny: int) -> Grid:
     if geom.n != 1:
         raise NotImplementedError("the eps-problem solver is restricted to a 1-dimensional base")
     geom.check_eps(eps)
-    ny = _in_range("ny", ny)
+    nx, ny = _in_range("nx", nx), _in_range("ny", ny)
     base = geom.lattice(16)
     gp = geom.g_plus.value(base)
     gm = geom.g_minus.value(base)
@@ -164,14 +163,14 @@ def make_eps_grid(problem: ThinProblem, eps: float, nx: int, ny: int) -> Grid:
     cls[:, 0] = BOTTOM
     cls[0, :] = DIRICHLET  # lateral wins at corners: the Dirichlet trace is pinned there
     cls[-1, :] = DIRICHLET
-    return Grid(axes=(xs, ys), kind="eps", classification=cls.ravel(), eps=eps)
+    return Grid(axes=(xs, ys), classification=cls.ravel())
 
 
-def make_limit_grid(problem_or_lp, resolution) -> Grid:
-    src = problem_or_lp.source if isinstance(problem_or_lp, LimitProblem) else problem_or_lp
-    geom = src.geom
-    res = (resolution,) * geom.n if np.isscalar(resolution) else tuple(resolution)
-    axes = tuple(np.linspace(lo, hi, r + 1) for lo, hi, r in zip(geom.lower, geom.upper, res))
+def make_limit_grid(lp: LimitProblem, resolution: int) -> Grid:
+    """Grid on the base box with ``resolution`` intervals along every axis."""
+    geom = lp.source.geom
+    resolution = _in_range("limit_resolution", resolution)
+    axes = tuple(np.linspace(lo, hi, resolution + 1) for lo, hi in zip(geom.lower, geom.upper))
     shape = tuple(len(a) for a in axes)
     cls = np.full(shape, INTERIOR, dtype=np.int8)
     for d in range(geom.n):
@@ -180,17 +179,17 @@ def make_limit_grid(problem_or_lp, resolution) -> Grid:
         cls[tuple(sl)] = DIRICHLET
         sl[d] = -1
         cls[tuple(sl)] = DIRICHLET
-    return Grid(axes=axes, kind="limit", classification=cls.ravel(), eps=None)
+    return Grid(axes=axes, classification=cls.ravel())
 
 
 @dataclass
 class DiscreteSystem:
+    """Every control pair's rows in one operator: row k * size + i is node i under pair k = il * nM + im."""
+
     grid: Grid
-    pairs: list[tuple[str, str]]
-    n_min: int
-    n_max: int
-    matrices: list[sp.csr_matrix]
-    rhs: list[np.ndarray]
+    controls: ControlSet
+    matrix: sp.csr_matrix  # (nL * nM * size, size)
+    rhs: np.ndarray  # (nL * nM * size,)
     dirichlet_mask: np.ndarray
     dirichlet_values: np.ndarray
 
@@ -198,7 +197,7 @@ class DiscreteSystem:
 # A block of rows is a list of slots [offset, values, present]: column
 # flat + offset holds ``values`` in the rows where ``present`` holds.  Slots
 # come in the order a row-by-row build first touches their columns, and each
-# value is summed in that build's order, so the matrices match it bit for bit.
+# value is summed in that build's order, so the matrix matches it bit for bit.
 
 
 def _interior_slots(coeffs: Coefficients, h, strides) -> list:
@@ -278,16 +277,8 @@ def _entries(rows: np.ndarray, slots: list) -> list[tuple[np.ndarray, np.ndarray
     return [(rows[present], rows[present] + off, vals[present]) for off, vals, present in slots]
 
 
-def _assemble(
-    grid: Grid,
-    pairs: list[tuple[str, str]],
-    n_min: int,
-    n_max: int,
-    coeffs: Coefficients,
-    oblique=None,
-    dirichlet=None,
-) -> DiscreteSystem:
-    """Shared row assembler.
+def _assemble(grid: Grid, controls: ControlSet, coeffs: Coefficients, oblique=None, dirichlet=None) -> DiscreteSystem:
+    """Shared row assembler of the stacked operator.
 
     ``coeffs`` holds every control pair's coefficients at the interior nodes
     in flat order, with d = len(grid.axes); ``oblique(sign, x) -> (gamma,
@@ -328,9 +319,10 @@ def _assemble(
     fixed += _entries(oblique_rows, slots)
 
     interior_rows = np.flatnonzero(cls == INTERIOR)
-    matrices = []
-    rhs_list = []
-    for k, (lam, mu) in enumerate(pairs):
+    n_max = len(controls.max_labels)
+    rhs = np.tile(fixed_rhs, len(controls.min_labels) * n_max)
+    entries = []
+    for k, (lam, mu) in enumerate(controls.pairs()):
         pair = coeffs.pair(k // n_max, k % n_max)
         slots = _interior_slots(pair, h, strides)
         # c >= 0 makes the row diagonally dominant, which licenses LU without pivoting
@@ -340,41 +332,27 @@ def _assemble(
         if faults:
             flat, detail = min(faults, key=lambda f: f[0])
             raise NonMonotoneStencilError(tuple(nodes[flat]), (lam, mu), detail)
-        rows, cols, vals = (np.concatenate(parts) for parts in zip(*fixed, *_entries(interior_rows, slots)))
-        matrices.append(sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(size, size))))
-        rhs = fixed_rhs.copy()
-        rhs[interior_rows] = pair.f[:, 0, 0]
-        rhs_list.append(rhs)
+        entries += [(k * size + r, col, v) for r, col, v in fixed + _entries(interior_rows, slots)]
+        rhs[k * size + interior_rows] = pair.f[:, 0, 0]
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*entries))
+    del entries  # free the slot arrays before the sparse conversion allocates its own
     return DiscreteSystem(
         grid=grid,
-        pairs=pairs,
-        n_min=n_min,
-        n_max=n_max,
-        matrices=matrices,
-        rhs=rhs_list,
+        controls=controls,
+        matrix=sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(len(rhs), size))),
+        rhs=rhs,
         dirichlet_mask=dirichlet_mask,
         dirichlet_values=dirichlet_values,
     )
 
 
-def discretize_eps(problem: ThinProblem, grid: Grid, all_dirichlet: bool = False) -> DiscreteSystem:
-    """Monotone system for the thin-strip problem on a flat-strip grid.
-
-    ``all_dirichlet`` replaces the top/bottom oblique rows by the lateral
-    Dirichlet data, which is handy for scheme tests against harmonic
-    polynomials.  The strip's eps is the grid's.
-    """
+def discretize_eps(problem: ThinProblem, grid: Grid) -> DiscreteSystem:
+    """Monotone system for the thin-strip problem on a flat-strip grid; the strip's eps is the grid's."""
     bd = problem.bdata
-    cls = grid.classification.copy()
-    if all_dirichlet:
-        cls[(cls == TOP) | (cls == BOTTOM)] = DIRICHLET
-        grid = Grid(axes=grid.axes, kind=grid.kind, classification=cls, eps=grid.eps)
     return _assemble(
         grid,
-        problem.control_pairs(),
-        len(problem.controls.min_labels),
-        len(problem.controls.max_labels),
-        problem.coefficients(grid.nodes()[cls == INTERIOR]),
+        problem.controls,
+        problem.coefficients(grid.nodes()[grid.classification == INTERIOR]),
         oblique=lambda sign, x: bd.oblique(sign, x[:, :-1], x[:, -1]),
         dirichlet=bd.beta_lateral.value,
     )
@@ -383,9 +361,7 @@ def discretize_eps(problem: ThinProblem, grid: Grid, all_dirichlet: bool = False
 def discretize_limit(lp: LimitProblem, grid: Grid) -> DiscreteSystem:
     return _assemble(
         grid,
-        lp.control_pairs(),
-        len(lp.controls.min_labels),
-        len(lp.controls.max_labels),
+        lp.controls,
         lp.coefficients(grid.nodes()[grid.classification == INTERIOR]),
         dirichlet=lp.dirichlet_trace,
     )
@@ -407,14 +383,16 @@ class GridField:
         return self.values.ravel()
 
 
-def _stacked(sys: DiscreteSystem) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Every control pair's rows in one operator: row k * size + i is node i under pair k."""
-    return sp.vstack(sys.matrices, format="csr"), np.concatenate(sys.rhs)
+def _residual_stack(sys: DiscreteSystem, u: np.ndarray) -> np.ndarray:
+    """(size, nL, nM) array of per-control row residuals A u - rhs, from one matvec on the stack."""
+    shape = (len(sys.controls.min_labels), len(sys.controls.max_labels), -1)
+    return (sys.matrix @ u - sys.rhs).reshape(shape).transpose(2, 0, 1)
 
 
-def _residual_stack(sys: DiscreteSystem, stack, rhs, u: np.ndarray) -> np.ndarray:
-    """(size, n_min, n_max) array of per-control row residuals A u - rhs, from one matvec on the stack."""
-    return (stack @ u - rhs).reshape(sys.n_min, sys.n_max, -1).transpose(2, 0, 1)
+def _active_rows(sys: DiscreteSystem, lam_idx: np.ndarray, mu_idx: np.ndarray) -> np.ndarray:
+    """Stack row of each node under its pair (lam_idx[i], mu_idx[i])."""
+    size = sys.grid.size
+    return (lam_idx * len(sys.controls.max_labels) + mu_idx) * size + np.arange(size)
 
 
 def _factor(mat: sp.csc_matrix) -> spla.SuperLU:
@@ -447,12 +425,11 @@ def _factor(mat: sp.csc_matrix) -> spla.SuperLU:
     )
 
 
-def _solve_frozen(sys: DiscreteSystem, stack, rhs, lam_idx: np.ndarray, mu_idx: np.ndarray) -> np.ndarray:
+def _solve_frozen(sys: DiscreteSystem, lam_idx: np.ndarray, mu_idx: np.ndarray) -> np.ndarray:
     """Solve the frozen-policy system: row i is node i's row under pair (lam_idx[i], mu_idx[i])."""
-    size = sys.grid.size
-    rows = (lam_idx * sys.n_max + mu_idx) * size + np.arange(size)
-    mat = sp.csc_matrix(stack[rows])
-    rhs = rhs[rows]
+    rows = _active_rows(sys, lam_idx, mu_idx)
+    mat = sp.csc_matrix(sys.matrix[rows])
+    rhs = sys.rhs[rows]
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
@@ -495,19 +472,18 @@ def policy_iteration(sys: DiscreteSystem, tol: float = 1e-10, max_iter: int = 10
     size = sys.grid.size
     u = np.zeros(size)
     u[sys.dirichlet_mask] = sys.dirichlet_values[sys.dirichlet_mask]
-    diag = np.stack([m.diagonal() for m in sys.matrices], axis=-1).reshape(size, sys.n_min, sys.n_max)
-    rows = np.arange(size)
-    stack, rhs = _stacked(sys)
-    _, lam_idx, mu_idx = inf_sup(_residual_stack(sys, stack, rhs, u))
+    # the diagonal entry of every stack row: the block of the pair starting at row k holds it at offset -k
+    diag = np.concatenate([sys.matrix.diagonal(-k) for k in range(0, len(sys.rhs), size)])
+    _, lam_idx, mu_idx = inf_sup(_residual_stack(sys, u))
     history: list[float] = []
     switches = 0
     res = scaled = math.inf
     stable = False
     for it in range(1, max_iter + 1):
-        u = _solve_frozen(sys, stack, rhs, lam_idx, mu_idx)
-        values, new_lam, new_mu = inf_sup(_residual_stack(sys, stack, rhs, u))
+        u = _solve_frozen(sys, lam_idx, mu_idx)
+        values, new_lam, new_mu = inf_sup(_residual_stack(sys, u))
         res = float(np.abs(values).max())
-        scaled = float((np.abs(values) / diag[rows, new_lam, new_mu]).max())
+        scaled = float((np.abs(values) / diag[_active_rows(sys, new_lam, new_mu)]).max())
         history.append(res)
         stable = bool((new_lam == lam_idx).all() and (new_mu == mu_idx).all())
         lam_idx, mu_idx = new_lam, new_mu
@@ -530,29 +506,13 @@ def policy_iteration(sys: DiscreteSystem, tol: float = 1e-10, max_iter: int = 10
 
 
 def solve_eps(
-    problem: ThinProblem,
-    eps: float,
-    nx: int = 64,
-    ny: int = 16,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-    grid: Grid | None = None,
+    problem: ThinProblem, eps: float, nx: int = 64, ny: int = 16, tol: float = 1e-10, max_iter: int = 100
 ) -> GridField:
-    if grid is None:
-        grid = make_eps_grid(problem, eps, nx, ny)
-    return policy_iteration(discretize_eps(problem, grid), tol=tol, max_iter=max_iter)
+    return policy_iteration(discretize_eps(problem, make_eps_grid(problem, eps, nx, ny)), tol=tol, max_iter=max_iter)
 
 
-def solve_limit(
-    lp: LimitProblem,
-    resolution=64,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-    grid: Grid | None = None,
-) -> GridField:
-    if grid is None:
-        grid = make_limit_grid(lp, resolution)
-    return policy_iteration(discretize_limit(lp, grid), tol=tol, max_iter=max_iter)
+def solve_limit(lp: LimitProblem, resolution: int = 64, tol: float = 1e-10, max_iter: int = 100) -> GridField:
+    return policy_iteration(discretize_limit(lp, make_limit_grid(lp, resolution)), tol=tol, max_iter=max_iter)
 
 
 # the discrete homogeneous operator on psi must fall below this on interior nodes
@@ -565,13 +525,12 @@ class PerturbationReport:
     kappa: float
     worst: float  # max over interior nodes and controls of the discrete homogeneous operator on psi
     passed: bool
-    target: float = _PERTURBATION_TARGET
 
     def format(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (
             f"{status} comparison perturbation: discrete G0(psi) <= {self.worst:.6g} "
-            f"(target {self.target}) with alpha={self.alpha:g}"
+            f"(target {_PERTURBATION_TARGET}) with alpha={self.alpha:g}"
         )
 
 
@@ -598,18 +557,11 @@ def perturbation_certificate(lp: LimitProblem, resolution=64) -> PerturbationRep
     s_tilde = kappa * (s_vals - s_vals.min())
 
     zero = np.zeros_like(coeffs.c)
-    hom = _assemble(
-        grid,
-        lp.control_pairs(),
-        len(lp.controls.min_labels),
-        len(lp.controls.max_labels),
-        replace(coeffs, c=zero, f=zero),
-    )
-    stack, _ = _stacked(hom)
+    hom = _assemble(grid, lp.controls, replace(coeffs, c=zero, f=zero))
     alpha = 2.0
     while alpha <= alpha_cap:
         psi = np.exp(alpha * s_tilde)
-        worst = float((stack @ psi).reshape(-1, grid.size)[:, interior].max())
+        worst = float((hom.matrix @ psi).reshape(-1, grid.size)[:, interior].max())
         if worst <= _PERTURBATION_TARGET:
             return PerturbationReport(alpha=alpha, kappa=kappa, worst=worst, passed=True)
         alpha *= 2.0

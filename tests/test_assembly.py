@@ -1,8 +1,9 @@
 """Array assembly against the per-node assembler it replaced.
 
 The reference builds each row in a dict, node by node, exactly as the solver
-did before rows were built as arrays; the array build must give the same
-CSR arrays and right-hand sides to the bit, and the same first witness of a
+did before rows were built as arrays, one CSR matrix per control pair; each
+pair's block of rows of the stacked operator must give the same CSR arrays
+and right-hand side to the bit, and the same first witness of a
 non-monotone row.
 """
 
@@ -21,7 +22,6 @@ from thinpde.solver import (
     DIRICHLET,
     INTERIOR,
     TOP,
-    DiscreteSystem,
     NonMonotoneStencilError,
     _assemble,
     _positive_offdiagonal,
@@ -44,8 +44,11 @@ def _check_row(entries, diag, node, control):
             raise NonMonotoneStencilError(node, control, _positive_offdiagonal(v))
 
 
-def _assemble_by_nodes(grid, pairs, n_min, n_max, diffusion, drift, czero, source, oblique=None, dirichlet=None):
-    """Reference: one dict per row, built node by node from per-point callbacks."""
+def _assemble_by_nodes(grid, pairs, diffusion, drift, czero, source, oblique=None, dirichlet=None):
+    """Reference: one dict per row, built node by node from per-point callbacks.
+
+    Returns each pair's CSR matrix and right-hand side, the Dirichlet mask and the Dirichlet values.
+    """
     shape = grid.shape
     d = len(shape)
     h = grid.spacing
@@ -147,7 +150,7 @@ def _assemble_by_nodes(grid, pairs, n_min, n_max, diffusion, drift, czero, sourc
             rhs[flat] = fval
         matrices.append(sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(size, size))))
         rhs_list.append(rhs)
-    return DiscreteSystem(grid, pairs, n_min, n_max, matrices, rhs_list, dirichlet_mask, dirichlet_values)
+    return matrices, rhs_list, dirichlet_mask, dirichlet_values
 
 
 def _pair_slices(coefficients, controls):
@@ -172,9 +175,7 @@ def _strip_by_nodes(problem, grid):
 
     return _assemble_by_nodes(
         grid,
-        problem.control_pairs(),
-        len(problem.controls.min_labels),
-        len(problem.controls.max_labels),
+        list(problem.controls.pairs()),
         diffusion=diffusion,
         drift=drift,
         czero=czero,
@@ -188,9 +189,7 @@ def _limit_by_nodes(lp, grid, homogeneous=False):
     diffusion, drift, czero, source = _pair_slices(lp.coefficients, lp.controls)
     return _assemble_by_nodes(
         grid,
-        lp.control_pairs(),
-        len(lp.controls.min_labels),
-        len(lp.controls.max_labels),
+        list(lp.controls.pairs()),
         diffusion=diffusion,
         drift=drift,
         czero=(lambda lam, mu, x: 0.0) if homogeneous else czero,
@@ -200,14 +199,18 @@ def _limit_by_nodes(lp, grid, homogeneous=False):
 
 
 def _assert_same_system(got, want):
-    assert len(got.matrices) == len(want.matrices)
-    for mg, mw, rg, rw in zip(got.matrices, want.matrices, got.rhs, want.rhs):
+    matrices, rhs, dirichlet_mask, dirichlet_values = want
+    size = got.grid.size
+    assert got.matrix.shape == (len(matrices) * size, size)
+    for k, (mw, rw) in enumerate(zip(matrices, rhs)):
+        block = slice(k * size, (k + 1) * size)
+        mg = got.matrix[block]
         for name in ("indptr", "indices", "data"):
             ag, aw = getattr(mg, name), getattr(mw, name)
             assert ag.dtype == aw.dtype and ag.tobytes() == aw.tobytes(), name
-        assert rg.tobytes() == rw.tobytes()
-    assert (got.dirichlet_mask == want.dirichlet_mask).all()
-    assert got.dirichlet_values.tobytes() == want.dirichlet_values.tobytes()
+        assert got.rhs[block].tobytes() == rw.tobytes()
+    assert (got.dirichlet_mask == dirichlet_mask).all()
+    assert got.dirichlet_values.tobytes() == dirichlet_values.tobytes()
 
 
 def _cross_problem(a12: str, epsilon0: float = 0.25):
@@ -251,7 +254,7 @@ def test_homogeneous_assembly_matches_per_node():
     grid = make_limit_grid(lp, 64)
     coeffs = lp.coefficients(grid.nodes()[grid.classification == INTERIOR])
     zero = np.zeros_like(coeffs.c)
-    got = _assemble(grid, lp.control_pairs(), 1, 1, replace(coeffs, c=zero, f=zero))
+    got = _assemble(grid, lp.controls, replace(coeffs, c=zero, f=zero))
     _assert_same_system(got, _limit_by_nodes(lp, grid, homogeneous=True))
 
 

@@ -554,8 +554,10 @@ def test_experiment_settings_out_of_range_are_config_errors(key, value, want, tm
 @pytest.mark.parametrize(
     "argv, want",
     [
-        (["solve", "--eps", "0.1", "--nx", "0"], "--nx: must be >= 1"),
-        (["solve", "--limit", "--nx", "0"], "--nx: must be >= 1"),
+        (["solve", "--eps", "0.1", "--nx", "0"], "--nx: must be >= 2"),
+        (["solve", "--eps", "0.1", "--nx", "1"], "--nx: must be >= 2"),
+        (["solve", "--limit", "--nx", "0"], "--nx: must be >= 2"),
+        (["solve", "--limit", "--nx", "1"], "--nx: must be >= 2"),
         (["solve", "--eps", "0.1", "--ny", "3"], "--ny: must be >= 7"),
         (["converge", "--nx", "0"], "--nx: must be >= 2"),
         (["converge", "--nx", "1"], "--nx: must be >= 2"),
@@ -567,7 +569,9 @@ def test_experiment_settings_out_of_range_are_config_errors(key, value, want, tm
     ],
     ids=[
         "solve-nx",
+        "solve-nx-1",
         "solve-limit-nx",
+        "solve-limit-nx-1",
         "solve-ny",
         "converge-nx",
         "converge-nx-1",
@@ -579,8 +583,9 @@ def test_experiment_settings_out_of_range_are_config_errors(key, value, want, tm
     ],
 )
 def test_cli_rejects_too_small_grids(argv, want, capsys):
-    # barrier --nx 0 would verify the margins on a one-point lattice, and
-    # converge at nx 1 has no interior column, so its error is 0 and the verdict vacuous
+    # barrier --nx 0 would verify the margins on a one-point lattice, and a
+    # grid of nx 1 has no interior column, so a solve is all Dirichlet data and
+    # converge's error is 0, its verdict vacuous
     with pytest.raises(SystemExit) as stop:
         main(argv[:1] + _cfg("reference.cfg") + argv[1:])
     assert stop.value.code == 2
@@ -588,9 +593,9 @@ def test_cli_rejects_too_small_grids(argv, want, capsys):
 
 
 def test_cli_solve_accepts_the_smallest_strip(tmp_path):
-    argv = ["solve"] + _cfg("reference.cfg") + ["--eps", "0.1", "--nx", "1", "--ny", "7", "--out", str(tmp_path)]
+    argv = ["solve"] + _cfg("reference.cfg") + ["--eps", "0.1", "--nx", "2", "--ny", "7", "--out", str(tmp_path)]
     assert main(argv) == EXIT_OK
-    assert len((tmp_path / "solution.csv").read_text().splitlines()) == 1 + 2 * 8
+    assert len((tmp_path / "solution.csv").read_text().splitlines()) == 1 + 3 * 8
 
 
 # report lines that only the single-stage subcommand prints, next to its stage's lines

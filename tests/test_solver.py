@@ -33,7 +33,6 @@ from thinpde.solver import (
     _factor,
     _residual_stack,
     _solve_frozen,
-    _stacked,
     discretize_eps,
     discretize_limit,
     make_eps_grid,
@@ -68,6 +67,13 @@ def _two_control_problem(f1="2", f2="4", beta="0"):
     )
 
 
+def _all_dirichlet(grid):
+    """``grid`` with its top and bottom nodes reclassified as Dirichlet nodes (lateral data on the whole boundary)."""
+    cls = grid.classification.copy()
+    cls[(cls == TOP) | (cls == BOTTOM)] = DIRICHLET
+    return replace(grid, classification=cls)
+
+
 def test_grid_classification(reference):
     grid = make_eps_grid(reference, 0.1, nx=4, ny=8)
     cls = grid.classification.reshape(grid.shape)
@@ -96,11 +102,19 @@ def test_eps_grid_guards(reference, transform_demo):
                 solve_eps(reference, eps, nx=8, ny=8)
 
 
+def test_grids_reject_a_single_interval(reference):
+    # one interval has no interior node, so a solve would return the Dirichlet data alone
+    with pytest.raises(ValueError, match="^nx: must be >= 2, got 1$"):
+        make_eps_grid(reference, 0.1, nx=1, ny=8)
+    with pytest.raises(ValueError, match="^limit_resolution: must be >= 2, got 1$"):
+        make_limit_grid(reduce_problem(reference), 1)
+
+
 def test_dirichlet_laplace_exact_linear(reference):
     # -Laplace u = 0 with u = x on the whole boundary: linear is exact
     p = reference_problem(f="0", beta="x1")
-    grid = make_eps_grid(p, 0.1, nx=8, ny=8)
-    sysm = discretize_eps(p, grid, all_dirichlet=True)
+    grid = _all_dirichlet(make_eps_grid(p, 0.1, nx=8, ny=8))
+    sysm = discretize_eps(p, grid)
     fld = policy_iteration(sysm)
     xs = grid.axes[0]
     assert np.abs(fld.values - xs[:, None]).max() <= 1e-12
@@ -111,7 +125,7 @@ def test_oblique_row_structure(reference):
     grid = make_eps_grid(reference, 0.1, nx=4, ny=8)
     sysm = discretize_eps(reference, grid)
     hy = grid.spacing[1]
-    mat = sysm.matrices[0]
+    mat = sysm.matrix  # one control pair, so the stack is its matrix
     i, j = 2, grid.shape[1] - 1  # a top node
     flat = grid.flat((i, j))
     row = mat.getrow(flat)
@@ -119,7 +133,7 @@ def test_oblique_row_structure(reference):
     assert cols[flat] == pytest.approx(1.0 / hy)
     assert cols[grid.flat((i, j - 1))] == pytest.approx(-1.0 / hy)
     assert len(cols) == 2  # gamma+ = (0, 1): pure one-sided vertical difference
-    assert sysm.rhs[0][flat] == pytest.approx(reference.bdata.oblique(1.0, [grid.axes[0][i]], grid.axes[1][j])[1])
+    assert sysm.rhs[flat] == pytest.approx(reference.bdata.oblique(1.0, [grid.axes[0][i]], grid.axes[1][j])[1])
 
 
 def test_cross_term_monotonicity_violation():
@@ -140,8 +154,8 @@ def test_cross_term_monotone_when_balanced():
     p.coeffs.entries[("1", "1")] = _entry(
         1, [["1", "0.9"], ["0", "sqrt(1 - 0.81)"]], ["0", "0"], "0", "1"
     )
-    grid = make_eps_grid(p, 1.0, nx=8, ny=16)  # hx = 1/8, hy = 1/8
-    sysm = discretize_eps(p, grid, all_dirichlet=True)
+    grid = _all_dirichlet(make_eps_grid(p, 1.0, nx=8, ny=16))  # hx = 1/8, hy = 1/8
+    sysm = discretize_eps(p, grid)
     fld = policy_iteration(sysm)
     assert fld.residual <= 1e-10
 
@@ -193,8 +207,8 @@ def test_residual_history_non_increasing():
 
 def test_singular_system():
     # second differences with zero-flux ends and c = 0: constants in the kernel
-    p = reference_problem()
-    grid = make_limit_grid(reference_problem(), 8)
+    lp = reduce_problem(reference_problem())
+    grid = make_limit_grid(lp, 8)
     n = grid.size
     main = 2.0 * np.ones(n)
     off = -1.0 * np.ones(n - 1)
@@ -203,11 +217,9 @@ def test_singular_system():
     mat[-1, -1], mat[-1, -2] = 1.0, -1.0
     sysm = DiscreteSystem(
         grid=grid,
-        pairs=[("1", "1")],
-        n_min=1,
-        n_max=1,
-        matrices=[sp.csr_matrix(mat)],
-        rhs=[np.zeros(n)],
+        controls=lp.controls,
+        matrix=sp.csr_matrix(mat),
+        rhs=np.zeros(n),
         dirichlet_mask=np.zeros(n, dtype=bool),
         dirichlet_values=np.zeros(n),
     )
@@ -223,18 +235,9 @@ def test_monotone_in_source():
     grid = make_limit_grid(lp, 16)
     sysm = discretize_limit(lp, grid)
     base = policy_iteration(sysm).flat()
-    bumped_rhs = sysm.rhs[0].copy()
+    bumped_rhs = sysm.rhs.copy()
     bumped_rhs[7] += 0.5
-    sys2 = DiscreteSystem(
-        grid=grid,
-        pairs=sysm.pairs,
-        n_min=1,
-        n_max=1,
-        matrices=sysm.matrices,
-        rhs=[bumped_rhs],
-        dirichlet_mask=sysm.dirichlet_mask,
-        dirichlet_values=sysm.dirichlet_values,
-    )
+    sys2 = replace(sysm, rhs=bumped_rhs)
     bumped = policy_iteration(sys2).flat()
     assert (bumped >= base - 1e-12).all()
     assert bumped[7] > base[7]
@@ -255,7 +258,7 @@ def test_dirichlet_attained_exactly(reference):
 
 def residual_infinity(sys: DiscreteSystem, u: np.ndarray) -> float:
     """Sup norm of the discrete inf-sup operator applied to u."""
-    values, _, _ = inf_sup(_residual_stack(sys, *_stacked(sys), np.asarray(u).ravel()))
+    values, _, _ = inf_sup(_residual_stack(sys, np.asarray(u).ravel()))
     return float(np.abs(values).max())
 
 
@@ -336,6 +339,20 @@ def test_stable_policy_is_factored_once(rich_limit, monkeypatch):
     assert len(calls) == 2
     assert "policy iteration hit 100 iterations" in str(err.value)
     assert "policy stable from iteration 2" in str(err.value)
+
+
+def test_scaled_residual_divides_each_row_by_its_active_diagonal(rich_limit):
+    # recomputed from each control pair's block of rows on its own
+    fld = solve_limit(rich_limit, 256)
+    sysm = discretize_limit(rich_limit, make_limit_grid(rich_limit, 256))
+    size = sysm.grid.size
+    blocks = [sysm.matrix[k * size : (k + 1) * size] for k in range(4)]
+    residuals = [m @ fld.flat() - sysm.rhs[k * size : (k + 1) * size] for k, m in enumerate(blocks)]
+    values, lam, mu = inf_sup(np.stack(residuals, axis=-1).reshape(size, 2, 2))
+    diag = np.stack([m.diagonal() for m in blocks], axis=-1).reshape(size, 2, 2)[np.arange(size), lam, mu]
+    assert (lam == fld.policy_min).all() and (mu == fld.policy_max).all()
+    assert fld.residual == float(np.abs(values).max())
+    assert fld.scaled_residual == float((np.abs(values) / diag).max())
 
 
 def test_changing_policy_reports_it(rich_limit):
@@ -434,9 +451,10 @@ def test_assembled_rows_are_m_matrix_rows(entries, gamma0):
     # every row of every control pair's matrix: positive diagonal,
     # non-positive off-diagonals, and weak diagonal dominance (sum c >= 0)
     sysm = _two_by_two_strip(entries, gamma0)
-    assert len(sysm.matrices) == 4
-    for mat in sysm.matrices:
-        mat = sp.csr_matrix(mat)
+    size = sysm.grid.size
+    assert sysm.matrix.shape == (4 * size, size)
+    for k in range(4):
+        mat = sysm.matrix[k * size : (k + 1) * size]
         diag = mat.diagonal()
         off = mat - sp.diags(diag)
         assert (diag > 0.0).all()
@@ -478,10 +496,10 @@ def test_frozen_solve_matches_pivoted_solve(entries, gamma0, seed):
     size = sysm.grid.size
     lam, mu = np.random.default_rng(seed).integers(0, 2, size=(2, size))
     k = lam * 2 + mu
-    mat = sp.vstack([sysm.matrices[k[i]][i] for i in range(size)], format="csc")
-    rhs = np.array([sysm.rhs[k[i]][i] for i in range(size)])
+    mat = sp.vstack([sysm.matrix[k[i] * size + i] for i in range(size)], format="csc")
+    rhs = np.array([sysm.rhs[k[i] * size + i] for i in range(size)])
     want = spla.spsolve(mat, rhs)
-    got = _solve_frozen(sysm, *_stacked(sysm), lam, mu)
+    got = _solve_frozen(sysm, lam, mu)
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
@@ -499,11 +517,11 @@ def test_factor_pivots_on_the_diagonal_without_extra_fill(problem, grid_of, requ
     # only reorders SuperLU's updates, so the fill matches the default panel's
     p = request.getfixturevalue(problem)
     grid = grid_of(p)
-    sysm = discretize_limit(p, grid) if grid.kind == "limit" else discretize_eps(p, grid)
+    sysm = discretize_limit(p, grid) if problem == "rich_limit" else discretize_eps(p, grid)
     size = grid.size
     # a policy that mixes every control pair across the nodes
-    pair = np.arange(size) % len(sysm.pairs)
-    mat = sp.csc_matrix(_stacked(sysm)[0][pair * size + np.arange(size)])
+    pair = np.arange(size) % (len(sysm.rhs) // size)
+    mat = sp.csc_matrix(sysm.matrix[pair * size + np.arange(size)])
     factor = _factor(mat)
     assert (factor.perm_r == factor.perm_c).all()
     default = spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
