@@ -24,10 +24,11 @@ once, in ``_barrier_arrays``, over arrays of strip nodes.  There is one pair
 type, :class:`BarrierPair` (view, params, and a distortion map when the
 pair is pulled back), and one way to get it, :func:`search_barriers`.  It
 decides flat or distorted from the view's ``needs_distortion`` (the one
-test of sup|gamma0|) and searches the parameters once.  The pair takes eps
+test of gamma0) and searches the parameters once.  The pair takes eps
 at each evaluation and evaluates both barriers at a batch of nodes from one
 field evaluation, at one set of preimages; eps below params.eps1 is
-certified, larger eps is evaluated all the same.  The seven margins have
+certified, larger eps is evaluated all the same where the pair
+:meth:`~BarrierPair.reaches` it.  The seven margins have
 one evaluator, ``_MarginEngine.margins_of``: the parameter search feeds it
 the formula arrays directly and :func:`verify_barrier` feeds it the arrays
 of any pair, over the view's coefficient bundle at all strip nodes at once;
@@ -44,7 +45,7 @@ import numpy as np
 
 from .distortion import DistortionMap, HatBoundary, HatOperator, build_map, matrix_r, top_profile
 from .expressions import Bin, Const, Expr, ScalarField
-from .problem import Coefficients, ThinProblem, box_lattice, operator_infsup, quadratic_form, row_dot, strip_points
+from .problem import Coefficients, ThinProblem, box_lattice, operator_infsup, quadratic_form, row_dot, strip_lattice, strip_points
 
 __all__ = [
     "SearchExhaustedError",
@@ -145,8 +146,8 @@ class StripView:
     bottom: ``oblique(sign, x, y)`` gives that side's (gamma, beta), also at
     one point (x (N,), a float y), and ``profile(sign, x, eps)`` its heights
     over base points (eps*g+- in flat coordinates, the implicit profiles in
-    distorted ones).  ``needs_distortion`` is set when gamma0 does not
-    vanish, so the barriers are searched in distorted coordinates.
+    distorted ones).  ``needs_distortion`` is set unless gamma0 is the
+    constant 0, so the barriers are searched in distorted coordinates.
     """
 
     lower: tuple[float, ...]
@@ -165,14 +166,6 @@ class StripView:
     def base_lattice(self, intervals: int) -> np.ndarray:
         return box_lattice(self.lower, self.upper, intervals)
 
-    def strip_nodes(self, xs: np.ndarray, eps: float, ny: int) -> tuple[np.ndarray, np.ndarray]:
-        """ny + 1 evenly spaced levels from the bottom to the top over each base node.
-
-        Returns each strip node's index into ``xs`` and its height, base node by base node.
-        """
-        ys = np.linspace(self.profile(-1.0, xs, eps), self.profile(1.0, xs, eps), ny + 1, axis=1)
-        return np.repeat(np.arange(len(xs)), ny + 1), ys.ravel()
-
 
 def _barrier_level(problem: ThinProblem) -> ScalarField:
     """The level h of the barriers: the problem's own, or else the midpoint (g+ + g-) / 2."""
@@ -183,25 +176,22 @@ def _barrier_level(problem: ThinProblem) -> ScalarField:
     return ScalarField(Expr(mid), geom.g_plus.var_names)
 
 
-def _lattice_sup(problem: ThinProblem, *fields) -> float:
-    """Largest |component| of the fields on the 16-interval base lattice."""
-    base = problem.geom.lattice(16)
-    return max(float(np.abs(fld.value(base)).max()) for fld in fields)
-
-
 def flat_view(problem: ThinProblem) -> StripView:
     """View of the problem in its own coordinates (used when gamma0 = 0).
 
-    Its ``needs_distortion`` is the one test of sup|gamma0| that callers
-    consult to decide between the flat and the distorted construction.
+    Its ``needs_distortion`` is the one test of gamma0 that callers consult
+    to decide between the flat and the distorted construction: false only
+    when gamma0 is a constant expression (see ``VectorField.is_constant``)
+    whose value is 0.  sup|g+-| is sampled on the 16-interval base lattice.
     """
     geom = problem.geom
     bd = problem.bdata
+    base = geom.lattice(16)
     return StripView(
         lower=geom.lower,
         upper=geom.upper,
         eps0=geom.epsilon0,
-        g_sup=_lattice_sup(problem, geom.g_plus, geom.g_minus),
+        g_sup=max(float(np.abs(g.value(base)).max()) for g in (geom.g_plus, geom.g_minus)),
         r_cap=1.0,
         coefficients=lambda x, y: problem.coefficients(strip_points(x, y)),
         oblique=bd.oblique,
@@ -209,7 +199,7 @@ def flat_view(problem: ThinProblem) -> StripView:
         beta0=bd.beta0,
         s=bd.s_candidate,
         h=_barrier_level(problem),
-        needs_distortion=_lattice_sup(problem, bd.gamma0) > 1e-12,
+        needs_distortion=not bd.gamma0.is_constant or bool(bd.gamma0.value(base[0]).any()),
     )
 
 
@@ -335,7 +325,7 @@ class _MarginEngine:
         view = self.view
         ny = self.grid[1]
         xs = self.xs
-        x_idx, ys = view.strip_nodes(xs, eps, ny)
+        x_idx, ys = strip_lattice(xs, view.profile(-1.0, xs, eps), view.profile(1.0, xs, eps), ny)
         bottom_sel = np.arange(len(xs)) * (ny + 1)
         top_sel = bottom_sel + ny
         coeffs = view.coefficients(xs[x_idx], ys)
@@ -411,6 +401,10 @@ class BarrierPair:
     params: BarrierParams
     dmap: DistortionMap | None = None
 
+    def reaches(self, eps: float) -> bool:
+        """Whether the pair is defined on the strip at eps: a pulled-back pair only inside its map's slab |y| <= r."""
+        return self.dmap is None or eps * self.view.g_sup <= self.dmap.r
+
     def values(self, x, y, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """(psi_bar, psi_low) values at nodes x (m, N), y (m,)."""
         return self._both(x, y, eps, False)
@@ -455,13 +449,12 @@ def verify_barrier(view: StripView, pair: BarrierPair, eps: float, grid: tuple[i
 # --- parameter search ---------------------------------------------------------
 
 
-def _slab_form_min(view: StripView, r: float, kappa: float = 1.0, intervals: int = 12, ny: int = 4) -> float:
-    """min over the slab lattice and controls of (Ds,0) A(x,y) (Ds,0)^T."""
-    xs = view.base_lattice(intervals)
-    ys = np.linspace(-r, r, ny + 1)
-    x_idx = np.repeat(np.arange(len(xs)), len(ys))
-    ds = strip_points(kappa * view.s.grad(xs), 0.0)[x_idx]
-    a = view.coefficients(xs[x_idx], np.tile(ys, len(xs))).a
+def _slab_form_min(view: StripView, r: float) -> float:
+    """min over the slab lattice (12 base intervals per axis, 4 in y) and controls of (Ds,0) A(x,y) (Ds,0)^T."""
+    xs = view.base_lattice(12)
+    x_idx, ys = strip_lattice(xs, -r, r, 4)
+    ds = strip_points(view.s.grad(xs), 0.0)[x_idx]
+    a = view.coefficients(xs[x_idx], ys).a
     return float(quadratic_form(ds[:, None, None], a).min())
 
 

@@ -26,7 +26,7 @@ from .config import _SETTING_RANGES, ConfigError, _int_at_least, _positive_float
 from .distortion import HatOperator, top_profile
 from .ellipticity import _forms, _interior_rows, circle_obstruction_demo
 from .harness import EXIT_BARRIER, EXIT_FAILURE, EXIT_OK, fmt_float
-from .problem import EpsOutOfRangeError, box_lattice
+from .problem import EpsOutOfRangeError, box_lattice, strip_lattice
 from .reduction import estimate_limit_bounds, reduce_problem
 
 __all__ = ["main"]
@@ -162,7 +162,7 @@ def cmd_barrier(args) -> int:
     tables = {}
     if args.csv:
         xs = view.base_lattice(args.nx)
-        x_idx, ys = view.strip_nodes(xs, eps, args.ny)
+        x_idx, ys = strip_lattice(xs, view.profile(-1.0, xs, eps), view.profile(1.0, xs, eps), args.ny)
         x = xs[x_idx]
         rows = _point_rows(x, ys, *pair.values(x, ys, eps))
         tables["barrier_grids.csv"] = _csv(_base_header(problem.n) + ",y,psi_upper,psi_lower", rows)
@@ -266,18 +266,19 @@ def main(argv=None) -> int:
     p = sub.add_parser("barrier", help="search barrier parameters and verify the margins")
     _common(p)
     p.add_argument("--eps", type=_positive_float, default=None)
-    p.add_argument("--nx", type=_int_at_least(1), default=32)
-    p.add_argument("--ny", type=_int_at_least(1), default=8)
+    p.add_argument("--nx", type=_int_at_least(1), default=bar._VERIFY_GRID[0])
+    p.add_argument("--ny", type=_int_at_least(1), default=bar._VERIFY_GRID[1])
     p.add_argument("--csv", action="store_true", help="dump the barrier grids")
     p.set_defaults(func=cmd_barrier)
 
     p = sub.add_parser("solve", help="solve the eps-problem (or the limit problem with --limit)")
     _common(p)
     p.add_argument("--eps", type=_positive_float, default=None)
-    p.add_argument("--nx", type=_SETTING_RANGES["nx"], default=64)
-    p.add_argument("--ny", type=_SETTING_RANGES["ny"], default=16, help="strip intervals in y (8 nodes at least)")
-    p.add_argument("--tol", type=_SETTING_RANGES["tol"], default=1e-10)
-    p.add_argument("--max-iter", type=_SETTING_RANGES["max_iter"], default=100)
+    defaults = harness.ExperimentPlan  # the plan's class attributes are its defaults
+    p.add_argument("--nx", type=_SETTING_RANGES["nx"], default=defaults.nx)
+    p.add_argument("--ny", type=_SETTING_RANGES["ny"], default=defaults.ny, help="strip intervals in y (8 nodes at least)")
+    p.add_argument("--tol", type=_SETTING_RANGES["tol"], default=defaults.tol)
+    p.add_argument("--max-iter", type=_SETTING_RANGES["max_iter"], default=defaults.max_iter)
     p.add_argument("--limit", action="store_true")
     p.set_defaults(func=cmd_solve)
 

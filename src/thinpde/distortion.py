@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Const, ExprError, ScalarField
+from .expressions import ExprError, ScalarField
 from .problem import (
     Coefficients,
     EpsOutOfRangeError,
@@ -38,8 +38,9 @@ from .problem import (
     quadratic_form,
     row_dot,
     row_matmul,
+    strip_lattice,
     strip_points,
-    witness,
+    worst_node,
 )
 
 __all__ = [
@@ -94,7 +95,6 @@ class DistortionMap:
     max_iter: int = 200
     gamma_sup: float = 0.0
     dgamma_sup: float = 0.0
-    is_constant: bool = False
     omega_hat: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     @property
@@ -151,7 +151,7 @@ class DistortionMap:
         y = np.broadcast_to(np.asarray(y, dtype=float).reshape(-1), (len(z),))
         n = self.n
         out = np.zeros((len(z), n + 1, n + 1, n + 1))
-        if not self.is_constant:
+        if not self.gamma.is_constant:
             r = matrix_r(self, z, y) if r is None else np.reshape(r, (len(z), n + 1, n + 1))
             dz = r[:, :n]  # (m, N, N+1)
             d2gamma = np.stack([c.hess(z) for c in self.gamma.components], axis=1)
@@ -186,8 +186,6 @@ def build_map(problem: ThinProblem, tol_fixed_point: float = 1e-12, max_iter: in
         r *= 0.5
     if r <= _R_FLOOR:
         raise SingularJacobianError("no admissible slab half-height r; gamma too steep")
-    # constant exactly when every first derivative folds to zero
-    is_constant = all(c.expr.derivative(v).root == Const(0.0) for c in gamma.components for v in c.var_names)
     lo = tuple(l - r * gamma_sup for l in problem.geom.lower)
     hi = tuple(u + r * gamma_sup for u in problem.geom.upper)
     return DistortionMap(
@@ -197,7 +195,6 @@ def build_map(problem: ThinProblem, tol_fixed_point: float = 1e-12, max_iter: in
         max_iter=max_iter,
         gamma_sup=gamma_sup,
         dgamma_sup=dgamma_sup,
-        is_constant=is_constant,
         omega_hat=(lo, hi),
     )
 
@@ -316,7 +313,7 @@ class HatBoundary:
         return row_matmul(gamma, np.swapaxes(matrix_r(self.dmap, z, y), -1, -2)), beta
 
     def check_exactness(self) -> ExactnessReport:
-        """Worst deviation of the structural identities on a lattice, and where it occurs.
+        """Worst deviation of the structural identities on a lattice, and the first node where it occurs.
 
         The last component of gamma^ must equal +-1 exactly on the slab, and
         the first N components must vanish at y = 0 (the +-gamma(z)
@@ -324,16 +321,14 @@ class HatBoundary:
         """
         n = self.problem.n
         pts = box_lattice(self.problem.geom.lower, self.problem.geom.upper, 8)
-        levels = self.dmap.r * np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        z, y = np.repeat(pts, len(levels), axis=0), np.tile(levels, len(pts))
-        deviations = []
+        x_idx, y = strip_lattice(pts, -self.dmap.r, self.dmap.r, 4)
+        z = pts[x_idx]
+        deviation = np.zeros(len(y))
         for sign in (1.0, -1.0):
             gamma = self.oblique(sign, z, y)[0]
             head = np.where(y == 0.0, np.abs(gamma[:, :n]).max(axis=1), 0.0)
-            deviations.append(np.maximum(np.abs(gamma[:, n] - sign), head))
-        deviations = np.concatenate(deviations)
-        i = int(np.argmax(deviations))
-        return ExactnessReport(float(deviations[i]), witness(np.tile(strip_points(z, y), (2, 1)), i))
+            deviation = np.maximum.reduce([deviation, np.abs(gamma[:, n] - sign), head])
+        return ExactnessReport(*worst_node(deviation, strip_points(z, y), True))
 
 
 @dataclass
@@ -387,11 +382,10 @@ def transplant_ellipticity(
     lhs = quadratic_form(v_hat[:, None, None], hat.coefficients(pts, y0).a)
     rhs = quadratic_form(v_orig[:, None, None], problem.coefficients(strip_points(pts, y0)).a)
     worst_diff = float(np.abs(lhs - rhs).max(initial=0.0))
-    # the first minimum in (node, lambda, mu) order
-    i = int(np.argmin(lhs))
+    margin, witness = worst_node(lhs, pts, False, problem.controls)
     return TransplantReport(
-        margin=float(lhs.flat[i]),
-        witness=witness(pts, i, problem.controls),
+        margin=margin,
+        witness=witness,
         crosscheck_max_diff=worst_diff,
         passed=worst_diff <= _TRANSPLANT_TOL,
     )

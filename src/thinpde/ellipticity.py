@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Expr, ScalarField, base_vars, parse
-from .problem import ThinProblem, quadratic_form, row_dot, row_matmul, strip_points, witness
+from .problem import ThinProblem, quadratic_form, row_dot, row_matmul, strip_points, worst_node
 
 __all__ = [
     "CertificateReport",
@@ -49,14 +49,13 @@ class CertificateReport:
     witness: tuple  # (x, lambda, mu)
     passed: bool
     grid_spec: int
-    threshold: float = CERTIFICATE_THRESHOLD
     norm_margin: float | None = None  # min of |v A|, reported for the boundary form
     kind: str = "interior"
 
     def format(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         lines = [
-            f"{status} {self.kind} certificate: margin={self.margin:.6g} (threshold {self.threshold:g})",
+            f"{status} {self.kind} certificate: margin={self.margin:.6g} (threshold {CERTIFICATE_THRESHOLD:g})",
             f"  witness x={self.witness[0]} control=({self.witness[1]}, {self.witness[2]})",
             f"  lattice: {self.grid_spec} intervals per axis",
         ]
@@ -86,9 +85,7 @@ def _forms(problem: ThinProblem, xs: np.ndarray, vs: np.ndarray) -> tuple[np.nda
 def _scan(problem: ThinProblem, xs: np.ndarray, vs: np.ndarray):
     """Minimize v A(x,0) v^T over the rows (x, v) and all controls; also the least |v A|."""
     q, norms = _forms(problem, xs, vs)
-    # the first minimum in (row, lambda, mu) order
-    i = int(np.argmin(q))
-    return float(q.flat[i]), witness(xs, i, problem.controls), float(norms.min())
+    return *worst_node(q, xs, False, problem.controls), float(norms.min())
 
 
 def interior_certificate(problem: ThinProblem, samples_per_axis: int = 16) -> CertificateReport:
@@ -154,12 +151,9 @@ def equivalence_check(problem: ThinProblem, samples_per_axis: int = 16) -> Equiv
     coeffs = problem.coefficients(strip_points(xs, 0.0))
     vs_t = row_matmul(v, np.swapaxes(coeffs.sigma, -1, -2))
     diff = np.abs(row_dot(vs_t, vs_t) - quadratic_form(v, coeffs.a))
-    worst = 0.0
-    where = None
-    if diff.max() > 0.0:
-        i = int(np.argmax(diff))
-        worst = float(diff.flat[i])
-        where = witness(xs, i, problem.controls)
+    worst, where = worst_node(diff, xs, True, problem.controls)
+    if not worst > 0.0:
+        worst, where = 0.0, None
     return EquivalenceReport(max_discrepancy=worst, witness=where, passed=worst <= _EQUIVALENCE_TOL)
 
 
@@ -245,7 +239,7 @@ def circle_obstruction_demo(
     there Ds is radial, i.e. in the kernel of A.
     """
     if n_theta < 64:
-        raise ValueError("nTheta must be >= 64")
+        raise ValueError("n_theta must be >= 64")
     if candidates is None:
         candidates = ["x1", "x2", "x1 + x2", "pow(x1, 2)", "x1 * x2"]
     rows = []

@@ -476,6 +476,11 @@ class ScalarField:
     def _first(self) -> tuple[Expr, ...]:
         return tuple(self.expr.derivative(v) for v in self.var_names)
 
+    @property
+    def is_constant(self) -> bool:
+        """Whether every exact first derivative folds to zero (``0*x1`` does; ``pow(sin(x1), 2) + pow(cos(x1), 2)`` does not)."""
+        return all(d.root == _ZERO for d in self._first)
+
     @cached_property
     def _second(self) -> dict[tuple[int, int], Expr]:
         n = self.nvars
@@ -510,6 +515,11 @@ class VectorField:
 
     def __len__(self):
         return len(self.components)
+
+    @property
+    def is_constant(self) -> bool:
+        """Whether every component is constant (see :attr:`ScalarField.is_constant`)."""
+        return all(f.is_constant for f in self.components)
 
     def value(self, point) -> np.ndarray:
         """Components at one point, shape (k,), or at each row of an (m, n) array, shape (m, k)."""

@@ -17,7 +17,9 @@ by the barrier stage (in the pipeline and in ``thinpde converge``) and
 passed in; None measures no sandwich.  Barrier strictness is only certified
 for eps below the searched eps1; when the requested eps list extends above
 it (the default list does, for the reference data), those rows are flagged
-uncertified and the sandwich is still measured empirically.
+uncertified and the sandwich is still measured empirically, except where a
+pulled-back pair does not reach the strip (it leaves the distortion map's
+slab): there the sandwich columns are NaN.
 
 The run settings (eps list, strip and limit grids, Howard tolerance and
 cap) are one :class:`thinpde.config.ExperimentPlan`, range-checked where it
@@ -170,7 +172,8 @@ def convergence_experiment(problem: ThinProblem, plan: ExperimentPlan, barrier: 
         lo_m = hi_m = math.nan
         width = math.nan
         certified = False
-        if barrier is not None:
+        # eps1 <= r / sup|g|, so a strip the pair does not reach is never certified
+        if barrier is not None and barrier.reaches(eps):
             certified = eps < barrier.params.eps1
             lo_m, hi_m, width = sandwich_margins(barrier, eps, fld)
         rows.append(

@@ -39,10 +39,11 @@ __all__ = [
     "operator_infsup",
     "strip_points",
     "box_lattice",
+    "strip_lattice",
     "row_dot",
     "row_matmul",
     "quadratic_form",
-    "witness",
+    "worst_node",
     "Diagnostic",
     "DiagnosticsReport",
     "validate",
@@ -57,27 +58,41 @@ class EpsOutOfRangeError(ValueError):
     """eps lies outside the range that a strip construction admits."""
 
 
-def _pt(z) -> tuple:
-    """Plain-float tuple for witness reporting."""
-    return tuple(float(v) for v in np.atleast_1d(z))
+def worst_node(values, points: np.ndarray, largest: bool, controls: ControlSet | None = None) -> tuple[float, tuple]:
+    """The first minimum (or, if ``largest``, maximum) of ``values`` and its report witness.
 
-
-def witness(points: np.ndarray, i: int, controls: ControlSet | None = None) -> tuple:
-    """The report witness of index ``i``: its point, rounded to 12 places, as plain floats.
-
-    With ``controls``, ``i`` is a flat index into an array shaped (point,
-    lambda, mu), and the lambda and mu labels follow the point.
+    ``values`` holds one entry per row of ``points``, and the witness is that
+    row rounded to 12 places, as plain floats.  With ``controls`` it is
+    shaped (point, lambda, mu), "first" is in that order, and the witness is
+    (point, lambda label, mu label).
     """
-    if controls is None:
-        return _pt(np.round(points[i], 12))
-    k, il, im = np.unravel_index(i, (len(points), len(controls.min_labels), len(controls.max_labels)))
-    return (witness(points, k), controls.min_labels[il], controls.max_labels[im])
+    values = np.asarray(values)
+    i = int(np.argmax(values) if largest else np.argmin(values))
+    k, *pair = np.unravel_index(i, values.shape)
+    witness = tuple(float(v) for v in np.round(points[k], 12))
+    if controls is not None:
+        witness = (witness, controls.min_labels[pair[0]], controls.max_labels[pair[1]])
+    return float(values.flat[i]), witness
+
+
+def _lattice_nodes(axes) -> np.ndarray:
+    """Every node of the tensor lattice of ``axes``, the last axis varying fastest; shape (m, len(axes))."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 def box_lattice(lower, upper, intervals: int) -> np.ndarray:
     """Uniform node lattice over the closed box [lower, upper], ``intervals`` per axis; shape (m, N)."""
-    axes = [np.linspace(lo, hi, intervals + 1) for lo, hi in zip(lower, upper)]
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return _lattice_nodes([np.linspace(lo, hi, intervals + 1) for lo, hi in zip(lower, upper)])
+
+
+def strip_lattice(base: np.ndarray, bottom, top, intervals: int) -> tuple[np.ndarray, np.ndarray]:
+    """``intervals`` + 1 evenly spaced levels from ``bottom`` to ``top`` (shared or one per node) over each base node.
+
+    Returns each strip node's index into ``base`` and its height, base node by base node.
+    """
+    m = len(base)
+    ys = np.linspace(np.broadcast_to(bottom, (m,)), np.broadcast_to(top, (m,)), intervals + 1, axis=1)
+    return np.repeat(np.arange(m), intervals + 1), ys.ravel()
 
 
 def strip_points(x, y) -> np.ndarray:
@@ -363,13 +378,6 @@ class DiagnosticsReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _strip_lattice(geom: GeometrySpec, samples_per_axis: int) -> np.ndarray:
-    """Lattice over the closed slab Omega x [-1, 1]."""
-    base = geom.lattice(samples_per_axis)
-    ys = np.linspace(-1.0, 1.0, samples_per_axis + 1)
-    return strip_points(np.repeat(base, len(ys), axis=0), np.tile(ys, len(base)))
-
-
 def _derivative_fault(name: str, fld: ScalarField, points: np.ndarray) -> str | None:
     """The first of ``fld``'s gradient and Hessian that does not exist on ``points``, with its first such point."""
     for deriv in ("grad", "hess"):
@@ -387,12 +395,14 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
     go undetected; refine ``samples_per_axis`` to tighten.
     """
     if samples_per_axis < 4:
-        raise ValueError("samplesPerAxis must be >= 4")
+        raise ValueError("samples_per_axis must be >= 4")
     report = DiagnosticsReport()
     geom = problem.geom
     bdata = problem.bdata
     base = geom.lattice(samples_per_axis)
-    slab = _strip_lattice(geom, samples_per_axis)
+    # the closed slab Omega x [-1, 1]
+    x_idx, ys = strip_lattice(base, -1.0, 1.0, samples_per_axis)
+    slab = strip_points(base[x_idx], ys)
 
     # every expression, and every base field's gradient and Hessian, defined
     # on its domain
@@ -419,13 +429,12 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
     size = np.maximum.reduce(
         [np.abs(coeffs.sigma).max(axis=(-2, -1)), np.abs(coeffs.b).max(axis=-1), np.abs(coeffs.c), np.abs(coeffs.f)]
     )
-    i = int(np.argmax(size))
-    worst_bound, witness_bound = (float(size.flat[i]), witness(slab, i, problem.controls)) if size.flat[i] > 0.0 else (0.0, None)
-    i = int(np.argmin(coeffs.c))
-    worst_c, witness_c = float(coeffs.c.flat[i]), witness(slab, i, problem.controls)
+    worst_bound, witness_bound = worst_node(size, slab, True, problem.controls)
+    if not worst_bound > 0.0:
+        worst_bound, witness_bound = 0.0, None
+    worst_c, witness_c = worst_node(coeffs.c, slab, False, problem.controls)
     eigs = np.linalg.eigvalsh(coeffs.a).min(axis=-1)
-    i = int(np.argmin(eigs))
-    worst_eig, witness_eig = float(eigs.flat[i]), witness(slab, i, problem.controls)
+    worst_eig, witness_eig = worst_node(eigs, slab, False, problem.controls)
     report.checks.append(
         Diagnostic(
             "CoefficientBound",
@@ -451,14 +460,13 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
     # geometry: strict ordering and containment in the unit slab
     gp = geom.g_plus.value(base)
     gm = geom.g_minus.value(base)
-    gaps = gp - gm
-    i = int(np.argmin(gaps))
+    worst_gap, witness_gap = worst_node(gp - gm, base, False)
     report.checks.append(
         Diagnostic(
             "StrictOrdering",
-            bool(gaps[i] > 0.0),
-            worst=float(gaps[i]),
-            witness=witness(base, i),
+            worst_gap > 0.0,
+            worst=worst_gap,
+            witness=witness_gap,
             note="g+ - g- must be positive",
         )
     )
@@ -475,14 +483,13 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
     if bdata.h is not None:
         hv = bdata.h.value(base)
         above, below = gp - hv, hv - gm
-        hronorm = np.where(below < above, below, above)
-        i = int(np.argmin(hronorm))
+        worst_level, witness_level = worst_node(np.where(below < above, below, above), base, False)
         report.checks.append(
             Diagnostic(
                 "BarrierLevelBetween",
-                bool(hronorm[i] > 0.0),
-                worst=float(hronorm[i]),
-                witness=witness(base, i),
+                worst_level > 0.0,
+                worst=worst_level,
+                witness=witness_level,
                 note="g- < h < g+ required",
             )
         )

@@ -39,8 +39,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .config import _in_range
-from .problem import Coefficients, ControlSet, ThinProblem, inf_sup, quadratic_form
+from .config import ExperimentPlan, _in_range
+from .problem import Coefficients, ControlSet, ThinProblem, _lattice_nodes, inf_sup, quadratic_form
 from .reduction import LimitProblem
 
 __all__ = [
@@ -135,12 +135,11 @@ class Grid:
         return int(np.ravel_multi_index(idx, self.shape))
 
     def nodes(self) -> np.ndarray:
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return _lattice_nodes(self.axes)
 
 
 def make_eps_grid(problem: ThinProblem, eps: float, nx: int, ny: int) -> Grid:
-    """Grid on the flat strip Omega x [eps g-, eps g+]; g+- must be constant.
+    """Grid on the flat strip Omega x [eps g-, eps g+]; g+- must be constant expressions.
 
     Curved profiles are exercised through the distortion and barrier
     modules; a terrain-following change of variables is a documented
@@ -151,13 +150,10 @@ def make_eps_grid(problem: ThinProblem, eps: float, nx: int, ny: int) -> Grid:
         raise NotImplementedError("the eps-problem solver is restricted to a 1-dimensional base")
     geom.check_eps(eps)
     nx, ny = _in_range("nx", nx), _in_range("ny", ny)
-    base = geom.lattice(16)
-    gp = geom.g_plus.value(base)
-    gm = geom.g_minus.value(base)
-    if gp.max() - gp.min() > 1e-12 or gm.max() - gm.min() > 1e-12:
+    if not (geom.g_plus.is_constant and geom.g_minus.is_constant):
         raise NotImplementedError("eps-problem grids require constant g+- (flat strip)")
     xs = np.linspace(geom.lower[0], geom.upper[0], nx + 1)
-    ys = np.linspace(eps * gm[0], eps * gp[0], ny + 1)
+    ys = np.linspace(eps * geom.g_minus.value(geom.lower), eps * geom.g_plus.value(geom.lower), ny + 1)
     cls = np.full((nx + 1, ny + 1), INTERIOR, dtype=np.int8)
     cls[:, -1] = TOP
     cls[:, 0] = BOTTOM
@@ -453,7 +449,9 @@ def _solve_frozen(sys: DiscreteSystem, lam_idx: np.ndarray, mu_idx: np.ndarray) 
     return u
 
 
-def policy_iteration(sys: DiscreteSystem, tol: float = 1e-10, max_iter: int = 100) -> GridField:
+def policy_iteration(
+    sys: DiscreteSystem, tol: float = ExperimentPlan.tol, max_iter: int = ExperimentPlan.max_iter
+) -> GridField:
     """Howard iteration for the discrete inf-sup system.
 
     Stops at the first iteration whose solve re-selects the policy it was
@@ -506,12 +504,16 @@ def policy_iteration(sys: DiscreteSystem, tol: float = 1e-10, max_iter: int = 10
 
 
 def solve_eps(
-    problem: ThinProblem, eps: float, nx: int = 64, ny: int = 16, tol: float = 1e-10, max_iter: int = 100
+    problem: ThinProblem, eps: float, nx: int = ExperimentPlan.nx, ny: int = ExperimentPlan.ny,
+    tol: float = ExperimentPlan.tol, max_iter: int = ExperimentPlan.max_iter,
 ) -> GridField:
     return policy_iteration(discretize_eps(problem, make_eps_grid(problem, eps, nx, ny)), tol=tol, max_iter=max_iter)
 
 
-def solve_limit(lp: LimitProblem, resolution: int = 64, tol: float = 1e-10, max_iter: int = 100) -> GridField:
+def solve_limit(
+    lp: LimitProblem, resolution: int = ExperimentPlan.limit_resolution,
+    tol: float = ExperimentPlan.tol, max_iter: int = ExperimentPlan.max_iter,
+) -> GridField:
     return policy_iteration(discretize_limit(lp, make_limit_grid(lp, resolution)), tol=tol, max_iter=max_iter)
 
 

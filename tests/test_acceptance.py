@@ -34,7 +34,7 @@ def _report(k: int, name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_01_representation_identity():
-    rep = representation_check(rich_problem(), samples=1000, seed=0, tolerance=1e-8)
+    rep = representation_check(rich_problem(), samples=1000, seed=0)
     _report(1, "representation identity", rep.max_abs_diff <= 1e-8, f"max |G - F| = {rep.max_abs_diff:.3e} <= 1e-8")
 
 

@@ -17,6 +17,22 @@ def ref_params(reference):
     return view, bar.search_parameters(view)
 
 
+@pytest.mark.parametrize(
+    "gamma0, needs",
+    [
+        ("0", False),
+        ("0*x1", False),
+        ("x1 - x1", False),
+        ("0.3", True),
+        # vanishes at every node of the 16-interval lattice that once decided this
+        ("0.3*sin(16*pi*x1)", True),
+        ("1e-13*x1", True),
+    ],
+)
+def test_needs_distortion_is_decided_from_the_expression(gamma0, needs):
+    assert bar.flat_view(reference_problem(gamma0=gamma0)).needs_distortion is needs
+
+
 def test_barrier_pair_point_values(reference):
     # alpha = Lambda = C_D = 1, s = x1, h = 0: psi_bar(0, 0) = C_D + e - 1 = e
     view = bar.flat_view(reference)

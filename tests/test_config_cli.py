@@ -1,3 +1,5 @@
+import csv
+import math
 import os
 import re
 import subprocess
@@ -244,6 +246,26 @@ def test_cli_unbuildable_distortion_map_exits_1_with_one_line(command, gamma0, w
     assert captured.out == f"transform failed: {want}\n"
     assert (tmp_path / "out" / f"{command}_report.txt").read_text() == captured.out
     assert not (tmp_path / "out" / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("gamma0", ["0.3*sin(16*pi*x1)", "0.3*sin(16*pi*x1) + 1e-9*x1"], ids=["nodes", "nodes+"])
+def test_pipeline_measures_no_sandwich_where_the_strip_leaves_the_map_slab(gamma0, tmp_path, capsys):
+    # the first gamma0 vanishes on the 16-interval lattice, so the pipeline once skipped the transform and
+    # stopped at the barrier stage; the second ran it, then ended in a NoConvergenceError traceback when the
+    # sandwich inverted the map at eps = 0.2, beyond its slab r = 1/32 (sup|g| = 1)
+    cfg = _config_variant(tmp_path, "reference.cfg", "gamma0 = 0\n", f"gamma0 = {gamma0}\n")
+    assert main(["pipeline"] + cfg + ["--out", str(tmp_path / "out")]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "[stage transform]" in captured.out
+    with (tmp_path / "out" / "convergence.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["eps"] for r in rows] == ["0.2", "0.1", "0.05", "0.025"]
+    sandwich = ("sandwich_lower_margin", "sandwich_upper_margin", "sandwich_width")
+    for row in rows[:3]:
+        assert row["certified"] == "0"
+        assert all(row[k] == "nan" for k in sandwich)
+    assert all(math.isfinite(float(rows[3][k])) for k in sandwich)
 
 
 def test_cli_converge_reports_a_failed_barrier_search_like_barrier(tmp_path, capsys):

@@ -152,7 +152,7 @@ def test_pushforward_constant_gamma_affine():
     # constant gamma makes Q affine: the curvature drift vanishes exactly
     p = reference_problem(gamma0="0.3")
     dmap = build_map(p)
-    assert dmap.is_constant
+    assert dmap.gamma.is_constant
     co = HatOperator(p, dmap).coefficients([0.4], 0.2)
     # the hatted drift less its transported part (b o P) R^T
     b_moved = p.coefficients(dmap.forward([0.4], 0.2)[None]).b[0, 0, 0] @ matrix_r(dmap, [0.4], 0.2).T

@@ -10,6 +10,7 @@ from thinpde.expressions import (
     ExprSyntaxError,
     ScalarField,
     UnknownIdentifierError,
+    VectorField,
     parse,
 )
 
@@ -430,3 +431,23 @@ def test_constant_folding_keeps_trees_small():
     assert parse("x1*(1 - x1)").derivative("x1").derivative("x1").to_string() == "-2.0"
     assert parse("sin(x1) + y").derivative("y").to_string() == "1.0"
     assert parse("exp(x1)").derivative("y").to_string() == "0.0"
+
+
+@pytest.mark.parametrize(
+    "text, constant",
+    [
+        ("2", True),
+        ("0*x1", True),
+        ("x1 - x1", True),
+        ("x1*0 + sin(pi)", True),
+        ("pow(2, 3) - 1", True),
+        ("x1", False),
+        ("0.3*sin(16*pi*x1)", False),
+        ("1e-300*x1", False),
+        ("y", False),
+    ],
+)
+def test_is_constant_folds_the_derivatives(text, constant):
+    fld = ScalarField(text, ("x1", "y"))
+    assert fld.is_constant is constant
+    assert VectorField([ScalarField("0*x1", ("x1", "y")), fld]).is_constant is constant

@@ -13,6 +13,7 @@ from thinpde.problem import (
     ThinProblem,
     inf_sup,
     operator_infsup,
+    strip_lattice,
     validate,
 )
 
@@ -213,3 +214,14 @@ def test_inf_sup_matches_double_loop(data):
         assert (lam_idx[k], mu_idx[k]) == (il, im)
     one_value, one_lam, one_mu = inf_sup(values[0])
     assert (one_value, one_lam, one_mu) == (value[0], lam_idx[0], mu_idx[0])
+
+
+def test_strip_lattice_spaces_each_node_between_its_own_heights():
+    base = np.array([[0.0], [0.5], [1.0]])
+    bottom, top = np.array([-1.0, -0.3, 0.2]), np.array([1.0, 0.7, 0.2])
+    x_idx, ys = strip_lattice(base, bottom, top, 4)
+    assert x_idx.tolist() == [0] * 5 + [1] * 5 + [2] * 5
+    want = np.concatenate([np.linspace(b, t, 5) for b, t in zip(bottom, top)])
+    assert ys.tobytes() == want.tobytes()
+    # a height shared by every node
+    assert strip_lattice(base, -1.0, 1.0, 4)[1].tobytes() == np.tile(np.linspace(-1.0, 1.0, 5), 3).tobytes()

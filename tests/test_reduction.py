@@ -167,8 +167,9 @@ def test_representation_check_needs_a_draw(reference, samples):
 
 
 def test_representation_identity_degenerate(reference):
-    rep = representation_check(reference, samples=200, seed=2, tolerance=1e-9)
+    rep = representation_check(reference, samples=200, seed=2)
     assert rep.passed
+    assert rep.max_abs_diff <= 1e-9
 
 
 def test_operator_g_examples(reference):

@@ -19,6 +19,8 @@ from thinpde.problem import (
     GeometrySpec,
     ThinProblem,
     inf_sup,
+    strip_lattice,
+    strip_points,
 )
 from thinpde.reduction import reduce_problem
 from thinpde.solver import (
@@ -92,6 +94,10 @@ def test_eps_grid_guards(reference, transform_demo):
         make_eps_grid(reference, 0.1, nx=8, ny=4)  # too few vertical nodes
     with pytest.raises(NotImplementedError):
         make_eps_grid(transform_demo, 0.1, nx=8, ny=8)  # curved g+
+    # a top from 0.5 to 1.5 that equals 1 at every node of a 16-interval lattice, which once decided flatness
+    curved = replace(reference, geom=replace(reference.geom, g_plus=_scalar("1 + 0.5*sin(16*pi*x1)", base_vars(1))))
+    with pytest.raises(NotImplementedError, match=r"^eps-problem grids require constant g\+- \(flat strip\)$"):
+        make_eps_grid(curved, 0.1, nx=8, ny=8)
     # each once failed late: a domain or stencil error, or a divide-by-zero warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -100,6 +106,13 @@ def test_eps_grid_guards(reference, transform_demo):
                 make_eps_grid(reference, eps, nx=8, ny=8)
             with pytest.raises(EpsOutOfRangeError, match="is not a number > 0"):
                 solve_eps(reference, eps, nx=8, ny=8)
+
+
+def test_strip_lattice_matches_the_eps_grid_bit_for_bit(reference):
+    grid = make_eps_grid(reference, 0.1, 64, 16)
+    xs = grid.axes[0][:, None]
+    x_idx, ys = strip_lattice(xs, -0.1, 0.1, 16)  # eps g-, eps g+
+    assert strip_points(xs[x_idx], ys).tobytes() == grid.nodes().tobytes()
 
 
 def test_grids_reject_a_single_interval(reference):
