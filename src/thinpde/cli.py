@@ -64,14 +64,27 @@ def _base_header(n: int, name: str = "x") -> str:
     return name if n == 1 else ",".join(f"{name}{k + 1}" for k in range(n))
 
 
-def _base_row(x) -> str:
-    """CSV cells of one base point, one per coordinate."""
-    return ",".join(fmt_float(v) for v in x)
+def _cells(column) -> list[str]:
+    """CSV cells of one column: labels as they are, numbers as ``fmt_float`` writes them."""
+    column = np.asarray(column)
+    return column.tolist() if column.dtype.kind == "U" else list(map(repr, column.astype(float).tolist()))
 
 
 def _point_rows(points, *columns) -> list[str]:
-    """CSV rows of base points, each followed by its value in every column."""
-    return [",".join([_base_row(x)] + [fmt_float(v) for v in row]) for x, *row in zip(points, *columns)]
+    """CSV rows of base points, each followed by its value in every column, built column by column."""
+    cells = [_cells(c) for c in (*np.asarray(points).T, *columns)]
+    return [",".join(row) for row in zip(*cells)]
+
+
+def _pair_rows(problem, points, *columns) -> list[str]:
+    """CSV rows of each point under each control pair in ``pairs()`` order: the point, lambda, mu, then every column.
+
+    A column holds one value per point and pair: shape (m, nL, nM) or (m, nL * nM).
+    """
+    lam, mu = (np.array(labels) for labels in zip(*problem.controls.pairs()))
+    m = len(points)
+    per_pair = [np.asarray(c).reshape(-1) for c in columns]
+    return _point_rows(np.repeat(points, len(lam), axis=0), np.tile(lam, m), np.tile(mu, m), *per_pair)
 
 
 def _csv(header: str, rows: list[str]) -> str:
@@ -83,13 +96,8 @@ def _coefficient_csv(head: str, tag: str, problem, points, coeffs) -> str:
     n = problem.n
     header = [head, "lambda", "mu"] + [f"a_{tag}_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     header += [f"b_{tag}_{i + 1}" for i in range(n)] + [f"c_{tag}", f"f_{tag}"]
-    rows = []
-    for k, x in enumerate(points):
-        per_pair = zip(*(v[k].reshape(-1, *v.shape[3:]) for v in (coeffs.a, coeffs.b, coeffs.c, coeffs.f)))
-        for (lam, mu), (a, b, c, f) in zip(problem.controls.pairs(), per_pair):
-            cells = [*a[:n, :n].ravel(), *b[:n], c, f]
-            rows.append(",".join([_base_row(x), lam, mu] + [fmt_float(v) for v in cells]))
-    return _csv(",".join(header), rows)
+    columns = [coeffs.a[..., i, j] for i in range(n) for j in range(n)] + [coeffs.b[..., i] for i in range(n)]
+    return _csv(",".join(header), _pair_rows(problem, points, *columns, coeffs.c, coeffs.f))
 
 
 def cmd_validate(args) -> int:
@@ -103,11 +111,7 @@ def cmd_certify(args) -> int:
     tables = {}
     if args.csv:
         xs, vs = _interior_rows(problem, args.samples)
-        forms = _forms(problem, xs, vs)[0].reshape(len(xs), -1)
-        pairs = list(problem.controls.pairs())
-        rows = [
-            f"{_base_row(x)},{lam},{mu},{fmt_float(q)}" for x, qs in zip(xs, forms) for (lam, mu), q in zip(pairs, qs)
-        ]
+        rows = _pair_rows(problem, xs, _forms(problem, xs, vs)[0].reshape(len(xs), -1))
         tables["certify_interior.csv"] = _csv(_base_header(problem.n) + ",lambda,mu,quadratic_form", rows)
     return _report(args, "certify_report.txt", stage.lines, stage.code, tables)
 
@@ -158,6 +162,10 @@ def cmd_barrier(args) -> int:
     if pair is None:
         return _report(args, "barrier_report.txt", stage.lines, stage.code)
     eps = args.eps if args.eps is not None else pair.params.eps1 / 2
+    if not pair.reaches(eps):
+        raise EpsOutOfRangeError(
+            f"pulled-back barriers undefined beyond the map slab; need eps*sup|g| <= r (eps={eps}, r={pair.dmap.r})"
+        )
     margins = bar.verify_barrier(view, pair, eps, grid=(args.nx, args.ny))
     tables = {}
     if args.csv:
@@ -186,14 +194,11 @@ def cmd_solve(args) -> int:
         print(*stop.lines, file=sys.stderr)
         return stop.code
     n = problem.n
-    lines = []
     nodes = fld.grid.nodes()
-    u = fld.flat()
-    for i, z in enumerate(nodes):
-        lam = problem.controls.min_labels[fld.policy_min[i]]
-        mu = problem.controls.max_labels[fld.policy_max[i]]
-        y = 0.0 if args.limit else z[-1]
-        lines.append(f"{_base_row(z[:n])},{fmt_float(y)},{fmt_float(u[i])},{lam},{mu}")
+    y = np.zeros(len(nodes)) if args.limit else nodes[:, -1]
+    lam = np.asarray(problem.controls.min_labels)[fld.policy_min]
+    mu = np.asarray(problem.controls.max_labels)[fld.policy_max]
+    lines = _point_rows(nodes[:, :n], y, fld.flat(), lam, mu)
     report = (
         f"solved {'limit' if args.limit else f'eps={args.eps}'} problem: residual {fld.residual:.3e} "
         f"(diagonal-scaled {fld.scaled_residual:.3e}) in {fld.iterations} iteration(s), "

@@ -27,6 +27,13 @@ most 2 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 Thm 9.9); SuperLU factors it on the diagonal, in the minimum-degree order
 of A^T + A applied to rows and columns alike, column by column (SuperLU
 panel width 1).
+
+Only this module uses scipy, and it loads ``scipy.sparse`` and
+``scipy.sparse.linalg`` on the first assembly or factorization, not at
+import.  So importing thinpde, loading a config and building a problem load
+no scipy module, and ``validate``, ``certify``, ``reduce``, ``transform``,
+``barrier`` and ``counterexample`` never load it; a command that solves
+pays the import in its first solve instead.
 """
 
 from __future__ import annotations
@@ -36,8 +43,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .config import ExperimentPlan, _in_range
 from .problem import Coefficients, ControlSet, ThinProblem, _lattice_nodes, inf_sup, quadratic_form
@@ -69,6 +74,17 @@ __all__ = [
 INTERIOR, TOP, BOTTOM, DIRICHLET = 0, 1, 2, 3
 
 _OFFDIAG_TOL = 1e-12
+
+# scipy.sparse and scipy.sparse.linalg, bound by _load_scipy on first use
+sp = spla = None
+
+
+def _load_scipy() -> None:
+    """Bind ``sp`` and ``spla`` once; a bound (or wrapped) ``spla`` is left as it is."""
+    global sp, spla
+    if spla is None:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
 
 
 class NonMonotoneStencilError(ArithmeticError):
@@ -282,6 +298,7 @@ def _assemble(grid: Grid, controls: ControlSet, coeffs: Coefficients, oblique=No
     ``dirichlet(x)`` the identity rows' data, each at an array x of the
     nodes of that kind.
     """
+    _load_scipy()
     shape = grid.shape
     d = len(shape)
     h = grid.spacing
@@ -412,6 +429,7 @@ def _factor(mat: sp.csc_matrix) -> spla.SuperLU:
     # and fill (only the order of the updates changes); widths 2, 4 and 6
     # were slower than 1.  A 3-D Laplacian 33x33x9 was 1-7% slower at width
     # 1 (73 -> 75 ms): measure the width again once the solver takes 3-D strips.
+    _load_scipy()
     return spla.splu(
         mat,
         permc_spec="MMD_AT_PLUS_A",
@@ -423,6 +441,7 @@ def _factor(mat: sp.csc_matrix) -> spla.SuperLU:
 
 def _solve_frozen(sys: DiscreteSystem, lam_idx: np.ndarray, mu_idx: np.ndarray) -> np.ndarray:
     """Solve the frozen-policy system: row i is node i's row under pair (lam_idx[i], mu_idx[i])."""
+    _load_scipy()
     rows = _active_rows(sys, lam_idx, mu_idx)
     mat = sp.csc_matrix(sys.matrix[rows])
     rhs = sys.rhs[rows]

@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from thinpde import cli
 from thinpde.cli import main
 from thinpde.config import ConfigError, load_experiment_settings, load_problem
 from thinpde.distortion import HatBoundary
@@ -171,6 +173,23 @@ def test_cli_solve_csv(tmp_path):
     assert len(lines) == 1 + 17 * 9
 
 
+def test_csv_rows_built_by_column_match_a_row_by_row_build(rich):
+    # the per-row f-strings the CSV writers once used, on a 2x2 control set and awkward floats
+    xs = rich.geom.lattice(8)
+    co = reduce_problem(rich).coefficients(xs)
+    want = [
+        f"{','.join(repr(float(v)) for v in x)},{lam},{mu},{float(c)!r},{float(f)!r}"
+        for x, cs, fs in zip(xs, co.c, co.f)
+        for (lam, mu), c, f in zip(rich.controls.pairs(), cs.ravel(), fs.ravel())
+    ]
+    assert cli._pair_rows(rich, xs, co.c, co.f) == want
+    values = np.array([0.1, -0.0, np.nan, -np.inf, 1e-300, 2.0**60])
+    labels = np.array(["a", "b", "a", "b", "a", "b"])[[0, 1, 0, 1, 1, 0]]
+    points = np.stack([values, values[::-1]], axis=1)
+    want = [f"{float(p[0])!r},{float(p[1])!r},{float(v)!r},{lab}" for p, v, lab in zip(points, values, labels)]
+    assert cli._point_rows(points, values, labels) == want
+
+
 def test_cli_solve_limit(tmp_path):
     assert main(["solve"] + _cfg("reference.cfg") + ["--limit", "--nx", "16", "--out", str(tmp_path)]) == EXIT_OK
 
@@ -268,6 +287,20 @@ def test_pipeline_measures_no_sandwich_where_the_strip_leaves_the_map_slab(gamma
     assert all(math.isfinite(float(rows[3][k])) for k in sandwich)
 
 
+@pytest.mark.parametrize("csv_flag", [[], ["--csv"]], ids=["report", "csv"])
+def test_cli_barrier_refuses_an_eps_beyond_the_map_slab(csv_flag, tmp_path, capsys):
+    # the pulled-back pair is defined only for eps*sup|g| <= r = 1/32; verifying it at eps = 0.2 once
+    # ended in a NoConvergenceError traceback from the map inverse
+    cfg = _config_variant(tmp_path, "reference.cfg", "gamma0 = 0\n", "gamma0 = 0.3*sin(16*pi*x1)\n")
+    out = tmp_path / "out"
+    assert main(["barrier"] + cfg + ["--out", str(out), "--eps", "0.2"] + csv_flag) == EXIT_FAILURE
+    _one_error_line(capsys, "need eps*sup|g| <= r (eps=0.2, r=0.03125)")
+    assert not out.exists()
+    # inside the slab the margins are verified, and fail
+    assert main(["barrier"] + cfg + ["--out", str(out), "--eps", "0.02"] + csv_flag) == EXIT_BARRIER
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_converge_reports_a_failed_barrier_search_like_barrier(tmp_path, capsys):
     # s = 0 cannot be normalized; converge once ended in a SearchExhaustedError traceback, exit 1
     cfg = _config_variant(tmp_path, "reference.cfg", "\ns = x1\n", "\ns = 0\n")
@@ -309,6 +342,20 @@ def test_python_m_thinpde_runs_the_cli():
     )
     assert done.returncode == EXIT_OK, done.stderr
     assert "ALL ASSUMPTIONS HOLD" in done.stdout
+
+
+def test_validate_loads_no_scipy_module():
+    # only the solver needs scipy, and it loads it on the first assembly
+    script = (
+        "import sys\n"
+        "from thinpde.cli import main\n"
+        "code = main(['validate', '--config', 'configs/reference.cfg'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} []"
 
 
 def test_cli_csvs_keep_every_base_coordinate(tmp_path):

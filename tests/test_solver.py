@@ -22,6 +22,7 @@ from thinpde.problem import (
     strip_lattice,
     strip_points,
 )
+from thinpde import solver
 from thinpde.reduction import reduce_problem
 from thinpde.solver import (
     BOTTOM,
@@ -329,6 +330,13 @@ def test_rich_limit_accepts_stable_policy_on_scaled_residual(rich_limit, nx, raw
     assert fld.residual == pytest.approx(raw, rel=1e-2)
     assert fld.residual_history[-1] == fld.residual
     assert fld.scaled_residual <= 1e-10
+
+
+def test_a_solve_binds_the_sparse_modules(rich_limit):
+    # bound once on first use, so a wrapper installed on them afterwards stays in place
+    solve_limit(rich_limit, 16)
+    assert solver.sp is sp
+    assert solver.spla is spla
 
 
 def test_stable_policy_is_factored_once(rich_limit, monkeypatch):
