@@ -304,13 +304,14 @@ class _StripData:
 
 
 class _MarginEngine:
-    """Strip lattices of one view, cached per eps, and the seven margins on them."""
+    """Strip lattices of one view, cached per eps, and the seven margins on them, cached per (params, eps)."""
 
     def __init__(self, view: StripView, grid: tuple[int, int]):
         self.view = view
         self.grid = grid
         self.xs = view.base_lattice(grid[0])
         self._strips: dict[float, _StripData] = {}
+        self._margins: dict[tuple[BarrierParams, float], BarrierMargins] = {}
 
     @cached_property
     def fields(self) -> list[tuple]:
@@ -340,14 +341,18 @@ class _MarginEngine:
 
         A value past float range raises (OverflowError from C_alpha,
         FloatingPointError from the arrays) instead of reaching a margin as
-        inf or nan.
+        inf or nan.  A repeated (params, eps) returns the margins already measured.
         """
+        found = self._margins.get((params, eps))
+        if found is not None:
+            return found
         strip = self.strip(eps)
         fields = [tuple(arr[strip.x_idx] for arr in fld) for fld in self.fields]
         with np.errstate(over="raise"):
             up = _barrier_arrays(params, eps, +1.0, strip.ys, fields)
             lo = _barrier_arrays(params, eps, -1.0, strip.ys, fields)
-            return self.margins_of(strip, up, lo)
+            found = self._margins[params, eps] = self.margins_of(strip, up, lo)
+        return found
 
     def margins_of(self, strip: _StripData, up, lo) -> BarrierMargins:
         """The seven margins of the (value, grad, hess) arrays of both barriers at the strip nodes."""

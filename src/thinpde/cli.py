@@ -25,6 +25,7 @@ from . import harness, solver as sol
 from .config import _SETTING_RANGES, ConfigError, _int_at_least, _positive_float, load_experiment_settings, load_problem
 from .distortion import HatOperator, top_profile
 from .ellipticity import _forms, _interior_rows, circle_obstruction_demo
+from .expressions import EvalDomainError
 from .harness import EXIT_BARRIER, EXIT_FAILURE, EXIT_OK, fmt_float
 from .problem import EpsOutOfRangeError, box_lattice, strip_lattice
 from .reduction import estimate_limit_bounds, reduce_problem
@@ -311,7 +312,7 @@ def main(argv=None) -> int:
         return EXIT_FAILURE
     try:
         return args.func(args)
-    except (ConfigError, EpsOutOfRangeError) as exc:
+    except (ConfigError, EpsOutOfRangeError, EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except BrokenPipeError:

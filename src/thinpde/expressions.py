@@ -8,6 +8,10 @@ pure, so a parsed expression may be shared freely between threads.
 
 Evaluation is array-valued: one point (1-D, giving a float) and an (m, d)
 array of points (giving (m,)) run the same interpreter over numpy arrays.
+A tree of constants, negations and ``+ - * /`` skips the interpreter: its
+value is computed once, in Python floats (IEEE arithmetic, as numpy's), and
+returned as a float or a fresh array; a division by zero or a non-finite
+value among such trees is left to the interpreter, which raises.
 Domain errors (sqrt of a negative, 1/0, pow undefined or overflowing, exp
 overflow, sin/cos of an infinity, a non-finite result) raise
 :class:`EvalDomainError` with the error that pointwise evaluation would stop
@@ -230,6 +234,23 @@ _ONE = Const(1.0)
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
+def _const_value(node) -> float | None:
+    """Value of a tree of Const, Neg and + - * / nodes; None for any other tree, a division by zero or a non-finite value."""
+    if isinstance(node, Const):
+        value = node.value
+    elif isinstance(node, Neg):
+        value = _const_value(node.operand)
+        return None if value is None else -value
+    elif isinstance(node, Bin):
+        a, b = _const_value(node.lhs), _const_value(node.rhs)
+        if a is None or b is None or node.op == "/" and b == 0.0:
+            return None
+        value = _FOLD[node.op](a, b)
+    else:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _is_const(node, value: float) -> bool:
     return isinstance(node, Const) and node.value == value
 
@@ -406,9 +427,17 @@ class Expr:
         """The exact derivative with respect to the variable ``var``, as a new expression."""
         return Expr(_derive(self.root, var))
 
+    @cached_property
+    def _constant(self) -> float | None:
+        """The value of a constant tree that needs no interpreter (see :func:`_const_value`), else None."""
+        return _const_value(self.root)
+
     def evaluate(self, point):
         """Value at one point (1-D, a float) or at each row of an (m, d) array, shape (m,)."""
         pts = np.asarray(point, dtype=float)
+        value = self._constant
+        if value is not None:
+            return value if pts.ndim == 1 else np.full(len(pts), value)
         rows = pts.reshape(1, -1) if pts.ndim == 1 else pts
         faults = _Faults(len(rows))
         with np.errstate(all="ignore"):

@@ -316,11 +316,13 @@ def inf_sup(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     then the first argmax over M within the chosen row.
     """
     values = np.asarray(values, dtype=float)
+    n_lam, n_mu = values.shape[-2:]
     row_max = values.max(axis=-1)
     lam_idx = row_max.argmin(axis=-1)
-    row = np.take_along_axis(values, lam_idx[..., None, None], axis=-2)[..., 0, :]
-    value = np.take_along_axis(row_max, lam_idx[..., None], axis=-1)[..., 0]
-    return value, lam_idx, row.argmax(axis=-1)
+    # the chosen row's index among the (-1, nM) rows of values, which is its maximum's among the flat row maxima
+    flat = np.arange(lam_idx.size).reshape(lam_idx.shape) * n_lam + lam_idx
+    row = values.reshape(-1, n_mu)[flat]
+    return row_max.reshape(-1)[flat], lam_idx, row.argmax(axis=-1)
 
 
 def operator_infsup(coeffs: Coefficients, X, p, r):

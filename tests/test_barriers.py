@@ -1,14 +1,18 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thinpde import barriers as bar
+from thinpde.config import load_problem
 from thinpde.distortion import build_map
 from thinpde.presets import _entry, reference_problem
 from thinpde.problem import operator_infsup
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -283,3 +287,22 @@ def test_pair_values_are_the_value_slots_of_arrays(ref_params, distorted):
     for pair, eps in ((bar.BarrierPair(view, params), params.eps1 / 2), (pulled, pulled.params.eps1 / 4)):
         for value, side in zip(pair.values(x, y, eps), pair.arrays(x, y, eps)):
             assert value.tobytes() == side[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "config, want",
+    [
+        ("reference", "alpha=8 Lambda=2 C_D=1 eps1=0.12375 r=0.5 kappa=1 C_alpha=2980.96"),
+        ("slice_exact", "alpha=8 Lambda=2 C_D=1 eps1=0.12375 r=0.5 kappa=1 C_alpha=2980.96"),
+        ("distorted", "alpha=8 Lambda=2 C_D=1 eps1=0.12375 r=0.5 kappa=1.09998 C_alpha=224073"),
+    ],
+    ids=["reference", "slice_exact", "distorted"],
+)
+def test_search_measures_each_candidate_once(config, want, monkeypatch):
+    # a stage's passing candidate is the next stage's first: its margins are reused, not measured again
+    calls = []
+    margins_of = bar._MarginEngine.margins_of
+    monkeypatch.setattr(bar._MarginEngine, "margins_of", lambda self, *a: calls.append(a) or margins_of(self, *a))
+    pair = bar.search_barriers(load_problem(CONFIGS / f"{config}.cfg"))
+    assert len(calls) == 8
+    assert pair.params.format() == want

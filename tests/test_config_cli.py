@@ -696,3 +696,25 @@ def test_pipeline_stages_report_what_the_single_stage_subcommands_report(config,
         own = (tmp_path / command / f"{command}_report.txt").read_text().splitlines()
         own = [line for line in own if not line.startswith(SUBCOMMAND_EXTRAS.get(command, ()))]
         assert _without_runtimes(own) == _without_runtimes(lines), command
+
+
+@pytest.mark.parametrize(
+    "command, point",
+    [
+        ("certify", "(0.0, 0.0)"),
+        ("reduce", "(0.016527635528529094, 0.0)"),
+        ("barrier", "(0.0, 0.0)"),
+        ("solve --eps 0.1", "(0.015625, -0.08750000000000001)"),
+        ("solve --limit", "(0.015625, 0.0)"),
+        ("converge", "(0.0, 0.0)"),
+    ],
+)
+def test_cli_field_outside_its_domain_exits_1_with_one_line(command, point, tmp_path, capsys):
+    # f = 1/0 once ended in an EvalDomainError traceback, exit 1
+    cfg = _config_variant(tmp_path, "reference.cfg", "f = sin(pi*x1) + y\n", "f = 1/0\n")
+    out = tmp_path / "out"
+    assert main(command.split() + cfg + ["--out", str(out)]) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: division by zero at {point}\n"
+    assert captured.out == ""
+    assert not out.exists()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thinpde import expressions
 from thinpde.expressions import (
     EvalDomainError,
     ExprSyntaxError,
@@ -451,3 +452,44 @@ def test_is_constant_folds_the_derivatives(text, constant):
     fld = ScalarField(text, ("x1", "y"))
     assert fld.is_constant is constant
     assert VectorField([ScalarField("0*x1", ("x1", "y")), fld]).is_constant is constant
+
+
+_POINT = np.array([0.25, -0.5])
+_ROWS = np.array([[1.0, 2.0], [3.0, 4.0], [-5.0, 0.0]])
+
+
+@pytest.mark.parametrize("text", ["0", "-0", "-1", "0*-1", "-(1-1)", "0.1+0.2", "1/3", "0.5*(1 + -1)"])
+def test_constant_trees_match_the_interpreter_byte_for_byte(text):
+    expr = parse(text)
+    assert expr._constant is not None  # the interpreter is skipped
+    with np.errstate(all="raise"):
+        want = expressions._eval_node(expr.root, _ROWS, expressions._Faults(len(_ROWS)))
+    one = expr.evaluate(_POINT)
+    assert type(one) is float
+    assert np.float64(one).tobytes() == want[:1].tobytes()
+    many = expr.evaluate(_ROWS)
+    assert many.dtype == np.float64 and many.shape == (len(_ROWS),)
+    assert many.tobytes() == want.tobytes()
+    # each call returns a fresh array
+    many[:] = 7.0
+    assert expr.evaluate(_ROWS).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/0", "division by zero"),
+        ("0/0", "division by zero"),
+        ("1e308*10", "non-finite value inf"),
+        ("1e999", "non-finite value inf"),
+        ("sqrt(-1)", "sqrt of negative value -1.0"),
+    ],
+)
+def test_undefined_constant_trees_raise_at_the_first_point(text, message):
+    assert parse(text)._constant is None  # left to the interpreter
+    with pytest.raises(EvalDomainError) as err:
+        parse(text).evaluate(_POINT)
+    assert str(err.value) == f"{message} at (0.25, -0.5)"
+    with pytest.raises(EvalDomainError) as err:
+        parse(text).evaluate(_ROWS)
+    assert str(err.value) == f"{message} at (1.0, 2.0)"
