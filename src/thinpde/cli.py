@@ -15,6 +15,7 @@ lines of ``transform`` and the margins of ``barrier`` (exit 4 when they fail).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import barriers as bar
 from . import harness, solver as sol
-from .config import _SETTING_RANGES, ConfigError, _int_at_least, _positive_float, load_experiment_settings, load_problem
+from .config import _SETTING_RANGES, ConfigError, ExperimentPlan, _int_at_least, _positive_float, load_experiment_settings, load_problem
 from .distortion import HatOperator, top_profile
 from .ellipticity import _forms, _interior_rows, circle_obstruction_demo
 from .expressions import EvalDomainError
@@ -242,32 +243,30 @@ def cmd_pipeline(args) -> int:
     return result.exit_code
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line, built once per process; ``main`` runs ``cmd_<subcommand>``."""
     parser = argparse.ArgumentParser(prog="thinpde", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the standing assumptions by sampling")
     _common(p)
     p.add_argument("--samples", type=_int_at_least(4), default=harness.VALIDATE_SAMPLES)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("certify", help="interior/boundary ellipticity certificates")
     _common(p)
     p.add_argument("--samples", type=_int_at_least(1), default=harness.CERTIFY_SAMPLES)
     p.add_argument("--csv", action="store_true", help="dump the per-node quadratic form")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("reduce", help="build the limit problem and dump its coefficients")
     _common(p)
     p.add_argument("--samples", type=_int_at_least(1), default=16)
     p.add_argument("--samples-random", type=_int_at_least(1), default=harness.REPRESENTATION_SAMPLES)
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("transform", help="emit distorted-boundary profiles and hatted coefficients")
     _common(p)
     p.add_argument("--eps", type=_positive_float, default=0.1)
     p.add_argument("--samples", type=_int_at_least(1), default=32)
-    p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("barrier", help="search barrier parameters and verify the margins")
     _common(p)
@@ -275,18 +274,15 @@ def main(argv=None) -> int:
     p.add_argument("--nx", type=_int_at_least(1), default=bar._VERIFY_GRID[0])
     p.add_argument("--ny", type=_int_at_least(1), default=bar._VERIFY_GRID[1])
     p.add_argument("--csv", action="store_true", help="dump the barrier grids")
-    p.set_defaults(func=cmd_barrier)
 
     p = sub.add_parser("solve", help="solve the eps-problem (or the limit problem with --limit)")
     _common(p)
     p.add_argument("--eps", type=_positive_float, default=None)
-    defaults = harness.ExperimentPlan  # the plan's class attributes are its defaults
-    p.add_argument("--nx", type=_SETTING_RANGES["nx"], default=defaults.nx)
-    p.add_argument("--ny", type=_SETTING_RANGES["ny"], default=defaults.ny, help="strip intervals in y (8 nodes at least)")
-    p.add_argument("--tol", type=_SETTING_RANGES["tol"], default=defaults.tol)
-    p.add_argument("--max-iter", type=_SETTING_RANGES["max_iter"], default=defaults.max_iter)
+    p.add_argument("--nx", type=_SETTING_RANGES["nx"], default=ExperimentPlan.nx)  # the plan's class attributes are its defaults
+    p.add_argument("--ny", type=_SETTING_RANGES["ny"], default=ExperimentPlan.ny, help="strip intervals in y (8 nodes at least)")
+    p.add_argument("--tol", type=_SETTING_RANGES["tol"], default=ExperimentPlan.tol)
+    p.add_argument("--max-iter", type=_SETTING_RANGES["max_iter"], default=ExperimentPlan.max_iter)
     p.add_argument("--limit", action="store_true")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("converge", help="measure sup|u_eps - u0| over a decreasing eps list")
     _common(p)
@@ -294,24 +290,25 @@ def main(argv=None) -> int:
     p.add_argument("--nx", type=_SETTING_RANGES["nx"], default=None)
     p.add_argument("--ny", type=_SETTING_RANGES["ny"], default=None, help="strip intervals in y (8 nodes at least)")
     p.add_argument("--limit-nx", type=_SETTING_RANGES["limit_resolution"], default=None)
-    p.set_defaults(func=cmd_converge, usage_error=p.error)
+    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("counterexample", help="rotating-field obstruction sweep on the unit circle")
     _common(p)
     p.add_argument("--n-theta", type=_int_at_least(64), default=4096)
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("pipeline", help="run every stage in order")
     _common(p)
-    p.set_defaults(func=cmd_pipeline)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if getattr(args, "threads", 1) < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return EXIT_FAILURE
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)  # looked up at each call, so a patched cmd_* runs
     except (ConfigError, EpsOutOfRangeError, EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -44,7 +44,6 @@ from .problem import ThinProblem, validate
 from .reduction import reduce_problem, representation_check
 
 __all__ = [
-    "ExperimentPlan",
     "ConvergenceRow",
     "ConvergenceTable",
     "convergence_experiment",

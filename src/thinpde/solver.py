@@ -471,12 +471,19 @@ def _solve_frozen(sys: DiscreteSystem, lam_idx: np.ndarray, mu_idx: np.ndarray) 
 def policy_iteration(
     sys: DiscreteSystem, tol: float = ExperimentPlan.tol, max_iter: int = ExperimentPlan.max_iter
 ) -> GridField:
-    """Howard iteration for the discrete inf-sup system.
+    """Policy iteration for the discrete inf-sup system.
+
+    Each iteration solves the frozen-policy system, then switches the inf
+    and the sup policy at once to the controls the new u selects.  When one
+    side has a single control this is Howard's algorithm, which converges
+    (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).  On a game
+    it is the Pollatschek-Avi-Itzhak scheme, which can cycle (van der Wal,
+    J. Optim. Theory Appl. 25, 1978): the policy then keeps changing until
+    max_iter.
 
     Stops at the first iteration whose solve re-selects the policy it was
     solved for: solving that policy again would rebuild the same matrix and
-    right-hand side and return the same u bit for bit (Howard's fixed point;
-    Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).  There it
+    right-hand side and return the same u bit for bit.  There it
     returns if the sup-norm residual of the nonlinear discrete operator is
     below tol, either raw or with each row divided by its diagonal under the
     active control (raw rows scale like 1/h^2, so on fine grids they floor

@@ -11,8 +11,9 @@ import numpy as np
 
 from thinpde import barriers as bar
 from thinpde.distortion import build_map, top_profile
+from thinpde.config import ExperimentPlan
 from thinpde.ellipticity import circle_obstruction_demo, equivalence_check
-from thinpde.harness import ExperimentPlan, convergence_experiment, sandwich_margins
+from thinpde.harness import convergence_experiment, sandwich_margins
 from thinpde.problem import operator_infsup
 from thinpde.presets import (
     reference_problem,

@@ -8,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from configgen import config_text, run_pipeline as run_drawn_pipeline
 from thinpde import cli
 from thinpde.cli import main
-from thinpde.config import ConfigError, load_experiment_settings, load_problem
+from thinpde.config import ConfigError, ExperimentPlan, load_experiment_settings, load_problem
 from thinpde.distortion import HatBoundary
 from thinpde.harness import (
     EXIT_BARRIER,
@@ -20,7 +23,6 @@ from thinpde.harness import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_VALIDATION,
-    ExperimentPlan,
     run_pipeline,
 )
 from thinpde.problem import CoefficientFamily, validate
@@ -131,6 +133,20 @@ def test_cli_certify_failure(tmp_path):
     bad = tmp_path / "deg.cfg"
     bad.write_text(text)
     assert main(["certify", "--config", str(bad)]) == EXIT_CERTIFICATE
+
+
+def test_degenerate_diffusion_gap_is_7_eps_over_64(tmp_path, capsys):
+    # a22 = 0 decouples the rows of nodes: u_eps - u0 = y x1 (1 - x1) / 2, exact for the three-point scheme and
+    # the interpolation, largest on the highest interior row y = 7 eps / 8 (ny 16); so E = 7 eps / 64, first order
+    assert main(["converge"] + _cfg("degenerate.cfg") + ["--out", str(tmp_path)]) == EXIT_FAILURE
+    assert "verdict: FAIL (strictly decreasing: True, below noise floor: False, E(eps_min) <= 10 x disc: False)" in (
+        capsys.readouterr().out
+    )
+    with (tmp_path / "convergence.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["eps"]) for row in rows] == [0.2, 0.1, 0.05, 0.025]
+    for row in rows:
+        assert float(row["sup_error"]) == pytest.approx(7 * float(row["eps"]) / 64, rel=1e-12, abs=0)
 
 
 def test_cli_reduce(tmp_path):
@@ -342,6 +358,33 @@ def test_python_m_thinpde_runs_the_cli():
     )
     assert done.returncode == EXIT_OK, done.stderr
     assert "ALL ASSUMPTIONS HOLD" in done.stdout
+
+
+def _outputs(out: Path) -> dict[str, str]:
+    """Each file under ``out``, with the per-eps runtimes of the reports masked."""
+    return {f.name: re.sub(r", \d+\.\d+s\)", ", ?s)", f.read_text()) for f in sorted(out.iterdir())}
+
+
+def test_cli_main_in_one_process_matches_fresh_processes(tmp_path, monkeypatch, capsys):
+    # the command line is built once per process; each call still behaves as a fresh `python -m thinpde`
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    commands = [["validate"], ["solve", "--limit"], ["converge", "--eps", "0.2", "0.1"], ["pipeline"]]
+    cli._parser.cache_clear()
+    for k, command in enumerate(commands):
+        argv = command + ["--config", str(CONFIGS / "reference.cfg"), "--out"]
+        code = main(argv + [str(tmp_path / f"warm{k}")])
+        fresh = subprocess.run(
+            [sys.executable, "-m", "thinpde", *argv, str(tmp_path / f"fresh{k}")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert code == fresh.returncode, fresh.stderr
+        warm = _outputs(tmp_path / f"warm{k}")
+        assert warm and warm == _outputs(tmp_path / f"fresh{k}")
+    assert cli._parser.cache_info().misses == 1
+    capsys.readouterr()
+    # the command runs the module's cmd_* of the moment, as a tracer that wraps it after the first call needs
+    monkeypatch.setattr(cli, "cmd_pipeline", lambda args: 42)
+    assert main(["pipeline"]) == 42
 
 
 def test_validate_loads_no_scipy_module():
@@ -718,3 +761,12 @@ def test_cli_field_outside_its_domain_exits_1_with_one_line(command, point, tmp_
     assert captured.err == f"error: division by zero at {point}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@settings(max_examples=50, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_generated_configs_end_in_an_exit_code_not_a_traceback(seed):
+    # configs drawn around distorted.cfg (tests/configgen.py), run with warnings as errors
+    code, stage, err = run_drawn_pipeline(config_text(np.random.default_rng(seed)))
+    assert code in range(6), (code, stage, err)
+    assert "Traceback" not in err

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from thinpde.barriers import search_barriers
-from thinpde.config import load_experiment_settings
+from thinpde.config import ExperimentPlan, load_experiment_settings
 from thinpde.harness import (
     EXIT_CERTIFICATE,
     EXIT_OK,
     EXIT_VALIDATION,
-    ExperimentPlan,
     convergence_experiment,
     run_pipeline,
 )

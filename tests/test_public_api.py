@@ -1,8 +1,12 @@
-"""Every name a module exports through ``__all__`` must resolve, and be run by the program."""
+"""Every name a module exports through ``__all__`` must resolve, and be run by the program;
+importing a module loads only the modules it runs."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,11 +14,25 @@ import pytest
 import thinpde
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(thinpde.__path__))
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_package_all_resolves():
-    missing = [name for name in thinpde.__all__ if not hasattr(thinpde, name)]
-    assert not missing
+def _loaded_by(statement: str) -> set[str]:
+    """The ``thinpde.*`` modules that a fresh interpreter holds after running ``statement``."""
+    script = f"import sys\n{statement}\nprint(*sorted(m for m in sys.modules if m.startswith('thinpde.')))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_the_package_root_loads_no_module():
+    assert _loaded_by("import thinpde") == set()
+
+
+def test_the_solver_loads_only_what_it_runs():
+    runs = ("expressions", "problem", "config", "reduction", "solver")
+    assert _loaded_by("from thinpde import solver") == {f"thinpde.{name}" for name in runs}
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -23,8 +41,6 @@ def test_module_all_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
 
-
-ROOT = Path(__file__).resolve().parent.parent
 
 # names exported before the program runs them, each with the ROADMAP item it waits on
 NOT_YET_RUN = {

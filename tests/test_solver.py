@@ -383,6 +383,31 @@ def test_changing_policy_reports_it(rich_limit):
     assert "policy still changing" in str(err.value)
 
 
+# sigma diagonal, b, c, f = f0 + f1*sin(3*x1) per control pair: draw 4 of ROADMAP item 1's generator
+# (numpy default_rng(1)), rounded to 3 decimals
+CYCLING_GAME = {
+    ("a", "1"): ((0.738, 0.838), (-0.794, -2.342), 0.284, (-0.841, -0.506)),
+    ("a", "2"): ((0.992, 1.466), (1.648, 1.747), 0.0, (-0.845, -0.320)),
+    ("b", "1"): ((1.128, 0.900), (-2.537, -0.069), 0.133, (-0.054, 0.512)),
+    ("b", "2"): ((0.654, 1.223), (0.154, -2.106), 0.0, (0.833, -0.590)),
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=MaxIterExceededError,
+    reason="switching both policies at once can cycle on a game (ROADMAP item 1): the policy never settles",
+)
+def test_policy_iteration_solves_a_2x2_game():
+    entries = {
+        key: _entry(1, [[repr(a11), "0"], ["0", repr(a22)]], [repr(b1), repr(b2)], repr(c), f"{f0!r} + {f1!r}*sin(3*x1)")
+        for key, ((a11, a22), (b1, b2), c, (f0, f1)) in CYCLING_GAME.items()
+    }
+    game = replace(rich_problem(), coeffs=CoefficientFamily(entries=entries, bound=50.0))
+    fld = solve_limit(reduce_problem(game), 64)
+    assert min(fld.residual, fld.scaled_residual) <= 1e-10
+
+
 @pytest.mark.parametrize(
     "setting, want",
     [
