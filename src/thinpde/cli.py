@@ -17,7 +17,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .config import _SETTING_RANGES, ConfigError, ExperimentPlan, _int_at_least,
 from .distortion import HatOperator, top_profile
 from .ellipticity import _forms, _interior_rows, circle_obstruction_demo
 from .expressions import EvalDomainError
-from .harness import EXIT_BARRIER, EXIT_FAILURE, EXIT_OK, fmt_float
+from .harness import EXIT_BARRIER, EXIT_FAILURE, EXIT_OK, ConvergenceRow
 from .problem import EpsOutOfRangeError, box_lattice, strip_lattice
 from .reduction import estimate_limit_bounds, reduce_problem
 
@@ -54,52 +55,68 @@ def _need_config(args) -> "ThinProblem":
 
 
 def _report(args, name: str, lines: list[str], code: int, tables: dict[str, str] | None = None) -> int:
-    """Print the report, write it and the CSV ``tables`` under --out, and return the exit code."""
+    """Print the report, write it and the CSV ``tables`` under --out (created here), and return the exit code."""
     text = "\n".join(lines)
     print(text)
-    harness.write_outputs(args.out, {name: text + "\n", **(tables or {})})
+    try:
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+            for file, content in {name: text + "\n", **(tables or {})}.items():
+                Path(args.out, file).write_text(content)
+    except OSError as exc:  # an --out that cannot be created or written
+        print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     return code
 
 
-def _base_header(n: int, name: str = "x") -> str:
-    """CSV header cells of a base point: ``x`` on a 1-D base, ``x1..xN`` otherwise (or ``z``, ``z1..zN``)."""
-    return name if n == 1 else ",".join(f"{name}{k + 1}" for k in range(n))
+def _table(columns: dict) -> str:
+    """The CSV of named columns, in order, under a header row of their names.
+
+    Labels are written as they are, integers and bools as integers, and other numbers as ``repr(float)``.
+    """
+    cells = []
+    for column in map(np.asarray, columns.values()):
+        if column.dtype.kind == "U":
+            cells.append(column.tolist())
+        elif column.dtype.kind in "biu":
+            cells.append([str(int(v)) for v in column.tolist()])
+        else:
+            cells.append([repr(v) for v in column.astype(float).tolist()])
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells, strict=True))]) + "\n"
 
 
-def _cells(column) -> list[str]:
-    """CSV cells of one column: labels as they are, numbers as ``fmt_float`` writes them."""
-    column = np.asarray(column)
-    return column.tolist() if column.dtype.kind == "U" else list(map(repr, column.astype(float).tolist()))
+def _points(points, name: str = "x") -> dict:
+    """Columns of base points: ``x`` on a 1-D base, ``x1..xN`` otherwise (or ``z``, ``z1..zN``)."""
+    n = points.shape[1]
+    return dict(zip([name] if n == 1 else [f"{name}{k + 1}" for k in range(n)], points.T))
 
 
-def _point_rows(points, *columns) -> list[str]:
-    """CSV rows of base points, each followed by its value in every column, built column by column."""
-    cells = [_cells(c) for c in (*np.asarray(points).T, *columns)]
-    return [",".join(row) for row in zip(*cells)]
+def _per_pair(problem, head: dict, columns: dict) -> dict:
+    """Columns of each point under each control pair in ``pairs()`` order: the point's ``head``, lambda, mu, then ``columns``.
 
-
-def _pair_rows(problem, points, *columns) -> list[str]:
-    """CSV rows of each point under each control pair in ``pairs()`` order: the point, lambda, mu, then every column.
-
-    A column holds one value per point and pair: shape (m, nL, nM) or (m, nL * nM).
+    ``head`` holds one value per point; a column of ``columns`` one per point and pair, shape (m, nL, nM) or (m, nL * nM).
     """
     lam, mu = (np.array(labels) for labels in zip(*problem.controls.pairs()))
-    m = len(points)
-    per_pair = [np.asarray(c).reshape(-1) for c in columns]
-    return _point_rows(np.repeat(points, len(lam), axis=0), np.tile(lam, m), np.tile(mu, m), *per_pair)
+    m = len(next(iter(head.values())))
+    per_point = {name: np.repeat(column, len(lam)) for name, column in head.items()}
+    per_pair = {name: np.asarray(column).reshape(-1) for name, column in columns.items()}
+    return {**per_point, "lambda": np.tile(lam, m), "mu": np.tile(mu, m), **per_pair}
 
 
-def _csv(header: str, rows: list[str]) -> str:
-    return "\n".join([header, *rows]) + "\n"
-
-
-def _coefficient_csv(head: str, tag: str, problem, points, coeffs) -> str:
+def _coefficients(problem, head: dict, tag: str, coeffs) -> str:
     """One row per point and control pair: a_ij, b_i, c, f over the base axes, each column named ``*_{tag}``."""
     n = problem.n
-    header = [head, "lambda", "mu"] + [f"a_{tag}_{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    header += [f"b_{tag}_{i + 1}" for i in range(n)] + [f"c_{tag}", f"f_{tag}"]
-    columns = [coeffs.a[..., i, j] for i in range(n) for j in range(n)] + [coeffs.b[..., i] for i in range(n)]
-    return _csv(",".join(header), _pair_rows(problem, points, *columns, coeffs.c, coeffs.f))
+    a = {f"a_{tag}_{i + 1}{j + 1}": coeffs.a[..., i, j] for i in range(n) for j in range(n)}
+    b = {f"b_{tag}_{i + 1}": coeffs.b[..., i] for i in range(n)}
+    return _table(_per_pair(problem, head, {**a, **b, f"c_{tag}": coeffs.c, f"f_{tag}": coeffs.f}))
+
+
+def _convergence(stage: harness.Stage) -> dict[str, str]:
+    """``convergence.csv``, one column per ConvergenceRow field, once the converge stage has measured its table."""
+    if stage.name != "converge":
+        return {}
+    columns = {f.name: [getattr(r, f.name) for r in stage.product.rows] for f in fields(ConvergenceRow)}
+    return {"convergence.csv": _table(columns)}
 
 
 def cmd_validate(args) -> int:
@@ -113,8 +130,8 @@ def cmd_certify(args) -> int:
     tables = {}
     if args.csv:
         xs, vs = _interior_rows(problem, args.samples)
-        rows = _pair_rows(problem, xs, _forms(problem, xs, vs)[0].reshape(len(xs), -1))
-        tables["certify_interior.csv"] = _csv(_base_header(problem.n) + ",lambda,mu,quadratic_form", rows)
+        forms = {"quadratic_form": _forms(problem, xs, vs)[0].reshape(len(xs), -1)}
+        tables["certify_interior.csv"] = _table(_per_pair(problem, _points(xs), forms))
     return _report(args, "certify_report.txt", stage.lines, stage.code, tables)
 
 
@@ -123,8 +140,8 @@ def cmd_reduce(args) -> int:
     stage = harness.reduce_stage(problem, args.samples_random, args.seed)
     lp = stage.product
     xs = problem.geom.lattice(args.samples)
-    head = ",".join(f"x{k + 1}" for k in range(problem.n))
-    table = _coefficient_csv(head, "tilde", problem, xs, lp.coefficients(xs))
+    head = {f"x{k + 1}": column for k, column in enumerate(xs.T)}  # numbered on a 1-D base too
+    table = _coefficients(problem, head, "tilde", lp.coefficients(xs))
     report = stage.lines + [estimate_limit_bounds(lp).format()]
     return _report(args, "reduce_report.txt", report, stage.code, {"reduced_coefficients.csv": table})
 
@@ -137,19 +154,19 @@ def cmd_transform(args) -> int:
     dmap = stage.product
     if dmap is None:
         return _report(args, "transform_report.txt", stage.lines, stage.code)
-    head = _base_header(problem.n, "z")
     lo, hi = dmap.omega_hat
     zs = box_lattice(lo, hi, args.samples)
-    heights = (problem.geom.g_plus, problem.geom.g_minus)
-    profiles = [top_profile(dmap, g, eps, zs) for g in heights] + [eps * g.value(zs) for g in heights]
+    heights = {"plus": problem.geom.g_plus, "minus": problem.geom.g_minus}
+    profiles = {f"g_eps_{side}": top_profile(dmap, g, eps, zs) for side, g in heights.items()}
+    profiles |= {f"eps_g_{side}": eps * g.value(zs) for side, g in heights.items()}
     co = HatOperator(problem, dmap).coefficients(zs, np.zeros(len(zs)))
     report = [
         f"distortion map: r={dmap.r:g} sup|gamma|={dmap.gamma_sup:.6g} sup|Dgamma|={dmap.dgamma_sup:.6g}",
         f"profiles written for eps={eps:g} over {' x '.join(f'[{a:g}, {b:g}]' for a, b in zip(lo, hi))}",
     ]
     tables = {
-        "profiles.csv": _csv(head + ",g_eps_plus,g_eps_minus,eps_g_plus,eps_g_minus", _point_rows(zs, *profiles)),
-        "hat_coefficients.csv": _coefficient_csv(head, "hat", problem, zs, co),
+        "profiles.csv": _table({**_points(zs, "z"), **profiles}),
+        "hat_coefficients.csv": _coefficients(problem, _points(zs, "z"), "hat", co),
     }
     return _report(args, "transform_report.txt", report + stage.lines, stage.code, tables)
 
@@ -174,8 +191,8 @@ def cmd_barrier(args) -> int:
         xs = view.base_lattice(args.nx)
         x_idx, ys = strip_lattice(xs, view.profile(-1.0, xs, eps), view.profile(1.0, xs, eps), args.ny)
         x = xs[x_idx]
-        rows = _point_rows(x, ys, *pair.values(x, ys, eps))
-        tables["barrier_grids.csv"] = _csv(_base_header(problem.n) + ",y,psi_upper,psi_lower", rows)
+        upper, lower = pair.values(x, ys, eps)
+        tables["barrier_grids.csv"] = _table({**_points(x), "y": ys, "psi_upper": upper, "psi_lower": lower})
     code = EXIT_OK if margins.passed else EXIT_BARRIER
     return _report(args, "barrier_report.txt", stage.lines + [margins.format()], code, tables)
 
@@ -193,20 +210,17 @@ def cmd_solve(args) -> int:
             fld = sol.solve_eps(problem, args.eps, nx=args.nx, ny=args.ny, tol=args.tol, max_iter=args.max_iter)
     except sol.SOLVER_ERRORS as exc:
         stop = harness.failure(exc)
-        print(*stop.lines, file=sys.stderr)
-        return stop.code
-    n = problem.n
+        return _report(args, "solve_report.txt", stop.lines, stop.code)
     nodes = fld.grid.nodes()
     y = np.zeros(len(nodes)) if args.limit else nodes[:, -1]
     lam = np.asarray(problem.controls.min_labels)[fld.policy_min]
     mu = np.asarray(problem.controls.max_labels)[fld.policy_max]
-    lines = _point_rows(nodes[:, :n], y, fld.flat(), lam, mu)
     report = (
         f"solved {'limit' if args.limit else f'eps={args.eps}'} problem: residual {fld.residual:.3e} "
         f"(diagonal-scaled {fld.scaled_residual:.3e}) in {fld.iterations} iteration(s), "
         f"{fld.policy_switch_count} policy switch(es)"
     )
-    table = _csv(_base_header(n) + ",y,u,active_lambda,active_mu", lines)
+    table = _table({**_points(nodes[:, :problem.n]), "y": y, "u": fld.flat(), "active_lambda": lam, "active_mu": mu})
     return _report(args, "solve_report.txt", [report], EXIT_OK, {"solution.csv": table})
 
 
@@ -223,24 +237,23 @@ def cmd_converge(args) -> int:
     stage = harness.barrier_stage(problem, bar.flat_view(problem), None)
     if stage.code == EXIT_OK:
         stage = harness.converge_stage(problem, plan, stage.product)
-    return _report(args, "converge_report.txt", stage.lines, stage.code, harness.convergence_csv(stage))
+    return _report(args, "converge_report.txt", stage.lines, stage.code, _convergence(stage))
 
 
 def cmd_counterexample(args) -> int:
     report = circle_obstruction_demo(n_theta=args.n_theta)
     tables = {}
     if args.csv:
-        rows = [f"{row.candidate},{fmt_float(row.theta_min)},{fmt_float(row.q_min)}" for row in report.rows]
-        tables["counterexample.csv"] = _csv("candidate,theta,quadratic_form", rows)
+        candidate, theta, q = zip(*((r.candidate, r.theta_min, r.q_min) for r in report.rows))
+        tables["counterexample.csv"] = _table({"candidate": candidate, "theta": theta, "quadratic_form": q})
     code = EXIT_OK if report.passed else EXIT_FAILURE
     return _report(args, "counterexample_report.txt", [report.format()], code, tables)
 
 
 def cmd_pipeline(args) -> int:
     problem = _need_config(args)
-    result = harness.run_pipeline(problem, load_experiment_settings(args.config), seed=args.seed, out_dir=args.out)
-    print(result.report)
-    return result.exit_code
+    stage = harness.run_pipeline(problem, load_experiment_settings(args.config), seed=args.seed)
+    return _report(args, "pipeline_report.txt", stage.lines, stage.code, _convergence(stage))
 
 
 @functools.cache

@@ -1,5 +1,8 @@
 """Experiment harness: the pipeline stages, the convergence measurement and the pipeline.
 
+It computes only: each stage and the pipeline return a :class:`Stage`, which
+:mod:`thinpde.cli` formats, prints and writes; nothing here writes a file.
+
 The convergence experiment solves the thin problem for a decreasing list of
 eps, solves the limit problem once, and measures
 
@@ -30,8 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,11 +57,7 @@ __all__ = [
     "transform_stage",
     "barrier_stage",
     "converge_stage",
-    "convergence_csv",
-    "write_outputs",
-    "PipelineResult",
     "run_pipeline",
-    "fmt_float",
 ]
 
 EXIT_OK = 0
@@ -68,11 +66,6 @@ EXIT_VALIDATION = 2
 EXIT_CERTIFICATE = 3
 EXIT_BARRIER = 4
 EXIT_SOLVER = 5
-
-
-def fmt_float(v: float) -> str:
-    """Shortest round-trip decimal; keeps CSV output byte-stable."""
-    return repr(float(v))
 
 
 @dataclass
@@ -105,14 +98,6 @@ class ConvergenceTable:
         # strict decrease is meaningless once every gap sits below the
         # discretization noise floor (the slice-exact regime)
         return (self.strictly_decreasing or self.within_noise_floor) and self.final_within_tolerance
-
-    def to_csv(self) -> str:
-        """One row per eps, one column per ConvergenceRow field, in field order."""
-        columns = fields(ConvergenceRow)
-        cell = {"int": str, "bool": lambda v: str(int(v)), "float": fmt_float}
-        lines = [",".join(c.name for c in columns)]
-        lines += [",".join(cell[c.type](getattr(r, c.name)) for c in columns) for r in self.rows]
-        return "\n".join(lines) + "\n"
 
     def format(self) -> str:
         lines = ["convergence of u_eps to the limit solution:"]
@@ -293,29 +278,6 @@ def converge_stage(problem: ThinProblem, plan: ExperimentPlan, pair: bar.Barrier
     return _verdict("converge", [table], EXIT_FAILURE, table)
 
 
-def convergence_csv(stage: Stage) -> dict[str, str]:
-    """``convergence.csv`` once the converge stage has measured its table, else nothing."""
-    return {"convergence.csv": stage.product.to_csv()} if stage.name == "converge" else {}
-
-
-def write_outputs(out_dir: str | None, files: dict[str, str]) -> None:
-    """Write each named text under ``out_dir``, creating it; nothing without an ``out_dir``."""
-    if not out_dir:
-        return
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out / name).write_text(text)
-
-
-@dataclass
-class PipelineResult:
-    exit_code: int
-    stage: str
-    report: str
-    table: ConvergenceTable | None
-
-
 def _pipeline_stages(problem: ThinProblem, plan: ExperimentPlan, seed: int):
     """(report header, Stage) in pipeline order; each stage runs only when the caller asks for the next."""
     yield "validate", validate_stage(problem, VALIDATE_SAMPLES)
@@ -332,13 +294,12 @@ def _pipeline_stages(problem: ThinProblem, plan: ExperimentPlan, seed: int):
     yield "solve + converge", converge_stage(problem, plan, barrier.product)
 
 
-def run_pipeline(
-    problem: ThinProblem, plan: ExperimentPlan = ExperimentPlan(), seed: int = 0, out_dir: str | None = None
-) -> PipelineResult:
+def run_pipeline(problem: ThinProblem, plan: ExperimentPlan = ExperimentPlan(), seed: int = 0) -> Stage:
     """validate -> certify -> reduce -> transform -> barrier -> solve -> converge.
 
-    The first failing stage stops the run; its name and diagnostic land in
-    the report, and the convergence table, once measured, is still written.
+    The first failing stage stops the run. The last stage run is returned
+    with its product (the convergence table once measured) and the whole
+    report: each stage's header and lines, then the pipeline's verdict line.
     The transform stage runs only when gamma0 does not vanish.
     """
     lines: list[str] = []
@@ -346,9 +307,5 @@ def run_pipeline(
         lines += [f"[stage {header}]", *stage.lines]
         if stage.code != EXIT_OK:
             break
-    name = stage.name if stage.code != EXIT_OK else "done"
-    lines.append(f"pipeline: {'SUCCESS' if stage.code == EXIT_OK else f'FAILED at stage {name} (exit {stage.code})'}")
-    report = "\n".join(lines)
-    table = stage.product if stage.name == "converge" else None
-    write_outputs(out_dir, {"pipeline_report.txt": report + "\n", **convergence_csv(stage)})
-    return PipelineResult(exit_code=stage.code, stage=name, report=report, table=table)
+    verdict = "SUCCESS" if stage.code == EXIT_OK else f"FAILED at stage {stage.name} (exit {stage.code})"
+    return replace(stage, lines=[*lines, f"pipeline: {verdict}"])

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,9 @@ from thinpde.harness import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_VALIDATION,
+    ConvergenceRow,
+    ConvergenceTable,
+    Stage,
     run_pipeline,
 )
 from thinpde.problem import CoefficientFamily, validate
@@ -175,8 +179,8 @@ def test_cli_transform_fails_on_inexact_straightened_data(tmp_path, capsys, monk
     want = "FAIL straightened boundary data: max deviation 2.000e-01 (tolerance 1e-12) at (1.0, 0.0)"
     assert capsys.readouterr().out.splitlines()[-1] == want
     result = run_pipeline(load_problem(CONFIGS / "distorted.cfg"))
-    assert (result.exit_code, result.stage) == (EXIT_FAILURE, "transform")
-    assert want in result.report.splitlines()
+    assert (result.code, result.name) == (EXIT_FAILURE, "transform")
+    assert want in result.lines
 
 
 def test_cli_solve_csv(tmp_path):
@@ -198,12 +202,65 @@ def test_csv_rows_built_by_column_match_a_row_by_row_build(rich):
         for x, cs, fs in zip(xs, co.c, co.f)
         for (lam, mu), c, f in zip(rich.controls.pairs(), cs.ravel(), fs.ravel())
     ]
-    assert cli._pair_rows(rich, xs, co.c, co.f) == want
+    assert rich.n == 1
+    assert cli._table(cli._per_pair(rich, cli._points(xs), {"c": co.c, "f": co.f})).splitlines() == ["x,lambda,mu,c,f", *want]
     values = np.array([0.1, -0.0, np.nan, -np.inf, 1e-300, 2.0**60])
     labels = np.array(["a", "b", "a", "b", "a", "b"])[[0, 1, 0, 1, 1, 0]]
+    ints = [0, -3, 2**60, 7, 1, -(2**40)]
+    bools = np.array([True, False, False, True, True, False])
     points = np.stack([values, values[::-1]], axis=1)
-    want = [f"{float(p[0])!r},{float(p[1])!r},{float(v)!r},{lab}" for p, v, lab in zip(points, values, labels)]
-    assert cli._point_rows(points, values, labels) == want
+    want = [
+        f"{float(p[0])!r},{float(p[1])!r},{float(v)!r},{lab},{i},{int(b)}"
+        for p, v, lab, i, b in zip(points, values, labels, ints, bools)
+    ]
+    columns = {**cli._points(points), "v": values, "label": labels, "count": ints, "flag": bools}
+    assert cli._table(columns).splitlines() == ["x1,x2,v,label,count,flag", *want]
+
+
+def test_convergence_csv_cells_follow_the_per_field_rule():
+    # ints as str, bools as 0/1, floats as repr(float): the rule once typed per ConvergenceRow field
+    nan = math.nan
+    rows = [
+        ConvergenceRow(0.1, 64, 16, 0.0125, 1e-13, 2, False, nan, nan, nan),
+        ConvergenceRow(0.05, 64, 16, 6.25e-3, 9.5e-14, 1, True, -0.0, 0.25, 2.0**60),
+    ]
+    table = ConvergenceTable(rows, 1e-12, 1e-3, 0.075, True, False)
+    cell = {"int": str, "bool": lambda v: str(int(v)), "float": lambda v: repr(float(v))}
+    columns = fields(ConvergenceRow)
+    want = [",".join(c.name for c in columns)]
+    want += [",".join(cell[c.type](getattr(r, c.name)) for c in columns) for r in rows]
+    assert want[2] == "0.05,64,16,0.00625,9.5e-14,1,1,-0.0,0.25,1.152921504606847e+18"
+    csv_text = cli._convergence(Stage("converge", EXIT_FAILURE, [], table))["convergence.csv"]
+    assert csv_text.splitlines() == want
+    assert cli._convergence(Stage("solve", EXIT_SOLVER, [], None)) == {}
+
+
+def test_cli_solve_failure_is_reported_and_written(tmp_path, capsys):
+    # a curved top once printed its solver failure on stderr only and created no --out
+    text = (CONFIGS / "reference.cfg").read_text()
+    assert "\ng_plus = 1\n" in text
+    cfg = tmp_path / "curved.cfg"
+    cfg.write_text(text.replace("\ng_plus = 1\n", "\ng_plus = 1 + 0.5*sin(16*pi*x1)\n"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--eps", "0.1", "--out", str(out)]) == EXIT_SOLVER
+    want = "solver failed: eps-problem grids require constant g+- (flat strip)\n"
+    assert capsys.readouterr() == (want, "")
+    assert (out / "solve_report.txt").read_text() == want
+    assert sorted(p.name for p in out.iterdir()) == ["solve_report.txt"]
+
+
+@pytest.mark.parametrize("command", ["validate", "pipeline"])
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "under-a-file"])
+def test_cli_out_that_cannot_be_written_is_one_error_line(command, below, tmp_path, capsys):
+    # an --out naming a file, or a path under one, once ended in a FileExistsError or NotADirectoryError traceback
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    out = taken / "sub" if below else taken
+    assert main([command] + _cfg("reference.cfg") + ["--out", str(out)]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write --out {out}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert taken.read_text() == "a file\n"
 
 
 def test_cli_solve_limit(tmp_path):
@@ -441,9 +498,10 @@ def test_cli_2d_converge_and_pipeline_stop_at_the_eps_solver(tmp_path, capsys):
 def test_distorted_without_derivatives_passes_reduce_at_1e8():
     problem = load_problem(CONFIGS / "distorted.cfg")
     result = run_pipeline(problem, ExperimentPlan(eps_list=(0.1, 0.05), nx=16, ny=8, limit_resolution=16))
-    assert result.stage not in ("validate", "certify", "reduce")
-    assert "PASS representation identity" in result.report
-    assert "(tolerance 1e-08)" in result.report
+    report = "\n".join(result.lines)
+    assert result.name not in ("validate", "certify", "reduce")
+    assert "PASS representation identity" in report
+    assert "(tolerance 1e-08)" in report
 
 
 def _one_error_line(capsys, want: str) -> None:

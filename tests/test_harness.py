@@ -11,6 +11,7 @@ from thinpde.harness import (
     EXIT_OK,
     EXIT_VALIDATION,
     convergence_experiment,
+    converge_stage,
     run_pipeline,
 )
 from thinpde.presets import _entry, reference_problem
@@ -158,8 +159,10 @@ def test_slice_exact_gap_below_discretization(slice_exact):
 
 
 def test_csv_deterministic(reference):
-    a = convergence_experiment(reference, SMALL, search_barriers(reference)).to_csv()
-    b = convergence_experiment(reference, SMALL, search_barriers(reference)).to_csv()
+    from thinpde import cli
+
+    stages = [converge_stage(reference, SMALL, search_barriers(reference)) for _ in range(2)]
+    a, b = (cli._convergence(stage)["convergence.csv"] for stage in stages)
     assert a == b
     assert a.splitlines()[0].startswith("eps,")
 
@@ -174,40 +177,42 @@ def test_verdict_invariant_under_s_shift():
         assert ra.sup_error == pytest.approx(rb.sup_error, abs=1e-14)
 
 
-def test_pipeline_reference(reference, tmp_path):
-    result = run_pipeline(reference, SMALL, out_dir=str(tmp_path))
-    assert result.exit_code == EXIT_OK
-    assert (tmp_path / "pipeline_report.txt").exists()
-    assert (tmp_path / "convergence.csv").exists()
+def test_pipeline_reference(reference):
+    # the pipeline returns its last stage, the whole report and the measured table; the command line writes them
+    result = run_pipeline(reference, SMALL)
+    assert (result.code, result.name) == (EXIT_OK, "converge")
+    assert result.lines[0] == "[stage validate]" and result.lines[-1] == "pipeline: SUCCESS"
+    assert result.product.passed
 
 
 def test_pipeline_stops_at_validation():
     result = run_pipeline(reference_problem(c="-1"))
-    assert result.exit_code == EXIT_VALIDATION
-    assert result.stage == "validate"
+    assert result.code == EXIT_VALIDATION
+    assert result.name == "validate"
+    assert result.lines[-1] == "pipeline: FAILED at stage validate (exit 2)"
 
 
 def test_pipeline_slice_exact_passes(slice_exact):
     result = run_pipeline(slice_exact, SMALL)
-    assert result.exit_code == EXIT_OK
+    assert result.code == EXIT_OK
 
 
 def test_pipeline_distorted_flags_converge_stage(distorted):
     # first-order thin-to-limit gap: the final threshold is out of reach at
     # desk-scale grids, so the pipeline must stop at converge with its table
     result = run_pipeline(distorted, ExperimentPlan(eps_list=(0.1, 0.05), nx=32, ny=16, limit_resolution=32))
-    assert result.exit_code == 1
-    assert result.stage == "converge"
-    assert result.table is not None
-    assert result.table.strictly_decreasing
+    assert result.code == 1
+    assert result.name == "converge"
+    assert result.product is not None
+    assert result.product.strictly_decreasing
 
 
 def test_pipeline_stops_at_certificate():
     broken = reference_problem()
     broken.coeffs.entries[("1", "1")] = _entry(1, [["0", "0"], ["0", "1"]], ["0", "0"], "0", "0")
     result = run_pipeline(broken)
-    assert result.exit_code == EXIT_CERTIFICATE
-    assert result.stage == "certify"
+    assert result.code == EXIT_CERTIFICATE
+    assert result.name == "certify"
 
 
 @pytest.mark.parametrize("case", ["reference", "distorted"])
