@@ -23,8 +23,8 @@ The barrier formulas and their first and second derivatives are written
 once, in ``_barrier_arrays``, over arrays of strip nodes.  There is one pair
 type, :class:`BarrierPair` (view, params, and a distortion map when the
 pair is pulled back), and one way to get it, :func:`search_barriers`.  It
-decides flat or distorted from the view's ``needs_distortion`` (the one
-test of gamma0) and searches the parameters once.  The pair takes eps
+decides flat or distorted with :func:`needs_distortion` (the one test of
+gamma0) and searches the parameters once.  The pair takes eps
 at each evaluation and evaluates both barriers at a batch of nodes from one
 field evaluation, at one set of preimages; eps below params.eps1 is
 certified, larger eps is evaluated all the same where the pair
@@ -32,7 +32,8 @@ certified, larger eps is evaluated all the same where the pair
 one evaluator, ``_MarginEngine.margins_of``: the parameter search feeds it
 the formula arrays directly and :func:`verify_barrier` feeds it the arrays
 of any pair, over the view's coefficient bundle at all strip nodes at once;
-the operator is :func:`thinpde.problem.operator_infsup`.
+the operator is :func:`thinpde.problem.operator_infsup`.  The pairs and the
+margins take base points (m, N) and heights (m,) only: no one-point form.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ __all__ = [
     "BarrierMargins",
     "BarrierPair",
     "StripView",
+    "needs_distortion",
     "flat_view",
     "hat_view",
     "verify_barrier",
@@ -143,11 +145,9 @@ class StripView:
 
     ``coefficients(x, y)`` bundles every control pair at base points x (m, N)
     and heights y (m,).  Each side is a sign, +1 for the top and -1 for the
-    bottom: ``oblique(sign, x, y)`` gives that side's (gamma, beta), also at
-    one point (x (N,), a float y), and ``profile(sign, x, eps)`` its heights
-    over base points (eps*g+- in flat coordinates, the implicit profiles in
-    distorted ones).  ``needs_distortion`` is set unless gamma0 is the
-    constant 0, so the barriers are searched in distorted coordinates.
+    bottom: ``oblique(sign, x, y)`` gives that side's (gamma, beta) and
+    ``profile(sign, x, eps)`` its heights over base points (eps*g+- in flat
+    coordinates, the implicit profiles in distorted ones).
     """
 
     lower: tuple[float, ...]
@@ -161,7 +161,6 @@ class StripView:
     beta0: object  # scalar fields with grad/hess
     s: object
     h: object
-    needs_distortion: bool = False
 
     def base_lattice(self, intervals: int) -> np.ndarray:
         return box_lattice(self.lower, self.upper, intervals)
@@ -176,14 +175,14 @@ def _barrier_level(problem: ThinProblem) -> ScalarField:
     return ScalarField(Expr(mid), geom.g_plus.var_names)
 
 
-def flat_view(problem: ThinProblem) -> StripView:
-    """View of the problem in its own coordinates (used when gamma0 = 0).
+def needs_distortion(problem: ThinProblem) -> bool:
+    """The one test of gamma0: false only for a constant gamma0 (``VectorField.is_constant``) whose value is 0."""
+    gamma0 = problem.bdata.gamma0
+    return not gamma0.is_constant or bool(gamma0.value(problem.geom.lower).any())
 
-    Its ``needs_distortion`` is the one test of gamma0 that callers consult
-    to decide between the flat and the distorted construction: false only
-    when gamma0 is a constant expression (see ``VectorField.is_constant``)
-    whose value is 0.  sup|g+-| is sampled on the 16-interval base lattice.
-    """
+
+def flat_view(problem: ThinProblem) -> StripView:
+    """View of the problem in its own coordinates; sup|g+-| is sampled on the 16-interval base lattice."""
     geom = problem.geom
     bd = problem.bdata
     base = geom.lattice(16)
@@ -199,7 +198,6 @@ def flat_view(problem: ThinProblem) -> StripView:
         beta0=bd.beta0,
         s=bd.s_candidate,
         h=_barrier_level(problem),
-        needs_distortion=not bd.gamma0.is_constant or bool(bd.gamma0.value(base[0]).any()),
     )
 
 
@@ -211,19 +209,15 @@ def hat_view(problem: ThinProblem, dmap: DistortionMap) -> StripView:
     identically, so the Step-1 construction applies directly with the
     implicit profiles as top/bottom boundaries.
     """
-    hat = HatOperator(problem, dmap)
     geom = problem.geom
-    flat = flat_view(problem)
     return replace(
-        flat,
+        flat_view(problem),
         lower=dmap.omega_hat[0],
         upper=dmap.omega_hat[1],
-        eps0=min(geom.epsilon0, dmap.r / flat.g_sup if flat.g_sup > 0 else geom.epsilon0),
         r_cap=dmap.r,
-        coefficients=hat.coefficients,
+        coefficients=HatOperator(problem, dmap).coefficients,
         oblique=HatBoundary(problem, dmap).oblique,
         profile=lambda sign, z, eps: top_profile(dmap, geom.profile(sign), eps, z),
-        needs_distortion=False,
     )
 
 
@@ -558,18 +552,17 @@ def search_parameters(view: StripView) -> BarrierParams:
     raise SearchExhaustedError("parameter search iteration budget")
 
 
-def search_barriers(problem: ThinProblem, view: StripView | None = None, dmap: DistortionMap | None = None) -> BarrierPair:
+def search_barriers(problem: ThinProblem, dmap: DistortionMap | None = None) -> BarrierPair:
     """The barrier pair of the problem, searched flat or in distorted coordinates.
 
-    ``view`` is the problem's flat view; its ``needs_distortion`` decides.
-    When gamma0 vanishes the search runs on that view.  Otherwise it runs on
-    the distorted view of ``dmap`` (whose hatted gamma0 vanishes), and the
-    pair pulls back through the map, so the strictness inequalities transfer
-    verbatim.  Each of ``view`` and ``dmap`` is built here when not given.
+    :func:`needs_distortion` decides.  When gamma0 vanishes the search runs
+    on the flat view.  Otherwise it runs on the distorted view of ``dmap``
+    (whose hatted gamma0 vanishes), built here when not given, and the pair
+    pulls back through the map, so the strictness inequalities transfer
+    verbatim.
     """
-    if view is None:
+    if not needs_distortion(problem):
         view = flat_view(problem)
-    if not view.needs_distortion:
         return BarrierPair(view, search_parameters(view))
     if dmap is None:
         dmap = build_map(problem)

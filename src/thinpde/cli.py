@@ -15,7 +15,9 @@ lines of ``transform`` and the margins of ``barrier`` (exit 4 when they fail).
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -72,7 +74,8 @@ def _report(args, name: str, lines: list[str], code: int, tables: dict[str, str]
 def _table(columns: dict) -> str:
     """The CSV of named columns, in order, under a header row of their names.
 
-    Labels are written as they are, integers and bools as integers, and other numbers as ``repr(float)``.
+    Labels are written as they are, integers and bools as integers, and other numbers as ``repr(float)``;
+    a cell that holds a comma or a double quote is quoted as RFC 4180 says.
     """
     cells = []
     for column in map(np.asarray, columns.values()):
@@ -82,7 +85,9 @@ def _table(columns: dict) -> str:
             cells.append([str(int(v)) for v in column.tolist()])
         else:
             cells.append([repr(v) for v in column.astype(float).tolist()])
-    return "\n".join([",".join(columns), *map(",".join, zip(*cells, strict=True))]) + "\n"
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([list(columns), *zip(*cells, strict=True)])
+    return text.getvalue()
 
 
 def _points(points, name: str = "x") -> dict:
@@ -175,8 +180,7 @@ def cmd_barrier(args) -> int:
     problem = _need_config(args)
     if args.eps is not None:
         problem.geom.check_eps(args.eps)
-    view = bar.flat_view(problem)
-    stage = harness.barrier_stage(problem, view, None)
+    stage = harness.barrier_stage(problem, None)
     pair = stage.product
     if pair is None:
         return _report(args, "barrier_report.txt", stage.lines, stage.code)
@@ -185,6 +189,7 @@ def cmd_barrier(args) -> int:
         raise EpsOutOfRangeError(
             f"pulled-back barriers undefined beyond the map slab; need eps*sup|g| <= r (eps={eps}, r={pair.dmap.r})"
         )
+    view = bar.flat_view(problem)
     margins = bar.verify_barrier(view, pair, eps, grid=(args.nx, args.ny))
     tables = {}
     if args.csv:
@@ -234,7 +239,7 @@ def cmd_converge(args) -> int:
             args.usage_error(f"argument --eps: {exc}")
     overrides = {"eps_list": args.eps, "nx": args.nx, "ny": args.ny, "limit_resolution": args.limit_nx}
     plan = replace(plan, **{k: v for k, v in overrides.items() if v is not None})
-    stage = harness.barrier_stage(problem, bar.flat_view(problem), None)
+    stage = harness.barrier_stage(problem, None)
     if stage.code == EXIT_OK:
         stage = harness.converge_stage(problem, plan, stage.product)
     return _report(args, "converge_report.txt", stage.lines, stage.code, _convergence(stage))

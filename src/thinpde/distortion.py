@@ -19,8 +19,10 @@ where D^2 Q comes from differentiating z + y gamma(z) = x twice at the
 preimage z, with the exact first and second derivatives of gamma (it is
 zero when gamma is constant, since Q is then affine).
 
-Maps take one point or an array of points; a batched inverse gives each
-point the iterates it would get alone.
+The inverse, the Hessians of Q and the implicit profiles take base points
+(m, N) and heights (m,) only, and the contraction's tolerance and cap are
+module constants; a batched inverse gives each point the iterates it would
+get alone.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ __all__ = [
 ]
 
 _R_FLOOR = 2.0**-40
+# the contraction for Q stops at an update of this size, or fails after this many iterations
+_FIXED_POINT_TOL = 1e-12
+_FIXED_POINT_MAX_ITER = 200
 # the hatted identities hold exactly, so a deviation above roundoff is a defect
 _EXACTNESS_TOL = 1e-12
 # the hatted and the original interior quadratic forms agree up to roundoff
@@ -91,8 +96,6 @@ class DistortionMap:
 
     gamma: object  # VectorField with N components on the base variables
     r: float
-    tol_fixed_point: float = 1e-12
-    max_iter: int = 200
     gamma_sup: float = 0.0
     dgamma_sup: float = 0.0
     omega_hat: tuple[tuple[float, ...], tuple[float, ...]] | None = None
@@ -101,9 +104,8 @@ class DistortionMap:
     def n(self) -> int:
         return len(self.gamma)
 
-    # z or x is one point (N,) with a float y, or (m, N) with y shaped (m,)
-
     def forward(self, z, y) -> np.ndarray:
+        """P(z, y) at one point (z (N,), a float y) or at points z (m, N) with y (m,)."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
         y = np.asarray(y, dtype=float)
         return strip_points(z + y[..., None] * self.gamma.value(z), y)
@@ -112,47 +114,38 @@ class DistortionMap:
         """z with z + y gamma(z) = x, via the contraction z <- x - y gamma(z).
 
         The update size bounds the fixed-point residual (up to the
-        contraction factor), so stopping at tol_fixed_point leaves
-        |z + y gamma(z) - x| <= tol_fixed_point.  Each point of a batch
-        stops at its own first small update.
+        contraction factor), so stopping at _FIXED_POINT_TOL leaves
+        |z + y gamma(z) - x| <= _FIXED_POINT_TOL.  x is (m, N) and y (m,);
+        each point stops at its own first small update.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        single = x.ndim == 1
-        x = np.atleast_2d(x)
-        y = np.broadcast_to(np.asarray(y, dtype=float).reshape(-1), (len(x),))
         z = x.copy()
         active = np.arange(len(x))
-        for _ in range(self.max_iter):
+        for _ in range(_FIXED_POINT_MAX_ITER):
             if not active.size:
                 break
             z_next = x[active] - y[active, None] * self.gamma.value(z[active])
             step = np.abs(z_next - z[active]).max(axis=1)
             z[active] = z_next
-            active = active[~(step <= self.tol_fixed_point)]
+            active = active[~(step <= _FIXED_POINT_TOL)]
         if active.size:
             residual = np.abs(z[active] + y[active, None] * self.gamma.value(z[active]) - x[active]).max(axis=1)
-            stalled = ~(residual <= self.tol_fixed_point)
+            stalled = ~(residual <= _FIXED_POINT_TOL)
             if stalled.any():
-                raise NoConvergenceError(self.max_iter, float(residual[stalled][0]))
-        return z[0] if single else z
+                raise NoConvergenceError(_FIXED_POINT_MAX_ITER, float(residual[stalled][0]))
+        return z
 
-    def d2q(self, z, y, r=None) -> np.ndarray:
+    def d2q(self, z, y, r) -> np.ndarray:
         """Hessians of the components of Q at P(z, y), from the preimage z: no inversion.
 
-        Shape (N+1, N+1, N+1) per point, with a leading m axis for z (m, N).
-        With M = I + y Dgamma(z) and d_i z the first N rows of R = DQ,
+        z is (m, N), y (m,) and ``r`` is ``matrix_r(self, z, y)``; the result
+        is (m, N+1, N+1, N+1).  With M = I + y Dgamma(z) and d_i z the first
+        N rows of R = DQ,
         M d_i d_j z = -(y D^2gamma[d_i z, d_j z] + [j = y] Dgamma d_i z + [i = y] Dgamma d_j z).
-        The last component of Q is y, whose Hessian vanishes.  ``r`` is
-        ``matrix_r(self, z, y)`` when the caller already has it.
+        The last component of Q is y, whose Hessian vanishes.
         """
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        single = z.ndim == 1
-        z = np.atleast_2d(z)
-        y = np.broadcast_to(np.asarray(y, dtype=float).reshape(-1), (len(z),))
         n = self.n
         out = np.zeros((len(z), n + 1, n + 1, n + 1))
         if not self.gamma.is_constant:
-            r = matrix_r(self, z, y) if r is None else np.reshape(r, (len(z), n + 1, n + 1))
             dz = r[:, :n]  # (m, N, N+1)
             d2gamma = np.stack([c.hess(z) for c in self.gamma.components], axis=1)
             rhs = y[:, None, None, None] * np.einsum("mkab,mai,mbj->mkij", d2gamma, dz, dz)
@@ -160,10 +153,10 @@ class DistortionMap:
             rhs[:, :, :, n] += jdz
             rhs[:, :, n, :] += jdz
             out[:, :n] = -np.einsum("mkl,mlij->mkij", r[:, :n, :n], rhs)
-        return out[0] if single else out
+        return out
 
 
-def build_map(problem: ThinProblem, tol_fixed_point: float = 1e-12, max_iter: int = 200) -> DistortionMap:
+def build_map(problem: ThinProblem) -> DistortionMap:
     """Select the slab half-height r and assemble the map for gamma = gamma0.
 
     r is the largest value in {1/2, 1/4, ...} with sup |y Dgamma| <= 1/2
@@ -191,8 +184,6 @@ def build_map(problem: ThinProblem, tol_fixed_point: float = 1e-12, max_iter: in
     return DistortionMap(
         gamma=gamma,
         r=r,
-        tol_fixed_point=tol_fixed_point,
-        max_iter=max_iter,
         gamma_sup=gamma_sup,
         dgamma_sup=dgamma_sup,
         omega_hat=(lo, hi),
@@ -230,12 +221,9 @@ def top_profile(dmap: DistortionMap, g: ScalarField, eps: float, z):
     when f' > 0 and the step lands strictly inside the bracket; otherwise it
     bisects.  A constant g gives eps*g exactly, after one step.
 
-    One base point gives a float; z shaped (m, N) gives (m,), each point
-    stopping on its own test (|f| <= 1e-12 or a bracket narrower than 1e-16).
+    z shaped (m, N) gives (m,), each point stopping on its own test
+    (|f| <= 1e-12 or a bracket narrower than 1e-16).
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    single = z.ndim == 1
-    z = np.atleast_2d(z)
     gz = dmap.gamma.value(z)
 
     def f(idx: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -264,7 +252,7 @@ def top_profile(dmap: DistortionMap, g: ScalarField, eps: float, z):
         step = ya - np.divide(fy, slope, out=np.zeros_like(fy), where=newton)
         inside = newton & (lo[active] < step) & (step < hi[active])
         y[active] = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
-    return float(y[0]) if single else y
+    return y
 
 
 # --- pushed-forward operator and boundary data -------------------------------
@@ -363,10 +351,8 @@ class TransplantReport:
         )
 
 
-def transplant_ellipticity(
-    problem: ThinProblem, dmap: DistortionMap, samples_per_axis: int = 16
-) -> TransplantReport:
-    """Margin of the hatted interior condition, cross-checked two ways.
+def transplant_ellipticity(problem: ThinProblem, dmap: DistortionMap) -> TransplantReport:
+    """Margin of the hatted interior condition, cross-checked two ways, on the 16-interval lattice of omega_hat.
 
     In distorted coordinates gamma0 vanishes, so the certificate vector is
     (Ds(z), 0); the hatted quadratic form must equal
@@ -374,7 +360,7 @@ def transplant_ellipticity(
     original interior certificate integrand.
     """
     hat = HatOperator(problem, dmap)
-    pts = box_lattice(*dmap.omega_hat, samples_per_axis)
+    pts = box_lattice(*dmap.omega_hat, 16)
     y0 = np.zeros(len(pts))
     ds = problem.bdata.s_candidate.grad(pts)
     v_hat = strip_points(ds, y0)

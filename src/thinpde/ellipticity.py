@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expr, ScalarField, base_vars, parse
+from .expressions import ScalarField, base_vars, parse
 from .problem import ThinProblem, quadratic_form, row_dot, row_matmul, strip_points, worst_node
 
 __all__ = [
@@ -41,6 +41,8 @@ CERTIFICATE_THRESHOLD = 1e-8
 _EQUIVALENCE_TOL = 1e-10
 # a candidate's quadratic form degenerates where its minimum falls to this fraction of its maximum
 _OBSTRUCTION_RATIO = 1e-3
+# the potentials the obstruction sweep tries
+_CANDIDATES = ("x1", "x2", "x1 + x2", "pow(x1, 2)", "x1 * x2")
 
 
 @dataclass
@@ -227,25 +229,21 @@ class ObstructionReport:
         return "\n".join(lines)
 
 
-def circle_obstruction_demo(
-    candidates: list[str | Expr] | None = None, n_theta: int = 4096
-) -> ObstructionReport:
+def circle_obstruction_demo(n_theta: int) -> ObstructionReport:
     """Show that no candidate potential certifies the rotating field on |x|=1.
 
-    For each candidate s the sweep locates the angle minimizing
-    Ds(x(theta)) A(theta) Ds(x(theta))^T; the minimum collapses relative to
-    the maximum (ratio <= 1e-3), which is the numerical face of the
-    mean-value argument: d/dtheta s(x(theta)) must vanish somewhere, and
-    there Ds is radial, i.e. in the kernel of A.
+    For each candidate s of ``_CANDIDATES`` the sweep over ``n_theta``
+    angles locates the angle minimizing Ds(x(theta)) A(theta) Ds(x(theta))^T;
+    the minimum collapses relative to the maximum (ratio <= 1e-3), which is
+    the numerical face of the mean-value argument: d/dtheta s(x(theta)) must
+    vanish somewhere, and there Ds is radial, i.e. in the kernel of A.
     """
     if n_theta < 64:
         raise ValueError("n_theta must be >= 64")
-    if candidates is None:
-        candidates = ["x1", "x2", "x1 + x2", "pow(x1, 2)", "x1 * x2"]
     rows = []
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    for cand in candidates:
-        fld = ScalarField(cand if isinstance(cand, Expr) else parse(cand), base_vars(2))
+    for cand in _CANDIDATES:
+        fld = ScalarField(parse(cand), base_vars(2))
         pts = np.array([[math.cos(th), math.sin(th)] for th in thetas])
         qs = np.array([float(ds @ rotating_field(x) @ ds) for x, ds in zip(pts, fld.grad(pts))])
         imin = int(np.argmin(qs))

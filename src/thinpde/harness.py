@@ -256,15 +256,15 @@ def transform_stage(problem: ThinProblem) -> Stage:
     return _verdict("transform", reports, EXIT_FAILURE, dmap)
 
 
-def barrier_stage(problem: ThinProblem, view: bar.StripView, dmap: DistortionMap | None) -> Stage:
-    """Search the barrier pair from the flat ``view``; a distorted problem given no ``dmap`` builds it here."""
-    if dmap is None and view.needs_distortion:
+def barrier_stage(problem: ThinProblem, dmap: DistortionMap | None) -> Stage:
+    """Search the barrier pair; a distorted problem given no ``dmap`` builds it here."""
+    if dmap is None and bar.needs_distortion(problem):
         try:
             dmap = build_map(problem)
         except DISTORTION_ERRORS as exc:
             return failure(exc)
     try:
-        pair = bar.search_barriers(problem, view, dmap)
+        pair = bar.search_barriers(problem, dmap)
     except bar.SearchExhaustedError as exc:
         return failure(exc)
     return Stage("barrier", EXIT_OK, ["parameters: " + pair.params.format()], pair)
@@ -283,13 +283,12 @@ def _pipeline_stages(problem: ThinProblem, plan: ExperimentPlan, seed: int):
     yield "validate", validate_stage(problem, VALIDATE_SAMPLES)
     yield "certify", certify_stage(problem, CERTIFY_SAMPLES)
     yield "reduce", reduce_stage(problem, REPRESENTATION_SAMPLES, seed)
-    view = bar.flat_view(problem)
     dmap = None
-    if view.needs_distortion:
+    if bar.needs_distortion(problem):
         transform = transform_stage(problem)
         dmap = transform.product
         yield "transform", transform
-    barrier = barrier_stage(problem, view, dmap)
+    barrier = barrier_stage(problem, dmap)
     yield "barrier", barrier
     yield "solve + converge", converge_stage(problem, plan, barrier.product)
 

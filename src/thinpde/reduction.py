@@ -24,6 +24,9 @@ The written form of the f~ coupling multiplies the full drift vector by the
 scalar beta0; the only scalar reading consistent with the representation
 identity is the (N+1)-th drift entry times beta0, which is what is
 implemented here (the gradient's last slot is the one that carries beta0).
+
+The reduced coefficients and the bordered matrices take arrays of base
+points (m, N) only; there is no one-point form.
 """
 
 from __future__ import annotations
@@ -53,11 +56,6 @@ class DegenerateThicknessError(ArithmeticError):
 _THICKNESS_FLOOR = 1e-12
 # G and F read the same exact derivatives, so a discrepancy above roundoff is a defect
 _REPRESENTATION_TOL = 1e-8
-
-
-def _rows(x) -> np.ndarray:
-    """Base points as an (m, N) array; one point becomes one row."""
-    return np.atleast_2d(np.asarray(x, dtype=float))
 
 
 def _thickness(problem: ThinProblem, x: np.ndarray) -> np.ndarray:
@@ -112,7 +110,6 @@ class LimitProblem:
 
     def coefficients(self, x) -> Coefficients:
         """sigma~, A~, b~, c~, f~ of every control pair at base points shaped (m, N)."""
-        x = _rows(x)
         n = self.n
         bd = self.source.bdata
         base = self.source.coefficients(strip_points(x, 0.0))
@@ -139,14 +136,9 @@ def reduce_problem(problem: ThinProblem) -> LimitProblem:
 def bordered_matrices(problem: ThinProblem, x, X, p):
     """The three (N+1)x(N+1) blocks A, B, C entering the representation identity.
 
-    x (m, N), X (m, N, N) and p (m, N) give blocks shaped (m, N+1, N+1);
-    one base point gives m = 1.
+    x (m, N), X (m, N, N) and p (m, N) give blocks shaped (m, N+1, N+1).
     """
-    n = problem.n
-    x = _rows(x)
-    m = len(x)
-    X = np.asarray(X, dtype=float).reshape(m, n, n)
-    p = np.asarray(p, dtype=float).reshape(m, n)
+    m, n = x.shape
     bd = problem.bdata
     proj = _projector(problem, x)
     a_mat = np.swapaxes(proj, -1, -2) @ X @ proj
@@ -193,13 +185,8 @@ def _draws(lower, upper, samples: int, seed: int):
     return X, unit[:, n * n : -1], unit[:, -1], lo + (hi - lo) * u[:, n * n + n + 1 :]
 
 
-def representation_check(
-    problem: ThinProblem,
-    lp: LimitProblem | None = None,
-    samples: int = 1000,
-    seed: int = 0,
-) -> RepresentationReport:
-    """Evaluate G and F(A+B+C, (p, beta0 - gamma0.p), r, (x,0)) on random draws.
+def representation_check(problem: ThinProblem, lp: LimitProblem, samples: int = 1000, seed: int = 0) -> RepresentationReport:
+    """Evaluate G of the limit problem ``lp`` and F(A+B+C, (p, beta0 - gamma0.p), r, (x,0)) on random draws.
 
     Entries of X (symmetrized), p and r are uniform in [-1, 1]; x is uniform
     in the base box.  Both sides read the same exact derivatives of gamma0
@@ -214,8 +201,6 @@ def representation_check(
     """
     if samples < 1:
         raise ValueError(f"representation check needs samples >= 1, got {samples}")
-    if lp is None:
-        lp = reduce_problem(problem)
     Xs, ps, rs, xs = _draws(problem.geom.lower, problem.geom.upper, samples, seed)
     g_val = operator_infsup(lp.coefficients(xs), Xs, ps, rs)[0]
     a_mat, b_mat, c_mat = bordered_matrices(problem, xs, Xs, ps)
@@ -244,9 +229,9 @@ class LimitBoundsReport:
         )
 
 
-def estimate_limit_bounds(lp: LimitProblem, samples_per_axis: int = 16) -> LimitBoundsReport:
-    """Estimate the uniform bound and continuity constants of the reduced fields."""
-    pts = lp.source.geom.lattice(samples_per_axis)
+def estimate_limit_bounds(lp: LimitProblem) -> LimitBoundsReport:
+    """Estimate the uniform bound and continuity constants of the reduced fields on the 16-interval base lattice."""
+    pts = lp.source.geom.lattice(16)
     co = lp.coefficients(pts)
     s, b, c, f = co.sigma, co.b, co.c, co.f
     sup = max(0.0, *(float(np.abs(v).max()) for v in (s, b, c, f)))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from thinpde import barriers as bar
+from thinpde import distortion
 from thinpde.config import load_problem
 from thinpde.distortion import build_map
 from thinpde.presets import _entry, reference_problem
@@ -34,7 +35,7 @@ def ref_params(reference):
     ],
 )
 def test_needs_distortion_is_decided_from_the_expression(gamma0, needs):
-    assert bar.flat_view(reference_problem(gamma0=gamma0)).needs_distortion is needs
+    assert bar.needs_distortion(reference_problem(gamma0=gamma0)) is needs
 
 
 def test_barrier_pair_point_values(reference):
@@ -166,10 +167,11 @@ def test_general_barrier_zero_gamma_matches_flat(reference):
     np.testing.assert_allclose(pulled.values(x, y, eps)[0], flat.values(x, y, eps)[0], rtol=1e-9, atol=0.0)
 
 
-def test_general_barrier_constant_gamma_margins_match():
+def test_general_barrier_constant_gamma_margins_match(monkeypatch):
     # affine Q: pulled-back margins equal hatted margins at corresponding nodes
     p = reference_problem(gamma0="0.3")
-    dmap = build_map(p, tol_fixed_point=1e-14)
+    monkeypatch.setattr(distortion, "_FIXED_POINT_TOL", 1e-14)
+    dmap = build_map(p)
     pair = bar.search_barriers(p, dmap=dmap)
     eps = pair.params.eps1 / 2
     rng = np.random.default_rng(0)

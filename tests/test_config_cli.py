@@ -279,6 +279,17 @@ def test_cli_counterexample(tmp_path):
     assert (tmp_path / "counterexample_report.txt").exists()
 
 
+def test_counterexample_csv_quotes_a_candidate_that_holds_a_comma(tmp_path):
+    # written unquoted, pow(x1, 2.0) gave its row 4 fields under the 3-column header
+    assert main(["counterexample", "--n-theta", "256", "--out", str(tmp_path), "--csv"]) == EXIT_OK
+    with open(tmp_path / "counterexample.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # an extra field would be read under the key None
+    assert [list(row) for row in rows] == [["candidate", "theta", "quadratic_form"]] * 5
+    assert [row["candidate"] for row in rows] == ["x1", "x2", "x1 + x2", "pow(x1, 2.0)", "x1 * x2"]
+    assert '"pow(x1, 2.0)",0.0,0.0\n' in (tmp_path / "counterexample.csv").read_text()
+
+
 def test_cli_barrier(tmp_path):
     assert main(["barrier"] + _cfg("reference.cfg") + ["--nx", "16", "--ny", "6", "--out", str(tmp_path)]) == EXIT_OK
     report = (tmp_path / "barrier_report.txt").read_text()
@@ -301,6 +312,35 @@ def _config_variant(tmp_path, base: str, old: str, new: str) -> list[str]:
     cfg = tmp_path / "variant.cfg"
     cfg.write_text((CONFIGS / base).read_text().replace(old, new))
     return ["--config", str(cfg)]
+
+
+def _margin_lines(report: str) -> list[str]:
+    return [line for line in report.splitlines() if line.startswith(("  m1 ", "  m2 "))]
+
+
+def _widths(out: Path) -> list[float]:
+    with open(out / "convergence.csv", newline="") as fh:
+        return [float(row["sandwich_width"]) for row in csv.DictReader(fh)]
+
+
+def test_geometry_h_moves_the_barrier_level(tmp_path):
+    # g- = -1, g+ = 1: without h the level is the midpoint 0; h = 0.5 moves it up, nearer the top
+    h = _config_variant(tmp_path, "reference.cfg", "epsilon0 = 0.25\n", "epsilon0 = 0.25\nh = 0.5\n")
+    for name, cfg in (("mid", _cfg("reference.cfg")), ("h", h)):
+        for command in ("validate", "barrier", "converge"):
+            assert main([command] + cfg + ["--out", str(tmp_path / name)]) == EXIT_OK
+    mid, moved = ((tmp_path / name / "barrier_report.txt").read_text() for name in ("mid", "h"))
+    assert _margin_lines(mid) == ["  m1 top+   1.980000e+00 ok", "  m2 bot+   1.980000e+00 ok"]
+    assert _margin_lines(moved) == ["  m1 top+   9.900000e-01 ok", "  m2 bot+   2.970000e+00 ok"]
+    # the sandwich at eps 0.2, above the certified eps1
+    assert _widths(tmp_path / "mid")[0] == pytest.approx(5.963e3, rel=1e-3)
+    assert _widths(tmp_path / "h")[0] == pytest.approx(8.587e3, rel=1e-3)
+
+
+def test_geometry_h_outside_the_strip_fails_validation(tmp_path, capsys):
+    cfg = _config_variant(tmp_path, "reference.cfg", "epsilon0 = 0.25\n", "epsilon0 = 0.25\nh = 2\n")
+    assert main(["validate"] + cfg) == EXIT_VALIDATION
+    assert "FAIL BarrierLevelBetween  worst=-1  witness=(0.0,)  g- < h < g+ required" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["barrier", "converge", "pipeline"])

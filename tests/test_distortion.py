@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thinpde import distortion
 from thinpde.distortion import (
     DistortionMap,
     HatBoundary,
@@ -17,16 +18,32 @@ from thinpde.expressions import ScalarField, VectorField, base_vars, parse
 from thinpde.presets import reference_problem
 
 
-def _map_for(gamma_text: str, problem=None, **kw) -> DistortionMap:
+def _map_for(gamma_text: str, problem=None) -> DistortionMap:
     problem = problem or reference_problem(gamma0=gamma_text)
-    return build_map(problem, **kw)
+    return build_map(problem)
+
+
+def _inverse(dmap, x, y) -> np.ndarray:
+    """The preimage z of one point (x, y), through the array form."""
+    return dmap.inverse(np.array([x], dtype=float), np.array([y], dtype=float))[0]
+
+
+def _profile(dmap, g, eps, z) -> float:
+    """The profile height over one base point z, through the array form."""
+    return float(top_profile(dmap, g, eps, np.array([z], dtype=float))[0])
+
+
+def _d2q(dmap, z, y) -> np.ndarray:
+    """The Hessians of Q at P(z, y) for one preimage z, through the array form."""
+    z, y = np.array([z], dtype=float), np.array([y], dtype=float)
+    return dmap.d2q(z, y, matrix_r(dmap, z, y))[0]
 
 
 def test_forward_identity_for_zero_gamma(reference):
     dmap = build_map(reference)
     assert dmap.r == 0.5
     assert np.allclose(dmap.forward([0.3], 0.2), [0.3, 0.2])
-    assert np.allclose(dmap.inverse([0.3], 0.2), [0.3])
+    assert np.allclose(_inverse(dmap, [0.3], 0.2), [0.3])
 
 
 def test_forward_examples():
@@ -37,13 +54,13 @@ def test_forward_examples():
 
 def test_inverse_constant_gamma_exact():
     dmap = _map_for("1")
-    z = dmap.inverse([0.5], 0.2)
+    z = _inverse(dmap, [0.5], 0.2)
     assert z[0] == pytest.approx(0.3, abs=1e-12)
 
 
 def test_inverse_nonlinear_bisection_oracle():
     dmap = _map_for("0.1*sin(x1)")
-    z = dmap.inverse([1.0], 0.1)[0]
+    z = _inverse(dmap, [1.0], 0.1)[0]
     # oracle: bisection for z + 0.01 sin z = 1 on [0.9, 1.0]
     lo, hi = 0.9, 1.0
     for _ in range(60):
@@ -55,11 +72,12 @@ def test_inverse_nonlinear_bisection_oracle():
     assert z == pytest.approx(0.5 * (lo + hi), abs=1e-10)
 
 
-def test_inverse_no_convergence():
+def test_inverse_no_convergence(monkeypatch):
     gamma = VectorField([ScalarField(parse("5*x1"), base_vars(1))])
-    dmap = DistortionMap(gamma=gamma, r=0.5, max_iter=8)  # |y Dgamma| = 2.5 > 1
+    monkeypatch.setattr(distortion, "_FIXED_POINT_MAX_ITER", 8)
+    dmap = DistortionMap(gamma=gamma, r=0.5)  # |y Dgamma| = 2.5 > 1
     with pytest.raises(NoConvergenceError):
-        dmap.inverse([1.0], 0.5)
+        _inverse(dmap, [1.0], 0.5)
 
 
 def test_round_trip_identities(transform_demo):
@@ -67,10 +85,10 @@ def test_round_trip_identities(transform_demo):
     lo, hi = dmap.omega_hat
     for x in np.linspace(lo[0], hi[0], 9):
         for y in np.linspace(-dmap.r, dmap.r, 7):
-            z = dmap.inverse([x], y)
+            z = _inverse(dmap, [x], y)
             assert np.abs(dmap.forward(z, y) - [x, y]).max() <= 1e-10
             fwd = dmap.forward([x], y)
-            assert np.abs(dmap.inverse(fwd[:-1], y) - [x]).max() <= 1e-10
+            assert np.abs(_inverse(dmap, fwd[:-1], y) - [x]).max() <= 1e-10
             # displacement bound
             assert np.abs(np.append(z, y) - [x, y]).max() <= dmap.r * dmap.gamma_sup + 1e-12
 
@@ -78,12 +96,12 @@ def test_round_trip_identities(transform_demo):
 def test_profile_trivial_cases(reference, transform_demo):
     dmap0 = build_map(reference)
     for z in np.linspace(0, 1, 5):
-        assert top_profile(dmap0, reference.geom.g_plus, 0.1, [z]) == pytest.approx(0.1, abs=1e-12)
-        assert top_profile(dmap0, reference.geom.g_minus, 0.1, [z]) == pytest.approx(-0.1, abs=1e-12)
+        assert _profile(dmap0, reference.geom.g_plus, 0.1, [z]) == pytest.approx(0.1, abs=1e-12)
+        assert _profile(dmap0, reference.geom.g_minus, 0.1, [z]) == pytest.approx(-0.1, abs=1e-12)
     # constant g+: the fixed point is eps*G regardless of gamma
     dmap = build_map(transform_demo)
     const = ScalarField(parse("0.7"), base_vars(1))
-    assert top_profile(dmap, const, 0.1, [0.3]) == pytest.approx(0.07, abs=1e-12)
+    assert _profile(dmap, const, 0.1, [0.3]) == pytest.approx(0.07, abs=1e-12)
 
 
 def test_profile_linear_closed_form():
@@ -91,7 +109,7 @@ def test_profile_linear_closed_form():
     p = reference_problem(gamma0="0.2")
     dmap = build_map(p)
     g = ScalarField(parse("1 + 0.5*x1"), base_vars(1))
-    y = top_profile(dmap, g, 0.1, [0.0])
+    y = _profile(dmap, g, 0.1, [0.0])
     assert y == pytest.approx(0.1 / 0.99, abs=1e-11)
 
 
@@ -103,7 +121,7 @@ def test_profile_quadratic_gap(transform_demo):
     gaps = []
     for eps in eps_list:
         gap = max(
-            abs(top_profile(dmap, transform_demo.geom.g_plus, eps, [z]) - eps * transform_demo.geom.g_plus.value([z]))
+            abs(_profile(dmap, transform_demo.geom.g_plus, eps, [z]) - eps * transform_demo.geom.g_plus.value([z]))
             for z in zs
         )
         gaps.append(gap)
@@ -119,7 +137,7 @@ def test_profile_ordering_equivalence(transform_demo):
     for _ in range(200):
         z = np.array([rng.uniform(-0.1, 1.1)])
         y = rng.uniform(-dmap.r, dmap.r)
-        ge = top_profile(dmap, transform_demo.geom.g_plus, eps, z)
+        ge = _profile(dmap, transform_demo.geom.g_plus, eps, z)
         lhs = y > ge
         rhs = y > eps * transform_demo.geom.g_plus.value(z + y * dmap.gamma.value(z))
         if abs(y - ge) > 1e-9:
@@ -167,8 +185,8 @@ def test_curvature_drift_dual_path():
     p = reference_problem(gamma0="0.1*sin(x1)")
     dmap = build_map(p)
     x, y = 0.7, 0.2
-    z = float(dmap.inverse([x], y)[0])
-    d2q = dmap.d2q([z], y)
+    z = float(_inverse(dmap, [x], y)[0])
+    d2q = _d2q(dmap, [z], y)
 
     g = 0.1 * math.sin(z)
     g1 = 0.1 * math.cos(z)
@@ -190,7 +208,8 @@ def test_d2q_linear_gamma_closed_form():
     dmap = _map_for("0.2*x1")
     x = np.linspace(-0.2, 1.2, 8)
     y = np.linspace(-dmap.r, dmap.r, 8)
-    d2q = dmap.d2q(dmap.inverse(x[:, None], y), y)
+    z = dmap.inverse(x[:, None], y)
+    d2q = dmap.d2q(z, y, matrix_r(dmap, z, y))
     m = 1.0 + 0.2 * y
     assert np.abs(d2q[:, 0, 0, 0]).max() <= 1e-12
     assert np.abs(d2q[:, 0, 0, 1] + 0.2 / m**2).max() <= 1e-12
@@ -199,16 +218,17 @@ def test_d2q_linear_gamma_closed_form():
     assert not d2q[:, 1].any()
 
 
-def test_d2q_nonlinear_gamma_matches_differenced_inverse():
-    dmap = _map_for("0.1*x1*x1", tol_fixed_point=1e-15)
+def test_d2q_nonlinear_gamma_matches_differenced_inverse(monkeypatch):
+    monkeypatch.setattr(distortion, "_FIXED_POINT_TOL", 1e-15)
+    dmap = _map_for("0.1*x1*x1")
     h = 1e-3
     for x, y in [(0.3, 0.2), (0.9, -0.35), (-0.4, 0.45)]:
         p = np.array([x, y])
 
         def q(dx, dy):
-            return dmap.inverse([p[0] + dx], p[1] + dy)[0]
+            return _inverse(dmap, [p[0] + dx], p[1] + dy)[0]
 
-        d2q = dmap.d2q(dmap.inverse([x], y), y)[0]
+        d2q = _d2q(dmap, _inverse(dmap, [x], y), y)[0]
         # fourth-order central differences of the inverse
         w2 = ((-2 * h, -1.0 / 12), (-h, 4.0 / 3), (0.0, -5.0 / 2), (h, 4.0 / 3), (2 * h, -1.0 / 12))
         w1 = ((-2 * h, 1.0 / 12), (-h, -2.0 / 3), (h, 2.0 / 3), (2 * h, -1.0 / 12))
@@ -303,16 +323,16 @@ def _ref_inverse(dmap, x, y):
     """Reference: the per-point contraction."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = x.copy()
-    for _ in range(dmap.max_iter):
+    for _ in range(distortion._FIXED_POINT_MAX_ITER):
         z_next = x - y * dmap.gamma.value(z)
         step = float(np.abs(z_next - z).max())
         z = z_next
-        if step <= dmap.tol_fixed_point:
+        if step <= distortion._FIXED_POINT_TOL:
             return z
     residual = float(np.abs(z + y * dmap.gamma.value(z) - x).max())
-    if residual <= dmap.tol_fixed_point:
+    if residual <= distortion._FIXED_POINT_TOL:
         return z
-    raise NoConvergenceError(dmap.max_iter, residual)
+    raise NoConvergenceError(distortion._FIXED_POINT_MAX_ITER, residual)
 
 
 def _ref_matrix_r(dmap, z, y):
@@ -403,7 +423,7 @@ def test_batched_inverse_and_r_match_per_point(hat_lattice):
     _, dmap, _, z, y = hat_lattice
     assert _same(dmap.inverse(z, y), [_ref_inverse(dmap, zi, yi) for zi, yi in zip(z, y)])
     assert _same(matrix_r(dmap, z, y), [_ref_matrix_r(dmap, zi, yi) for zi, yi in zip(z, y)])
-    assert _same(dmap.d2q(z, y), [dmap.d2q(zi, yi) for zi, yi in zip(z, y)])
+    assert _same(dmap.d2q(z, y, matrix_r(dmap, z, y)), [_d2q(dmap, zi, yi) for zi, yi in zip(z, y)])
 
 
 @pytest.mark.parametrize("case", ["distorted.cfg", "transform_demo"])
@@ -417,9 +437,10 @@ def test_batched_profiles_match_per_point(case, hat_lattice):
             assert _same(top_profile(dmap, g, eps, zs), [_ref_profile(dmap, g, eps, z) for z in zs])
 
 
-def test_batched_inverse_reports_no_convergence(hat_lattice):
+def test_batched_inverse_reports_no_convergence(hat_lattice, monkeypatch):
     problem, _, _, z, y = hat_lattice
-    dmap = build_map(problem, max_iter=1)
+    monkeypatch.setattr(distortion, "_FIXED_POINT_MAX_ITER", 1)
+    dmap = build_map(problem)
     with pytest.raises(NoConvergenceError):
         dmap.inverse(z, y)
     # points with y = 0 are fixed after one step

@@ -21,13 +21,13 @@ from thinpde.reduction import (
 def _aux(problem, x):
     """(b_aux . e_1, c_aux) at one base point: the corners of the bordered B (with p = e_1) and C."""
     n = problem.n
-    _, b_mat, c_mat = bordered_matrices(problem, x, np.zeros((n, n)), np.eye(n)[0])
+    _, b_mat, c_mat = bordered_matrices(problem, np.array([x], dtype=float), np.zeros((1, n, n)), np.eye(n)[:1])
     return b_mat[0, n, n], c_mat[0, n, n]
 
 
 def _g(lp, X, p, r, x) -> float:
     """The limit operator's value at one base point, from the coefficient bundle there."""
-    return float(operator_infsup(lp.coefficients(x), X, p, r)[0][0])
+    return float(operator_infsup(lp.coefficients(np.array([x], dtype=float)), X, p, r)[0][0])
 
 
 def test_aux_fields_vanish_for_trivial_data(reference):
@@ -69,7 +69,7 @@ def test_reduce_trivial_collapse(reference):
     lp = reduce_problem(reference)
     for x in np.linspace(0, 1, 7):
         z = np.array([x, 0.0])
-        co, e = lp.coefficients([x]), reference.coefficients([z])
+        co, e = lp.coefficients(np.array([[x]])), reference.coefficients([z])
         assert co.a[0, 0, 0][0, 0] == pytest.approx(e.a[0, 0, 0][0, 0])
         assert co.b[0, 0, 0][0] == pytest.approx(e.b[0, 0, 0][0])
         assert co.c[0, 0, 0] == pytest.approx(e.c[0, 0, 0])
@@ -80,7 +80,7 @@ def test_reduce_constant_gamma0():
     # gamma0 = 1, A = I2: A~ = (1, -1) I (1, -1)^T = 2
     p = reference_problem(gamma0="1")
     lp = reduce_problem(p)
-    assert lp.coefficients([0.3]).a[0, 0, 0][0, 0] == pytest.approx(2.0)
+    assert lp.coefficients(np.array([[0.3]])).a[0, 0, 0][0, 0] == pytest.approx(2.0)
 
 
 def test_b_tilde_fd_oracle():
@@ -93,7 +93,7 @@ def test_b_tilde_fd_oracle():
         base = _g(lp, np.zeros((1, 1)), np.zeros(1), 0.0, [x])
         bumped = _g(lp, np.zeros((1, 1)), np.array([delta]), 0.0, [x])
         b_fd = -(bumped - base) / delta
-        b_tilde = lp.coefficients([x]).b[0, 0, 0]
+        b_tilde = lp.coefficients(np.array([[x]])).b[0, 0, 0]
         assert b_fd == pytest.approx(b_tilde[0], abs=1e-6)
         assert b_tilde[0] == pytest.approx(x, abs=1e-9)
 
@@ -101,7 +101,7 @@ def test_b_tilde_fd_oracle():
 def test_sigma_tilde_factorization(rich):
     lp = reduce_problem(rich)
     for x in np.linspace(0, 1, 9):
-        co = lp.coefficients([x])
+        co = lp.coefficients(np.array([[x]]))
         for il, im in np.ndindex(co.c.shape[1:]):
             s = co.sigma[0, il, im]
             a = co.a[0, il, im]
@@ -111,14 +111,15 @@ def test_sigma_tilde_factorization(rich):
 
 
 def test_representation_identity_analytic(rich):
-    rep = representation_check(rich, samples=1000, seed=0)
+    rep = representation_check(rich, reduce_problem(rich), samples=1000, seed=0)
     assert rep.passed
     assert rep.max_abs_diff <= 1e-8
 
 
 def test_representation_identity_fd_derivatives():
     # the exact derivatives hold the identity at the default 1e-8 tolerance
-    rep = representation_check(rich_problem(), samples=300, seed=4)
+    rich = rich_problem()
+    rep = representation_check(rich, reduce_problem(rich), samples=300, seed=4)
     assert rep.passed
 
 
@@ -163,11 +164,11 @@ def test_block_draws_keep_every_report(source, monkeypatch):
 @pytest.mark.parametrize("samples", [0, -3])
 def test_representation_check_needs_a_draw(reference, samples):
     with pytest.raises(ValueError, match="samples >= 1"):
-        representation_check(reference, samples=samples)
+        representation_check(reference, reduce_problem(reference), samples=samples)
 
 
 def test_representation_identity_degenerate(reference):
-    rep = representation_check(reference, samples=200, seed=2)
+    rep = representation_check(reference, reduce_problem(reference), samples=200, seed=2)
     assert rep.passed
     assert rep.max_abs_diff <= 1e-9
 
@@ -175,7 +176,7 @@ def test_representation_identity_degenerate(reference):
 def test_operator_g_examples(reference):
     lp = reduce_problem(reference)
     out = _g(lp, np.array([[2.0]]), np.zeros(1), 0.0, [0.5])
-    f = lp.coefficients([0.5]).f[0, 0, 0]
+    f = lp.coefficients(np.array([[0.5]])).f[0, 0, 0]
     assert out == pytest.approx(-2.0 - f)
     p = reference_problem(c="1", f="0")
     lp2 = reduce_problem(p)
@@ -206,7 +207,7 @@ def test_subadditivity(rich):
         r1, r2 = (float(rng.uniform(-1, 1)) for _ in range(2))
         x = [rng.uniform(0, 1)]
         lhs = _g(lp, X1, p1, r1, x) - _g(lp, X2, p2, r2, x)
-        co = lp.coefficients(x)
+        co = lp.coefficients(np.array([x]))
         homogeneous = replace(co, f=np.zeros_like(co.f))
         rhs = max(
             float(operator_infsup(homogeneous.pair(il, im), X1 - X2, p1 - p2, r1 - r2)[0][0])
