@@ -5,7 +5,7 @@ For gamma0 = 0 the barriers are explicit:
     psi_bar(x,y)  =  rho(x) + beta0(x) y + alpha*Lambda*chi(x) (y - eps h(x))^2
     psi_low(x,y)  = -rho(x) + beta0(x) y - alpha*Lambda*chi(x) (y - eps h(x))^2
 
-with chi = exp(alpha * s~), rho = C_D + C_alpha - chi, s~ the certificate
+with chi = exp(alpha * s~), rho = C_D + (C_alpha - chi), s~ the certificate
 potential shifted to min 0 and rescaled so (Ds~,0) A (Ds~,0)^T >= 1 on a
 slab of half-height r, and g- < h < g+.  The parameter search follows the
 fixed order Lambda (top/bottom oblique margins), then alpha (interior
@@ -246,7 +246,8 @@ def _barrier_arrays(params: BarrierParams, eps: float, sign: float, y: np.ndarra
     alpha = params.alpha
     al = alpha * params.lam
     chi = np.exp(alpha * (params.kappa * (s_val - params.s_shift)))
-    rho = params.c_d + params.c_alpha - chi
+    # C_alpha - chi first: C_alpha can exceed C_D * 2^53, and C_D + C_alpha would round C_D away
+    rho = params.c_d + (params.c_alpha - chi)
     yh = y - eps * hv
     val = sign * rho + b0 * y + sign * al * chi * yh**2
     if not derivatives:

@@ -12,21 +12,23 @@ lateral/Dirichlet rows are identities.
 
 Assembly reads all interior coefficients from one
 :class:`thinpde.problem.Coefficients` bundle and builds the rows as arrays,
-one stencil offset at a time, into one stacked operator: row k * size + i
-is node i under control pair k.  Monotonicity is what makes the scheme
-converge (Barles & Souganidis, Asymptotic Anal. 4, 1991), so the sign check
-stays exact; it names the first control pair, then the lowest flat index.
+one stencil offset at a time, straight into the CSR arrays of one stacked
+operator (no COO triples, no conversion or sort): row k * size + i is node
+i under control pair k.  Monotonicity is what makes the scheme converge
+(Barles & Souganidis, Asymptotic Anal. 4, 1991), so the sign check stays
+exact; it names the first control pair, then the lowest flat index.
 
 Howard iteration alternates a per-node argmin-over-L of the max-over-M row
 values with a direct sparse solve for the frozen policy; ties break toward
 the lowest label index, making runs reproducible.  The residuals of every
 pair are one matvec on the stacked operator, and a frozen-policy system is
-one row gather from it.  Its rows are M-matrix rows with c >= 0, hence row
-diagonally dominant, so LU without pivoting is stable with growth factor at
-most 2 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-Thm 9.9); SuperLU factors it on the diagonal, in the minimum-degree order
-of A^T + A applied to rows and columns alike, column by column (SuperLU
-panel width 1).
+one row gather from it; with one control pair the stack is the frozen
+system, factored with no gather copy.  Its rows are M-matrix rows with
+c >= 0, hence row diagonally dominant, so LU without pivoting is stable
+with growth factor at most 2 (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., Thm 9.9); SuperLU factors it on the diagonal, in the
+minimum-degree order of A^T + A applied to rows and columns alike, column
+by column (SuperLU panel width 1).
 
 Only this module uses scipy, and it loads ``scipy.sparse`` and
 ``scipy.sparse.linalg`` on the first assembly or factorization, not at
@@ -207,9 +209,9 @@ class DiscreteSystem:
 
 
 # A block of rows is a list of slots [offset, values, present]: column
-# flat + offset holds ``values`` in the rows where ``present`` holds.  Slots
-# come in the order a row-by-row build first touches their columns, and each
-# value is summed in that build's order, so the matrix matches it bit for bit.
+# flat + offset holds ``values`` in the rows where ``present`` holds.  Each
+# value is summed in the order a row-by-row build sums it, so the matrix
+# matches that build bit for bit.
 
 
 def _interior_slots(coeffs: Coefficients, h, strides) -> list:
@@ -284,9 +286,32 @@ def _first_violation(rows: np.ndarray, slots: list, checks=()):
     return rows[r], next(detail(r) for mask, detail in checks if mask[r])
 
 
-def _entries(rows: np.ndarray, slots: list) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """COO (row, column, value) arrays of a block of rows, one triple per slot."""
-    return [(rows[present], rows[present] + off, vals[present]) for off, vals, present in slots]
+def _csr(blocks: list, n_rows: int, n_cols: int) -> sp.csr_matrix:
+    """The CSR matrix of ``blocks``, each (first row, rows, slots): row first + r holds the slots of r.
+
+    Every row lies in exactly one block.  Each row's entries are written in
+    slot offset order, which is column order, so the matrix is canonical
+    with no sort or conversion pass.
+    """
+    counts = np.zeros(n_rows, dtype=np.int32)
+    for first, rows, slots in blocks:
+        counts[first + rows] = np.count_nonzero([present for _, _, present in slots], axis=0)
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1])
+    for first, rows, slots in blocks:
+        cursor = indptr[first + rows]
+        for off, vals, present in sorted(slots, key=lambda slot: slot[0]):
+            if present.all():
+                indices[cursor] = rows + off
+                data[cursor] = vals
+            else:
+                at = cursor[present]
+                indices[at] = rows[present] + off
+                data[at] = vals[present]
+            cursor += present
+    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
 
 
 def _assemble(grid: Grid, controls: ControlSet, coeffs: Coefficients, oblique=None, dirichlet=None) -> DiscreteSystem:
@@ -312,7 +337,7 @@ def _assemble(grid: Grid, controls: ControlSet, coeffs: Coefficients, oblique=No
     dirichlet_values = np.zeros(size)
     if dirichlet is not None:
         dirichlet_values[dirichlet_rows] = dirichlet(nodes[dirichlet_rows])
-    fixed = [(dirichlet_rows, dirichlet_rows, np.ones(len(dirichlet_rows)))]
+    fixed = [(dirichlet_rows, [[0, np.ones(len(dirichlet_rows)), np.ones(len(dirichlet_rows), dtype=bool)]])]
 
     # oblique rows do not depend on the control
     oblique_rows = np.flatnonzero((cls == TOP) | (cls == BOTTOM))
@@ -329,12 +354,12 @@ def _assemble(grid: Grid, controls: ControlSet, coeffs: Coefficients, oblique=No
         (~top & (gy >= 0.0), lambda r: "bottom oblique field points inward"),
     ]
     oblique_fault = _first_violation(oblique_rows, slots, inward)
-    fixed += _entries(oblique_rows, slots)
+    fixed.append((oblique_rows, slots))
 
     interior_rows = np.flatnonzero(cls == INTERIOR)
     n_max = len(controls.max_labels)
     rhs = np.tile(fixed_rhs, len(controls.min_labels) * n_max)
-    entries = []
+    blocks = []
     for k, (lam, mu) in enumerate(controls.pairs()):
         pair = coeffs.pair(k // n_max, k % n_max)
         slots = _interior_slots(pair, h, strides)
@@ -345,14 +370,12 @@ def _assemble(grid: Grid, controls: ControlSet, coeffs: Coefficients, oblique=No
         if faults:
             flat, detail = min(faults, key=lambda f: f[0])
             raise NonMonotoneStencilError(tuple(nodes[flat]), (lam, mu), detail)
-        entries += [(k * size + r, col, v) for r, col, v in fixed + _entries(interior_rows, slots)]
+        blocks += [(k * size, rows, block) for rows, block in fixed + [(interior_rows, slots)]]
         rhs[k * size + interior_rows] = pair.f[:, 0, 0]
-    rows, cols, vals = (np.concatenate(parts) for parts in zip(*entries))
-    del entries  # free the slot arrays before the sparse conversion allocates its own
     return DiscreteSystem(
         grid=grid,
         controls=controls,
-        matrix=sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(len(rhs), size))),
+        matrix=_csr(blocks, len(rhs), size),
         rhs=rhs,
         dirichlet_mask=dirichlet_mask,
         dirichlet_values=dirichlet_values,
@@ -442,9 +465,12 @@ def _factor(mat: sp.csc_matrix) -> spla.SuperLU:
 def _solve_frozen(sys: DiscreteSystem, lam_idx: np.ndarray, mu_idx: np.ndarray) -> np.ndarray:
     """Solve the frozen-policy system: row i is node i's row under pair (lam_idx[i], mu_idx[i])."""
     _load_scipy()
-    rows = _active_rows(sys, lam_idx, mu_idx)
-    mat = sp.csc_matrix(sys.matrix[rows])
-    rhs = sys.rhs[rows]
+    if len(sys.rhs) == sys.grid.size:  # one control pair: the stack is the frozen system
+        mat, rhs = sys.matrix, sys.rhs
+    else:
+        rows = _active_rows(sys, lam_idx, mu_idx)
+        mat, rhs = sys.matrix[rows], sys.rhs[rows]
+    mat = sp.csc_matrix(mat)
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:

@@ -7,6 +7,7 @@ and right-hand side to the bit, and the same first witness of a
 non-monotone row.
 """
 
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import scipy.sparse as sp
 
 from thinpde.config import load_problem
 from thinpde.presets import _entry, reference_problem, rich_problem
+from thinpde.problem import CoefficientFamily, ControlSet
 from thinpde.reduction import reduce_problem
 from thinpde.solver import (
     BOTTOM,
@@ -25,6 +27,7 @@ from thinpde.solver import (
     NonMonotoneStencilError,
     _assemble,
     _positive_offdiagonal,
+    _solve_frozen,
     discretize_eps,
     discretize_limit,
     make_eps_grid,
@@ -240,6 +243,53 @@ def test_cross_term_assembly_matches_per_node(a12):
     p = _cross_problem(a12, epsilon0=1.0)
     grid = make_eps_grid(p, 1.0, nx=8, ny=16)
     _assert_same_system(discretize_eps(p, grid), _strip_by_nodes(p, grid))
+
+
+def test_game_strip_assembly_matches_per_node():
+    # 2x2 controls; A12 and the drift change sign across x1 and vanish at x1 = 1/2, so rows hold 5 or
+    # 7 entries and both corner splittings occur within one pair
+    p = reference_problem(epsilon0=1.0)
+    entries = {
+        ("a", "1"): _entry(1, [["1", "0.9*(2*x1 - 1)"], ["0", "1"]], ["0.5 - x1", "-0.2"], "0", "1"),
+        ("a", "2"): _entry(1, [["1", "0.9*(1 - 2*x1)"], ["0", "1"]], ["x1 - 0.5", "y"], "0.5", "x1"),
+        ("b", "1"): _entry(1, [["1", "0"], ["0", "1"]], ["-0.5", "0.2"], "0", "y"),
+        ("b", "2"): _entry(1, [["1", "0.45*(2*x1 - 1)"], ["0", "1"]], ["sin(2*pi*x1)", "0"], "1", "0"),
+    }
+    p = replace(p, controls=ControlSet(("a", "b"), ("1", "2")), coeffs=CoefficientFamily(entries=entries, bound=50.0))
+    grid = make_eps_grid(p, 1.0, nx=8, ny=16)
+    got = discretize_eps(p, grid)
+    counts = np.diff(got.matrix.indptr)[: grid.size][grid.classification == INTERIOR]
+    assert set(counts) == {5, 7}
+    _assert_same_system(got, _strip_by_nodes(p, grid))
+
+
+def test_one_pair_solve_matches_the_gathered_solve():
+    # the same system stacked twice is solved through the row gather of its second copy
+    p = load_problem(CONFIGS / "reference.cfg")
+    one = discretize_eps(p, make_eps_grid(p, 0.1, 32, 8))
+    two = replace(
+        one,
+        controls=ControlSet(("1", "2"), ("1",)),
+        matrix=sp.csr_matrix(sp.vstack([one.matrix, one.matrix])),
+        rhs=np.tile(one.rhs, 2),
+    )
+    pair0, pair1 = np.zeros(one.grid.size, dtype=int), np.ones(one.grid.size, dtype=int)
+    assert _solve_frozen(one, pair0, pair0).tobytes() == _solve_frozen(two, pair1, pair0).tobytes()
+
+
+def test_strip_assembly_memory_peak():
+    # the CSR of the 256x64 reference strip takes 1.0 MiB: the bound leaves room for the coefficients and
+    # the slots, not for a COO copy of the matrix
+    p = load_problem(CONFIGS / "reference.cfg")
+    grid = make_eps_grid(p, 0.05, 256, 64)
+    discretize_eps(p, grid)  # loads scipy outside the traced call
+    tracemalloc.start()
+    try:
+        discretize_eps(p, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 2**20, peak
 
 
 def test_rich_limit_assembly_matches_per_node():

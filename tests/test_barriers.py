@@ -53,6 +53,18 @@ def test_barrier_pair_point_values(reference):
     assert (up - lo > 0.0).all()
 
 
+def test_rho_keeps_cd_beside_a_huge_c_alpha():
+    # C_alpha = exp(98.5) ~ 6e42 exceeds C_D * 2^53, so C_D + C_alpha - chi would round C_D away, to 0 where
+    # chi = C_alpha
+    params = bar.BarrierParams(alpha=64.0, lam=1.0, c_d=2.0**41, eps1=0.1, r=0.5, s_sup=1.5390625)
+    s_val = np.array([params.s_sup])
+    assert np.exp(params.alpha * s_val)[0] == params.c_alpha  # chi = C_alpha at this node
+    zero = (np.zeros(1), None, None)
+    # at y = eps h = 0 psi_bar is rho
+    val = bar._barrier_arrays(params, 0.1, 1.0, np.zeros(1), [(s_val, None, None), zero, zero], derivatives=False)
+    assert val[0] == params.c_d
+
+
 def test_search_reference(ref_params):
     view, params = ref_params
     assert params.alpha > 1 and params.lam > 1 and params.c_d > 0

@@ -868,3 +868,13 @@ def test_generated_configs_end_in_an_exit_code_not_a_traceback(seed):
     code, stage, err = run_drawn_pipeline(config_text(np.random.default_rng(seed)))
     assert code in range(6), (code, stage, err)
     assert "Traceback" not in err
+
+
+def test_drawn_configs_with_a_huge_c_alpha_pass_the_barrier_search():
+    # seed-0 draws 49 and 144 search alpha 64 and 16, so C_alpha (6.1e42, 5.8e33) exceeds C_D * 2^53:
+    # unless rho adds C_D last, C_D is rounded away and the C_D stage exhausts its budget
+    rng = np.random.default_rng(0)
+    texts = [config_text(rng) for _ in range(145)]
+    for draw in (49, 144):
+        code, stage, err = run_drawn_pipeline(texts[draw])
+        assert stage in ("solve", "converge", "done"), (draw, code, stage, err)
