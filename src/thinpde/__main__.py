@@ -2,7 +2,5 @@
 
 from .cli import main
 
-__all__ = []
-
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -48,21 +48,6 @@ from .distortion import DistortionMap, HatBoundary, HatOperator, build_map, matr
 from .expressions import Bin, Const, Expr, ScalarField
 from .problem import Coefficients, ThinProblem, box_lattice, operator_infsup, quadratic_form, row_dot, strip_lattice, strip_points
 
-__all__ = [
-    "SearchExhaustedError",
-    "BarrierParams",
-    "BarrierMargins",
-    "BarrierPair",
-    "StripView",
-    "needs_distortion",
-    "flat_view",
-    "hat_view",
-    "verify_barrier",
-    "search_parameters",
-    "search_barriers",
-    "SEARCH_CAP",
-]
-
 SEARCH_CAP = 2.0**40
 # (nx, ny) lattices of the parameter search and of its final verification
 _SEARCH_GRID = (16, 6)

@@ -34,8 +34,6 @@ from .harness import EXIT_BARRIER, EXIT_FAILURE, EXIT_OK, ConvergenceRow
 from .problem import EpsOutOfRangeError, box_lattice, strip_lattice
 from .reduction import estimate_limit_bounds, reduce_problem
 
-__all__ = ["main"]
-
 
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, help="problem config file")

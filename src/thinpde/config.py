@@ -30,8 +30,6 @@ from .problem import (
     ThinProblem,
 )
 
-__all__ = ["load_problem", "load_experiment_settings", "ConfigError", "ExperimentPlan"]
-
 
 class ConfigError(ValueError):
     pass

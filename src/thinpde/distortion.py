@@ -45,21 +45,6 @@ from .problem import (
     worst_node,
 )
 
-__all__ = [
-    "NoConvergenceError",
-    "SingularJacobianError",
-    "DISTORTION_ERRORS",
-    "DistortionMap",
-    "build_map",
-    "top_profile",
-    "matrix_r",
-    "HatOperator",
-    "HatBoundary",
-    "ExactnessReport",
-    "transplant_ellipticity",
-    "TransplantReport",
-]
-
 _R_FLOOR = 2.0**-40
 # the contraction for Q stops at an update of this size, or fails after this many iterations
 _FIXED_POINT_TOL = 1e-12

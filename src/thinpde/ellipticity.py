@@ -23,19 +23,6 @@ import numpy as np
 from .expressions import ScalarField, base_vars, parse
 from .problem import ThinProblem, quadratic_form, row_dot, row_matmul, strip_points, worst_node
 
-__all__ = [
-    "CertificateReport",
-    "EquivalenceReport",
-    "ObstructionReport",
-    "interior_certificate",
-    "boundary_certificate",
-    "equivalence_check",
-    "rotating_field",
-    "smooth_cutoff",
-    "circle_obstruction_demo",
-    "CERTIFICATE_THRESHOLD",
-]
-
 CERTIFICATE_THRESHOLD = 1e-8
 # |v sigma^T|^2 = v A v^T holds exactly, so a discrepancy above roundoff is a defect
 _EQUIVALENCE_TOL = 1e-10

@@ -35,17 +35,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Expr",
-    "ExprError",
-    "ExprSyntaxError",
-    "UnknownIdentifierError",
-    "EvalDomainError",
-    "parse",
-    "ScalarField",
-    "VectorField",
-]
-
 _FUNCTIONS = {
     "sin": (1, np.sin),
     "cos": (1, np.cos),

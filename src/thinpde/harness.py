@@ -45,21 +45,6 @@ from .ellipticity import boundary_certificate, equivalence_check, interior_certi
 from .problem import ThinProblem, validate
 from .reduction import reduce_problem, representation_check
 
-__all__ = [
-    "ConvergenceRow",
-    "ConvergenceTable",
-    "convergence_experiment",
-    "Stage",
-    "failure",
-    "validate_stage",
-    "certify_stage",
-    "reduce_stage",
-    "transform_stage",
-    "barrier_stage",
-    "converge_stage",
-    "run_pipeline",
-]
-
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_VALIDATION = 2

@@ -12,13 +12,6 @@ from .problem import (
     ThinProblem,
 )
 
-__all__ = [
-    "reference_problem",
-    "slice_exact_problem",
-    "rich_problem",
-    "transform_demo_problem",
-]
-
 
 _scalar = ScalarField  # every preset field is an expression string over its variables
 

@@ -27,30 +27,6 @@ import numpy as np
 
 from .expressions import ExprError, ScalarField, VectorField
 
-__all__ = [
-    "ControlSet",
-    "Coefficients",
-    "CoefficientEntry",
-    "CoefficientFamily",
-    "GeometrySpec",
-    "BoundaryData",
-    "ThinProblem",
-    "inf_sup",
-    "operator_infsup",
-    "strip_points",
-    "box_lattice",
-    "strip_lattice",
-    "row_dot",
-    "row_matmul",
-    "quadratic_form",
-    "worst_node",
-    "Diagnostic",
-    "DiagnosticsReport",
-    "validate",
-    "PSD_TOLERANCE",
-    "EpsOutOfRangeError",
-]
-
 PSD_TOLERANCE = 1e-10
 
 

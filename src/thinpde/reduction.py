@@ -37,17 +37,6 @@ import numpy as np
 
 from .problem import Coefficients, ThinProblem, operator_infsup, row_dot, row_matmul, strip_points, worst_node
 
-__all__ = [
-    "DegenerateThicknessError",
-    "LimitProblem",
-    "reduce_problem",
-    "representation_check",
-    "bordered_matrices",
-    "RepresentationReport",
-    "LimitBoundsReport",
-    "estimate_limit_bounds",
-]
-
 
 class DegenerateThicknessError(ArithmeticError):
     """g+ - g- fell below 1e-12 at an evaluation point."""

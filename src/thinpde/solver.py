@@ -50,29 +50,6 @@ from .config import ExperimentPlan, _in_range
 from .problem import Coefficients, ControlSet, ThinProblem, _lattice_nodes, inf_sup, quadratic_form
 from .reduction import LimitProblem
 
-__all__ = [
-    "NonMonotoneStencilError",
-    "MaxIterExceededError",
-    "SingularSystemError",
-    "SOLVER_ERRORS",
-    "Grid",
-    "DiscreteSystem",
-    "GridField",
-    "make_eps_grid",
-    "make_limit_grid",
-    "discretize_eps",
-    "discretize_limit",
-    "policy_iteration",
-    "solve_eps",
-    "solve_limit",
-    "perturbation_certificate",
-    "PerturbationReport",
-    "INTERIOR",
-    "TOP",
-    "BOTTOM",
-    "DIRICHLET",
-]
-
 INTERIOR, TOP, BOTTOM, DIRICHLET = 0, 1, 2, 3
 
 _OFFDIAG_TOL = 1e-12
@@ -148,9 +125,6 @@ class Grid:
     @property
     def spacing(self) -> tuple[float, ...]:
         return tuple(float(a[1] - a[0]) for a in self.axes)
-
-    def flat(self, idx) -> int:
-        return int(np.ravel_multi_index(idx, self.shape))
 
     def nodes(self) -> np.ndarray:
         return _lattice_nodes(self.axes)
@@ -240,6 +214,8 @@ def _interior_slots(coeffs: Coefficients, h, strides) -> list:
         for ax2, s2 in list(enumerate(strides))[ax1 + 1 :]:
             a12 = a[:, ax1, ax2]
             cross = a12 != 0.0
+            if not cross.any():  # no cross term on this axis pair: no corner slots
+                continue
             w = np.abs(a12) / (h[ax1] * h[ax2])
             diag = np.where(cross, diag - 2.0 * w, diag)
             for off in (s1, s2, -s1, -s2):

@@ -26,6 +26,7 @@ from thinpde.solver import (
     TOP,
     NonMonotoneStencilError,
     _assemble,
+    _interior_slots,
     _positive_offdiagonal,
     _solve_frozen,
     discretize_eps,
@@ -261,6 +262,14 @@ def test_game_strip_assembly_matches_per_node():
     counts = np.diff(got.matrix.indptr)[: grid.size][grid.classification == INTERIOR]
     assert set(counts) == {5, 7}
     _assert_same_system(got, _strip_by_nodes(p, grid))
+
+
+def test_a_strip_with_no_cross_term_builds_no_corner_slots():
+    # A12 = 0 at every node of the reference strip: the diagonal and four neighbours, not the four corners
+    p = load_problem(CONFIGS / "reference.cfg")
+    grid = make_eps_grid(p, 0.1, 16, 8)
+    coeffs = p.coefficients(grid.nodes()[grid.classification == INTERIOR]).pair(0, 0)
+    assert len(_interior_slots(coeffs, grid.spacing, [grid.shape[1], 1])) == 5
 
 
 def test_one_pair_solve_matches_the_gathered_solve():

@@ -1,4 +1,4 @@
-"""Every name a module exports through ``__all__`` must resolve, and be run by the program;
+"""A module's public names are those without a leading underscore, and the program runs each one;
 importing a module loads only the modules it runs."""
 
 import ast
@@ -36,13 +36,12 @@ def test_the_solver_loads_only_what_it_runs():
 
 
 @pytest.mark.parametrize("module", MODULES)
-def test_module_all_resolves(module):
-    mod = importlib.import_module(f"thinpde.{module}")
-    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
-    assert not missing
+def test_no_module_declares_all(module):
+    # the leading underscore alone marks a name private, so there is no second list to keep in step
+    assert not hasattr(importlib.import_module(f"thinpde.{module}"), "__all__")
 
 
-# names exported before the program runs them, each with the ROADMAP item it waits on
+# public names defined before the program runs them, each with the ROADMAP item it waits on
 NOT_YET_RUN = {
     "perturbation_certificate": "ROADMAP item 11 reports it after every solve",
     "PerturbationReport": "ROADMAP item 11 reports it after every solve",
@@ -67,33 +66,39 @@ def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return found
 
 
-def _exports(tree: ast.Module) -> list[str]:
+def _definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Each name the module's own statements bind, with the statement: functions, classes and every
+    assignment target (``a, b = ...``, ``a = b = ...``), but no import."""
+    found = {}
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            return [elt.value for elt in node.value.elts]
-    return []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                found.update((name.id, node) for name in ast.walk(target) if isinstance(name, ast.Name))
+    return found
 
 
-def _definition(tree: ast.Module, name: str) -> ast.AST | None:
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
-            return node
-    return None
+def _dispatched(cli: ast.Module) -> set[str]:
+    """``cmd_<name>`` for each subcommand ``cli._parser`` registers: ``cli.main`` looks these up by name."""
+    calls = [c for c in ast.walk(_definitions(cli)["_parser"]) if isinstance(c, ast.Call)]
+    return {f"cmd_{c.args[0].value}" for c in calls if getattr(c.func, "attr", None) == "add_parser"}
 
 
 def test_every_export_is_run_by_the_program():
-    # an exported name that only the tests call belongs in the tests
+    # a public name that only the tests use belongs in the tests
     package = sorted((ROOT / "src" / "thinpde").glob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in package + sorted((ROOT / "bench").glob("*.py"))}
     refs = {path: _references(tree) for path, tree in trees.items()}
+    run = set(NOT_YET_RUN) | _dispatched(trees[ROOT / "src" / "thinpde" / "cli.py"])
     unused = []
     for path in package:
         if path.stem in MODULES_NOT_SCANNED:
             continue
         tree = trees[path]
-        for name in _exports(tree):
-            if name in NOT_YET_RUN or any(name in r for p, r in refs.items() if p != path):
+        for name, node in _definitions(tree).items():
+            if name.startswith("_") or name in run or any(name in r for p, r in refs.items() if p != path):
                 continue
-            if name not in _references(tree, skip=_definition(tree, name)):
+            if name not in _references(tree, skip=node):
                 unused.append(f"{path.stem}.{name}")
-    assert not unused, f"exported but not run by src/ or bench/: {unused}"
+    assert not unused, f"public but not run by src/ or bench/: {unused}"

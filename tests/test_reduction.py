@@ -16,6 +16,7 @@ from thinpde.reduction import (
     reduce_problem,
     representation_check,
 )
+from thinpde.solver import solve_limit
 
 
 def _aux(problem, x):
@@ -228,3 +229,11 @@ def test_dirichlet_trace(rich):
     lp = reduce_problem(rich)
     assert lp.dirichlet_trace([0.0]) == pytest.approx(0.0)
     assert lp.dirichlet_trace([1.0]) == pytest.approx(1.0)  # beta = x1 at y = 0
+
+
+def test_dirichlet_trace_is_beta_at_y_zero():
+    # beta depends on y, so a trace taken anywhere but y = 0 misses these literals
+    lp = reduce_problem(reference_problem(beta="x1 + 2*y"))
+    assert lp.dirichlet_trace(np.array([[0.0], [0.5], [1.0]])).tolist() == [0.0, 0.5, 1.0]
+    u = solve_limit(lp).flat()
+    assert (u[0], u[-1]) == (0.0, 1.0)

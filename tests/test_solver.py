@@ -141,11 +141,11 @@ def test_oblique_row_structure(reference):
     hy = grid.spacing[1]
     mat = sysm.matrix  # one control pair, so the stack is its matrix
     i, j = 2, grid.shape[1] - 1  # a top node
-    flat = grid.flat((i, j))
+    flat = np.ravel_multi_index((i, j), grid.shape)
     row = mat.getrow(flat)
     cols = dict(zip(row.indices.tolist(), row.data.tolist()))
     assert cols[flat] == pytest.approx(1.0 / hy)
-    assert cols[grid.flat((i, j - 1))] == pytest.approx(-1.0 / hy)
+    assert cols[np.ravel_multi_index((i, j - 1), grid.shape)] == pytest.approx(-1.0 / hy)
     assert len(cols) == 2  # gamma+ = (0, 1): pure one-sided vertical difference
     assert sysm.rhs[flat] == pytest.approx(reference.bdata.oblique(1.0, [grid.axes[0][i]], grid.axes[1][j])[1])
 
