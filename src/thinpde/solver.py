@@ -12,23 +12,25 @@ lateral/Dirichlet rows are identities.
 
 Assembly reads all interior coefficients from one
 :class:`thinpde.problem.Coefficients` bundle and builds the rows as arrays,
-one stencil offset at a time, straight into the CSR arrays of one stacked
-operator (no COO triples, no conversion or sort): row k * size + i is node
-i under control pair k.  Monotonicity is what makes the scheme converge
-(Barles & Souganidis, Asymptotic Anal. 4, 1991), so the sign check stays
-exact; it names the first control pair, then the lowest flat index.
+one stencil offset at a time, straight into the compressed-column (CSC)
+arrays of one stacked operator, the layout SuperLU factors (no COO triples,
+no conversion or sort): row k * size + i is node i under control pair k.
+Monotonicity is what makes the scheme converge (Barles & Souganidis,
+Asymptotic Anal. 4, 1991), so the sign check stays exact; it names the
+first control pair, then the lowest flat index.
 
 Howard iteration alternates a per-node argmin-over-L of the max-over-M row
 values with a direct sparse solve for the frozen policy; ties break toward
 the lowest label index, making runs reproducible.  The residuals of every
 pair are one matvec on the stacked operator, and a frozen-policy system is
 one row gather from it; with one control pair the stack is the frozen
-system, factored with no gather copy.  Its rows are M-matrix rows with
-c >= 0, hence row diagonally dominant, so LU without pivoting is stable
-with growth factor at most 2 (Higham, Accuracy and Stability of Numerical
-Algorithms, 2nd ed., Thm 9.9); SuperLU factors it on the diagonal, in the
-minimum-degree order of A^T + A applied to rows and columns alike, column
-by column (SuperLU panel width 1).
+system, factored with no gather copy.  SuperLU factors these CSC arrays
+with no conversion (splu only sorts a gather's row indices).  Its rows are
+M-matrix rows with c >= 0, hence row diagonally dominant, so LU without
+pivoting is stable with growth factor at most 2 (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., Thm 9.9); SuperLU factors it on
+the diagonal, in the minimum-degree order of A^T + A applied to rows and
+columns alike, column by column (SuperLU panel width 1).
 
 Only this module uses scipy, and it loads ``scipy.sparse`` and
 ``scipy.sparse.linalg`` on the first assembly or factorization, not at
@@ -176,7 +178,7 @@ class DiscreteSystem:
 
     grid: Grid
     controls: ControlSet
-    matrix: sp.csr_matrix  # (nL * nM * size, size)
+    matrix: sp.csc_matrix  # (nL * nM * size, size), canonical: the layout SuperLU factors
     rhs: np.ndarray  # (nL * nM * size,)
     dirichlet_mask: np.ndarray
     dirichlet_values: np.ndarray
@@ -262,36 +264,40 @@ def _first_violation(rows: np.ndarray, slots: list, checks=()):
     return rows[r], next(detail(r) for mask, detail in checks if mask[r])
 
 
-def _csr(blocks: list, n_rows: int, n_cols: int) -> sp.csr_matrix:
-    """The CSR matrix of ``blocks``, each (first row, rows, slots): row first + r holds the slots of r.
+def _csc(blocks: list, n_rows: int, n_cols: int) -> sp.csc_matrix:
+    """The CSC matrix of ``blocks``, each (first row, rows, slots): row first + r holds the slots of r.
 
-    Every row lies in exactly one block.  Each row's entries are written in
-    slot offset order, which is column order, so the matrix is canonical
-    with no sort or conversion pass.
+    Every row lies in exactly one block, so the entries of a slot at offset
+    off lie in distinct columns r + off.  The slots are written in order of
+    their block's first row and, within one first row, from the highest
+    offset down, which fills each column in row order: the matrix is
+    canonical with no sort or conversion pass.
     """
-    counts = np.zeros(n_rows, dtype=np.int32)
-    for first, rows, slots in blocks:
-        counts[first + rows] = np.count_nonzero([present for _, _, present in slots], axis=0)
-    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    # each slot as (first row, offset, rows, values), without the rows where it is absent
+    entries = [
+        (first, off, rows, vals) if present.all() else (first, off, rows[present], vals[present])
+        for first, rows, slots in blocks
+        for off, vals, present in slots
+    ]
+    counts = np.zeros(n_cols, dtype=np.int32)
+    for _, off, rows, _ in entries:
+        counts[rows + off] += 1
+    indptr = np.zeros(n_cols + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty(indptr[-1])
-    for first, rows, slots in blocks:
-        cursor = indptr[first + rows]
-        for off, vals, present in sorted(slots, key=lambda slot: slot[0]):
-            if present.all():
-                indices[cursor] = rows + off
-                data[cursor] = vals
-            else:
-                at = cursor[present]
-                indices[at] = rows[present] + off
-                data[at] = vals[present]
-            cursor += present
-    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
+    cursor = indptr[:-1].copy()
+    for first, off, rows, vals in sorted(entries, key=lambda entry: (entry[0], -entry[1])):
+        cols = rows + off
+        at = cursor[cols]
+        indices[at] = first + rows
+        data[at] = vals
+        cursor[cols] = at + 1
+    return sp.csc_matrix((data, indices, indptr), shape=(n_rows, n_cols))
 
 
 def _assemble(grid: Grid, controls: ControlSet, coeffs: Coefficients, oblique=None, dirichlet=None) -> DiscreteSystem:
-    """Shared row assembler of the stacked operator.
+    """Shared row assembler of the stacked operator, a canonical CSC matrix.
 
     ``coeffs`` holds every control pair's coefficients at the interior nodes
     in flat order, with d = len(grid.axes); ``oblique(sign, x) -> (gamma,
@@ -351,7 +357,7 @@ def _assemble(grid: Grid, controls: ControlSet, coeffs: Coefficients, oblique=No
     return DiscreteSystem(
         grid=grid,
         controls=controls,
-        matrix=_csr(blocks, len(rhs), size),
+        matrix=_csc(blocks, len(rhs), size),
         rhs=rhs,
         dirichlet_mask=dirichlet_mask,
         dirichlet_values=dirichlet_values,
@@ -439,14 +445,18 @@ def _factor(mat: sp.csc_matrix) -> spla.SuperLU:
 
 
 def _solve_frozen(sys: DiscreteSystem, lam_idx: np.ndarray, mu_idx: np.ndarray) -> np.ndarray:
-    """Solve the frozen-policy system: row i is node i's row under pair (lam_idx[i], mu_idx[i])."""
+    """Solve the frozen-policy system: row i is node i's row under pair (lam_idx[i], mu_idx[i]).
+
+    The system goes to SuperLU in the stack's own CSC layout: with one pair
+    it is the stack as assembled, and otherwise one row gather from it,
+    whose row indices splu sorts in place.
+    """
     _load_scipy()
     if len(sys.rhs) == sys.grid.size:  # one control pair: the stack is the frozen system
         mat, rhs = sys.matrix, sys.rhs
     else:
         rows = _active_rows(sys, lam_idx, mu_idx)
         mat, rhs = sys.matrix[rows], sys.rhs[rows]
-    mat = sp.csc_matrix(mat)
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:

@@ -2,12 +2,13 @@
 
 The reference builds each row in a dict, node by node, exactly as the solver
 did before rows were built as arrays, one CSR matrix per control pair; each
-pair's block of rows of the stacked operator must give the same CSR arrays
-and right-hand side to the bit, and the same first witness of a
-non-monotone row.
+pair's block of rows of the stacked operator must give the CSC arrays of
+that matrix and its right-hand side to the bit, and the same first witness
+of a non-monotone row.
 """
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from thinpde.solver import (
     discretize_limit,
     make_eps_grid,
     make_limit_grid,
+    policy_iteration,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -208,7 +210,7 @@ def _assert_same_system(got, want):
     assert got.matrix.shape == (len(matrices) * size, size)
     for k, (mw, rw) in enumerate(zip(matrices, rhs)):
         block = slice(k * size, (k + 1) * size)
-        mg = got.matrix[block]
+        mg, mw = got.matrix[block], sp.csc_matrix(mw)
         for name in ("indptr", "indices", "data"):
             ag, aw = getattr(mg, name), getattr(mw, name)
             assert ag.dtype == aw.dtype and ag.tobytes() == aw.tobytes(), name
@@ -259,7 +261,7 @@ def test_game_strip_assembly_matches_per_node():
     p = replace(p, controls=ControlSet(("a", "b"), ("1", "2")), coeffs=CoefficientFamily(entries=entries, bound=50.0))
     grid = make_eps_grid(p, 1.0, nx=8, ny=16)
     got = discretize_eps(p, grid)
-    counts = np.diff(got.matrix.indptr)[: grid.size][grid.classification == INTERIOR]
+    counts = np.diff(got.matrix.tocsr().indptr)[: grid.size][grid.classification == INTERIOR]
     assert set(counts) == {5, 7}
     _assert_same_system(got, _strip_by_nodes(p, grid))
 
@@ -279,7 +281,7 @@ def test_one_pair_solve_matches_the_gathered_solve():
     two = replace(
         one,
         controls=ControlSet(("1", "2"), ("1",)),
-        matrix=sp.csr_matrix(sp.vstack([one.matrix, one.matrix])),
+        matrix=sp.csc_matrix(sp.vstack([one.matrix, one.matrix])),
         rhs=np.tile(one.rhs, 2),
     )
     pair0, pair1 = np.zeros(one.grid.size, dtype=int), np.ones(one.grid.size, dtype=int)
@@ -287,7 +289,7 @@ def test_one_pair_solve_matches_the_gathered_solve():
 
 
 def test_strip_assembly_memory_peak():
-    # the CSR of the 256x64 reference strip takes 1.0 MiB: the bound leaves room for the coefficients and
+    # the CSC of the 256x64 reference strip takes 1.0 MiB: the bound leaves room for the coefficients and
     # the slots, not for a COO copy of the matrix
     p = load_problem(CONFIGS / "reference.cfg")
     grid = make_eps_grid(p, 0.05, 256, 64)
@@ -299,6 +301,36 @@ def test_strip_assembly_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * 2**20, peak
+
+
+def test_strip_solve_memory_peak():
+    # the CSC of the 256x64 reference strip takes 1.0 MiB: the bound leaves room for the LU's work arrays, not
+    # for a second copy of the matrix before the factorization
+    p = load_problem(CONFIGS / "reference.cfg")
+    sysm = discretize_eps(p, make_eps_grid(p, 0.05, 256, 64))
+    policy_iteration(sysm)  # warm: the first solve's one-off allocations stay out of the traced call
+    tracemalloc.start()
+    try:
+        policy_iteration(sysm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * 2**20, peak
+
+
+@pytest.mark.parametrize("case", ["reference_strip", "rich_limit"])
+def test_the_stack_is_canonical_csc_and_solved_without_conversion(case):
+    if case == "reference_strip":
+        p = load_problem(CONFIGS / "reference.cfg")
+        sysm = discretize_eps(p, make_eps_grid(p, 0.1, 16, 8))
+    else:
+        lp = reduce_problem(rich_problem())
+        sysm = discretize_limit(lp, make_limit_grid(lp, 64))
+    assert sysm.matrix.format == "csc" and sysm.matrix.has_canonical_format
+    # splu warns (SparseEfficiencyWarning) whenever it converts its input to CSC
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        policy_iteration(sysm)
 
 
 def test_rich_limit_assembly_matches_per_node():

@@ -232,7 +232,7 @@ def test_singular_system():
     sysm = DiscreteSystem(
         grid=grid,
         controls=lp.controls,
-        matrix=sp.csr_matrix(mat),
+        matrix=sp.csc_matrix(mat),
         rhs=np.zeros(n),
         dirichlet_mask=np.zeros(n, dtype=bool),
         dirichlet_values=np.zeros(n),
