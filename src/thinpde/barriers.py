@@ -23,8 +23,9 @@ The barrier formulas and their first and second derivatives are written
 once, in ``_barrier_arrays``, over arrays of strip nodes.  There is one pair
 type, :class:`BarrierPair` (view, params, and a distortion map when the
 pair is pulled back), and one way to get it, :func:`search_barriers`.  It
-decides flat or distorted with :func:`needs_distortion` (the one test of
-gamma0) and searches the parameters once.  The pair takes eps
+searches the parameters once, on the distorted view of the map it is given
+or else on the flat view; its callers decide with :func:`needs_distortion`
+(the one test of gamma0).  The pair takes eps
 at each evaluation and evaluates both barriers at a batch of nodes from one
 field evaluation, at one set of preimages; eps below params.eps1 is
 certified, larger eps is evaluated all the same where the pair
@@ -44,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distortion import DistortionMap, HatBoundary, HatOperator, build_map, matrix_r, top_profile
+from .distortion import DistortionMap, hat_coefficients, hat_oblique, matrix_r, top_profile
 from .expressions import Bin, Const, Expr, ScalarField
 from .problem import Coefficients, ThinProblem, box_lattice, operator_infsup, quadratic_form, row_dot, strip_lattice, strip_points
 
@@ -200,8 +201,8 @@ def hat_view(problem: ThinProblem, dmap: DistortionMap) -> StripView:
         lower=dmap.omega_hat[0],
         upper=dmap.omega_hat[1],
         r_cap=dmap.r,
-        coefficients=HatOperator(problem, dmap).coefficients,
-        oblique=HatBoundary(problem, dmap).oblique,
+        coefficients=lambda z, y: hat_coefficients(problem, dmap, z, y),
+        oblique=lambda sign, z, y: hat_oblique(problem, dmap, sign, z, y),
         profile=lambda sign, z, eps: top_profile(dmap, geom.profile(sign), eps, z),
     )
 
@@ -538,19 +539,13 @@ def search_parameters(view: StripView) -> BarrierParams:
     raise SearchExhaustedError("parameter search iteration budget")
 
 
-def search_barriers(problem: ThinProblem, dmap: DistortionMap | None = None) -> BarrierPair:
+def search_barriers(problem: ThinProblem, dmap: DistortionMap | None) -> BarrierPair:
     """The barrier pair of the problem, searched flat or in distorted coordinates.
 
-    :func:`needs_distortion` decides.  When gamma0 vanishes the search runs
-    on the flat view.  Otherwise it runs on the distorted view of ``dmap``
-    (whose hatted gamma0 vanishes), built here when not given, and the pair
-    pulls back through the map, so the strictness inequalities transfer
-    verbatim.
+    Without a map the search runs on the flat view, which needs gamma0 = 0.
+    With ``dmap`` it runs on the distorted view (whose hatted gamma0
+    vanishes) and the pair pulls back through the map, so the strictness
+    inequalities transfer verbatim.
     """
-    if not needs_distortion(problem):
-        view = flat_view(problem)
-        return BarrierPair(view, search_parameters(view))
-    if dmap is None:
-        dmap = build_map(problem)
-    hat = hat_view(problem, dmap)
-    return BarrierPair(hat, search_parameters(hat), dmap)
+    view = flat_view(problem) if dmap is None else hat_view(problem, dmap)
+    return BarrierPair(view, search_parameters(view), dmap)

@@ -27,7 +27,7 @@ import numpy as np
 from . import barriers as bar
 from . import harness, solver as sol
 from .config import _SETTING_RANGES, ConfigError, ExperimentPlan, _int_at_least, _positive_float, load_experiment_settings, load_problem
-from .distortion import HatOperator, top_profile
+from .distortion import hat_coefficients, top_profile
 from .ellipticity import _forms, _interior_rows, circle_obstruction_demo
 from .expressions import EvalDomainError
 from .harness import EXIT_BARRIER, EXIT_FAILURE, EXIT_OK, ConvergenceRow
@@ -73,18 +73,21 @@ def _table(columns: dict) -> str:
     """The CSV of named columns, in order, under a header row of their names.
 
     Labels are written as they are, integers and bools as integers, and other numbers as ``repr(float)``;
-    a cell that holds a comma or a double quote is quoted as RFC 4180 says.
+    a cell that holds a comma or a double quote is quoted as RFC 4180 says.  Each number is formatted
+    only as the writer takes its row, so a large table holds no list of cell strings or of rows.
     """
     cells = []
     for column in map(np.asarray, columns.values()):
         if column.dtype.kind == "U":
             cells.append(column.tolist())
         elif column.dtype.kind in "biu":
-            cells.append([str(int(v)) for v in column.tolist()])
+            cells.append(map(int, column.tolist()))  # str(True) is "True", str(1) is "1"
         else:
-            cells.append([repr(v) for v in column.astype(float).tolist()])
+            cells.append(map(repr, column.astype(float).tolist()))
     text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows([list(columns), *zip(*cells, strict=True)])
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns.keys())
+    writer.writerows(zip(*cells, strict=True))
     return text.getvalue()
 
 
@@ -162,7 +165,7 @@ def cmd_transform(args) -> int:
     heights = {"plus": problem.geom.g_plus, "minus": problem.geom.g_minus}
     profiles = {f"g_eps_{side}": top_profile(dmap, g, eps, zs) for side, g in heights.items()}
     profiles |= {f"eps_g_{side}": eps * g.value(zs) for side, g in heights.items()}
-    co = HatOperator(problem, dmap).coefficients(zs, np.zeros(len(zs)))
+    co = hat_coefficients(problem, dmap, zs, np.zeros(len(zs)))
     report = [
         f"distortion map: r={dmap.r:g} sup|gamma|={dmap.gamma_sup:.6g} sup|Dgamma|={dmap.dgamma_sup:.6g}",
         f"profiles written for eps={eps:g} over {' x '.join(f'[{a:g}, {b:g}]' for a, b in zip(lo, hi))}",

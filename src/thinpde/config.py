@@ -201,6 +201,14 @@ def _read(path) -> _ConfigFile:
     return cp
 
 
+def _checked(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, whose ValueError (a broken invariant) becomes a ConfigError naming ``section``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 def load_problem(path: str | Path) -> ThinProblem:
     cp = _read(path)
     for sec in ("controls", "geometry", "boundary"):
@@ -209,7 +217,7 @@ def load_problem(path: str | Path) -> ThinProblem:
 
     min_labels = _value(cp, "controls", "L", _labels)
     max_labels = _value(cp, "controls", "M", _labels)
-    controls = ControlSet(min_labels, max_labels)
+    controls = _checked("controls", ControlSet, min_labels, max_labels)
 
     lower = _value(cp, "geometry", "lower", _floats)
     upper = _value(cp, "geometry", "upper", _floats)
@@ -230,8 +238,9 @@ def load_problem(path: str | Path) -> ThinProblem:
         comps = [scalar(f"{name}_{i + 1}", p, variables) for i, p in enumerate(parts)]
         return VectorField(comps)
 
-    geom = GeometrySpec(
-        n=n,
+    geom = _checked(
+        "geometry",
+        GeometrySpec,
         lower=lower,
         upper=upper,
         g_minus=scalar("g_minus", _value(cp, "geometry", "g_minus"), bvars),

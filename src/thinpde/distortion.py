@@ -19,10 +19,12 @@ where D^2 Q comes from differentiating z + y gamma(z) = x twice at the
 preimage z, with the exact first and second derivatives of gamma (it is
 zero when gamma is constant, since Q is then affine).
 
-The inverse, the Hessians of Q and the implicit profiles take base points
-(m, N) and heights (m,) only, and the contraction's tolerance and cap are
-module constants; a batched inverse gives each point the iterates it would
-get alone.
+The map, its inverse, R, the Hessians of Q, the implicit profiles and the
+hatted data take base points (m, N) and heights (m,) only, and the
+contraction's tolerance and cap are module constants; a batched inverse
+gives each point the iterates it would get alone.  The hatted operator and
+boundary data are functions of the problem and the map,
+:func:`hat_coefficients` and :func:`hat_oblique`.
 """
 
 from __future__ import annotations
@@ -90,10 +92,8 @@ class DistortionMap:
         return len(self.gamma)
 
     def forward(self, z, y) -> np.ndarray:
-        """P(z, y) at one point (z (N,), a float y) or at points z (m, N) with y (m,)."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        y = np.asarray(y, dtype=float)
-        return strip_points(z + y[..., None] * self.gamma.value(z), y)
+        """P(z, y) at points z (m, N) with y (m,)."""
+        return strip_points(z + y[:, None] * self.gamma.value(z), y)
 
     def inverse(self, x, y) -> np.ndarray:
         """z with z + y gamma(z) = x, via the contraction z <- x - y gamma(z).
@@ -176,23 +176,18 @@ def build_map(problem: ThinProblem) -> DistortionMap:
 
 
 def matrix_r(dmap: DistortionMap, z, y) -> np.ndarray:
-    """Block matrix [[(I + y Dgamma)^-1, -(I + y Dgamma)^-1 gamma^T], [0, 1]].
-
-    One point gives (N+1, N+1); z shaped (m, N) with y (m,) gives (m, N+1, N+1).
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    y = np.broadcast_to(np.asarray(y, dtype=float), z.shape[:-1])
+    """Block matrix [[(I + y Dgamma)^-1, -(I + y Dgamma)^-1 gamma^T], [0, 1]] at z (m, N), y (m,); shape (m, N+1, N+1)."""
     n = dmap.n
-    m = np.eye(n) + y[..., None, None] * dmap.gamma.jacobian(z)
+    m = np.eye(n) + y[:, None, None] * dmap.gamma.jacobian(z)
     singular = np.abs(np.linalg.det(m)) < 1e-14
     if singular.any():
-        i = np.unravel_index(np.flatnonzero(singular)[0], singular.shape)
+        i = np.flatnonzero(singular)[0]
         raise SingularJacobianError(f"I + y Dgamma numerically singular at z={tuple(z[i])}, y={y[i]}")
     minv = np.linalg.inv(m)
-    out = np.zeros(z.shape[:-1] + (n + 1, n + 1))
-    out[..., :n, :n] = minv
-    out[..., :n, n] = (-minv @ dmap.gamma.value(z)[..., None])[..., 0]
-    out[..., n, n] = 1.0
+    out = np.zeros((len(z), n + 1, n + 1))
+    out[:, :n, :n] = minv
+    out[:, :n, n] = (-minv @ dmap.gamma.value(z)[:, :, None])[:, :, 0]
+    out[:, n, n] = 1.0
     return out
 
 
@@ -243,65 +238,50 @@ def top_profile(dmap: DistortionMap, g: ScalarField, eps: float, z):
 # --- pushed-forward operator and boundary data -------------------------------
 
 
-@dataclass
-class HatOperator:
-    """Per-control coefficients of the operator in distorted coordinates.
+def hat_coefficients(problem: ThinProblem, dmap: DistortionMap, z, y) -> Coefficients:
+    """sigma^, A^, b^, c^, f^ of every control pair at distorted points z (m, N), y (m,).
 
     The drift is (b o P) R^T + d o P.  The R^T factor is required for the
     exact chain-rule identity F(D^2(w o Q), ...) = F^(D^2 w, ...); dropping
     it breaks the identity whenever gamma and b are both nonzero.
     """
-
-    problem: ThinProblem
-    dmap: DistortionMap
-
-    def coefficients(self, z, y) -> Coefficients:
-        """sigma^, A^, b^, c^, f^ of every control pair at distorted points z (m, N), y (m,)."""
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        y = np.broadcast_to(np.asarray(y, dtype=float).reshape(-1), (len(z),))
-        base = self.problem.coefficients(self.dmap.forward(z, y))
-        r = matrix_r(self.dmap, z, y)
-        r_t = np.swapaxes(r, -1, -2)[:, None, None]
-        sigma = base.sigma @ r_t
-        # the curvature drift d_i = tr(A D^2 Q_i)
-        curvature = (base.a[..., None, :, :] * self.dmap.d2q(z, y, r)[:, None, None]).sum(axis=(-2, -1))
-        drift = row_matmul(base.b, r_t) + curvature
-        return Coefficients(sigma, np.swapaxes(sigma, -1, -2) @ sigma, drift, base.c, base.f)
+    base = problem.coefficients(dmap.forward(z, y))
+    r = matrix_r(dmap, z, y)
+    r_t = np.swapaxes(r, -1, -2)[:, None, None]
+    sigma = base.sigma @ r_t
+    # the curvature drift d_i = tr(A D^2 Q_i)
+    curvature = (base.a[..., None, :, :] * dmap.d2q(z, y, r)[:, None, None]).sum(axis=(-2, -1))
+    drift = row_matmul(base.b, r_t) + curvature
+    return Coefficients(sigma, np.swapaxes(sigma, -1, -2) @ sigma, drift, base.c, base.f)
 
 
-@dataclass
-class HatBoundary:
-    problem: ThinProblem
-    dmap: DistortionMap
+def hat_oblique(problem: ThinProblem, dmap: DistortionMap, sign: float, z, y) -> tuple[np.ndarray, np.ndarray]:
+    """(gamma^, beta^) on the top (sign +1) or the bottom (sign -1) at distorted points z (m, N), y (m,).
 
-    def oblique(self, sign: float, z, y) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma^, beta^) on the top (sign +1) or the bottom (sign -1) at distorted points.
+    The original data of :meth:`BoundaryData.oblique` at P(z, y), with gamma^ = gamma R^T.
+    """
+    p = dmap.forward(z, y)
+    gamma, beta = problem.bdata.oblique(sign, p[:, :-1], p[:, -1])
+    return row_matmul(gamma, np.swapaxes(matrix_r(dmap, z, y), -1, -2)), beta
 
-        The original data of :meth:`BoundaryData.oblique` at P(z, y), with
-        gamma^ = gamma R^T; one point (z (N,), a float y) or many (z (m, N),
-        y (m,)).
-        """
-        p = self.dmap.forward(z, y)
-        gamma, beta = self.problem.bdata.oblique(sign, p[..., :-1], p[..., -1])
-        return row_matmul(gamma, np.swapaxes(matrix_r(self.dmap, z, y), -1, -2)), beta
 
-    def check_exactness(self) -> ExactnessReport:
-        """Worst deviation of the structural identities on a lattice, and the first node where it occurs.
+def check_exactness(problem: ThinProblem, dmap: DistortionMap) -> ExactnessReport:
+    """Worst deviation of the structural identities of :func:`hat_oblique` on a lattice, and the first node where it occurs.
 
-        The last component of gamma^ must equal +-1 exactly on the slab, and
-        the first N components must vanish at y = 0 (the +-gamma(z)
-        cancellation), on both sides over 9 base nodes per axis and 5 levels.
-        """
-        n = self.problem.n
-        pts = box_lattice(self.problem.geom.lower, self.problem.geom.upper, 8)
-        x_idx, y = strip_lattice(pts, -self.dmap.r, self.dmap.r, 4)
-        z = pts[x_idx]
-        deviation = np.zeros(len(y))
-        for sign in (1.0, -1.0):
-            gamma = self.oblique(sign, z, y)[0]
-            head = np.where(y == 0.0, np.abs(gamma[:, :n]).max(axis=1), 0.0)
-            deviation = np.maximum.reduce([deviation, np.abs(gamma[:, n] - sign), head])
-        return ExactnessReport(*worst_node(deviation, strip_points(z, y), True))
+    The last component of gamma^ must equal +-1 exactly on the slab, and
+    the first N components must vanish at y = 0 (the +-gamma(z)
+    cancellation), on both sides over 9 base nodes per axis and 5 levels.
+    """
+    n = problem.n
+    pts = box_lattice(problem.geom.lower, problem.geom.upper, 8)
+    x_idx, y = strip_lattice(pts, -dmap.r, dmap.r, 4)
+    z = pts[x_idx]
+    deviation = np.zeros(len(y))
+    for sign in (1.0, -1.0):
+        gamma = hat_oblique(problem, dmap, sign, z, y)[0]
+        head = np.where(y == 0.0, np.abs(gamma[:, :n]).max(axis=1), 0.0)
+        deviation = np.maximum.reduce([deviation, np.abs(gamma[:, n] - sign), head])
+    return ExactnessReport(*worst_node(deviation, strip_points(z, y), True))
 
 
 @dataclass
@@ -344,13 +324,12 @@ def transplant_ellipticity(problem: ThinProblem, dmap: DistortionMap) -> Transpl
     (Ds, -Ds gamma^T) A(z, 0) (Ds, -Ds gamma^T)^T, which is exactly the
     original interior certificate integrand.
     """
-    hat = HatOperator(problem, dmap)
     pts = box_lattice(*dmap.omega_hat, 16)
     y0 = np.zeros(len(pts))
     ds = problem.bdata.s_candidate.grad(pts)
     v_hat = strip_points(ds, y0)
     v_orig = strip_points(ds, -row_dot(ds, dmap.gamma.value(pts)))
-    lhs = quadratic_form(v_hat[:, None, None], hat.coefficients(pts, y0).a)
+    lhs = quadratic_form(v_hat[:, None, None], hat_coefficients(problem, dmap, pts, y0).a)
     rhs = quadratic_form(v_orig[:, None, None], problem.coefficients(strip_points(pts, y0)).a)
     worst_diff = float(np.abs(lhs - rhs).max(initial=0.0))
     margin, witness = worst_node(lhs, pts, False, problem.controls)

@@ -40,7 +40,7 @@ import numpy as np
 from . import barriers as bar
 from . import solver as sol
 from .config import ExperimentPlan
-from .distortion import DISTORTION_ERRORS, DistortionMap, HatBoundary, build_map, transplant_ellipticity
+from .distortion import DISTORTION_ERRORS, DistortionMap, build_map, check_exactness, transplant_ellipticity
 from .ellipticity import boundary_certificate, equivalence_check, interior_certificate
 from .problem import ThinProblem, validate
 from .reduction import reduce_problem, representation_check
@@ -235,7 +235,7 @@ def transform_stage(problem: ThinProblem) -> Stage:
     """Build the distortion map and check its transplanted ellipticity and its straightened boundary data."""
     try:
         dmap = build_map(problem)
-        reports = [transplant_ellipticity(problem, dmap), HatBoundary(problem, dmap).check_exactness()]
+        reports = [transplant_ellipticity(problem, dmap), check_exactness(problem, dmap)]
     except DISTORTION_ERRORS as exc:
         return failure(exc)
     return _verdict("transform", reports, EXIT_FAILURE, dmap)

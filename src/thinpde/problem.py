@@ -173,9 +173,8 @@ class CoefficientFamily:
 
 @dataclass
 class GeometrySpec:
-    """Axis-aligned box Omega = prod [lower_i, upper_i] with profiles g+-."""
+    """Axis-aligned box Omega = prod [lower_i, upper_i] with profiles g+-; its dimension is len(lower)."""
 
-    n: int
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     g_minus: ScalarField
@@ -185,12 +184,16 @@ class GeometrySpec:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
-        if len(self.lower) != self.n or len(self.upper) != self.n:
+        if len(self.upper) != self.n:
             raise ValueError("box bounds must have one entry per dimension")
         if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("box must have positive extent")
         if not 0 < self.epsilon0 <= 1:
             raise ValueError("epsilon0 must lie in (0, 1]")
+
+    @property
+    def n(self) -> int:
+        return len(self.lower)
 
     def profile(self, sign: float) -> ScalarField:
         """The top profile g+ (sign +1) or the bottom profile g- (sign -1)."""
@@ -243,11 +246,10 @@ class BoundaryData:
         """(gamma, beta) on the top (sign +1) or the bottom (sign -1) over base points x at heights y.
 
         gamma = (sign gamma0 + k y, sign) and beta = sign beta0 + l y, with
-        (k, l) = (k+, l+) on the top and (k-, l-) on the bottom.  x is one
-        base point (y a float) or an (m, N) array (y shaped (m,)).
+        (k, l) = (k+, l+) on the top and (k-, l-) on the bottom; x is (m, N) and y (m,).
         """
         k, l = (self.k_plus, self.l_plus) if sign > 0 else (self.k_minus, self.l_minus)
-        gamma = sign * self.gamma0.value(x) + k.value(x) * np.asarray(y)[..., None]
+        gamma = sign * self.gamma0.value(x) + k.value(x) * y[:, None]
         return strip_points(gamma, sign), sign * self.beta0.value(x) + l.value(x) * y
 
 
@@ -281,7 +283,7 @@ class ThinProblem:
         """Every control pair's sigma, A, b, c, f at strip points shaped (m, N+1)."""
         labels = self.controls
         entries = [[self.coeffs.entry(lam, mu) for mu in labels.max_labels] for lam in labels.min_labels]
-        return _coefficient_bundle(entries, np.atleast_2d(np.asarray(points, dtype=float)))
+        return _coefficient_bundle(entries, points)
 
 
 def inf_sup(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -25,8 +25,8 @@ scalar beta0; the only scalar reading consistent with the representation
 identity is the (N+1)-th drift entry times beta0, which is what is
 implemented here (the gradient's last slot is the one that carries beta0).
 
-The reduced coefficients and the bordered matrices take arrays of base
-points (m, N) only; there is no one-point form.
+The reduced coefficients, the Dirichlet trace and the bordered matrices
+take arrays of base points (m, N) only; there is no one-point form.
 """
 
 from __future__ import annotations
@@ -91,11 +91,8 @@ class LimitProblem:
         return self.source.controls
 
     def dirichlet_trace(self, x):
-        """beta(x, 0): the Dirichlet data of the limit problem on the base boundary.
-
-        One base point gives a float, an (m, N) array of points an (m,) array.
-        """
-        return self.source.bdata.beta_lateral.value(strip_points(np.atleast_1d(np.asarray(x, dtype=float)), 0.0))
+        """beta(x, 0) at base points x (m, N): the Dirichlet data of the limit problem on the base boundary."""
+        return self.source.bdata.beta_lateral.value(strip_points(x, 0.0))
 
     def coefficients(self, x) -> Coefficients:
         """sigma~, A~, b~, c~, f~ of every control pair at base points shaped (m, N)."""

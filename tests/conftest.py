@@ -1,12 +1,8 @@
 import pytest
 from hypothesis import settings
 
-from thinpde.presets import (
-    reference_problem,
-    rich_problem,
-    slice_exact_problem,
-    transform_demo_problem,
-)
+from problems import reference_problem, slice_exact_problem, transform_demo_problem
+from thinpde.presets import rich_problem
 
 # solver-backed property tests take milliseconds to a second per example,
 # and wall-clock deadlines would make them flake on slow or busy hosts

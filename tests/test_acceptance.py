@@ -16,12 +16,8 @@ from thinpde.config import ExperimentPlan
 from thinpde.ellipticity import circle_obstruction_demo, equivalence_check
 from thinpde.harness import convergence_experiment, sandwich_margins
 from thinpde.problem import operator_infsup
-from thinpde.presets import (
-    reference_problem,
-    rich_problem,
-    slice_exact_problem,
-    transform_demo_problem,
-)
+from problems import reference_problem, slice_exact_problem, transform_demo_problem
+from thinpde.presets import rich_problem
 from thinpde.reduction import reduce_problem, representation_check
 from thinpde.solver import perturbation_certificate, solve_eps, solve_limit
 from tests.test_harness import manufactured_solution_test
@@ -64,8 +60,8 @@ def test_criterion_04_transform_suite():
     for x in np.linspace(lo[0], hi[0], 9):
         for y in np.linspace(-dmap.r, dmap.r, 7):
             z = dmap.inverse(np.array([[x]]), np.array([y]))[0]
-            worst_id = max(worst_id, float(np.abs(dmap.forward(z, y) - [x, y]).max()))
-            fwd = dmap.forward([x], y)
+            worst_id = max(worst_id, float(np.abs(dmap.forward(z[None], np.array([y]))[0] - [x, y]).max()))
+            fwd = dmap.forward(np.array([[x]]), np.array([y]))[0]
             worst_id = max(worst_id, float(np.abs(dmap.inverse(fwd[None, :-1], np.array([y]))[0] - [x]).max()))
             worst_disp = max(worst_disp, float(np.abs(np.append(z, y) - [x, y]).max()) - dmap.r * dmap.gamma_sup)
     eps_list = [0.1, 0.05, 0.025, 0.0125]
@@ -172,7 +168,7 @@ def test_criterion_08_sandwich():
 
 def test_criterion_09_convergence():
     prob = reference_problem()
-    table = convergence_experiment(prob, ExperimentPlan(eps_list=EPS_LIST), bar.search_barriers(prob))
+    table = convergence_experiment(prob, ExperimentPlan(eps_list=EPS_LIST), bar.search_barriers(prob, None))
     errs = [r.sup_error for r in table.rows]
     se = convergence_experiment(slice_exact_problem(), ExperimentPlan(eps_list=EPS_LIST), None)
     slice_ok = all(r.sup_error <= se.disc_error_estimate for r in se.rows)
@@ -200,7 +196,7 @@ def test_criterion_11_pointwise_dirichlet():
     prob = reference_problem(beta="x1")
     lp = reduce_problem(prob)
     fld = solve_limit(lp, 64)
-    left = fld.flat()[0] - lp.dirichlet_trace([0.0])
-    right = fld.flat()[-1] - lp.dirichlet_trace([1.0])
+    left = fld.flat()[0] - lp.dirichlet_trace(np.array([[0.0]]))[0]
+    right = fld.flat()[-1] - lp.dirichlet_trace(np.array([[1.0]]))[0]
     ok = left == 0.0 and right == 0.0
     _report(11, "pointwise Dirichlet attainment", ok, "limit boundary nodes equal beta(x,0) exactly")

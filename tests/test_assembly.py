@@ -17,7 +17,8 @@ import pytest
 import scipy.sparse as sp
 
 from thinpde.config import load_problem
-from thinpde.presets import _entry, reference_problem, rich_problem
+from problems import reference_problem
+from thinpde.presets import _entry, rich_problem
 from thinpde.problem import CoefficientFamily, ControlSet
 from thinpde.reduction import reduce_problem
 from thinpde.solver import (
@@ -177,7 +178,8 @@ def _strip_by_nodes(problem, grid):
     diffusion, drift, czero, source = _pair_slices(problem.coefficients, problem.controls)
 
     def oblique(kind, x):
-        return bd.oblique(1.0 if kind == TOP else -1.0, x[:-1], x[-1])
+        gamma, beta = bd.oblique(1.0 if kind == TOP else -1.0, x[None, :-1], x[None, -1])
+        return gamma[0], beta[0]
 
     return _assemble_by_nodes(
         grid,
@@ -200,7 +202,7 @@ def _limit_by_nodes(lp, grid, homogeneous=False):
         drift=drift,
         czero=(lambda lam, mu, x: 0.0) if homogeneous else czero,
         source=(lambda lam, mu, x: 0.0) if homogeneous else source,
-        dirichlet=(lambda x: 0.0) if homogeneous else lp.dirichlet_trace,
+        dirichlet=(lambda x: 0.0) if homogeneous else (lambda x: lp.dirichlet_trace(x[None])[0]),
     )
 
 

@@ -10,7 +10,8 @@ from thinpde import barriers as bar
 from thinpde import distortion
 from thinpde.config import load_problem
 from thinpde.distortion import build_map
-from thinpde.presets import _entry, reference_problem
+from problems import reference_problem
+from thinpde.presets import _entry
 from thinpde.problem import operator_infsup
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -133,10 +134,11 @@ def test_search_exhausted_on_failed_certificate(reference):
 
 def test_search_stops_before_barrier_values_leave_float_range():
     # gamma0 = 50 x1: the alpha stage doubles alpha until exp(alpha * s_sup) would overflow
+    p = reference_problem(gamma0="50*x1")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(bar.SearchExhaustedError) as err:
-            bar.search_barriers(reference_problem(gamma0="50*x1"))
+            bar.search_barriers(p, build_map(p))
     assert err.value.inequality.startswith("interior operator inequalities (alpha stage): barrier values leave float range")
 
 
@@ -199,7 +201,7 @@ def test_general_barrier_constant_gamma_margins_match(monkeypatch):
 
 
 def test_general_barrier_distorted_reference(distorted):
-    pair = bar.search_barriers(distorted)
+    pair = bar.search_barriers(distorted, build_map(distorted))
     eps = pair.params.eps1 / 2
     m_hat = bar.verify_barrier(pair.view, replace(pair, dmap=None), eps, grid=(24, 6))
     assert m_hat.passed, m_hat.format()
@@ -244,11 +246,11 @@ def _margins_by_points(problem, view, pair, eps, grid):
             f_up0.append(fu0)
             f_lo0.append(fl0)
             if j == ny:
-                gt, bt = view.oblique(1.0, x, y)
+                (gt,), (bt,) = view.oblique(1.0, x[None, :], np.array([y]))
                 m1 = min(m1, float(gt @ gu) - bt)
                 m4 = min(m4, -(float(gt @ gl) - bt))
             if j == 0:
-                gb, bb = view.oblique(-1.0, x, y)
+                (gb,), (bb,) = view.oblique(-1.0, x[None, :], np.array([y]))
                 m2 = min(m2, float(gb @ gu) - bb)
                 m5 = min(m5, -(float(gb @ gl) - bb))
     vals_u, vals_l = np.array(vals_u), np.array(vals_l)
@@ -276,7 +278,7 @@ def test_verify_barrier_matches_pointwise_loop(case, ref_params, reference, dist
         pair = bar.BarrierPair(view, params)
     elif case == "distorted":
         view = bar.flat_view(distorted)
-        pair = bar.search_barriers(distorted)
+        pair = bar.search_barriers(distorted, build_map(distorted))
     else:
         # 2x2 controls exercise the inf-sup; the comparison needs no searched parameters
         view = bar.flat_view(rich)
@@ -294,7 +296,7 @@ def test_verify_barrier_matches_pointwise_loop(case, ref_params, reference, dist
 def test_pair_values_are_the_value_slots_of_arrays(ref_params, distorted):
     # a flat pair and a pulled-back pair: the value-only path computes the same values, bit for bit
     view, params = ref_params
-    pulled = bar.search_barriers(distorted)
+    pulled = bar.search_barriers(distorted, build_map(distorted))
     xs = view.base_lattice(8)
     x = np.repeat(xs, 3, axis=0)
     y = np.tile([-0.01, 0.0, 0.02], len(xs))
@@ -317,6 +319,7 @@ def test_search_measures_each_candidate_once(config, want, monkeypatch):
     calls = []
     margins_of = bar._MarginEngine.margins_of
     monkeypatch.setattr(bar._MarginEngine, "margins_of", lambda self, *a: calls.append(a) or margins_of(self, *a))
-    pair = bar.search_barriers(load_problem(CONFIGS / f"{config}.cfg"))
+    problem = load_problem(CONFIGS / f"{config}.cfg")
+    pair = bar.search_barriers(problem, build_map(problem) if bar.needs_distortion(problem) else None)
     assert len(calls) == 8
     assert pair.params.format() == want

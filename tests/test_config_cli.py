@@ -16,7 +16,7 @@ from configgen import config_text, run_pipeline as run_drawn_pipeline
 from thinpde import cli
 from thinpde.cli import main
 from thinpde.config import ConfigError, ExperimentPlan, load_experiment_settings, load_problem
-from thinpde.distortion import HatBoundary
+from thinpde import distortion
 from thinpde.harness import (
     EXIT_BARRIER,
     EXIT_CERTIFICATE,
@@ -170,11 +170,11 @@ def test_cli_transform(tmp_path):
 
 def test_cli_transform_fails_on_inexact_straightened_data(tmp_path, capsys, monkeypatch):
     # the original oblique data at P(z, y), not rotated by R^T: its head is gamma0 = 0.2 x1 at y = 0
-    def unrotated(self, sign, z, y):
-        p = self.dmap.forward(z, y)
-        return self.problem.bdata.oblique(sign, p[..., :-1], p[..., -1])
+    def unrotated(problem, dmap, sign, z, y):
+        p = dmap.forward(z, y)
+        return problem.bdata.oblique(sign, p[:, :-1], p[:, -1])
 
-    monkeypatch.setattr(HatBoundary, "oblique", unrotated)
+    monkeypatch.setattr(distortion, "hat_oblique", unrotated)
     assert main(["transform"] + _cfg("distorted.cfg")) == EXIT_FAILURE
     want = "FAIL straightened boundary data: max deviation 2.000e-01 (tolerance 1e-12) at (1.0, 0.0)"
     assert capsys.readouterr().out.splitlines()[-1] == want
@@ -628,6 +628,35 @@ def test_cli_reports_a_bad_geometry_key_without_a_traceback(tmp_path, capsys, ol
         load_problem(cfg)
     assert main(["validate", "--config", str(cfg)]) == EXIT_FAILURE
     _one_error_line(capsys, want)
+
+
+@pytest.mark.parametrize(
+    "old, new, want",
+    [
+        # values that parse but break an invariant of the geometry or the control set
+        ("upper = 1\n", "upper = 1, 1\n", "[geometry] box bounds must have one entry per dimension"),
+        ("lower = 0\n", "lower = 1\n", "[geometry] box must have positive extent"),
+        ("epsilon0 = 0.25\n", "epsilon0 = 2\n", "[geometry] epsilon0 must lie in (0, 1]"),
+        ("M = 1\n", "M = 1, 1\n", "[controls] control set M has duplicate labels"),
+        # shapes that do not fit the dimension, and a missing control pair
+        ("sigma = 1, 0; 0, 1\n", "sigma = 1, 0; 0\n", "[coefficients.1.1] sigma rows need 2 columns"),
+        ("b = 0, 0\n", "b = 0\n", "[coefficients.1.1] b needs 2 entries"),
+        ("gamma0 = 0\n", "gamma0 = 0, 0\n", "field gamma0 needs 1 comma-separated expressions"),
+        (
+            "[coefficients.1.1]\nsigma = 1, 0; 0, 1\nb = 0, 0\nc = 0\nf = sin(pi*x1) + y\n",
+            "",
+            "missing [coefficients.1.1] section",
+        ),
+    ],
+    ids=["upper", "lower", "epsilon0", "M", "sigma", "b", "gamma0", "pair"],
+)
+def test_cli_reports_a_bad_config_in_one_error_line(tmp_path, capsys, old, new, want):
+    text = (CONFIGS / "reference.cfg").read_text()
+    assert old in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new))
+    assert main(["validate", "--config", str(cfg)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == f"error: {want}\n"
 
 
 @pytest.mark.parametrize(

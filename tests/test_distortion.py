@@ -6,16 +6,17 @@ import pytest
 from thinpde import distortion
 from thinpde.distortion import (
     DistortionMap,
-    HatBoundary,
-    HatOperator,
     NoConvergenceError,
     build_map,
+    check_exactness,
+    hat_coefficients,
+    hat_oblique,
     matrix_r,
     top_profile,
     transplant_ellipticity,
 )
 from thinpde.expressions import ScalarField, VectorField, base_vars, parse
-from thinpde.presets import reference_problem
+from problems import reference_problem
 
 
 def _map_for(gamma_text: str, problem=None) -> DistortionMap:
@@ -33,6 +34,27 @@ def _profile(dmap, g, eps, z) -> float:
     return float(top_profile(dmap, g, eps, np.array([z], dtype=float))[0])
 
 
+def _forward(dmap, z, y) -> np.ndarray:
+    """P(z, y) at one point, through the array form."""
+    return dmap.forward(np.array([z], dtype=float), np.array([y], dtype=float))[0]
+
+
+def _matrix_r(dmap, z, y) -> np.ndarray:
+    """R at one point, through the array form."""
+    return matrix_r(dmap, np.array([z], dtype=float), np.array([y], dtype=float))[0]
+
+
+def _hat_coefficients(problem, dmap, z, y):
+    """The hatted coefficients at one point, through the array form: still shaped (1, nL, nM, ...)."""
+    return hat_coefficients(problem, dmap, np.array([z], dtype=float), np.array([y], dtype=float))
+
+
+def _hat_oblique(problem, dmap, sign, z, y):
+    """(gamma^, beta^) at one point, through the array form."""
+    gamma, beta = hat_oblique(problem, dmap, sign, np.array([z], dtype=float), np.array([y], dtype=float))
+    return gamma[0], beta[0]
+
+
 def _d2q(dmap, z, y) -> np.ndarray:
     """The Hessians of Q at P(z, y) for one preimage z, through the array form."""
     z, y = np.array([z], dtype=float), np.array([y], dtype=float)
@@ -42,14 +64,14 @@ def _d2q(dmap, z, y) -> np.ndarray:
 def test_forward_identity_for_zero_gamma(reference):
     dmap = build_map(reference)
     assert dmap.r == 0.5
-    assert np.allclose(dmap.forward([0.3], 0.2), [0.3, 0.2])
+    assert np.allclose(_forward(dmap, [0.3], 0.2), [0.3, 0.2])
     assert np.allclose(_inverse(dmap, [0.3], 0.2), [0.3])
 
 
 def test_forward_examples():
     dmap = _map_for("1")
-    assert np.allclose(dmap.forward([0.0], 0.1), [0.1, 0.1])
-    assert np.allclose(dmap.forward([0.4], 0.0), [0.4, 0.0])  # identity at y = 0
+    assert np.allclose(_forward(dmap, [0.0], 0.1), [0.1, 0.1])
+    assert np.allclose(_forward(dmap, [0.4], 0.0), [0.4, 0.0])  # identity at y = 0
 
 
 def test_inverse_constant_gamma_exact():
@@ -86,8 +108,8 @@ def test_round_trip_identities(transform_demo):
     for x in np.linspace(lo[0], hi[0], 9):
         for y in np.linspace(-dmap.r, dmap.r, 7):
             z = _inverse(dmap, [x], y)
-            assert np.abs(dmap.forward(z, y) - [x, y]).max() <= 1e-10
-            fwd = dmap.forward([x], y)
+            assert np.abs(_forward(dmap, z, y) - [x, y]).max() <= 1e-10
+            fwd = _forward(dmap, [x], y)
             assert np.abs(_inverse(dmap, fwd[:-1], y) - [x]).max() <= 1e-10
             # displacement bound
             assert np.abs(np.append(z, y) - [x, y]).max() <= dmap.r * dmap.gamma_sup + 1e-12
@@ -146,20 +168,18 @@ def test_profile_ordering_equivalence(transform_demo):
 
 def test_matrix_r_examples():
     dmap = _map_for("1")
-    r0 = matrix_r(dmap, [0.2], 0.0)
+    r0 = _matrix_r(dmap, [0.2], 0.0)
     assert np.allclose(r0, [[1.0, -1.0], [0.0, 1.0]])
-    r5 = matrix_r(dmap, [0.2], 0.5)  # Dgamma = 0 for constant gamma
+    r5 = _matrix_r(dmap, [0.2], 0.5)  # Dgamma = 0 for constant gamma
     assert np.allclose(r5, [[1.0, -1.0], [0.0, 1.0]])
     dmap0 = build_map(reference_problem())
-    assert np.allclose(matrix_r(dmap0, [0.2], 0.3), np.eye(2))
+    assert np.allclose(_matrix_r(dmap0, [0.2], 0.3), np.eye(2))
 
 
 def test_pushforward_identity_for_zero_gamma(reference):
     dmap = build_map(reference)
-    hat = HatOperator(reference, dmap)
     for z in np.linspace(0, 1, 5):
-        za = [z]
-        co, e = hat.coefficients(za, 0.1), reference.coefficients([[z, 0.1]])
+        co, e = _hat_coefficients(reference, dmap, [z], 0.1), reference.coefficients(np.array([[z, 0.1]]))
         assert np.allclose(co.sigma[0, 0, 0], e.sigma[0, 0, 0], atol=1e-12)
         assert np.allclose(co.b[0, 0, 0], e.b[0, 0, 0], atol=1e-12)
         assert co.c[0, 0, 0] == pytest.approx(e.c[0, 0, 0])
@@ -171,13 +191,13 @@ def test_pushforward_constant_gamma_affine():
     p = reference_problem(gamma0="0.3")
     dmap = build_map(p)
     assert dmap.gamma.is_constant
-    co = HatOperator(p, dmap).coefficients([0.4], 0.2)
+    co = _hat_coefficients(p, dmap, [0.4], 0.2)
     # the hatted drift less its transported part (b o P) R^T
-    b_moved = p.coefficients(dmap.forward([0.4], 0.2)[None]).b[0, 0, 0] @ matrix_r(dmap, [0.4], 0.2).T
+    b_moved = p.coefficients(_forward(dmap, [0.4], 0.2)[None]).b[0, 0, 0] @ _matrix_r(dmap, [0.4], 0.2).T
     d = co.b[0, 0, 0] - b_moved
     assert np.allclose(d, 0.0)
     s = co.sigma[0, 0, 0]
-    assert np.allclose(s, np.eye(2) @ matrix_r(dmap, [0.4], 0.2).T)
+    assert np.allclose(s, np.eye(2) @ _matrix_r(dmap, [0.4], 0.2).T)
 
 
 def test_curvature_drift_dual_path():
@@ -243,27 +263,24 @@ def test_d2q_nonlinear_gamma_matches_differenced_inverse(monkeypatch):
 
 def test_hat_boundary_exactness(distorted):
     dmap = build_map(distorted)
-    hb = HatBoundary(distorted, dmap)
-    report = hb.check_exactness()
+    report = check_exactness(distorted, dmap)
     assert report.deviation <= 1e-12
     assert report.format() == "PASS straightened boundary data: max deviation 0.000e+00 (tolerance 1e-12)"
-    gp, _ = hb.oblique(1.0, [0.5], 0.1)
+    gp, _ = _hat_oblique(distorted, dmap, 1.0, [0.5], 0.1)
     assert gp[-1] == 1.0
-    gm, _ = hb.oblique(-1.0, [0.5], 0.1)
+    gm, _ = _hat_oblique(distorted, dmap, -1.0, [0.5], 0.1)
     assert gm[-1] == -1.0
-    assert hb.oblique(1.0, [0.5], 0.0)[1] == pytest.approx(0.0)
+    assert _hat_oblique(distorted, dmap, 1.0, [0.5], 0.0)[1] == pytest.approx(0.0)
 
 
 def test_hat_boundary_exactness_names_its_witness(distorted, monkeypatch):
     # the original oblique data at P(z, y), not rotated by R^T: its head is gamma0(x) != 0 at y = 0
-    hb = HatBoundary(distorted, build_map(distorted))
+    def unrotated(problem, dmap, sign, z, y):
+        p = dmap.forward(z, y)
+        return problem.bdata.oblique(sign, p[:, :-1], p[:, -1])
 
-    def unrotated(sign, z, y):
-        p = hb.dmap.forward(z, y)
-        return distorted.bdata.oblique(sign, p[..., :-1], p[..., -1])
-
-    monkeypatch.setattr(hb, "oblique", unrotated)
-    report = hb.check_exactness()
+    monkeypatch.setattr(distortion, "hat_oblique", unrotated)
+    report = check_exactness(distorted, build_map(distorted))
     assert not report.passed
     assert report.deviation == pytest.approx(0.2)  # |gamma0| = 0.2 x1 at x1 = 1
     assert report.witness == (1.0, 0.0)
@@ -272,9 +289,8 @@ def test_hat_boundary_exactness_names_its_witness(distorted, monkeypatch):
 
 def test_hat_boundary_first_components_order_y(distorted):
     dmap = build_map(distorted)
-    hb = HatBoundary(distorted, dmap)
     for y in (0.05, 0.025, 0.0125):
-        g, _ = hb.oblique(1.0, [0.5], y)
+        g, _ = _hat_oblique(distorted, dmap, 1.0, [0.5], y)
         assert abs(g[0]) <= 0.5 * y  # O(|y|) with a modest constant
 
 
@@ -297,12 +313,11 @@ def test_transplant_constant_gamma_value():
 
 def test_hat_operator_nonnegative_c_and_psd(distorted):
     dmap = build_map(distorted)
-    hat = HatOperator(distorted, dmap)
     rng = np.random.default_rng(1)
     for _ in range(40):
         z = [rng.uniform(-0.1, 1.1)]
         y = rng.uniform(-dmap.r, dmap.r)
-        co = hat.coefficients(z, y)
+        co = _hat_coefficients(distorted, dmap, z, y)
         assert co.c[0, 0, 0] >= 0.0
         a = co.a[0, 0, 0]
         assert np.linalg.eigvalsh(a).min() >= -1e-10
@@ -313,7 +328,7 @@ def test_hat_operator_nonnegative_c_and_psd(distorted):
 from pathlib import Path  # noqa: E402
 
 from thinpde.config import load_problem  # noqa: E402
-from thinpde.presets import transform_demo_problem  # noqa: E402
+from problems import transform_demo_problem  # noqa: E402
 from thinpde.problem import box_lattice  # noqa: E402
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

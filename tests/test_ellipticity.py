@@ -11,7 +11,8 @@ from thinpde.ellipticity import (
     rotating_field,
     smooth_cutoff,
 )
-from thinpde.presets import _entry, reference_problem
+from problems import reference_problem
+from thinpde.presets import _entry
 
 
 def test_interior_identity_diffusion(reference):

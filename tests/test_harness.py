@@ -14,7 +14,8 @@ from thinpde.harness import (
     converge_stage,
     run_pipeline,
 )
-from thinpde.presets import _entry, reference_problem
+from problems import reference_problem
+from thinpde.presets import _entry
 from thinpde.reduction import reduce_problem
 from thinpde.solver import solve_limit
 
@@ -125,7 +126,7 @@ def test_manufactured_rates():
 @pytest.fixture(scope="module")
 def ref_table(reference):
     plan = ExperimentPlan(nx=32, ny=16, limit_resolution=32)
-    return convergence_experiment(reference, plan, search_barriers(reference))
+    return convergence_experiment(reference, plan, search_barriers(reference, None))
 
 
 def test_convergence_reference(ref_table):
@@ -161,7 +162,7 @@ def test_slice_exact_gap_below_discretization(slice_exact):
 def test_csv_deterministic(reference):
     from thinpde import cli
 
-    stages = [converge_stage(reference, SMALL, search_barriers(reference)) for _ in range(2)]
+    stages = [converge_stage(reference, SMALL, search_barriers(reference, None)) for _ in range(2)]
     a, b = (cli._convergence(stage)["convergence.csv"] for stage in stages)
     assert a == b
     assert a.splitlines()[0].startswith("eps,")
@@ -170,8 +171,8 @@ def test_csv_deterministic(reference):
 def test_verdict_invariant_under_s_shift():
     base = reference_problem(s="x1")
     shifted = reference_problem(s="x1 + 1")
-    ta = convergence_experiment(base, SMALL, search_barriers(base))
-    tb = convergence_experiment(shifted, SMALL, search_barriers(shifted))
+    ta = convergence_experiment(base, SMALL, search_barriers(base, None))
+    tb = convergence_experiment(shifted, SMALL, search_barriers(shifted, None))
     assert ta.passed == tb.passed
     for ra, rb in zip(ta.rows, tb.rows):
         assert ra.sup_error == pytest.approx(rb.sup_error, abs=1e-14)
@@ -234,7 +235,7 @@ def test_pipeline_searches_barriers_once(case, monkeypatch, reference, distorted
         distortion.DistortionMap, "inverse", counted("inverse", distortion.DistortionMap.inverse)
     )
     build_map = counted("build_map", distortion.build_map)
-    for mod in (distortion, barriers, harness):
+    for mod in (distortion, harness):
         monkeypatch.setattr(mod, "build_map", build_map)
     problem = reference if case == "reference" else distorted
     plan = ExperimentPlan(eps_list=(0.1, 0.05, 0.025), nx=16, ny=8, limit_resolution=16)

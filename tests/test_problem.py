@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinpde.expressions import VectorField, base_vars, strip_vars
-from thinpde.presets import _entry, _scalar, reference_problem, rich_problem
+from problems import reference_problem
+from thinpde.presets import _entry, _scalar, rich_problem
 from thinpde.problem import (
     BoundaryData,
     CoefficientFamily,
@@ -82,19 +83,19 @@ def test_oblique_is_the_closed_form(sign, k, l):
     gamma, beta = bd.oblique(sign, x[:, None], y)
     assert np.array_equal(gamma, want_gamma) and np.array_equal(beta, want_beta)
     for i in range(9):
-        gamma, beta = bd.oblique(sign, x[i : i + 1], y[i])
-        assert gamma.shape == (2,) and np.array_equal(gamma, want_gamma[i]) and beta == want_beta[i]
+        gamma, beta = bd.oblique(sign, x[i : i + 1, None], y[i : i + 1])
+        assert gamma.shape == (1, 2) and np.array_equal(gamma[0], want_gamma[i]) and beta[0] == want_beta[i]
 
 
 def _operator(problem, X, p, r, z) -> float:
     """The operator's value at one strip point, from the coefficient bundle there."""
-    return float(operator_infsup(problem.coefficients([z]), X, p, r)[0][0])
+    return float(operator_infsup(problem.coefficients(np.array([z], dtype=float)), X, p, r)[0][0])
 
 
 def test_operator_examples(reference):
     # single control, sigma = I2, rest zero: F = -tr X
     out = _operator(reference, np.eye(2), np.zeros(2), 0.0, [0.5, 0.0])
-    f_val = reference.coefficients([[0.5, 0.0]]).f[0, 0, 0]
+    f_val = reference.coefficients(np.array([[0.5, 0.0]])).f[0, 0, 0]
     assert out == pytest.approx(-2.0 - f_val)
 
     p = reference_problem(c="1", f="0")
@@ -111,7 +112,7 @@ def test_operator_sup_over_constants():
     p = ThinProblem(
         controls=ControlSet(("1",), ("1", "2")),
         coeffs=CoefficientFamily(entries=entries, bound=50.0),
-        geom=GeometrySpec(1, (0.0,), (1.0,), _scalar("-1", bv), _scalar("1", bv), 0.25),
+        geom=GeometrySpec((0.0,), (1.0,), _scalar("-1", bv), _scalar("1", bv), 0.25),
         bdata=BoundaryData(
             gamma0=VectorField([_scalar("0", bv)]),
             beta0=_scalar("0", bv),
@@ -123,7 +124,7 @@ def test_operator_sup_over_constants():
             s_candidate=_scalar("x1", bv),
         ),
     )
-    value, _, mu_idx = operator_infsup(p.coefficients([[0.5, 0.0]]), np.zeros((2, 2)), np.zeros(2), 0.0)
+    value, _, mu_idx = operator_infsup(p.coefficients(np.array([[0.5, 0.0]])), np.zeros((2, 2)), np.zeros(2), 0.0)
     assert value[0] == pytest.approx(-2.0)  # sup(-2, -4)
     assert p.controls.max_labels[mu_idx[0]] == "1"
 
@@ -137,7 +138,7 @@ def test_operator_matches_bruteforce(rich):
         r = float(rng.uniform(-1, 1))
         z = np.array([rng.uniform(0, 1), rng.uniform(-1, 1)])
         out = _operator(rich, X, p, r, z)
-        co = rich.coefficients([z])
+        co = rich.coefficients(z[None])
         brute = min(
             max(
                 -np.sum(co.a[0, il, im] * X) - co.b[0, il, im] @ p + co.c[0, il, im] * r - co.f[0, il, im]

@@ -46,8 +46,6 @@ NOT_YET_RUN = {
     "perturbation_certificate": "ROADMAP item 11 reports it after every solve",
     "PerturbationReport": "ROADMAP item 11 reports it after every solve",
 }
-# test fixtures that stay in the package until configs/rich.cfg and a benchmark change (ROADMAP item 13)
-MODULES_NOT_SCANNED = {"presets"}
 
 
 def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -93,8 +91,6 @@ def test_every_export_is_run_by_the_program():
     run = set(NOT_YET_RUN) | _dispatched(trees[ROOT / "src" / "thinpde" / "cli.py"])
     unused = []
     for path in package:
-        if path.stem in MODULES_NOT_SCANNED:
-            continue
         tree = trees[path]
         for name, node in _definitions(tree).items():
             if name.startswith("_") or name in run or any(name in r for p, r in refs.items() if p != path):

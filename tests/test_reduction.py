@@ -7,7 +7,8 @@ import pytest
 from thinpde import reduction
 from thinpde.config import load_problem
 from thinpde.expressions import base_vars
-from thinpde.presets import _scalar, reference_problem, rich_problem
+from problems import reference_problem
+from thinpde.presets import _scalar, rich_problem
 from thinpde.problem import operator_infsup
 from thinpde.reduction import (
     DegenerateThicknessError,
@@ -70,7 +71,7 @@ def test_reduce_trivial_collapse(reference):
     lp = reduce_problem(reference)
     for x in np.linspace(0, 1, 7):
         z = np.array([x, 0.0])
-        co, e = lp.coefficients(np.array([[x]])), reference.coefficients([z])
+        co, e = lp.coefficients(np.array([[x]])), reference.coefficients(z[None])
         assert co.a[0, 0, 0][0, 0] == pytest.approx(e.a[0, 0, 0][0, 0])
         assert co.b[0, 0, 0][0] == pytest.approx(e.b[0, 0, 0][0])
         assert co.c[0, 0, 0] == pytest.approx(e.c[0, 0, 0])
@@ -227,8 +228,7 @@ def test_limit_bounds_report(rich):
 
 def test_dirichlet_trace(rich):
     lp = reduce_problem(rich)
-    assert lp.dirichlet_trace([0.0]) == pytest.approx(0.0)
-    assert lp.dirichlet_trace([1.0]) == pytest.approx(1.0)  # beta = x1 at y = 0
+    assert lp.dirichlet_trace(np.array([[0.0], [1.0]])) == pytest.approx([0.0, 1.0])  # beta = x1 at y = 0
 
 
 def test_dirichlet_trace_is_beta_at_y_zero():

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinpde.expressions import base_vars, strip_vars, VectorField
-from thinpde.presets import _entry, _scalar, reference_problem, rich_problem
+from problems import reference_problem
+from thinpde.presets import _entry, _scalar, rich_problem
 from thinpde.problem import (
     BoundaryData,
     CoefficientFamily,
@@ -56,7 +57,7 @@ def _two_control_problem(f1="2", f2="4", beta="0"):
     return ThinProblem(
         controls=ControlSet(("1",), ("1", "2")),
         coeffs=CoefficientFamily(entries=entries, bound=50.0),
-        geom=GeometrySpec(1, (0.0,), (1.0,), _scalar("-1", bv), _scalar("1", bv), 0.25),
+        geom=GeometrySpec((0.0,), (1.0,), _scalar("-1", bv), _scalar("1", bv), 0.25),
         bdata=BoundaryData(
             gamma0=VectorField([_scalar("0", bv)]),
             beta0=_scalar("0", bv),
@@ -147,7 +148,7 @@ def test_oblique_row_structure(reference):
     assert cols[flat] == pytest.approx(1.0 / hy)
     assert cols[np.ravel_multi_index((i, j - 1), grid.shape)] == pytest.approx(-1.0 / hy)
     assert len(cols) == 2  # gamma+ = (0, 1): pure one-sided vertical difference
-    assert sysm.rhs[flat] == pytest.approx(reference.bdata.oblique(1.0, [grid.axes[0][i]], grid.axes[1][j])[1])
+    assert sysm.rhs[flat] == pytest.approx(reference.bdata.oblique(1.0, grid.axes[0][[[i]]], grid.axes[1][[j]])[1][0])
 
 
 def test_cross_term_monotonicity_violation():
@@ -260,8 +261,8 @@ def test_monotone_in_source():
 def test_dirichlet_attained_exactly(reference):
     lp = reduce_problem(reference)
     fld = solve_limit(lp, 32)
-    assert fld.flat()[0] == lp.dirichlet_trace([0.0])
-    assert fld.flat()[-1] == lp.dirichlet_trace([1.0])
+    assert fld.flat()[0] == lp.dirichlet_trace(np.array([[0.0]]))[0]
+    assert fld.flat()[-1] == lp.dirichlet_trace(np.array([[1.0]]))[0]
     eps_fld = solve_eps(reference, 0.1, nx=16, ny=8)
     vals = eps_fld.values
     nodes_y = eps_fld.grid.axes[1]
@@ -296,7 +297,7 @@ def test_limit_grid_2d_classification():
     p = ThinProblem(
         controls=ControlSet(("1",), ("1",)),
         coeffs=CoefficientFamily(entries=entries, bound=50.0),
-        geom=GeometrySpec(2, (0.0, 0.0), (1.0, 1.0), _scalar("-1", bv), _scalar("1", bv), 0.25),
+        geom=GeometrySpec((0.0, 0.0), (1.0, 1.0), _scalar("-1", bv), _scalar("1", bv), 0.25),
         bdata=BoundaryData(
             gamma0=VectorField([_scalar("0", bv), _scalar("0", bv)]),
             beta0=_scalar("0", bv),
