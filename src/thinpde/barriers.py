@@ -30,9 +30,10 @@ at each evaluation and evaluates both barriers at a batch of nodes from one
 field evaluation, at one set of preimages; eps below params.eps1 is
 certified, larger eps is evaluated all the same where the pair
 :meth:`~BarrierPair.reaches` it.  The seven margins have
-one evaluator, ``_MarginEngine.margins_of``: the parameter search feeds it
-the formula arrays directly and :func:`verify_barrier` feeds it the arrays
-of any pair, over the view's coefficient bundle at all strip nodes at once;
+one evaluator, ``_MarginEngine.margins_of``, over the view's coefficient
+bundle at all strip nodes at once, and one way to reach it: the parameter
+search and :func:`verify_barrier` both measure a pair through
+:meth:`BarrierPair.arrays` at the nodes of :func:`strip_nodes`;
 the operator is :func:`thinpde.problem.operator_infsup`.  The pairs and the
 margins take base points (m, N) and heights (m,) only: no one-point form.
 """
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .problem import Coefficients, ThinProblem, box_lattice, operator_infsup, qu
 SEARCH_CAP = 2.0**40
 # (nx, ny) lattices of the parameter search and of its final verification
 _SEARCH_GRID = (16, 6)
-_VERIFY_GRID = (32, 8)
+VERIFY_GRID = (32, 8)
 
 
 class SearchExhaustedError(RuntimeError):
@@ -148,9 +148,6 @@ class StripView:
     s: object
     h: object
 
-    def base_lattice(self, intervals: int) -> np.ndarray:
-        return box_lattice(self.lower, self.upper, intervals)
-
 
 def _barrier_level(problem: ThinProblem) -> ScalarField:
     """The level h of the barriers: the problem's own, or else the midpoint (g+ + g-) / 2."""
@@ -171,7 +168,7 @@ def flat_view(problem: ThinProblem) -> StripView:
     """View of the problem in its own coordinates; sup|g+-| is sampled on the 16-interval base lattice."""
     geom = problem.geom
     bd = problem.bdata
-    base = geom.lattice(16)
+    base = box_lattice(geom.lower, geom.upper, 16)
     return StripView(
         lower=geom.lower,
         upper=geom.upper,
@@ -272,10 +269,19 @@ def _barrier_arrays(params: BarrierParams, eps: float, sign: float, y: np.ndarra
     return val, grad, hess
 
 
+def strip_nodes(view: StripView, xs: np.ndarray, eps: float, intervals: int) -> tuple[np.ndarray, np.ndarray]:
+    """The view's strip at eps over base points xs (k, N): ``intervals`` + 1 heights from bottom to top over each.
+
+    Returns the nodes' base points (m, N) and heights (m,), base point by base point.
+    """
+    x_idx, ys = strip_lattice(xs, view.profile(-1.0, xs, eps), view.profile(1.0, xs, eps), intervals)
+    return xs[x_idx], ys
+
+
 @dataclass
 class _StripData:
     eps: float
-    x_idx: np.ndarray  # (m,) base-lattice index of each strip node
+    x: np.ndarray  # (m, N) base point of each strip node
     ys: np.ndarray  # (m,)
     coeffs: Coefficients  # at the m nodes
     top_sel: np.ndarray  # (mt,) indices into the m nodes
@@ -290,14 +296,9 @@ class _MarginEngine:
     def __init__(self, view: StripView, grid: tuple[int, int]):
         self.view = view
         self.grid = grid
-        self.xs = view.base_lattice(grid[0])
+        self.xs = box_lattice(view.lower, view.upper, grid[0])
         self._strips: dict[float, _StripData] = {}
         self._margins: dict[tuple[BarrierParams, float], BarrierMargins] = {}
-
-    @cached_property
-    def fields(self) -> list[tuple]:
-        """s, beta0 and h with derivatives on the base lattice."""
-        return _fields_at(self.view, self.xs)
 
     def strip(self, eps: float) -> _StripData:
         key = round(eps, 15)
@@ -307,32 +308,32 @@ class _MarginEngine:
         view = self.view
         ny = self.grid[1]
         xs = self.xs
-        x_idx, ys = strip_lattice(xs, view.profile(-1.0, xs, eps), view.profile(1.0, xs, eps), ny)
+        x, ys = strip_nodes(view, xs, eps, ny)
         bottom_sel = np.arange(len(xs)) * (ny + 1)
         top_sel = bottom_sel + ny
-        coeffs = view.coefficients(xs[x_idx], ys)
+        coeffs = view.coefficients(x, ys)
         top = view.oblique(1.0, xs, ys[top_sel])
         bottom = view.oblique(-1.0, xs, ys[bottom_sel])
-        data = _StripData(eps, x_idx, ys, coeffs, top_sel, bottom_sel, top, bottom)
+        data = _StripData(eps, x, ys, coeffs, top_sel, bottom_sel, top, bottom)
         self._strips[key] = data
         return data
 
+    def measure(self, pair: BarrierPair, eps: float) -> BarrierMargins:
+        """The seven margins of any pair at eps, from its :meth:`BarrierPair.arrays` at the strip nodes."""
+        strip = self.strip(eps)
+        return self.margins_of(strip, *pair.arrays(strip.x, strip.ys, eps))
+
     def margins(self, params: BarrierParams, eps: float) -> BarrierMargins:
-        """Margins of the explicit pair with these parameters, from the formula arrays.
+        """Margins of the explicit pair of the view with these parameters.
 
         A value past float range raises (OverflowError from C_alpha,
         FloatingPointError from the arrays) instead of reaching a margin as
         inf or nan.  A repeated (params, eps) returns the margins already measured.
         """
         found = self._margins.get((params, eps))
-        if found is not None:
-            return found
-        strip = self.strip(eps)
-        fields = [tuple(arr[strip.x_idx] for arr in fld) for fld in self.fields]
-        with np.errstate(over="raise"):
-            up = _barrier_arrays(params, eps, +1.0, strip.ys, fields)
-            lo = _barrier_arrays(params, eps, -1.0, strip.ys, fields)
-            found = self._margins[params, eps] = self.margins_of(strip, up, lo)
+        if found is None:
+            with np.errstate(over="raise"):
+                found = self._margins[params, eps] = self.measure(BarrierPair(self.view, params), eps)
         return found
 
     def margins_of(self, strip: _StripData, up, lo) -> BarrierMargins:
@@ -419,17 +420,14 @@ class BarrierPair:
         )
 
 
-def verify_barrier(view: StripView, pair: BarrierPair, eps: float, grid: tuple[int, int] = _VERIFY_GRID) -> BarrierMargins:
+def verify_barrier(view: StripView, pair: BarrierPair, eps: float, grid: tuple[int, int] = VERIFY_GRID) -> BarrierMargins:
     """Measure the seven strictness margins of a pair at eps on a lattice of the view's strip.
 
     Works for any barrier evaluators (explicit or pulled back); the view
     does not need gamma0 = 0, so pulled-back pairs are checked against the
     original oblique data directly.
     """
-    engine = _MarginEngine(view, grid)
-    strip = engine.strip(eps)
-    x = engine.xs[strip.x_idx]
-    return engine.margins_of(strip, *pair.arrays(x, strip.ys, eps))
+    return _MarginEngine(view, grid).measure(pair, eps)
 
 
 # --- parameter search ---------------------------------------------------------
@@ -437,7 +435,7 @@ def verify_barrier(view: StripView, pair: BarrierPair, eps: float, grid: tuple[i
 
 def _slab_form_min(view: StripView, r: float) -> float:
     """min over the slab lattice (12 base intervals per axis, 4 in y) and controls of (Ds,0) A(x,y) (Ds,0)^T."""
-    xs = view.base_lattice(12)
+    xs = box_lattice(view.lower, view.upper, 12)
     x_idx, ys = strip_lattice(xs, -r, r, 4)
     ds = strip_points(view.s.grad(xs), 0.0)[x_idx]
     a = view.coefficients(xs[x_idx], ys).a
@@ -469,20 +467,15 @@ def search_parameters(view: StripView) -> BarrierParams:
     kappa = 1.0 / math.sqrt(mr)
 
     engine = _MarginEngine(view, _SEARCH_GRID)
-    fine = _MarginEngine(view, _VERIFY_GRID)
-    s_vals = engine.fields[0][0]
+    fine = _MarginEngine(view, VERIFY_GRID)
+    s_vals = view.s.value(engine.xs)
     shift = float(s_vals.min())
     s_sup = float((kappa * (s_vals - shift)).max())
-
-    def eps1_for(alpha: float, lam: float) -> float:
-        cap = r / view.g_sup if view.g_sup > 0 else 1.0
-        return min(view.eps0, 0.99 / alpha, 0.99 / lam, cap, 0.99)
+    eps1_cap = r / view.g_sup if view.g_sup > 0 else 1.0
 
     def params_for(alpha, lam, c_d) -> BarrierParams:
-        return BarrierParams(
-            alpha=alpha, lam=lam, c_d=c_d, eps1=eps1_for(alpha, lam),
-            r=r, kappa=kappa, s_shift=shift, s_sup=s_sup,
-        )
+        eps1 = min(view.eps0, 0.99 / alpha, 0.99 / lam, eps1_cap, 0.99)
+        return BarrierParams(alpha=alpha, lam=lam, c_d=c_d, eps1=eps1, r=r, kappa=kappa, s_shift=shift, s_sup=s_sup)
 
     def margins(engines, p: BarrierParams, stage: str) -> list[BarrierMargins]:
         """Margins at eps1/2 and eps1/4 on each engine's lattice; a value past float range ends the search."""
@@ -493,29 +486,19 @@ def search_parameters(view: StripView) -> BarrierParams:
                 f"{stage}: barrier values leave float range at alpha={p.alpha:g} Lambda={p.lam:g} C_D={p.c_d:g}"
             ) from None
 
-    lam = 2.0
-    stage = "top/bottom oblique inequalities (Lambda stage)"
-    while lam <= SEARCH_CAP:
-        p = params_for(2.0, lam, 1.0)
-        if all(min(m.m1, m.m2, m.m4, m.m5) > 0 for m in margins([engine], p, stage)):
-            break
-        lam *= 2.0
-    else:
-        raise SearchExhaustedError(stage)
+    knobs = {"alpha": 2.0, "lam": 2.0, "c_d": 1.0}
+    # each doubling stage raises its knob 2, 4, ..., SEARCH_CAP until its margins are strict on the search lattice
+    for knob, stage, margin in (
+        ("lam", "top/bottom oblique inequalities (Lambda stage)", lambda m: min(m.m1, m.m2, m.m4, m.m5)),
+        ("alpha", "interior operator inequalities (alpha stage)", lambda m: min(m.m3_cfree, m.m6_cfree)),
+    ):
+        while not all(margin(m) > 0 for m in margins([engine], params_for(**knobs), stage)):
+            if knobs[knob] >= SEARCH_CAP:
+                raise SearchExhaustedError(stage)
+            knobs[knob] *= 2.0
 
-    alpha = 2.0
-    stage = "interior operator inequalities (alpha stage)"
-    while alpha <= SEARCH_CAP:
-        p = params_for(alpha, lam, 1.0)
-        if all(min(m.m3_cfree, m.m6_cfree) > 0 for m in margins([engine], p, stage)):
-            break
-        alpha *= 2.0
-    else:
-        raise SearchExhaustedError(stage)
-
-    c_d = 1.0
     for _ in range(64):
-        p = params_for(alpha, lam, c_d)
+        p = params_for(**knobs)
         checks = margins([engine, fine], p, "final verification")
         if all(m.passed and m.psi_bar_min > 0 and m.psi_low_max < 0 for m in checks):
             return p
@@ -523,19 +506,16 @@ def search_parameters(view: StripView) -> BarrierParams:
         if worst.psi_bar_min <= 0 or worst.psi_low_max >= 0 or min(worst.m3, worst.m6) <= 0 < min(
             worst.m3_cfree, worst.m6_cfree
         ):
-            if c_d > SEARCH_CAP:
-                raise SearchExhaustedError("barrier positivity (C_D stage)")
-            c_d *= 2.0
+            knob, stage = "c_d", "barrier positivity (C_D stage)"
         elif min(worst.m1, worst.m2, worst.m4, worst.m5) <= 0:
-            if lam > SEARCH_CAP:
-                raise SearchExhaustedError("top/bottom oblique inequalities (final verification)")
-            lam *= 2.0
+            knob, stage = "lam", "top/bottom oblique inequalities (final verification)"
         elif min(worst.m3_cfree, worst.m6_cfree) <= 0:
-            if alpha > SEARCH_CAP:
-                raise SearchExhaustedError("interior operator inequalities (final verification)")
-            alpha *= 2.0
+            knob, stage = "alpha", "interior operator inequalities (final verification)"
         else:
             raise SearchExhaustedError("sandwich inequality (final verification)")
+        if knobs[knob] > SEARCH_CAP:
+            raise SearchExhaustedError(stage)
+        knobs[knob] *= 2.0
     raise SearchExhaustedError("parameter search iteration budget")
 
 

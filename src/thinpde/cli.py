@@ -31,8 +31,8 @@ from .distortion import hat_coefficients, top_profile
 from .ellipticity import _forms, _interior_rows, circle_obstruction_demo
 from .expressions import EvalDomainError
 from .harness import EXIT_BARRIER, EXIT_FAILURE, EXIT_OK, ConvergenceRow
-from .problem import EpsOutOfRangeError, box_lattice, strip_lattice
-from .reduction import estimate_limit_bounds, reduce_problem
+from .problem import EpsOutOfRangeError, box_lattice
+from .reduction import DegenerateThicknessError, estimate_limit_bounds, reduce_problem
 
 
 def _common(parser: argparse.ArgumentParser) -> None:
@@ -145,7 +145,7 @@ def cmd_reduce(args) -> int:
     problem = _need_config(args)
     stage = harness.reduce_stage(problem, args.samples_random, args.seed)
     lp = stage.product
-    xs = problem.geom.lattice(args.samples)
+    xs = box_lattice(problem.geom.lower, problem.geom.upper, args.samples)
     head = {f"x{k + 1}": column for k, column in enumerate(xs.T)}  # numbered on a 1-D base too
     table = _coefficients(problem, head, "tilde", lp.coefficients(xs))
     report = stage.lines + [estimate_limit_bounds(lp).format()]
@@ -194,9 +194,7 @@ def cmd_barrier(args) -> int:
     margins = bar.verify_barrier(view, pair, eps, grid=(args.nx, args.ny))
     tables = {}
     if args.csv:
-        xs = view.base_lattice(args.nx)
-        x_idx, ys = strip_lattice(xs, view.profile(-1.0, xs, eps), view.profile(1.0, xs, eps), args.ny)
-        x = xs[x_idx]
+        x, ys = bar.strip_nodes(view, box_lattice(view.lower, view.upper, args.nx), eps, args.ny)
         upper, lower = pair.values(x, ys, eps)
         tables["barrier_grids.csv"] = _table({**_points(x), "y": ys, "psi_upper": upper, "psi_lower": lower})
     code = EXIT_OK if margins.passed else EXIT_BARRIER
@@ -290,8 +288,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("barrier", help="search barrier parameters and verify the margins")
     _common(p)
     p.add_argument("--eps", type=_positive_float, default=None)
-    p.add_argument("--nx", type=_int_at_least(1), default=bar._VERIFY_GRID[0])
-    p.add_argument("--ny", type=_int_at_least(1), default=bar._VERIFY_GRID[1])
+    p.add_argument("--nx", type=_int_at_least(1), default=bar.VERIFY_GRID[0])
+    p.add_argument("--ny", type=_int_at_least(1), default=bar.VERIFY_GRID[1])
     p.add_argument("--csv", action="store_true", help="dump the barrier grids")
 
     p = sub.add_parser("solve", help="solve the eps-problem (or the limit problem with --limit)")
@@ -328,7 +326,7 @@ def main(argv=None) -> int:
         return EXIT_FAILURE
     try:
         return globals()[f"cmd_{args.command}"](args)  # looked up at each call, so a patched cmd_* runs
-    except (ConfigError, EpsOutOfRangeError, EvalDomainError) as exc:
+    except (ConfigError, DegenerateThicknessError, EpsOutOfRangeError, EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except BrokenPipeError:

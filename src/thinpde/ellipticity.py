@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import ScalarField, base_vars, parse
-from .problem import ThinProblem, quadratic_form, row_dot, row_matmul, strip_points, worst_node
+from .problem import ThinProblem, box_lattice, quadratic_form, row_dot, row_matmul, strip_points, worst_node
 
 CERTIFICATE_THRESHOLD = 1e-8
 # |v sigma^T|^2 = v A v^T holds exactly, so a discrepancy above roundoff is a defect
@@ -60,7 +60,7 @@ def _certificate_vectors(problem: ThinProblem, xs: np.ndarray, heads: np.ndarray
 
 def _interior_rows(problem: ThinProblem, samples_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Lattice nodes and their interior certificate vectors (Ds, -Ds gamma0^T)."""
-    xs = problem.geom.lattice(samples_per_axis)
+    xs = box_lattice(problem.geom.lower, problem.geom.upper, samples_per_axis)
     return xs, _certificate_vectors(problem, xs, problem.bdata.s_candidate.grad(xs))
 
 

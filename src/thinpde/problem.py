@@ -186,6 +186,8 @@ class GeometrySpec:
             raise ValueError("dimension must be 1 or 2")
         if len(self.upper) != self.n:
             raise ValueError("box bounds must have one entry per dimension")
+        if not np.isfinite(self.lower + self.upper).all():
+            raise ValueError("box bounds must be finite")
         if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("box must have positive extent")
         if not 0 < self.epsilon0 <= 1:
@@ -206,23 +208,12 @@ class GeometrySpec:
         if eps > self.epsilon0:
             raise EpsOutOfRangeError(f"eps={eps} exceeds epsilon0={self.epsilon0}")
 
-    def lattice(self, samples_per_axis: int) -> np.ndarray:
-        """Uniform node lattice over the closed box, shape (m, n).
-
-        ``samples_per_axis`` counts intervals, so doubling it refines the
-        lattice into a superset of the coarse one.
-        """
-        return box_lattice(self.lower, self.upper, samples_per_axis)
-
     def boundary_nodes(self, samples_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
-        """Boundary nodes with outward normals; corner normals are averaged."""
-        if self.n == 1:
-            pts = np.array([[self.lower[0]], [self.upper[0]]])
-            nus = np.array([[-1.0], [1.0]])
-            return pts, nus
-        pts = self.lattice(samples_per_axis)
-        at_lower = np.isclose(pts, self.lower)
-        at_upper = np.isclose(pts, self.upper)
+        """Boundary nodes of the box lattice with outward normals; corner normals are averaged."""
+        pts = box_lattice(self.lower, self.upper, samples_per_axis)
+        # linspace puts each bound exactly at its end node
+        at_lower = pts == self.lower
+        at_upper = pts == self.upper
         on_boundary = (at_lower | at_upper).any(axis=1)
         nu = (np.zeros(pts.shape) - at_lower + at_upper)[on_boundary]
         return pts[on_boundary], nu / np.sqrt(row_dot(nu, nu))[:, None]
@@ -354,9 +345,6 @@ class DiagnosticsReport:
         verdict = "ALL ASSUMPTIONS HOLD" if self.passed else "ASSUMPTION VIOLATIONS FOUND"
         return "\n".join(lines + [verdict])
 
-    def failing(self) -> list[Diagnostic]:
-        return [c for c in self.checks if not c.passed]
-
 
 def _derivative_fault(name: str, fld: ScalarField, points: np.ndarray) -> str | None:
     """The first of ``fld``'s gradient and Hessian that does not exist on ``points``, with its first such point."""
@@ -379,7 +367,7 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
     report = DiagnosticsReport()
     geom = problem.geom
     bdata = problem.bdata
-    base = geom.lattice(samples_per_axis)
+    base = box_lattice(geom.lower, geom.upper, samples_per_axis)
     # the closed slab Omega x [-1, 1]
     x_idx, ys = strip_lattice(base, -1.0, 1.0, samples_per_axis)
     slab = strip_points(base[x_idx], ys)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import Coefficients, ThinProblem, operator_infsup, row_dot, row_matmul, strip_points, worst_node
+from .problem import Coefficients, ThinProblem, box_lattice, operator_infsup, row_dot, row_matmul, strip_points, worst_node
 
 
 class DegenerateThicknessError(ArithmeticError):
@@ -217,7 +217,7 @@ class LimitBoundsReport:
 
 def estimate_limit_bounds(lp: LimitProblem) -> LimitBoundsReport:
     """Estimate the uniform bound and continuity constants of the reduced fields on the 16-interval base lattice."""
-    pts = lp.source.geom.lattice(16)
+    pts = box_lattice(lp.source.geom.lower, lp.source.geom.upper, 16)
     co = lp.coefficients(pts)
     s, b, c, f = co.sigma, co.b, co.c, co.f
     sup = max(0.0, *(float(np.abs(v).max()) for v in (s, b, c, f)))

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ from thinpde.config import load_problem
 from thinpde.distortion import build_map
 from problems import reference_problem
 from thinpde.presets import _entry
-from thinpde.problem import operator_infsup
+from thinpde.problem import box_lattice, operator_infsup
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -212,7 +212,7 @@ def test_general_barrier_distorted_reference(distorted):
 def _margins_by_points(problem, view, pair, eps, grid):
     """Reference: the seven margins by a per-node, per-control loop over scalar evaluations."""
     min_labels, max_labels = problem.controls.min_labels, problem.controls.max_labels
-    xs = view.base_lattice(grid[0])
+    xs = box_lattice(view.lower, view.upper, grid[0])
     ny = grid[1]
     vals_u, vals_l = [], []
     f_up, f_lo, f_up0, f_lo0 = [], [], [], []
@@ -297,12 +297,25 @@ def test_pair_values_are_the_value_slots_of_arrays(ref_params, distorted):
     # a flat pair and a pulled-back pair: the value-only path computes the same values, bit for bit
     view, params = ref_params
     pulled = bar.search_barriers(distorted, build_map(distorted))
-    xs = view.base_lattice(8)
+    xs = box_lattice(view.lower, view.upper, 8)
     x = np.repeat(xs, 3, axis=0)
     y = np.tile([-0.01, 0.0, 0.02], len(xs))
     for pair, eps in ((bar.BarrierPair(view, params), params.eps1 / 2), (pulled, pulled.params.eps1 / 4)):
         for value, side in zip(pair.values(x, y, eps), pair.arrays(x, y, eps)):
             assert value.tobytes() == side[0].tobytes()
+
+
+@pytest.mark.parametrize("config", ["reference", "distorted"])
+def test_search_margins_are_the_verification_margins(config):
+    # the search's cached margins of a candidate and verify_barrier's margins of its pair, bit for bit
+    problem = load_problem(CONFIGS / f"{config}.cfg")
+    view = bar.hat_view(problem, build_map(problem)) if bar.needs_distortion(problem) else bar.flat_view(problem)
+    params = bar.search_parameters(view)
+    for grid in ((16, 6), (32, 8)):
+        for eps in (params.eps1 / 2, params.eps1 / 4):
+            got = bar._MarginEngine(view, grid).margins(params, eps)
+            want = bar.verify_barrier(view, bar.BarrierPair(view, params), eps, grid)
+            assert repr(astuple(got)) == repr(astuple(want))
 
 
 @pytest.mark.parametrize(

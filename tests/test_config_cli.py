@@ -29,7 +29,7 @@ from thinpde.harness import (
     Stage,
     run_pipeline,
 )
-from thinpde.problem import CoefficientFamily, validate
+from thinpde.problem import CoefficientFamily, box_lattice, validate
 from thinpde.reduction import reduce_problem, representation_check
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -195,7 +195,7 @@ def test_cli_solve_csv(tmp_path):
 
 def test_csv_rows_built_by_column_match_a_row_by_row_build(rich):
     # the per-row f-strings the CSV writers once used, on a 2x2 control set and awkward floats
-    xs = rich.geom.lattice(8)
+    xs = box_lattice(rich.geom.lower, rich.geom.upper, 8)
     co = reduce_problem(rich).coefficients(xs)
     want = [
         f"{','.join(repr(float(v)) for v in x)},{lam},{mu},{float(c)!r},{float(f)!r}"
@@ -524,6 +524,18 @@ def test_cli_csvs_keep_every_base_coordinate(tmp_path):
     assert {tuple(float(v) for v in row.split(",")[4:10]) for row in hat[1:]} == {(1.0, 0.0, 0.0, 1.0, 0.0, 0.0)}
 
 
+def test_certify_on_a_tiny_square_takes_only_its_edge_nodes_as_boundary(tmp_path, capsys):
+    # every node lies within np.isclose's 1e-8 of both corners: all were once boundary nodes, some with
+    # a 0/0 normal, and the boundary margin read nan
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(BASE_2D.replace("upper = 1, 1\n", "upper = 1e-9, 1e-9\n"))
+    nodes, normals = load_problem(cfg).geom.boundary_nodes(4)
+    assert len(nodes) == 16
+    assert np.allclose(np.linalg.norm(normals, axis=1), 1.0)
+    assert main(["certify", "--config", str(cfg)]) == EXIT_OK
+    assert "PASS boundary certificate: margin=1 " in capsys.readouterr().out
+
+
 def test_cli_2d_converge_and_pipeline_stop_at_the_eps_solver(tmp_path, capsys):
     cfg = tmp_path / "base2d.cfg"
     cfg.write_text(BASE_2D)
@@ -637,6 +649,8 @@ def test_cli_reports_a_bad_geometry_key_without_a_traceback(tmp_path, capsys, ol
         ("upper = 1\n", "upper = 1, 1\n", "[geometry] box bounds must have one entry per dimension"),
         ("lower = 0\n", "lower = 1\n", "[geometry] box must have positive extent"),
         ("epsilon0 = 0.25\n", "epsilon0 = 2\n", "[geometry] epsilon0 must lie in (0, 1]"),
+        ("lower = 0\n", "lower = nan\n", "[geometry] box bounds must be finite"),
+        ("upper = 1\n", "upper = inf\n", "[geometry] box bounds must be finite"),
         ("M = 1\n", "M = 1, 1\n", "[controls] control set M has duplicate labels"),
         # shapes that do not fit the dimension, and a missing control pair
         ("sigma = 1, 0; 0, 1\n", "sigma = 1, 0; 0\n", "[coefficients.1.1] sigma rows need 2 columns"),
@@ -648,7 +662,7 @@ def test_cli_reports_a_bad_geometry_key_without_a_traceback(tmp_path, capsys, ol
             "missing [coefficients.1.1] section",
         ),
     ],
-    ids=["upper", "lower", "epsilon0", "M", "sigma", "b", "gamma0", "pair"],
+    ids=["upper", "lower", "epsilon0", "lower_nan", "upper_inf", "M", "sigma", "b", "gamma0", "pair"],
 )
 def test_cli_reports_a_bad_config_in_one_error_line(tmp_path, capsys, old, new, want):
     text = (CONFIGS / "reference.cfg").read_text()
@@ -888,6 +902,18 @@ def test_cli_field_outside_its_domain_exits_1_with_one_line(command, point, tmp_
     assert captured.err == f"error: division by zero at {point}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["reduce", "solve --limit"])
+def test_cli_vanishing_thickness_exits_1_with_one_line(command, tmp_path, capsys):
+    # g+ - g- vanishes at x1 = 0.3125, a node of the 16- and 64-interval lattices of reduce and solve --limit
+    # (not of validate's 8-interval one); it once ended in a DegenerateThicknessError traceback
+    text = (CONFIGS / "reference.cfg").read_text()
+    assert "g_minus = -1\ng_plus = 1\n" in text
+    cfg = tmp_path / "thin.cfg"
+    cfg.write_text(text.replace("g_minus = -1\ng_plus = 1\n", "g_minus = 0\ng_plus = pow(x1 - 0.3125, 2)\n"))
+    assert main(command.split() + ["--config", str(cfg)]) == EXIT_FAILURE
+    assert capsys.readouterr().err == "error: g+ - g- = 0.000e+00 at x = (0.3125,)\n"
 
 
 @settings(max_examples=50, derandomize=True, database=None)

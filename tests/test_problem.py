@@ -20,7 +20,7 @@ from thinpde.problem import (
 
 
 def _failing(name, report):
-    return [c.name for c in report.failing()]
+    return [c.name for c in report.checks if not c.passed]
 
 
 def test_validate_passes_reference(reference):
