@@ -161,7 +161,7 @@ def _barrier_level(problem: ThinProblem) -> ScalarField:
 def needs_distortion(problem: ThinProblem) -> bool:
     """The one test of gamma0: false only for a constant gamma0 (``VectorField.is_constant``) whose value is 0."""
     gamma0 = problem.bdata.gamma0
-    return not gamma0.is_constant or bool(gamma0.value(problem.geom.lower).any())
+    return not gamma0.is_constant or bool(gamma0.value(np.array([problem.geom.lower])).any())
 
 
 def flat_view(problem: ThinProblem) -> StripView:

@@ -224,15 +224,18 @@ def circle_obstruction_demo(n_theta: int) -> ObstructionReport:
     the minimum collapses relative to the maximum (ratio <= 1e-3), which is
     the numerical face of the mean-value argument: d/dtheta s(x(theta)) must
     vanish somewhere, and there Ds is radial, i.e. in the kernel of A.
+    The field A is built once per angle, before the candidates, and each
+    candidate's forms are taken with :func:`quadratic_form`.
     """
     if n_theta < 64:
         raise ValueError("n_theta must be >= 64")
     rows = []
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    pts = np.array([[math.cos(th), math.sin(th)] for th in thetas])
+    diffusion = np.array([rotating_field(x) for x in pts])
     for cand in _CANDIDATES:
         fld = ScalarField(parse(cand), base_vars(2))
-        pts = np.array([[math.cos(th), math.sin(th)] for th in thetas])
-        qs = np.array([float(ds @ rotating_field(x) @ ds) for x, ds in zip(pts, fld.grad(pts))])
+        qs = quadratic_form(fld.grad(pts), diffusion)
         imin = int(np.argmin(qs))
         qmin, qmax = float(qs[imin]), float(qs.max())
         ratio = qmin / qmax if qmax > 0 else 0.0

@@ -6,12 +6,12 @@ vertical coordinate and, by convention, the last slot of an evaluation
 point).  Expressions are parsed once into an immutable AST; evaluation is
 pure, so a parsed expression may be shared freely between threads.
 
-Evaluation is array-valued: one point (1-D, giving a float) and an (m, d)
-array of points (giving (m,)) run the same interpreter over numpy arrays.
-A tree of constants, negations and ``+ - * /`` skips the interpreter: its
-value is computed once, in Python floats (IEEE arithmetic, as numpy's), and
-returned as a float or a fresh array; a division by zero or a non-finite
-value among such trees is left to the interpreter, which raises.
+Evaluation takes (m, d) point arrays only, one point per row (a single
+point is a one-row array), and gives shape (m,) from one interpreter over
+numpy arrays.  A tree of constants, negations and ``+ - * /`` skips the
+interpreter: its value is computed once, in Python floats (IEEE arithmetic,
+as numpy's), and returned as a fresh array; a division by zero or a
+non-finite value among such trees is left to the interpreter, which raises.
 Domain errors (sqrt of a negative, 1/0, pow undefined or overflowing, exp
 overflow, sin/cos of an infinity, a non-finite result) raise
 :class:`EvalDomainError` with the error that pointwise evaluation would stop
@@ -421,33 +421,26 @@ class Expr:
         """The value of a constant tree that needs no interpreter (see :func:`_const_value`), else None."""
         return _const_value(self.root)
 
-    def evaluate(self, point):
-        """Value at one point (1-D, a float) or at each row of an (m, d) array, shape (m,)."""
-        pts = np.asarray(point, dtype=float)
+    def evaluate(self, points) -> np.ndarray:
+        """Value at each row of an (m, d) point array (point arrays only), shape (m,)."""
+        pts = np.asarray(points, dtype=float)
         value = self._constant
         if value is not None:
-            return value if pts.ndim == 1 else np.full(len(pts), value)
-        rows = pts.reshape(1, -1) if pts.ndim == 1 else pts
-        faults = _Faults(len(rows))
+            return np.full(len(pts), value)
+        faults = _Faults(len(pts))
         with np.errstate(all="ignore"):
-            v = _eval_node(self.root, rows, faults)
+            v = _eval_node(self.root, pts, faults)
         faults.check(~np.isfinite(v), lambda i: f"non-finite value {v[i]}")
         if faults.first is not None:
             i, message = faults.first
-            raise EvalDomainError(f"{message} at {tuple(float(c) for c in rows[i])}")
-        return float(v[0]) if pts.ndim == 1 else v
+            raise EvalDomainError(f"{message} at {tuple(float(c) for c in pts[i])}")
+        return v
 
     def to_string(self) -> str:
         return _print_node(self.root)
 
     def __repr__(self) -> str:
         return f"Expr({self.to_string()!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Expr) and self.root == other.root
-
-    def __hash__(self):
-        return hash(repr(self.root))
 
 
 def parse(text: str) -> Expr:
@@ -487,8 +480,9 @@ class ScalarField:
     def nvars(self) -> int:
         return len(self.var_names)
 
-    def value(self, point):
-        return self.expr.evaluate(point)
+    def value(self, points) -> np.ndarray:
+        """Value at each row of an (m, n) point array (point arrays only), shape (m,)."""
+        return self.expr.evaluate(points)
 
     @cached_property
     def _first(self) -> tuple[Expr, ...]:
@@ -504,15 +498,15 @@ class ScalarField:
         n = self.nvars
         return {(i, j): self._first[i].derivative(self.var_names[j]) for i in range(n) for j in range(i, n)}
 
-    def grad(self, point) -> np.ndarray:
-        """Gradient at one point, shape (n,), or at each row of an (m, n) array, shape (m, n)."""
-        return np.stack([d.evaluate(point) for d in self._first], axis=-1)
+    def grad(self, points) -> np.ndarray:
+        """Gradient at each row of an (m, n) point array (point arrays only), shape (m, n)."""
+        return np.stack([d.evaluate(points) for d in self._first], axis=-1)
 
-    def hess(self, point) -> np.ndarray:
-        """Hessian at one point, shape (n, n), or at each row of an (m, n) array, shape (m, n, n)."""
-        h = np.empty(np.shape(point)[:-1] + (self.nvars, self.nvars))
+    def hess(self, points) -> np.ndarray:
+        """Hessian at each row of an (m, n) point array (point arrays only), shape (m, n, n)."""
+        h = np.empty((len(points), self.nvars, self.nvars))
         for (i, j), d in self._second.items():
-            h[..., i, j] = h[..., j, i] = d.evaluate(point)
+            h[:, i, j] = h[:, j, i] = d.evaluate(points)
         return h
 
     def __repr__(self):
@@ -539,13 +533,13 @@ class VectorField:
         """Whether every component is constant (see :attr:`ScalarField.is_constant`)."""
         return all(f.is_constant for f in self.components)
 
-    def value(self, point) -> np.ndarray:
-        """Components at one point, shape (k,), or at each row of an (m, n) array, shape (m, k)."""
-        return np.stack([f.value(point) for f in self.components], axis=-1)
+    def value(self, points) -> np.ndarray:
+        """Components at each row of an (m, n) point array (point arrays only), shape (m, k)."""
+        return np.stack([f.value(points) for f in self.components], axis=-1)
 
-    def jacobian(self, point) -> np.ndarray:
-        """Rows are components, columns derivative directions; a leading m axis for point arrays."""
-        return np.stack([f.grad(point) for f in self.components], axis=-2)
+    def jacobian(self, points) -> np.ndarray:
+        """Jacobian at each row of an (m, n) point array (point arrays only), shape (m, k, n)."""
+        return np.stack([f.grad(points) for f in self.components], axis=-2)
 
 
 def strip_vars(n: int) -> tuple[str, ...]:

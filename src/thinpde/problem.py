@@ -188,8 +188,12 @@ class GeometrySpec:
             raise ValueError("box bounds must have one entry per dimension")
         if not np.isfinite(self.lower + self.upper).all():
             raise ValueError("box bounds must be finite")
-        if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
+        # in Python floats, an overflowing extent is inf with no numpy warning
+        extents = [float(hi) - float(lo) for lo, hi in zip(self.lower, self.upper)]
+        if not all(e > 0.0 for e in extents):
             raise ValueError("box must have positive extent")
+        if not np.isfinite(extents).all():
+            raise ValueError("box extent upper - lower must be finite")
         if not 0 < self.epsilon0 <= 1:
             raise ValueError("epsilon0 must lie in (0, 1]")
 
@@ -256,7 +260,10 @@ class ThinProblem:
         return self.geom.n
 
     def fields(self) -> dict[str, ScalarField]:
-        """Every scalar field by its config name; component i of a vector field is ``<name>_<i>``."""
+        """The geometry and boundary fields by config name, ``<name>_<i>`` for a vector's component i.
+
+        The coefficient fields are left to the bundle :meth:`coefficients` evaluates.
+        """
         geom, bd = self.geom, self.bdata
         out = {"g_minus": geom.g_minus, "g_plus": geom.g_plus}
         for name in ("gamma0", "k_plus", "k_minus"):
@@ -264,10 +271,6 @@ class ThinProblem:
         out.update(beta0=bd.beta0, l_plus=bd.l_plus, l_minus=bd.l_minus, beta=bd.beta_lateral, s=bd.s_candidate)
         if bd.h is not None:
             out["h"] = bd.h
-        for (lam, mu), e in self.coeffs.entries.items():
-            p = f"[{lam}.{mu}]"
-            out.update({f"sigma{p}[{i}][{j}]": fld for i, row in enumerate(e.sigma) for j, fld in enumerate(row)})
-            out.update({f"b{p}[{j}]": fld for j, fld in enumerate(e.b)} | {f"c{p}": e.c, f"f{p}": e.f})
         return out
 
     def coefficients(self, points) -> Coefficients:
@@ -366,19 +369,17 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
         raise ValueError("samples_per_axis must be >= 4")
     report = DiagnosticsReport()
     geom = problem.geom
-    bdata = problem.bdata
     base = box_lattice(geom.lower, geom.upper, samples_per_axis)
     # the closed slab Omega x [-1, 1]
     x_idx, ys = strip_lattice(base, -1.0, 1.0, samples_per_axis)
     slab = strip_points(base[x_idx], ys)
 
     # every expression, and every base field's gradient and Hessian, defined
-    # on its domain
+    # on its domain; each field is evaluated once, the coefficients in their bundle
     bad = None
     fields = problem.fields()
     try:
-        for fld in fields.values():
-            fld.value(base if fld.nvars == geom.n else slab)
+        values = {name: fld.value(base if fld.nvars == geom.n else slab) for name, fld in fields.items()}
         coeffs = problem.coefficients(slab)
     except ExprError as exc:
         bad = str(exc)
@@ -426,8 +427,7 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
     )
 
     # geometry: strict ordering and containment in the unit slab
-    gp = geom.g_plus.value(base)
-    gm = geom.g_minus.value(base)
+    gp, gm = values["g_plus"], values["g_minus"]
     worst_gap, witness_gap = worst_node(gp - gm, base, False)
     report.checks.append(
         Diagnostic(
@@ -448,9 +448,8 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
         )
     )
 
-    if bdata.h is not None:
-        hv = bdata.h.value(base)
-        above, below = gp - hv, hv - gm
+    if "h" in values:
+        above, below = gp - values["h"], values["h"] - gm
         worst_level, witness_level = worst_node(np.where(below < above, below, above), base, False)
         report.checks.append(
             Diagnostic(

@@ -147,7 +147,8 @@ def make_eps_grid(problem: ThinProblem, eps: float, nx: int, ny: int) -> Grid:
     if not (geom.g_plus.is_constant and geom.g_minus.is_constant):
         raise NotImplementedError("eps-problem grids require constant g+- (flat strip)")
     xs = np.linspace(geom.lower[0], geom.upper[0], nx + 1)
-    ys = np.linspace(eps * geom.g_minus.value(geom.lower), eps * geom.g_plus.value(geom.lower), ny + 1)
+    corner = np.array([geom.lower])
+    ys = np.linspace(eps * geom.g_minus.value(corner)[0], eps * geom.g_plus.value(corner)[0], ny + 1)
     cls = np.full((nx + 1, ny + 1), INTERIOR, dtype=np.int8)
     cls[:, -1] = TOP
     cls[:, 0] = BOTTOM

@@ -69,7 +69,7 @@ def test_criterion_04_transform_suite():
     for eps in eps_list:
         gaps.append(
             max(
-                abs(top_profile(dmap, prob.geom.g_plus, eps, np.array([[z]]))[0] - eps * prob.geom.g_plus.value([z]))
+                abs(top_profile(dmap, prob.geom.g_plus, eps, np.array([[z]]))[0] - eps * prob.geom.g_plus.value([[z]])[0])
                 for z in np.linspace(lo[0], hi[0], 17)
             )
         )

@@ -189,7 +189,7 @@ def _strip_by_nodes(problem, grid):
         czero=czero,
         source=source,
         oblique=oblique,
-        dirichlet=lambda x: bd.beta_lateral.value(x),
+        dirichlet=lambda x: bd.beta_lateral.value(x[None])[0],
     )
 
 

@@ -147,7 +147,7 @@ def test_sandwich_width_bound(ref_params):
     eps = params.eps1 / 2
     pair = bar.BarrierPair(view, params)
     m = bar.verify_barrier(view, pair, eps)
-    beta0_sup = max(abs(view.beta0.value([x])) for x in np.linspace(0, 1, 17))
+    beta0_sup = max(abs(view.beta0.value([[x]])[0]) for x in np.linspace(0, 1, 17))
     bound = (
         2 * (params.c_d + params.c_alpha)
         + 2 * beta0_sup
@@ -218,7 +218,7 @@ def _margins_by_points(problem, view, pair, eps, grid):
     f_up, f_lo, f_up0, f_lo0 = [], [], [], []
     m1 = m2 = m4 = m5 = math.inf
     for x in xs:
-        for j, y in enumerate(np.linspace(view.profile(-1.0, x, eps), view.profile(1.0, x, eps), ny + 1)):
+        for j, y in enumerate(np.linspace(view.profile(-1.0, x[None], eps)[0], view.profile(1.0, x[None], eps)[0], ny + 1)):
             (vu, gu, hu), (vl, gl, hl) = (
                 tuple(a[0] for a in side) for side in pair.arrays(x[None, :], np.array([y]), eps)
             )

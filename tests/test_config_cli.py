@@ -72,7 +72,7 @@ def test_load_reference_config():
     assert p.controls.min_labels == ("1",)
     assert validate(p).passed
     # s = x1: its gradient is the exact derivative
-    assert p.bdata.s_candidate.grad([0.3]).tolist() == [1.0]
+    assert p.bdata.s_candidate.grad([[0.3]]).tolist() == [[1.0]]
     settings = load_experiment_settings(CONFIGS / "reference.cfg")
     assert settings.eps_list == (0.2, 0.1, 0.05, 0.025)
     assert settings.nx == 64
@@ -81,7 +81,7 @@ def test_load_reference_config():
 def test_load_distorted_config():
     p = load_problem(CONFIGS / "distorted.cfg")
     # gamma0 = 0.2 x1: its Jacobian is the exact derivative
-    assert p.bdata.gamma0.jacobian([0.3]).tolist() == [[0.2]]
+    assert p.bdata.gamma0.jacobian([[0.3]]).tolist() == [[[0.2]]]
     rep = representation_check(p, reduce_problem(p), samples=100, seed=0)
     assert rep.passed
 
@@ -651,6 +651,11 @@ def test_cli_reports_a_bad_geometry_key_without_a_traceback(tmp_path, capsys, ol
         ("epsilon0 = 0.25\n", "epsilon0 = 2\n", "[geometry] epsilon0 must lie in (0, 1]"),
         ("lower = 0\n", "lower = nan\n", "[geometry] box bounds must be finite"),
         ("upper = 1\n", "upper = inf\n", "[geometry] box bounds must be finite"),
+        (
+            "lower = 0\nupper = 1\n",
+            "lower = -1e308\nupper = 1e308\n",
+            "[geometry] box extent upper - lower must be finite",
+        ),
         ("M = 1\n", "M = 1, 1\n", "[controls] control set M has duplicate labels"),
         # shapes that do not fit the dimension, and a missing control pair
         ("sigma = 1, 0; 0, 1\n", "sigma = 1, 0; 0\n", "[coefficients.1.1] sigma rows need 2 columns"),
@@ -662,7 +667,7 @@ def test_cli_reports_a_bad_geometry_key_without_a_traceback(tmp_path, capsys, ol
             "missing [coefficients.1.1] section",
         ),
     ],
-    ids=["upper", "lower", "epsilon0", "lower_nan", "upper_inf", "M", "sigma", "b", "gamma0", "pair"],
+    ids=["upper", "lower", "epsilon0", "lower_nan", "upper_inf", "extent_overflow", "M", "sigma", "b", "gamma0", "pair"],
 )
 def test_cli_reports_a_bad_config_in_one_error_line(tmp_path, capsys, old, new, want):
     text = (CONFIGS / "reference.cfg").read_text()

@@ -143,7 +143,7 @@ def test_profile_quadratic_gap(transform_demo):
     gaps = []
     for eps in eps_list:
         gap = max(
-            abs(_profile(dmap, transform_demo.geom.g_plus, eps, [z]) - eps * transform_demo.geom.g_plus.value([z]))
+            abs(_profile(dmap, transform_demo.geom.g_plus, eps, [z]) - eps * transform_demo.geom.g_plus.value([[z]])[0])
             for z in zs
         )
         gaps.append(gap)
@@ -161,7 +161,7 @@ def test_profile_ordering_equivalence(transform_demo):
         y = rng.uniform(-dmap.r, dmap.r)
         ge = _profile(dmap, transform_demo.geom.g_plus, eps, z)
         lhs = y > ge
-        rhs = y > eps * transform_demo.geom.g_plus.value(z + y * dmap.gamma.value(z))
+        rhs = y > eps * transform_demo.geom.g_plus.value((z + y * dmap.gamma.value(z[None])[0])[None])[0]
         if abs(y - ge) > 1e-9:
             assert lhs == rhs
 
@@ -339,12 +339,12 @@ def _ref_inverse(dmap, x, y):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = x.copy()
     for _ in range(distortion._FIXED_POINT_MAX_ITER):
-        z_next = x - y * dmap.gamma.value(z)
+        z_next = x - y * dmap.gamma.value(z[None])[0]
         step = float(np.abs(z_next - z).max())
         z = z_next
         if step <= distortion._FIXED_POINT_TOL:
             return z
-    residual = float(np.abs(z + y * dmap.gamma.value(z) - x).max())
+    residual = float(np.abs(z + y * dmap.gamma.value(z[None])[0] - x).max())
     if residual <= distortion._FIXED_POINT_TOL:
         return z
     raise NoConvergenceError(distortion._FIXED_POINT_MAX_ITER, residual)
@@ -353,11 +353,11 @@ def _ref_inverse(dmap, x, y):
 def _ref_matrix_r(dmap, z, y):
     z = np.atleast_1d(np.asarray(z, dtype=float))
     n = dmap.n
-    m = np.eye(n) + y * dmap.gamma.jacobian(z)
+    m = np.eye(n) + y * dmap.gamma.jacobian(z[None])[0]
     minv = np.linalg.inv(m)
     out = np.zeros((n + 1, n + 1))
     out[:n, :n] = minv
-    out[:n, n] = -minv @ dmap.gamma.value(z)
+    out[:n, n] = -minv @ dmap.gamma.value(z[None])[0]
     out[n, n] = 1.0
     return out
 
@@ -365,10 +365,10 @@ def _ref_matrix_r(dmap, z, y):
 def _ref_profile(dmap, g, eps, z, tol=1e-12):
     """Reference: the per-point safeguarded Newton iteration."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    gz = dmap.gamma.value(z)
+    gz = dmap.gamma.value(z[None])[0]
 
     def f(y):
-        return y - eps * g.value(z + y * gz)
+        return y - eps * g.value((z + y * gz)[None])[0]
 
     lo, hi = -dmap.r, dmap.r
     assert f(lo) <= 0.0 <= f(hi)
@@ -381,7 +381,7 @@ def _ref_profile(dmap, g, eps, z, tol=1e-12):
             lo = y
         if abs(fy) <= tol or hi - lo < 1e-16:
             return y
-        slope = 1.0 - eps * float(g.grad(z + y * gz) @ gz)
+        slope = 1.0 - eps * float(g.grad((z + y * gz)[None])[0] @ gz)
         if slope > 0.0 and lo < y - fy / slope < hi:
             y = y - fy / slope
         else:
@@ -395,7 +395,7 @@ def _bisect_profile(dmap, g, eps, z, steps=60):
     lo, hi = -dmap.r, dmap.r
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if mid - eps * g.value(z + mid * dmap.gamma.value(z)) > 0.0:
+        if mid - eps * g.value((z + mid * dmap.gamma.value(z[None])[0])[None])[0] > 0.0:
             hi = mid
         else:
             lo = mid

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thinpde import ellipticity
 from thinpde.ellipticity import (
     boundary_certificate,
     circle_obstruction_demo,
@@ -134,6 +135,41 @@ def test_obstruction_demo_all_candidates():
     assert by_name["x2"].theta_min == pytest.approx(math.pi / 2, abs=2 * math.pi / 512 + 1e-12)
     sum_row = by_name["x1 + x2"].theta_min % math.pi
     assert sum_row == pytest.approx(math.pi / 4, abs=2 * math.pi / 512 + 1e-12)
+
+
+@pytest.mark.parametrize("n_theta", [64, 1000, 4096])
+def test_obstruction_rows_match_a_per_point_sweep(n_theta):
+    rep = circle_obstruction_demo(n_theta)
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    grads = {
+        "x1": lambda x: np.array([1.0, 0.0]),
+        "x2": lambda x: np.array([0.0, 1.0]),
+        "x1 + x2": lambda x: np.array([1.0, 1.0]),
+        "pow(x1, 2.0)": lambda x: np.array([2.0 * x[0], 0.0]),
+        "x1 * x2": lambda x: np.array([x[1], x[0]]),
+    }
+    assert [r.candidate for r in rep.rows] == list(grads)
+    for row, grad in zip(rep.rows, grads.values()):
+        qs = []
+        for th in thetas:
+            x = np.array([math.cos(th), math.sin(th)])
+            ds = grad(x)
+            qs.append(float(ds @ rotating_field(x) @ ds))
+        i = int(np.argmin(qs))
+        assert (row.theta_min, row.q_min, row.q_max) == (float(thetas[i]), qs[i], max(qs))
+
+
+def test_obstruction_demo_builds_the_field_once_per_angle(monkeypatch):
+    calls = []
+    field = ellipticity.rotating_field
+
+    def counted(x):
+        calls.append(x)
+        return field(x)
+
+    monkeypatch.setattr(ellipticity, "rotating_field", counted)
+    circle_obstruction_demo(n_theta=64)
+    assert len(calls) == 64
 
 
 def test_obstruction_demo_rejects_tiny_sweep():

@@ -1,9 +1,13 @@
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinpde.expressions import VectorField, base_vars, strip_vars
+from thinpde.config import load_problem
+from thinpde.expressions import Expr, VectorField, base_vars, strip_vars
 from problems import reference_problem
 from thinpde.presets import _entry, _scalar, rich_problem
 from thinpde.problem import (
@@ -17,6 +21,8 @@ from thinpde.problem import (
     strip_lattice,
     validate,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _failing(name, report):
@@ -226,3 +232,55 @@ def test_strip_lattice_spaces_each_node_between_its_own_heights():
     assert ys.tobytes() == want.tobytes()
     # a height shared by every node
     assert strip_lattice(base, -1.0, 1.0, 4)[1].tobytes() == np.tile(np.linspace(-1.0, 1.0, 5), 3).tobytes()
+
+
+def _every_field(problem):
+    """The geometry and boundary fields, then every coefficient field of every control pair, each once."""
+    fields = list(problem.fields().values())
+    for e in problem.coeffs.entries.values():
+        fields += [fld for row in e.sigma for fld in row] + list(e.b) + [e.c, e.f]
+    return list({id(fld): fld for fld in fields}.values())
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: load_problem(CONFIGS / "reference.cfg"), rich_problem], ids=["reference.cfg", "rich"]
+)
+def test_validate_evaluates_each_field_once(monkeypatch, make):
+    problem = make()
+    calls = Counter()
+    evaluate = Expr.evaluate
+
+    def counted(self, points):
+        calls[id(self)] += 1
+        return evaluate(self, points)
+
+    monkeypatch.setattr(Expr, "evaluate", counted)
+    assert validate(problem).passed
+    fields = _every_field(problem)
+    assert len({id(fld.expr) for fld in fields}) == len(fields)
+    assert [calls[id(fld.expr)] for fld in fields] == [1] * len(fields)
+
+
+@pytest.mark.parametrize(
+    "edits, want",
+    [
+        ({"f = sin(pi*x1) + y": "f = 1/x1"}, "division by zero at (0.0, -1.0)"),
+        ({"beta = 0": "beta = sqrt(x1 - 0.5)"}, "sqrt of negative value -0.5 at (0.0, -1.0)"),
+        ({"c = 0": "c = sqrt(y)"}, "sqrt of negative value -1.0 at (0.0, -1.0)"),
+        ({"g_plus = 1": "g_plus = 1/(x1 - 0.5)"}, "division by zero at (0.5,)"),
+        ({"beta0 = 0": "beta0 = abs(x1 - 0.5)"}, "beta0.grad: no derivative at a kink of abs/min/max (both sides 0.0) at (0.5,)"),
+        # a boundary field is named before a coefficient field, and c before f
+        ({"f = sin(pi*x1) + y": "f = 1/x1", "beta = 0": "beta = sqrt(x1 - 0.5)"}, "sqrt of negative value -0.5 at (0.0, -1.0)"),
+        ({"f = sin(pi*x1) + y": "f = 1/x1", "c = 0": "c = sqrt(y)"}, "sqrt of negative value -1.0 at (0.0, -1.0)"),
+    ],
+    ids=["f", "beta", "c", "g_plus", "beta0", "beta_and_f", "c_and_f"],
+)
+def test_validate_names_the_first_undefined_field(tmp_path, edits, want):
+    text = (CONFIGS / "reference.cfg").read_text()
+    for old, new in edits.items():
+        assert text.count(f"\n{old}\n") == 1
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    report = validate(load_problem(cfg))
+    assert report.format().splitlines() == [f"FAIL ExpressionsFinite  {want}", "ASSUMPTION VIOLATIONS FOUND"]

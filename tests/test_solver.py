@@ -267,8 +267,8 @@ def test_dirichlet_attained_exactly(reference):
     vals = eps_fld.values
     nodes_y = eps_fld.grid.axes[1]
     for j, y in enumerate(nodes_y):
-        assert vals[0, j] == reference.bdata.beta_lateral.value([0.0, y])
-        assert vals[-1, j] == reference.bdata.beta_lateral.value([1.0, y])
+        assert vals[0, j] == reference.bdata.beta_lateral.value([[0.0, y]])[0]
+        assert vals[-1, j] == reference.bdata.beta_lateral.value([[1.0, y]])[0]
 
 
 def residual_infinity(sys: DiscreteSystem, u: np.ndarray) -> float:
