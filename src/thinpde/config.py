@@ -288,8 +288,7 @@ def load_problem(path: str | Path) -> ThinProblem:
                 f=scalar(f"f[{lam}.{mu}]", _value(cp, sec, "f"), svars),
             )
 
-    # [experiment] is parsed by load_experiment_settings; its keys are known here too
-    cp.asked.update(("experiment", key) for key in _EXPERIMENT_KEYS.values())
+    _experiment_settings(cp)  # a malformed run setting stops every subcommand, not only those that run the plan
     _reject_unasked(cp, cp.sections())
     return ThinProblem(
         controls=controls,
@@ -300,14 +299,16 @@ def load_problem(path: str | Path) -> ThinProblem:
     )
 
 
+def _experiment_settings(cp: _ConfigFile) -> dict:
+    """The run settings that the [experiment] section sets, each parsed by its range; a malformed one is a ConfigError."""
+    values = {name: _value(cp, "experiment", key, _SETTING_RANGES[name], None) for name, key in _EXPERIMENT_KEYS.items()}
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def load_experiment_settings(path: str | Path) -> ExperimentPlan:
     """The plan of a config's [experiment] section; an absent key keeps its default."""
     cp = _read(path)
-    settings = {}
-    for name, key in _EXPERIMENT_KEYS.items():
-        value = _value(cp, "experiment", key, _SETTING_RANGES[name], None)
-        if value is not None:
-            settings[name] = value
+    settings = _experiment_settings(cp)
     if "experiment" in cp:
         _reject_unasked(cp, ["experiment"])
     return ExperimentPlan(**settings)

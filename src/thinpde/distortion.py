@@ -24,7 +24,9 @@ hatted data take base points (m, N) and heights (m,) only, and the
 contraction's tolerance and cap are module constants; a batched inverse
 gives each point the iterates it would get alone.  The hatted operator and
 boundary data are functions of the problem and the map,
-:func:`hat_coefficients` and :func:`hat_oblique`.
+:func:`hat_coefficients` and :func:`hat_oblique`; :func:`check_exactness`
+reports the straightened boundary data as a
+:class:`thinpde.problem.ToleranceCheck`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .problem import (
     Coefficients,
     EpsOutOfRangeError,
     ThinProblem,
+    ToleranceCheck,
     box_lattice,
     quadratic_form,
     row_dot,
@@ -265,7 +268,7 @@ def hat_oblique(problem: ThinProblem, dmap: DistortionMap, sign: float, z, y) ->
     return row_matmul(gamma, np.swapaxes(matrix_r(dmap, z, y), -1, -2)), beta
 
 
-def check_exactness(problem: ThinProblem, dmap: DistortionMap) -> ExactnessReport:
+def check_exactness(problem: ThinProblem, dmap: DistortionMap) -> ToleranceCheck:
     """Worst deviation of the structural identities of :func:`hat_oblique` on a lattice, and the first node where it occurs.
 
     The last component of gamma^ must equal +-1 exactly on the slab, and
@@ -281,24 +284,7 @@ def check_exactness(problem: ThinProblem, dmap: DistortionMap) -> ExactnessRepor
         gamma = hat_oblique(problem, dmap, sign, z, y)[0]
         head = np.where(y == 0.0, np.abs(gamma[:, :n]).max(axis=1), 0.0)
         deviation = np.maximum.reduce([deviation, np.abs(gamma[:, n] - sign), head])
-    return ExactnessReport(*worst_node(deviation, strip_points(z, y), True))
-
-
-@dataclass
-class ExactnessReport:
-    deviation: float
-    witness: tuple  # the strip point (z, y) of the worst deviation
-
-    @property
-    def passed(self) -> bool:
-        return self.deviation <= _EXACTNESS_TOL
-
-    def format(self) -> str:
-        line = (
-            f"{'PASS' if self.passed else 'FAIL'} straightened boundary data: "
-            f"max deviation {self.deviation:.3e} (tolerance {_EXACTNESS_TOL:g})"
-        )
-        return line if self.passed else f"{line} at {self.witness}"
+    return ToleranceCheck.of("straightened boundary data: max deviation", deviation, strip_points(z, y), _EXACTNESS_TOL)
 
 
 @dataclass

@@ -6,7 +6,9 @@ control pairs; the boundary certificate does the same with the outward
 normal in place of Ds.  Both report the attained minimum of the quadratic
 form, a witness, and whether the margin clears the threshold.  The lattice
 minimum is advisory: it only bounds the true infimum from above, but the
-quadratic form is continuous so refinement converges.
+quadratic form is continuous so refinement converges.  The identity
+|v sigma^T|^2 = v A v^T behind the certificate is checked on the same rows
+to roundoff and reported as a :class:`thinpde.problem.ToleranceCheck`.
 
 Also included: the rotating diffusion field on R^2 whose single positive
 eigenvalue winds once around the unit circle, and the demonstration that no
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import ScalarField, base_vars, parse
-from .problem import ThinProblem, box_lattice, quadratic_form, row_dot, row_matmul, strip_points, worst_node
+from .problem import ThinProblem, ToleranceCheck, box_lattice, quadratic_form, row_dot, row_matmul, strip_points, worst_node
 
 CERTIFICATE_THRESHOLD = 1e-8
 # |v sigma^T|^2 = v A v^T holds exactly, so a discrepancy above roundoff is a defect
@@ -112,22 +114,7 @@ def boundary_certificate(problem: ThinProblem, samples_per_axis: int = 16) -> Ce
     )
 
 
-@dataclass
-class EquivalenceReport:
-    max_discrepancy: float
-    witness: tuple | None  # None when the discrepancy is 0
-    passed: bool
-
-    def format(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        line = (
-            f"{status} |v sigma^T|^2 vs v A v^T: max discrepancy {self.max_discrepancy:.3e}"
-            f" (tolerance {_EQUIVALENCE_TOL:g})"
-        )
-        return line if self.witness is None else f"{line} at {self.witness}"
-
-
-def equivalence_check(problem: ThinProblem, samples_per_axis: int = 16) -> EquivalenceReport:
+def equivalence_check(problem: ThinProblem, samples_per_axis: int = 16) -> ToleranceCheck:
     """Verify |v sigma^T|^2 == v A v^T on all certificate rows.
 
     Runs over the interior rows (v from Ds) and the boundary rows (v from
@@ -140,10 +127,7 @@ def equivalence_check(problem: ThinProblem, samples_per_axis: int = 16) -> Equiv
     coeffs = problem.coefficients(strip_points(xs, 0.0))
     vs_t = row_matmul(v, np.swapaxes(coeffs.sigma, -1, -2))
     diff = np.abs(row_dot(vs_t, vs_t) - quadratic_form(v, coeffs.a))
-    worst, where = worst_node(diff, xs, True, problem.controls)
-    if not worst > 0.0:
-        worst, where = 0.0, None
-    return EquivalenceReport(max_discrepancy=worst, witness=where, passed=worst <= _EQUIVALENCE_TOL)
+    return ToleranceCheck.of("|v sigma^T|^2 vs v A v^T: max discrepancy", diff, xs, _EQUIVALENCE_TOL, problem.controls)
 
 
 # --- rotating-field obstruction ---------------------------------------------

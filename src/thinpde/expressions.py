@@ -424,6 +424,8 @@ class Expr:
     def evaluate(self, points) -> np.ndarray:
         """Value at each row of an (m, d) point array (point arrays only), shape (m,)."""
         pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2:
+            raise ValueError(f"points must be an (m, d) array, got shape {pts.shape}")
         value = self._constant
         if value is not None:
             return np.full(len(pts), value)

@@ -17,12 +17,12 @@ solution could live, and its width is reported next to E.
 
 The barrier pair comes from :func:`thinpde.barriers.search_barriers`, run
 by the barrier stage (in the pipeline and in ``thinpde converge``) and
-passed in; None measures no sandwich.  Barrier strictness is only certified
-for eps below the searched eps1; when the requested eps list extends above
-it (the default list does, for the reference data), those rows are flagged
-uncertified and the sandwich is still measured empirically, except where a
-pulled-back pair does not reach the strip (it leaves the distortion map's
-slab): there the sandwich columns are NaN.
+passed in.  Barrier strictness is only certified for eps below the searched
+eps1; when the requested eps list extends above it (the default list does,
+for the reference data), those rows are flagged uncertified and the
+sandwich is still measured empirically, except where a pulled-back pair
+does not reach the strip (it leaves the distortion map's slab): there the
+sandwich columns are NaN.
 
 The run settings (eps list, strip and limit grids, Howard tolerance and
 cap) are one :class:`thinpde.config.ExperimentPlan`, range-checked where it
@@ -72,7 +72,7 @@ class ConvergenceTable:
     rows: list[ConvergenceRow]
     limit_residual: float
     disc_error_estimate: float
-    eps1: float | None
+    eps1: float
     strictly_decreasing: bool
     final_within_tolerance: bool
     within_noise_floor: bool = False  # every E below the discretization estimate
@@ -95,8 +95,7 @@ class ConvergenceTable:
             )
         lines.append(f"  limit residual {self.limit_residual:.2e}")
         lines.append(f"  limit discretization error estimate {self.disc_error_estimate:.3e}")
-        if self.eps1 is not None:
-            lines.append(f"  barrier eps1 = {self.eps1:.6g}")
+        lines.append(f"  barrier eps1 = {self.eps1:.6g}")
         lines.append(
             f"  verdict: {'PASS' if self.passed else 'FAIL'} "
             f"(strictly decreasing: {self.strictly_decreasing}, "
@@ -115,11 +114,11 @@ def sandwich_margins(pair: bar.BarrierPair, eps: float, fld: sol.GridField) -> t
     return float((u - lo).min()), float((hi - u).min()), max(0.0, float((hi - lo).max()))
 
 
-def convergence_experiment(problem: ThinProblem, plan: ExperimentPlan, barrier: bar.BarrierPair | None) -> ConvergenceTable:
+def convergence_experiment(problem: ThinProblem, plan: ExperimentPlan, barrier: bar.BarrierPair) -> ConvergenceTable:
     """Solve the strips and the limit problem of ``problem`` as ``plan`` sets them and tabulate E(eps).
 
     ``barrier`` is the pair from :func:`thinpde.barriers.search_barriers`,
-    whose sandwich is measured on every strip, or None for no sandwich.
+    whose sandwich is measured on every strip it reaches.
     """
     # every strip grid first: a strip the eps solver cannot grid stops the run before the limit solves
     grids = [sol.make_eps_grid(problem, eps, plan.nx, plan.ny) for eps in plan.eps_list]
@@ -142,7 +141,7 @@ def convergence_experiment(problem: ThinProblem, plan: ExperimentPlan, barrier: 
         width = math.nan
         certified = False
         # eps1 <= r / sup|g|, so a strip the pair does not reach is never certified
-        if barrier is not None and barrier.reaches(eps):
+        if barrier.reaches(eps):
             certified = eps < barrier.params.eps1
             lo_m, hi_m, width = sandwich_margins(barrier, eps, fld)
         rows.append(
@@ -169,7 +168,7 @@ def convergence_experiment(problem: ThinProblem, plan: ExperimentPlan, barrier: 
         rows=rows,
         limit_residual=u0.residual,
         disc_error_estimate=disc_est,
-        eps1=barrier.params.eps1 if barrier is not None else None,
+        eps1=barrier.params.eps1,
         strictly_decreasing=decreasing,
         final_within_tolerance=final_ok,
         within_noise_floor=all(e <= floor for e in errs),

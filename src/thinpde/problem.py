@@ -51,6 +51,33 @@ def worst_node(values, points: np.ndarray, largest: bool, controls: ControlSet |
     return float(values.flat[i]), witness
 
 
+@dataclass(frozen=True)
+class ToleranceCheck:
+    """The worst deviation from an identity that holds up to roundoff, and the first point where it occurs.
+
+    It passes when ``worst <= tolerance``, so a NaN deviation fails; its
+    line names the witness only on a FAIL.
+    """
+
+    what: str
+    worst: float
+    witness: tuple
+    tolerance: float
+
+    @classmethod
+    def of(cls, what: str, deviations, points: np.ndarray, tolerance: float, controls: ControlSet | None = None) -> ToleranceCheck:
+        """The check of ``deviations`` at ``points``, its witness as :func:`worst_node` gives the largest."""
+        return cls(what, *worst_node(deviations, points, True, controls), tolerance)
+
+    @property
+    def passed(self) -> bool:
+        return self.worst <= self.tolerance
+
+    def format(self) -> str:
+        line = f"{'PASS' if self.passed else 'FAIL'} {self.what} {self.worst:.3e} (tolerance {self.tolerance:g})"
+        return line if self.passed else f"{line} at {self.witness}"
+
+
 def _lattice_nodes(axes) -> np.ndarray:
     """Every node of the tensor lattice of ``axes``, the last axis varying fastest; shape (m, len(axes))."""
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)

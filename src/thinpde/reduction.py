@@ -17,8 +17,9 @@ with the auxiliary fields
 and C the bordered matrix with Dbeta0 on its last row/column and c_aux in
 the corner.  The whole construction is pinned down by the representation
 identity G(X,p,r,x) = F(A+B+C, (p, beta0 - gamma0.p), r, (x,0)), which
-:func:`representation_check` evaluates on random draws; the two evaluation
-paths are each other's oracle.
+:func:`representation_check` evaluates on random draws and reports as a
+:class:`thinpde.problem.ToleranceCheck`; the two evaluation paths are each
+other's oracle.
 
 The written form of the f~ coupling multiplies the full drift vector by the
 scalar beta0; the only scalar reading consistent with the representation
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import Coefficients, ThinProblem, box_lattice, operator_infsup, row_dot, row_matmul, strip_points, worst_node
+from .problem import Coefficients, ThinProblem, ToleranceCheck, box_lattice, operator_infsup, row_dot, row_matmul, strip_points
 
 
 class DegenerateThicknessError(ArithmeticError):
@@ -144,22 +145,6 @@ def bordered_matrices(problem: ThinProblem, x, X, p):
     return a_mat, b_mat, c_mat
 
 
-@dataclass
-class RepresentationReport:
-    max_abs_diff: float
-    samples: int
-    seed: int
-    passed: bool
-    witness: tuple | None = None  # (x1..xN, r) of the worst draw; None when the discrepancy is 0
-
-    def format(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status} representation identity over {self.samples} draws (seed {self.seed}): "
-            f"max |G - F| = {self.max_abs_diff:.3e} (tolerance {_REPRESENTATION_TOL:g})"
-        )
-
-
 def _draws(lower, upper, samples: int, seed: int):
     """X (m, N, N), p (m, N), r (m,), x (m, N) of :func:`representation_check`, laid out as it states."""
     lo, hi = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
@@ -171,7 +156,7 @@ def _draws(lower, upper, samples: int, seed: int):
     return X, unit[:, n * n : -1], unit[:, -1], lo + (hi - lo) * u[:, n * n + n + 1 :]
 
 
-def representation_check(problem: ThinProblem, lp: LimitProblem, samples: int = 1000, seed: int = 0) -> RepresentationReport:
+def representation_check(problem: ThinProblem, lp: LimitProblem, samples: int = 1000, seed: int = 0) -> ToleranceCheck:
     """Evaluate G of the limit problem ``lp`` and F(A+B+C, (p, beta0 - gamma0.p), r, (x,0)) on random draws.
 
     Entries of X (symmetrized), p and r are uniform in [-1, 1]; x is uniform
@@ -193,12 +178,9 @@ def representation_check(problem: ThinProblem, lp: LimitProblem, samples: int = 
     bd = problem.bdata
     q = strip_points(ps, bd.beta0.value(xs) - row_dot(bd.gamma0.value(xs), ps))
     f_val = operator_infsup(problem.coefficients(strip_points(xs, 0.0)), a_mat + b_mat + c_mat, q, rs)[0]
-    worst, where = worst_node(np.abs(g_val - f_val), strip_points(xs, rs), True)
-    if not worst > 0.0:
-        worst, where = 0.0, None
-    return RepresentationReport(
-        max_abs_diff=worst, samples=samples, seed=seed, passed=worst <= _REPRESENTATION_TOL, witness=where
-    )
+    what = f"representation identity over {samples} draws (seed {seed}): max |G - F| ="
+    # the witness is the worst draw's (x1..xN, r)
+    return ToleranceCheck.of(what, np.abs(g_val - f_val), strip_points(xs, rs), _REPRESENTATION_TOL)
 
 
 @dataclass

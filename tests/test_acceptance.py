@@ -34,13 +34,13 @@ def _report(k: int, name: str, ok: bool, detail: str = ""):
 def test_criterion_01_representation_identity():
     rich = rich_problem()
     rep = representation_check(rich, reduce_problem(rich), samples=1000, seed=0)
-    _report(1, "representation identity", rep.max_abs_diff <= 1e-8, f"max |G - F| = {rep.max_abs_diff:.3e} <= 1e-8")
+    _report(1, "representation identity", rep.worst <= 1e-8, f"max |G - F| = {rep.worst:.3e} <= 1e-8")
 
 
 def test_criterion_02_equivalence_suite():
     worst = 0.0
     for prob in (reference_problem(), reference_problem(c="1"), reference_problem(gamma0="0.2*x1"), rich_problem()):
-        worst = max(worst, equivalence_check(prob).max_discrepancy)
+        worst = max(worst, equivalence_check(prob).worst)
     _report(2, "norm/quadratic form equivalence", worst <= 1e-10, f"max discrepancy {worst:.3e} <= 1e-10")
 
 
@@ -170,7 +170,8 @@ def test_criterion_09_convergence():
     prob = reference_problem()
     table = convergence_experiment(prob, ExperimentPlan(eps_list=EPS_LIST), bar.search_barriers(prob, None))
     errs = [r.sup_error for r in table.rows]
-    se = convergence_experiment(slice_exact_problem(), ExperimentPlan(eps_list=EPS_LIST), None)
+    slice_exact = slice_exact_problem()
+    se = convergence_experiment(slice_exact, ExperimentPlan(eps_list=EPS_LIST), bar.search_barriers(slice_exact, None))
     slice_ok = all(r.sup_error <= se.disc_error_estimate for r in se.rows)
     ok = table.strictly_decreasing and table.final_within_tolerance and slice_ok
     _report(

@@ -556,6 +556,10 @@ def test_distorted_without_derivatives_passes_reduce_at_1e8():
     assert "(tolerance 1e-08)" in report
 
 
+# every subcommand that reads --config; a malformed [experiment] value stops each of them
+CONFIG_COMMANDS = ("validate", "certify", "reduce", "transform", "barrier", "solve", "converge", "pipeline")
+
+
 def _one_error_line(capsys, want: str) -> None:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and want in err
@@ -612,9 +616,27 @@ def test_non_integer_experiment_setting_names_its_key(tmp_path, capsys):
     cfg.write_text((CONFIGS / "reference.cfg").read_text().replace("\nnx = 64", "\nnx = abc"))
     with pytest.raises(ConfigError, match=r"\[experiment\] nx: .*'abc'"):
         load_experiment_settings(cfg)
-    for command in ("pipeline", "converge"):
+    for command in CONFIG_COMMANDS:
         assert main([command, "--config", str(cfg)]) == EXIT_FAILURE
         _one_error_line(capsys, "[experiment] nx")
+
+
+@pytest.mark.parametrize(
+    "command, code, want",
+    [
+        ("certify", EXIT_CERTIFICATE, "FAIL |v sigma^T|^2 vs v A v^T: max discrepancy nan (tolerance 1e-10) at ((0.0,), '1', '1')"),
+        ("reduce", EXIT_FAILURE, "FAIL representation identity over 1000 draws (seed 0): max |G - F| = nan (tolerance 1e-08) at ("),
+    ],
+)
+def test_a_nan_deviation_fails_its_tolerance_check_and_names_its_point(command, code, want, tmp_path, capsys):
+    # sigma^T sigma overflows to inf, so every identity row is nan; each once printed 0.000e+00 and PASS with exit 0
+    text = (CONFIGS / "reference.cfg").read_text()
+    text = text.replace("sigma = 1, 0; 0, 1", "sigma = 1e200, 0; 0, 1").replace("bound = 50", "bound = 1e300")
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--config", str(cfg)]) == code
+    assert any(line.startswith(want) for line in capsys.readouterr().out.splitlines())
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -803,7 +825,7 @@ def test_experiment_settings_out_of_range_are_config_errors(key, value, want, tm
     cfg.write_text(text)
     with pytest.raises(ConfigError, match=re.escape(want)):
         load_experiment_settings(cfg)
-    for command in ("pipeline", "converge"):
+    for command in CONFIG_COMMANDS:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == EXIT_FAILURE
         _one_error_line(capsys, want)
         assert not (tmp_path / command).exists()

@@ -264,7 +264,7 @@ def test_d2q_nonlinear_gamma_matches_differenced_inverse(monkeypatch):
 def test_hat_boundary_exactness(distorted):
     dmap = build_map(distorted)
     report = check_exactness(distorted, dmap)
-    assert report.deviation <= 1e-12
+    assert report.worst <= 1e-12
     assert report.format() == "PASS straightened boundary data: max deviation 0.000e+00 (tolerance 1e-12)"
     gp, _ = _hat_oblique(distorted, dmap, 1.0, [0.5], 0.1)
     assert gp[-1] == 1.0
@@ -282,7 +282,7 @@ def test_hat_boundary_exactness_names_its_witness(distorted, monkeypatch):
     monkeypatch.setattr(distortion, "hat_oblique", unrotated)
     report = check_exactness(distorted, build_map(distorted))
     assert not report.passed
-    assert report.deviation == pytest.approx(0.2)  # |gamma0| = 0.2 x1 at x1 = 1
+    assert report.worst == pytest.approx(0.2)  # |gamma0| = 0.2 x1 at x1 = 1
     assert report.witness == (1.0, 0.0)
     assert report.format().startswith("FAIL straightened boundary data: max deviation 2.000e-01 (tolerance 1e-12) at ")
 

@@ -57,14 +57,14 @@ def test_equivalence_of_norm_and_quadratic_forms(reference, rich):
     for prob in (reference, rich):
         rep = equivalence_check(prob)
         assert rep.passed
-        assert rep.max_discrepancy <= 1e-10
+        assert rep.worst <= 1e-10
 
 
 def test_equivalence_zero_sigma():
     p = reference_problem()
     p.coeffs.entries[("1", "1")] = _entry(1, [["0", "0"], ["0", "0"]], ["0", "0"], "0", "0")
     rep = equivalence_check(p)
-    assert rep.max_discrepancy == 0.0
+    assert rep.worst == 0.0
 
 
 def test_refinement_monotone(rich):

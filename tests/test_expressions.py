@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -492,3 +493,12 @@ def test_undefined_constant_trees_raise_at_the_first_point(text, message):
     with pytest.raises(EvalDomainError) as err:
         parse(text).evaluate(_ROWS)
     assert str(err.value) == f"{message} at (1.0, 2.0)"
+
+
+@pytest.mark.parametrize("text", ["x1 + 1", "2.5"])
+@pytest.mark.parametrize("points", [[0.25, -0.5], 0.25, [[[0.25, -0.5]]]], ids=["1-D", "0-D", "3-D"])
+def test_evaluate_rejects_points_that_are_not_an_m_by_d_array(text, points):
+    # a 1-D point once gave IndexError for x1 + 1 and an array of length d for the constant 2.5
+    want = f"points must be an (m, d) array, got shape {np.shape(points)}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        parse(text).evaluate(points)

@@ -144,14 +144,14 @@ def test_convergence_reference(ref_table):
 
 def test_single_eps_plan(reference):
     plan = ExperimentPlan(eps_list=(0.1,), nx=16, ny=8, limit_resolution=16)
-    table = convergence_experiment(reference, plan, None)
+    table = convergence_experiment(reference, plan, search_barriers(reference, None))
     assert len(table.rows) == 1
     assert not table.strictly_decreasing  # no monotonicity verdict from one row
 
 
 def test_slice_exact_gap_below_discretization(slice_exact):
     plan = ExperimentPlan(nx=32, ny=16, limit_resolution=32)
-    table = convergence_experiment(slice_exact, plan, None)
+    table = convergence_experiment(slice_exact, plan, search_barriers(slice_exact, None))
     for row in table.rows:
         assert row.sup_error <= table.disc_error_estimate
     # machine-zero gaps are not held to strict monotonicity
