@@ -513,7 +513,7 @@ def search_parameters(view: StripView) -> BarrierParams:
             knob, stage = "alpha", "interior operator inequalities (final verification)"
         else:
             raise SearchExhaustedError("sandwich inequality (final verification)")
-        if knobs[knob] > SEARCH_CAP:
+        if knobs[knob] >= SEARCH_CAP:
             raise SearchExhaustedError(stage)
         knobs[knob] *= 2.0
     raise SearchExhaustedError("parameter search iteration budget")

@@ -26,9 +26,9 @@ import numpy as np
 
 from . import barriers as bar
 from . import harness, solver as sol
-from .config import _SETTING_RANGES, ConfigError, ExperimentPlan, _int_at_least, _positive_float, load_experiment_settings, load_problem
+from .config import SETTING_RANGES, ConfigError, ExperimentPlan, int_at_least, load_experiment_settings, load_problem, positive_float
 from .distortion import hat_coefficients, top_profile
-from .ellipticity import _forms, _interior_rows, circle_obstruction_demo
+from .ellipticity import certificate_forms, circle_obstruction_demo, interior_rows
 from .expressions import EvalDomainError
 from .harness import EXIT_BARRIER, EXIT_FAILURE, EXIT_OK, ConvergenceRow
 from .problem import EpsOutOfRangeError, box_lattice
@@ -135,8 +135,8 @@ def cmd_certify(args) -> int:
     stage = harness.certify_stage(problem, args.samples)
     tables = {}
     if args.csv:
-        xs, vs = _interior_rows(problem, args.samples)
-        forms = {"quadratic_form": _forms(problem, xs, vs)[0].reshape(len(xs), -1)}
+        xs, vs = interior_rows(problem, args.samples)
+        forms = {"quadratic_form": certificate_forms(problem, xs, vs)[0].reshape(len(xs), -1)}
         tables["certify_interior.csv"] = _table(_per_pair(problem, _points(xs), forms))
     return _report(args, "certify_report.txt", stage.lines, stage.code, tables)
 
@@ -233,7 +233,7 @@ def cmd_converge(args) -> int:
     plan = load_experiment_settings(args.config)
     if args.eps is not None:
         try:
-            args.eps = _SETTING_RANGES["eps_list"](args.eps)
+            args.eps = SETTING_RANGES["eps_list"](args.eps)
         except ValueError as exc:  # each value was checked as parsed, the list as a whole only here
             args.usage_error(f"argument --eps: {exc}")
     overrides = {"eps_list": args.eps, "nx": args.nx, "ny": args.ny, "limit_resolution": args.limit_nx}
@@ -268,50 +268,50 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the standing assumptions by sampling")
     _common(p)
-    p.add_argument("--samples", type=_int_at_least(4), default=harness.VALIDATE_SAMPLES)
+    p.add_argument("--samples", type=int_at_least(4), default=harness.VALIDATE_SAMPLES)
 
     p = sub.add_parser("certify", help="interior/boundary ellipticity certificates")
     _common(p)
-    p.add_argument("--samples", type=_int_at_least(1), default=harness.CERTIFY_SAMPLES)
+    p.add_argument("--samples", type=int_at_least(1), default=harness.CERTIFY_SAMPLES)
     p.add_argument("--csv", action="store_true", help="dump the per-node quadratic form")
 
     p = sub.add_parser("reduce", help="build the limit problem and dump its coefficients")
     _common(p)
-    p.add_argument("--samples", type=_int_at_least(1), default=16)
-    p.add_argument("--samples-random", type=_int_at_least(1), default=harness.REPRESENTATION_SAMPLES)
+    p.add_argument("--samples", type=int_at_least(1), default=16)
+    p.add_argument("--samples-random", type=int_at_least(1), default=harness.REPRESENTATION_SAMPLES)
 
     p = sub.add_parser("transform", help="emit distorted-boundary profiles and hatted coefficients")
     _common(p)
-    p.add_argument("--eps", type=_positive_float, default=0.1)
-    p.add_argument("--samples", type=_int_at_least(1), default=32)
+    p.add_argument("--eps", type=positive_float, default=0.1)
+    p.add_argument("--samples", type=int_at_least(1), default=32)
 
     p = sub.add_parser("barrier", help="search barrier parameters and verify the margins")
     _common(p)
-    p.add_argument("--eps", type=_positive_float, default=None)
-    p.add_argument("--nx", type=_int_at_least(1), default=bar.VERIFY_GRID[0])
-    p.add_argument("--ny", type=_int_at_least(1), default=bar.VERIFY_GRID[1])
+    p.add_argument("--eps", type=positive_float, default=None)
+    p.add_argument("--nx", type=int_at_least(1), default=bar.VERIFY_GRID[0])
+    p.add_argument("--ny", type=int_at_least(1), default=bar.VERIFY_GRID[1])
     p.add_argument("--csv", action="store_true", help="dump the barrier grids")
 
     p = sub.add_parser("solve", help="solve the eps-problem (or the limit problem with --limit)")
     _common(p)
-    p.add_argument("--eps", type=_positive_float, default=None)
-    p.add_argument("--nx", type=_SETTING_RANGES["nx"], default=ExperimentPlan.nx)  # the plan's class attributes are its defaults
-    p.add_argument("--ny", type=_SETTING_RANGES["ny"], default=ExperimentPlan.ny, help="strip intervals in y (8 nodes at least)")
-    p.add_argument("--tol", type=_SETTING_RANGES["tol"], default=ExperimentPlan.tol)
-    p.add_argument("--max-iter", type=_SETTING_RANGES["max_iter"], default=ExperimentPlan.max_iter)
+    p.add_argument("--eps", type=positive_float, default=None)
+    p.add_argument("--nx", type=SETTING_RANGES["nx"], default=ExperimentPlan.nx)  # the plan's class attributes are its defaults
+    p.add_argument("--ny", type=SETTING_RANGES["ny"], default=ExperimentPlan.ny, help="strip intervals in y (8 nodes at least)")
+    p.add_argument("--tol", type=SETTING_RANGES["tol"], default=ExperimentPlan.tol)
+    p.add_argument("--max-iter", type=SETTING_RANGES["max_iter"], default=ExperimentPlan.max_iter)
     p.add_argument("--limit", action="store_true")
 
     p = sub.add_parser("converge", help="measure sup|u_eps - u0| over a decreasing eps list")
     _common(p)
-    p.add_argument("--eps", type=_positive_float, nargs="*", default=None, help="a strictly decreasing list")
-    p.add_argument("--nx", type=_SETTING_RANGES["nx"], default=None)
-    p.add_argument("--ny", type=_SETTING_RANGES["ny"], default=None, help="strip intervals in y (8 nodes at least)")
-    p.add_argument("--limit-nx", type=_SETTING_RANGES["limit_resolution"], default=None)
+    p.add_argument("--eps", type=positive_float, nargs="*", default=None, help="a strictly decreasing list")
+    p.add_argument("--nx", type=SETTING_RANGES["nx"], default=None)
+    p.add_argument("--ny", type=SETTING_RANGES["ny"], default=None, help="strip intervals in y (8 nodes at least)")
+    p.add_argument("--limit-nx", type=SETTING_RANGES["limit_resolution"], default=None)
     p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("counterexample", help="rotating-field obstruction sweep on the unit circle")
     _common(p)
-    p.add_argument("--n-theta", type=_int_at_least(64), default=4096)
+    p.add_argument("--n-theta", type=int_at_least(64), default=4096)
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("pipeline", help="run every stage in order")

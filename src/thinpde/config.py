@@ -62,7 +62,7 @@ class _OutOfRange(argparse.ArgumentTypeError, ValueError):
     """
 
 
-def _int_at_least(low: int):
+def int_at_least(low: int):
     """Parser of an int >= ``low``, from text or an integer."""
 
     def parse(text) -> int:
@@ -75,7 +75,7 @@ def _int_at_least(low: int):
     return parse
 
 
-def _positive_float(text) -> float:
+def positive_float(text) -> float:
     """Parser of a finite float > 0, from text or a number."""
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
@@ -83,12 +83,12 @@ def _positive_float(text) -> float:
     return value
 
 
-_positive_float.__name__ = "float"  # argparse names the type in "invalid float value"
+positive_float.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
 def _decreasing_eps(text) -> tuple[float, ...]:
     """Parser of a strictly decreasing list of finite floats > 0, from comma-separated text or a sequence."""
-    values = tuple(_positive_float(p) for p in (_split_top(text, ",") if isinstance(text, str) else text))
+    values = tuple(positive_float(p) for p in (_split_top(text, ",") if isinstance(text, str) else text))
     if not values or any(b >= a for a, b in zip(values, values[1:])):
         raise _OutOfRange(f"must be a non-empty, strictly decreasing list, got {text}")
     return values
@@ -104,28 +104,28 @@ def _floats(value: str) -> tuple[float, ...]:
 
 # The range of each run setting, written once: ExperimentPlan, the [experiment]
 # keys, the command-line options, policy_iteration and make_eps_grid all parse with these.
-_SETTING_RANGES = {
+SETTING_RANGES = {
     "eps_list": _decreasing_eps,
     # a grid of one interval has no interior column, so its error is 0 and any verdict vacuous
-    "nx": _int_at_least(2),
-    "ny": _int_at_least(7),  # the strip needs 8 vertical nodes
-    "limit_resolution": _int_at_least(2),
-    "tol": _positive_float,  # Howard's residual tolerance
-    "max_iter": _int_at_least(1),  # Howard's iteration cap
+    "nx": int_at_least(2),
+    "ny": int_at_least(7),  # the strip needs 8 vertical nodes
+    "limit_resolution": int_at_least(2),
+    "tol": positive_float,  # Howard's residual tolerance
+    "max_iter": int_at_least(1),  # Howard's iteration cap
 }
 
 
-def _in_range(name: str, value):
+def in_range(name: str, value):
     """``value`` parsed by the range of setting ``name``; a ValueError out of range names the setting."""
     try:
-        return _SETTING_RANGES[name](value)
+        return SETTING_RANGES[name](value)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
 
 
 # the [experiment] key of each run setting: its name, but for eps and limit_nx
 _RENAMED = {"eps_list": "eps", "limit_resolution": "limit_nx"}
-_EXPERIMENT_KEYS = {name: _RENAMED.get(name, name) for name in _SETTING_RANGES}
+_EXPERIMENT_KEYS = {name: _RENAMED.get(name, name) for name in SETTING_RANGES}
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ class ExperimentPlan:
     A strip grid of ``nx`` x ``ny`` intervals at each eps of the strictly
     decreasing ``eps_list``, the limit grid at ``limit_resolution`` and twice
     that, and Howard's ``tol`` and ``max_iter`` for every solve.  A value out
-    of its range in ``_SETTING_RANGES`` raises a ValueError naming the field.
+    of its range in ``SETTING_RANGES`` raises a ValueError naming the field.
     """
 
     eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
@@ -146,8 +146,8 @@ class ExperimentPlan:
     max_iter: int = 100
 
     def __post_init__(self):
-        for name in _SETTING_RANGES:
-            object.__setattr__(self, name, _in_range(name, getattr(self, name)))
+        for name in SETTING_RANGES:
+            object.__setattr__(self, name, in_range(name, getattr(self, name)))
 
 
 class _ConfigFile(configparser.ConfigParser):
@@ -301,7 +301,7 @@ def load_problem(path: str | Path) -> ThinProblem:
 
 def _experiment_settings(cp: _ConfigFile) -> dict:
     """The run settings that the [experiment] section sets, each parsed by its range; a malformed one is a ConfigError."""
-    values = {name: _value(cp, "experiment", key, _SETTING_RANGES[name], None) for name, key in _EXPERIMENT_KEYS.items()}
+    values = {name: _value(cp, "experiment", key, SETTING_RANGES[name], None) for name, key in _EXPERIMENT_KEYS.items()}
     return {name: value for name, value in values.items() if value is not None}
 
 

@@ -3,8 +3,10 @@
 The interior certificate scans v(x) = (Ds(x), -Ds(x) gamma0^T(x)) against
 A(x, 0) = sigma^T sigma over a lattice of the closed base domain and all
 control pairs; the boundary certificate does the same with the outward
-normal in place of Ds.  Both report the attained minimum of the quadratic
-form, a witness, and whether the margin clears the threshold.  The lattice
+normal in place of Ds.  Both build one :class:`CertificateReport` with
+:meth:`CertificateReport.of`: the attained minimum of the quadratic form,
+its witness from :func:`thinpde.problem.worst_node`, and whether the margin
+is finite and clears the threshold (an overflowed form fails).  The lattice
 minimum is advisory: it only bounds the true infimum from above, but the
 quadratic form is continuous so refinement converges.  The identity
 |v sigma^T|^2 = v A v^T behind the certificate is checked on the same rows
@@ -36,12 +38,24 @@ _CANDIDATES = ("x1", "x2", "x1 + x2", "pow(x1, 2)", "x1 * x2")
 
 @dataclass
 class CertificateReport:
+    """The least v A(x,0) v^T over a lattice's rows and control pairs, and its first witness; only a finite margin passes."""
+
     margin: float
     witness: tuple  # (x, lambda, mu)
-    passed: bool
     grid_spec: int
     norm_margin: float | None = None  # min of |v A|, reported for the boundary form
     kind: str = "interior"
+
+    @classmethod
+    def of(cls, problem: ThinProblem, xs: np.ndarray, vs: np.ndarray, samples_per_axis: int, kind: str) -> CertificateReport:
+        """The certificate of the rows (xs, vs); the boundary one also reports the least |v A|."""
+        q, norms = certificate_forms(problem, xs, vs)
+        norm_margin = float(norms.min()) if kind == "boundary" else None
+        return cls(*worst_node(q, xs, False, problem.controls), samples_per_axis, norm_margin, kind)
+
+    @property
+    def passed(self) -> bool:
+        return CERTIFICATE_THRESHOLD < self.margin < math.inf
 
     def format(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -60,23 +74,19 @@ def _certificate_vectors(problem: ThinProblem, xs: np.ndarray, heads: np.ndarray
     return strip_points(heads, -row_dot(heads, problem.bdata.gamma0.value(xs)))
 
 
-def _interior_rows(problem: ThinProblem, samples_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
+def interior_rows(problem: ThinProblem, samples_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Lattice nodes and their interior certificate vectors (Ds, -Ds gamma0^T)."""
     xs = box_lattice(problem.geom.lower, problem.geom.upper, samples_per_axis)
     return xs, _certificate_vectors(problem, xs, problem.bdata.s_candidate.grad(xs))
 
 
-def _forms(problem: ThinProblem, xs: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """v A(x,0) v^T and |v A(x,0)| for rows (x, v) and every control pair, each (m, nL, nM)."""
+def certificate_forms(problem: ThinProblem, xs: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v A(x,0) v^T and |v A(x,0)| for rows (x, v) and every control pair, each (m, nL, nM); an overflow gives inf or nan."""
     v = vs[:, None, None]
-    va = row_matmul(v, problem.coefficients(strip_points(xs, 0.0)).a)
-    return row_dot(va, v), np.sqrt(row_dot(va, va))
-
-
-def _scan(problem: ThinProblem, xs: np.ndarray, vs: np.ndarray):
-    """Minimize v A(x,0) v^T over the rows (x, v) and all controls; also the least |v A|."""
-    q, norms = _forms(problem, xs, vs)
-    return *worst_node(q, xs, False, problem.controls), float(norms.min())
+    a = problem.coefficients(strip_points(xs, 0.0)).a
+    with np.errstate(over="ignore", invalid="ignore"):
+        va = row_matmul(v, a)
+        return row_dot(va, v), np.sqrt(row_dot(va, va))
 
 
 def interior_certificate(problem: ThinProblem, samples_per_axis: int = 16) -> CertificateReport:
@@ -86,14 +96,7 @@ def interior_certificate(problem: ThinProblem, samples_per_axis: int = 16) -> Ce
     a positive margin certifies (up to lattice resolution) that s witnesses
     the global ellipticity requirement.
     """
-    margin, witness, _ = _scan(problem, *_interior_rows(problem, samples_per_axis))
-    return CertificateReport(
-        margin=margin,
-        witness=witness,
-        passed=margin > CERTIFICATE_THRESHOLD,
-        grid_spec=samples_per_axis,
-        kind="interior",
-    )
+    return CertificateReport.of(problem, *interior_rows(problem, samples_per_axis), samples_per_axis, "interior")
 
 
 def boundary_certificate(problem: ThinProblem, samples_per_axis: int = 16) -> CertificateReport:
@@ -103,15 +106,7 @@ def boundary_certificate(problem: ThinProblem, samples_per_axis: int = 16) -> Ce
     Both the quadratic form w A w^T and the norm form |w A| are reported.
     """
     nodes, normals = problem.geom.boundary_nodes(samples_per_axis)
-    margin, witness, norm_margin = _scan(problem, nodes, _certificate_vectors(problem, nodes, normals))
-    return CertificateReport(
-        margin=margin,
-        witness=witness,
-        passed=margin > CERTIFICATE_THRESHOLD,
-        grid_spec=samples_per_axis,
-        norm_margin=norm_margin,
-        kind="boundary",
-    )
+    return CertificateReport.of(problem, nodes, _certificate_vectors(problem, nodes, normals), samples_per_axis, "boundary")
 
 
 def equivalence_check(problem: ThinProblem, samples_per_axis: int = 16) -> ToleranceCheck:
@@ -120,13 +115,14 @@ def equivalence_check(problem: ThinProblem, samples_per_axis: int = 16) -> Toler
     Runs over the interior rows (v from Ds) and the boundary rows (v from
     the outward normal), for every control pair.
     """
-    xs, vs = _interior_rows(problem, samples_per_axis)
+    xs, vs = interior_rows(problem, samples_per_axis)
     nodes, normals = problem.geom.boundary_nodes(samples_per_axis)
     xs = np.concatenate([xs, nodes])
     v = np.concatenate([vs, _certificate_vectors(problem, nodes, normals)])[:, None, None]
     coeffs = problem.coefficients(strip_points(xs, 0.0))
-    vs_t = row_matmul(v, np.swapaxes(coeffs.sigma, -1, -2))
-    diff = np.abs(row_dot(vs_t, vs_t) - quadratic_form(v, coeffs.a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vs_t = row_matmul(v, np.swapaxes(coeffs.sigma, -1, -2))
+        diff = np.abs(row_dot(vs_t, vs_t) - quadratic_form(v, coeffs.a))
     return ToleranceCheck.of("|v sigma^T|^2 vs v A v^T: max discrepancy", diff, xs, _EQUIVALENCE_TOL, problem.controls)
 
 

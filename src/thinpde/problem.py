@@ -15,6 +15,11 @@ the strip solver and the barriers through the one signed evaluator
 
 Coefficients are read as one :class:`Coefficients` bundle of every control
 pair at m points; :func:`operator_infsup` evaluates the operator over it.
+
+:func:`validate` judges the standing assumptions on lattices.  Each check
+that scans one is built by :meth:`Diagnostic.of`, and each identity check
+elsewhere by :meth:`ToleranceCheck.of`; both take the worst node and its
+witness from :func:`worst_node`.
 """
 
 from __future__ import annotations
@@ -78,14 +83,14 @@ class ToleranceCheck:
         return line if self.passed else f"{line} at {self.witness}"
 
 
-def _lattice_nodes(axes) -> np.ndarray:
+def lattice_nodes(axes) -> np.ndarray:
     """Every node of the tensor lattice of ``axes``, the last axis varying fastest; shape (m, len(axes))."""
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 def box_lattice(lower, upper, intervals: int) -> np.ndarray:
     """Uniform node lattice over the closed box [lower, upper], ``intervals`` per axis; shape (m, N)."""
-    return _lattice_nodes([np.linspace(lo, hi, intervals + 1) for lo, hi in zip(lower, upper)])
+    return lattice_nodes([np.linspace(lo, hi, intervals + 1) for lo, hi in zip(lower, upper)])
 
 
 def strip_lattice(base: np.ndarray, bottom, top, intervals: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +191,9 @@ def _coefficient_bundle(entries, points: np.ndarray) -> Coefficients:
                 b[:, il, im, j] = fld.value(points)
             c[:, il, im] = e.c.value(points)
             f[:, il, im] = e.f.value(points)
-    return Coefficients(sigma, np.swapaxes(sigma, -1, -2) @ sigma, b, c, f)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing A reaches its checks as inf or nan
+        a = np.swapaxes(sigma, -1, -2) @ sigma
+    return Coefficients(sigma, a, b, c, f)
 
 
 @dataclass
@@ -350,6 +357,14 @@ class Diagnostic:
     witness: tuple | None = None
     note: str = ""
 
+    @classmethod
+    def of(
+        cls, name: str, values, points: np.ndarray, largest: bool, passes, note: str, controls: ControlSet | None = None
+    ) -> Diagnostic:
+        """The check of ``values`` at ``points``: its worst and witness from :func:`worst_node`, judged by ``passes``."""
+        worst, witness = worst_node(values, points, largest, controls)
+        return cls(name, passes(worst), worst, witness, note)
+
     def format(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         parts = [f"{status:4s} {self.name}"]
@@ -425,46 +440,17 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
     size = np.maximum.reduce(
         [np.abs(coeffs.sigma).max(axis=(-2, -1)), np.abs(coeffs.b).max(axis=-1), np.abs(coeffs.c), np.abs(coeffs.f)]
     )
-    worst_bound, witness_bound = worst_node(size, slab, True, problem.controls)
-    if not worst_bound > 0.0:
-        worst_bound, witness_bound = 0.0, None
-    worst_c, witness_c = worst_node(coeffs.c, slab, False, problem.controls)
+    controls, bound = problem.controls, problem.coeffs.bound
     eigs = np.linalg.eigvalsh(coeffs.a).min(axis=-1)
-    worst_eig, witness_eig = worst_node(eigs, slab, False, problem.controls)
-    report.checks.append(
-        Diagnostic(
-            "CoefficientBound",
-            worst_bound <= problem.coeffs.bound,
-            worst=worst_bound,
-            witness=witness_bound,
-            note=f"declared C_F={problem.coeffs.bound}",
-        )
-    )
-    report.checks.append(
-        Diagnostic("NonNegativity", worst_c >= 0.0, worst=worst_c, witness=witness_c, note="c >= 0 required")
-    )
-    report.checks.append(
-        Diagnostic(
-            "DiffusionPSD",
-            worst_eig >= -PSD_TOLERANCE,
-            worst=worst_eig,
-            witness=witness_eig,
-            note="min eigenvalue of sigma^T sigma",
-        )
-    )
+    report.checks += [
+        Diagnostic.of("CoefficientBound", size, slab, True, lambda w: w <= bound, f"declared C_F={bound}", controls),
+        Diagnostic.of("NonNegativity", coeffs.c, slab, False, lambda w: w >= 0.0, "c >= 0 required", controls),
+        Diagnostic.of("DiffusionPSD", eigs, slab, False, lambda w: w >= -PSD_TOLERANCE, "min eigenvalue of sigma^T sigma", controls),
+    ]
 
     # geometry: strict ordering and containment in the unit slab
     gp, gm = values["g_plus"], values["g_minus"]
-    worst_gap, witness_gap = worst_node(gp - gm, base, False)
-    report.checks.append(
-        Diagnostic(
-            "StrictOrdering",
-            worst_gap > 0.0,
-            worst=worst_gap,
-            witness=witness_gap,
-            note="g+ - g- must be positive",
-        )
-    )
+    report.checks.append(Diagnostic.of("StrictOrdering", gp - gm, base, False, lambda w: w > 0.0, "g+ - g- must be positive"))
     gmax = float(max(np.abs(gp).max(), np.abs(gm).max()))
     report.checks.append(
         Diagnostic(
@@ -477,15 +463,9 @@ def validate(problem: ThinProblem, samples_per_axis: int = 8) -> DiagnosticsRepo
 
     if "h" in values:
         above, below = gp - values["h"], values["h"] - gm
-        worst_level, witness_level = worst_node(np.where(below < above, below, above), base, False)
+        level = np.where(below < above, below, above)
         report.checks.append(
-            Diagnostic(
-                "BarrierLevelBetween",
-                worst_level > 0.0,
-                worst=worst_level,
-                witness=witness_level,
-                note="g- < h < g+ required",
-            )
+            Diagnostic.of("BarrierLevelBetween", level, base, False, lambda w: w > 0.0, "g- < h < g+ required")
         )
 
     # boundary data: (h.4) and (h.7) hold by construction

@@ -48,8 +48,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ExperimentPlan, _in_range
-from .problem import Coefficients, ControlSet, ThinProblem, _lattice_nodes, inf_sup, quadratic_form
+from .config import ExperimentPlan, in_range
+from .problem import Coefficients, ControlSet, ThinProblem, inf_sup, lattice_nodes, quadratic_form
 from .reduction import LimitProblem
 
 INTERIOR, TOP, BOTTOM, DIRICHLET = 0, 1, 2, 3
@@ -129,7 +129,7 @@ class Grid:
         return tuple(float(a[1] - a[0]) for a in self.axes)
 
     def nodes(self) -> np.ndarray:
-        return _lattice_nodes(self.axes)
+        return lattice_nodes(self.axes)
 
 
 def make_eps_grid(problem: ThinProblem, eps: float, nx: int, ny: int) -> Grid:
@@ -143,7 +143,7 @@ def make_eps_grid(problem: ThinProblem, eps: float, nx: int, ny: int) -> Grid:
     if geom.n != 1:
         raise NotImplementedError("the eps-problem solver is restricted to a 1-dimensional base")
     geom.check_eps(eps)
-    nx, ny = _in_range("nx", nx), _in_range("ny", ny)
+    nx, ny = in_range("nx", nx), in_range("ny", ny)
     if not (geom.g_plus.is_constant and geom.g_minus.is_constant):
         raise NotImplementedError("eps-problem grids require constant g+- (flat strip)")
     xs = np.linspace(geom.lower[0], geom.upper[0], nx + 1)
@@ -160,7 +160,7 @@ def make_eps_grid(problem: ThinProblem, eps: float, nx: int, ny: int) -> Grid:
 def make_limit_grid(lp: LimitProblem, resolution: int) -> Grid:
     """Grid on the base box with ``resolution`` intervals along every axis."""
     geom = lp.source.geom
-    resolution = _in_range("limit_resolution", resolution)
+    resolution = in_range("limit_resolution", resolution)
     axes = tuple(np.linspace(lo, hi, resolution + 1) for lo, hi in zip(geom.lower, geom.upper))
     shape = tuple(len(a) for a in axes)
     cls = np.full(shape, INTERIOR, dtype=np.int8)
@@ -505,7 +505,7 @@ def policy_iteration(
     nodes are pinned to their data exactly after each solve.  A tol or
     max_iter outside its ExperimentPlan range raises a ValueError naming it.
     """
-    tol, max_iter = _in_range("tol", tol), _in_range("max_iter", max_iter)
+    tol, max_iter = in_range("tol", tol), in_range("max_iter", max_iter)
     size = sys.grid.size
     u = np.zeros(size)
     u[sys.dirichlet_mask] = sys.dirichlet_values[sys.dirichlet_mask]

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from configgen import config_text
 from thinpde import barriers as bar
 from thinpde import distortion
 from thinpde.config import load_problem
@@ -336,3 +338,20 @@ def test_search_measures_each_candidate_once(config, want, monkeypatch):
     pair = bar.search_barriers(problem, build_map(problem) if bar.needs_distortion(problem) else None)
     assert len(calls) == 8
     assert pair.params.format() == want
+
+
+def test_search_measures_no_knob_past_its_cap(tmp_path, monkeypatch):
+    # seed-0 draws 20 and 112 of the config generator double C_D to the cap and stop there
+    monkeypatch.setattr(bar, "SEARCH_CAP", 8.0)
+    measured = []
+    margins = bar._MarginEngine.margins
+    monkeypatch.setattr(bar._MarginEngine, "margins", lambda self, p, eps: measured.append(p) or margins(self, p, eps))
+    rng = np.random.default_rng(0)
+    texts = [config_text(rng) for _ in range(113)]
+    for draw in (20, 112):
+        path = tmp_path / f"draw{draw}.cfg"
+        path.write_text(texts[draw])
+        problem = load_problem(path)
+        with pytest.raises(bar.SearchExhaustedError, match=re.escape("barrier positivity (C_D stage)")):
+            bar.search_barriers(problem, build_map(problem) if bar.needs_distortion(problem) else None)
+    assert max(max(p.alpha, p.lam, p.c_d) for p in measured) == 8.0

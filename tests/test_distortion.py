@@ -16,6 +16,7 @@ from thinpde.distortion import (
     transplant_ellipticity,
 )
 from thinpde.expressions import ScalarField, VectorField, base_vars, parse
+from thinpde.problem import Coefficients, box_lattice, quadratic_form, strip_points
 from problems import reference_problem
 
 
@@ -294,21 +295,48 @@ def test_hat_boundary_first_components_order_y(distorted):
         assert abs(g[0]) <= 0.5 * y  # O(|y|) with a modest constant
 
 
+def _hatted_margin(problem, dmap) -> float:
+    """The least hatted interior form (Ds, 0) A^ (Ds, 0)^T on the 16-interval lattice of omega_hat."""
+    pts = box_lattice(*dmap.omega_hat, 16)
+    y0 = np.zeros(len(pts))
+    v_hat = strip_points(problem.bdata.s_candidate.grad(pts), y0)[:, None, None]
+    return float(quadratic_form(v_hat, hat_coefficients(problem, dmap, pts, y0).a).min())
+
+
 def test_transplant_matches_interior(reference, distorted):
-    rep0 = transplant_ellipticity(reference, build_map(reference))
+    dmap0 = build_map(reference)
+    rep0 = transplant_ellipticity(reference, dmap0)
     assert rep0.passed
-    assert rep0.margin == pytest.approx(1.0)
+    assert _hatted_margin(reference, dmap0) == pytest.approx(1.0)
     rep = transplant_ellipticity(distorted, build_map(distorted))
     assert rep.passed
-    assert rep.crosscheck_max_diff <= 1e-9
+    assert rep.worst <= 1e-9
 
 
 def test_transplant_constant_gamma_value():
     # A = I2, gamma = 1, s = x1: both sides equal (1, -1) I (1, -1)^T = 2
     p = reference_problem(gamma0="1")
-    rep = transplant_ellipticity(p, build_map(p))
-    assert rep.margin == pytest.approx(2.0)
-    assert rep.crosscheck_max_diff <= 1e-12
+    dmap = build_map(p)
+    rep = transplant_ellipticity(p, dmap)
+    assert _hatted_margin(p, dmap) == pytest.approx(2.0)
+    assert rep.worst <= 1e-12
+    assert rep.format().startswith("PASS transplanted ellipticity: margin=2, two-sided agreement ")
+
+
+def test_transplant_fail_names_its_witness(reference, monkeypatch):
+    # a 1% error in the hatted A breaks the agreement with the original form everywhere
+    hatted = distortion.hat_coefficients
+
+    def off_by_one_percent(problem, dmap, z, y):
+        co = hatted(problem, dmap, z, y)
+        return Coefficients(co.sigma, 1.01 * co.a, co.b, co.c, co.f)
+
+    monkeypatch.setattr(distortion, "hat_coefficients", off_by_one_percent)
+    report = transplant_ellipticity(reference, build_map(reference))
+    assert not report.passed
+    assert report.format() == (
+        "FAIL transplanted ellipticity: margin=1.01, two-sided agreement 1.000e-02 (tolerance 1e-09) at ((0.0,), '1', '1')"
+    )
 
 
 def test_hat_operator_nonnegative_c_and_psd(distorted):
@@ -329,7 +357,6 @@ from pathlib import Path  # noqa: E402
 
 from thinpde.config import load_problem  # noqa: E402
 from problems import transform_demo_problem  # noqa: E402
-from thinpde.problem import box_lattice  # noqa: E402
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

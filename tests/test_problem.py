@@ -64,6 +64,17 @@ def test_bound_violation_reported():
     assert "CoefficientBound" in _failing("", report)
 
 
+def test_coefficient_bound_names_its_first_node_on_all_zero_coefficients():
+    # every |sigma|, |b|, |c| and |f| is 0, so the largest is 0 at the first slab node under the first control pair
+    p = reference_problem()
+    p.coeffs.entries[("1", "1")] = _entry(1, [["0", "0"], ["0", "0"]], ["0", "0"], "0", "0")
+    diag = next(c for c in validate(p).checks if c.name == "CoefficientBound")
+    assert diag.passed
+    assert diag.worst == 0.0
+    assert diag.witness == ((0.0, -1.0), "1", "1")
+    assert diag.format() == "PASS CoefficientBound  worst=0  witness=((0.0, -1.0), '1', '1')  declared C_F=50.0"
+
+
 def test_never_aborts_on_domain_error():
     p = reference_problem(f="1/x1")  # blows up at x1 = 0
     report = validate(p)

@@ -98,3 +98,13 @@ def test_every_export_is_run_by_the_program():
             if name not in _references(tree, skip=node):
                 unused.append(f"{path.stem}.{name}")
     assert not unused, f"public but not run by src/ or bench/: {unused}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name another module needs is public, so it carries no leading underscore
+    crossing = []
+    for path in sorted((ROOT / "src" / "thinpde").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("thinpde")):
+                crossing += [f"{path.stem}: from {'.' * node.level}{node.module} import {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not crossing, crossing
