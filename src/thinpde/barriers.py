@@ -15,22 +15,26 @@ two distinct eps and two grid resolutions.  The hidden constants of the
 asymptotic bookkeeping are data dependent, so measured margins replace
 them throughout.
 
-For general gamma0 the same construction runs in distorted coordinates
+For general gamma0 the same construction is built in distorted coordinates
 (where the hatted oblique data has zero horizontal part) and the barriers
-are pulled back through the inverse map with chain-rule derivatives.
+are pulled back through the inverse map with chain-rule derivatives.  The
+search takes its normalisation (r, kappa, the shift and sup of s~) there,
+but measures every candidate on the original strip, through the pull-back,
+exactly as :func:`verify_barrier` measures the pair; so ``thinpde barrier``
+at its default options agrees with the pipeline's barrier stage.
 
 The barrier formulas and their first and second derivatives are written
-once, in ``_barrier_arrays``, over arrays of strip nodes.  There is one pair
-type, :class:`BarrierPair` (view, params, and a distortion map when the
-pair is pulled back), and one way to get it, :func:`search_barriers`.  It
-searches the parameters once, on the distorted view of the map it is given
-or else on the flat view; its callers decide with :func:`needs_distortion`
-(the one test of gamma0).  The pair takes eps
-at each evaluation and evaluates both barriers at a batch of nodes from one
-field evaluation, at one set of preimages; eps below params.eps1 is
-certified, larger eps is evaluated all the same where the pair
-:meth:`~BarrierPair.reaches` it.  The seven margins have
-one evaluator, ``_MarginEngine.margins_of``, over the view's coefficient
+once, in ``_barrier_arrays``, over arrays of strip nodes.  There is one
+view, :func:`flat_view`, the problem on its own strip; one pair type,
+:class:`BarrierPair` (the view, params, and a distortion map when the pair
+is pulled back); and one way to get it, :func:`search_barriers`.  It
+searches the parameters once, with the map it is given or else none; its
+callers decide with :func:`needs_distortion` (the one test of gamma0).
+The pair takes eps at each evaluation and evaluates both barriers at a
+batch of nodes from one field evaluation, at one set of preimages; eps
+below params.eps1 is certified, larger eps is evaluated all the same where
+the pair :meth:`~BarrierPair.reaches` it.  The seven margins have one
+evaluator, ``_MarginEngine.margins_of``, over the view's coefficient
 bundle at all strip nodes at once, and one way to reach it: the parameter
 search and :func:`verify_barrier` both measure a pair through
 :meth:`BarrierPair.arrays` at the nodes of :func:`strip_nodes`;
@@ -41,11 +45,11 @@ margins take base points (m, N) and heights (m,) only: no one-point form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distortion import DistortionMap, hat_coefficients, hat_oblique, matrix_r, top_profile
+from .distortion import DistortionMap, hat_coefficients, matrix_r
 from .expressions import Bin, Const, Expr, ScalarField
 from .problem import Coefficients, ThinProblem, box_lattice, operator_infsup, quadratic_form, row_dot, strip_lattice, strip_points
 
@@ -127,20 +131,18 @@ class BarrierMargins:
 
 @dataclass
 class StripView:
-    """Uniform access to a thin problem in flat or distorted coordinates.
+    """A thin problem on its own strip, in its own coordinates.
 
     ``coefficients(x, y)`` bundles every control pair at base points x (m, N)
     and heights y (m,).  Each side is a sign, +1 for the top and -1 for the
     bottom: ``oblique(sign, x, y)`` gives that side's (gamma, beta) and
-    ``profile(sign, x, eps)`` its heights over base points (eps*g+- in flat
-    coordinates, the implicit profiles in distorted ones).
+    ``profile(sign, x, eps)`` its heights eps*g+- over base points.
     """
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     eps0: float
     g_sup: float
-    r_cap: float
     coefficients: object  # (x, y) -> Coefficients
     oblique: object  # (sign, x, y) -> (gamma (..., N+1), beta)
     profile: object  # (sign, x, eps) -> heights
@@ -174,33 +176,12 @@ def flat_view(problem: ThinProblem) -> StripView:
         upper=geom.upper,
         eps0=geom.epsilon0,
         g_sup=max(float(np.abs(g.value(base)).max()) for g in (geom.g_plus, geom.g_minus)),
-        r_cap=1.0,
         coefficients=lambda x, y: problem.coefficients(strip_points(x, y)),
         oblique=bd.oblique,
         profile=lambda sign, x, eps: eps * geom.profile(sign).value(x),
         beta0=bd.beta0,
         s=bd.s_candidate,
         h=_barrier_level(problem),
-    )
-
-
-def hat_view(problem: ThinProblem, dmap: DistortionMap) -> StripView:
-    """View in distorted coordinates: hatted operator, straightened data.
-
-    The base box is the original one inflated by r*sup|gamma| so that the
-    preimages of the closed strip stay inside; the hatted gamma0 vanishes
-    identically, so the Step-1 construction applies directly with the
-    implicit profiles as top/bottom boundaries.
-    """
-    geom = problem.geom
-    return replace(
-        flat_view(problem),
-        lower=dmap.omega_hat[0],
-        upper=dmap.omega_hat[1],
-        r_cap=dmap.r,
-        coefficients=lambda z, y: hat_coefficients(problem, dmap, z, y),
-        oblique=lambda sign, z, y: hat_oblique(problem, dmap, sign, z, y),
-        profile=lambda sign, z, eps: top_profile(dmap, geom.profile(sign), eps, z),
     )
 
 
@@ -293,9 +274,10 @@ class _StripData:
 class _MarginEngine:
     """Strip lattices of one view, cached per eps, and the seven margins on them, cached per (params, eps)."""
 
-    def __init__(self, view: StripView, grid: tuple[int, int]):
+    def __init__(self, view: StripView, grid: tuple[int, int], dmap: DistortionMap | None = None):
         self.view = view
         self.grid = grid
+        self.dmap = dmap  # the map the candidates of :meth:`margins` are pulled back through
         self.xs = box_lattice(view.lower, view.upper, grid[0])
         self._strips: dict[float, _StripData] = {}
         self._margins: dict[tuple[BarrierParams, float], BarrierMargins] = {}
@@ -324,7 +306,7 @@ class _MarginEngine:
         return self.margins_of(strip, *pair.arrays(strip.x, strip.ys, eps))
 
     def margins(self, params: BarrierParams, eps: float) -> BarrierMargins:
-        """Margins of the explicit pair of the view with these parameters.
+        """Margins of the pair ``BarrierPair(view, params, dmap)`` of this engine.
 
         A value past float range raises (OverflowError from C_alpha,
         FloatingPointError from the arrays) instead of reaching a margin as
@@ -333,7 +315,7 @@ class _MarginEngine:
         found = self._margins.get((params, eps))
         if found is None:
             with np.errstate(over="raise"):
-                found = self._margins[params, eps] = self.measure(BarrierPair(self.view, params), eps)
+                found = self._margins[params, eps] = self.measure(BarrierPair(self.view, params, self.dmap), eps)
         return found
 
     def margins_of(self, strip: _StripData, up, lo) -> BarrierMargins:
@@ -377,8 +359,9 @@ class _MarginEngine:
 class BarrierPair:
     """psi_bar and psi_low: the explicit pair of ``view`` and ``params``.
 
-    With a ``dmap`` the view is the distorted one and the pair is pulled back
-    to the original coordinates: w o Q, with chain-rule derivatives.
+    With a ``dmap`` the explicit pair lives in the map's distorted
+    coordinates and is pulled back to the view's: w o Q, with chain-rule
+    derivatives.
     ``values`` and ``arrays`` evaluate both barriers at one eps and a batch
     of nodes from one field evaluation, at one set of preimages.  The
     strictness inequalities are certified only for eps < params.eps1.
@@ -421,57 +404,63 @@ class BarrierPair:
 
 
 def verify_barrier(view: StripView, pair: BarrierPair, eps: float, grid: tuple[int, int] = VERIFY_GRID) -> BarrierMargins:
-    """Measure the seven strictness margins of a pair at eps on a lattice of the view's strip.
-
-    Works for any barrier evaluators (explicit or pulled back); the view
-    does not need gamma0 = 0, so pulled-back pairs are checked against the
-    original oblique data directly.
-    """
+    """The seven strictness margins of any pair (explicit or pulled back) at eps on a lattice of the view's strip."""
     return _MarginEngine(view, grid).measure(pair, eps)
 
 
 # --- parameter search ---------------------------------------------------------
 
 
-def _slab_form_min(view: StripView, r: float) -> float:
-    """min over the slab lattice (12 base intervals per axis, 4 in y) and controls of (Ds,0) A(x,y) (Ds,0)^T."""
-    xs = box_lattice(view.lower, view.upper, 12)
+def _slab_form_min(problem: ThinProblem, dmap: DistortionMap | None, xs: np.ndarray, r: float) -> float:
+    """min over the slab |y| <= r over base points xs (4 intervals in y) and controls of (Ds,0) A (Ds,0)^T.
+
+    A is the problem's diffusion, or with a map the hatted one at distorted
+    points.  A form that overflows gives inf or nan.
+    """
     x_idx, ys = strip_lattice(xs, -r, r, 4)
-    ds = strip_points(view.s.grad(xs), 0.0)[x_idx]
-    a = view.coefficients(xs[x_idx], ys).a
-    return float(quadratic_form(ds[:, None, None], a).min())
+    ds = strip_points(problem.bdata.s_candidate.grad(xs), 0.0)[x_idx]
+    z = xs[x_idx]
+    co = problem.coefficients(strip_points(z, ys)) if dmap is None else hat_coefficients(problem, dmap, z, ys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(quadratic_form(ds[:, None, None], co.a).min())
 
 
-def search_parameters(view: StripView) -> BarrierParams:
+def search_parameters(problem: ThinProblem, dmap: DistortionMap | None = None) -> BarrierParams:
     """Select (r, kappa, Lambda, alpha, C_D, eps1) so all margins are strict.
 
-    ``view`` is one whose oblique data has no horizontal part: the flat view
-    of a gamma0 = 0 problem or a distorted view.  Stages run in the fixed
-    order Lambda -> alpha -> C_D -> eps1 with doubling capped at 2^40; a
-    final verification at eps1/2 and eps1/4 on the coarse and refined
-    lattices feeds back into the responsible knob when a margin fails.
-    Raises SearchExhaustedError naming the inequality that could not be
-    satisfied, or the stage at which a barrier value would leave float range.
+    Without a map the problem needs gamma0 = 0.  With ``dmap`` the
+    normalisation (r from the map's half-height, kappa from the hatted slab
+    form, the shift and sup of s~) is taken over the map's inflated box.
+    Every candidate is measured as :func:`verify_barrier` measures the pair:
+    ``BarrierPair(flat_view, params, dmap)`` on the original strip.
+    Stages run in the fixed order Lambda -> alpha -> C_D -> eps1 with
+    doubling capped at 2^40; a final verification at eps1/2 and eps1/4 on
+    the coarse and refined lattices feeds back into the responsible knob
+    when a margin fails.  Raises SearchExhaustedError naming the inequality
+    that could not be satisfied, or the stage at which a barrier value would
+    leave float range.
     """
-    m0 = _slab_form_min(view, 0.0)
-    if m0 <= 1e-8:
-        raise SearchExhaustedError("ellipticity normalization: (Ds,0) A(x,0) (Ds,0)^T not positive")
-    r = min(0.5, view.r_cap)
+    view = flat_view(problem)
+    box, r = ((view.lower, view.upper), 0.5) if dmap is None else (dmap.omega_hat, dmap.r)
+    slab = box_lattice(*box, 12)
+    m0 = _slab_form_min(problem, dmap, slab, 0.0)
+    if not 1e-8 < m0 < math.inf:
+        raise SearchExhaustedError("ellipticity normalization: (Ds,0) A(x,0) (Ds,0)^T not positive and finite")
     while r > 2.0**-20:
-        mr = _slab_form_min(view, r)
-        if mr >= 0.5 * m0:
+        mr = _slab_form_min(problem, dmap, slab, r)
+        if 0.5 * m0 <= mr < math.inf:
             break
         r *= 0.5
     else:
         raise SearchExhaustedError("ellipticity normalization on a slab of positive half-height")
     kappa = 1.0 / math.sqrt(mr)
 
-    engine = _MarginEngine(view, _SEARCH_GRID)
-    fine = _MarginEngine(view, VERIFY_GRID)
-    s_vals = view.s.value(engine.xs)
+    s_vals = view.s.value(box_lattice(*box, _SEARCH_GRID[0]))
     shift = float(s_vals.min())
     s_sup = float((kappa * (s_vals - shift)).max())
     eps1_cap = r / view.g_sup if view.g_sup > 0 else 1.0
+    engine = _MarginEngine(view, _SEARCH_GRID, dmap)
+    fine = _MarginEngine(view, VERIFY_GRID, dmap)
 
     def params_for(alpha, lam, c_d) -> BarrierParams:
         eps1 = min(view.eps0, 0.99 / alpha, 0.99 / lam, eps1_cap, 0.99)
@@ -520,12 +509,5 @@ def search_parameters(view: StripView) -> BarrierParams:
 
 
 def search_barriers(problem: ThinProblem, dmap: DistortionMap | None) -> BarrierPair:
-    """The barrier pair of the problem, searched flat or in distorted coordinates.
-
-    Without a map the search runs on the flat view, which needs gamma0 = 0.
-    With ``dmap`` it runs on the distorted view (whose hatted gamma0
-    vanishes) and the pair pulls back through the map, so the strictness
-    inequalities transfer verbatim.
-    """
-    view = flat_view(problem) if dmap is None else hat_view(problem, dmap)
-    return BarrierPair(view, search_parameters(view), dmap)
+    """The pair of the flat view and :func:`search_parameters`, pulled back through ``dmap`` when given one."""
+    return BarrierPair(flat_view(problem), search_parameters(problem, dmap), dmap)

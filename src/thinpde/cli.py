@@ -190,7 +190,7 @@ def cmd_barrier(args) -> int:
         raise EpsOutOfRangeError(
             f"pulled-back barriers undefined beyond the map slab; need eps*sup|g| <= r (eps={eps}, r={pair.dmap.r})"
         )
-    view = bar.flat_view(problem)
+    view = pair.view
     margins = bar.verify_barrier(view, pair, eps, grid=(args.nx, args.ny))
     tables = {}
     if args.csv:

@@ -28,6 +28,8 @@ boundary data are functions of the problem and the map,
 (the straightened boundary data) and :func:`transplant_ellipticity` (the
 hatted interior form against the original one) each report a
 :class:`thinpde.problem.ToleranceCheck`, which names its witness on a FAIL.
+The barrier search reads only its normalisation from the hatted data; it
+measures its candidates on the original strip, through the pull-back.
 """
 
 from __future__ import annotations
@@ -251,11 +253,12 @@ def hat_coefficients(problem: ThinProblem, dmap: DistortionMap, z, y) -> Coeffic
     base = problem.coefficients(dmap.forward(z, y))
     r = matrix_r(dmap, z, y)
     r_t = np.swapaxes(r, -1, -2)[:, None, None]
-    sigma = base.sigma @ r_t
-    # the curvature drift d_i = tr(A D^2 Q_i)
-    curvature = (base.a[..., None, :, :] * dmap.d2q(z, y, r)[:, None, None]).sum(axis=(-2, -1))
-    drift = row_matmul(base.b, r_t) + curvature
-    return Coefficients(sigma, np.swapaxes(sigma, -1, -2) @ sigma, drift, base.c, base.f)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing A^ reaches its checks as inf or nan
+        sigma = base.sigma @ r_t
+        # the curvature drift d_i = tr(A D^2 Q_i)
+        curvature = (base.a[..., None, :, :] * dmap.d2q(z, y, r)[:, None, None]).sum(axis=(-2, -1))
+        drift = row_matmul(base.b, r_t) + curvature
+        return Coefficients(sigma, np.swapaxes(sigma, -1, -2) @ sigma, drift, base.c, base.f)
 
 
 def hat_oblique(problem: ThinProblem, dmap: DistortionMap, sign: float, z, y) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +304,9 @@ def transplant_ellipticity(problem: ThinProblem, dmap: DistortionMap) -> Toleran
     ds = problem.bdata.s_candidate.grad(pts)
     v_hat = strip_points(ds, y0)
     v_orig = strip_points(ds, -row_dot(ds, dmap.gamma.value(pts)))
-    lhs = quadratic_form(v_hat[:, None, None], hat_coefficients(problem, dmap, pts, y0).a)
-    rhs = quadratic_form(v_orig[:, None, None], problem.coefficients(strip_points(pts, y0)).a)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing form fails the agreement as inf or nan
+        lhs = quadratic_form(v_hat[:, None, None], hat_coefficients(problem, dmap, pts, y0).a)
+        rhs = quadratic_form(v_orig[:, None, None], problem.coefficients(strip_points(pts, y0)).a)
+        deviation = np.abs(lhs - rhs)
     what = f"transplanted ellipticity: margin={lhs.min():.6g}, two-sided agreement"
-    return ToleranceCheck.of(what, np.abs(lhs - rhs), pts, _TRANSPLANT_TOL, problem.controls)
+    return ToleranceCheck.of(what, deviation, pts, _TRANSPLANT_TOL, problem.controls)

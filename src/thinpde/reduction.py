@@ -173,14 +173,16 @@ def representation_check(problem: ThinProblem, lp: LimitProblem, samples: int = 
     if samples < 1:
         raise ValueError(f"representation check needs samples >= 1, got {samples}")
     Xs, ps, rs, xs = _draws(problem.geom.lower, problem.geom.upper, samples, seed)
-    g_val = operator_infsup(lp.coefficients(xs), Xs, ps, rs)[0]
-    a_mat, b_mat, c_mat = bordered_matrices(problem, xs, Xs, ps)
-    bd = problem.bdata
-    q = strip_points(ps, bd.beta0.value(xs) - row_dot(bd.gamma0.value(xs), ps))
-    f_val = operator_infsup(problem.coefficients(strip_points(xs, 0.0)), a_mat + b_mat + c_mat, q, rs)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing coefficient fails the identity as inf or nan
+        g_val = operator_infsup(lp.coefficients(xs), Xs, ps, rs)[0]
+        a_mat, b_mat, c_mat = bordered_matrices(problem, xs, Xs, ps)
+        bd = problem.bdata
+        q = strip_points(ps, bd.beta0.value(xs) - row_dot(bd.gamma0.value(xs), ps))
+        f_val = operator_infsup(problem.coefficients(strip_points(xs, 0.0)), a_mat + b_mat + c_mat, q, rs)[0]
+        deviation = np.abs(g_val - f_val)
     what = f"representation identity over {samples} draws (seed {seed}): max |G - F| ="
     # the witness is the worst draw's (x1..xN, r)
-    return ToleranceCheck.of(what, np.abs(g_val - f_val), strip_points(xs, rs), _REPRESENTATION_TOL)
+    return ToleranceCheck.of(what, deviation, strip_points(xs, rs), _REPRESENTATION_TOL)
 
 
 @dataclass

@@ -11,7 +11,7 @@ import numpy as np
 
 from thinpde import barriers as bar
 from thinpde import distortion
-from thinpde.distortion import build_map, top_profile
+from thinpde.distortion import build_map, hat_coefficients, top_profile
 from thinpde.config import ExperimentPlan
 from thinpde.ellipticity import circle_obstruction_demo, equivalence_check
 from thinpde.harness import convergence_experiment, sandwich_margins
@@ -87,8 +87,9 @@ def test_criterion_05_barrier_suite():
     details = []
     ok = True
     for c in ("0", "1"):
-        view = bar.flat_view(reference_problem(c=c))
-        params = bar.search_parameters(view)
+        prob = reference_problem(c=c)
+        view = bar.flat_view(prob)
+        params = bar.search_parameters(prob)
         for eps in (params.eps1 / 2, params.eps1 / 4):
             for grid in ((24, 8), (48, 16)):
                 m = bar.verify_barrier(view, bar.BarrierPair(view, params), eps, grid=grid)
@@ -110,20 +111,20 @@ def test_criterion_06_chain_rule_identity(monkeypatch):
     dmap = build_map(distorted)
     pair = bar.search_barriers(distorted, dmap=dmap)
     eps = pair.params.eps1 / 2
-    hat = pair.view
     rng = np.random.default_rng(7)
     zs, ys = [], []
     for _ in range(200):
         z = np.array([rng.uniform(0, 1)])
         zs.append(z)
-        ys.append(float(rng.uniform(hat.profile(-1.0, z[None], eps)[0], hat.profile(1.0, z[None], eps)[0])))
+        lo, hi = (top_profile(dmap, g, eps, z[None])[0] for g in (distorted.geom.g_minus, distorted.geom.g_plus))
+        ys.append(float(rng.uniform(lo, hi)))
     z, y = np.array(zs), np.array(ys)
     x = dmap.forward(z, y)[:, :-1]
     # psi_bar pulled back, under F at x, and psi_bar^ under F^ at z = Q(x, y)
     (val, grad, hess), _ = pair.arrays(x, y, eps)
     lhs = operator_infsup(bar.flat_view(distorted).coefficients(x, y), hess, grad, val)[0]
     (val, grad, hess), _ = replace(pair, dmap=None).arrays(z, y, eps)
-    rhs = operator_infsup(hat.coefficients(z, y), hess, grad, val)[0]
+    rhs = operator_infsup(hat_coefficients(distorted, dmap, z, y), hess, grad, val)[0]
     worst = float(np.abs(lhs - rhs).max())
     _report(6, "chain-rule identity", worst <= 1e-6, f"max |F - F^| = {worst:.3e} <= 1e-6 at 200 nodes")
 
@@ -156,8 +157,7 @@ def test_criterion_07_solver_suite():
 
 def test_criterion_08_sandwich():
     prob = reference_problem()
-    view = bar.flat_view(prob)
-    pair = bar.BarrierPair(view, bar.search_parameters(view))
+    pair = bar.search_barriers(prob, None)
     worst = math.inf
     for eps in EPS_LIST:
         fld = solve_eps(prob, eps, nx=64, ny=16)

@@ -12,17 +12,17 @@ from thinpde import barriers as bar
 from thinpde import distortion
 from thinpde.config import load_problem
 from thinpde.distortion import build_map
+from thinpde.expressions import EvalDomainError
 from problems import reference_problem
 from thinpde.presets import _entry
-from thinpde.problem import box_lattice, operator_infsup
+from thinpde.problem import box_lattice, operator_infsup, strip_points
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
 def ref_params(reference):
-    view = bar.flat_view(reference)
-    return view, bar.search_parameters(view)
+    return bar.flat_view(reference), bar.search_parameters(reference)
 
 
 @pytest.mark.parametrize(
@@ -79,8 +79,8 @@ def test_search_reference(ref_params):
 
 
 def test_search_c1_needs_no_larger_cd(reference, reference_c1):
-    p0 = bar.search_parameters(bar.flat_view(reference))
-    p1 = bar.search_parameters(bar.flat_view(reference_c1))
+    p0 = bar.search_parameters(reference)
+    p1 = bar.search_parameters(reference_c1)
     assert p1.c_d <= p0.c_d
     view1 = bar.flat_view(reference_c1)
     assert bar.verify_barrier(view1, bar.BarrierPair(view1, p1), p1.eps1 / 2).passed
@@ -91,7 +91,7 @@ def test_cd_doubling_monotone(reference_c1, reference):
     # leaves every margin unchanged except the sandwich bookkeeping
     for prob, expect_increase in ((reference_c1, True), (reference, False)):
         view = bar.flat_view(prob)
-        params = bar.search_parameters(view)
+        params = bar.search_parameters(prob)
         eps = params.eps1 / 2
         m_lo = bar.verify_barrier(view, bar.BarrierPair(view, params), eps)
         doubled = bar.BarrierParams(
@@ -130,7 +130,7 @@ def test_search_exhausted_on_failed_certificate(reference):
     broken = reference_problem()
     broken.coeffs.entries[("1", "1")] = _entry(1, [["0", "0"], ["0", "1"]], ["0", "0"], "0", "0")
     with pytest.raises(bar.SearchExhaustedError) as err:
-        bar.search_parameters(bar.flat_view(broken))
+        bar.search_parameters(broken)
     assert "normalization" in err.value.inequality
 
 
@@ -163,21 +163,32 @@ def test_sandwich_width_bound(ref_params):
     assert width <= bound + 1e-9
 
 
-def _operator(view, side, x, y) -> np.ndarray:
-    """The operator of ``view`` on one barrier's (value, grad, hess) arrays at nodes (x, y)."""
+def _operator(coeffs, side) -> np.ndarray:
+    """The operator with coefficient bundle ``coeffs`` on one barrier's (value, grad, hess) arrays at its nodes."""
     val, grad, hess = side
-    return operator_infsup(view.coefficients(x, y), hess, grad, val)[0]
+    return operator_infsup(coeffs, hess, grad, val)[0]
+
+
+def _hat_view(problem, dmap) -> bar.StripView:
+    """The problem in the distorted coordinates of ``dmap``: the inflated box, the hatted operator and oblique
+    data, and the implicit profiles as top and bottom."""
+    return replace(
+        bar.flat_view(problem),
+        lower=dmap.omega_hat[0],
+        upper=dmap.omega_hat[1],
+        coefficients=lambda z, y: distortion.hat_coefficients(problem, dmap, z, y),
+        oblique=lambda sign, z, y: distortion.hat_oblique(problem, dmap, sign, z, y),
+        profile=lambda sign, z, eps: distortion.top_profile(dmap, problem.geom.profile(sign), eps, z),
+    )
 
 
 def test_general_barrier_zero_gamma_matches_flat(reference):
-    # gamma = 0: the distorted view is the flat one and the map is the identity
+    # gamma = 0: the distorted coordinates are the flat ones and the map is the identity
     dmap = build_map(reference)
-    hat = bar.hat_view(reference, dmap)
-    params = bar.search_parameters(hat)
-    pulled = bar.BarrierPair(hat, params, dmap)
-    eps = params.eps1 / 2
     view = bar.flat_view(reference)
-    flat = bar.BarrierPair(view, bar.search_parameters(view))
+    pulled = bar.BarrierPair(view, bar.search_parameters(reference, dmap), dmap)
+    eps = pulled.params.eps1 / 2
+    flat = bar.BarrierPair(view, bar.search_parameters(reference))
     x = np.repeat(np.linspace(0, 1, 5), 5)[:, None]
     y = np.tile(np.linspace(-eps, eps, 5), 5)
     np.testing.assert_allclose(pulled.values(x, y, eps)[0], flat.values(x, y, eps)[0], rtol=1e-9, atol=0.0)
@@ -197,15 +208,16 @@ def test_general_barrier_constant_gamma_margins_match(monkeypatch):
         ys.append(rng.uniform(-eps, eps))
     z, y = np.array(zs), np.array(ys)
     x = dmap.forward(z, y)[:, :-1]
-    lhs = _operator(bar.flat_view(p), pair.arrays(x, y, eps)[0], x, y)
-    rhs = _operator(pair.view, replace(pair, dmap=None).arrays(z, y, eps)[0], z, y)
+    lhs = _operator(p.coefficients(strip_points(x, y)), pair.arrays(x, y, eps)[0])
+    rhs = _operator(distortion.hat_coefficients(p, dmap, z, y), replace(pair, dmap=None).arrays(z, y, eps)[0])
     assert (np.abs(lhs - rhs) <= 1e-8 * np.maximum(1.0, np.abs(rhs))).all()
 
 
 def test_general_barrier_distorted_reference(distorted):
-    pair = bar.search_barriers(distorted, build_map(distorted))
+    dmap = build_map(distorted)
+    pair = bar.search_barriers(distorted, dmap)
     eps = pair.params.eps1 / 2
-    m_hat = bar.verify_barrier(pair.view, replace(pair, dmap=None), eps, grid=(24, 6))
+    m_hat = bar.verify_barrier(_hat_view(distorted, dmap), replace(pair, dmap=None), eps, grid=(24, 6))
     assert m_hat.passed, m_hat.format()
     m_orig = bar.verify_barrier(bar.flat_view(distorted), pair, eps, grid=(24, 6))
     assert m_orig.passed, m_orig.format()
@@ -286,7 +298,7 @@ def test_verify_barrier_matches_pointwise_loop(case, ref_params, reference, dist
         view = bar.flat_view(rich)
         params = bar.BarrierParams(alpha=2.0, lam=2.0, c_d=1.0, eps1=0.1, r=0.25, s_sup=1.0)
         dmap = build_map(rich)
-        pair = bar.BarrierPair(bar.hat_view(rich, dmap), params, dmap)
+        pair = bar.BarrierPair(view, params, dmap)
     grid = (24, 6)
     eps = pair.params.eps1 / 2
     got = bar.verify_barrier(view, pair, eps, grid=grid)
@@ -311,12 +323,13 @@ def test_pair_values_are_the_value_slots_of_arrays(ref_params, distorted):
 def test_search_margins_are_the_verification_margins(config):
     # the search's cached margins of a candidate and verify_barrier's margins of its pair, bit for bit
     problem = load_problem(CONFIGS / f"{config}.cfg")
-    view = bar.hat_view(problem, build_map(problem)) if bar.needs_distortion(problem) else bar.flat_view(problem)
-    params = bar.search_parameters(view)
+    dmap = build_map(problem) if bar.needs_distortion(problem) else None
+    view = bar.flat_view(problem)
+    params = bar.search_parameters(problem, dmap)
     for grid in ((16, 6), (32, 8)):
         for eps in (params.eps1 / 2, params.eps1 / 4):
-            got = bar._MarginEngine(view, grid).margins(params, eps)
-            want = bar.verify_barrier(view, bar.BarrierPair(view, params), eps, grid)
+            got = bar._MarginEngine(view, grid, dmap).margins(params, eps)
+            want = bar.verify_barrier(view, bar.BarrierPair(view, params, dmap), eps, grid)
             assert repr(astuple(got)) == repr(astuple(want))
 
 
@@ -341,17 +354,40 @@ def test_search_measures_each_candidate_once(config, want, monkeypatch):
 
 
 def test_search_measures_no_knob_past_its_cap(tmp_path, monkeypatch):
-    # seed-0 draws 20 and 112 of the config generator double C_D to the cap and stop there
+    # seed-0 draws 41 and 55 of the config generator double C_D to the cap and stop there
     monkeypatch.setattr(bar, "SEARCH_CAP", 8.0)
     measured = []
     margins = bar._MarginEngine.margins
     monkeypatch.setattr(bar._MarginEngine, "margins", lambda self, p, eps: measured.append(p) or margins(self, p, eps))
     rng = np.random.default_rng(0)
-    texts = [config_text(rng) for _ in range(113)]
-    for draw in (20, 112):
+    texts = [config_text(rng) for _ in range(56)]
+    for draw in (41, 55):
         path = tmp_path / f"draw{draw}.cfg"
         path.write_text(texts[draw])
         problem = load_problem(path)
         with pytest.raises(bar.SearchExhaustedError, match=re.escape("barrier positivity (C_D stage)")):
             bar.search_barriers(problem, build_map(problem) if bar.needs_distortion(problem) else None)
     assert max(max(p.alpha, p.lam, p.c_d) for p in measured) == 8.0
+
+
+def test_every_searched_pair_passes_its_verification_on_the_seed_0_draws(tmp_path):
+    # the search measures each candidate where verify_barrier measures the pair, so the pair it returns passes
+    # at eps1/2 and eps1/4 on VERIFY_GRID; a search in distorted coordinates once returned a pair that this check
+    # rejected (draw 97)
+    rng = np.random.default_rng(0)
+    returned = 0
+    for draw in range(150):
+        path = tmp_path / f"draw{draw}.cfg"
+        path.write_text(config_text(rng))
+        problem = load_problem(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                pair = bar.search_barriers(problem, build_map(problem) if bar.needs_distortion(problem) else None)
+            except (bar.SearchExhaustedError, EvalDomainError):
+                continue
+            for eps in (pair.params.eps1 / 2, pair.params.eps1 / 4):
+                margins = bar.verify_barrier(bar.flat_view(problem), pair, eps, bar.VERIFY_GRID)
+                assert margins.passed, f"draw {draw}: {margins.format()}"
+        returned += 1
+    assert returned == 100

@@ -400,17 +400,17 @@ def test_pipeline_measures_no_sandwich_where_the_strip_leaves_the_map_slab(gamma
     assert all(math.isfinite(float(rows[3][k])) for k in sandwich)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the pipeline's barrier stage never verifies the pair it searched (ROADMAP item 5): `barrier` measures "
-    "m3 = -1.196e4 at eps1/2 = 0.0078125 in original coordinates and exits 4, but `pipeline` exits 0",
-)
-def test_pipeline_stops_where_barrier_rejects_the_searched_pair(tmp_path, capsys):
+def test_pipeline_and_barrier_agree_on_the_searched_pair(tmp_path, capsys):
+    # the search measures each candidate where `barrier` verifies the pair, on the original strip; a search in
+    # distorted coordinates once passed a pair here whose m3 `barrier` measured as -1.196e4 (exit 4)
     cfg = _config_variant(tmp_path, "reference.cfg", "gamma0 = 0\n", "gamma0 = 0.3*sin(16*pi*x1)\n")
-    assert main(["barrier"] + cfg) == EXIT_BARRIER
-    assert "  m3 F>0   -1.195518e+04 VIOLATED" in capsys.readouterr().out.splitlines()
-    assert main(["pipeline"] + cfg) == EXIT_BARRIER
+    searched = []
+    for command in ("barrier", "pipeline"):
+        assert main([command] + cfg) == EXIT_OK, command
+        searched.append([line for line in capsys.readouterr().out.splitlines() if line.startswith("parameters: ")])
+    assert searched[0] == searched[1] == [
+        "parameters: alpha=16 Lambda=2 C_D=1 eps1=0.015625 r=0.015625 kappa=1.23562 C_alpha=3.85446e+08"
+    ]
 
 
 @pytest.mark.parametrize("csv_flag", [[], ["--csv"]], ids=["report", "csv"])
@@ -652,37 +652,55 @@ def test_a_nan_deviation_fails_its_tolerance_check_and_names_its_point(command, 
     assert any(line.startswith(want) for line in capsys.readouterr().out.splitlines())
 
 
+OVERFLOW_COMMANDS = ("validate", "certify", "reduce", "transform", "barrier", "converge", "pipeline")
+NOT_NORMALIZED = "barrier parameter search exhausted its budget on: ellipticity normalization: (Ds,0) A(x,0) (Ds,0)^T not positive and finite"
+
+
 @pytest.mark.parametrize(
     "edits, codes, want",
     [
         (
             # sigma^T sigma overflows to inf: its eigenvalues are nan, and both certificate forms inf
             (("sigma = 1, 0; 0, 1", "sigma = 1e200, 0; 0, 1"), ("bound = 50", "bound = 1e300")),
-            (EXIT_VALIDATION, EXIT_CERTIFICATE, EXIT_VALIDATION),
-            ["FAIL DiffusionPSD  worst=nan", "FAIL interior certificate: margin=inf", "FAIL boundary certificate: margin=inf"],
+            (EXIT_VALIDATION, EXIT_CERTIFICATE, EXIT_FAILURE, EXIT_FAILURE, EXIT_BARRIER, EXIT_BARRIER, EXIT_VALIDATION),
+            [
+                "FAIL DiffusionPSD  worst=nan",
+                "FAIL interior certificate: margin=inf",
+                "FAIL boundary certificate: margin=inf",
+                "FAIL representation identity over 1000 draws (seed 0): max |G - F| = nan",
+                "FAIL transplanted ellipticity: margin=inf, two-sided agreement nan",
+                NOT_NORMALIZED,
+            ],
         ),
         (
             # Ds = 1e200, so only the interior form v A v^T overflows
             (("s = x1", "s = 1e200*x1"),),
-            (EXIT_OK, EXIT_CERTIFICATE, EXIT_CERTIFICATE),
-            ["FAIL interior certificate: margin=inf", "pipeline: FAILED at stage certify (exit 3)"],
+            (EXIT_OK, EXIT_CERTIFICATE, EXIT_OK, EXIT_FAILURE, EXIT_BARRIER, EXIT_BARRIER, EXIT_CERTIFICATE),
+            [
+                "FAIL interior certificate: margin=inf",
+                "FAIL transplanted ellipticity: margin=inf, two-sided agreement nan",
+                NOT_NORMALIZED,
+                "pipeline: FAILED at stage certify (exit 3)",
+            ],
         ),
     ],
     ids=["sigma_1e200", "s_1e200_x1"],
 )
 def test_an_overflow_fails_its_check_without_a_numpy_warning(edits, codes, want, tmp_path, capsys):
-    # tier-1 turns a RuntimeWarning into an error, so these run as `python -W error` does;
-    # each certificate once printed PASS on margin=inf
+    # tier-1 turns a RuntimeWarning into an error, so these run as `python -W error` does; each certificate
+    # once printed PASS on margin=inf, and reduce, transform, barrier and converge once ended in a warning's traceback
     text = (CONFIGS / "reference.cfg").read_text()
     for old, new in edits:
         assert old in text
         text = text.replace(old, new)
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(text)
-    assert tuple(main([command, "--config", str(cfg)]) for command in ("validate", "certify", "pipeline")) == codes
-    out, err = capsys.readouterr()
-    assert err == ""
-    lines = out.splitlines()
+    lines = []
+    for command, code in zip(OVERFLOW_COMMANDS, codes):
+        assert main([command, "--config", str(cfg)]) == code, command
+        out, err = capsys.readouterr()
+        assert err == "", command
+        lines += out.splitlines()
     assert all(any(line.startswith(w) for line in lines) for w in want)
 
 

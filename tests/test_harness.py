@@ -220,7 +220,7 @@ def test_pipeline_stops_at_certificate():
 def test_pipeline_searches_barriers_once(case, monkeypatch, reference, distorted):
     from thinpde import barriers, distortion, harness
 
-    calls = {"search_parameters": 0, "build_map": 0, "hat_view": 0, "inverse": 0}
+    calls = {"search_parameters": 0, "build_map": 0, "inverse": 0, "margins_of": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -230,7 +230,7 @@ def test_pipeline_searches_barriers_once(case, monkeypatch, reference, distorted
         return wrapper
 
     monkeypatch.setattr(barriers, "search_parameters", counted("search_parameters", barriers.search_parameters))
-    monkeypatch.setattr(barriers, "hat_view", counted("hat_view", barriers.hat_view))
+    monkeypatch.setattr(barriers._MarginEngine, "margins_of", counted("margins_of", barriers._MarginEngine.margins_of))
     monkeypatch.setattr(
         distortion.DistortionMap, "inverse", counted("inverse", distortion.DistortionMap.inverse)
     )
@@ -242,9 +242,9 @@ def test_pipeline_searches_barriers_once(case, monkeypatch, reference, distorted
     run_pipeline(problem, plan)
     assert calls["search_parameters"] == 1
     assert calls["build_map"] <= 1
-    # the distorted view is built once, and each eps's sandwich inverts its strip nodes once
-    assert calls["hat_view"] == (case == "distorted")
-    assert calls["inverse"] == (len(plan.eps_list) if case == "distorted" else 0)
+    # each candidate the search measures, and each eps's sandwich, inverts its strip nodes once
+    assert calls["inverse"] == (calls["margins_of"] + len(plan.eps_list) if case == "distorted" else 0)
+    assert calls["margins_of"] == 8
 
 
 def test_pipeline_lets_an_unexpected_transform_error_propagate(distorted, monkeypatch):
